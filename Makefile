@@ -6,7 +6,7 @@
 GO ?= go
 BIN := bin
 
-.PHONY: all build lint vet demsortvet staticcheck test race runform-bench clean
+.PHONY: all build lint vet demsortvet staticcheck test race stress bench-check runform-bench clean
 
 all: build lint test
 
@@ -31,11 +31,26 @@ staticcheck:
 		echo "staticcheck not installed; skipping (CI runs it)"; \
 	fi
 
-test:
+# Tier-1 as ROADMAP.md writes it (non-race, so the `!race` allocation
+# tests run), plus the nested bench module's own tests.
+test: bench-check
 	$(GO) test -timeout 900s ./...
 
 race:
 	$(GO) test -race -timeout 900s ./...
+
+# The benchmark builds from its checkout: API drift under bench/ must
+# fail here, not in the driver.
+bench-check:
+	cd bench && $(GO) build ./... && $(GO) vet ./... && $(GO) test ./...
+
+# The transport plane 20 times over at 1, 2 and 4 Ps, with and without
+# the race detector — the schedule-sensitive tests live here.
+stress:
+	for p in 1 2 4; do \
+		GOMAXPROCS=$$p $(GO) test -count=20 -timeout 900s ./internal/cluster/... || exit 1; \
+		GOMAXPROCS=$$p $(GO) test -race -count=20 -timeout 1800s ./internal/cluster/... || exit 1; \
+	done
 
 # One-iteration smoke of the run-formation parallel radix benchmark —
 # the same gate CI runs; use -benchtime=10x locally for real numbers.

@@ -69,8 +69,8 @@ import (
 	"demsort/internal/cluster/faulty"
 	"demsort/internal/cluster/tcp"
 	"demsort/internal/elem"
+	"demsort/internal/job"
 	"demsort/internal/sortbench"
-	"demsort/internal/vtime"
 	"demsort/internal/workload"
 )
 
@@ -141,7 +141,7 @@ func main() {
 			runRecordsSim(*p, lp)
 			return
 		}
-		runKV16Sim(*p, *n, *mem, *block, *kind, *randomize, *overlap, *striped, *seed)
+		runKV16Sim(*p, *kind, lp)
 	case "tcp":
 		if *rank < 0 {
 			runLauncher(*p, lp, *hostfile, *baseport, *sshCmd, *remoteExe)
@@ -302,22 +302,13 @@ func partSummary(outdir string, rank int) sortbench.Summary {
 	return s
 }
 
-func recordOptions(p int, mem int64, block int, seed uint64, randomize, overlap bool) demsort.Options {
-	opts := demsort.NewOptions(p, mem, block)
-	opts.Model = demsort.ScaledModel(block)
-	opts.Randomize = randomize
-	opts.Overlap = overlap
-	opts.Seed = seed
-	return opts
-}
-
-func stripedRecordOptions(p int, mem int64, block int, seed uint64, randomize, overlap bool) demsort.StripedOptions {
-	opts := demsort.NewStripedOptions(p, mem, block)
-	opts.Model = demsort.ScaledModel(block)
-	opts.Randomize = randomize
-	opts.Overlap = overlap
-	opts.Seed = seed
-	return opts
+// configure applies the launch parameters every sorter shares to a
+// freshly defaulted common configuration.
+func (lp launchParams) configure(c *job.Common) {
+	c.Model = demsort.ScaledModel(lp.block)
+	c.Randomize = lp.randomize
+	c.Overlap = lp.overlap
+	c.Seed = lp.seed
 }
 
 // recordSinks builds the per-rank output sinks of an in-process run:
@@ -363,19 +354,18 @@ func (s *recordSinks) finish() sortbench.Summary {
 	return sortbench.Merge(sums)
 }
 
-// phaseStats is the per-phase reporting surface both Result types
-// share (the sim record runs print either through it).
-type phaseStats interface {
-	MaxWall(phase string) float64
-	PhaseBytes(phase string) (read, written int64)
-	TotalWall() float64
+// printPhases prints the per-phase breakdown and the modelled total of
+// either sorter's run.
+func printPhases(st *job.Stats, nBytes int64) {
+	for _, ph := range st.PhaseNames {
+		read, written := st.PhaseBytes(ph)
+		fmt.Printf("  %-20s %10.4fs   io %s\n", ph, st.MaxWall(ph), fmtIO(read, written, nBytes))
+	}
 }
 
-func printPhases(res phaseStats, phaseNames []string, nBytes int64) {
-	for _, ph := range phaseNames {
-		read, written := res.PhaseBytes(ph)
-		fmt.Printf("  %-20s %10.4fs   io %s\n", ph, res.MaxWall(ph), fmtIO(read, written, nBytes))
-	}
+func printTotal(st *job.Stats, nBytes int64) {
+	fmt.Printf("modelled total: %.4fs (%.2f MB/s equivalent)\n",
+		st.TotalWall(), float64(nBytes)/1e6/st.TotalWall())
 }
 
 // runRecordsSim sorts gensort records on the simulated machine —
@@ -384,35 +374,34 @@ func printPhases(res phaseStats, phaseNames []string, nBytes int64) {
 // the per-rank Sinks, so no tile or partition is ever resident in RAM.
 func runRecordsSim(p int, lp launchParams) {
 	sinks := newRecordSinks(p, lp.outdir)
-	var stats phaseStats
-	var phaseNames []string
-	var nBytes int64
+	configure := func(c *job.Common) {
+		lp.configure(c)
+		c.NewStore = newStoreFactory(lp)
+		c.Source = lp.source()
+		c.Sink = sinks.sink
+	}
+	var stats *job.Stats
 	if lp.striped {
-		opts := stripedRecordOptions(p, lp.mem, lp.block, lp.seed, lp.randomize, lp.overlap)
-		opts.NewStore = newStoreFactory(lp)
-		opts.Source = lp.source()
-		opts.Sink = sinks.sink
+		opts := demsort.NewStripedOptions(p, lp.mem, lp.block)
+		configure(&opts.Common)
 		res, err := demsort.SortStriped[elem.Rec100](demsort.Rec100Codec{}, opts, nil)
 		fail(err)
 		fmt.Printf("globally striped mergesort[records]: P=%d N=%d (%d runs, %d merge batches)\n",
 			res.P, res.N, res.Runs, res.Batches)
-		stats, phaseNames, nBytes = res, res.PhaseNames, res.N*100
+		stats = &res.Stats
 	} else {
-		opts := recordOptions(p, lp.mem, lp.block, lp.seed, lp.randomize, lp.overlap)
-		opts.NewStore = newStoreFactory(lp)
-		opts.Source = lp.source()
-		opts.Sink = sinks.sink
+		opts := demsort.NewOptions(p, lp.mem, lp.block)
+		configure(&opts.Common)
 		opts.Checkpoint = lp.checkpoint()
 		res, err := demsort.Sort[elem.Rec100](demsort.Rec100Codec{}, opts, nil)
 		fail(err)
 		fmt.Printf("CanonicalMergeSort[records]: P=%d N=%d (R=%d runs, k=%d sub-operations)\n",
 			res.P, res.N, res.Runs, res.SubOps)
-		stats, phaseNames, nBytes = res, res.PhaseNames, res.N*100
+		stats = &res.Stats
 	}
-	printPhases(stats, phaseNames, nBytes)
+	printPhases(stats, stats.N*100)
 	verdictRecords(sinks.finish(), inputSummary(lp, p))
-	fmt.Printf("modelled total: %.4fs (%.2f MB/s equivalent)\n",
-		stats.TotalWall(), float64(nBytes)/1e6/stats.TotalWall())
+	printTotal(stats, stats.N*100)
 }
 
 // ---------------------------------------------------------------------
@@ -471,41 +460,43 @@ func runTCPWorker(rank int, peers []string, lp launchParams) {
 	src, readBytes := countingSource(lp.source())
 
 	start := time.Now()
-	var phaseNames []string
-	var perPE map[string]*vtime.PhaseStats
-	var outLen int64
+	configure := func(c *job.Common) {
+		lp.configure(c)
+		c.Machine = m
+		c.Source = src
+		c.Sink = sink
+	}
+	var stats *job.Stats
 	if lp.striped {
-		opts := stripedRecordOptions(p, lp.mem, lp.block, lp.seed, lp.randomize, lp.overlap)
-		opts.Machine = m
-		opts.Source = src
-		opts.Sink = sink
+		opts := demsort.NewStripedOptions(p, lp.mem, lp.block)
+		configure(&opts.Common)
 		res, err := demsort.SortStriped[elem.Rec100](demsort.Rec100Codec{}, opts, nil)
 		fail(err)
-		phaseNames, perPE = res.PhaseNames, res.PerPE[rank]
-		outLen = res.OutputLens[rank] // the rank's block-range share of the output
-		if sink == nil {
-			outLen = res.N // no collect ran; report the fleet total
-		}
+		stats = &res.Stats
 	} else {
-		opts := recordOptions(p, lp.mem, lp.block, lp.seed, lp.randomize, lp.overlap)
-		opts.Machine = m
-		opts.Source = src
-		opts.Sink = sink
+		opts := demsort.NewOptions(p, lp.mem, lp.block)
+		configure(&opts.Common)
 		opts.Checkpoint = lp.checkpoint()
 		res, err := demsort.Sort[elem.Rec100](demsort.Rec100Codec{}, opts, nil)
 		fail(err)
-		phaseNames, perPE = res.PhaseNames, res.PerPE[rank]
-		outLen = res.OutputLens[rank]
+		stats = &res.Stats
+	}
+	// The rank's share of the output: its canonical partition, or its
+	// block range of the striped output — unless no striped collect ran
+	// (no sink), where the fleet total is all there is to report.
+	outLen := stats.OutputLens[rank]
+	if lp.striped && sink == nil {
+		outLen = stats.N
 	}
 	if part != nil {
 		fail(part.Close())
 	}
 
 	var phases []string
-	for _, ph := range phaseNames {
+	for _, ph := range stats.PhaseNames {
 		// A resumed run never entered the committed phases, so they
 		// have no stats entry.
-		if st := perPE[ph]; st != nil {
+		if st := stats.PerPE[rank][ph]; st != nil {
 			phases = append(phases, fmt.Sprintf("%s %.3fs", ph, st.Wall))
 		}
 	}
@@ -542,58 +533,43 @@ func (c *countingReader) Read(p []byte) (int, error) {
 // KV16 simulated mode (the original figures workload).
 // ---------------------------------------------------------------------
 
-func runKV16Sim(p, n int, mem int64, block int, kind string, randomize, overlap, striped bool, seed uint64) {
-	input := workload.Generate(workload.Kind(kind), p, n, seed)
+func runKV16Sim(p int, kind string, lp launchParams) {
+	input := workload.Generate(workload.Kind(kind), p, int(lp.nPer), lp.seed)
 	var ref []demsort.KV16
 	for _, part := range input {
 		ref = append(ref, part...)
 	}
 	nBytes := int64(len(ref)) * 16
 
-	if striped {
-		opts := demsort.NewStripedOptions(p, mem, block)
-		opts.Model = demsort.ScaledModel(block)
-		opts.Randomize = randomize
-		opts.Overlap = overlap
-		opts.Seed = seed
+	var stats *job.Stats
+	var ok bool
+	if lp.striped {
+		opts := demsort.NewStripedOptions(p, lp.mem, lp.block)
+		lp.configure(&opts.Common)
 		opts.KeepOutput = true
 		res, err := demsort.SortStriped[demsort.KV16](demsort.KV16Codec{}, opts, input)
 		fail(err)
 		fmt.Printf("globally striped mergesort: P=%d N=%d (%d runs, %d merge batches)\n",
 			res.P, res.N, res.Runs, res.Batches)
-		for _, ph := range res.PhaseNames {
-			read, written := res.PhaseBytes(ph)
-			fmt.Printf("  %-20s %10.4fs   io %s\n", ph, res.MaxWall(ph), fmtIO(read, written, nBytes))
-		}
-		okSorted := true
+		ok = workload.Checksum(ref) == workload.Checksum(res.Output)
 		for i := 1; i < len(res.Output); i++ {
-			if res.Output[i].Key < res.Output[i-1].Key {
-				okSorted = false
-			}
+			ok = ok && res.Output[i].Key >= res.Output[i-1].Key
 		}
-		verdict(okSorted && workload.Checksum(ref) == workload.Checksum(res.Output))
-		fmt.Printf("modelled total: %.4fs (%.2f MB/s equivalent)\n",
-			res.TotalWall(), float64(nBytes)/1e6/res.TotalWall())
-		return
+		stats = &res.Stats
+	} else {
+		opts := demsort.NewOptions(p, lp.mem, lp.block)
+		lp.configure(&opts.Common)
+		opts.KeepOutput = true
+		res, err := demsort.Sort[demsort.KV16](demsort.KV16Codec{}, opts, input)
+		fail(err)
+		fmt.Printf("CanonicalMergeSort: P=%d N=%d (R=%d runs, k=%d sub-operations)\n",
+			res.P, res.N, res.Runs, res.SubOps)
+		ok = res.Validate(demsort.KV16Codec{}, input) == nil
+		stats = &res.Stats
 	}
-
-	opts := demsort.NewOptions(p, mem, block)
-	opts.Model = demsort.ScaledModel(block)
-	opts.Randomize = randomize
-	opts.Overlap = overlap
-	opts.Seed = seed
-	opts.KeepOutput = true
-	res, err := demsort.Sort[demsort.KV16](demsort.KV16Codec{}, opts, input)
-	fail(err)
-	fmt.Printf("CanonicalMergeSort: P=%d N=%d (R=%d runs, k=%d sub-operations)\n",
-		res.P, res.N, res.Runs, res.SubOps)
-	for _, ph := range res.PhaseNames {
-		read, written := res.PhaseBytes(ph)
-		fmt.Printf("  %-20s %10.4fs   io %s\n", ph, res.MaxWall(ph), fmtIO(read, written, nBytes))
-	}
-	verdict(res.Validate(demsort.KV16Codec{}, input) == nil)
-	fmt.Printf("modelled total: %.4fs (%.2f MB/s equivalent)\n",
-		res.TotalWall(), float64(nBytes)/1e6/res.TotalWall())
+	printPhases(stats, nBytes)
+	verdict(ok)
+	printTotal(stats, nBytes)
 }
 
 func fmtIO(read, written, nBytes int64) string {

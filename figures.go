@@ -7,6 +7,7 @@ import (
 	"demsort/internal/baseline"
 	"demsort/internal/core"
 	"demsort/internal/elem"
+	"demsort/internal/job"
 	"demsort/internal/prefetch"
 	"demsort/internal/psort"
 	"demsort/internal/report"
@@ -476,20 +477,23 @@ func AblationStripedVsCanonical(s FigureScale) (*Table, error) {
 		input := workload.Generate(kind, p, perPE, s.Seed)
 		nBytes := float64(int64(p) * int64(perPE) * 16)
 
+		row := func(system string, st *job.Stats) {
+			var io, net int64
+			for _, ph := range st.PhaseNames {
+				r, w := st.PhaseBytes(ph)
+				io += r + w
+				net += st.NetBytes(ph)
+			}
+			tbl.AddRow(string(kind), system,
+				fmt.Sprintf("%.2f", float64(io)/nBytes),
+				fmt.Sprintf("%.2f", float64(net)/nBytes),
+				fmt.Sprintf("%.4f", st.TotalWall()))
+		}
 		cres, err := Sort[KV16](KV16Codec{}, s.options(p, s.BlockBytes, true), input)
 		if err != nil {
 			return nil, err
 		}
-		var cio, cnet int64
-		for _, ph := range cres.PhaseNames {
-			r, w := cres.PhaseBytes(ph)
-			cio += r + w
-			cnet += cres.NetBytes(ph)
-		}
-		tbl.AddRow(string(kind), "canonical",
-			fmt.Sprintf("%.2f", float64(cio)/nBytes),
-			fmt.Sprintf("%.2f", float64(cnet)/nBytes),
-			fmt.Sprintf("%.4f", cres.TotalWall()))
+		row("canonical", &cres.Stats)
 
 		sopts := NewStripedOptions(p, s.MemElems, s.BlockBytes)
 		sopts.Model = scaledModel(s.BlockBytes)
@@ -498,16 +502,7 @@ func AblationStripedVsCanonical(s FigureScale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		var sio, snet int64
-		for _, ph := range sres.PhaseNames {
-			r, w := sres.PhaseBytes(ph)
-			sio += r + w
-			snet += sres.NetBytes(ph)
-		}
-		tbl.AddRow(string(kind), "striped",
-			fmt.Sprintf("%.2f", float64(sio)/nBytes),
-			fmt.Sprintf("%.2f", float64(snet)/nBytes),
-			fmt.Sprintf("%.4f", sres.TotalWall()))
+		row("striped", &sres.Stats)
 	}
 	return tbl, nil
 }

@@ -16,19 +16,16 @@ package baseline
 
 import (
 	"fmt"
-	"io"
 	"math/rand/v2"
 	"sort"
 
 	"demsort/internal/blockio"
 	"demsort/internal/bufpool"
 	"demsort/internal/cluster"
-	"demsort/internal/cluster/sim"
-	"demsort/internal/core"
 	"demsort/internal/elem"
+	"demsort/internal/job"
 	"demsort/internal/pq"
 	"demsort/internal/psort"
-	"demsort/internal/vtime"
 )
 
 // Phase names of the sample sort.
@@ -38,52 +35,24 @@ const (
 	PhaseLocalSort  = "local external sort"
 )
 
-// Config parameterises the baselines (a subset of core.Config).
+// Config parameterises the baselines: the machine and I/O configuration
+// every sorter shares plus the sample size. A distribution sort has no
+// run-formation knobs, and the baselines always run overlapped.
 type Config struct {
-	P           int
-	BlockBytes  int
-	MemElems    int64
-	Oversample  int // sample keys per PE (default 32)
-	Seed        uint64
-	RealWorkers int
-	KeepOutput  bool
-	Model       vtime.CostModel
-	// Source/Sink stream each rank's input and sorted output as encoded
-	// element bytes, block-at-a-time — the same contract as
-	// core.Config.Source/Sink, and the reason the NOW-Sort comparison
-	// can run at out-of-core sizes: neither the tile nor the partition
-	// is ever resident in RAM. With Source set the input argument of
-	// SampleSort must be nil.
-	Source func(rank int) (io.Reader, int64, error)
-	Sink   func(rank int, encoded []byte) error
-	// NewStore optionally overrides the per-PE block store (e.g.
-	// file-backed); nil uses RAM-backed stores.
-	NewStore func(rank int) (blockio.Store, error)
-	// Machine optionally supplies a pre-built transport backend; nil
-	// builds a cluster/sim machine (see core.Config.Machine).
-	Machine cluster.Machine
+	job.Base
+	// Oversample is the number of sample keys per PE (default 32).
+	Oversample int
 }
 
 // DefaultConfig mirrors core.DefaultConfig for the baselines.
 func DefaultConfig(p int, memElems int64, blockBytes int) Config {
-	return Config{
-		P:           p,
-		BlockBytes:  blockBytes,
-		MemElems:    memElems,
-		Oversample:  32,
-		Seed:        1,
-		RealWorkers: psort.DefaultWorkers(),
-		Model:       vtime.Default(),
-	}
+	return Config{Base: job.Defaults(p, memElems, blockBytes).Base, Oversample: 32}
 }
 
-// Result reports a baseline run.
+// Result reports a baseline run: the shared job statistics plus the
+// skew metric.
 type Result[T any] struct {
-	P          int
-	N          int64
-	ElemSize   int
-	PhaseNames []string
-	PerPE      []map[string]*vtime.PhaseStats
+	job.Stats
 	// Output[rank] is PE rank's sorted part (KeepOutput only). Unlike
 	// CANONICALMERGESORT, part sizes are *not* exact — that is the
 	// point of the comparison.
@@ -91,26 +60,6 @@ type Result[T any] struct {
 	// PartSizes[rank] counts the elements PE rank ended up with; the
 	// imbalance ratio max/avg is the skew metric of the experiments.
 	PartSizes []int64
-}
-
-// MaxWall, TotalWall mirror core.Result.
-func (r *Result[T]) MaxWall(phase string) float64 {
-	var w float64
-	for _, st := range r.PerPE {
-		if s, ok := st[phase]; ok && s.Wall > w {
-			w = s.Wall
-		}
-	}
-	return w
-}
-
-// TotalWall returns the modelled running time.
-func (r *Result[T]) TotalWall() float64 {
-	var t float64
-	for _, ph := range r.PhaseNames {
-		t += r.MaxWall(ph)
-	}
-	return t
 }
 
 // Imbalance returns max partition size over the ideal N/P — 1.0 means
@@ -131,100 +80,43 @@ func (r *Result[T]) Imbalance() float64 {
 // SampleSort runs the NOW-Sort-style distribution sort on the
 // simulated cluster.
 func SampleSort[T any](c elem.Codec[T], cfg Config, input [][]T) (*Result[T], error) {
-	if cfg.P < 1 {
-		return nil, fmt.Errorf("baseline: bad machine size")
-	}
-	if cfg.Source == nil && len(input) != cfg.P {
-		return nil, fmt.Errorf("baseline: input has %d PE slices, machine has %d PEs", len(input), cfg.P)
-	}
-	if cfg.Source != nil && input != nil {
-		return nil, fmt.Errorf("baseline: Source and input slices are mutually exclusive")
-	}
-	if cfg.Model == (vtime.CostModel{}) {
-		cfg.Model = vtime.Default()
-	}
 	if cfg.Oversample <= 0 {
 		cfg.Oversample = 32
 	}
-	if cfg.RealWorkers <= 0 {
-		cfg.RealWorkers = 1
-	}
-	sz := c.Size()
-	bElem := cfg.BlockBytes / sz
-	if bElem < 1 {
-		return nil, fmt.Errorf("baseline: block smaller than an element")
-	}
-
-	sources, sourceN, err := core.OpenSources(cfg.Source, cfg.Machine, cfg.P)
+	common := job.Common{Base: cfg.Base, Overlap: true}
+	j, err := job.Open(c, &common, input)
 	if err != nil {
 		return nil, fmt.Errorf("baseline: %w", err)
 	}
-
-	m := cfg.Machine
-	if m == nil {
-		sm, err := sim.New(sim.Config{
-			P: cfg.P, BlockBytes: cfg.BlockBytes, MemElems: cfg.MemElems, Model: cfg.Model,
-			NewStore: cfg.NewStore,
-		})
-		if err != nil {
-			return nil, err
-		}
-		defer sm.Close()
-		m = sm
-	} else if m.P() != cfg.P {
-		return nil, fmt.Errorf("baseline: machine has %d PEs, config says %d", m.P(), cfg.P)
+	cfg.Base = common.Base // with Open's defaults applied
+	sz, bElem := c.Size(), j.BElem
+	if err := j.Start(); err != nil {
+		return nil, fmt.Errorf("baseline: %w", err)
 	}
-	if len(m.Nodes()) != cfg.P {
+	defer j.Close()
+	if len(j.M.Nodes()) != cfg.P {
 		// PartSizes/N aggregation (the skew metrics) is in-process.
-		return nil, fmt.Errorf("baseline: machine hosts %d of %d PEs; the baselines require all PEs in-process (use the sim backend)", len(m.Nodes()), cfg.P)
+		return nil, fmt.Errorf("baseline: machine hosts %d of %d PEs; the baselines require all PEs in-process (use the sim backend)", len(j.M.Nodes()), cfg.P)
 	}
 
 	res := &Result[T]{
-		P:          cfg.P,
-		ElemSize:   sz,
-		PhaseNames: []string{PhaseSample, PhaseDistribute, PhaseLocalSort},
-		PerPE:      make([]map[string]*vtime.PhaseStats, cfg.P),
-		PartSizes:  make([]int64, cfg.P),
+		Stats:     j.NewStats([]string{PhaseSample, PhaseDistribute, PhaseLocalSort}),
+		PartSizes: make([]int64, cfg.P),
 	}
 	if cfg.KeepOutput {
 		res.Output = make([][]T, cfg.P)
 	}
 
-	err = m.Run(func(n *cluster.Node) error {
-		// Load input to disk (unmeasured), block-aligned. A Source
-		// streams the encoded tile straight onto the volume through
-		// FillFrom's one staging chunk; a slice input is encoded
-		// block-at-a-time as before.
-		n.SetPhase("load")
-		var blocks []blockio.BlockID
-		var blockLens []int
-		var myN int64
-		if cfg.Source != nil {
-			myN = sourceN[n.Rank]
-			spans, err := n.Vol.FillFrom(sources[n.Rank], myN*int64(sz), cfg.BlockBytes)
-			if err != nil {
-				return fmt.Errorf("baseline: input source, rank %d: %w", n.Rank, err)
-			}
-			for _, sp := range spans {
-				blocks = append(blocks, sp.ID)
-				blockLens = append(blockLens, sp.Bytes/sz)
-			}
-		} else {
-			my := input[n.Rank]
-			myN = int64(len(my))
-			for off := 0; off < len(my); off += bElem {
-				hi := off + bElem
-				if hi > len(my) {
-					hi = len(my)
-				}
-				id := n.Vol.Alloc()
-				n.Vol.WriteAsync(id, elem.EncodeSlice(c, my[off:hi]))
-				blocks = append(blocks, id)
-				blockLens = append(blockLens, hi-off)
-			}
+	err = j.Run(func(n *cluster.Node) error {
+		// Load input to disk (unmeasured), block-aligned.
+		blocks, err := j.Load(n)
+		if err != nil {
+			return fmt.Errorf("baseline: %w", err)
 		}
-		n.Vol.Drain()
-		n.Barrier()
+		var myN int64
+		for _, b := range blocks {
+			myN += int64(b.Bytes / sz)
+		}
 
 		// Phase 1: sample keys and agree on splitters. NOW-Sort reads
 		// a random subset of keys — cheap, but only approximate.
@@ -233,10 +125,10 @@ func SampleSort[T any](c elem.Codec[T], cfg Config, input [][]T) (*Result[T], er
 		sample := make([]T, 0, cfg.Oversample)
 		raw := make([]byte, cfg.BlockBytes)
 		for i := 0; i < cfg.Oversample && myN > 0; i++ {
-			b := int(rng.Uint64N(uint64(len(blocks))))
-			n.Vol.ReadWait(blocks[b], raw[:blockLens[b]*sz])
-			j := int(rng.Uint64N(uint64(blockLens[b])))
-			sample = append(sample, c.Decode(raw[j*sz:]))
+			b := blocks[rng.Uint64N(uint64(len(blocks)))]
+			n.Vol.ReadWait(b.ID, raw[:b.Bytes])
+			at := int(rng.Uint64N(uint64(b.Bytes / sz)))
+			sample = append(sample, c.Decode(raw[at*sz:]))
 		}
 		all := n.AllGather(elem.EncodeSlice(c, sample))
 		var pool []T
@@ -310,15 +202,15 @@ func SampleSort[T any](c elem.Codec[T], cfg Config, input [][]T) (*Result[T], er
 				if hi > len(blocks) {
 					hi = len(blocks)
 				}
-				for b := lo; b < hi; b++ {
-					n.Vol.ReadWait(blocks[b], raw[:blockLens[b]*sz])
-					for j := 0; j < blockLens[b]; j++ {
-						v := c.Decode(raw[j*sz:])
+				for _, b := range blocks[lo:hi] {
+					n.Vol.ReadWait(b.ID, raw[:b.Bytes])
+					for off := 0; off < b.Bytes; off += sz {
+						v := c.Decode(raw[off:])
 						q := dest(v)
 						send[q] = elem.AppendEncode(c, send[q], []T{v})
 					}
-					n.Vol.Free(blocks[b])
-					n.AddCPU(cfg.Model.ScanCPU(int64(blockLens[b])) * 2)
+					n.Vol.Free(b.ID)
+					n.AddCPU(cfg.Model.ScanCPU(int64(b.Bytes/sz)) * 2)
 				}
 			}
 			recv := n.AllToAllv(send)
@@ -345,7 +237,7 @@ func SampleSort[T any](c elem.Codec[T], cfg Config, input [][]T) (*Result[T], er
 		n.Vol.Drain()
 		n.Barrier()
 
-		n.SetPhase("collect")
+		n.SetPhase(job.PhaseCollect)
 		res.PartSizes[n.Rank] = recvTotal
 		if cfg.KeepOutput {
 			res.Output[n.Rank] = out
@@ -355,10 +247,9 @@ func SampleSort[T any](c elem.Codec[T], cfg Config, input [][]T) (*Result[T], er
 	if err != nil {
 		return nil, err
 	}
-	for _, node := range m.Nodes() {
-		_, stats := node.PhaseStats()
-		res.PerPE[node.Rank] = stats
-		res.N += res.PartSizes[node.Rank]
+	j.Harvest(&res.Stats)
+	for _, part := range res.PartSizes {
+		res.N += part
 	}
 	return res, nil
 }

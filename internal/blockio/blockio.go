@@ -250,6 +250,10 @@ type Volume struct {
 	clock      *vtime.Clock
 	disk       *vtime.Device
 
+	// sync makes every ReadAsync/WriteAsync stall the clock to its own
+	// completion (SetSynchronous): the "no asynchronous I/O" machine.
+	sync bool
+
 	next     BlockID
 	freeList []BlockID
 	used     int64
@@ -268,6 +272,15 @@ func NewVolume(store Store, blockBytes, rank int, model vtime.CostModel, clock *
 		disk:       &vtime.Device{},
 	}
 }
+
+// SetSynchronous switches asynchronous I/O off (or back on): while
+// set, ReadAsync and WriteAsync stall the PE's clock until the transfer
+// has completed before they return, so the device is never busy behind
+// the PE's back and every I/O second is blocked time. Callers are
+// written once, in their overlapped form (issue, compute, Wait); this
+// switch is how the §IV-E overlap ablation turns the overlap off
+// without a second copy of any of them.
+func (v *Volume) SetSynchronous(on bool) { v.sync = on }
 
 // BlockBytes returns the block size in bytes.
 func (v *Volume) BlockBytes() int { return v.blockBytes }
@@ -322,7 +335,7 @@ func (v *Volume) WriteAsync(id BlockID, src []byte) Handle {
 	st.IOTime += dur
 	st.BytesWritten += int64(len(src))
 	st.BlocksWritten++
-	return Handle(done)
+	return v.issued(done)
 }
 
 // ReadAsync fetches block id into dst immediately (real data) and
@@ -338,6 +351,15 @@ func (v *Volume) ReadAsync(id BlockID, dst []byte) Handle {
 	st.IOTime += dur
 	st.BytesRead += int64(len(dst))
 	st.BlocksRead++
+	return v.issued(done)
+}
+
+// issued turns a queued transfer's completion time into its handle,
+// waiting it out first on a synchronous volume.
+func (v *Volume) issued(done float64) Handle {
+	if v.sync {
+		v.stallTo(done)
+	}
 	return Handle(done)
 }
 
@@ -414,57 +436,25 @@ type Span struct {
 	Bytes int
 }
 
-// FillFrom streams totalBytes from r onto the volume, chunkBytes at a
-// time (the last span may be shorter), through a single pooled staging
-// buffer — the O(B)-memory way to load an input that does not fit in
-// RAM. chunkBytes is the caller's element-aligned block payload (it
-// may be less than BlockBytes when the element size does not divide
-// the block size). Spans are returned in stream order; on a short or
-// failed read the blocks already written are returned alongside the
-// error so the caller can free them.
-func (v *Volume) FillFrom(r io.Reader, totalBytes int64, chunkBytes int) ([]Span, error) {
-	if chunkBytes <= 0 || chunkBytes > v.blockBytes {
-		return nil, fmt.Errorf("blockio: FillFrom chunk %d outside (0, %d]", chunkBytes, v.blockBytes)
-	}
-	var spans []Span
-	if totalBytes <= 0 {
-		return spans, nil
-	}
-	buf := bufpool.Get(chunkBytes)
-	defer bufpool.Put(buf)
-	for rem := totalBytes; rem > 0; {
-		take := chunkBytes
-		if int64(take) > rem {
-			take = int(rem)
-		}
-		b := buf[:take]
-		if _, err := io.ReadFull(r, b); err != nil {
-			return spans, fmt.Errorf("blockio: source read at byte %d of %d: %w", totalBytes-rem, totalBytes, err)
-		}
-		id := v.Alloc()
-		v.WriteAsync(id, b)
-		spans = append(spans, Span{ID: id, Bytes: take})
-		rem -= int64(take)
-	}
-	return spans, nil
-}
-
-// fillChunk is one staged read of an overlapped fill.
+// fillChunk is one staged read of FillFrom.
 type fillChunk struct {
 	buf []byte
 	err error
 }
 
-// FillFromOverlap is FillFrom with the source reads hidden behind the
-// store writes: a reader goroutine stages up to two pooled chunks ahead
-// while the calling PE goroutine allocates and writes blocks — the
-// double-buffered load pipeline of §IV-E (sort tile t while tile t+1
-// streams in rides on this plus run formation's prefetch). Spans,
-// errors and the allocation order are identical to FillFrom; the
-// memory bound grows from one staging chunk to at most three (the
-// bounded stage depth), and the volume itself is only ever touched by
-// the calling goroutine.
-func (v *Volume) FillFromOverlap(r io.Reader, totalBytes int64, chunkBytes int) ([]Span, error) {
+// FillFrom streams totalBytes from r onto the volume, chunkBytes at a
+// time (the last span may be shorter) — the O(B)-memory way to load an
+// input that does not fit in RAM. chunkBytes is the caller's
+// element-aligned block payload (it may be less than BlockBytes when
+// the element size does not divide the block size). A reader goroutine
+// stages up to two pooled chunks ahead while the calling PE goroutine
+// allocates and writes blocks — the double-buffered load pipeline of
+// §IV-E — so at most three chunks are live (the caller charges them to
+// its budget) and the volume itself is only ever touched by the calling
+// goroutine. Spans are returned in stream order; on a short or failed
+// read the blocks already written are returned alongside the error so
+// the caller can free them.
+func (v *Volume) FillFrom(r io.Reader, totalBytes int64, chunkBytes int) ([]Span, error) {
 	if chunkBytes <= 0 || chunkBytes > v.blockBytes {
 		return nil, fmt.Errorf("blockio: FillFrom chunk %d outside (0, %d]", chunkBytes, v.blockBytes)
 	}

@@ -2,9 +2,14 @@ package blockio
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"demsort/internal/vtime"
 )
@@ -147,6 +152,56 @@ func TestVolumeOverlapHidesIO(t *testing.T) {
 	}
 }
 
+// On a synchronous volume every ReadAsync/WriteAsync leaves the device
+// idle at the PE's clock, and the I/O TestVolumeOverlapHidesIO hides is
+// charged in full as blocked time: the same issue / compute / Wait
+// sequence, no overlap.
+func TestVolumeSynchronous(t *testing.T) {
+	v := newTestVolume()
+	v.SetSynchronous(true)
+	idle := func(op string) {
+		t.Helper()
+		if busy, now := v.disk.BusyUntil(), v.Clock().Now(); busy > now {
+			t.Fatalf("after %s the device is busy until %v, clock at %v", op, busy, now)
+		}
+	}
+	id := v.Alloc()
+	v.WriteAsync(id, make([]byte, 1024))
+	idle("WriteAsync")
+	written := v.Clock().Now()
+	if written <= 0 || v.Clock().Cur().BlockedTime != written {
+		t.Fatalf("write: clock %v, blocked %v — the transfer must be waited out and charged", written, v.Clock().Cur().BlockedTime)
+	}
+	v.Drain() // nothing left to wait for
+	if v.Clock().Now() != written {
+		t.Fatal("Drain advanced a synchronous volume's clock")
+	}
+
+	start := v.Clock().Now()
+	h := v.ReadAsync(id, make([]byte, 1024))
+	idle("ReadAsync")
+	dur := float64(h) - start
+	if dur <= 0 || v.Clock().Now() != float64(h) {
+		t.Fatalf("read returned at %v, completion %v", v.Clock().Now(), float64(h))
+	}
+	v.Clock().AddCPU(10 * dur)
+	v.Wait(h)
+	if got := v.Clock().Now() - start; got != 11*dur {
+		t.Fatalf("wall %v, want %v (I/O then CPU, nothing hidden)", got, 11*dur)
+	}
+	if got := v.Clock().Cur().BlockedTime - written; got != dur {
+		t.Fatalf("read charged %v blocked time, want the whole transfer %v", got, dur)
+	}
+
+	// Switching back restores asynchronous issue.
+	v.SetSynchronous(false)
+	start = v.Clock().Now()
+	v.ReadAsync(id, make([]byte, 1024))
+	if v.Clock().Now() != start {
+		t.Fatal("asynchronous ReadAsync advanced the clock")
+	}
+}
+
 func TestVolumeDrain(t *testing.T) {
 	v := newTestVolume()
 	id := v.Alloc()
@@ -239,5 +294,110 @@ func TestVolumeFillFrom(t *testing.T) {
 	// Oversized chunk is rejected up front.
 	if _, err := vol.FillFrom(bytes.NewReader(data), 10, 4096); err == nil {
 		t.Fatal("chunk larger than the block size must be rejected")
+	}
+}
+
+// FillFrom against the loop it pipelines: read a chunk, allocate a
+// block, write it. Spans, allocation order (a pre-seeded free list makes
+// it non-trivial), traffic counters and modelled time must be identical,
+// for a complete stream and for one that ends early — where the complete
+// chunks are returned alongside the error and the torn one is not.
+func TestVolumeFillFromMatchesReferenceLoop(t *testing.T) {
+	const chunk = 240
+	data := make([]byte, 1000)
+	for i := range data {
+		data[i] = byte(i * 17)
+	}
+	newVol := func() *Volume {
+		v := NewVolume(NewMemStore(), 256, 0, testModel(), vtime.NewClock())
+		ids := []BlockID{v.Alloc(), v.Alloc(), v.Alloc()}
+		v.Free(ids[1])
+		v.Free(ids[0]) // allocation order is now 0, 1, 3, 4, …
+		return v
+	}
+	reference := func(v *Volume, r io.Reader, total int64) ([]Span, error) {
+		var spans []Span
+		buf := make([]byte, chunk)
+		for rem := total; rem > 0; {
+			b := buf[:min(int64(chunk), rem)]
+			if _, err := io.ReadFull(r, b); err != nil {
+				return spans, err
+			}
+			id := v.Alloc()
+			v.WriteAsync(id, b)
+			spans = append(spans, Span{ID: id, Bytes: len(b)})
+			rem -= int64(len(b))
+		}
+		return spans, nil
+	}
+	for _, avail := range []int{len(data), 500, 0} {
+		want, have := newVol(), newVol()
+		wantSpans, wantErr := reference(want, bytes.NewReader(data[:avail]), int64(len(data)))
+		haveSpans, haveErr := have.FillFrom(bytes.NewReader(data[:avail]), int64(len(data)), chunk)
+		if (wantErr == nil) != (haveErr == nil) {
+			t.Fatalf("%d of %d bytes available: reference error %v, FillFrom error %v", avail, len(data), wantErr, haveErr)
+		}
+		if wantErr != nil && !errors.Is(haveErr, wantErr) {
+			t.Fatalf("short read: FillFrom error %v does not wrap %v", haveErr, wantErr)
+		}
+		if !reflect.DeepEqual(haveSpans, wantSpans) {
+			t.Fatalf("%d bytes available: spans %+v, reference %+v", avail, haveSpans, wantSpans)
+		}
+		have.Drain()
+		want.Drain()
+		if *have.Clock().Cur() != *want.Clock().Cur() || have.Clock().Now() != want.Clock().Now() {
+			t.Fatalf("%d bytes available: accounting differs from the reference loop", avail)
+		}
+		buf := make([]byte, chunk)
+		off := 0
+		for _, sp := range haveSpans {
+			have.ReadWait(sp.ID, buf[:sp.Bytes])
+			if !bytes.Equal(buf[:sp.Bytes], data[off:off+sp.Bytes]) {
+				t.Fatalf("span at byte %d read back wrong", off)
+			}
+			off += sp.Bytes
+		}
+	}
+}
+
+// failingStore rejects the failAt-th write, which Volume turns into a
+// panic on the calling goroutine.
+type failingStore struct {
+	*MemStore
+	writes, failAt int
+}
+
+func (s *failingStore) WriteAt(id BlockID, src []byte) error {
+	if s.writes++; s.writes == s.failAt {
+		return errors.New("disk full")
+	}
+	return s.MemStore.WriteAt(id, src)
+}
+
+// endless never runs dry, so FillFrom's reader goroutine is always
+// either reading or blocked handing a chunk over.
+type endless struct{}
+
+func (endless) Read(p []byte) (int, error) { return len(p), nil }
+
+// A panic on the consuming side (the store failing under WriteAsync)
+// must not strand FillFrom's reader goroutine.
+func TestVolumeFillFromPanicLeavesNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	v := NewVolume(&failingStore{MemStore: NewMemStore(), failAt: 3}, 256, 0, testModel(), vtime.NewClock())
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the failing store must panic the fill")
+			}
+		}()
+		v.FillFrom(endless{}, 1<<20, 256)
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines before the fill, %d after its panic: the reader is stranded", before, runtime.NumGoroutine())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

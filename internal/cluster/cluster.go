@@ -201,9 +201,9 @@ type MailboxStats interface {
 // Ownership follows AllToAllv: posted send buffers belong to the stream
 // (the backend may hand them to the arena once written — the caller
 // must not touch them after Post), collected buffers belong to the
-// caller (RecycleRecv). While a stream is open no other collective may
-// run on the transport; Close (idempotent, safe during unwinds) must be
-// called before the next collective.
+// caller (RecycleRecv). While a stream is open no other communication
+// call may run on the transport — Node enforces it (Node.guard); Close
+// (idempotent, safe during unwinds) must be called first.
 type A2AStream interface {
 	// Post enqueues one exchange's send vectors (send[j] to PE j, nil
 	// entries allowed). It never blocks on the network; posting more
@@ -216,6 +216,10 @@ type A2AStream interface {
 	// Close releases the stream. Calling it with posted-but-uncollected
 	// exchanges pending is only legal during an abort unwind.
 	Close()
+	// Closed reports whether Close has been called. It is how Node
+	// enforces the rule above on the stream the backend (or a transport
+	// decorator) handed out, without wrapping it in a type of its own.
+	Closed() bool
 }
 
 // StreamingTransport is an optional Transport extension for backends
@@ -233,6 +237,7 @@ type StreamingTransport interface {
 type syncA2AStream struct {
 	tr      Transport
 	pending [][][]byte
+	closed  bool
 }
 
 func (s *syncA2AStream) Post(send [][]byte) {
@@ -250,7 +255,10 @@ func (s *syncA2AStream) Close() {
 		RecycleRecv(recv)
 	}
 	s.pending = nil
+	s.closed = true
 }
+
+func (s *syncA2AStream) Closed() bool { return s.closed }
 
 // SyncA2AStream wraps a plain Transport in the synchronous stream
 // adapter — what Node.OpenA2AStream falls back to. Transport wrappers
@@ -274,12 +282,20 @@ type Node struct {
 
 	tr Transport
 	st Stats
+
+	// window caps the exchanges A2ARounds keeps posted (SetA2AWindow).
+	window int
+	// stream is the last stream OpenA2AStream handed out. Until it is
+	// closed its frames share the transport's ordered per-peer channels,
+	// so any other communication call would interleave with them (see
+	// guard).
+	stream A2AStream
 }
 
 // NewNode assembles a PE context over a backend transport and stats
 // implementation; backends call it, phase code only consumes it.
 func NewNode(tr Transport, st Stats, vol *blockio.Volume, mem *membudget.Tracker) *Node {
-	return &Node{Rank: tr.Rank(), P: tr.P(), Vol: vol, Mem: mem, tr: tr, st: st}
+	return &Node{Rank: tr.Rank(), P: tr.P(), Vol: vol, Mem: mem, tr: tr, st: st, window: 2}
 }
 
 // Transport returns the backend transport (backend tests and
@@ -316,47 +332,145 @@ func (n *Node) PhaseStats() (names []string, stats map[string]*vtime.PhaseStats)
 	return n.st.Stats()
 }
 
+// guard fails the run when call is made between OpenA2AStream and the
+// stream's Close. Collect only proves the peers wrote their frames, not
+// that this PE's background sender has written its own, so a frame from
+// another call could overtake a queued all-to-all frame on the same
+// ordered per-peer channel. The panic unwinds the PE program; Machine.Run
+// turns it into the run's *ErrAborted.
+func (n *Node) guard(call string) {
+	if n.stream != nil && !n.stream.Closed() {
+		panic(fmt.Errorf("cluster: rank %d: %s called while the stream from OpenA2AStream is still open — Close it first", n.Rank, call))
+	}
+}
+
 // Barrier synchronises all PEs.
-func (n *Node) Barrier() { n.tr.Barrier() }
+func (n *Node) Barrier() { n.guard("Barrier"); n.tr.Barrier() }
 
 // AllToAllv sends send[j] to PE j and returns what every PE sent to
 // this one; see Transport.AllToAllv.
-func (n *Node) AllToAllv(send [][]byte) [][]byte { return n.tr.AllToAllv(send) }
+func (n *Node) AllToAllv(send [][]byte) [][]byte {
+	n.guard("AllToAllv")
+	return n.tr.AllToAllv(send)
+}
 
 // OpenA2AStream opens a pipelined all-to-all stream with the given
 // in-flight window (see A2AStream). Backends without an asynchronous
 // path get a synchronous adapter, so callers need no fallback logic:
 // the stream API is always available and always byte-identical to a
-// sequence of plain AllToAllv calls.
+// sequence of plain AllToAllv calls. Until the stream is closed every
+// other communication call on the Node — and a second OpenA2AStream —
+// fails the run.
 func (n *Node) OpenA2AStream(window int) A2AStream {
+	n.guard("OpenA2AStream")
+	n.stream = &syncA2AStream{tr: n.tr}
 	if st, ok := n.tr.(StreamingTransport); ok {
-		return st.OpenA2AStream(window)
+		n.stream = st.OpenA2AStream(window)
 	}
-	return &syncA2AStream{tr: n.tr}
+	return n.stream
+}
+
+// SetA2AWindow sets how many exchanges A2ARounds may keep posted at
+// once: 2 pipelines exchange s+1's encode behind exchange s's transfer
+// (the §IV-E double-buffered all-to-all, the default), 1 is the
+// synchronous all-to-all. It is the communication half of the overlap
+// switch — blockio.Volume.SetSynchronous is the I/O half.
+func (n *Node) SetA2AWindow(window int) { n.window = max(window, 1) }
+
+// A2AWindow returns the window A2ARounds uses for a sequence of rounds
+// exchanges: the configured one when there is something to pipeline
+// (another PE and a second round), else 1. A caller that pre-reserves
+// its staging holds window+1 exchanges' worth — window posted sends
+// plus the receives being consumed.
+func (n *Node) A2AWindow(rounds int) int {
+	if n.P == 1 {
+		return 1
+	}
+	return max(min(n.window, rounds), 1)
+}
+
+// A2ARounds runs rounds all-to-all exchanges as one windowed pipeline:
+// it opens a stream, keeps up to A2AWindow(rounds) exchanges posted —
+// build(s) assembles exchange s's send vectors, always in order — hands
+// each exchange's receives to consume(s, recv), which owns them
+// (RecycleRecv), and closes the stream before returning, so no caller
+// holds an open stream across another collective.
+//
+// build also returns the budget charge of its send vectors (0 when the
+// caller reserved its staging up front); A2ARounds acquires it and
+// holds it until this PE's sender has provably written that exchange:
+// collecting exchange s only shows that the peers wrote theirs, but a
+// peer cannot post s+window before collecting s, which needs our
+// frame — so the charge of exchange s is released once exchange
+// s+window is collected, or at Close, which joins the sender.
+func (n *Node) A2ARounds(rounds int, build func(s int) (send [][]byte, charge int64), consume func(s int, recv [][]byte) error) error {
+	window := n.A2AWindow(rounds)
+	st := n.OpenA2AStream(window)
+	var charges []int64 // exchanges posted, send charge still held
+	defer func() {
+		st.Close()
+		for _, c := range charges {
+			n.Mem.Release(c)
+		}
+	}()
+	posted := 0
+	for s := 0; s < rounds; s++ {
+		for ; posted < rounds && posted < s+window; posted++ {
+			send, charge := build(posted)
+			n.Mem.MustAcquire(charge)
+			charges = append(charges, charge)
+			st.Post(send)
+		}
+		recv := st.Collect()
+		if s >= window {
+			n.Mem.Release(charges[0])
+			charges = charges[1:]
+		}
+		if err := consume(s, recv); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // AllGather collects each PE's byte slice, indexed by rank; the result
 // may be shared structurally (callers must not mutate it).
-func (n *Node) AllGather(data []byte) [][]byte { return n.tr.AllGather(data) }
+func (n *Node) AllGather(data []byte) [][]byte {
+	n.guard("AllGather")
+	return n.tr.AllGather(data)
+}
 
 // Bcast distributes root's data to every PE.
-func (n *Node) Bcast(root int, data []byte) []byte { return n.tr.Bcast(root, data) }
+func (n *Node) Bcast(root int, data []byte) []byte {
+	n.guard("Bcast")
+	return n.tr.Bcast(root, data)
+}
 
 // AllReduceInt64 combines every PE's value with op ("sum", "max",
 // "min", "or") and returns the result to all.
-func (n *Node) AllReduceInt64(v int64, op string) int64 { return n.tr.AllReduceInt64(v, op) }
+func (n *Node) AllReduceInt64(v int64, op string) int64 {
+	n.guard("AllReduceInt64")
+	return n.tr.AllReduceInt64(v, op)
+}
 
 // ExchangeAny is a generic personalised exchange of small metadata
 // values; see Transport.ExchangeAny.
 func (n *Node) ExchangeAny(items []any, nominalBytes int) []any {
+	n.guard("ExchangeAny")
 	return n.tr.ExchangeAny(items, nominalBytes)
 }
 
 // Send transmits payload to PE dst with a tag.
-func (n *Node) Send(dst, tag int, payload []byte) { n.tr.Send(dst, tag, payload) }
+func (n *Node) Send(dst, tag int, payload []byte) {
+	n.guard("Send")
+	n.tr.Send(dst, tag, payload)
+}
 
 // Recv blocks for the next message from src with the given tag.
-func (n *Node) Recv(src, tag int) []byte { return n.tr.Recv(src, tag) }
+func (n *Node) Recv(src, tag int) []byte {
+	n.guard("Recv")
+	return n.tr.Recv(src, tag)
+}
 
 // RecycleRecv returns AllToAllv payload buffers to the shared arena
 // once their contents have been decoded. Message buffers have exactly

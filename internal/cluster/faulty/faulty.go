@@ -407,6 +407,8 @@ func (s *faultyStream) Collect() [][]byte { return s.inner.Collect() }
 
 func (s *faultyStream) Close() { s.inner.Close() }
 
+func (s *faultyStream) Closed() bool { return s.inner.Closed() }
+
 // Interface conformance.
 var (
 	_ cluster.Machine            = (*Machine)(nil)

@@ -1105,10 +1105,10 @@ type a2aStream struct {
 
 	sendQ      chan [][]byte // posted, not yet fully written; cap = window
 	senderDone chan struct{} // closed when the sender goroutine exits
-	closeOnce  sync.Once
 
 	selfQ  [][]byte // self payloads of posted exchanges, FIFO
 	posted int      // exchanges posted but not collected
+	closed bool     // Close has run (PE goroutine only)
 
 	sentBytes atomic.Int64 // wire bytes written by the sender, undrained
 }
@@ -1151,6 +1151,9 @@ func (s *a2aStream) Post(send [][]byte) {
 	}
 	s.posted++
 	s.selfQ = append(s.selfQ, send[m.rank])
+	if m.p == 1 {
+		return // nothing for the wire, and no peer whose window bounds the sender's lag
+	}
 	select {
 	case s.sendQ <- send:
 	default:
@@ -1190,17 +1193,22 @@ func (s *a2aStream) Collect() [][]byte {
 // m.done unblock it), then releases any uncollected self payloads.
 // Idempotent; safe in deferred unwind paths.
 func (s *a2aStream) Close() {
-	s.closeOnce.Do(func() {
-		close(s.sendQ)
-		<-s.senderDone
-		for _, b := range s.selfQ {
-			bufpool.Put(b)
-		}
-		s.selfQ = nil
-		s.posted = 0
-		s.m.clock.Cur().BytesSent += s.sentBytes.Swap(0)
-	})
+	if s.closed {
+		return
+	}
+	s.closed = true
+	close(s.sendQ)
+	<-s.senderDone
+	for _, b := range s.selfQ {
+		bufpool.Put(b)
+	}
+	s.selfQ = nil
+	s.posted = 0
+	s.m.clock.Cur().BytesSent += s.sentBytes.Swap(0)
 }
+
+// Closed implements cluster.A2AStream.
+func (s *a2aStream) Closed() bool { return s.closed }
 
 // sender drains posted exchanges onto the wire in posting order.
 func (s *a2aStream) sender() {

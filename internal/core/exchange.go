@@ -29,7 +29,7 @@ func exchange[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, d derived, m
 	me := n.Rank
 	r := len(locals)
 	sz := c.Size()
-	bElem := int64(d.bElem)
+	bElem := int64(d.BElem)
 	// Durable mode keeps the run blocks intact so a resumed fleet can
 	// re-run the exchange from the run-formation checkpoint: fully-sent
 	// blocks are not freed and kept extents never take ownership (the
@@ -152,17 +152,23 @@ func exchange[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, d derived, m
 		return lastVals
 	}
 
-	// Overlapped mode pipelines the sub-operations over an A2AStream
-	// with a 2-exchange window: sub-op s+1's send windows are read off
-	// disk and encoded while sub-op s is still on the wire, so encode
-	// and transfer overlap (§IV-E). The budget grows from two staged
-	// sub-op quotas (send + recv) to three (send in flight, next send,
-	// recv); k = 1 has nothing to pipeline.
-	overlap := cfg.Overlap && n.P > 1 && k > 1
-	budget := 2 * quota
-	if overlap {
-		budget = 3 * quota
-	}
+	// The sub-operations run as one windowed pipeline (Node.A2ARounds):
+	// with a window of 2, sub-op s+1's send windows are read off disk
+	// and encoded while sub-op s is still on the wire, so encode and
+	// transfer overlap (§IV-E). The budget is one staged sub-op quota
+	// per posted send plus one for the receives being consumed.
+	//
+	// This pre-reservation is the approximation the exchange has always
+	// made: it counts send s as freed once sub-op s is collected, while
+	// A2ARounds can only prove that once s+window is (so up to 2·window
+	// sends may still be queued in this PE's sender). The exact charge —
+	// what the striped collect gets from A2ARounds' build return — would
+	// need (2·window+1)·quota ≤ m, i.e. quota = m/5 instead of m/4, and
+	// quota fixes k: every multi-sub-op run's sub-operation count and
+	// modelled time would move. So buildSend reports charge 0 and the
+	// reservation stays (window+1)·quota; the gap is at most window·quota
+	// of pooled send bytes, and only on a backend with a background sender.
+	budget := int64(n.A2AWindow(k)+1) * quota
 	if cfg.MemElems > 0 {
 		n.Mem.MustAcquire(budget)
 		defer n.Mem.Release(budget)
@@ -171,10 +177,11 @@ func exchange[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, d derived, m
 	// ----- Execute k sub-operations -----
 	// buildSend assembles sub-op s's send vectors (sequentially, in
 	// sub-op order: it advances the per-block send accounting and the
-	// read cache); process consumes sub-op s's receives. The overlapped
-	// and synchronous paths below run exactly the same calls in the same
-	// per-PE order, so their output is byte-identical.
-	buildSend := func(s int) [][]byte {
+	// read cache; its staging is part of budget, so it charges nothing
+	// itself); process consumes sub-op s's receives. Any window runs
+	// exactly the same calls in the same per-PE order, so the output is
+	// byte-identical.
+	buildSend := func(s int) ([][]byte, int64) {
 		send := make([][]byte, n.P)
 		for q := 0; q < n.P; q++ {
 			if q == me || sendTotal[q] == 0 {
@@ -216,7 +223,7 @@ func exchange[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, d derived, m
 			send[q] = buf
 			n.AddCPU(cfg.Model.ScanCPU((wHi - wLo)))
 		}
-		return send
+		return send, 0
 	}
 	var decScratch []T // reused staging buffer for received pieces
 	process := func(s int, recv [][]byte) error {
@@ -263,25 +270,8 @@ func exchange[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, d derived, m
 		}
 		return nil
 	}
-	if overlap {
-		st := n.OpenA2AStream(2)
-		defer st.Close() // idempotent; releases the sender on error unwinds
-		st.Post(buildSend(0))
-		for s := 0; s < k; s++ {
-			if s+1 < k {
-				st.Post(buildSend(s + 1))
-			}
-			if err := process(s, st.Collect()); err != nil {
-				return nil, 0, err
-			}
-		}
-		st.Close()
-	} else {
-		for s := 0; s < k; s++ {
-			if err := process(s, n.AllToAllv(buildSend(s))); err != nil {
-				return nil, 0, err
-			}
-		}
+	if err := n.A2ARounds(k, buildSend, process); err != nil {
+		return nil, 0, err
 	}
 
 	// ----- Assemble per-run output files -----

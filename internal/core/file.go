@@ -1,8 +1,6 @@
 package core
 
 import (
-	"io"
-
 	"demsort/internal/blockio"
 	"demsort/internal/bufpool"
 	"demsort/internal/elem"
@@ -188,11 +186,10 @@ type reader[T any] struct {
 	nextH   blockio.Handle
 	nextOK  bool
 	nextE   Extent
-	overlap bool
 }
 
-func newReader[T any](c elem.Codec[T], vol *blockio.Volume, f File, free, overlap bool) *reader[T] {
-	r := &reader[T]{c: c, vol: vol, file: f, free: free, overlap: overlap}
+func newReader[T any](c elem.Codec[T], vol *blockio.Volume, f File, free bool) *reader[T] {
+	r := &reader[T]{c: c, vol: vol, file: f, free: free}
 	r.prefetch()
 	r.advance()
 	return r
@@ -212,11 +209,7 @@ func (r *reader[T]) prefetch() {
 		r.nextRaw = bufpool.Get(need)
 	}
 	r.nextRaw = r.nextRaw[:need]
-	h := r.vol.ReadAsync(e.ID, r.nextRaw)
-	if !r.overlap {
-		r.vol.Wait(h)
-	}
-	r.nextH = h
+	r.nextH = r.vol.ReadAsync(e.ID, r.nextRaw)
 	r.nextE = e
 	r.nextOK = true
 }
@@ -279,27 +272,10 @@ func (r *reader[T]) next() (T, bool) {
 // streamRaw feeds a File's encoded bytes to fn in element order — the
 // zero-RAM-footprint way to drain a sorted output file (Config.Sink).
 // The slice passed to fn is only valid for the duration of the call.
-// With overlap the extents flow through two pooled buffers and extent
-// i+1's read is issued before fn consumes extent i, hiding the store
-// reads behind the sink writes; without it a single buffer is read
-// synchronously per extent.
-func streamRaw[T any](c elem.Codec[T], vol *blockio.Volume, f File, overlap bool, fn func([]byte) error) error {
-	if !overlap {
-		raw := bufpool.Get(vol.BlockBytes())
-		defer func() { bufpool.Put(raw) }()
-		for _, e := range f.Extents {
-			need := (e.Off + e.Len) * c.Size()
-			if cap(raw) < need {
-				bufpool.Put(raw)
-				raw = bufpool.Get(need)
-			}
-			vol.ReadWait(e.ID, raw[:need])
-			if err := fn(raw[e.Off*c.Size() : need]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+// The extents flow through two pooled buffers and extent i+1's read is
+// issued before fn consumes extent i, hiding the store reads behind the
+// sink writes.
+func streamRaw[T any](c elem.Codec[T], vol *blockio.Volume, f File, fn func([]byte) error) error {
 	var bufs [2][]byte
 	var hs [2]blockio.Handle
 	bufs[0] = bufpool.Get(vol.BlockBytes())
@@ -330,29 +306,4 @@ func streamRaw[T any](c elem.Codec[T], vol *blockio.Volume, f File, overlap bool
 		}
 	}
 	return nil
-}
-
-// loadStream fills a block-aligned File straight from an encoded byte
-// stream via blockio.FillFrom: no decode, no element slice — the load
-// phase's entire footprint is FillFrom's staging buffers, which is
-// what keeps an -infile run at O(m) end-to-end memory. The caller
-// charges the staging block(s) to the memory budget around the call.
-// With overlap the source reads run on a stage goroutine ahead of the
-// store writes (blockio.FillFromOverlap).
-func loadStream[T any](c elem.Codec[T], vol *blockio.Volume, r io.Reader, n int64, overlap bool) (File, error) {
-	bElem := vol.BlockBytes() / c.Size()
-	fill := vol.FillFrom
-	if overlap {
-		fill = vol.FillFromOverlap
-	}
-	spans, err := fill(r, n*int64(c.Size()), bElem*c.Size())
-	var f File
-	for _, sp := range spans {
-		f.Append(Extent{ID: sp.ID, Off: 0, Len: sp.Bytes / c.Size(), Own: true})
-	}
-	if err != nil {
-		f.FreeOwned(vol)
-		return File{}, err
-	}
-	return f, nil
 }

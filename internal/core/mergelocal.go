@@ -34,8 +34,8 @@ func mergeLocal[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, d derived,
 	r := len(files)
 	// 2 blocks per run (current + prefetch) plus the output buffer.
 	if cfg.MemElems > 0 {
-		n.Mem.MustAcquire(int64(2*r+1) * int64(d.bElem))
-		defer n.Mem.Release(int64(2*r+1) * int64(d.bElem))
+		n.Mem.MustAcquire(int64(2*r+1) * int64(d.BElem))
+		defer n.Mem.Release(int64(2*r+1) * int64(d.BElem))
 	}
 
 	key, exact := elem.KeyFn(c)
@@ -48,7 +48,7 @@ func mergeLocal[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, d derived,
 	keys := make([]uint64, r)
 	live := make([]bool, r)
 	for i, f := range files {
-		readers[i] = newReader(c, n.Vol, f, true, cfg.Overlap)
+		readers[i] = newReader(c, n.Vol, f, true)
 		if blk := readers[i].nextBlock(); len(blk) > 0 {
 			srcs[i].cur = blk
 			keys[i] = key(blk[0])
@@ -63,7 +63,7 @@ func mergeLocal[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, d derived,
 	}
 	lt := pq.NewKeyTree(r, keys, live, tie)
 	w := newWriter(c, n.Vol)
-	out := make([]T, 0, d.bElem)
+	out := make([]T, 0, d.BElem)
 	flush := func() {
 		if len(out) == 0 {
 			return
@@ -77,7 +77,7 @@ func mergeLocal[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, d derived,
 		s := &srcs[i]
 		out = append(out, s.cur[s.pos])
 		s.pos++
-		if len(out) == d.bElem {
+		if len(out) == d.BElem {
 			flush()
 		}
 		if s.pos < len(s.cur) {

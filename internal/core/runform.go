@@ -9,7 +9,7 @@ import (
 	"demsort/internal/cluster"
 	"demsort/internal/dselect"
 	"demsort/internal/elem"
-	"demsort/internal/psort"
+	"demsort/internal/job"
 	"demsort/internal/xmerge"
 )
 
@@ -41,7 +41,7 @@ func runFormation[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, d derive
 		rng := rand.New(rand.NewPCG(cfg.Seed, uint64(n.Rank)+0xD1CE))
 		rng.Shuffle(len(exts), func(i, j int) { exts[i], exts[j] = exts[j], exts[i] })
 	}
-	bpr := d.blocksPerRun
+	bpr := d.BlocksPerRun
 	myRuns := (len(exts) + bpr - 1) / bpr
 	runs := int(n.AllReduceInt64(int64(myRuns), "max"))
 	if runs == 0 {
@@ -68,11 +68,7 @@ func runFormation[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, d derive
 		ps := make([]pending, 0, hi-lo)
 		for _, e := range exts[lo:hi] {
 			raw := bufpool.Get(e.Len * c.Size())
-			h := n.Vol.ReadAsync(e.ID, raw)
-			if !cfg.Overlap {
-				n.Vol.Wait(h)
-			}
-			ps = append(ps, pending{ext: e, raw: raw, handle: h})
+			ps = append(ps, pending{ext: e, raw: raw, handle: n.Vol.ReadAsync(e.ID, raw)})
 		}
 		return ps
 	}
@@ -98,7 +94,7 @@ func runFormation[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, d derive
 				n.Vol.Wait(p.handle)
 				blk := elem.DecodeSlice(c, p.raw, p.ext.Len)
 				bufpool.Put(p.raw)
-				sortChunkBudgeted(c, n, cfg, blk)
+				job.SortChunkBudgeted(c, n, &cfg.Common, blk)
 				n.AddCPU(cfg.Model.SortCPU(int64(len(blk))) + cfg.Model.ScanCPU(int64(len(blk))))
 				blocks = append(blocks, blk)
 				n.Vol.Free(p.ext.ID)
@@ -113,23 +109,17 @@ func runFormation[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, d derive
 				n.Vol.Free(p.ext.ID)
 			}
 			n.AddCPU(cfg.Model.ScanCPU(int64(len(chunk))))
-			sortChunkBudgeted(c, n, cfg, chunk)
+			job.SortChunkBudgeted(c, n, &cfg.Common, chunk)
 			n.AddCPU(cfg.Model.SortCPU(int64(len(chunk))))
 		}
 		cur = next
 
 		// Distributed sort of the run: exact splits, all-to-all, merge.
 		runLen := n.AllReduceInt64(int64(len(chunk)), "sum")
-		bounds := rankBounds(runLen, n.P)
+		bounds := job.RankBounds(runLen, n.P)
 		cuts := dselect.Cuts(c, n, chunk, bounds[1:n.P])
 
-		send := make([][]byte, n.P)
-		for q := 0; q < n.P; q++ {
-			lo, hi := cutAt(cuts, q, int64(len(chunk)), n.P)
-			sb := bufpool.Get(int(hi-lo) * c.Size())
-			elem.EncodeInto(c, sb, chunk[lo:hi])
-			send[q] = sb
-		}
+		send := job.EncodeParts(c, chunk, cuts)
 		n.Mem.MustAcquire(int64(chunkLen)) // encoded send copies
 		n.AddCPU(cfg.Model.ScanCPU(int64(len(chunk))))
 		chunk = nil
@@ -168,72 +158,12 @@ func runFormation[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, d derive
 		w := newWriter(c, n.Vol)
 		w.addSlice(merged)
 		lr.file = w.finish()
-		if !cfg.Overlap {
-			n.Vol.Drain()
-		}
 		n.Mem.Release(2 * segLen)
 		out = append(out, lr)
 	}
 	n.Vol.Drain()
 	n.Barrier()
 	return out, nil
-}
-
-// sortChunkBudgeted runs one of run formation's in-node sorts with
-// the radix scratch charged against the memory budget — historically a
-// blind spot: the keyIdx pair buffers and the LSD gather buffer were
-// invisible to the tracker. A PathAuto config resolves per chunk
-// against the live headroom: the LSD scatter while its scratch fits,
-// the in-place MSD when memory is tight (about half the scratch — one
-// pair buffer, no element gather buffer). Closure-only codecs bypass
-// the radix engines and charge nothing, as before.
-func sortChunkBudgeted[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, chunk []T) {
-	if _, keyed := elem.Codec[T](c).(elem.KeyedCodec[T]); !keyed {
-		psort.Sort(c, chunk, cfg.RealWorkers)
-		return
-	}
-	path := cfg.RadixPath
-	if path == psort.PathAuto {
-		path = psort.PathLSD
-		need := scratchElems(psort.PathLSD, c.Size(), len(chunk), cfg.RealWorkers)
-		if lim := n.Mem.Limit(); lim > 0 && n.Mem.Used()+need > lim {
-			path = psort.PathMSD
-		}
-	}
-	scratch := scratchElems(path, c.Size(), len(chunk), cfg.RealWorkers)
-	n.Mem.MustAcquire(scratch)
-	psort.SortPath(c, chunk, cfg.RealWorkers, path)
-	n.Mem.Release(scratch)
-}
-
-// scratchElems converts psort's scratch bytes into budget elements
-// (rounded up) — the tracker's unit.
-func scratchElems(path psort.Path, elemSize, n, workers int) int64 {
-	b := psort.ScratchBytes(path, elemSize, n, workers)
-	return (b + int64(elemSize) - 1) / int64(elemSize)
-}
-
-// rankBounds returns the P+1 exact boundary ranks 0, N/P, 2N/P, …, N.
-func rankBounds(total int64, p int) []int64 {
-	b := make([]int64, p+1)
-	for i := 0; i <= p; i++ {
-		b[i] = total * int64(i) / int64(p)
-	}
-	return b
-}
-
-// cutAt returns this PE's slice [lo, hi) of its local chunk destined
-// for PE q, given this PE's local cut positions for ranks 1..P-1.
-func cutAt(cuts []int64, q int, chunkLen int64, p int) (int64, int64) {
-	lo := int64(0)
-	if q > 0 {
-		lo = cuts[q-1]
-	}
-	hi := chunkLen
-	if q < p-1 {
-		hi = cuts[q]
-	}
-	return lo, hi
 }
 
 // firstMultiple returns the smallest multiple of k that is >= x.

@@ -9,6 +9,7 @@ import (
 	"demsort/internal/bufpool"
 	"demsort/internal/cluster"
 	"demsort/internal/elem"
+	"demsort/internal/job"
 	"demsort/internal/mselect"
 )
 
@@ -121,7 +122,7 @@ func (a *probeAccessor[T]) At(s int, i int64) T {
 		return a.meta.segStarts[s][p]+a.meta.segLens[s][p] > i
 	})
 	local := i - a.meta.segStarts[s][pe]
-	blk := local / int64(a.d.bElem)
+	blk := local / int64(a.d.BElem)
 	key := fetchKey{run: s, owner: pe, blk: blk}
 	vals, ok := a.cache[key]
 	if !ok {
@@ -134,7 +135,7 @@ func (a *probeAccessor[T]) At(s int, i int64) T {
 		}
 		a.cachePut(key, vals)
 	}
-	return vals[local-blk*int64(a.d.bElem)]
+	return vals[local-blk*int64(a.d.BElem)]
 }
 
 func (a *probeAccessor[T]) readLocalBlock(run int, blk int64) []T {
@@ -162,7 +163,7 @@ func (a *probeAccessor[T]) prefetchAround(cuts []int64) {
 			if ring == 0 {
 				poss = []int64{cut}
 			} else {
-				poss = []int64{cut - int64(a.d.bElem), cut + int64(a.d.bElem)}
+				poss = []int64{cut - int64(a.d.BElem), cut + int64(a.d.BElem)}
 			}
 			for _, pos := range poss {
 				if pos < 0 || pos >= a.meta.runLens[s] || fetched >= a.cacheCap {
@@ -172,7 +173,7 @@ func (a *probeAccessor[T]) prefetchAround(cuts []int64) {
 					return a.meta.segStarts[s][p]+a.meta.segLens[s][p] > pos
 				})
 				local := pos - a.meta.segStarts[s][pe]
-				key := fetchKey{run: s, owner: pe, blk: local / int64(a.d.bElem)}
+				key := fetchKey{run: s, owner: pe, blk: local / int64(a.d.BElem)}
 				if seen[key] || a.cache[key] != nil {
 					continue
 				}
@@ -216,7 +217,7 @@ func (a *probeAccessor[T]) cachePut(key fetchKey, vals []T) {
 func multiwaySelection[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, d derived, meta *runsMeta[T], locals []localRun[T]) ([][]int64, error) {
 	n.SetPhase(PhaseSelection)
 	r := len(meta.runLens)
-	bounds := rankBounds(meta.totalN, n.P)
+	bounds := job.RankBounds(meta.totalN, n.P)
 
 	reqCh := make(chan []fetchKey)
 	resCh := make(chan [][]T)
@@ -229,7 +230,7 @@ func multiwaySelection[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, d d
 
 	cacheCap := 6*r + 6
 	if cfg.MemElems > 0 {
-		if byBudget := int(cfg.MemElems / 4 / int64(d.bElem)); byBudget < cacheCap {
+		if byBudget := int(cfg.MemElems / 4 / int64(d.BElem)); byBudget < cacheCap {
 			cacheCap = byBudget
 		}
 		if cacheCap < 2 {
@@ -262,8 +263,8 @@ func multiwaySelection[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, d d
 	acc.fetch = func(k fetchKey) []T {
 		return acc.fetchBatch([]fetchKey{k})[0]
 	}
-	n.Mem.MustAcquire(int64(acc.cacheCap) * int64(d.bElem))
-	defer n.Mem.Release(int64(acc.cacheCap) * int64(d.bElem))
+	n.Mem.MustAcquire(int64(acc.cacheCap) * int64(d.BElem))
+	defer n.Mem.Release(int64(acc.cacheCap) * int64(d.BElem))
 
 	active := n.Rank != 0
 	if active {

@@ -378,18 +378,11 @@ func TestSortOverlapAblation(t *testing.T) {
 func TestSortRec100(t *testing.T) {
 	// SortBenchmark elements: 100-byte records, 10-byte keys.
 	rc := elem.Rec100Codec{}
-	cfg := Config{
-		P:           3,
-		BlockBytes:  100 * 32,
-		MemElems:    1 << 12,
-		RunFraction: 0.25,
-		Randomize:   true,
-		Seed:        4,
-		Overlap:     true,
-		RealWorkers: 1,
-		KeepOutput:  true,
-		Model:       vtime.Default(),
-	}
+	cfg := DefaultConfig(3, 1<<12, 100*32)
+	cfg.Seed = 4
+	cfg.RealWorkers = 1
+	cfg.KeepOutput = true
+	cfg.SingleRunOpt = false
 	input := make([][]elem.Rec100, cfg.P)
 	rngKeys := workload.Generate(workload.Uniform, cfg.P, 700, 31)
 	for pe := range input {

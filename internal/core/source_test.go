@@ -120,9 +120,9 @@ func TestSortSourceRejectsBothInputs(t *testing.T) {
 // TestSortSourceLoadPeakIsBlockSized pins the O(m) claim of the
 // streaming loader: an -infile-style run (gensort records streamed
 // from a Source onto a file-backed store) charges the load phase only
-// its bounded staging — one block synchronously, three with the
-// overlapped reader pipeline — never the tile, which is three orders
-// of magnitude larger.
+// its bounded staging — FillFrom's three chunks, whether or not the
+// sort itself overlaps — never the tile, which is three orders of
+// magnitude larger.
 func TestSortSourceLoadPeakIsBlockSized(t *testing.T) {
 	const p = 2
 	const nPer = 20000 // records per rank; tile = 2,000,000 bytes
@@ -141,10 +141,7 @@ func TestSortSourceLoadPeakIsBlockSized(t *testing.T) {
 			t.Fatal(err)
 		}
 		bElem := int64(res.BlockElems)
-		stage := bElem
-		if overlap {
-			stage = 3 * bElem
-		}
+		stage := 3 * bElem
 		for rank, peak := range res.LoadPeakMemElems {
 			if peak > stage {
 				t.Errorf("overlap=%v rank %d: load phase held %d elements, want <= staging bound (%d)", overlap, rank, peak, stage)

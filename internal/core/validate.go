@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"demsort/internal/elem"
+	"demsort/internal/job"
 	"demsort/internal/psort"
 )
 
@@ -25,7 +26,7 @@ func (r *Result[T]) Validate(c elem.Codec[T], input [][]T) error {
 	if r.N != total {
 		return fmt.Errorf("core: output has %d elements, input %d", r.N, total)
 	}
-	bounds := rankBounds(total, r.P)
+	bounds := job.RankBounds(total, r.P)
 	var flat []T
 	for i, part := range r.Output {
 		if int64(len(part)) != bounds[i+1]-bounds[i] {

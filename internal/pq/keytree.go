@@ -1,11 +1,15 @@
+// Package pq provides the priority structure of multiway merging: a
+// key-inline tournament (loser) tree — the classic engine of k-way
+// external merging (Knuth vol. 3).
 package pq
 
 // KeyTree is a flat, cache-resident tournament tree over k sorted
 // streams whose heads are summarised by 64-bit normalized keys
-// (elem.KeyedCodec). Unlike LoserTree it stores no elements at all:
-// internal nodes hold (loser stream, loser key) pairs in two flat
-// arrays, so a replay is ceil(log2 k) uint64 comparisons with no
-// indirect less call and no element copies. The caller keeps the
+// (elem.KeyedCodec). It stores no elements at all: internal nodes hold
+// (loser stream, loser key) pairs in two flat arrays, so replacing the
+// winner and replaying costs exactly ceil(log2 k) uint64 comparisons,
+// independent of input order, with no indirect less call and no
+// element copies. The caller keeps the
 // actual stream cursors and feeds the tree the key of each new head.
 //
 // Equal truncated keys are broken by the optional tie callback (the

@@ -3,7 +3,6 @@ package stripesort
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math/rand/v2"
 	"sort"
 
@@ -12,92 +11,23 @@ import (
 	"demsort/internal/cluster"
 	"demsort/internal/dselect"
 	"demsort/internal/elem"
-	"demsort/internal/psort"
+	"demsort/internal/job"
 	"demsort/internal/xmerge"
 )
 
-// sortChunkBudgeted mirrors core's run-formation sort: the radix
-// scratch (pair buffers, histograms, LSD gather buffer) is charged
-// against the memory budget, and a PathAuto config resolves per chunk
-// against the live headroom — LSD scatter while its scratch fits, the
-// in-place MSD when memory is tight. Closure-only codecs bypass the
-// radix engines and charge nothing.
-func sortChunkBudgeted[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, chunk []T) {
-	if _, keyed := elem.Codec[T](c).(elem.KeyedCodec[T]); !keyed {
-		psort.Sort(c, chunk, cfg.RealWorkers)
-		return
-	}
-	scratchElems := func(path psort.Path) int64 {
-		b := psort.ScratchBytes(path, c.Size(), len(chunk), cfg.RealWorkers)
-		return (b + int64(c.Size()) - 1) / int64(c.Size())
-	}
-	path := cfg.RadixPath
-	if path == psort.PathAuto {
-		path = psort.PathLSD
-		if lim := n.Mem.Limit(); lim > 0 && n.Mem.Used()+scratchElems(psort.PathLSD) > lim {
-			path = psort.PathMSD
-		}
-	}
-	scratch := scratchElems(path)
-	n.Mem.MustAcquire(scratch)
-	psort.SortPath(c, chunk, cfg.RealWorkers, path)
-	n.Mem.Release(scratch)
-}
-
-// runPE executes the whole striped sort on one PE. Input arrives
-// either as src (a stream of srcN encoded elements, loaded through one
-// staging block) or as the myInput slice; sink receives the rank's
-// contiguous share of the sorted output (nil = leave the striped
+// runPE executes the whole striped sort on one PE; sink receives the
+// rank's contiguous share of the sorted output (nil = leave the striped
 // blocks on the volumes).
-func runPE[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, bElem, bpr int, src io.Reader, srcN int64, myInput []T, sink func(rank int, b []byte) error) (*peState[T], error) {
+func runPE[T any](j *job.Job[T], c elem.Codec[T], n *cluster.Node, cfg *Config, sink func(rank int, b []byte) error) (*peState[T], error) {
 	sz := c.Size()
+	bElem, bpr := j.BElem, j.BlocksPerRun
 	key, exact := elem.KeyFn(c)
 
 	// ----- Load input onto local disks (unmeasured) -----
-	n.SetPhase("load")
-	type inBlock struct {
-		id  blockio.BlockID
-		len int
+	inBlocks, err := j.Load(n)
+	if err != nil {
+		return nil, fmt.Errorf("stripesort: %w", err)
 	}
-	var inBlocks []inBlock
-	if src != nil {
-		// Staging blocks charged to the budget: one synchronous, three
-		// when the reader goroutine stages ahead of the store writes.
-		stage := int64(bElem)
-		fill := n.Vol.FillFrom
-		if cfg.Overlap {
-			stage = 3 * int64(bElem)
-			fill = n.Vol.FillFromOverlap
-		}
-		n.Mem.MustAcquire(stage)
-		spans, err := fill(src, srcN*int64(sz), bElem*sz)
-		n.Mem.Release(stage)
-		if err != nil {
-			for _, sp := range spans {
-				n.Vol.Free(sp.ID)
-			}
-			return nil, fmt.Errorf("stripesort: input source, rank %d: %w", n.Rank, err)
-		}
-		for _, sp := range spans {
-			inBlocks = append(inBlocks, inBlock{sp.ID, sp.Bytes / sz})
-		}
-	} else {
-		loadEnc := bufpool.Get(bElem * sz)
-		for off := 0; off < len(myInput); off += bElem {
-			hi := off + bElem
-			if hi > len(myInput) {
-				hi = len(myInput)
-			}
-			id := n.Vol.Alloc()
-			eb := loadEnc[:(hi-off)*sz]
-			elem.EncodeInto(c, eb, myInput[off:hi])
-			n.Vol.WriteAsync(id, eb)
-			inBlocks = append(inBlocks, inBlock{id, hi - off})
-		}
-		bufpool.Put(loadEnc)
-	}
-	n.Vol.Drain()
-	n.Barrier()
 
 	// ----- Phase 1: run formation with global striping -----
 	n.SetPhase(PhaseRunForm)
@@ -131,36 +61,20 @@ func runPE[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, bElem, bpr int,
 				hi = len(inBlocks)
 			}
 			for _, b := range inBlocks[lo:hi] {
-				n.Vol.ReadWait(b.id, raw[:b.len*sz])
-				chunk = elem.AppendDecode(c, chunk, raw, b.len)
-				n.Vol.Free(b.id)
+				n.Vol.ReadWait(b.ID, raw[:b.Bytes])
+				chunk = elem.AppendDecode(c, chunk, raw, b.Bytes/sz)
+				n.Vol.Free(b.ID)
 			}
 		}
 		n.Mem.MustAcquire(int64(len(chunk)))
-		sortChunkBudgeted(c, n, cfg, chunk)
+		job.SortChunkBudgeted(c, n, &cfg.Common, chunk)
 		n.AddCPU(cfg.Model.SortCPU(int64(len(chunk))) + cfg.Model.ScanCPU(int64(len(chunk))))
 
 		runLen := n.AllReduceInt64(int64(len(chunk)), "sum")
 		runLens[r] = runLen
-		bounds := make([]int64, n.P+1)
-		for i := 0; i <= n.P; i++ {
-			bounds[i] = runLen * int64(i) / int64(n.P)
-		}
+		bounds := job.RankBounds(runLen, n.P)
 		cuts := dselect.Cuts(c, n, chunk, bounds[1:n.P])
-		send := make([][]byte, n.P)
-		for q := 0; q < n.P; q++ {
-			qlo := int64(0)
-			if q > 0 {
-				qlo = cuts[q-1]
-			}
-			qhi := int64(len(chunk))
-			if q < n.P-1 {
-				qhi = cuts[q]
-			}
-			sb := bufpool.Get(int(qhi-qlo) * sz)
-			elem.EncodeInto(c, sb, chunk[qlo:qhi])
-			send[q] = sb
-		}
+		send := job.EncodeParts(c, chunk, cuts)
 		n.AddCPU(cfg.Model.ScanCPU(int64(len(chunk))))
 		chunkLen := int64(len(chunk))
 		chunk = nil
@@ -252,9 +166,6 @@ func runPE[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, bElem, bpr int,
 		}
 		n.AddCPU(cfg.Model.ScanCPU(segLen))
 		n.Mem.Release(3 * segLen)
-		if !cfg.Overlap {
-			n.Vol.Drain()
-		}
 	}
 	bufpool.Put(raw)
 	n.Vol.Drain()
@@ -394,9 +305,6 @@ func runPE[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, bElem, bpr int,
 			rb := myIdx[[2]int64{int64(e.run), e.blk}]
 			f := fetched{e: e, rb: rb, raw: bufpool.Get(rb.len * sz)}
 			f.handle = n.Vol.ReadAsync(rb.id, f.raw)
-			if !cfg.Overlap {
-				n.Vol.Wait(f.handle)
-			}
 			fs = append(fs, f)
 		}
 		for _, f := range fs {
@@ -460,21 +368,7 @@ func runPE[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, bElem, bpr int,
 			// layout fixes positions later), so cheap sample-based
 			// splitters suffice — exactness here would cost more
 			// metadata than the batch carries data.
-			cuts := sampleCuts(c, n, chunk)
-			send := make([][]byte, n.P)
-			for q := 0; q < n.P; q++ {
-				qlo := int64(0)
-				if q > 0 {
-					qlo = cuts[q-1]
-				}
-				qhi := int64(len(chunk))
-				if q < n.P-1 {
-					qhi = cuts[q]
-				}
-				sb := bufpool.Get(int(qhi-qlo) * sz)
-				elem.EncodeInto(c, sb, chunk[qlo:qhi])
-				send[q] = sb
-			}
+			send := job.EncodeParts(c, chunk, sampleCuts(c, n, chunk))
 			recv := n.AllToAllv(send)
 			var pieceLen int64
 			for q := 0; q < n.P; q++ {
@@ -553,7 +447,7 @@ func runPE[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, bElem, bpr int,
 
 	// ----- Collect: stream the output to the per-rank sinks -----
 	// (outside the measured phases, like core.Sort's collect step).
-	n.SetPhase("collect")
+	n.SetPhase(job.PhaseCollect)
 	var myN int64
 	for _, b := range st.outBlocks {
 		myN += int64(b.len)
@@ -572,7 +466,7 @@ func runPE[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, bElem, bpr int,
 // receives blocks [G·i/P, G·(i+1)/P), so the per-rank sink streams
 // concatenate — in rank order — to the sorted sequence, exactly like
 // core.Sort's canonical partition. The transfer runs in windows of W
-// consecutive blocks per AllToAllv round, bounding both the sender's
+// consecutive blocks per exchange, bounding both the sender's
 // staging and the receiver's reorder buffer to O(W·B) — the streamed
 // replacement for the old in-process [][]outBlock reassembly. Homes
 // free their blocks as they are shipped, so the striped copy is
@@ -593,10 +487,7 @@ func collectOutput[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, bElem i
 		return 0, nil
 	}
 	sort.Slice(blocks, func(i, j int) bool { return blocks[i].idx < blocks[j].idx })
-	bounds := make([]int64, n.P+1)
-	for i := 0; i <= n.P; i++ {
-		bounds[i] = total * int64(i) / int64(n.P)
-	}
+	bounds := job.RankBounds(total, n.P)
 	owner := func(g int64) int {
 		return sort.Search(n.P, func(i int) bool { return bounds[i+1] > g })
 	}
@@ -620,12 +511,17 @@ func collectOutput[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, bElem i
 	}
 	ptr := 0
 	var sunk int64
-	// buildSend stages the blocks of output indices [w0, w1) and charges
-	// their elements to the budget (released once the exchange that
-	// carries them completes); drain sinks one window's receives. The
-	// overlapped and synchronous paths below issue the same calls in the
-	// same per-PE order, so the sink streams are byte-identical.
-	buildSend := func(w1 int64) ([][]byte, int64) {
+	// The windows run as one pipeline (Node.A2ARounds): with a stream
+	// window of 2, window wi+1's blocks are read off the store and staged
+	// while window wi is still on the wire, so the part-file sink writes
+	// overlap the next exchange (§IV-E). buildSend stages the blocks of
+	// window wi and reports their elements as the exchange's budget
+	// charge, which A2ARounds holds until this PE's sender has provably
+	// written them; drain sinks one window's receives. Any stream window
+	// issues the same calls in the same per-PE order, so the sink streams
+	// are byte-identical.
+	buildSend := func(wi int) ([][]byte, int64) {
+		w1 := min64((int64(wi)+1)*w, total)
 		send := make([][]byte, n.P)
 		var sendElems int64
 		for ptr < len(blocks) && blocks[ptr].idx < w1 {
@@ -641,10 +537,9 @@ func collectOutput[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, bElem i
 			sendElems += int64(b.len)
 			n.Vol.Free(b.id)
 		}
-		n.Mem.MustAcquire(sendElems)
 		return send, sendElems
 	}
-	drain := func(recv [][]byte) error {
+	drain := func(_ int, recv [][]byte) error {
 		var entries []entry
 		var recvElems int64
 		for p := 0; p < n.P; p++ {
@@ -669,45 +564,8 @@ func collectOutput[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, bElem i
 		n.Mem.Release(recvElems)
 		return nil
 	}
-	nWin := (total + w - 1) / w
-	if cfg.Overlap && n.P > 1 && nWin > 1 {
-		// Pipelined collect (§IV-E): window wi+1's blocks are read off
-		// the store and staged while window wi is still on the wire, so
-		// the part-file sink writes overlap the next exchange. At most
-		// two windows' send staging plus one window's receives are live,
-		// each bounded by w blocks.
-		st := n.OpenA2AStream(2)
-		defer st.Close() // idempotent; releases the sender on error unwinds
-		inFlight := make([]int64, 0, 2)
-		post := func(wi int64) {
-			send, elems := buildSend(min64((wi+1)*w, total))
-			st.Post(send)
-			inFlight = append(inFlight, elems)
-		}
-		post(0)
-		for wi := int64(0); wi < nWin; wi++ {
-			if wi+1 < nWin {
-				post(wi + 1)
-			}
-			recv := st.Collect()
-			n.Mem.Release(inFlight[0]) // send copies delivered
-			inFlight = inFlight[1:]
-			if err := drain(recv); err != nil {
-				return sunk, err
-			}
-		}
-		st.Close()
-	} else {
-		for w0 := int64(0); w0 < total; w0 += w {
-			send, sendElems := buildSend(min64(w0+w, total))
-			recv := n.AllToAllv(send)
-			n.Mem.Release(sendElems) // send copies handed off to receivers
-			if err := drain(recv); err != nil {
-				return sunk, err
-			}
-		}
-	}
-	return sunk, nil
+	err := n.A2ARounds(int((total+w-1)/w), buildSend, drain)
+	return sunk, err
 }
 
 type outAsm[T any] struct {

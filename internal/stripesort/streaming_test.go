@@ -9,7 +9,9 @@ import (
 	"testing"
 
 	"demsort/internal/blockio"
+	"demsort/internal/cluster"
 	"demsort/internal/elem"
+	"demsort/internal/job"
 	"demsort/internal/workload"
 )
 
@@ -88,5 +90,83 @@ func TestStripedSinkErrorAborts(t *testing.T) {
 	_, err := Sort[elem.KV16](kvc, cfg, input)
 	if err == nil || !errors.Is(err, sinkErr) {
 		t.Fatalf("sink error must abort the striped sort, got %v", err)
+	}
+}
+
+// TestCollectStaysWithinBudget pins the collect's memory accounting:
+// the send staging of exchange s stays charged until this PE's sender
+// has provably written it (exchange s+window collected, or the stream
+// closed — Node.A2ARounds), not merely until the peers' frames for s
+// arrived, and even so the collect's peak stays within the budget its
+// window size is derived from, nothing stays charged afterwards, and
+// every rank's sink sees its block range once, in order.
+func TestCollectStaysWithinBudget(t *testing.T) {
+	const bElem, totalBlocks = 64, 96
+	for _, p := range []int{1, 2, 4} {
+		for _, overlap := range []bool{true, false} {
+			t.Run(fmt.Sprintf("p%d_overlap=%v", p, overlap), func(t *testing.T) {
+				cfg := DefaultConfig(p, 32*bElem, bElem*16) // window limited by m/4: 8 blocks
+				cfg.Overlap = overlap
+				j, err := job.Open(kvc, &cfg.Common, make([][]elem.KV16, p))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := j.Start(); err != nil {
+					t.Fatal(err)
+				}
+				defer j.Close()
+				got := make([][]uint64, p) // per rank: the block indices sunk, in order
+				sink := func(rank int, b []byte) error {
+					blk := elem.DecodeSlice(kvc, b, len(b)/16)
+					got[rank] = append(got[rank], blk[0].Key)
+					return nil
+				}
+				err = j.Run(func(n *cluster.Node) error {
+					n.SetPhase(job.PhaseCollect)
+					// The striped layout: output block g lives on PE g mod P.
+					var blocks []stripedBlock
+					data := make([]elem.KV16, bElem)
+					for g := n.Rank; g < totalBlocks; g += n.P {
+						for i := range data {
+							data[i].Key = uint64(g)
+						}
+						id := n.Vol.Alloc()
+						n.Vol.WriteAsync(id, elem.EncodeSlice(kvc, data))
+						blocks = append(blocks, stripedBlock{idx: int64(g), id: id, len: bElem})
+					}
+					n.Vol.Drain()
+					n.Barrier()
+					outN, err := collectOutput(kvc, n, &cfg, bElem, blocks, sink)
+					if err != nil {
+						return err
+					}
+					if want := int64(totalBlocks / p * bElem); outN != want {
+						return fmt.Errorf("rank %d sunk %d elements, want %d", n.Rank, outN, want)
+					}
+					if peak := n.Mem.Peak(); peak == 0 || peak > cfg.MemElems {
+						return fmt.Errorf("rank %d: collect peak %d elements, budget %d", n.Rank, peak, cfg.MemElems)
+					}
+					if used := n.Mem.Used(); used != 0 {
+						return fmt.Errorf("rank %d: %d elements still charged after the collect", n.Rank, used)
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				next := uint64(0)
+				for rank := range got {
+					for _, g := range got[rank] {
+						if g != next {
+							t.Fatalf("rank %d sunk block %d, want %d", rank, g, next)
+						}
+						next++
+					}
+				}
+				if next != totalBlocks {
+					t.Fatalf("%d of %d blocks sunk", next, totalBlocks)
+				}
+			})
+		}
 	}
 }
