@@ -59,6 +59,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -488,17 +489,20 @@ func runTCPWorker(rank int, peers []string, lp launchParams) {
 	if lp.striped && sink == nil {
 		outLen = stats.N
 	}
-	if part != nil {
-		fail(part.Close())
-	}
-
+	// Every second of the rank's wall gets a name: the phases the sort
+	// accounted (a resumed run never entered the committed ones, so they
+	// have no entry) and the part-file publish, which only this process
+	// sees.
 	var phases []string
-	for _, ph := range stats.PhaseNames {
-		// A resumed run never entered the committed phases, so they
-		// have no stats entry.
+	for _, ph := range slices.Concat([]string{job.PhaseLoad}, stats.PhaseNames, []string{job.PhaseCollect}) {
 		if st := stats.PerPE[rank][ph]; st != nil {
 			phases = append(phases, fmt.Sprintf("%s %.3fs", ph, st.Wall))
 		}
+	}
+	if part != nil {
+		t0 := time.Now()
+		fail(part.Close())
+		phases = append(phases, fmt.Sprintf("publish %.3fs", time.Since(t0).Seconds()))
 	}
 	fmt.Printf("rank %d: read %d input bytes\n", rank, readBytes.Load())
 	fmt.Printf("rank %d: %d records in %.3fs (%s)\n",

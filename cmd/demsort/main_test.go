@@ -16,6 +16,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -29,6 +31,13 @@ func TestMain(m *testing.M) {
 	}
 	os.Exit(m.Run())
 }
+
+// The worker summary line, as the benchmark parses it, and one phase of
+// its parenthesised breakdown.
+var (
+	summaryRE = regexp.MustCompile(`(?m)^\[w\d+\] rank \d+: \d+ records in ([0-9.]+)s \((.*)\)$`)
+	phaseRE   = regexp.MustCompile(`([a-z- ]+) ([0-9.]+)s`)
+)
 
 func TestTCPLauncherMatchesSim(t *testing.T) {
 	exe, err := os.Executable()
@@ -59,6 +68,28 @@ func TestTCPLauncherMatchesSim(t *testing.T) {
 	}
 	if !strings.Contains(tcpOut, "rank 3:") {
 		t.Fatalf("launcher did not run 4 workers:\n%s", tcpOut)
+	}
+	// Every worker's summary line names all of its wall: the phases in
+	// the parentheses sum to the "records in" figure (5 %, plus the
+	// rounding of seven three-decimal terms).
+	lines := summaryRE.FindAllStringSubmatch(tcpOut, -1)
+	if len(lines) != 4 {
+		t.Fatalf("want 4 worker summary lines, got %d:\n%s", len(lines), tcpOut)
+	}
+	for _, m := range lines {
+		wall, _ := strconv.ParseFloat(m[1], 64)
+		var sum float64
+		phases := phaseRE.FindAllStringSubmatch(m[2], -1)
+		for _, ph := range phases {
+			sec, _ := strconv.ParseFloat(ph[2], 64)
+			sum += sec
+		}
+		if len(phases) != 7 || !strings.HasPrefix(m[2], "load ") || !strings.Contains(m[2], "| publish ") {
+			t.Fatalf("summary line lacks a phase (want load … collect, publish): %s", m[0])
+		}
+		if diff := wall - sum; diff < -0.004 || diff > 0.05*wall+0.004 {
+			t.Fatalf("phases sum to %.3fs of a %.3fs wall: %s", sum, wall, m[0])
+		}
 	}
 
 	for rank := 0; rank < 4; rank++ {

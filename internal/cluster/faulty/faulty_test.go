@@ -257,6 +257,13 @@ var chaosScenarios = []chaosScenario{
 	{"crash-before-selection", func(r int) faulty.Fault {
 		return faulty.Fault{Rank: r, Action: faulty.Crash, Phase: core.PhaseSelection}
 	}, false, false},
+	// The selection is lock-step rounds of three AllToAllv (proposals,
+	// counts, verdicts) and an AllGather: the fifth AllToAllv is the
+	// count exchange of the second round, with every peer's brackets
+	// half-narrowed and the survivors parked in a collective.
+	{"crash-mid-selection-rounds", func(r int) faulty.Fault {
+		return faulty.Fault{Rank: r, Action: faulty.Crash, Op: "AllToAllv", Phase: core.PhaseSelection, Call: 5}
+	}, false, true},
 	{"crash-mid-all-to-all", func(r int) faulty.Fault {
 		return faulty.Fault{Rank: r, Action: faulty.Crash, Op: "AllToAllv", Phase: core.PhaseExchange}
 	}, false, false},

@@ -12,7 +12,8 @@
 //     internal sort, written to local disks, and sampled;
 //  2. multiway selection (selection.go): exact global splitters for
 //     the ranks i·N/P over all R runs, bootstrapped from the in-memory
-//     sample and finished on a few remotely fetched blocks;
+//     sample and finished by owner-computes bisection (package dselect):
+//     every PE probes only its own blocks, pivots and counts travel;
 //  3. external all-to-all (exchange.go): data redistribution in
 //     memory-sized sub-operations, with the self-destined majority
 //     relabelled in place with zero I/O;

@@ -2,12 +2,11 @@ package core
 
 import (
 	"encoding/binary"
-	"fmt"
-	"runtime"
-	"sort"
+	"math"
 
 	"demsort/internal/bufpool"
 	"demsort/internal/cluster"
+	"demsort/internal/dselect"
 	"demsort/internal/elem"
 	"demsort/internal/job"
 	"demsort/internal/mselect"
@@ -72,322 +71,147 @@ func gatherRunsMeta[T any](c elem.Codec[T], n *cluster.Node, d derived, locals [
 	return m
 }
 
-// fetchKey identifies one remote block probe: block index blk of PE
-// owner's segment of run r.
-type fetchKey struct {
-	run   int
-	owner int
-	blk   int64
+// blockKey names one cached block: block blk of this PE's segment of
+// run.
+type blockKey struct {
+	run int
+	blk int64
 }
 
-// probeAccessor serves mselect element probes against the distributed
-// runs: sample positions are free (in memory), everything else reads
-// the block containing the position — locally, or from the owner
-// through the synchronous request rounds — with an owner-block cache
-// (§IV-A: "we cache the most recently accessed disk blocks").
-type probeAccessor[T any] struct {
+// runPieces presents this PE's run segments to the selection engine as
+// pieces of the R globally sorted runs (dselect.Local). Positions on
+// the sample grid are served from the in-memory sample; everything else
+// reads the local block containing the position through a cache (§IV-A:
+// "we cache the most recently accessed disk blocks") — blocks are only
+// ever read by the PE that owns them. The cache is all the selection
+// keeps of the runs, charged to the budget block by block: a bracket's
+// ends and middle are looked at every round, and at large blocks its
+// whole search stays within a block or two.
+type runPieces[T any] struct {
 	c      elem.Codec[T]
 	n      *cluster.Node
 	d      derived
 	meta   *runsMeta[T]
 	locals []localRun[T]
-	// fetch and fetchBatch retrieve remote blocks through the
-	// synchronous round loop.
-	fetch      func(fetchKey) []T
-	fetchBatch func([]fetchKey) [][]T
 
-	cache    map[fetchKey][]T
-	cacheSeq []fetchKey
+	cache    map[blockKey][]T
+	cacheSeq []blockKey // FIFO eviction order
 	cacheCap int
-	// Counters for tests and reports.
-	localReads  int64
-	remoteReads int64
-	sampleHits  int64
 }
 
-func (a *probeAccessor[T]) Seqs() int       { return len(a.meta.runLens) }
-func (a *probeAccessor[T]) Len(s int) int64 { return a.meta.runLens[s] }
-
-func (a *probeAccessor[T]) At(s int, i int64) T {
-	// Sample positions are free.
-	if i%a.d.sampleK == 0 {
-		idx := i / a.d.sampleK
-		if idx < int64(len(a.meta.samples[s].Vals)) {
-			a.sampleHits++
-			return a.meta.samples[s].Vals[idx]
-		}
+func (a *runPieces[T]) Pieces() []dselect.Piece {
+	pcs := make([]dselect.Piece, len(a.locals))
+	for ri, lr := range a.locals {
+		pcs[ri] = dselect.Piece{ID: ri, Start: lr.segStart, Len: lr.segLen, SeqLen: a.meta.runLens[ri], Stride: a.d.sampleK}
 	}
-	// Locate the owning PE and block.
-	pe := sort.Search(a.n.P, func(p int) bool {
-		return a.meta.segStarts[s][p]+a.meta.segLens[s][p] > i
-	})
-	local := i - a.meta.segStarts[s][pe]
-	blk := local / int64(a.d.BElem)
-	key := fetchKey{run: s, owner: pe, blk: blk}
+	return pcs
+}
+
+func (a *runPieces[T]) At(run int, i int64) T {
+	if g := a.locals[run].segStart + i; g%a.d.sampleK == 0 {
+		return a.meta.samples[run].Vals[g/a.d.sampleK]
+	}
+	bElem := int64(a.d.BElem)
+	key := blockKey{run: run, blk: i / bElem}
 	vals, ok := a.cache[key]
 	if !ok {
-		if pe == a.n.Rank {
-			vals = a.readLocalBlock(s, blk)
-			a.localReads++
+		e := a.locals[run].file.Extents[key.blk]
+		raw := bufpool.Get(e.Len * a.c.Size())
+		a.n.Vol.ReadWait(e.ID, raw)
+		vals = elem.DecodeSlice(a.c, raw, e.Len)
+		bufpool.Put(raw)
+		if len(a.cacheSeq) >= a.cacheCap {
+			delete(a.cache, a.cacheSeq[0])
+			a.cacheSeq = a.cacheSeq[1:]
 		} else {
-			vals = a.fetch(key)
-			a.remoteReads++
+			a.n.Mem.MustAcquire(bElem)
 		}
-		a.cachePut(key, vals)
+		a.cache[key] = vals
+		a.cacheSeq = append(a.cacheSeq, key)
 	}
-	return vals[local-blk*int64(a.d.BElem)]
+	return vals[i-key.blk*bElem]
 }
 
-func (a *probeAccessor[T]) readLocalBlock(run int, blk int64) []T {
-	e := a.locals[run].file.Extents[blk]
-	raw := bufpool.Get(e.Len * a.c.Size())
-	a.n.Vol.ReadWait(e.ID, raw)
-	vals := elem.DecodeSlice(a.c, raw, e.Len)
-	bufpool.Put(raw)
-	return vals
+// selectionHook lets this package's tests stand in the middle of a
+// sort: estimates sees (and may perturb) every rank's sample estimates
+// before they are refined, splitters the exact matrix next to the
+// rank's runs ([]localRun[T]) it splits. Both are nil outside tests.
+var selectionHook struct {
+	estimates func(est [][]int64, k int64)
+	splitters func(n *cluster.Node, runs any, split [][]int64)
 }
 
-// prefetchAround fetches, in one batched round, the block containing
-// each run's estimated cut position plus its neighbours, warming the
-// cache before the selection walk.
-func (a *probeAccessor[T]) prefetchAround(cuts []int64) {
-	var keys []fetchKey
-	seen := map[fetchKey]bool{}
-	fetched := 0
-	// Center blocks first, then neighbours, and never more than the
-	// cache can hold (tight memory budgets shrink the warm-up, not
-	// correctness).
-	for ring := 0; ring < 2; ring++ {
-		for s, cut := range cuts {
-			var poss []int64
-			if ring == 0 {
-				poss = []int64{cut}
-			} else {
-				poss = []int64{cut - int64(a.d.BElem), cut + int64(a.d.BElem)}
-			}
-			for _, pos := range poss {
-				if pos < 0 || pos >= a.meta.runLens[s] || fetched >= a.cacheCap {
-					continue
-				}
-				pe := sort.Search(a.n.P, func(p int) bool {
-					return a.meta.segStarts[s][p]+a.meta.segLens[s][p] > pos
-				})
-				local := pos - a.meta.segStarts[s][pe]
-				key := fetchKey{run: s, owner: pe, blk: local / int64(a.d.BElem)}
-				if seen[key] || a.cache[key] != nil {
-					continue
-				}
-				seen[key] = true
-				fetched++
-				if pe == a.n.Rank {
-					a.cachePut(key, a.readLocalBlock(s, key.blk))
-					a.localReads++
-					continue
-				}
-				keys = append(keys, key)
-			}
-		}
-	}
-	if len(keys) == 0 {
-		return
-	}
-	blocks := a.fetchBatch(keys) // one batched round through the node loop
-	for i, k := range keys {
-		a.cachePut(k, blocks[i])
-		a.remoteReads++
-	}
-}
-
-func (a *probeAccessor[T]) cachePut(key fetchKey, vals []T) {
-	if len(a.cacheSeq) >= a.cacheCap {
-		old := a.cacheSeq[0]
-		a.cacheSeq = a.cacheSeq[1:]
-		delete(a.cache, old)
-	}
-	a.cache[key] = vals
-	a.cacheSeq = append(a.cacheSeq, key)
-}
-
-// multiwaySelection is phase 2a: PE i computes the exact splitter
-// positions of rank i·N/P in every run, bootstrapped from the sample;
-// the handful of disk probes run in synchronous request/serve rounds
-// so every PE both refines its own splitters and serves blocks to the
-// others. The returned matrix (identical on every PE) has P+1 rows:
+// multiwaySelection is phase 2a: the exact splitter positions of the
+// ranks i·N/P in every run, all P−1 at once. The in-memory sample gives
+// the estimates (§IV-A: "this sample is used to find initial values for
+// the approximate splitters"); owner-computes bisection (dselect.Select)
+// makes them exact: every PE counts pivots against its own on-disk
+// segments, and pivots, counts and one small residual gather per rank
+// are all that cross the wire, in O(log N) rounds whatever the block
+// size. The returned matrix (identical on every PE) has P+1 rows:
 // splitters[i][r] is the first run-r position belonging to PE i.
-func multiwaySelection[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, d derived, meta *runsMeta[T], locals []localRun[T]) ([][]int64, error) {
+func multiwaySelection[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, d derived, meta *runsMeta[T], locals []localRun[T]) [][]int64 {
 	n.SetPhase(PhaseSelection)
 	r := len(meta.runLens)
-	bounds := job.RankBounds(meta.totalN, n.P)
+	ranks := job.RankBounds(meta.totalN, n.P)[1:n.P]
+	est := make([][]int64, len(ranks))
+	for i, rank := range ranks {
+		est[i] = mselect.SampleCuts(c, meta.samples, meta.runLens, rank)
+	}
+	if selectionHook.estimates != nil {
+		selectionHook.estimates(est, d.sampleK)
+	}
 
-	reqCh := make(chan []fetchKey)
-	resCh := make(chan [][]T)
-	doneCh := make(chan []int64, 1)
-	// quitCh unblocks the selector goroutine if this PE unwinds with a
-	// panic (e.g. a peer-failure abort) while the selector is parked in
-	// fetchBatch — otherwise it would leak, pinned to reqCh/resCh.
-	quitCh := make(chan struct{})
-	defer close(quitCh)
-
-	cacheCap := 6*r + 6
+	// Start every search within 2·K of the estimate. The worst case is
+	// (R+2)·K, but across the test suite's workloads and geometries the
+	// error stays below 1.3·K (one skewed table reaches 5·K), and a
+	// start the exact counts disprove only costs that rank a second
+	// pass from the full range.
+	margin := 2 * d.sampleK
+	warm := make([][]dselect.Interval, len(est))
+	for i := range warm {
+		warm[i] = make([]dselect.Interval, r)
+		for ri := range warm[i] {
+			warm[i][ri] = dselect.Interval{Lo: est[i][ri] - margin, Hi: est[i][ri] + margin}
+		}
+	}
+	// Memory: beside the sample (an eighth of the budget), up to half
+	// for cached blocks and an eighth for a gathered residual — which is
+	// read from disk, so bisecting stops at a couple of blocks per run.
+	acc := &runPieces[T]{c: c, n: n, d: d, meta: meta, locals: locals, cache: map[blockKey][]T{}, cacheCap: math.MaxInt}
+	gather := int64(2 * d.BElem * r)
 	if cfg.MemElems > 0 {
-		if byBudget := int(cfg.MemElems / 4 / int64(d.BElem)); byBudget < cacheCap {
-			cacheCap = byBudget
-		}
-		if cacheCap < 2 {
-			cacheCap = 2
-		}
+		acc.cacheCap = max(int(cfg.MemElems/2/int64(d.BElem)), 2)
+		gather = min(gather, cfg.MemElems/8)
 	}
-	acc := &probeAccessor[T]{
-		c:        c,
-		n:        n,
-		d:        d,
-		meta:     meta,
-		locals:   locals,
-		cache:    map[fetchKey][]T{},
-		cacheCap: cacheCap,
-	}
-	acc.fetchBatch = func(ks []fetchKey) [][]T {
-		select {
-		case reqCh <- ks:
-		case <-quitCh:
-			runtime.Goexit()
-		}
-		select {
-		case res := <-resCh:
-			return res
-		case <-quitCh:
-			runtime.Goexit()
-		}
-		panic("unreachable")
-	}
-	acc.fetch = func(k fetchKey) []T {
-		return acc.fetchBatch([]fetchKey{k})[0]
-	}
-	n.Mem.MustAcquire(int64(acc.cacheCap) * int64(d.BElem))
-	defer n.Mem.Release(int64(acc.cacheCap) * int64(d.BElem))
-
-	active := n.Rank != 0
-	if active {
-		go func() {
-			myRank := bounds[n.Rank]
-			lens := make([]int64, r)
-			copy(lens, meta.runLens)
-			// Bootstrap from the sample (§IV-A: "this sample is used to
-			// find initial values for the approximate splitters"),
-			// prefetch the blocks around each estimated cut in one
-			// batched round, then run the paper's step-halving walk
-			// with step size K. The walk only probes near the final
-			// positions, so it works out of the warm cache; its fixup
-			// stage makes the result exact unconditionally.
-			cuts := mselect.SampleCuts(c, meta.samples, lens, myRank)
-			acc.prefetchAround(cuts)
-			doneCh <- mselect.StepHalving[T](c, acc, myRank, cuts, d.sampleK)
-		}()
-	}
-
-	var myCuts []int64
-	var pending []fetchKey
-	done := !active
-	awaitSelector := func() {
-		select {
-		case ks := <-reqCh:
-			pending = ks
-		case pos := <-doneCh:
-			myCuts = pos
-			done = true
-		}
-	}
-	if active {
-		awaitSelector()
-	}
-	for {
-		flag := int64(0)
-		if len(pending) > 0 {
-			flag = 1
-		}
-		if n.AllReduceInt64(flag, "or") == 0 {
-			break
-		}
-		// Request round: a batch of block requests per PE.
-		reqs := make([][]byte, n.P)
-		for _, k := range pending {
-			var b [12]byte
-			binary.LittleEndian.PutUint32(b[:4], uint32(k.run))
-			binary.LittleEndian.PutUint64(b[4:], uint64(k.blk))
-			reqs[k.owner] = append(reqs[k.owner], b[:]...)
-		}
-		got := n.AllToAllv(reqs)
-		// Serve round: read the requested local blocks; replies are
-		// length-prefixed because block sizes vary at run tails.
-		reps := make([][]byte, n.P)
-		var serveRaw []byte // reused serve-side read buffer
-		for q := 0; q < n.P; q++ {
-			buf := got[q]
-			for len(buf) >= 12 {
-				run := int(binary.LittleEndian.Uint32(buf[:4]))
-				blk := int64(binary.LittleEndian.Uint64(buf[4:12]))
-				buf = buf[12:]
-				e := locals[run].file.Extents[blk]
-				need := e.Len * c.Size()
-				if cap(serveRaw) < need {
-					bufpool.Put(serveRaw)
-					serveRaw = bufpool.Get(need)
-				}
-				serveRaw = serveRaw[:need]
-				n.Vol.ReadWait(e.ID, serveRaw)
-				var hdr [4]byte
-				binary.LittleEndian.PutUint32(hdr[:], uint32(e.Len))
-				reps[q] = append(reps[q], hdr[:]...)
-				reps[q] = append(reps[q], serveRaw...)
-			}
-		}
-		bufpool.Put(serveRaw)
-		back := n.AllToAllv(reps)
-		if len(pending) > 0 {
-			// Replies arrive grouped per owner in request order.
-			offs := make(map[int]int)
-			blocks := make([][]T, len(pending))
-			for i, k := range pending {
-				buf := back[k.owner][offs[k.owner]:]
-				cnt := int(binary.LittleEndian.Uint32(buf[:4]))
-				blocks[i] = elem.DecodeSlice(c, buf[4:], cnt)
-				offs[k.owner] += 4 + cnt*c.Size()
-			}
-			resCh <- blocks
-			pending = nil
-			awaitSelector()
-		}
-		cluster.RecycleRecv(got)
-		cluster.RecycleRecv(back)
-	}
-	if active && !done {
-		return nil, fmt.Errorf("core: selection protocol ended with selector still pending on PE %d", n.Rank)
-	}
+	defer func() { n.Mem.Release(int64(len(acc.cacheSeq)) * int64(d.BElem)) }()
+	cuts := dselect.Select[T](c, n, acc, ranks, warm, gather)
 
 	// Share the splitters: "After communicating the splitter positions
-	// ... every PE knows the elements it has to merge."
-	buf := make([]byte, 0, 8*r)
-	if active {
-		for _, p := range myCuts {
-			buf = appendU64(buf, uint64(p))
+	// ... every PE knows the elements it has to merge." A run's
+	// segments are contiguous in PE order, so its splitter is the sum
+	// of the PEs' local cuts.
+	buf := make([]byte, 0, 8*r*(n.P-1))
+	for _, cut := range cuts {
+		for _, pos := range cut {
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(pos))
 		}
 	}
 	all := n.AllGather(buf)
 	split := make([][]int64, n.P+1)
-	split[0] = make([]int64, r)
-	split[n.P] = make([]int64, r)
+	for i := range split {
+		split[i] = make([]int64, r)
+	}
 	copy(split[n.P], meta.runLens)
 	for i := 1; i < n.P; i++ {
-		split[i] = make([]int64, r)
 		for ri := 0; ri < r; ri++ {
-			split[i][ri] = int64(binary.LittleEndian.Uint64(all[i][ri*8:]))
+			for _, b := range all {
+				split[i][ri] += int64(binary.LittleEndian.Uint64(b[((i-1)*r+ri)*8:]))
+			}
 		}
 	}
-	return split, nil
-}
-
-func appendU64(b []byte, v uint64) []byte {
-	var tmp [8]byte
-	binary.LittleEndian.PutUint64(tmp[:], v)
-	return append(b, tmp[:]...)
+	if selectionHook.splitters != nil {
+		selectionHook.splitters(n, locals, split)
+	}
+	return split
 }

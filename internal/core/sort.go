@@ -191,11 +191,7 @@ func Sort[T any](c elem.Codec[T], cfg Config, input [][]T) (*Result[T], error) {
 			// reuse the committed copy instead of re-running selection.
 			split = man.Splitters
 		} else {
-			var err error
-			split, err = multiwaySelection(c, n, &cfg, d, meta, locals)
-			if err != nil {
-				return err
-			}
+			split = multiwaySelection(c, n, &cfg, d, meta, locals)
 			if durable {
 				if err := commitSelection(&cfg, n, man, split); err != nil {
 					return err

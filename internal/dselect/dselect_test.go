@@ -206,3 +206,180 @@ func TestCutsMoreRanksThanPEs(t *testing.T) {
 		}
 	}
 }
+
+// TestSelectMatchesReferenceCuts is the engine conformance test: with
+// one in-memory sequence per PE the generalised engine (through Cuts,
+// and called directly) returns exactly what the pre-generalisation Cuts
+// body returns, on random slices with heavy duplicates.
+func TestSelectMatchesReferenceCuts(t *testing.T) {
+	rng := rand.New(rand.NewPCG(14, 14))
+	for _, p := range []int{1, 2, 3, 4, 7} {
+		for iter := 0; iter < 6; iter++ {
+			data := make([][]elem.KV16, p)
+			var total int64
+			for pe := range data {
+				data[pe] = make([]elem.KV16, rng.UintN(3000))
+				for i := range data[pe] {
+					data[pe][i] = elem.KV16{Key: rng.Uint64N(1 + uint64(iter)*7), Val: rng.Uint64()}
+				}
+				total += int64(len(data[pe]))
+			}
+			locals := sortedLocals(data)
+			ranks := []int64{0, total}
+			for i := 1; i < p+3; i++ {
+				ranks = append(ranks, int64(i)*total/int64(p+3))
+			}
+			got, direct, want := make([][]int64, p), make([][][]int64, p), make([][]int64, p)
+			m := machine(t, p)
+			err := m.Run(func(n *cluster.Node) error {
+				got[n.Rank] = Cuts[elem.KV16](kvc, n, locals[n.Rank], ranks)
+				direct[n.Rank] = Select[elem.KV16](kvc, n, sliceLocal[elem.KV16]{rank: n.Rank, vals: locals[n.Rank]}, ranks, nil, gatherThreshold)
+				want[n.Rank] = referenceCuts[elem.KV16](kvc, n, locals[n.Rank], ranks)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for pe := range want {
+				if !slices.Equal(got[pe], want[pe]) {
+					t.Fatalf("p=%d iter=%d PE %d: Cuts %v, reference %v", p, iter, pe, got[pe], want[pe])
+				}
+				for j := range ranks {
+					if direct[pe][j][0] != want[pe][j] {
+						t.Fatalf("p=%d iter=%d PE %d rank %d: Select %d, reference %d", p, iter, pe, ranks[j], direct[pe][j][0], want[pe][j])
+					}
+				}
+			}
+		}
+	}
+}
+
+// runPieces is a PE's share of R globally sorted sequences cut into
+// contiguous per-PE pieces — the shape of the external runs — with every
+// k-th global position free and all other probes counted.
+type runPieces struct {
+	pcs    []Piece
+	vals   [][]elem.KV16
+	probes int
+}
+
+func (l *runPieces) Pieces() []Piece { return l.pcs }
+func (l *runPieces) At(s int, i int64) elem.KV16 {
+	if (l.pcs[s].Start+i)%l.pcs[s].Stride != 0 {
+		l.probes++
+	}
+	return l.vals[s][i]
+}
+
+// TestSelectPiecesMatchCentralSelect runs the engine the way phase two
+// does — R sequences, each split over the PEs, sample stride, warm
+// intervals — and checks the summed cuts against mselect.Select over
+// the whole sequences: from exact, vacuous and deliberately wrong warm
+// starts, with an empty PE and with all keys equal.
+func TestSelectPiecesMatchCentralSelect(t *testing.T) {
+	const (
+		p, r   = 4, 9
+		stride = 16
+	)
+	rng := rand.New(rand.NewPCG(15, 15))
+	for _, tc := range []struct {
+		name     string
+		keyRange uint64
+		emptyPE  int
+		warm     string
+	}{
+		{"cold", 1 << 40, -1, "none"},
+		{"warm-exact", 1 << 40, -1, "exact"},
+		{"warm-duplicates", 5, -1, "exact"},
+		{"warm-wrong", 1 << 40, -1, "wrong"},
+		{"warm-wrong-all-equal", 1, -1, "wrong"},
+		{"empty-pe", 1 << 40, 2, "exact"},
+		{"all-equal", 1, -1, "none"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			seqs := make([][]elem.KV16, r)
+			locs := make([]*runPieces, p)
+			for pe := range locs {
+				locs[pe] = &runPieces{}
+			}
+			var total int64
+			for ri := range seqs {
+				seqs[ri] = make([]elem.KV16, 200+rng.UintN(600))
+				for i := range seqs[ri] {
+					seqs[ri][i] = elem.KV16{Key: rng.Uint64N(tc.keyRange), Val: uint64(ri)<<32 | uint64(i)}
+				}
+				seqs[ri] = sortedLocals([][]elem.KV16{seqs[ri]})[0]
+				total += int64(len(seqs[ri]))
+				// Uneven contiguous pieces; the empty PE gets none and
+				// the last PE takes what is left.
+				var start int64
+				for pe := 0; pe < p; pe++ {
+					left := int64(len(seqs[ri])) - start
+					n := min(int64(rng.Uint64N(uint64(2*left/int64(p-pe)+1))), left)
+					if pe == tc.emptyPE {
+						n = 0
+					}
+					if pe == p-1 {
+						n = left
+					}
+					locs[pe].pcs = append(locs[pe].pcs, Piece{ID: ri, Start: start, Len: n, SeqLen: int64(len(seqs[ri])), Stride: stride})
+					locs[pe].vals = append(locs[pe].vals, seqs[ri][start:start+n])
+					start += n
+				}
+			}
+			ranks := []int64{total / 4, total / 2, 3 * total / 4, 0, total}
+			acc := mselect.SliceAccessor[elem.KV16](seqs)
+			want := make([][]int64, len(ranks))
+			for j, rank := range ranks {
+				want[j] = mselect.Select[elem.KV16](kvc, acc, rank)
+			}
+			// Warm ranges around the true cut (exact) or well away from it
+			// (wrong).
+			warmFor := func(l *runPieces) [][]Interval {
+				if tc.warm == "none" {
+					return nil
+				}
+				w := make([][]Interval, len(ranks))
+				for j := range ranks {
+					w[j] = make([]Interval, len(l.pcs))
+					for s, pc := range l.pcs {
+						glo, ghi := want[j][pc.ID]-3, want[j][pc.ID]+3
+						if tc.warm == "wrong" && pc.ID%2 == 0 {
+							glo, ghi = want[j][pc.ID]+40, want[j][pc.ID]+90
+						}
+						w[j][s] = Interval{glo, ghi}
+					}
+				}
+				return w
+			}
+			got := make([][][]int64, p)
+			m := machine(t, p)
+			err := m.Run(func(n *cluster.Node) error {
+				got[n.Rank] = Select[elem.KV16](kvc, n, locs[n.Rank], ranks, warmFor(locs[n.Rank]), 64)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j, rank := range ranks {
+				sum := make([]int64, r)
+				for pe := range got {
+					for s, pc := range locs[pe].pcs {
+						sum[pc.ID] += got[pe][j][s]
+					}
+				}
+				if !slices.Equal(sum, want[j]) {
+					t.Fatalf("rank %d: summed cuts %v, want %v", rank, sum, want[j])
+				}
+			}
+			for pe, l := range locs {
+				t.Logf("PE %d: %d storage probes for %d ranks x %d pieces", pe, l.probes, len(ranks), len(l.pcs))
+				// A start that holds the cut is never redone from the
+				// full range (which costs several hundred probes here).
+				if tc.warm == "exact" && l.probes > 150 {
+					t.Errorf("PE %d: %d storage probes from an exact warm start", pe, l.probes)
+				}
+			}
+		})
+	}
+}

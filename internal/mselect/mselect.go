@@ -5,22 +5,19 @@
 //
 // This is the engine of the paper's exact partitioning (Section IV-A):
 // the run-formation internal sort uses it to split P node-local sorted
-// arrays into P exactly equal parts, and phase two uses it (through a
-// sampled, block-fetching accessor) to compute the global splitters of
-// the R external runs.
+// arrays into P exactly equal parts, and phase two uses it (through the
+// in-memory sample) to bootstrap the global splitters of the R external
+// runs.
 //
 // Exactness requires a *total* order, so ties between equal elements are
 // broken by (sequence index, position). This makes the answer unique and
 // identical on every PE, which is what turns "approximately equal parts"
 // (NOW-Sort) into the exact partition the paper advertises.
 //
-// Two independent algorithms are provided and cross-checked in tests:
-//
-//   - Select: deterministic pivot bisection (binary searches against a
-//     pivot chosen from the widest remaining interval),
-//   - StepHalving: the paper's splitter-walking algorithm, which probes
-//     only O(R log M) elements near the final positions and is therefore
-//     the one used against external (disk-resident) sequences.
+// Select is the in-memory algorithm (deterministic pivot bisection); the
+// distributed engine in package dselect runs the same bisection across
+// PEs — over in-memory slices during run formation and over the on-disk
+// runs in phase two — and finishes its small residuals with Select.
 package mselect
 
 import (
@@ -30,9 +27,7 @@ import (
 	"demsort/internal/elem"
 )
 
-// Accessor is a read-only view of R sorted sequences. Implementations
-// may serve At from memory, from a sample, or by fetching remote disk
-// blocks; the algorithms only ever probe positions near the splitters.
+// Accessor is a read-only view of R sorted sequences.
 type Accessor[T any] interface {
 	// Seqs returns the number of sequences R.
 	Seqs() int
@@ -54,25 +49,6 @@ func (a SliceAccessor[T]) Len(s int) int64 { return int64(len(a[s])) }
 // At implements Accessor.
 func (a SliceAccessor[T]) At(s int, i int64) T { return a[s][i] }
 
-// CountingAccessor wraps an Accessor and counts At calls; tests and the
-// external prober use it to verify the "negligible probing" claims.
-type CountingAccessor[T any] struct {
-	Inner  Accessor[T]
-	Probes int64
-}
-
-// Seqs implements Accessor.
-func (a *CountingAccessor[T]) Seqs() int { return a.Inner.Seqs() }
-
-// Len implements Accessor.
-func (a *CountingAccessor[T]) Len(s int) int64 { return a.Inner.Len(s) }
-
-// At implements Accessor.
-func (a *CountingAccessor[T]) At(s int, i int64) T {
-	a.Probes++
-	return a.Inner.At(s, i)
-}
-
 // Total returns the combined length of all sequences of acc.
 func Total[T any](acc Accessor[T]) int64 {
 	var n int64
@@ -82,25 +58,26 @@ func Total[T any](acc Accessor[T]) int64 {
 	return n
 }
 
-// totOrder is the strict total order on (element, sequence, position),
+// Order is the strict total order on (element, sequence, position),
 // probing the codec's normalized uint64 keys first: for exact-keyed
 // codecs (U64, KV16) the comparator never runs, and for inexact ones
 // (Rec100) it runs only on shared 8-byte prefixes. Non-keyed codecs
 // get a constant-zero key and always fall through to the comparator.
-type totOrder[T any] struct {
+type Order[T any] struct {
 	c     elem.Codec[T]
-	key   func(T) uint64
+	Key   func(T) uint64
 	exact bool
 }
 
-func orderOf[T any](c elem.Codec[T]) totOrder[T] {
+// OrderOf returns the total order induced by c.
+func OrderOf[T any](c elem.Codec[T]) Order[T] {
 	key, exact := elem.KeyFn(c)
-	return totOrder[T]{c: c, key: key, exact: exact}
+	return Order[T]{c: c, Key: key, exact: exact}
 }
 
-// lessK compares with the keys already computed — the binary searches
+// LessK compares with the keys already computed — the binary searches
 // precompute the pivot's key once per search instead of per probe.
-func (o totOrder[T]) lessK(ak uint64, a T, sa int, ia int64, bk uint64, b T, sb int, ib int64) bool {
+func (o Order[T]) LessK(ak uint64, a T, sa int, ia int64, bk uint64, b T, sb int, ib int64) bool {
 	if ak != bk {
 		return ak < bk
 	}
@@ -118,8 +95,9 @@ func (o totOrder[T]) lessK(ak uint64, a T, sa int, ia int64, bk uint64, b T, sb 
 	return ia < ib
 }
 
-func (o totOrder[T]) less(a T, sa int, ia int64, b T, sb int, ib int64) bool {
-	return o.lessK(o.key(a), a, sa, ia, o.key(b), b, sb, ib)
+// Less is LessK with both keys computed here.
+func (o Order[T]) Less(a T, sa int, ia int64, b T, sb int, ib int64) bool {
+	return o.LessK(o.Key(a), a, sa, ia, o.Key(b), b, sb, ib)
 }
 
 // Select returns the unique splitter positions for rank using pivot
@@ -131,7 +109,7 @@ func Select[T any](c elem.Codec[T], acc Accessor[T], rank int64) []int64 {
 	if rank < 0 || rank > total {
 		panic(fmt.Sprintf("mselect: rank %d out of range [0,%d]", rank, total))
 	}
-	ord := orderOf(c)
+	ord := OrderOf(c)
 	lo := make([]int64, r)
 	hi := make([]int64, r)
 	for q := 0; q < r; q++ {
@@ -150,7 +128,7 @@ func Select[T any](c elem.Codec[T], acc Accessor[T], rank int64) []int64 {
 		}
 		pi := (lo[best] + hi[best]) / 2
 		pv := acc.At(best, pi)
-		pk := ord.key(pv)
+		pk := ord.Key(pv)
 		// split[q] = number of elements of q totally ordered before
 		// (pv, best, pi). Within a sequence the total order equals
 		// index order, so split[best] = pi and the others are found by
@@ -165,7 +143,7 @@ func Select[T any](c elem.Codec[T], acc Accessor[T], rank int64) []int64 {
 				qq := q
 				j := sort.Search(int(n), func(j int) bool {
 					v := acc.At(qq, int64(j))
-					return !ord.lessK(ord.key(v), v, qq, int64(j), pk, pv, best, pi)
+					return !ord.LessK(ord.Key(v), v, qq, int64(j), pk, pv, best, pi)
 				})
 				split[q] = int64(j)
 			}
@@ -200,137 +178,6 @@ func Select[T any](c elem.Codec[T], acc Accessor[T], rank int64) []int64 {
 	return lo
 }
 
-// StepHalving runs the paper's splitter-walking selection. init gives
-// starting positions (nil means all zero) and step the starting step
-// size; pass the sequence length (rounded up) when starting cold, or
-// the sample distance K when bootstrapped from a sample (§IV-A: "this
-// sample is used to find initial values for the approximate splitters").
-//
-// The result is exact: after the walk converges a fixup loop enforces
-// the unique total-order partition, so correctness never depends on the
-// quality of init.
-func StepHalving[T any](c elem.Codec[T], acc Accessor[T], rank int64, init []int64, step int64) []int64 {
-	r := acc.Seqs()
-	total := Total(acc)
-	if rank < 0 || rank > total {
-		panic(fmt.Sprintf("mselect: rank %d out of range [0,%d]", rank, total))
-	}
-	ord := orderOf(c)
-	pos := make([]int64, r)
-	var count int64
-	for q := 0; q < r; q++ {
-		if init != nil {
-			pos[q] = init[q]
-			if pos[q] < 0 {
-				pos[q] = 0
-			}
-			if n := acc.Len(q); pos[q] > n {
-				pos[q] = n
-			}
-		}
-		count += pos[q]
-	}
-	s := int64(1)
-	for s < step {
-		s *= 2
-	}
-
-	// argMinRight returns the sequence whose first element right of the
-	// splitter is smallest (total order), or -1 if all are exhausted.
-	argMinRight := func() int {
-		best := -1
-		var bv T
-		for q := 0; q < r; q++ {
-			if pos[q] >= acc.Len(q) {
-				continue
-			}
-			v := acc.At(q, pos[q])
-			if best == -1 || ord.less(v, q, pos[q], bv, best, pos[best]) {
-				best, bv = q, v
-			}
-		}
-		return best
-	}
-	// argMaxLeft returns the sequence whose last element left of the
-	// splitter is largest, or -1 if all splitters are at zero.
-	argMaxLeft := func() int {
-		best := -1
-		var bv T
-		for q := 0; q < r; q++ {
-			if pos[q] == 0 {
-				continue
-			}
-			v := acc.At(q, pos[q]-1)
-			if best == -1 || ord.less(bv, best, pos[best]-1, v, q, pos[q]-1) {
-				best, bv = q, v
-			}
-		}
-		return best
-	}
-
-	for {
-		// Increase the splitter with the smallest right element by s
-		// until more than rank elements lie left of the splitters.
-		for count <= rank {
-			q := argMinRight()
-			if q == -1 {
-				break // every element is left already; count == total <= rank
-			}
-			d := min64(s, acc.Len(q)-pos[q])
-			pos[q] += d
-			count += d
-		}
-		if s == 1 {
-			break
-		}
-		s /= 2
-		// Decrease the splitter with the largest left element by s
-		// while the left set is still too large.
-		for count > rank {
-			q := argMaxLeft()
-			if q == -1 {
-				break
-			}
-			d := min64(s, pos[q])
-			pos[q] -= d
-			count -= d
-		}
-		if s == 1 {
-			break
-		}
-		s /= 2
-	}
-	// Exact landing: single steps to sum == rank.
-	for count < rank {
-		q := argMinRight()
-		pos[q]++
-		count++
-	}
-	for count > rank {
-		q := argMaxLeft()
-		pos[q]--
-		count--
-	}
-	// Fixup: enforce the downward-closed (total order) left set. Each
-	// swap replaces the largest left element by a strictly smaller right
-	// element, so the loop terminates at the unique answer.
-	for {
-		qmax := argMaxLeft()
-		qmin := argMinRight()
-		if qmax == -1 || qmin == -1 {
-			break
-		}
-		lv := acc.At(qmax, pos[qmax]-1)
-		rv := acc.At(qmin, pos[qmin])
-		if !ord.less(rv, qmin, pos[qmin], lv, qmax, pos[qmax]-1) {
-			break
-		}
-		pos[qmax]--
-		pos[qmin]++
-	}
-	return pos
-}
-
 // Sample is the in-memory sample of one sorted sequence kept during run
 // formation (§IV-A: "during run formation, we store every K-th element
 // of the sorted run as a sample"). Vals[j] is the element at position
@@ -340,29 +187,11 @@ type Sample[T any] struct {
 	Vals []T
 }
 
-// BootstrapIntervals computes, from the per-sequence samples, intervals
-// [lo[q], hi[q]] guaranteed to contain the exact splitter positions for
-// rank. The derivation: the sample rank of the target element differs
-// from rank/K by at most R+1, and sample splitter positions shift by at
-// most one per unit of rank, so the true position of sequence q lies
-// within (R+2)·K of sampleCut[q]·K. Intervals are clamped to [0, len].
-//
-// All samples must share the same K. lens give the full sequence
-// lengths.
-func BootstrapIntervals[T any](c elem.Codec[T], samples []Sample[T], lens []int64, rank int64) (lo, hi []int64) {
-	cuts := SampleCuts(c, samples, lens, rank)
-	if cuts == nil {
-		return nil, nil
-	}
-	margin := (int64(len(samples)) + 2) * samples[0].K
-	return IntervalsAround(cuts, lens, margin)
-}
-
 // SampleCuts runs the exact selection on the samples only and returns
 // the estimated full-sequence positions scut[q]·K (clamped to the
 // sequence lengths). The true splitters deviate from these estimates by
-// at most (R+2)·K per sequence in the worst case, and typically by far
-// less than K.
+// at most (R+2)·K per sequence in the worst case, and typically by about
+// K.
 func SampleCuts[T any](c elem.Codec[T], samples []Sample[T], lens []int64, rank int64) []int64 {
 	r := len(samples)
 	if r == 0 {
@@ -378,9 +207,18 @@ func SampleCuts[T any](c elem.Codec[T], samples []Sample[T], lens []int64, rank 
 	}
 	sacc := SliceAccessor[T](sseqs)
 	stotal := Total[T](sacc)
-	srank := rank / k
-	if srank > stotal {
-		srank = stotal
+	// Scale the rank by the actual sampling ratio, not by 1/K: a run's
+	// last sample stands for fewer than K elements, and when the runs
+	// are key bands (pre-sorted input, all keys equal) rank/K lets that
+	// shortfall add up over the runs left of the cut — whole runs' worth
+	// of error in the one run the cut passes through.
+	var total int64
+	for _, n := range lens {
+		total += n
+	}
+	var srank int64
+	if total > 0 {
+		srank = min(int64(float64(rank)*float64(stotal)/float64(total)), stotal)
 	}
 	scut := Select[T](c, sacc, srank)
 	cuts := make([]int64, r)
@@ -393,155 +231,11 @@ func SampleCuts[T any](c elem.Codec[T], samples []Sample[T], lens []int64, rank 
 	return cuts
 }
 
-// IntervalsAround widens the estimated cut positions into intervals of
-// the given one-sided margin, clamped to [0, len].
-func IntervalsAround(cuts, lens []int64, margin int64) (lo, hi []int64) {
-	lo = make([]int64, len(cuts))
-	hi = make([]int64, len(cuts))
-	for q := range cuts {
-		lo[q] = cuts[q] - margin
-		if lo[q] < 0 {
-			lo[q] = 0
-		}
-		hi[q] = cuts[q] + margin
-		if hi[q] > lens[q] {
-			hi[q] = lens[q]
-		}
-	}
-	return lo, hi
-}
-
-// SelectInterval is Select restricted to start from the intervals
-// [lo0[q], hi0[q]]: pivots are only drawn from inside the intervals and
-// binary searches probe (almost) only inside them, so against an
-// external accessor only the few blocks covering the intervals are ever
-// fetched. The counts it computes are exact, so a wrong interval is
-// detected — ok=false means the true splitters lie outside lo0/hi0 and
-// the caller must fall back to a full-range Select.
-func SelectInterval[T any](c elem.Codec[T], acc Accessor[T], rank int64, lo0, hi0 []int64) (pos []int64, ok bool) {
-	r := acc.Seqs()
-	ord := orderOf(c)
-	lo := make([]int64, r)
-	hi := make([]int64, r)
-	copy(lo, lo0)
-	copy(hi, hi0)
-	for q := 0; q < r; q++ {
-		if lo[q] < 0 {
-			lo[q] = 0
-		}
-		if n := acc.Len(q); hi[q] > n {
-			hi[q] = n
-		}
-		if hi[q] < lo[q] {
-			hi[q] = lo[q]
-		}
-	}
-	for {
-		best, width := -1, int64(0)
-		for q := 0; q < r; q++ {
-			if w := hi[q] - lo[q]; w > width {
-				best, width = q, w
-			}
-		}
-		if best == -1 {
-			break
-		}
-		pi := (lo[best] + hi[best]) / 2
-		pv := acc.At(best, pi)
-		pk := ord.key(pv)
-		var cnt int64
-		split := make([]int64, r)
-		for q := 0; q < r; q++ {
-			if q == best {
-				split[q] = pi
-			} else {
-				split[q] = searchBefore(ord, acc, q, pk, pv, best, pi, lo[q], hi[q])
-			}
-			cnt += split[q]
-		}
-		if cnt < rank {
-			for q := 0; q < r; q++ {
-				if split[q] > lo[q] {
-					lo[q] = split[q]
-				}
-				if lo[q] > hi[q] {
-					hi[q] = lo[q] // interval assumption violated; detected below
-				}
-			}
-			if pi+1 > lo[best] {
-				lo[best] = pi + 1
-			}
-			if lo[best] > hi[best] {
-				hi[best] = lo[best]
-			}
-		} else {
-			for q := 0; q < r; q++ {
-				if split[q] < hi[q] {
-					hi[q] = split[q]
-				}
-				if hi[q] < lo[q] {
-					lo[q] = hi[q]
-				}
-			}
-		}
-	}
-	var sum int64
-	for q := 0; q < r; q++ {
-		if lo[q] < 0 || lo[q] > acc.Len(q) {
-			return nil, false
-		}
-		sum += lo[q]
-	}
-	if sum != rank {
-		return nil, false
-	}
-	return lo, true
-}
-
-// searchBefore returns the exact number of elements of sequence q that
-// order (totally) before the pivot (pk, pv, ps, pi), i.e. the first
-// index j where the monotone predicate "element j before pivot" turns
-// false. The search is seeded with [glo, ghi]; two boundary probes
-// detect the (rare) case that the answer lies outside and redirect the
-// search, so exactness never depends on the seed.
-func searchBefore[T any](ord totOrder[T], acc Accessor[T], q int, pk uint64, pv T, ps int, pi int64, glo, ghi int64) int64 {
-	n := acc.Len(q)
-	before := func(j int64) bool {
-		v := acc.At(q, j)
-		return ord.lessK(ord.key(v), v, q, j, pk, pv, ps, pi)
-	}
-	a, b := glo, ghi // answer assumed in [a, b]
-	if a > 0 && !before(a-1) {
-		a, b = 0, a-1
-	} else if b < n && before(b) {
-		a, b = b+1, n
-	}
-	// Binary search the first j in [a, b] with j == n || !before(j);
-	// invariant: everything below a is "before", everything >= b is not.
-	j := a + int64(sort.Search(int(b-a), func(d int) bool {
-		return !before(a + int64(d))
-	}))
-	return j
-}
-
-// Partition splits every sequence of in-memory seqs at the positions
-// for the given ranks (ascending, each in [0,total]) and returns, for
-// each sequence, the list of cut positions. ranks typically are
-// i·total/P for i = 1..P-1.
-func Partition[T any](c elem.Codec[T], seqs [][]T, ranks []int64) [][]int64 {
-	acc := SliceAccessor[T](seqs)
-	cuts := make([][]int64, len(ranks))
-	for i, t := range ranks {
-		cuts[i] = Select[T](c, acc, t)
-	}
-	return cuts
-}
-
 // CheckPartition verifies the selection invariant for positions pos on
 // acc at rank: positions sum to rank and max-left orders before
 // min-right. It returns an error describing the first violation.
 func CheckPartition[T any](c elem.Codec[T], acc Accessor[T], rank int64, pos []int64) error {
-	ord := orderOf(c)
+	ord := OrderOf(c)
 	var sum int64
 	for q := range pos {
 		if pos[q] < 0 || pos[q] > acc.Len(q) {
@@ -559,7 +253,7 @@ func CheckPartition[T any](c elem.Codec[T], acc Accessor[T], rank int64, pos []i
 			continue
 		}
 		v := acc.At(q, pos[q]-1)
-		if maxQ == -1 || ord.less(maxV, maxQ, pos[maxQ]-1, v, q, pos[q]-1) {
+		if maxQ == -1 || ord.Less(maxV, maxQ, pos[maxQ]-1, v, q, pos[q]-1) {
 			maxQ, maxV = q, v
 		}
 	}
@@ -570,21 +264,14 @@ func CheckPartition[T any](c elem.Codec[T], acc Accessor[T], rank int64, pos []i
 			continue
 		}
 		v := acc.At(q, pos[q])
-		if minQ == -1 || ord.less(v, q, pos[q], minV, minQ, pos[minQ]) {
+		if minQ == -1 || ord.Less(v, q, pos[q], minV, minQ, pos[minQ]) {
 			minQ, minV = q, v
 		}
 	}
 	if maxQ != -1 && minQ != -1 &&
-		ord.less(minV, minQ, pos[minQ], maxV, maxQ, pos[maxQ]-1) {
+		ord.Less(minV, minQ, pos[minQ], maxV, maxQ, pos[maxQ]-1) {
 		return fmt.Errorf("mselect: left element (seq %d pos %d) orders after right element (seq %d pos %d)",
 			maxQ, pos[maxQ]-1, minQ, pos[minQ])
 	}
 	return nil
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
