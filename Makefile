@@ -6,7 +6,7 @@
 GO ?= go
 BIN := bin
 
-.PHONY: all build lint vet demsortvet staticcheck test race stress bench-check runform-bench clean
+.PHONY: all build lint vet demsortvet staticcheck test race stress bench-check runform-bench loc clean
 
 all: build lint test
 
@@ -56,6 +56,17 @@ stress:
 # the same gate CI runs; use -benchtime=10x locally for real numbers.
 runform-bench:
 	$(GO) test -bench=RunFormationScaling -benchtime=1x -run='^$$' .
+
+# Non-test Go lines, the number ROADMAP direction 4 budgets and
+# CHANGES.md reports per PR: the total by its pinned definition, then
+# the same count per top-level package (the root package first).
+LOC_FIND = -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*'
+loc:
+	@printf '%6d total\n' $$(find . $(LOC_FIND) | xargs cat | wc -l)
+	@printf '%6d .\n' $$(find . -maxdepth 1 $(LOC_FIND) | xargs cat | wc -l)
+	@for d in cmd/* examples/* internal/*; do \
+		printf '%6d %s\n' $$(find ./$$d $(LOC_FIND) | xargs cat | wc -l) $$d; \
+	done
 
 clean:
 	rm -rf $(BIN)

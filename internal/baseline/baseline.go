@@ -24,8 +24,8 @@ import (
 	"demsort/internal/cluster"
 	"demsort/internal/elem"
 	"demsort/internal/job"
-	"demsort/internal/pq"
 	"demsort/internal/psort"
+	"demsort/internal/xmerge"
 )
 
 // Phase names of the sample sort.
@@ -255,63 +255,31 @@ func SampleSort[T any](c elem.Codec[T], cfg Config, input [][]T) (*Result[T], er
 }
 
 // mergeRuns k-way merges sorted on-disk runs, reading and writing each
-// element once, and returns the decoded output when KeepOutput. Like
-// the core final merge it runs block-at-a-time on the key-inline
-// tournament tree: normalized uint64 keys in the replay loop, the
-// comparator only on equal prefix keys.
+// element once, and returns the decoded output when KeepOutput — the
+// same streaming merge (xmerge.MergeStream) as the core final merge.
 func mergeRuns[T any](c elem.Codec[T], n *cluster.Node, cfg Config, runs [][]blockio.BlockID, runLens [][]int, bElem int) ([]T, error) {
 	sz := c.Size()
-	key, exact := elem.KeyFn(c)
-	type stream struct {
-		ids  []blockio.BlockID
-		lens []int
-		cur  []T
-		pos  int
-		next int
-	}
-	var out []T
-	fill := func(s *stream) bool {
-		if s.next >= len(s.ids) {
-			return false
-		}
-		raw := bufpool.Get(s.lens[s.next] * sz)
-		n.Vol.ReadWait(s.ids[s.next], raw)
-		s.cur = elem.AppendDecode(c, s.cur[:0], raw, s.lens[s.next])
-		bufpool.Put(raw)
-		n.Vol.Free(s.ids[s.next])
-		s.pos = 0
-		s.next++
-		return true
-	}
-	if len(runs) == 0 {
-		return out, nil
-	}
-	streams := make([]*stream, len(runs))
-	keys := make([]uint64, len(runs))
-	live := make([]bool, len(runs))
-	for i := range runs {
-		streams[i] = &stream{ids: runs[i], lens: runLens[i]}
-		if fill(streams[i]) {
-			keys[i] = key(streams[i].cur[0])
-			live[i] = true
-		}
-	}
-	var tie func(a, b int) bool
-	if !exact {
-		tie = func(a, b int) bool {
-			sa, sb := streams[a], streams[b]
-			return c.Less(sa.cur[sa.pos], sb.cur[sb.pos])
-		}
-	}
-	lt := pq.NewKeyTree(len(runs), keys, live, tie)
-	outBuf := make([]T, 0, bElem)
-	flush := func() error {
-		if len(outBuf) == 0 {
+	bufs := make([][]T, len(runs)) // per run: the decode buffer of its current block
+	at := make([]int, len(runs))   // per run: the next block to read
+	next := func(i int) []T {
+		b := at[i]
+		if b >= len(runs[i]) {
 			return nil
 		}
+		at[i]++
+		raw := bufpool.Get(runLens[i][b] * sz)
+		n.Vol.ReadWait(runs[i][b], raw)
+		bufs[i] = elem.AppendDecode(c, bufs[i][:0], raw, runLens[i][b])
+		bufpool.Put(raw)
+		n.Vol.Free(runs[i][b])
+		return bufs[i]
+	}
+	var out []T
+	err := xmerge.MergeStream(c, len(runs), bElem, next, func(blk []T) error {
 		id := n.Vol.Alloc()
-		enc := bufpool.Get(len(outBuf) * sz)
-		elem.EncodeInto(c, enc, outBuf)
+		enc := bufpool.Get(len(blk) * sz)
+		defer bufpool.Put(enc)
+		elem.EncodeInto(c, enc, blk)
 		// The Sink sees each output block exactly once, in order, before
 		// the buffer is handed to the async write (the slice is only
 		// valid for the duration of the call — same contract as core).
@@ -320,33 +288,13 @@ func mergeRuns[T any](c elem.Codec[T], n *cluster.Node, cfg Config, runs [][]blo
 			sinkErr = cfg.Sink(n.Rank, enc)
 		}
 		n.Vol.WriteAsync(id, enc)
-		bufpool.Put(enc)
 		if cfg.KeepOutput {
-			out = append(out, outBuf...)
+			out = append(out, blk...)
 		}
-		outBuf = outBuf[:0]
+		n.AddCPU(cfg.Model.MergeCPU(int64(len(blk)), len(runs)) + cfg.Model.ScanCPU(int64(len(blk))))
 		return sinkErr
-	}
-	for !lt.Empty() {
-		i := lt.Win()
-		s := streams[i]
-		outBuf = append(outBuf, s.cur[s.pos])
-		s.pos++
-		if len(outBuf) == bElem {
-			if err := flush(); err != nil {
-				return nil, fmt.Errorf("baseline: output sink, rank %d: %w", n.Rank, err)
-			}
-			n.AddCPU(cfg.Model.MergeCPU(int64(bElem), len(runs)) + cfg.Model.ScanCPU(int64(bElem)))
-		}
-		if s.pos < len(s.cur) {
-			lt.Replace(key(s.cur[s.pos]))
-		} else if fill(s) {
-			lt.Replace(key(s.cur[0]))
-		} else {
-			lt.Retire()
-		}
-	}
-	if err := flush(); err != nil {
+	})
+	if err != nil {
 		return nil, fmt.Errorf("baseline: output sink, rank %d: %w", n.Rank, err)
 	}
 	return out, nil

@@ -48,10 +48,6 @@ type Config struct {
 	// SampleK is the sampling distance K in elements (0 = one block,
 	// the Appendix B choice K = B).
 	SampleK int64
-	// SingleRunOpt enables the §IV-E special case for inputs that fit
-	// into one run: blocks are sorted as they arrive and merged,
-	// instead of sorted monolithically.
-	SingleRunOpt bool
 	// Checkpoint enables the durable checkpoint/restart plane: after
 	// run formation and after selection each rank commits a phase
 	// manifest under Checkpoint.Dir, and with Resume set a restarted
@@ -63,7 +59,7 @@ type Config struct {
 // DefaultConfig returns a ready-to-use configuration for p PEs with a
 // per-PE memory budget of memElems elements and the given block size.
 func DefaultConfig(p int, memElems int64, blockBytes int) Config {
-	return Config{Common: job.Defaults(p, memElems, blockBytes), SingleRunOpt: true}
+	return Config{Common: job.Defaults(p, memElems, blockBytes)}
 }
 
 // derived holds the parameters computed from a validated config for a

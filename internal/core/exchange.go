@@ -49,8 +49,8 @@ func exchange[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, d derived, m
 		segStart := locals[ri].segStart
 		segEnd := segStart + locals[ri].segLen
 		for q := 0; q < n.P; q++ {
-			lo := max64(split[q][ri], segStart)
-			hi := min64(split[q+1][ri], segEnd)
+			lo := max(split[q][ri], segStart)
+			hi := min(split[q+1][ri], segEnd)
 			if lo >= hi {
 				if q == me {
 					keptLo[ri], keptHi[ri] = 0, 0
@@ -75,8 +75,8 @@ func exchange[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, d derived, m
 		for ri := 0; ri < r; ri++ {
 			segStart := meta.segStarts[ri][p]
 			segEnd := segStart + meta.segLens[ri][p]
-			lo := max64(split[me][ri], segStart)
-			hi := min64(split[me+1][ri], segEnd)
+			lo := max(split[me][ri], segStart)
+			hi := min(split[me+1][ri], segEnd)
 			if lo < hi {
 				recvSegs[p] = append(recvSegs[p], streamSeg{run: ri, lo: 0, hi: hi - lo})
 				recvTotal[p] += hi - lo
@@ -91,7 +91,7 @@ func exchange[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, d derived, m
 		sendSum += sendTotal[q]
 		recvSum += recvTotal[q]
 	}
-	myMove := max64(sendSum, recvSum)
+	myMove := max(sendSum, recvSum)
 	maxMove := n.AllReduceInt64(myMove, "max")
 	quota := int64(1) << 62
 	if cfg.MemElems > 0 {
@@ -114,8 +114,8 @@ func exchange[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, d derived, m
 		segLen := locals[ri].segLen
 		for b := 0; b < nb; b++ {
 			bLo := int64(b) * bElem
-			bHi := min64(bLo+bElem, segLen)
-			kOv := max64(0, min64(keptHi[ri], bHi)-max64(keptLo[ri], bLo))
+			bHi := min(bLo+bElem, segLen)
+			kOv := max(0, min(keptHi[ri], bHi)-max(keptLo[ri], bLo))
 			sendLeft[ri][b] = int32(bHi - bLo - kOv)
 			keptTouch[ri][b] = kOv > 0
 		}
@@ -196,8 +196,8 @@ func exchange[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, d derived, m
 			pos := int64(0)
 			for _, seg := range sendSegs[q] {
 				segN := seg.hi - seg.lo
-				a := max64(wLo-pos, 0)
-				b := min64(wHi-pos, segN)
+				a := max(wLo-pos, 0)
+				b := min(wHi-pos, segN)
 				pos += segN
 				if a >= b {
 					continue
@@ -207,8 +207,8 @@ func exchange[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, d derived, m
 				for blk := from / bElem; blk*bElem < to; blk++ {
 					vals := readBlock(seg.run, blk)
 					bLo := blk * bElem
-					l := max64(from, bLo) - bLo
-					h := min64(to, bLo+int64(len(vals))) - bLo
+					l := max(from, bLo) - bLo
+					h := min(to, bLo+int64(len(vals))) - bLo
 					buf = elem.AppendEncode(c, buf, vals[l:h])
 					sendLeft[seg.run][blk] -= int32(h - l)
 					if sendLeft[seg.run][blk] == 0 && !keptTouch[seg.run][blk] && !durable {
@@ -242,8 +242,8 @@ func exchange[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, d derived, m
 			off := int64(0)
 			for _, seg := range recvSegs[p] {
 				segN := seg.hi - seg.lo
-				a := max64(wLo-pos, 0)
-				b := min64(wHi-pos, segN)
+				a := max(wLo-pos, 0)
+				b := min(wHi-pos, segN)
 				pos += segN
 				if a >= b {
 					continue
@@ -297,8 +297,8 @@ func exchange[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, d derived, m
 		for blk := lo / bElem; blk*bElem < hi; blk++ {
 			ext := locals[ri].file.Extents[blk]
 			bLo := blk * bElem
-			l := max64(lo, bLo) - bLo
-			h := min64(hi, bLo+int64(ext.Len)) - bLo
+			l := max(lo, bLo) - bLo
+			h := min(hi, bLo+int64(ext.Len)) - bLo
 			if l >= h {
 				continue
 			}
@@ -317,18 +317,4 @@ func exchange[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, d derived, m
 	n.Vol.Drain()
 	n.Barrier()
 	return out, k, nil
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

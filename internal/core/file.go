@@ -35,17 +35,6 @@ func (f *File) Append(e Extent) {
 	f.N += int64(e.Len)
 }
 
-// FreeOwned returns every owned block of f to the volume's free list.
-func (f *File) FreeOwned(vol *blockio.Volume) {
-	for _, e := range f.Extents {
-		if e.Own {
-			vol.Free(e.ID)
-		}
-	}
-	f.Extents = nil
-	f.N = 0
-}
-
 // writer buffers elements and writes full blocks asynchronously,
 // producing an aligned File. The partial tail buffer can be flushed
 // (creating a partial block) and refilled later — that flush/reload
@@ -68,14 +57,6 @@ func newWriter[T any](c elem.Codec[T], vol *blockio.Volume) *writer[T] {
 		bElem: bElem,
 		buf:   make([]T, 0, bElem),
 		enc:   bufpool.Get(vol.BlockBytes())[:0],
-	}
-}
-
-// add appends one element, writing a block when full.
-func (w *writer[T]) add(v T) {
-	w.buf = append(w.buf, v)
-	if len(w.buf) == w.bElem {
-		w.flushFull()
 	}
 }
 
@@ -253,20 +234,6 @@ func (r *reader[T]) nextBlock() []T {
 	blk := r.cur[r.pos:]
 	r.pos = len(r.cur)
 	return blk
-}
-
-// next returns the next element; ok=false at end of file.
-func (r *reader[T]) next() (T, bool) {
-	for r.pos >= len(r.cur) {
-		if r.cur == nil {
-			var zero T
-			return zero, false
-		}
-		r.advance()
-	}
-	v := r.cur[r.pos]
-	r.pos++
-	return v, true
 }
 
 // streamRaw feeds a File's encoded bytes to fn in element order — the

@@ -159,14 +159,10 @@ func Sort[T any](c elem.Codec[T], cfg Config, input [][]T) (*Result[T], error) {
 			if err != nil {
 				return fmt.Errorf("core: %w", err)
 			}
-			var in File
-			for _, sp := range spans {
-				in.Append(Extent{ID: sp.ID, Len: sp.Bytes / c.Size(), Own: true})
-			}
 			res.LoadPeakMemElems[n.Rank] = n.Mem.Peak()
 			n.Vol.ResetPeak()
 
-			locals, err = runFormation(c, n, &cfg, d, in)
+			locals, err = runFormation(c, j, n, d, spans)
 			if err != nil {
 				return err
 			}

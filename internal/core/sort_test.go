@@ -111,26 +111,23 @@ func TestSortSingleElement(t *testing.T) {
 }
 
 func TestSortSingleRunRegime(t *testing.T) {
-	// Input fits into one run: the §IV-E single-run optimization path.
-	for _, opt := range []bool{true, false} {
-		cfg := testConfig(4)
-		cfg.SingleRunOpt = opt
-		input := inputFor(cfg, workload.Uniform, 900, 3) // < runLocal
-		res, err := Sort[elem.KV16](kvc, cfg, input)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Runs != 1 {
-			t.Fatalf("expected single run, got %d", res.Runs)
-		}
-		if err := res.Validate(kvc, input); err != nil {
-			t.Fatal(err)
-		}
-		// Single-run final merge must cost no disk traffic at all.
-		read, written := res.PhaseBytes(PhaseMerge)
-		if read != 0 || written != 0 {
-			t.Fatalf("single-run merge did I/O: read %d written %d", read, written)
-		}
+	// Input fits into one run: the §IV-E single-run path.
+	cfg := testConfig(4)
+	input := inputFor(cfg, workload.Uniform, 900, 3) // < runLocal
+	res, err := Sort[elem.KV16](kvc, cfg, input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Runs != 1 {
+		t.Fatalf("expected single run, got %d", res.Runs)
+	}
+	if err := res.Validate(kvc, input); err != nil {
+		t.Fatal(err)
+	}
+	// Single-run final merge must cost no disk traffic at all.
+	read, written := res.PhaseBytes(PhaseMerge)
+	if read != 0 || written != 0 {
+		t.Fatalf("single-run merge did I/O: read %d written %d", read, written)
 	}
 }
 
@@ -382,7 +379,6 @@ func TestSortRec100(t *testing.T) {
 	cfg.Seed = 4
 	cfg.RealWorkers = 1
 	cfg.KeepOutput = true
-	cfg.SingleRunOpt = false
 	input := make([][]elem.Rec100, cfg.P)
 	rngKeys := workload.Generate(workload.Uniform, cfg.P, 700, 31)
 	for pe := range input {

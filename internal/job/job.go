@@ -1,13 +1,15 @@
-// Package job is the skeleton the sorters share: the paper has one
-// pipeline (load → run formation → … → collect) instantiated by two
-// algorithms (§III striped, §IV canonical) plus the NOW-Sort baseline,
-// and everything about a sort job that does not depend on which of them
-// runs lives here exactly once — the common configuration, the run
-// geometry, validation and defaults, opening the input, building or
-// adopting the machine, loading the input onto the volumes, the
-// budget-charged in-node sort, and the per-phase statistics. What the
-// algorithms do differently (their phases, their capacity rules, their
-// collect) stays with them.
+// Package job is what the sorters share: the paper has one pipeline
+// (load → run formation → … → collect) instantiated by two algorithms
+// (§III striped, §IV canonical) plus the NOW-Sort baseline, and
+// everything about a sort job that does not depend on which of them
+// runs lives here exactly once. The skeleton (this file, stats.go): the
+// common configuration, the run geometry, validation and defaults,
+// opening the input, building or adopting the machine, loading the
+// input onto the volumes, and the per-phase statistics. The shared
+// phases (runform.go): the mergesorts' run formation, FormRuns, and the
+// tail of the distributed internal sort, SortAcross. What the
+// algorithms do differently (where a sorted run is stored, their later
+// phases, their capacity rules, their collect) stays with them.
 package job
 
 import (
@@ -401,14 +403,14 @@ func (j *Job[T]) Load(n *cluster.Node) ([]blockio.Span, error) {
 	return spans, nil
 }
 
-// SortChunkBudgeted runs one of run formation's in-node sorts with the
+// sortChunkBudgeted runs one of run formation's in-node sorts with the
 // radix scratch (pair buffers, histograms, the LSD gather buffer)
 // charged against the memory budget. A PathAuto config resolves per
 // chunk against the live headroom: the LSD scatter while its scratch
 // fits, the in-place MSD when memory is tight (about half the scratch —
 // one pair buffer, no element gather buffer). Closure-only codecs
 // bypass the radix engines and charge nothing.
-func SortChunkBudgeted[T any](c elem.Codec[T], n *cluster.Node, cfg *Common, chunk []T) {
+func sortChunkBudgeted[T any](c elem.Codec[T], n *cluster.Node, cfg *Common, chunk []T) {
 	if _, keyed := elem.Codec[T](c).(elem.KeyedCodec[T]); !keyed {
 		psort.Sort(c, chunk, cfg.RealWorkers)
 		return

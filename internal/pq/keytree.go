@@ -17,14 +17,13 @@ package pq
 // non-keyed codecs where every key is zero) and finally by stream
 // index, which keeps merging deterministic and stable by stream.
 type KeyTree struct {
-	k      int      // number of leaves (power of two >= streams)
-	loser  []int32  // per internal node: losing stream index
-	lkey   []uint64 // per internal node: the loser's key
-	win    int32    // overall winner stream
-	winKey uint64
-	key    []uint64 // current head key per stream (^0 when exhausted)
-	alive  []bool
-	wtmp   []int32 // rebuild scratch (winner per node)
+	k     int      // number of leaves (power of two >= streams)
+	loser []int32  // per internal node: losing stream index
+	lkey  []uint64 // per internal node: the loser's key
+	win   int32    // overall winner stream
+	key   []uint64 // current head key per stream (^0 when exhausted)
+	alive []bool
+	wtmp  []int32 // rebuild scratch (winner per node)
 	// tie reports whether stream a's head orders strictly before
 	// stream b's head; consulted only on equal keys between two live
 	// streams. nil means equal keys are equivalent (exact keys).
@@ -35,17 +34,11 @@ type KeyTree struct {
 // carry the same key value; aliveness is always checked on equal keys.
 const deadKey = ^uint64(0)
 
-// NewKeyTree builds a key tree for n streams. keys[i] is the head key
-// of stream i; live[i] reports whether stream i is non-empty. n must
-// be >= 1. tie may be nil (see KeyTree).
-func NewKeyTree(n int, keys []uint64, live []bool, tie func(a, b int) bool) *KeyTree {
-	t := &KeyTree{}
-	t.Reset(n, keys, live, tie)
-	return t
-}
-
-// Reset re-initialises the tree in place for n streams, reusing its
-// arrays — the pooling hook that keeps repeated merges allocation-free.
+// Reset (re-)initialises the tree — the zero KeyTree is ready for it —
+// in place for n streams, reusing its arrays, which keeps repeated
+// merges allocation-free. keys[i] is the head key of stream i; live[i]
+// reports whether stream i is non-empty. n must be >= 1. tie may be nil
+// (see KeyTree).
 func (t *KeyTree) Reset(n int, keys []uint64, live []bool, tie func(a, b int) bool) {
 	if n < 1 {
 		panic("pq: key tree needs at least one stream")
@@ -130,7 +123,6 @@ func (t *KeyTree) rebuild() {
 		t.lkey[i] = t.key[t.loser[i]]
 	}
 	t.win = w[1]
-	t.winKey = t.key[t.win]
 }
 
 // DropTie releases the tie callback (and whatever stream data it
@@ -143,9 +135,6 @@ func (t *KeyTree) Empty() bool { return !t.alive[t.win] }
 // Win returns the stream whose head is the overall minimum. It must
 // not be consulted when Empty.
 func (t *KeyTree) Win() int { return int(t.win) }
-
-// WinKey returns the winner's normalized key.
-func (t *KeyTree) WinKey() uint64 { return t.winKey }
 
 // Replace substitutes the winner stream's head key with key (the
 // caller advanced that stream's cursor) and replays to the root.
@@ -161,14 +150,6 @@ func (t *KeyTree) Retire() {
 	t.replay(t.win)
 }
 
-// Revive re-activates stream i with head key (batch merging resumes a
-// stream at a batch boundary) and replays from its leaf.
-func (t *KeyTree) Revive(i int, key uint64) {
-	t.key[i] = key
-	t.alive[i] = true
-	t.replay(int32(i))
-}
-
 // replay pushes stream s's new head up the tree. The common case is a
 // strict uint64 comparison per level; only equal keys leave the fast
 // path.
@@ -181,5 +162,5 @@ func (t *KeyTree) replay(s int32) {
 			t.lkey[i], wk = wk, lk
 		}
 	}
-	t.win, t.winKey = w, wk
+	t.win = w
 }

@@ -7,6 +7,12 @@ import (
 	"testing"
 )
 
+func newKeyTree(n int, keys []uint64, live []bool, tie func(a, b int) bool) *KeyTree {
+	t := &KeyTree{}
+	t.Reset(n, keys, live, tie)
+	return t
+}
+
 // mergeWithKeyTree drains k sorted uint64 streams through a KeyTree,
 // returning (value, stream) pairs in emission order.
 func mergeWithKeyTree(seqs [][]uint64, tie func(a, b int) bool) (vals []uint64, srcs []int) {
@@ -20,7 +26,7 @@ func mergeWithKeyTree(seqs [][]uint64, tie func(a, b int) bool) (vals []uint64, 
 			live[i] = true
 		}
 	}
-	t := NewKeyTree(k, keys, live, tie)
+	t := newKeyTree(k, keys, live, tie)
 	for !t.Empty() {
 		i := t.Win()
 		vals = append(vals, seqs[i][pos[i]])
@@ -107,7 +113,7 @@ func TestKeyTreeMatchesStableSort(t *testing.T) {
 func TestKeyTreeTieCallback(t *testing.T) {
 	rank := []int{2, 0, 1} // stream 1 first, then 2, then 0
 	tie := func(a, b int) bool { return rank[a] < rank[b] }
-	tr := NewKeyTree(3, []uint64{5, 5, 5}, []bool{true, true, true}, tie)
+	tr := newKeyTree(3, []uint64{5, 5, 5}, []bool{true, true, true}, tie)
 	var order []int
 	for !tr.Empty() {
 		order = append(order, tr.Win())
@@ -118,23 +124,8 @@ func TestKeyTreeTieCallback(t *testing.T) {
 	}
 }
 
-func TestKeyTreeRevive(t *testing.T) {
-	tr := NewKeyTree(2, []uint64{5, 10}, []bool{true, true}, nil)
-	if tr.Win() != 0 || tr.WinKey() != 5 {
-		t.Fatalf("got (%d,%d)", tr.Win(), tr.WinKey())
-	}
-	tr.Retire() // stream 0 pauses at a batch boundary
-	if tr.Win() != 1 || tr.WinKey() != 10 {
-		t.Fatalf("got (%d,%d)", tr.Win(), tr.WinKey())
-	}
-	tr.Revive(0, 6)
-	if tr.Win() != 0 || tr.WinKey() != 6 {
-		t.Fatalf("after revive got (%d,%d)", tr.Win(), tr.WinKey())
-	}
-}
-
 func TestKeyTreeResetReuses(t *testing.T) {
-	tr := NewKeyTree(8, make([]uint64, 8), []bool{true, true, true, true, true, true, true, true}, nil)
+	tr := newKeyTree(8, make([]uint64, 8), []bool{true, true, true, true, true, true, true, true}, nil)
 	for !tr.Empty() {
 		tr.Retire()
 	}
@@ -142,7 +133,7 @@ func TestKeyTreeResetReuses(t *testing.T) {
 	tr.Reset(3, []uint64{3, 1, 2}, []bool{true, true, true}, nil)
 	var got []uint64
 	for !tr.Empty() {
-		got = append(got, tr.WinKey())
+		got = append(got, tr.key[tr.win])
 		tr.Retire()
 	}
 	if !slices.Equal(got, []uint64{1, 2, 3}) {
@@ -151,7 +142,7 @@ func TestKeyTreeResetReuses(t *testing.T) {
 }
 
 func TestKeyTreeAllEmpty(t *testing.T) {
-	tr := NewKeyTree(4, make([]uint64, 4), make([]bool, 4), nil)
+	tr := newKeyTree(4, make([]uint64, 4), make([]bool, 4), nil)
 	if !tr.Empty() {
 		t.Error("expected empty tree when no stream is live")
 	}

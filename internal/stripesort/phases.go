@@ -3,462 +3,392 @@ package stripesort
 import (
 	"encoding/binary"
 	"fmt"
-	"math/rand/v2"
 	"sort"
 
 	"demsort/internal/blockio"
 	"demsort/internal/bufpool"
 	"demsort/internal/cluster"
-	"demsort/internal/dselect"
 	"demsort/internal/elem"
 	"demsort/internal/job"
 	"demsort/internal/xmerge"
 )
 
+// pe is one PE's view of a striped sort: what every phase needs, and
+// what the phases hand to each other.
+type pe[T any] struct {
+	j   *job.Job[T]
+	c   elem.Codec[T]
+	n   *cluster.Node
+	cfg *Config
+	// key and exact are elem.KeyFn(c): the normalized key, and whether
+	// it decides the order alone.
+	key   func(T) uint64
+	exact bool
+
+	runs   int
+	totalN int64 // the sum of the run lengths
+	// stored lists the striped run blocks this PE homes, in (run, block)
+	// order — phase 1's product, the merge's input.
+	stored []runBlock[T]
+	// outBlocks lists the striped output blocks this PE homes — the
+	// merge's product, the collect's input.
+	outBlocks []stripedBlock
+	batches   int
+	outN      int64 // elements delivered to this rank's sink
+}
+
+// runBlock is block blk of run run, stored here as block id with len
+// elements, the smallest of which is first.
+type runBlock[T any] struct {
+	run   int
+	blk   int64
+	id    blockio.BlockID
+	len   int
+	first T
+}
+
 // runPE executes the whole striped sort on one PE; sink receives the
 // rank's contiguous share of the sorted output (nil = leave the striped
 // blocks on the volumes).
-func runPE[T any](j *job.Job[T], c elem.Codec[T], n *cluster.Node, cfg *Config, sink func(rank int, b []byte) error) (*peState[T], error) {
-	sz := c.Size()
-	bElem, bpr := j.BElem, j.BlocksPerRun
-	key, exact := elem.KeyFn(c)
-
-	// ----- Load input onto local disks (unmeasured) -----
-	inBlocks, err := j.Load(n)
+func runPE[T any](j *job.Job[T], c elem.Codec[T], n *cluster.Node, cfg *Config, sink func(rank int, b []byte) error) (*pe[T], error) {
+	// Load input onto local disks (unmeasured).
+	spans, err := j.Load(n)
 	if err != nil {
 		return nil, fmt.Errorf("stripesort: %w", err)
 	}
+	s := &pe[T]{j: j, c: c, n: n, cfg: cfg}
+	s.key, s.exact = elem.KeyFn(c)
+	if err := s.formRuns(spans); err != nil {
+		return nil, err
+	}
+	if err := s.mergeBatches(s.predict()); err != nil {
+		return nil, err
+	}
 
-	// ----- Phase 1: run formation with global striping -----
+	// Collect: stream the output to the per-rank sinks (outside the
+	// measured phases, like core.Sort's collect step).
+	n.SetPhase(job.PhaseCollect)
+	var myN int64
+	for _, b := range s.outBlocks {
+		myN += int64(b.len)
+	}
+	if outN := n.AllReduceInt64(myN, "sum"); outN != s.totalN {
+		return nil, fmt.Errorf("stripesort: %d elements in the output blocks, %d in the runs", outN, s.totalN)
+	}
+	s.outN, err = collectOutput(c, n, cfg, j.BElem, s.outBlocks, sink)
+	return s, err
+}
+
+// formRuns is phase 1, run formation with global striping: the shared
+// run formation, each sorted run striped over the machine as it
+// completes.
+func (s *pe[T]) formRuns(spans []blockio.Span) error {
+	n, model := s.n, &s.cfg.Model
 	n.SetPhase(PhaseRunForm)
-	if cfg.Randomize {
-		rng := rand.New(rand.NewPCG(cfg.Seed, uint64(n.Rank)+0x57121))
-		rng.Shuffle(len(inBlocks), func(i, j int) { inBlocks[i], inBlocks[j] = inBlocks[j], inBlocks[i] })
+	var err error
+	s.runs, err = s.j.FormRuns(n, spans, 0x57121, func(run int, runLen, segStart int64, seg []T) error {
+		st := s.newStriper(runLen, func(g int64, data []T) {
+			s.stored = append(s.stored, runBlock[T]{run: run, blk: g, id: s.writeBlock(data), len: len(data), first: data[0]})
+		})
+		st.stripe(segStart, seg)
+		n.AddCPU(2 * model.ScanCPU(int64(len(seg))))
+		s.totalN += runLen
+		return st.done()
+	})
+	if err != nil {
+		return fmt.Errorf("stripesort: %w", err)
 	}
-	myRuns := (len(inBlocks) + bpr - 1) / bpr
-	runs := int(n.AllReduceInt64(int64(myRuns), "max"))
-	if runs == 0 {
-		runs = 1
+	return nil
+}
+
+// striper moves pieces of one block-striped sequence of total elements
+// — block g, elements [g·B, (g+1)·B), lives on PE g mod P — from the PEs
+// that produced them to the PEs that store them: the extra
+// communication of Section III. Blocks assemble across calls, so a
+// piece may end anywhere; emit receives each block this PE homes once,
+// when its last element has arrived.
+type striper[T any] struct {
+	*pe[T]
+	total int64
+	emit  func(g int64, data []T)
+	asm   map[int64]*asmBlock[T]
+}
+
+type asmBlock[T any] struct {
+	data   []T
+	filled int
+}
+
+func (s *pe[T]) newStriper(total int64, emit func(g int64, data []T)) *striper[T] {
+	return &striper[T]{pe: s, total: total, emit: emit, asm: map[int64]*asmBlock[T]{}}
+}
+
+// stripe is collective: this PE contributes elements [lo, lo+len(elems))
+// of the sequence, cut at block boundaries and sent to each block's home
+// under a (block, offset, count) header; arriving pieces are decoded
+// straight into their block's assembly slot. Blocks under assembly are
+// charged to the budget while they wait.
+func (s *striper[T]) stripe(lo int64, elems []T) {
+	n, sz, bElem := s.n, s.c.Size(), int64(s.j.BElem)
+	send := make([][]byte, n.P)
+	for pos := lo; len(elems) > 0; {
+		g := pos / bElem
+		take := min(int64(len(elems)), (g+1)*bElem-pos)
+		home := int(g % int64(n.P))
+		var hdr [16]byte
+		binary.LittleEndian.PutUint64(hdr[:8], uint64(g))
+		binary.LittleEndian.PutUint32(hdr[8:12], uint32(pos-g*bElem))
+		binary.LittleEndian.PutUint32(hdr[12:16], uint32(take))
+		send[home] = append(send[home], hdr[:]...)
+		send[home] = elem.AppendEncode(s.c, send[home], elems[:take])
+		elems, pos = elems[take:], pos+take
 	}
-
-	// Per run, the striped blocks this PE stores and their first keys.
-	type runBlock struct {
-		blk   int64
-		id    blockio.BlockID
-		len   int
-		first T
-	}
-	stored := make([][]runBlock, runs)
-	runLens := make([]int64, runs)
-
-	raw := bufpool.Get(cfg.BlockBytes)
-	for r := 0; r < runs; r++ {
-		lo := r * bpr
-		var chunk []T
-		if lo < len(inBlocks) {
-			hi := lo + bpr
-			if hi > len(inBlocks) {
-				hi = len(inBlocks)
+	recv := n.AllToAllv(send)
+	for _, buf := range recv {
+		for len(buf) > 0 {
+			g := int64(binary.LittleEndian.Uint64(buf[:8]))
+			off := int(binary.LittleEndian.Uint32(buf[8:12]))
+			cnt := int(binary.LittleEndian.Uint32(buf[12:16]))
+			a := s.asm[g]
+			if a == nil {
+				a = &asmBlock[T]{data: make([]T, min(bElem, s.total-g*bElem))}
+				n.Mem.MustAcquire(int64(len(a.data)))
+				s.asm[g] = a
 			}
-			for _, b := range inBlocks[lo:hi] {
-				n.Vol.ReadWait(b.ID, raw[:b.Bytes])
-				chunk = elem.AppendDecode(c, chunk, raw, b.Bytes/sz)
-				n.Vol.Free(b.ID)
-			}
-		}
-		n.Mem.MustAcquire(int64(len(chunk)))
-		job.SortChunkBudgeted(c, n, &cfg.Common, chunk)
-		n.AddCPU(cfg.Model.SortCPU(int64(len(chunk))) + cfg.Model.ScanCPU(int64(len(chunk))))
-
-		runLen := n.AllReduceInt64(int64(len(chunk)), "sum")
-		runLens[r] = runLen
-		bounds := job.RankBounds(runLen, n.P)
-		cuts := dselect.Cuts(c, n, chunk, bounds[1:n.P])
-		send := job.EncodeParts(c, chunk, cuts)
-		n.AddCPU(cfg.Model.ScanCPU(int64(len(chunk))))
-		chunkLen := int64(len(chunk))
-		chunk = nil
-		n.Mem.Release(chunkLen) // decoded chunk dropped (send buffers encoded)
-		recv := n.AllToAllv(send)
-		segLen := bounds[n.Rank+1] - bounds[n.Rank]
-		// Decoded pieces + merged segment + striping assembly buffers.
-		n.Mem.MustAcquire(3 * segLen)
-		pieces := make([][]T, n.P)
-		for q := 0; q < n.P; q++ {
-			pieces[q] = elem.DecodeSlice(c, recv[q], len(recv[q])/sz)
-		}
-		cluster.RecycleRecv(recv)
-		merged := xmerge.Merge(c, pieces)
-		n.AddCPU(cfg.Model.MergeCPU(segLen, n.P) + cfg.Model.ScanCPU(segLen))
-		if int64(len(merged)) != segLen {
-			return nil, fmt.Errorf("stripesort: run %d: segment %d != %d", r, len(merged), segLen)
-		}
-
-		// Stripe the sorted run globally: block g of the run goes to
-		// PE g mod P — the extra communication of Section III.
-		segStart := bounds[n.Rank]
-		stripeSend := make([][]byte, n.P)
-		for pos := int64(0); pos < segLen; {
-			g := (segStart + pos) / int64(bElem)
-			bLo := g * int64(bElem)
-			bHi := bLo + int64(bElem)
-			if bHi > runLen {
-				bHi = runLen
-			}
-			take := min64(bHi-segStart-pos, segLen-pos)
-			home := int(g % int64(n.P))
-			var hdr [16]byte
-			binary.LittleEndian.PutUint64(hdr[:8], uint64(g))
-			binary.LittleEndian.PutUint32(hdr[8:12], uint32(segStart+pos-bLo))
-			binary.LittleEndian.PutUint32(hdr[12:16], uint32(take))
-			stripeSend[home] = append(stripeSend[home], hdr[:]...)
-			stripeSend[home] = elem.AppendEncode(c, stripeSend[home], merged[pos:pos+take])
-			pos += take
-		}
-		n.AddCPU(cfg.Model.ScanCPU(segLen))
-		stripeRecv := n.AllToAllv(stripeSend)
-
-		// Assemble and write the striped blocks this PE homes.
-		type asm struct {
-			data   []T
-			filled int
-			total  int
-		}
-		blocks := map[int64]*asm{}
-		for p := 0; p < n.P; p++ {
-			buf := stripeRecv[p]
-			for len(buf) > 0 {
-				g := int64(binary.LittleEndian.Uint64(buf[:8]))
-				off := int(binary.LittleEndian.Uint32(buf[8:12]))
-				cnt := int(binary.LittleEndian.Uint32(buf[12:16]))
-				a := blocks[g]
-				if a == nil {
-					bLo := g * int64(bElem)
-					bHi := bLo + int64(bElem)
-					if bHi > runLen {
-						bHi = runLen
-					}
-					a = &asm{data: make([]T, bHi-bLo), total: int(bHi - bLo)}
-					blocks[g] = a
-				}
-				// Decode straight into the assembly slot — no staging copy.
-				elem.DecodeInto(c, a.data[off:off+cnt], buf[16:16+cnt*sz])
-				buf = buf[16+cnt*sz:]
-				a.filled += cnt
+			elem.DecodeInto(s.c, a.data[off:off+cnt], buf[16:16+cnt*sz])
+			buf = buf[16+cnt*sz:]
+			if a.filled += cnt; a.filled == len(a.data) {
+				s.emit(g, a.data)
+				delete(s.asm, g)
+				n.Mem.Release(int64(len(a.data)))
 			}
 		}
-		cluster.RecycleRecv(stripeRecv)
-		var myBlocks []int64
-		for g := range blocks {
-			myBlocks = append(myBlocks, g)
-		}
-		sort.Slice(myBlocks, func(i, j int) bool { return myBlocks[i] < myBlocks[j] })
-		for _, g := range myBlocks {
-			a := blocks[g]
-			if a.filled != a.total {
-				return nil, fmt.Errorf("stripesort: run %d block %d assembled %d/%d", r, g, a.filled, a.total)
-			}
-			id := n.Vol.Alloc()
-			eb := raw[:len(a.data)*sz]
-			elem.EncodeInto(c, eb, a.data)
-			n.Vol.WriteAsync(id, eb)
-			stored[r] = append(stored[r], runBlock{blk: g, id: id, len: a.total, first: a.data[0]})
-		}
-		n.AddCPU(cfg.Model.ScanCPU(segLen))
-		n.Mem.Release(3 * segLen)
 	}
-	bufpool.Put(raw)
-	n.Vol.Drain()
+	cluster.RecycleRecv(recv)
+}
 
-	// Build the global prediction sequence: the first key of every
-	// block of every run, allgathered so each PE can compute the fetch
-	// order deterministically.
-	var predBuf []byte
-	for r := 0; r < runs; r++ {
-		for _, rb := range stored[r] {
-			var hdr [12]byte
-			binary.LittleEndian.PutUint32(hdr[:4], uint32(r))
-			binary.LittleEndian.PutUint64(hdr[4:], uint64(rb.blk))
-			predBuf = append(predBuf, hdr[:]...)
-			predBuf = elem.AppendEncode(c, predBuf, []T{rb.first})
+// done checks that the whole sequence has been striped: every block
+// that started assembling was completed.
+func (s *striper[T]) done() error {
+	if len(s.asm) != 0 {
+		return fmt.Errorf("%d striped blocks left incomplete", len(s.asm))
+	}
+	return nil
+}
+
+// writeBlock persists one striped block on the local volume.
+func (s *pe[T]) writeBlock(data []T) blockio.BlockID {
+	id := s.n.Vol.Alloc()
+	enc := bufpool.Get(len(data) * s.c.Size())
+	elem.EncodeInto(s.c, enc, data)
+	s.n.Vol.WriteAsync(id, enc)
+	bufpool.Put(enc)
+	return id
+}
+
+// less orders (element, run, position) triples totally — the barrier
+// rule — probing normalized uint64 keys first; the comparator runs only
+// on equal inexact keys (never for U64/KV16, and only on shared 8-byte
+// prefixes for Rec100).
+func (s *pe[T]) less(ak uint64, a T, ar int, ap int64, bk uint64, b T, br int, bp int64) bool {
+	if ak != bk {
+		return ak < bk
+	}
+	if !s.exact {
+		if s.c.Less(a, b) {
+			return true
+		}
+		if s.c.Less(b, a) {
+			return false
 		}
 	}
-	predAll := n.AllGather(predBuf)
+	if ar != br {
+		return ar < br
+	}
+	return ap < bp
+}
+
+// predict closes phase 1 with the global prediction sequence: the first
+// key of every block of every run, allgathered and sorted, so each PE
+// can compute the fetch order deterministically. The table stays
+// charged until the merge is over.
+func (s *pe[T]) predict() []predEntry[T] {
+	n, sz := s.n, s.c.Size()
+	var buf []byte
+	for _, rb := range s.stored {
+		var hdr [12]byte
+		binary.LittleEndian.PutUint32(hdr[:4], uint32(rb.run))
+		binary.LittleEndian.PutUint64(hdr[4:], uint64(rb.blk))
+		buf = append(buf, hdr[:]...)
+		buf = elem.AppendEncode(s.c, buf, []T{rb.first})
+	}
 	var pred []predEntry[T]
-	for _, pb := range predAll {
+	for _, pb := range n.AllGather(buf) {
 		for len(pb) > 0 {
-			r := int(binary.LittleEndian.Uint32(pb[:4]))
-			blk := int64(binary.LittleEndian.Uint64(pb[4:12]))
-			v := c.Decode(pb[12 : 12+sz])
+			v := s.c.Decode(pb[12 : 12+sz])
+			pred = append(pred, predEntry[T]{first: v, firstKey: s.key(v),
+				run: int(binary.LittleEndian.Uint32(pb[:4])), blk: int64(binary.LittleEndian.Uint64(pb[4:12]))})
 			pb = pb[12+sz:]
-			pred = append(pred, predEntry[T]{first: v, firstKey: key(v), run: r, blk: blk})
 		}
 	}
+	bElem := int64(s.j.BElem)
 	sort.Slice(pred, func(i, j int) bool {
 		a, b := pred[i], pred[j]
-		if a.firstKey != b.firstKey {
-			return a.firstKey < b.firstKey
-		}
-		if !exact {
-			if c.Less(a.first, b.first) {
-				return true
-			}
-			if c.Less(b.first, a.first) {
-				return false
-			}
-		}
-		if a.run != b.run {
-			return a.run < b.run
-		}
-		return a.blk < b.blk
+		return s.less(a.firstKey, a.first, a.run, a.blk*bElem, b.firstKey, b.first, b.run, b.blk*bElem)
 	})
 	n.Mem.MustAcquire(int64(len(pred)))
 	n.Barrier()
+	return pred
+}
 
-	// ----- Phase 2: prediction-driven batch merging -----
+// piece is a fetched, not yet emitted stretch of one run: elems start
+// at run position pos.
+type piece[T any] struct {
+	pos   int64
+	elems []T
+}
+
+// mergeBatches is phase 2, prediction-driven batch merging: blocks are
+// fetched in prediction order, a batch at a time; what is smaller than
+// the first unfetched element is merged across the machine and striped
+// to the output, the rest waits for the next batch.
+func (s *pe[T]) mergeBatches(pred []predEntry[T]) error {
+	n, cfg, bElem := s.n, s.cfg, int64(s.j.BElem)
 	n.SetPhase(PhaseMerge)
-	st := &peState[T]{runs: runs}
-	// Index of my stored blocks for O(1) lookup.
-	myIdx := map[[2]int64]runBlock{}
-	for r := 0; r < runs; r++ {
-		for _, rb := range stored[r] {
-			myIdx[[2]int64{int64(r), rb.blk}] = rb
-		}
+	home := make(map[[2]int64]runBlock[T], len(s.stored))
+	for _, rb := range s.stored {
+		home[[2]int64{int64(rb.run), rb.blk}] = rb
 	}
-
-	quota := 4
+	// Blocks each PE fetches per batch. The prediction table is a
+	// first-class memory consumer (the paper's footnote 12 notes the
+	// same pressure); the quota is sized from what remains.
+	quota := int64(4)
 	if cfg.MemElems > 0 {
-		// The prediction table is a first-class memory consumer (the
-		// paper's footnote 12 notes the same pressure); size the batch
-		// fetch quota from what remains.
-		avail := cfg.MemElems - int64(len(pred))
-		if avail < cfg.MemElems/8 {
-			avail = cfg.MemElems / 8
-		}
-		if q := int(avail / (16 * int64(bElem))); q < quota {
-			quota = q
-		} else {
-			quota = q
-		}
-		if quota < 1 {
-			quota = 1
-		}
+		avail := max(cfg.MemElems-int64(len(pred)), cfg.MemElems/8)
+		quota = max(avail/(16*bElem), 1)
 	}
-	// lessTot orders (element, run, pos) totally — the barrier rule —
-	// probing normalized uint64 keys first; the comparator runs only
-	// on equal inexact keys (never for U64/KV16, and only on shared
-	// 8-byte prefixes for Rec100).
-	lessTot := func(ak uint64, a T, ar int, ap int64, bk uint64, b T, br int, bp int64) bool {
-		if ak != bk {
-			return ak < bk
-		}
-		if !exact {
-			if c.Less(a, b) {
-				return true
-			}
-			if c.Less(b, a) {
-				return false
-			}
-		}
-		if ar != br {
-			return ar < br
-		}
-		return ap < bp
-	}
-
-	type piece struct {
-		pos   int64
-		elems []T
-	}
-	pending := make([][]piece, runs)
-	outAsm := map[int64]*outAsm[T]{}
+	out := s.newStriper(s.totalN, func(g int64, data []T) {
+		s.outBlocks = append(s.outBlocks, stripedBlock{idx: g, id: s.writeBlock(data), len: len(data)})
+	})
+	pending := make([][]piece[T], s.runs)
+	var merged []T // one batch's is striped before the next is merged
 	var outCur int64
-	cursor := 0
-
-	for cursor < len(pred) {
-		// Deterministic batch boundary: stop when any PE's fetch
-		// count reaches its quota.
-		perPE := make([]int, n.P)
+	for cursor := 0; cursor < len(pred); s.batches++ {
+		// Deterministic batch boundary: stop when any PE's fetch count
+		// reaches its quota.
+		perPE := make([]int64, n.P)
 		end := cursor
-		for end < len(pred) {
-			home := int(pred[end].blk % int64(n.P))
-			if perPE[home] == quota {
+		for ; end < len(pred); end++ {
+			h := pred[end].blk % int64(n.P)
+			if perPE[h] == quota {
 				break
 			}
-			perPE[home]++
-			end++
+			perPE[h]++
 		}
+		s.fetch(pred[cursor:end], home, pending)
+		// The barrier is the smallest unfetched element, known from the
+		// prediction sequence.
+		var barrier *predEntry[T]
+		if end < len(pred) {
+			barrier = &pred[end]
+		}
+		chunk := s.extract(pending, barrier)
 
-		// Fetch my resident blocks of this batch (asynchronously).
-		type fetched struct {
-			e      predEntry[T]
-			raw    []byte
-			rb     runBlock
-			handle blockio.Handle
-		}
-		var fs []fetched
-		for i := cursor; i < end; i++ {
-			e := pred[i]
-			if int(e.blk%int64(n.P)) != n.Rank {
-				continue
-			}
-			rb := myIdx[[2]int64{int64(e.run), e.blk}]
-			f := fetched{e: e, rb: rb, raw: bufpool.Get(rb.len * sz)}
-			f.handle = n.Vol.ReadAsync(rb.id, f.raw)
-			fs = append(fs, f)
-		}
-		for _, f := range fs {
-			n.Vol.Wait(f.handle)
-			vals := elem.DecodeSlice(c, f.raw, f.rb.len)
-			bufpool.Put(f.raw)
-			n.Mem.MustAcquire(int64(len(vals)))
-			pending[f.e.run] = append(pending[f.e.run], piece{pos: f.e.blk * int64(bElem), elems: vals})
-			n.Vol.Free(f.rb.id)
-		}
-		n.AddCPU(cfg.Model.ScanCPU(int64(len(fs) * bElem)))
-
-		// Barrier: the smallest unfetched element (value and cached
-		// normalized key, from the prediction sequence).
-		haveBarrier := end < len(pred)
-		var bVal T
-		var bKey uint64
-		var bRun int
-		var bPos int64
-		if haveBarrier {
-			bVal, bKey = pred[end].first, pred[end].firstKey
-			bRun, bPos = pred[end].run, pred[end].blk*int64(bElem)
-		}
-
-		// Extract everything strictly before the barrier: per run the
-		// pending pieces form an ascending chain, so the emittable part
-		// is a prefix of their concatenation.
-		emitSeqs := make([][]T, 0, runs)
-		var emitMine int64
-		for r := 0; r < runs; r++ {
-			var seq []T
-			rest := pending[r][:0]
-			for _, pc := range pending[r] {
-				cnt := len(pc.elems)
-				if haveBarrier {
-					cnt = sort.Search(len(pc.elems), func(j int) bool {
-						return !lessTot(key(pc.elems[j]), pc.elems[j], r, pc.pos+int64(j), bKey, bVal, bRun, bPos)
-					})
-				}
-				seq = append(seq, pc.elems[:cnt]...)
-				if cnt < len(pc.elems) {
-					rest = append(rest, piece{pos: pc.pos + int64(cnt), elems: pc.elems[cnt:]})
-				}
-			}
-			pending[r] = rest
-			if len(seq) > 0 {
-				emitSeqs = append(emitSeqs, seq)
-				emitMine += int64(len(seq))
-			}
-		}
-		chunk := xmerge.Merge(c, emitSeqs)
-		n.AddCPU(cfg.Model.MergeCPU(emitMine, len(emitSeqs)+1))
-		n.Mem.MustAcquire(2 * emitMine) // emit copies + merged chunk; released below
-
-		emitTotal := n.AllReduceInt64(emitMine, "sum")
-		if emitTotal > 0 {
+		if emitTotal := n.AllReduceInt64(int64(len(chunk)), "sum"); emitTotal > 0 {
 			// Distributed merge of the emitted chunks, then stripe the
 			// result to the output — the two communications per element
-			// of the merging pass. Unlike phase 2's splitters, the
+			// of the merging pass. Unlike run formation's splitters, the
 			// batch cuts only need to be order-consistent (the striped
 			// layout fixes positions later), so cheap sample-based
 			// splitters suffice — exactness here would cost more
 			// metadata than the batch carries data.
-			send := job.EncodeParts(c, chunk, sampleCuts(c, n, chunk))
-			recv := n.AllToAllv(send)
-			var pieceLen int64
-			for q := 0; q < n.P; q++ {
-				pieceLen += int64(len(recv[q]) / sz)
-			}
-			n.Mem.MustAcquire(2 * pieceLen) // decoded pieces + merged result
-			ps := make([][]T, n.P)
-			for q := 0; q < n.P; q++ {
-				ps[q] = elem.DecodeSlice(c, recv[q], len(recv[q])/sz)
-			}
-			cluster.RecycleRecv(recv)
-			merged := xmerge.Merge(c, ps)
-			n.AddCPU(cfg.Model.MergeCPU(pieceLen, n.P) + 2*cfg.Model.ScanCPU(pieceLen))
-
+			merged = s.j.SortAcross(n, chunk, sampleCuts(s.c, n, chunk), merged[:0])
 			// The batch's output positions follow from the actual piece
 			// sizes (approximate splits make them uneven).
-			lens := allGatherInt64(n, pieceLen)
-			var before int64
-			for q := 0; q < n.Rank; q++ {
-				before += lens[q]
+			lo := outCur
+			for _, l := range allGatherInt64(n, int64(len(merged)))[:n.Rank] {
+				lo += l
 			}
-			myLo := outCur + before
-			outSend := make([][]byte, n.P)
-			for pos := int64(0); pos < pieceLen; {
-				o := (myLo + pos) / int64(bElem)
-				bLo := o * int64(bElem)
-				take := min64(bLo+int64(bElem)-(myLo+pos), pieceLen-pos)
-				home := int(o % int64(n.P))
-				var hdr [16]byte
-				binary.LittleEndian.PutUint64(hdr[:8], uint64(o))
-				binary.LittleEndian.PutUint32(hdr[8:12], uint32(myLo+pos-bLo))
-				binary.LittleEndian.PutUint32(hdr[12:16], uint32(take))
-				outSend[home] = append(outSend[home], hdr[:]...)
-				outSend[home] = elem.AppendEncode(c, outSend[home], merged[pos:pos+take])
-				pos += take
-			}
-			outRecv := n.AllToAllv(outSend)
-			for p := 0; p < n.P; p++ {
-				buf := outRecv[p]
-				for len(buf) > 0 {
-					o := int64(binary.LittleEndian.Uint64(buf[:8]))
-					off := int(binary.LittleEndian.Uint32(buf[8:12]))
-					cnt := int(binary.LittleEndian.Uint32(buf[12:16]))
-					a := outAsm[o]
-					if a == nil {
-						a = newOutAsm[T](bElem)
-						n.Mem.MustAcquire(int64(bElem))
-						outAsm[o] = a
-					}
-					elem.DecodeInto(c, a.data[off:off+cnt], buf[16:16+cnt*sz])
-					buf = buf[16+cnt*sz:]
-					a.filled += cnt
-					if a.filled == bElem {
-						writeOut(c, n, st, o, a.data)
-						delete(outAsm, o)
-						n.Mem.Release(int64(bElem))
-					}
-				}
-			}
-			cluster.RecycleRecv(outRecv)
+			out.stripe(lo, merged)
+			n.Mem.Release(2 * int64(len(merged)))
 			outCur += emitTotal
-			n.Mem.Release(2 * pieceLen)
 		}
-		n.Mem.Release(3 * emitMine) // pending prefixes emitted + emit copies + merged chunk
 		cursor = end
-		st.batches++
-	}
-	// Flush the final partial output block (at most one, on its home).
-	for o, a := range outAsm {
-		writeOut(c, n, st, o, a.data[:a.filled])
-		n.Mem.Release(int64(bElem))
 	}
 	n.Mem.Release(int64(len(pred))) // prediction table dead after the merge
 	n.Vol.Drain()
 	n.Barrier()
+	if err := out.done(); err != nil {
+		return fmt.Errorf("stripesort: output: %w", err)
+	}
+	return nil
+}
 
-	// ----- Collect: stream the output to the per-rank sinks -----
-	// (outside the measured phases, like core.Sort's collect step).
-	n.SetPhase(job.PhaseCollect)
-	var myN int64
-	for _, b := range st.outBlocks {
-		myN += int64(b.len)
+// fetch reads this PE's resident blocks of one batch (asynchronously)
+// and queues each behind its run's pending pieces, charged to the
+// budget until emitted.
+func (s *pe[T]) fetch(batch []predEntry[T], home map[[2]int64]runBlock[T], pending [][]piece[T]) {
+	n, sz := s.n, s.c.Size()
+	type fetched struct {
+		rb     runBlock[T]
+		raw    []byte
+		handle blockio.Handle
 	}
-	st.totalN = n.AllReduceInt64(myN, "sum")
-	outN, err := collectOutput(c, n, cfg, bElem, st.outBlocks, sink)
-	if err != nil {
-		return nil, err
+	var fs []fetched
+	for _, e := range batch {
+		if int(e.blk%int64(n.P)) != n.Rank {
+			continue
+		}
+		rb := home[[2]int64{int64(e.run), e.blk}]
+		raw := bufpool.Get(rb.len * sz)
+		fs = append(fs, fetched{rb: rb, raw: raw, handle: n.Vol.ReadAsync(rb.id, raw)})
 	}
-	st.outN = outN
-	return st, nil
+	for _, f := range fs {
+		n.Vol.Wait(f.handle)
+		vals := elem.DecodeSlice(s.c, f.raw, f.rb.len)
+		bufpool.Put(f.raw)
+		n.Mem.MustAcquire(int64(len(vals)))
+		pending[f.rb.run] = append(pending[f.rb.run], piece[T]{pos: f.rb.blk * int64(s.j.BElem), elems: vals})
+		n.Vol.Free(f.rb.id)
+	}
+	n.AddCPU(s.cfg.Model.ScanCPU(int64(len(fs) * s.j.BElem)))
+}
+
+// extract removes from pending everything strictly before the barrier
+// (nil: everything) and returns it merged. Per run the pending pieces
+// form an ascending chain, so the emittable part is a prefix of their
+// concatenation. The budget charge of the emitted prefixes passes to
+// the merged chunk.
+func (s *pe[T]) extract(pending [][]piece[T], barrier *predEntry[T]) []T {
+	var seqs [][]T
+	var total, bPos int64
+	if barrier != nil {
+		bPos = barrier.blk * int64(s.j.BElem)
+	}
+	for r := range pending {
+		var seq []T
+		rest := pending[r][:0]
+		for _, pc := range pending[r] {
+			cnt := len(pc.elems)
+			if barrier != nil {
+				cnt = sort.Search(cnt, func(i int) bool {
+					v := pc.elems[i]
+					return !s.less(s.key(v), v, r, pc.pos+int64(i), barrier.firstKey, barrier.first, barrier.run, bPos)
+				})
+			}
+			seq = append(seq, pc.elems[:cnt]...)
+			if cnt < len(pc.elems) {
+				rest = append(rest, piece[T]{pos: pc.pos + int64(cnt), elems: pc.elems[cnt:]})
+			}
+		}
+		pending[r] = rest
+		if len(seq) > 0 {
+			seqs = append(seqs, seq)
+			total += int64(len(seq))
+		}
+	}
+	s.n.AddCPU(s.cfg.Model.MergeCPU(total, len(seqs)+1))
+	return xmerge.Merge(s.c, seqs)
 }
 
 // collectOutput re-routes the globally striped output blocks to their
@@ -521,7 +451,7 @@ func collectOutput[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, bElem i
 	// issues the same calls in the same per-PE order, so the sink streams
 	// are byte-identical.
 	buildSend := func(wi int) ([][]byte, int64) {
-		w1 := min64((int64(wi)+1)*w, total)
+		w1 := min((int64(wi)+1)*w, total)
 		send := make([][]byte, n.P)
 		var sendElems int64
 		for ptr < len(blocks) && blocks[ptr].idx < w1 {
@@ -566,33 +496,6 @@ func collectOutput[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, bElem i
 	}
 	err := n.A2ARounds(int((total+w-1)/w), buildSend, drain)
 	return sunk, err
-}
-
-type outAsm[T any] struct {
-	data   []T
-	filled int
-}
-
-func newOutAsm[T any](bElem int) *outAsm[T] {
-	return &outAsm[T]{data: make([]T, bElem)}
-}
-
-// writeOut persists one striped output block and records its global
-// index (the collect step routes on it).
-func writeOut[T any](c elem.Codec[T], n *cluster.Node, st *peState[T], o int64, data []T) {
-	id := n.Vol.Alloc()
-	enc := bufpool.Get(len(data) * c.Size())
-	elem.EncodeInto(c, enc, data)
-	n.Vol.WriteAsync(id, enc)
-	bufpool.Put(enc)
-	st.outBlocks = append(st.outBlocks, stripedBlock{idx: o, id: id, len: len(data)})
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // sampleCuts computes order-consistent (but only approximately

@@ -148,12 +148,3 @@ func Sort[T any](c elem.Codec[T], cfg Config, input [][]T) (*Result[T], error) {
 	}
 	return res, nil
 }
-
-// peState is what one PE reports back.
-type peState[T any] struct {
-	outBlocks []stripedBlock
-	batches   int
-	runs      int
-	totalN    int64
-	outN      int64 // elements delivered to this rank's sink
-}

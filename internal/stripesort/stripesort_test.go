@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"demsort/internal/cluster/sim"
 	"demsort/internal/elem"
 	"demsort/internal/sortbench"
 	"demsort/internal/vtime"
@@ -237,5 +238,41 @@ func TestStripedRec100SharedPrefixes(t *testing.T) {
 	}
 	if res.Runs < 2 || res.Batches < 2 {
 		t.Fatalf("expected external regime with several batches, got R=%d batches=%d", res.Runs, res.Batches)
+	}
+}
+
+// TestStripedSortStaysWithinBudget runs a whole multi-run striped sort
+// on a machine the test keeps, so the budget can be read afterwards:
+// with run formation reading one run ahead and charging its send
+// copies, every rank's peak stays within M and nothing is left charged.
+// The batch count pins the fetch quota, max((M − |prediction|)/(16·B), 1)
+// blocks per PE and batch: 325 blocks at a quota of 7 on each of 4 PEs.
+func TestStripedSortStaysWithinBudget(t *testing.T) {
+	cfg := testConfig(4) // RunFraction at DefaultConfig's 0.2
+	sm, err := sim.New(sim.Config{P: cfg.P, BlockBytes: cfg.BlockBytes, MemElems: cfg.MemElems, Model: cfg.Model})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sm.Close()
+	cfg.Machine = sm
+	input := workload.Generate(workload.Uniform, 4, 5200, 21)
+	res, err := Sort[elem.KV16](kvc, cfg, input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSorted(t, res, input)
+	if res.Runs < 3 {
+		t.Fatalf("expected several runs, got %d", res.Runs)
+	}
+	if res.Batches != 13 {
+		t.Errorf("%d merge batches, want 13", res.Batches)
+	}
+	for _, n := range sm.Nodes() {
+		if peak := n.Mem.Peak(); peak == 0 || peak > cfg.MemElems {
+			t.Errorf("rank %d: peak %d elements, budget %d", n.Rank, peak, cfg.MemElems)
+		}
+		if used := n.Mem.Used(); used != 0 {
+			t.Errorf("rank %d: %d elements still charged after the sort", n.Rank, used)
+		}
 	}
 }

@@ -101,23 +101,6 @@ func TestRec100MergeTailTies(t *testing.T) {
 	}
 }
 
-func TestMergeBoundedKeyed(t *testing.T) {
-	curs := []*Cursor[elem.KV16]{
-		{Seq: []elem.KV16{{Key: 1}, {Key: 4}, {Key: 1 << 63}}},
-		{Seq: []elem.KV16{{Key: 2}, {Key: 5}, {Key: 20}}},
-	}
-	out := MergeBounded[elem.KV16](kvc, nil, curs, 1000, elem.KV16{Key: 5}, true)
-	want := []uint64{1, 2, 4, 5}
-	if len(out) != len(want) {
-		t.Fatalf("got %d elements, want %d", len(out), len(want))
-	}
-	for i, v := range out {
-		if v.Key != want[i] {
-			t.Fatalf("pos %d: key %d want %d", i, v.Key, want[i])
-		}
-	}
-}
-
 // BenchmarkMergeKeyVsComparator is the merge half of the
 // key-vs-comparator microbench: identical KV16 streams through the
 // key-inline tree and the comparator fallback.

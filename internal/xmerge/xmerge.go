@@ -1,9 +1,7 @@
 // Package xmerge implements sequential multiway merging of sorted
 // sequences, the inner loop of both the run-formation internal sort and
-// the final merge phase. It also provides the "batch merge" primitive
-// from Section III of the paper (MergeBounded): merge as much as is
-// safe given that only a prefix of every run has been fetched, carrying
-// the rest over to the next batch.
+// the final merge phase: Merge/AppendMerge over in-memory sequences and
+// MergeStream over streams that arrive block by block.
 //
 // Merging runs on the flat key-inline tournament tree (pq.KeyTree):
 // stream heads are summarised by 64-bit normalized keys
@@ -172,61 +170,62 @@ func appendMerge2[T any](c elem.Codec[T], dst []T, a, b []T) []T {
 	return append(dst, b[j:]...)
 }
 
-// Cursor tracks consumption of one sorted sequence during streaming
-// merges: the unconsumed suffix is seq[off:].
-type Cursor[T any] struct {
-	Seq []T
-	Off int
-}
-
-// MergeBounded merges from the cursors into dst until either limit
-// elements have been produced or every cursor element <= bound has been
-// consumed. Elements strictly greater than bound are never emitted (nor
-// are any elements once limit is reached); cursors advance in place.
-//
-// This is the "extract the Θ(M) smallest unmerged elements" step of the
-// globally striped algorithm: bound is the smallest unfetched element
-// ("barrier"), so everything emitted is guaranteed globally next.
-// haveBound=false means no barrier (all sequences fully fetched).
-func MergeBounded[T any](c elem.Codec[T], dst []T, curs []*Cursor[T], limit int, bound T, haveBound bool) []T {
+// MergeStream k-way merges k sorted streams that arrive block by block
+// — the loop of every external merge pass. next(i) returns stream i's
+// next non-empty block, nil at its end; a block only has to stay valid
+// until the following next(i). The merged sequence goes to emit in
+// slices of outLen elements (the last one may be shorter), valid for
+// the duration of the call; emit's error ends the merge. Ties are
+// broken by stream index.
+func MergeStream[T any](c elem.Codec[T], k, outLen int, next func(i int) []T, emit func([]T) error) error {
+	if k == 0 {
+		return nil
+	}
 	key, exact := elem.KeyFn(c)
-	n := len(curs)
-	m := getMerger(n)
+	m := getMerger(k)
 	defer putMerger(m)
-	for i, cur := range curs {
-		if cur.Off < len(cur.Seq) {
-			m.keys[i] = key(cur.Seq[cur.Off])
-			m.live[i] = true
+	type stream struct {
+		cur []T
+		pos int
+	}
+	srcs := make([]stream, k)
+	for i := range srcs {
+		if blk := next(i); len(blk) > 0 {
+			srcs[i].cur = blk
+			m.keys[i], m.live[i] = key(blk[0]), true
 		}
 	}
 	var tie func(a, b int) bool
 	if !exact {
 		tie = func(a, b int) bool {
-			return c.Less(curs[a].Seq[curs[a].Off], curs[b].Seq[curs[b].Off])
+			return c.Less(srcs[a].cur[srcs[a].pos], srcs[b].cur[srcs[b].pos])
 		}
 	}
 	t := &m.tree
-	t.Reset(n, m.keys, m.live, tie)
-	var boundKey uint64
-	if haveBound {
-		boundKey = key(bound)
-	}
-	emitted := 0
-	for !t.Empty() && emitted < limit {
+	t.Reset(k, m.keys, m.live, tie)
+	out := make([]T, 0, outLen)
+	for !t.Empty() {
 		i := t.Win()
-		cur := curs[i]
-		v := cur.Seq[cur.Off]
-		if haveBound && (t.WinKey() > boundKey || c.Less(bound, v)) {
-			break
+		s := &srcs[i]
+		out = append(out, s.cur[s.pos])
+		s.pos++
+		if len(out) == outLen {
+			if err := emit(out); err != nil {
+				return err
+			}
+			out = out[:0]
 		}
-		dst = append(dst, v)
-		emitted++
-		cur.Off++
-		if cur.Off < len(cur.Seq) {
-			t.Replace(key(cur.Seq[cur.Off]))
+		if s.pos < len(s.cur) {
+			t.Replace(key(s.cur[s.pos]))
+		} else if blk := next(i); len(blk) > 0 {
+			s.cur, s.pos = blk, 0
+			t.Replace(key(blk[0]))
 		} else {
 			t.Retire()
 		}
 	}
-	return dst
+	if len(out) > 0 {
+		return emit(out)
+	}
+	return nil
 }

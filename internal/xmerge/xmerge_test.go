@@ -1,6 +1,7 @@
 package xmerge
 
 import (
+	"errors"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -64,44 +65,67 @@ func TestMergeEmptyInputs(t *testing.T) {
 	}
 }
 
-func TestMergeBoundedStopsAtBarrier(t *testing.T) {
-	curs := []*Cursor[elem.U64]{
-		{Seq: []elem.U64{1, 4, 9}},
-		{Seq: []elem.U64{2, 5, 20}},
-	}
-	out := MergeBounded[elem.U64](u64c, nil, curs, 1000, elem.U64(5), true)
-	want := []elem.U64{1, 2, 4, 5}
-	if !slices.Equal(out, want) {
-		t.Fatalf("got %v want %v", out, want)
-	}
-	// Cursors must reflect consumption.
-	if curs[0].Off != 2 || curs[1].Off != 2 {
-		t.Fatalf("cursor offsets %d,%d want 2,2", curs[0].Off, curs[1].Off)
-	}
-	// Continuing without a barrier drains the rest in order.
-	rest := MergeBounded[elem.U64](u64c, nil, curs, 1000, 0, false)
-	if !slices.Equal(rest, []elem.U64{9, 20}) {
-		t.Fatalf("rest %v", rest)
+// streamOf serves seq to MergeStream in blocks of blk elements.
+func streamOf[T any](seqs [][]T, blk int) func(i int) []T {
+	off := make([]int, len(seqs))
+	return func(i int) []T {
+		lo := off[i]
+		off[i] = min(lo+blk, len(seqs[i]))
+		return seqs[i][lo:off[i]]
 	}
 }
 
-func TestMergeBoundedRespectsLimit(t *testing.T) {
-	curs := []*Cursor[elem.U64]{{Seq: []elem.U64{1, 2, 3, 4}}}
-	out := MergeBounded[elem.U64](u64c, nil, curs, 2, 0, false)
-	if !slices.Equal(out, []elem.U64{1, 2}) {
-		t.Fatalf("got %v", out)
+// TestMergeStreamEqualsMerge checks the streaming merge against the
+// in-memory one — same order, same tie-breaking by stream index — for
+// exact keys, the comparator fallback and Rec100's prefix keys, with
+// input blocks and output slices of sizes that do not divide anything.
+func TestMergeStreamEqualsMerge(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 7))
+	for _, k := range []int{0, 1, 2, 3, 9, 20} {
+		for _, blk := range []int{1, 7, 64} {
+			kv := sortedKVSeqs(rng, k, 60, 8)
+			for name, c := range map[string]elem.Codec[elem.KV16]{"keyed": kvc, "closure": closureKV{}} {
+				var got []elem.KV16
+				err := MergeStream(c, k, 5, streamOf(kv, blk), func(out []elem.KV16) error {
+					if len(out) == 0 || len(out) > 5 {
+						t.Fatalf("emit of %d elements, outLen 5", len(out))
+					}
+					got = append(got, out...)
+					return nil
+				})
+				if err != nil || !slices.Equal(got, Merge(c, kv)) {
+					t.Fatalf("%s k=%d blk=%d: err %v, streamed merge differs from Merge", name, k, blk, err)
+				}
+			}
+		}
 	}
-	if curs[0].Off != 2 {
-		t.Fatalf("cursor offset %d", curs[0].Off)
+	var recs [][]elem.Rec100
+	for s := 0; s < 3; s++ { // equal 8-byte key prefixes, order decided by bytes 8-9
+		seq := make([]elem.Rec100, 5)
+		for i := range seq {
+			seq[i][8], seq[i][9] = byte(i), byte(3-s)
+		}
+		recs = append(recs, seq)
+	}
+	var got []elem.Rec100
+	MergeStream[elem.Rec100](elem.Rec100Codec{}, 3, 4, streamOf(recs, 2), func(out []elem.Rec100) error {
+		got = append(got, out...)
+		return nil
+	})
+	if !slices.Equal(got, Merge[elem.Rec100](elem.Rec100Codec{}, recs)) {
+		t.Fatal("prefix-key ties merged differently from Merge")
 	}
 }
 
-func TestMergeBoundedEmitsBarrierDuplicates(t *testing.T) {
-	// Elements equal to the bound are emitted (<= bound), ones above stay.
-	curs := []*Cursor[elem.U64]{{Seq: []elem.U64{5, 5, 5, 6}}}
-	out := MergeBounded[elem.U64](u64c, nil, curs, 1000, elem.U64(5), true)
-	if !slices.Equal(out, []elem.U64{5, 5, 5}) {
-		t.Fatalf("got %v", out)
+func TestMergeStreamStopsOnEmitError(t *testing.T) {
+	seqs := [][]elem.U64{{1, 3, 5, 7}, {2, 4, 6, 8}}
+	calls, boom := 0, errors.New("sink full")
+	err := MergeStream[elem.U64](u64c, 2, 2, streamOf(seqs, 2), func([]elem.U64) error {
+		calls++
+		return boom
+	})
+	if err != boom || calls != 1 {
+		t.Fatalf("err %v after %d emits, want the emit error after 1", err, calls)
 	}
 }
 
