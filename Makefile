@@ -6,7 +6,7 @@
 GO ?= go
 BIN := bin
 
-.PHONY: all build lint vet demsortvet staticcheck test race stress bench-check runform-bench loc clean
+.PHONY: all build lint vet demsortvet staticcheck test race stress bench-check loc options clean
 
 all: build lint test
 
@@ -52,10 +52,37 @@ stress:
 		GOMAXPROCS=$$p $(GO) test -race -count=20 -timeout 1800s ./internal/cluster/... || exit 1; \
 	done
 
-# One-iteration smoke of the run-formation parallel radix benchmark —
-# the same gate CI runs; use -benchtime=10x locally for real numbers.
-runform-bench:
-	$(GO) test -bench=RunFormationScaling -benchtime=1x -run='^$$' .
+# The smoke scenarios CI runs, as `make smoke-<name>`: gensort 200k
+# records, sort them on 4 real tcp worker processes, valsort the parts,
+# sort them again on the sim backend and compare the parts byte for byte.
+# A scenario is a seed, the flags both sorts get, and each side's own.
+SMOKE = smoke-out/$*
+TCP = -p 4
+smoke-tcp:         SEED = 2026
+# 49 runs per rank of 4-record blocks: all latency, no bandwidth.
+smoke-smallblock:  SEED = 2026
+smoke-smallblock:  BOTH = -mem 4096 -block 400
+# -mem: every PE also holds the prediction table (N/B entries).
+smoke-striped-tcp: SEED = 2028
+smoke-striped-tcp: BOTH = -striped -mem 65536
+smoke-striped-tcp: TCP = -p 4 -store=file
+smoke-hostfile:    SEED = 2027
+smoke-hostfile:    TCP = -hostfile $(SMOKE)/hosts.txt -store=file
+# Overlapping changes the schedule, never the bytes.
+smoke-overlap:     SEED = 2031
+smoke-overlap:     TCP = -p 4 -overlap=true
+smoke-overlap:     SIM = -overlap=false
+smoke-%:
+	@test -n "$(SEED)" || { echo "unknown smoke scenario $*"; exit 1; }
+	rm -rf $(SMOKE) && mkdir -p $(SMOKE) $(BIN)
+	$(GO) build -o $(BIN)/ ./cmd/gensort ./cmd/demsort ./cmd/valsort
+	$(BIN)/gensort -seed $(SEED) 200000 $(SMOKE)/data.gen
+	printf 'localhost slots=2\n127.0.0.1 slots=2\n' > $(SMOKE)/hosts.txt
+	$(BIN)/demsort -transport=tcp $(TCP) $(BOTH) -n 50000 -seed $(SEED) -infile $(SMOKE)/data.gen -outdir $(SMOKE)/tcp
+	$(BIN)/valsort $(SMOKE)/tcp/part-000 $(SMOKE)/tcp/part-001 $(SMOKE)/tcp/part-002 $(SMOKE)/tcp/part-003
+	$(BIN)/demsort -transport=sim -records -p 4 $(SIM) $(BOTH) -n 50000 -seed $(SEED) -infile $(SMOKE)/data.gen -outdir $(SMOKE)/sim
+	for r in 0 1 2 3; do cmp $(SMOKE)/sim/part-00$$r $(SMOKE)/tcp/part-00$$r || exit 1; done
+	@echo "smoke-$*: tcp and sim part files are byte-identical"
 
 # Non-test Go lines, the number ROADMAP direction 4 budgets and
 # CHANGES.md reports per PR: the total by its pinned definition, then
@@ -68,5 +95,17 @@ loc:
 		printf '%6d %s\n' $$(find ./$$d $(LOC_FIND) | xargs cat | wc -l) $$d; \
 	done
 
+# Settable options, reported next to the line count: the exported fields
+# of the configuration structs plus demsort's flags.
+OPTION_STRUCTS = internal/job/job.go:Base internal/job/job.go:Common internal/core/config.go:Config \
+	internal/core/checkpoint.go:CheckpointConfig internal/cluster/tcp/tcp.go:Config internal/cluster/sim/sim.go:Config
+options:
+	@n=$$(grep -c 'fs\.[A-Za-z0-9]*Var(' cmd/demsort/main.go); printf '%6d demsort flags\n' $$n; \
+	for s in $(OPTION_STRUCTS); do \
+		c=$$(awk -v t="$${s#*:}" '$$0 ~ "^type " t " struct" {on = 1; next} on && /^}/ {exit} \
+			on && /^\t[A-Z][A-Za-z0-9]* +[^ ]/ {c++} END {print c + 0}' $${s%:*}); \
+		printf '%6d %s\n' $$c $$s; n=$$((n + c)); \
+	done; printf '%6d options total\n' $$n
+
 clean:
-	rm -rf $(BIN)
+	rm -rf $(BIN) smoke-out

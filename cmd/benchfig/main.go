@@ -1,84 +1,32 @@
 // Command benchfig regenerates every figure and table of the paper's
 // evaluation on the simulated cluster, writing TSV/TXT artefacts under
-// -out and printing ASCII previews. With -json it additionally emits
-// one machine-readable document carrying every figure's series data
-// (the modelled per-phase timings) plus the host wall-clock seconds
-// spent regenerating each artefact — the per-PR perf trajectory CI
-// archives as BENCH.json.
+// -out and printing ASCII previews. The times in them are modelled —
+// they reproduce the paper's shapes, not this host's performance; the
+// host-measured benchmark is bench/ (see bench/README.md).
 //
 // Usage:
 //
-//	benchfig [-out out] [-fig all|2|3|4|5|6|striped|overlap|runform|sortbench|capacity|ablations|skew] [-json BENCH.json]
+//	benchfig [-out out] [-fig all|2|3|4|5|6|sortbench|capacity|ablations|skew]
 //
-// -fig also accepts a comma-separated selection (e.g. -fig 2,striped)
-// so one run archives several figures' timings in a single BENCH.json.
+// -fig also accepts a comma-separated selection (e.g. -fig 2,5).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
-	"time"
 
 	demsort "demsort"
 )
 
-// jsonSeries is one curve of a figure: the modelled values (for the
-// phase-time figures, seconds per phase at each machine size).
-type jsonSeries struct {
-	Name string    `json:"name"`
-	X    []float64 `json:"x"`
-	Y    []float64 `json:"y"`
-}
-
-// jsonFigure is one regenerated figure plus the host time it took.
-type jsonFigure struct {
-	Name       string       `json:"name"`
-	Title      string       `json:"title"`
-	XLabel     string       `json:"xlabel"`
-	YLabel     string       `json:"ylabel"`
-	ElapsedSec float64      `json:"elapsed_sec"`
-	Series     []jsonSeries `json:"series"`
-}
-
-// jsonTable is one regenerated table plus the host time it took.
-type jsonTable struct {
-	Name       string     `json:"name"`
-	Title      string     `json:"title"`
-	ElapsedSec float64    `json:"elapsed_sec"`
-	Headers    []string   `json:"headers"`
-	Rows       [][]string `json:"rows"`
-}
-
-// benchDoc is the -json document.
-type benchDoc struct {
-	GoOS      string       `json:"goos"`
-	GoArch    string       `json:"goarch"`
-	NumCPU    int          `json:"num_cpu"`
-	Timestamp string       `json:"timestamp"`
-	Figures   []jsonFigure `json:"figures"`
-	Tables    []jsonTable  `json:"tables"`
-}
-
 func main() {
 	outDir := flag.String("out", "out", "directory for TSV/TXT artefacts")
 	fig := flag.String("fig", "all", "which figure/table to regenerate")
-	jsonPath := flag.String("json", "", "write machine-readable phase timings to this file")
 	flag.Parse()
 
 	s := demsort.DefaultScale()
 	ok := true
-	doc := benchDoc{
-		GoOS:      runtime.GOOS,
-		GoArch:    runtime.GOARCH,
-		NumCPU:    runtime.NumCPU(),
-		Timestamp: time.Now().UTC().Format(time.RFC3339),
-	}
-	// -fig accepts a comma-separated selection, so CI can archive
-	// several figures' timings in one BENCH.json (e.g. -fig 2,striped).
 	selected := map[string]bool{}
 	for _, name := range strings.Split(*fig, ",") {
 		selected[strings.TrimSpace(name)] = true
@@ -96,53 +44,31 @@ func main() {
 
 	saveFig := func(name string, fn func(demsort.FigureScale) (*demsort.Figure, error)) func() error {
 		return func() error {
-			start := time.Now()
 			f, err := fn(s)
 			if err != nil {
 				return err
 			}
-			elapsed := time.Since(start).Seconds()
 			f.ASCII(os.Stdout, 50)
 			path, err := f.SaveTSV(*outDir, name)
 			if err != nil {
 				return err
 			}
 			fmt.Println("wrote", path)
-			jf := jsonFigure{
-				Name:       name,
-				Title:      f.Title,
-				XLabel:     f.XLabel,
-				YLabel:     f.YLabel,
-				ElapsedSec: elapsed,
-			}
-			for _, sr := range f.Series {
-				jf.Series = append(jf.Series, jsonSeries{Name: sr.Name, X: sr.X, Y: sr.Y})
-			}
-			doc.Figures = append(doc.Figures, jf)
 			return nil
 		}
 	}
 	saveTable := func(name string, fn func() (*demsort.Table, error)) func() error {
 		return func() error {
-			start := time.Now()
 			t, err := fn()
 			if err != nil {
 				return err
 			}
-			elapsed := time.Since(start).Seconds()
 			t.Write(os.Stdout)
 			path, err := t.SaveText(*outDir, name)
 			if err != nil {
 				return err
 			}
 			fmt.Println("wrote", path)
-			doc.Tables = append(doc.Tables, jsonTable{
-				Name:       name,
-				Title:      t.Title,
-				ElapsedSec: elapsed,
-				Headers:    t.Headers,
-				Rows:       t.Rows,
-			})
 			return nil
 		}
 	}
@@ -152,9 +78,6 @@ func main() {
 	run("4", saveFig("fig4", demsort.Fig4))
 	run("5", saveFig("fig5", demsort.Fig5))
 	run("6", saveFig("fig6", demsort.Fig6))
-	run("striped", saveFig("striped_phases", demsort.StripedPhases))
-	run("overlap", saveFig("overlap_ratio", demsort.OverlapRatios))
-	run("runform", saveFig("runform_scaling", demsort.RunFormScaling))
 	run("sortbench", saveTable("sortbench", func() (*demsort.Table, error) { return demsort.SortBenchTable(s) }))
 	run("capacity", saveTable("capacity", func() (*demsort.Table, error) { return demsort.CapacityTable(), nil }))
 	run("skew", saveTable("skew", func() (*demsort.Table, error) { return demsort.BaselineSkewTable(s) }))
@@ -178,20 +101,6 @@ func main() {
 		}
 		return nil
 	})
-
-	if *jsonPath != "" {
-		buf, err := json.MarshalIndent(&doc, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "json: %v\n", err)
-			os.Exit(1)
-		}
-		buf = append(buf, '\n')
-		if err := os.WriteFile(*jsonPath, buf, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "json: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println("wrote", *jsonPath)
-	}
 
 	if !ok {
 		os.Exit(1)

@@ -16,11 +16,11 @@ package main
 import (
 	"bytes"
 	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"strings"
 	"sync"
 	"time"
@@ -40,65 +40,26 @@ const exitListenRace = 3
 // launcher kills them.
 const graceAfterFailure = 2 * time.Second
 
-// launchParams bundles the sort flags every worker receives.
-type launchParams struct {
-	nPer      int64
-	mem       int64
-	block     int
-	seed      uint64
-	randomize bool
-	overlap   bool
-	striped   bool
-	infile    string
-	outdir    string
-	store     string
-	workdir   string
-	fault     string
-	restart   int    // launcher: fleet restarts left after a failure
-	resume    bool   // rebuild state from committed manifests
-	durable   bool   // commit phase checkpoints (implies surviving spill files)
-	jobid     string // job identity (manifests + tcp handshake)
-	epoch     int    // fleet incarnation number
+// launcherOnly names the flags that stop at the launcher: they say how
+// the fleet is placed and supervised, and -rank/-peers are what forward
+// sets per worker.
+var launcherOnly = map[string]bool{
+	"p": true, "hostfile": true, "baseport": true, "ssh": true, "remote-exe": true, "restart": true,
+	"rank": true, "peers": true,
 }
 
-// workerArgs renders the demsort worker command line for one rank.
-func (lp launchParams) workerArgs(rank int, peers []string) []string {
-	args := []string{
-		"-transport=tcp",
-		"-rank", fmt.Sprint(rank),
-		"-peers", strings.Join(peers, ","),
-		"-n", fmt.Sprint(lp.nPer),
-		"-mem", fmt.Sprint(lp.mem),
-		"-block", fmt.Sprint(lp.block),
-		"-seed", fmt.Sprint(lp.seed),
-		fmt.Sprintf("-randomize=%v", lp.randomize),
-		fmt.Sprintf("-overlap=%v", lp.overlap),
-		"-store", lp.store,
-	}
-	args = append(args, "-jobid", lp.jobid, "-epoch", fmt.Sprint(lp.epoch))
-	if lp.striped {
-		args = append(args, "-striped")
-	}
-	if lp.durable {
-		args = append(args, "-durable")
-	}
-	if lp.resume {
-		args = append(args, "-resume")
-	}
-	if lp.workdir != "" {
-		args = append(args, "-workdir", lp.workdir)
-	}
-	if lp.outdir != "" {
-		args = append(args, "-outdir", lp.outdir)
-	}
-	if lp.infile != "" {
-		args = append(args, "-infile", lp.infile)
-	}
-	if lp.fault != "" {
-		// The spec is space-free by construction (ParseSpec rejects
-		// nothing else, and DEMSORT_ARGS splits on spaces).
-		args = append(args, "-fault", lp.fault)
-	}
+// forward renders the worker command line for one rank: its -rank and
+// -peers, then every other flag whose value — as parsed, or as the
+// launcher has set it since — differs from the default. The values are
+// space-free by construction (DEMSORT_ARGS splits on spaces, and
+// faulty.ParseSpec accepts nothing else).
+func (o *options) forward(rank int, peers []string) []string {
+	args := []string{fmt.Sprintf("-rank=%d", rank), "-peers=" + strings.Join(peers, ",")}
+	o.fs.VisitAll(func(f *flag.Flag) {
+		if v := f.Value.String(); !launcherOnly[f.Name] && v != f.DefValue {
+			args = append(args, "-"+f.Name+"="+v)
+		}
+	})
 	return args
 }
 
@@ -151,18 +112,19 @@ type worker struct {
 // spawnFleet starts one worker per placement. Loopback placements
 // fork this binary (DEMSORT_ARGS keeps the test binary re-entrant,
 // exactly like the single-host launcher always has); remote ones run
-// remoteExe on the placement's host via sshCmd.
-func spawnFleet(placements []tcp.Placement, peers []string, lp launchParams, sshCmd, remoteExe string) ([]*worker, error) {
+// -remote-exe on the placement's host via -ssh.
+func spawnFleet(placements []tcp.Placement, peers []string, o *options) ([]*worker, error) {
 	exe, err := os.Executable()
 	if err != nil {
 		return nil, err
 	}
+	remoteExe := o.remoteExe
 	if remoteExe == "" {
 		remoteExe = exe
 	}
 	workers := make([]*worker, 0, len(placements))
 	for _, pl := range placements {
-		args := lp.workerArgs(pl.Rank, peers)
+		args := o.forward(pl.Rank, peers)
 		var cmd *exec.Cmd
 		if pl.Local {
 			cmd = exec.Command(exe, args...)
@@ -173,7 +135,7 @@ func spawnFleet(placements []tcp.Placement, peers []string, lp launchParams, ssh
 			// -tt forces a remote tty so killing the ssh client (fleet
 			// reaping) HUPs the remote worker instead of orphaning it
 			// on its listen port.
-			cmd = exec.Command(sshCmd, append([]string{"-o", "BatchMode=yes", "-tt", pl.Host, remoteExe}, args...)...)
+			cmd = exec.Command(o.ssh, append([]string{"-o", "BatchMode=yes", "-tt", pl.Host, remoteExe}, args...)...)
 		}
 		w := &worker{
 			rank: pl.Rank,
@@ -258,47 +220,47 @@ func exitCode(err error) int {
 // loopback ranks), port assignment, spawn, supervision with
 // listen-race retry, and — when every rank is local — valsort over
 // the combined partitions.
-func runLauncher(p int, lp launchParams, hostfilePath string, basePort int, sshCmd, remoteExe string) {
-	if lp.outdir == "" {
-		lp.outdir = "demsort-out"
+func runLauncher(o *options) {
+	if o.outdir == "" {
+		o.outdir = "demsort-out"
 	}
-	fail(os.MkdirAll(lp.outdir, 0o755))
-	if lp.store == "file" && lp.workdir == "" {
-		lp.workdir = filepath.Join(lp.outdir, "work")
+	fail(os.MkdirAll(o.outdir, 0o755))
+	if o.store == "file" {
+		o.resolveWorkdir()
 	}
 	// Restartable jobs checkpoint from the first incarnation on (a
 	// restart can only resume what a previous incarnation committed);
 	// ram-backed or striped fleets restart from scratch instead.
-	if lp.restart > 0 && lp.store == "file" && !lp.striped {
-		lp.durable = true
+	if o.restart > 0 && o.store == "file" && !o.striped {
+		o.durable = true
 	}
 	// Standalone `demsort -resume`: adopt the on-disk job — scan the
 	// surviving manifests and come back one epoch above the newest.
-	if lp.resume {
+	if o.resume {
 		maxEpoch := -1
-		for rank := 0; rank < p; rank++ {
-			if man, err := blockio.LoadManifest(lp.workdir, rank); err == nil && man.Epoch > maxEpoch {
+		for rank := 0; rank < o.p; rank++ {
+			if man, err := blockio.LoadManifest(o.workdir, rank); err == nil && man.Epoch > maxEpoch {
 				maxEpoch = man.Epoch
 			}
 		}
-		if lp.epoch <= maxEpoch {
-			lp.epoch = maxEpoch + 1
+		if o.epoch <= maxEpoch {
+			o.epoch = maxEpoch + 1
 		}
-		fmt.Printf("resuming job %q from %s at epoch %d\n", lp.jobid, lp.workdir, lp.epoch)
+		fmt.Printf("resuming job %q from %s at epoch %d\n", o.jobid, o.workdir, o.epoch)
 	}
 
 	var placements []tcp.Placement
-	if hostfilePath != "" {
-		hosts, err := tcp.LoadHostfile(hostfilePath)
+	if o.hostfile != "" {
+		hosts, err := tcp.LoadHostfile(o.hostfile)
 		fail(err)
-		placements, err = tcp.PlaceRanks(hosts, basePort)
+		placements, err = tcp.PlaceRanks(hosts, o.baseport)
 		fail(err)
 	} else {
-		for rank := 0; rank < p; rank++ {
+		for rank := 0; rank < o.p; rank++ {
 			placements = append(placements, tcp.Placement{Rank: rank, Host: "127.0.0.1", Local: true})
 		}
 	}
-	p = len(placements)
+	p := len(placements)
 	allLocal := true
 	for _, pl := range placements {
 		allLocal = allLocal && pl.Local
@@ -331,7 +293,7 @@ func runLauncher(p int, lp launchParams, hostfilePath string, basePort int, sshC
 			}
 		}
 		fmt.Printf("launching %d workers on %s\n", p, strings.Join(peers, ","))
-		workers, err := spawnFleet(placements, peers, lp, sshCmd, remoteExe)
+		workers, err := spawnFleet(placements, peers, o)
 		fail(err)
 		firstErr, raceRanks := waitFleet(workers)
 		if firstErr == nil {
@@ -353,15 +315,15 @@ func runLauncher(p int, lp launchParams, hostfilePath string, basePort int, sshC
 		// fault spec is not re-armed — it modelled the crash that
 		// already happened, and a deterministic fault would just kill
 		// the replacement fleet at the same call.
-		if lp.restart > 0 {
-			lp.restart--
-			lp.epoch++
-			lp.fault = ""
-			if lp.durable {
-				lp.resume = true
-				fmt.Printf("re-admitting workers at job epoch %d (resuming from last committed phase)\n", lp.epoch)
+		if o.restart > 0 {
+			o.restart--
+			o.epoch++
+			o.fault = ""
+			if o.durable {
+				o.resume = true
+				fmt.Printf("re-admitting workers at job epoch %d (resuming from last committed phase)\n", o.epoch)
 			} else {
-				fmt.Printf("restarting job from scratch at job epoch %d\n", lp.epoch)
+				fmt.Printf("restarting job from scratch at job epoch %d\n", o.epoch)
 			}
 			continue
 		}
@@ -371,7 +333,7 @@ func runLauncher(p int, lp launchParams, hostfilePath string, basePort int, sshC
 	wall := time.Since(start).Seconds()
 
 	if !allLocal {
-		fmt.Printf("fleet done in %.3fs; partitions live in %s on each worker's host (valsort them there)\n", wall, lp.outdir)
+		fmt.Printf("fleet done in %.3fs; partitions live in %s on each worker's host (valsort them there)\n", wall, o.outdir)
 		return
 	}
 
@@ -379,10 +341,10 @@ func runLauncher(p int, lp launchParams, hostfilePath string, basePort int, sshC
 	// combined output may not fit in the launcher's RAM).
 	var sums []sortbench.Summary
 	for rank := 0; rank < p; rank++ {
-		sums = append(sums, partSummary(lp.outdir, rank))
+		sums = append(sums, partSummary(o.outdir, rank))
 	}
 	got := sortbench.Merge(sums)
-	verdictRecords(got, inputSummary(lp, p))
+	verdictRecords(got, o.inputSummary(p))
 	fmt.Printf("wall total: %.3fs (%.2f MB/s across %d processes)\n",
 		wall, float64(got.Records)*100/1e6/wall, p)
 }

@@ -75,127 +75,131 @@ import (
 	"demsort/internal/workload"
 )
 
-func main() {
-	p := flag.Int("p", 8, "number of PEs (cluster nodes / worker processes)")
-	n := flag.Int("n", 24576, "elements (records) per PE")
-	mem := flag.Int64("mem", 8192, "internal memory budget per PE (elements)")
-	block := flag.Int("block", 1024, "block size in bytes")
-	kind := flag.String("workload", "uniform", "input distribution (sim KV16 mode)")
-	randomize := flag.Bool("randomize", true, "shuffle input blocks before run formation")
-	overlap := flag.Bool("overlap", true, "overlap I/O and communication with compute (pipelined all-to-all, async load/collect)")
-	striped := flag.Bool("striped", false, "use the globally striped algorithm (Section III)")
-	seed := flag.Uint64("seed", 1, "random seed")
-	transport := flag.String("transport", "sim", "cluster backend: sim (virtual time) or tcp (real processes)")
-	records := flag.Bool("records", false, "sort SortBenchmark 100-byte records instead of KV16")
-	infile := flag.String("infile", "", "gensort input file (implies -records; rank r takes records [r·n, (r+1)·n))")
-	outdir := flag.String("outdir", "", "write sorted partitions here as part-%03d (raw records)")
-	store := flag.String("store", "ram", "block store backing each PE: ram, or file (disk-resident blocks; data need not fit in RAM)")
-	workdir := flag.String("workdir", "", "spill directory for -store=file (default: <outdir>/work, or a temp dir in worker mode)")
-	hostfile := flag.String("hostfile", "", "launch the fleet from a hostfile ('host[:port] [slots=k]' per line; total slots override -p)")
-	baseport := flag.Int("baseport", 7070, "first listen port for hostfile hosts without an explicit port")
-	sshCmd := flag.String("ssh", "ssh", "command used to spawn workers on remote hostfile hosts")
-	remoteExe := flag.String("remote-exe", "", "demsort binary path on remote hosts (default: this binary's path)")
-	rank := flag.Int("rank", -1, "this process's PE rank (tcp worker mode; -1 = launch workers)")
-	peers := flag.String("peers", "", "comma-separated host:port listen addresses, one per rank (tcp)")
-	faultSpec := flag.String("fault", "", "deterministic fault injection, e.g. rank=2,action=die,op=AllToAllv,phase=all-to-all (see internal/cluster/faulty)")
-	restart := flag.Int("restart", 0, "launcher: restart the fleet up to N times after a worker failure (resuming from the last committed phase when -store=file)")
-	resume := flag.Bool("resume", false, "resume a job from the committed manifests in -workdir instead of re-reading input")
-	durable := flag.Bool("durable", false, "commit phase checkpoints (durable spill files + per-rank manifests in -workdir)")
-	jobid := flag.String("jobid", "demsort", "job identity carried in manifests and the tcp handshake")
-	epoch := flag.Int("epoch", 0, "fleet incarnation number (set by the launcher on restarts)")
-	flag.Parse()
+// options is every demsort flag, declared once: the launcher and its
+// workers parse the same set, and the launcher hands its own — with what
+// it decided since (outdir, workdir, durability, epoch, resume) — on to
+// the workers (forward).
+type options struct {
+	fs *flag.FlagSet
 
-	if *store != "ram" && *store != "file" {
-		fail(fmt.Errorf("demsort: unknown store %q (want ram or file)", *store))
+	p, block, baseport, rank, restart, epoch int
+	n, mem                                   int64
+	seed                                     uint64
+
+	randomize, overlap, striped, records, resume, durable bool
+
+	kind, transport, store, jobid, fault, peers       string
+	infile, outdir, workdir, hostfile, ssh, remoteExe string
+}
+
+func parseOptions(args []string) *options {
+	fs := flag.NewFlagSet("demsort", flag.ExitOnError)
+	o := &options{fs: fs}
+	fs.IntVar(&o.p, "p", 8, "number of PEs (cluster nodes / worker processes)")
+	fs.Int64Var(&o.n, "n", 24576, "elements (records) per PE")
+	fs.Int64Var(&o.mem, "mem", 8192, "internal memory budget per PE (elements)")
+	fs.IntVar(&o.block, "block", 1024, "block size in bytes")
+	fs.StringVar(&o.kind, "workload", "uniform", "input distribution (sim KV16 mode)")
+	fs.BoolVar(&o.randomize, "randomize", true, "shuffle input blocks before run formation")
+	fs.BoolVar(&o.overlap, "overlap", true, "overlap I/O and communication with compute (pipelined all-to-all, async load/collect)")
+	fs.BoolVar(&o.striped, "striped", false, "use the globally striped algorithm (Section III)")
+	fs.Uint64Var(&o.seed, "seed", 1, "random seed")
+	fs.StringVar(&o.transport, "transport", "sim", "cluster backend: sim (virtual time) or tcp (real processes)")
+	fs.BoolVar(&o.records, "records", false, "sort SortBenchmark 100-byte records instead of KV16")
+	fs.StringVar(&o.infile, "infile", "", "gensort input file (implies -records; rank r takes records [r·n, (r+1)·n))")
+	fs.StringVar(&o.outdir, "outdir", "", "write sorted partitions here as part-%03d (raw records)")
+	fs.StringVar(&o.store, "store", "ram", "block store backing each PE: ram, or file (disk-resident blocks; data need not fit in RAM)")
+	fs.StringVar(&o.workdir, "workdir", "", "spill directory for -store=file (default: <outdir>/work, or a temp dir in worker mode)")
+	fs.StringVar(&o.hostfile, "hostfile", "", "launch the fleet from a hostfile ('host[:port] [slots=k]' per line; total slots override -p)")
+	fs.IntVar(&o.baseport, "baseport", 7070, "first listen port for hostfile hosts without an explicit port")
+	fs.StringVar(&o.ssh, "ssh", "ssh", "command used to spawn workers on remote hostfile hosts")
+	fs.StringVar(&o.remoteExe, "remote-exe", "", "demsort binary path on remote hosts (default: this binary's path)")
+	fs.IntVar(&o.rank, "rank", -1, "this process's PE rank (tcp worker mode; -1 = launch workers)")
+	fs.StringVar(&o.peers, "peers", "", "comma-separated host:port listen addresses, one per rank (tcp)")
+	fs.StringVar(&o.fault, "fault", "", "deterministic fault injection, e.g. rank=2,action=die,op=AllToAllv,phase=all-to-all (see internal/cluster/faulty)")
+	fs.IntVar(&o.restart, "restart", 0, "launcher: restart the fleet up to N times after a worker failure (resuming from the last committed phase when -store=file)")
+	fs.BoolVar(&o.resume, "resume", false, "resume a job from the committed manifests in -workdir instead of re-reading input")
+	fs.BoolVar(&o.durable, "durable", false, "commit phase checkpoints (durable spill files + per-rank manifests in -workdir)")
+	fs.StringVar(&o.jobid, "jobid", "demsort", "job identity carried in manifests and the tcp handshake")
+	fs.IntVar(&o.epoch, "epoch", 0, "fleet incarnation number (set by the launcher on restarts)")
+	fs.Parse(args)
+	return o
+}
+
+func main() {
+	o := parseOptions(os.Args[1:])
+	if o.store != "ram" && o.store != "file" {
+		fail(fmt.Errorf("demsort: unknown store %q (want ram or file)", o.store))
 	}
-	lp := launchParams{
-		nPer:      int64(*n),
-		mem:       *mem,
-		block:     *block,
-		seed:      *seed,
-		randomize: *randomize,
-		overlap:   *overlap,
-		striped:   *striped,
-		infile:    *infile,
-		outdir:    *outdir,
-		store:     *store,
-		workdir:   *workdir,
-		fault:     *faultSpec,
-		restart:   *restart,
-		resume:    *resume,
-		durable:   *durable || *resume,
-		jobid:     *jobid,
-		epoch:     *epoch,
-	}
-	if _, err := faulty.ParseSpec(lp.fault); err != nil {
+	o.durable = o.durable || o.resume
+	if _, err := faulty.ParseSpec(o.fault); err != nil {
 		fail(err)
 	}
-	if lp.durable && lp.store != "file" {
+	if o.durable && o.store != "file" {
 		fail(fmt.Errorf("demsort: -durable/-resume need -store=file (checkpoints describe on-disk blocks)"))
 	}
-	if lp.durable && lp.striped {
+	if o.durable && o.striped {
 		fail(fmt.Errorf("demsort: -durable/-resume are not supported with -striped (the striped sorter has no checkpoint plane)"))
 	}
-	switch *transport {
+	switch o.transport {
 	case "sim":
-		if *records || *infile != "" {
-			runRecordsSim(*p, lp)
+		if o.records || o.infile != "" {
+			runRecordsSim(o)
 			return
 		}
-		runKV16Sim(*p, *kind, lp)
+		runKV16Sim(o)
 	case "tcp":
-		if *rank < 0 {
-			runLauncher(*p, lp, *hostfile, *baseport, *sshCmd, *remoteExe)
+		if o.rank < 0 {
+			runLauncher(o)
 			return
 		}
-		if *peers == "" {
+		if o.peers == "" {
 			fail(fmt.Errorf("demsort: tcp worker mode needs -peers"))
 		}
-		runTCPWorker(*rank, strings.Split(*peers, ","), lp)
+		runTCPWorker(o)
 	default:
-		fail(fmt.Errorf("demsort: unknown transport %q (want sim or tcp)", *transport))
+		fail(fmt.Errorf("demsort: unknown transport %q (want sim or tcp)", o.transport))
 	}
 }
 
 // resolveWorkdir pins the spill directory of a file-backed run: the
 // -workdir flag, else <outdir>/work, else a per-process temp dir.
-func (lp *launchParams) resolveWorkdir() string {
-	if lp.workdir == "" {
-		if lp.outdir != "" {
-			lp.workdir = filepath.Join(lp.outdir, "work")
+func (o *options) resolveWorkdir() string {
+	if o.workdir == "" {
+		if o.outdir != "" {
+			o.workdir = filepath.Join(o.outdir, "work")
 		} else {
-			lp.workdir = filepath.Join(os.TempDir(), fmt.Sprintf("demsort-work-%d", os.Getpid()))
+			o.workdir = filepath.Join(os.TempDir(), fmt.Sprintf("demsort-work-%d", os.Getpid()))
 		}
 	}
-	return lp.workdir
+	return o.workdir
 }
 
 // newStoreFactory maps the -store/-workdir flags to a per-rank block
 // store constructor (nil = the default RAM store). Durable runs get
 // stores whose spill files survive Close-on-abort, the substrate the
 // checkpoint manifests describe.
-func newStoreFactory(lp launchParams) func(rank int) (blockio.Store, error) {
-	if lp.store != "file" {
+func (o *options) newStoreFactory() func(rank int) (blockio.Store, error) {
+	if o.store != "file" {
 		return nil
 	}
-	dir := lp.resolveWorkdir()
-	if lp.durable {
-		return blockio.DurableFileStoreFactory(dir, lp.block)
+	if o.durable {
+		return blockio.DurableFileStoreFactory(o.resolveWorkdir(), o.block)
 	}
-	return blockio.FileStoreFactory(dir, lp.block)
+	return blockio.FileStoreFactory(o.resolveWorkdir(), o.block)
 }
 
 // checkpoint renders the durable-run flags as a core checkpoint config
 // (zero value when the run is not durable).
-func (lp launchParams) checkpoint() demsort.CheckpointOptions {
-	if !lp.durable {
+func (o *options) checkpoint() demsort.CheckpointOptions {
+	if !o.durable {
 		return demsort.CheckpointOptions{}
 	}
 	return demsort.CheckpointOptions{
-		Dir:    lp.resolveWorkdir(),
-		JobID:  lp.jobid,
-		Epoch:  lp.epoch,
-		Resume: lp.resume,
+		Dir:    o.resolveWorkdir(),
+		JobID:  o.jobid,
+		Epoch:  o.epoch,
+		Resume: o.resume,
 	}
 }
 
@@ -209,21 +213,21 @@ func (lp launchParams) checkpoint() demsort.CheckpointOptions {
 // way the tile is never materialized in RAM. The gensort file stays
 // open for the life of the process (its SectionReaders are consumed
 // inside the load phase).
-func (lp launchParams) source() func(rank int) (io.Reader, int64, error) {
-	if lp.infile == "" {
+func (o *options) source() func(rank int) (io.Reader, int64, error) {
+	if o.infile == "" {
 		return func(rank int) (io.Reader, int64, error) {
-			return sortbench.NewReader(lp.seed, int64(rank)*lp.nPer, lp.nPer), lp.nPer, nil
+			return sortbench.NewReader(o.seed, int64(rank)*o.n, o.n), o.n, nil
 		}
 	}
 	var f *os.File
 	return func(rank int) (io.Reader, int64, error) {
 		if f == nil {
 			var err error
-			if f, err = os.Open(lp.infile); err != nil {
+			if f, err = os.Open(o.infile); err != nil {
 				return nil, 0, err
 			}
 		}
-		return io.NewSectionReader(f, int64(rank)*lp.nPer*100, lp.nPer*100), lp.nPer, nil
+		return io.NewSectionReader(f, int64(rank)*o.n*100, o.n*100), o.n, nil
 	}
 }
 
@@ -231,8 +235,8 @@ func (lp launchParams) source() func(rank int) (io.Reader, int64, error) {
 // Records and Checksum matter for the permutation check — the input is
 // unsorted by nature, so no cross-tile order folding is needed or
 // wanted).
-func inputSummary(lp launchParams, p int) sortbench.Summary {
-	src := lp.source()
+func (o *options) inputSummary(p int) sortbench.Summary {
+	src := o.source()
 	var s sortbench.Summary
 	for rank := 0; rank < p; rank++ {
 		r, _, err := src(rank)
@@ -303,13 +307,35 @@ func partSummary(outdir string, rank int) sortbench.Summary {
 	return s
 }
 
-// configure applies the launch parameters every sorter shares to a
-// freshly defaulted common configuration.
-func (lp launchParams) configure(c *job.Common) {
-	c.Model = demsort.ScaledModel(lp.block)
-	c.Randomize = lp.randomize
-	c.Overlap = lp.overlap
-	c.Seed = lp.seed
+// configure applies the options every sorter shares to a freshly
+// defaulted common configuration.
+func (o *options) configure(c *job.Common) {
+	c.Model = demsort.ScaledModel(o.block)
+	c.Randomize = o.randomize
+	c.Overlap = o.overlap
+	c.Seed = o.seed
+}
+
+// sortRecords sorts gensort records with the chosen algorithm — input
+// from the Source and output to the Sink that configure sets, on its
+// Machine if it sets one — and returns the run's statistics and its
+// headline.
+func (o *options) sortRecords(p int, configure func(*job.Common)) (*job.Stats, string) {
+	if o.striped {
+		opts := demsort.NewStripedOptions(p, o.mem, o.block)
+		configure(&opts.Common)
+		res, err := demsort.SortStriped[elem.Rec100](demsort.Rec100Codec{}, opts, nil)
+		fail(err)
+		return &res.Stats, fmt.Sprintf("globally striped mergesort[records]: P=%d N=%d (%d runs, %d merge batches)",
+			res.P, res.N, res.Runs, res.Batches)
+	}
+	opts := demsort.NewOptions(p, o.mem, o.block)
+	configure(&opts.Common)
+	opts.Checkpoint = o.checkpoint()
+	res, err := demsort.Sort[elem.Rec100](demsort.Rec100Codec{}, opts, nil)
+	fail(err)
+	return &res.Stats, fmt.Sprintf("CanonicalMergeSort[records]: P=%d N=%d (R=%d runs, k=%d sub-operations)",
+		res.P, res.N, res.Runs, res.SubOps)
 }
 
 // recordSinks builds the per-rank output sinks of an in-process run:
@@ -373,35 +399,17 @@ func printTotal(st *job.Stats, nBytes int64) {
 // the reference run the tcp backend's output must match bit for bit.
 // Input arrives through the streaming Source and output leaves through
 // the per-rank Sinks, so no tile or partition is ever resident in RAM.
-func runRecordsSim(p int, lp launchParams) {
-	sinks := newRecordSinks(p, lp.outdir)
-	configure := func(c *job.Common) {
-		lp.configure(c)
-		c.NewStore = newStoreFactory(lp)
-		c.Source = lp.source()
+func runRecordsSim(o *options) {
+	sinks := newRecordSinks(o.p, o.outdir)
+	stats, headline := o.sortRecords(o.p, func(c *job.Common) {
+		o.configure(c)
+		c.NewStore = o.newStoreFactory()
+		c.Source = o.source()
 		c.Sink = sinks.sink
-	}
-	var stats *job.Stats
-	if lp.striped {
-		opts := demsort.NewStripedOptions(p, lp.mem, lp.block)
-		configure(&opts.Common)
-		res, err := demsort.SortStriped[elem.Rec100](demsort.Rec100Codec{}, opts, nil)
-		fail(err)
-		fmt.Printf("globally striped mergesort[records]: P=%d N=%d (%d runs, %d merge batches)\n",
-			res.P, res.N, res.Runs, res.Batches)
-		stats = &res.Stats
-	} else {
-		opts := demsort.NewOptions(p, lp.mem, lp.block)
-		configure(&opts.Common)
-		opts.Checkpoint = lp.checkpoint()
-		res, err := demsort.Sort[elem.Rec100](demsort.Rec100Codec{}, opts, nil)
-		fail(err)
-		fmt.Printf("CanonicalMergeSort[records]: P=%d N=%d (R=%d runs, k=%d sub-operations)\n",
-			res.P, res.N, res.Runs, res.SubOps)
-		stats = &res.Stats
-	}
+	})
+	fmt.Println(headline)
 	printPhases(stats, stats.N*100)
-	verdictRecords(sinks.finish(), inputSummary(lp, p))
+	verdictRecords(sinks.finish(), o.inputSummary(o.p))
 	printTotal(stats, stats.N*100)
 }
 
@@ -409,16 +417,16 @@ func runRecordsSim(p int, lp launchParams) {
 // tcp worker: one PE of a real-process machine.
 // ---------------------------------------------------------------------
 
-func runTCPWorker(rank int, peers []string, lp launchParams) {
-	p := len(peers)
+func runTCPWorker(o *options) {
+	rank, peers := o.rank, strings.Split(o.peers, ",")
 	tm, err := tcp.New(tcp.Config{
 		Rank:       rank,
 		Peers:      peers,
-		BlockBytes: lp.block,
-		MemElems:   lp.mem,
-		NewStore:   newStoreFactory(lp),
-		JobID:      lp.jobid,
-		Epoch:      lp.epoch,
+		BlockBytes: o.block,
+		MemElems:   o.mem,
+		NewStore:   o.newStoreFactory(),
+		JobID:      o.jobid,
+		Epoch:      o.epoch,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -436,10 +444,10 @@ func runTCPWorker(rank int, peers []string, lp launchParams) {
 	// by the whole fleet and each fault names the rank it lives on, so
 	// forwarding it verbatim to every worker is correct.
 	var m cluster.Machine = tm
-	if lp.fault != "" {
-		faults, ferr := faulty.ParseSpec(lp.fault)
+	if o.fault != "" {
+		faults, ferr := faulty.ParseSpec(o.fault)
 		fail(ferr)
-		m = faulty.Wrap(tm, lp.seed, faults...)
+		m = faulty.Wrap(tm, o.seed, faults...)
 	}
 
 	// The input streams in via Source (gensort file section or
@@ -449,8 +457,8 @@ func runTCPWorker(rank int, peers []string, lp launchParams) {
 	// never holds a truncated part.
 	var part *partFile
 	var sink func(rank int, b []byte) error
-	if lp.outdir != "" {
-		part, err = newPartFile(lp.outdir, rank)
+	if o.outdir != "" {
+		part, err = newPartFile(o.outdir, rank)
 		fail(err)
 		sink = func(_ int, b []byte) error { return part.Write(b) }
 	}
@@ -458,35 +466,20 @@ func runTCPWorker(rank int, peers []string, lp launchParams) {
 	// The instrumented Source: every byte the sort pulls from the input
 	// goes through this counter, so a resumed run can prove it re-read
 	// nothing (the resume acceptance test greps the line below).
-	src, readBytes := countingSource(lp.source())
+	src, readBytes := countingSource(o.source())
 
 	start := time.Now()
-	configure := func(c *job.Common) {
-		lp.configure(c)
+	stats, _ := o.sortRecords(len(peers), func(c *job.Common) {
+		o.configure(c)
 		c.Machine = m
 		c.Source = src
 		c.Sink = sink
-	}
-	var stats *job.Stats
-	if lp.striped {
-		opts := demsort.NewStripedOptions(p, lp.mem, lp.block)
-		configure(&opts.Common)
-		res, err := demsort.SortStriped[elem.Rec100](demsort.Rec100Codec{}, opts, nil)
-		fail(err)
-		stats = &res.Stats
-	} else {
-		opts := demsort.NewOptions(p, lp.mem, lp.block)
-		configure(&opts.Common)
-		opts.Checkpoint = lp.checkpoint()
-		res, err := demsort.Sort[elem.Rec100](demsort.Rec100Codec{}, opts, nil)
-		fail(err)
-		stats = &res.Stats
-	}
+	})
 	// The rank's share of the output: its canonical partition, or its
 	// block range of the striped output — unless no striped collect ran
 	// (no sink), where the fleet total is all there is to report.
 	outLen := stats.OutputLens[rank]
-	if lp.striped && sink == nil {
+	if o.striped && sink == nil {
 		outLen = stats.N
 	}
 	// Every second of the rank's wall gets a name: the phases the sort
@@ -537,8 +530,9 @@ func (c *countingReader) Read(p []byte) (int, error) {
 // KV16 simulated mode (the original figures workload).
 // ---------------------------------------------------------------------
 
-func runKV16Sim(p int, kind string, lp launchParams) {
-	input := workload.Generate(workload.Kind(kind), p, int(lp.nPer), lp.seed)
+func runKV16Sim(o *options) {
+	p := o.p
+	input := workload.Generate(workload.Kind(o.kind), p, int(o.n), o.seed)
 	var ref []demsort.KV16
 	for _, part := range input {
 		ref = append(ref, part...)
@@ -547,9 +541,9 @@ func runKV16Sim(p int, kind string, lp launchParams) {
 
 	var stats *job.Stats
 	var ok bool
-	if lp.striped {
-		opts := demsort.NewStripedOptions(p, lp.mem, lp.block)
-		lp.configure(&opts.Common)
+	if o.striped {
+		opts := demsort.NewStripedOptions(p, o.mem, o.block)
+		o.configure(&opts.Common)
 		opts.KeepOutput = true
 		res, err := demsort.SortStriped[demsort.KV16](demsort.KV16Codec{}, opts, input)
 		fail(err)
@@ -561,8 +555,8 @@ func runKV16Sim(p int, kind string, lp launchParams) {
 		}
 		stats = &res.Stats
 	} else {
-		opts := demsort.NewOptions(p, lp.mem, lp.block)
-		lp.configure(&opts.Common)
+		opts := demsort.NewOptions(p, o.mem, o.block)
+		o.configure(&opts.Common)
 		opts.KeepOutput = true
 		res, err := demsort.Sort[demsort.KV16](demsort.KV16Codec{}, opts, input)
 		fail(err)

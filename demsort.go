@@ -21,8 +21,9 @@
 // evaluation figures can be regenerated at laptop scale. Setting
 // Options.Machine to a cluster/tcp backend runs the same phase code on
 // real processes with wall-clock timings (see cmd/demsort
-// -transport=tcp). See README.md for the architecture sketch and
-// bench_test.go for the figure and table harness.
+// -transport=tcp). See README.md for the architecture sketch,
+// cmd/benchfig for the figure and table harness and bench/ for the
+// host-measured benchmark.
 //
 // Quick start:
 //

@@ -2,14 +2,12 @@ package demsort
 
 import (
 	"fmt"
-	"time"
 
 	"demsort/internal/baseline"
 	"demsort/internal/core"
 	"demsort/internal/elem"
 	"demsort/internal/job"
 	"demsort/internal/prefetch"
-	"demsort/internal/psort"
 	"demsort/internal/report"
 	"demsort/internal/sortbench"
 	"demsort/internal/vtime"
@@ -382,35 +380,6 @@ func AblationOverlap(s FigureScale) (*Figure, error) {
 	return f, nil
 }
 
-// OverlapRatios reports the per-phase overlap ratio (1 − blocked/wall)
-// of the pipelined sort at two machine sizes, with the overlap-off run
-// alongside as the floor. It exists primarily for BENCH.json: archiving
-// the ratios per PR lets benchdiff flag a regression where a phase
-// silently falls back to lock-step operation even when its wall time
-// still looks plausible.
-func OverlapRatios(s FigureScale) (*Figure, error) {
-	f := &Figure{Title: "Overlap ratio per phase (1 - blocked/wall)", XLabel: "P", YLabel: "overlap ratio"}
-	for _, p := range []int{4, 16} {
-		for _, overlap := range []bool{true, false} {
-			opts := s.options(p, s.BlockBytes, true)
-			opts.Overlap = overlap
-			input := workload.Generate(workload.Uniform, p, s.PerPE, s.Seed)
-			res, err := Sort[KV16](KV16Codec{}, opts, input)
-			if err != nil {
-				return nil, fmt.Errorf("overlap ratios P=%d overlap=%v: %w", p, overlap, err)
-			}
-			suffix := ", overlap on"
-			if !overlap {
-				suffix = ", overlap off"
-			}
-			for _, ph := range res.PhaseNames {
-				f.Add(ph+suffix, float64(p), res.OverlapRatio(ph))
-			}
-		}
-	}
-	return f, nil
-}
-
 // AblationSampleK sweeps the sampling distance K. Every round of the
 // owner-computes selection locates the pivot inside one sample cell of K
 // elements per live run segment, so the modelled selection wall grows
@@ -433,34 +402,6 @@ func AblationSampleK(s FigureScale) (*Figure, error) {
 		}
 		f.Add("selection", float64(k), res.MaxWall(core.PhaseSelection))
 		f.Add("run formation (reference)", float64(k), res.MaxWall(core.PhaseRunForm))
-	}
-	return f, nil
-}
-
-// StripedPhases regenerates the per-phase timings of the globally
-// striped mergesort (the Section III counterpart of Figure 2) on a
-// reduced P sweep. It exists primarily for BENCH.json: archiving the
-// striped phase walls per PR lets benchdiff flag striped regressions
-// alongside the canonical ones.
-func StripedPhases(s FigureScale) (*Figure, error) {
-	f := &Figure{Title: "Striped mergesort (Sec. III): running times per phase", XLabel: "P", YLabel: "modelled time [s]"}
-	// Smaller input than the canonical scaling figures: the striped
-	// algorithm additionally holds the full prediction table in every
-	// PE's memory (footnote 12), like AblationStripedVsCanonical.
-	perPE := 16384
-	for _, p := range []int{1, 4, 16} {
-		opts := NewStripedOptions(p, s.MemElems, s.BlockBytes)
-		opts.Model = scaledModel(s.BlockBytes)
-		opts.Seed = s.Seed
-		input := workload.Generate(workload.Uniform, p, perPE, s.Seed)
-		res, err := SortStriped[KV16](KV16Codec{}, opts, input)
-		if err != nil {
-			return nil, fmt.Errorf("striped phases P=%d: %w", p, err)
-		}
-		for _, ph := range res.PhaseNames {
-			f.Add(ph, float64(p), res.MaxWall(ph))
-		}
-		f.Add("total", float64(p), res.TotalWall())
 	}
 	return f, nil
 }
@@ -550,71 +491,6 @@ func AblationPrefetch() (*Figure, error) {
 		f.Add("naive (prediction order)", float64(w), float64(naive.NumSteps()))
 		f.Add("optimal (duality)", float64(w), float64(dual.NumSteps()))
 		f.Add("lower bound (max per-disk)", float64(w), float64(lb))
-	}
-	return f, nil
-}
-
-// RunFormScaling measures the in-node parallel radix sorts that run
-// formation dispatches to, on the host: both engines (shared-histogram
-// LSD scatter, in-place American-flag MSD) over worker counts 1–8 on
-// 1M elements of each keyed codec, reporting wall seconds and speedup
-// over the same engine at one worker. Unlike the other figures these
-// are real host measurements, not modelled times — BENCH.json archives
-// the curve per PR so benchdiff catches a parallel-sort regression
-// even when the modelled phase times (which charge a fixed SortCPU)
-// stay flat. On a 1-core host the curves honestly show the
-// coordination overhead instead of speedup; read them against
-// num_cpu in the same document.
-func RunFormScaling(s FigureScale) (*Figure, error) {
-	f := &Figure{Title: "Run-formation in-node sort: host-measured scaling, 1M elements",
-		XLabel: "workers", YLabel: "host time [s]"}
-	const n = 1 << 20
-	const reps = 3
-	workers := []int{1, 2, 4, 8}
-	paths := []psort.Path{psort.PathLSD, psort.PathMSD}
-
-	measure := func(prep, sort func()) float64 {
-		best := 0.0
-		for r := 0; r < reps; r++ {
-			prep()
-			start := time.Now() //lint:allow wallclock host benchmark figure: measures the real parallel sort, not simulated phases
-			sort()
-			el := time.Since(start).Seconds() //lint:allow wallclock host benchmark figure: measures the real parallel sort, not simulated phases
-			if best == 0 || el < best {
-				best = el
-			}
-		}
-		return best
-	}
-	record := func(series string, w int, t, t1 float64) {
-		f.Add(series, float64(w), t)
-		f.Add(series+", speedup", float64(w), t1/t)
-	}
-	kv := workload.Generate(workload.Uniform, 1, n, s.Seed)[0]
-	kvDst := make([]KV16, n)
-	rec := sortbench.Generate(s.Seed, 0, n)
-	recDst := make([]Rec100, n)
-	for _, path := range paths {
-		var t1 float64
-		for _, w := range workers {
-			t := measure(func() { copy(kvDst, kv) },
-				func() { psort.SortPath[KV16](KV16Codec{}, kvDst, w, path) })
-			if w == 1 {
-				t1 = t
-			}
-			record(fmt.Sprintf("KV16 1M, %s", path), w, t, t1)
-		}
-	}
-	for _, path := range paths {
-		var t1 float64
-		for _, w := range workers {
-			t := measure(func() { copy(recDst, rec) },
-				func() { psort.SortPath[Rec100](Rec100Codec{}, recDst, w, path) })
-			if w == 1 {
-				t1 = t
-			}
-			record(fmt.Sprintf("Rec100 1M, %s", path), w, t, t1)
-		}
 	}
 	return f, nil
 }

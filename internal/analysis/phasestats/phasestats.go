@@ -3,8 +3,8 @@
 // its wait time to whatever phase is current, so phase code must
 // switch accounting with SetPhase *before* its first blocking op —
 // otherwise one phase's communication silently inflates its
-// predecessor's timing, and the BENCH.json trajectory (the figures the
-// paper reproduction stands on) mis-attributes where time goes.
+// predecessor's timing, and the per-phase figures the paper
+// reproduction stands on mis-attribute where time goes.
 //
 // The check is intra-procedural: within any function that calls
 // SetPhase, no blocking transport op may appear textually before the

@@ -84,7 +84,7 @@ func SampleSort[T any](c elem.Codec[T], cfg Config, input [][]T) (*Result[T], er
 		cfg.Oversample = 32
 	}
 	common := job.Common{Base: cfg.Base, Overlap: true}
-	j, err := job.Open(c, &common, input)
+	j, err := job.Open(c, &common, input, 0.25) // forms no runs: only BElem is used
 	if err != nil {
 		return nil, fmt.Errorf("baseline: %w", err)
 	}
@@ -164,7 +164,7 @@ func SampleSort[T any](c elem.Codec[T], cfg Config, input [][]T) (*Result[T], er
 			if len(pendingRecv) == 0 {
 				return
 			}
-			psort.Sort(c, pendingRecv, cfg.RealWorkers)
+			psort.Sort(c, pendingRecv, psort.DefaultWorkers())
 			n.AddCPU(cfg.Model.SortCPU(int64(len(pendingRecv))))
 			var ids []blockio.BlockID
 			var lens []int

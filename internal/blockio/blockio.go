@@ -102,28 +102,23 @@ type FileStore struct {
 	mu         sync.Mutex
 }
 
-// NewFileStore creates (truncating) a file-backed store at path with
-// the given block capacity in bytes. The file is removed on Close — a
-// transient spill store.
-func NewFileStore(path string, blockBytes int) (*FileStore, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("blockio: %w", err)
-	}
-	return &FileStore{f: f, blockBytes: blockBytes, lens: map[BlockID]int{}}, nil
-}
-
-// NewDurableFileStore opens (creating if absent, never truncating) a
-// file-backed store whose file survives Close — the adopt/keep mode of
-// the checkpoint/restart plane. A fresh store starts with no readable
+// NewFileStore opens a file-backed store at path with the given block
+// capacity in bytes. A transient store (durable false) truncates the
+// file and removes it on Close — a spill store. A durable one never
+// truncates and its file survives Close — the adopt/keep mode of the
+// checkpoint/restart plane: a fresh store starts with no readable
 // blocks; a store adopted after a crash recovers its block layout from
 // the rank's manifest via SetBlockLens.
-func NewDurableFileStore(path string, blockBytes int) (*FileStore, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+func NewFileStore(path string, blockBytes int, durable bool) (*FileStore, error) {
+	flags := os.O_RDWR | os.O_CREATE
+	if !durable {
+		flags |= os.O_TRUNC
+	}
+	f, err := os.OpenFile(path, flags, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("blockio: %w", err)
 	}
-	return &FileStore{f: f, blockBytes: blockBytes, keep: true, lens: map[BlockID]int{}}, nil
+	return &FileStore{f: f, blockBytes: blockBytes, keep: durable, lens: map[BlockID]int{}}, nil
 }
 
 // ReadAt implements Store.
@@ -158,7 +153,7 @@ func (s *FileStore) WriteAt(id BlockID, src []byte) error {
 }
 
 // Close implements Store. Transient stores remove their file; durable
-// ones (NewDurableFileStore) sync and keep it, so spilled data survives
+// ones sync and keep it, so spilled data survives
 // a Close-on-abort and a restarted rank can adopt it.
 func (s *FileStore) Close() error {
 	if s.keep {
@@ -203,19 +198,14 @@ func (s *FileStore) SetBlockLens(lens []BlockLen) {
 }
 
 // FileStoreFactory returns a per-rank store constructor that backs
-// each PE's volume with a FileStore at dir/rank-%03d.blocks — the
-// spill directory of a file-backed worker. The directory is created
+// each PE's volume with a transient FileStore at dir/rank-%03d.blocks —
+// the spill directory of a file-backed worker. The directory is created
 // on first use; the block files are removed on Close, so a clean run
 // leaves dir empty. This is what demsort's -store=file plugs into
 // core.Config.NewStore and tcp.Config.NewStore: sorted data streams
 // through disk blocks instead of having to fit in RAM.
 func FileStoreFactory(dir string, blockBytes int) func(rank int) (Store, error) {
-	return func(rank int) (Store, error) {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("blockio: spill dir: %w", err)
-		}
-		return NewFileStore(filepath.Join(dir, fmt.Sprintf("rank-%03d.blocks", rank)), blockBytes)
-	}
+	return fileStoreFactory(dir, blockBytes, false)
 }
 
 // DurableFileStoreFactory is FileStoreFactory's adopt/keep counterpart
@@ -224,11 +214,15 @@ func FileStoreFactory(dir string, blockBytes int) func(rank int) (Store, error) 
 // layout from their manifest (core restores it via SetBlockLens); a
 // fresh run simply overwrites from block 0.
 func DurableFileStoreFactory(dir string, blockBytes int) func(rank int) (Store, error) {
+	return fileStoreFactory(dir, blockBytes, true)
+}
+
+func fileStoreFactory(dir string, blockBytes int, durable bool) func(rank int) (Store, error) {
 	return func(rank int) (Store, error) {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, fmt.Errorf("blockio: spill dir: %w", err)
 		}
-		return NewDurableFileStore(filepath.Join(dir, fmt.Sprintf("rank-%03d.blocks", rank)), blockBytes)
+		return NewFileStore(filepath.Join(dir, fmt.Sprintf("rank-%03d.blocks", rank)), blockBytes, durable)
 	}
 }
 

@@ -54,7 +54,7 @@ func TestMemStoreReadUnwritten(t *testing.T) {
 
 func TestFileStoreRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "vol.dat")
-	s, err := NewFileStore(path, 64)
+	s, err := NewFileStore(path, 64, false)
 	if err != nil {
 		t.Fatal(err)
 	}

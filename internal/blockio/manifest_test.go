@@ -13,7 +13,7 @@ import (
 // block layout is restored.
 func TestDurableFileStoreSurvivesClose(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "rank.blocks")
-	s, err := NewDurableFileStore(path, 64)
+	s, err := NewFileStore(path, 64, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestDurableFileStoreSurvivesClose(t *testing.T) {
 		t.Fatalf("durable spill file vanished on Close: %v", err)
 	}
 
-	r, err := NewDurableFileStore(path, 64)
+	r, err := NewFileStore(path, 64, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestDurableFileStoreSurvivesClose(t *testing.T) {
 // behaviour is opt-in).
 func TestFileStoreStillRemovesOnClose(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "rank.blocks")
-	s, err := NewFileStore(path, 64)
+	s, err := NewFileStore(path, 64, false)
 	if err != nil {
 		t.Fatal(err)
 	}

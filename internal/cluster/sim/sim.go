@@ -14,8 +14,8 @@
 // deposit (opName, entryTime, payload), the last arrival runs a
 // compute function over the rank-ordered inputs — deterministic
 // regardless of goroutine scheduling. Point-to-point messages go
-// through growable per-(src,dst) mailboxes (initial capacity from
-// Config.P2PDepth) that never block the sender, modelling MPI's eager
+// through growable per-(src,dst) mailboxes that never block the
+// sender, modelling MPI's eager
 // buffering: deep prefetch/overlap patterns cannot deadlock on inbox
 // capacity.
 package sim
@@ -47,11 +47,6 @@ type Config struct {
 	// NewStore creates the block store backing one PE's volume; nil
 	// defaults to RAM-backed stores.
 	NewStore func(rank int) (blockio.Store, error)
-	// P2PDepth is the initial capacity, in messages, of each
-	// (src, dst) point-to-point mailbox (0 = DefaultP2PDepth).
-	// Mailboxes grow beyond it on demand — the knob sizes the
-	// steady-state allocation, it is not a blocking bound.
-	P2PDepth int
 	// Ctx optionally cancels the job from the outside: when it is
 	// done, the machine aborts and Run returns *cluster.ErrAborted
 	// with Rank cluster.JobRank. (Liveness machinery beyond this —
@@ -60,8 +55,9 @@ type Config struct {
 	Ctx context.Context
 }
 
-// DefaultP2PDepth is the default initial mailbox capacity.
-const DefaultP2PDepth = 64
+// p2pDepth is the initial capacity, in messages, of each (src, dst)
+// point-to-point mailbox; mailboxes grow beyond it on demand.
+const p2pDepth = 64
 
 // Machine is the simulated cluster; it implements cluster.Machine.
 type Machine struct {
@@ -90,14 +86,11 @@ func New(cfg Config) (*Machine, error) {
 	if cfg.BlockBytes <= 0 {
 		return nil, fmt.Errorf("sim: block size must be positive, got %d", cfg.BlockBytes)
 	}
-	if cfg.P2PDepth <= 0 {
-		cfg.P2PDepth = DefaultP2PDepth
-	}
 	m := &Machine{cfg: cfg, done: make(chan struct{})}
 	m.rv = newRendezvous(cfg.P, m)
 	m.p2p = make([]*mailbox, cfg.P*cfg.P)
 	for i := range m.p2p {
-		m.p2p[i] = newMailbox(cfg.P2PDepth)
+		m.p2p[i] = newMailbox(p2pDepth)
 	}
 	for rank := 0; rank < cfg.P; rank++ {
 		var store blockio.Store

@@ -163,12 +163,11 @@ func TestSendRecvOrdering(t *testing.T) {
 // 1024-deep p2p inboxes: both PEs push far more messages than any
 // fixed channel capacity before either receives. With bounded-channel
 // inboxes both senders block with full inboxes on each side and the
-// machine deadlocks; growable mailboxes (initial capacity from
-// Config.P2PDepth) absorb the burst.
+// machine deadlocks; growable mailboxes (p2pDepth messages to start
+// with) absorb the burst.
 func TestDeepP2PDoesNotDeadlock(t *testing.T) {
 	const burst = 8192 // far beyond the historical 1024-deep inboxes
 	cfg := testConfig(2)
-	cfg.P2PDepth = 16 // deliberately tiny: growth must cover the burst
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -56,7 +56,7 @@
 //
 // Receive-side buffering is accounted: MailboxPeakBytes reports the
 // high-water mark of queued undelivered frames, and crossing
-// MailboxHighWater warn-logs once.
+// mailboxHighWater warn-logs once.
 package tcp
 
 import (
@@ -101,6 +101,18 @@ const (
 // its payload (the wire header).
 const frameOverhead = 12
 
+// putHeader renders the 12-byte wire header of one frame: the tag as a
+// little-endian int32, then the payload size as a uint64.
+func putHeader(tag, size int) (hdr [frameOverhead]byte) {
+	binary.LittleEndian.PutUint32(hdr[:4], uint32(int32(tag)))
+	binary.LittleEndian.PutUint64(hdr[4:], uint64(size))
+	return hdr
+}
+
+// mailboxHighWater is the number of bytes queued undelivered across this
+// PE's mailboxes past which enqueue warn-logs (once).
+const mailboxHighWater = 256 << 20
+
 // handshake magic prefixing the dialer's announcement. The full
 // handshake is hsLen bytes: magic(4) · rank(4) · epoch(4) ·
 // fnv64a(JobID)(8). Epoch and job hash are the incarnation fence: an
@@ -144,11 +156,9 @@ type Config struct {
 	// Rank is this process's PE index in 0..P-1.
 	Rank int
 	// Peers lists every PE's listen address ("host:port"), indexed by
-	// rank; len(Peers) is the machine size P.
+	// rank; len(Peers) is the machine size P, and this PE binds
+	// Peers[Rank].
 	Peers []string
-	// Listen optionally overrides the address this PE binds
-	// (defaults to Peers[Rank]; useful behind NAT or with 0.0.0.0).
-	Listen string
 	// BlockBytes is the external-memory block size B in bytes.
 	BlockBytes int
 	// MemElems is the per-PE internal memory budget in elements.
@@ -181,10 +191,6 @@ type Config struct {
 	// forever without sending the frame this rank needs); 0 means 2m,
 	// negative disables.
 	OpTimeout time.Duration
-	// MailboxHighWater warn-logs (once) when the bytes queued
-	// undelivered across this PE's mailboxes exceed it; 0 means
-	// 256 MiB, negative disables.
-	MailboxHighWater int64
 	// JobID names the job this fleet runs; it is hashed into the
 	// connection handshake so a worker from a different job cannot
 	// join. Empty is a valid (shared) name.
@@ -248,9 +254,7 @@ type peerConn struct {
 // (ranks of one machine may finish at different times; a fast rank's
 // Close must not abort a slow rank still mid-collective with others).
 func (pc *peerConn) sayGoodbye() {
-	var hdr [12]byte
-	tag := int32(tagClose)
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(tag))
+	hdr := putHeader(tagClose, 0)
 	pc.wmu.Lock()
 	pc.conn.Write(hdr[:]) // best effort: the conn may already be gone
 	pc.wmu.Unlock()
@@ -290,17 +294,11 @@ func New(cfg Config) (*Machine, error) {
 	if cfg.OpTimeout == 0 {
 		cfg.OpTimeout = 2 * time.Minute
 	}
-	if cfg.MailboxHighWater == 0 {
-		cfg.MailboxHighWater = 256 << 20
-	}
 	m := &Machine{cfg: cfg, rank: cfg.Rank, p: p, peers: make([]*peerConn, p), done: make(chan struct{})}
 	m.peers[cfg.Rank] = &peerConn{box: newMailbox()} // rank-local messages
 
 	if p > 1 {
-		addr := cfg.Listen
-		if addr == "" {
-			addr = cfg.Peers[cfg.Rank]
-		}
+		addr := cfg.Peers[cfg.Rank]
 		ln, err := net.Listen("tcp", addr)
 		if err != nil {
 			// Only an address already in use is the reservation race
@@ -607,10 +605,7 @@ func (m *Machine) fail(err error) {
 // to a wedged peer unwinds through its own deadline error.
 func (m *Machine) broadcastAbort(ae *cluster.ErrAborted) {
 	payload := encodeAbort(ae)
-	var hdr [12]byte
-	tag := int32(tagAbort)
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(tag))
-	binary.LittleEndian.PutUint64(hdr[4:12], uint64(len(payload)))
+	hdr := putHeader(tagAbort, len(payload))
 	for rank, pc := range m.snapshotPeers() {
 		if rank == m.rank || pc == nil || pc.conn == nil {
 			continue
@@ -755,9 +750,7 @@ func (m *Machine) liveness() {
 // outbound lane has been idle for at least the interval. TryLock: if a
 // data frame is being written right now, that frame is the heartbeat.
 func (m *Machine) sendHeartbeats(interval time.Duration) {
-	var hdr [12]byte
-	tag := int32(tagHB)
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(tag))
+	hdr := putHeader(tagHB, 0)
 	for rank, pc := range m.peers {
 		if rank == m.rank || pc == nil || pc.conn == nil {
 			continue
@@ -877,8 +870,8 @@ func (m *Machine) enqueue(pc *peerConn, f frame) {
 			break
 		}
 	}
-	if hw := m.cfg.MailboxHighWater; hw > 0 && total > hw && !m.hwWarned.Swap(true) {
-		log.Printf("tcp: rank %d: %d bytes queued undelivered in receive mailboxes (high-water mark %d) — this PE is falling behind its peers", m.rank, total, hw)
+	if total > mailboxHighWater && !m.hwWarned.Swap(true) {
+		log.Printf("tcp: rank %d: %d bytes queued undelivered in receive mailboxes (high-water mark %d) — this PE is falling behind its peers", m.rank, total, mailboxHighWater)
 	}
 }
 
@@ -951,9 +944,7 @@ func (m *Machine) stalled(src int, pc *peerConn, start time.Time) error {
 // write deadline and unblocks it immediately.
 func (m *Machine) writeFrame(dst, tag int, payload []byte) error {
 	pc := m.peers[dst]
-	var hdr [12]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(int32(tag)))
-	binary.LittleEndian.PutUint64(hdr[4:12], uint64(len(payload)))
+	hdr := putHeader(tag, len(payload))
 	bufs := net.Buffers{hdr[:], payload}
 	if len(payload) == 0 {
 		bufs = bufs[:1]

@@ -62,6 +62,10 @@ func DefaultConfig(p int, memElems int64, blockBytes int) Config {
 	return Config{Common: job.Defaults(p, memElems, blockBytes)}
 }
 
+// runFraction is a PE's share of one run as a fraction of its memory
+// budget (see job.Geometry).
+const runFraction = 0.25
+
 // derived holds the parameters computed from a validated config for a
 // particular element size: the shared run geometry plus the sampling
 // distance.
@@ -73,7 +77,7 @@ type derived struct {
 // derive validates cfg against an element size and computes the
 // derived parameters, enforcing the paper's memory constraints.
 func (cfg *Config) derive(elemSize int) (derived, error) {
-	g, err := cfg.Geometry(elemSize)
+	g, err := cfg.Geometry(elemSize, runFraction)
 	if err != nil {
 		return derived{}, fmt.Errorf("core: %w", err)
 	}
@@ -117,7 +121,7 @@ func (cfg *Config) CheckCapacity(elemSize int, nPerPE int64) error {
 
 // MaxElemsPerPE returns the largest two-pass-sortable input per PE
 // under cfg: the merge-buffer constraint caps the number of runs at
-// m/(4B)-ish, each contributing RunFraction·m elements. Multiplying by
+// m/(4B)-ish, each contributing m/4 elements. Multiplying by
 // P gives the machine capacity Θ(P·m²/B) from §IV-D.
 func (cfg *Config) MaxElemsPerPE(elemSize int) int64 {
 	d, err := cfg.derive(elemSize)

@@ -67,44 +67,31 @@ func newWriter[T any](c elem.Codec[T], vol *blockio.Volume) *writer[T] {
 func (w *writer[T]) addSlice(vs []T) {
 	for len(vs) > 0 {
 		if len(w.buf) == 0 && len(vs) >= w.bElem {
-			id := w.vol.Alloc()
-			w.enc = elem.AppendEncode(w.c, w.enc[:0], vs[:w.bElem])
-			w.vol.WriteAsync(id, w.enc)
-			w.file.Append(Extent{ID: id, Off: 0, Len: w.bElem, Own: true})
+			w.flush(vs[:w.bElem])
 			vs = vs[w.bElem:]
 			continue
 		}
-		space := w.bElem - len(w.buf)
-		take := len(vs)
-		if take > space {
-			take = space
-		}
+		take := min(len(vs), w.bElem-len(w.buf))
 		w.buf = append(w.buf, vs[:take]...)
 		vs = vs[take:]
 		if len(w.buf) == w.bElem {
-			w.flushFull()
+			w.suspend()
 		}
 	}
 }
 
-func (w *writer[T]) flushFull() {
+// flush writes blk out as one owned block at the end of the file.
+func (w *writer[T]) flush(blk []T) {
 	id := w.vol.Alloc()
-	w.enc = elem.AppendEncode(w.c, w.enc[:0], w.buf)
+	w.enc = elem.AppendEncode(w.c, w.enc[:0], blk)
 	w.vol.WriteAsync(id, w.enc)
-	w.file.Append(Extent{ID: id, Off: 0, Len: len(w.buf), Own: true})
-	w.buf = w.buf[:0]
+	w.file.Append(Extent{ID: id, Off: 0, Len: len(blk), Own: true})
 }
 
 // finish flushes any partial tail, releases the encode buffer to the
 // arena and returns the file. The writer must not be reused after.
 func (w *writer[T]) finish() File {
-	if len(w.buf) > 0 {
-		id := w.vol.Alloc()
-		w.enc = elem.AppendEncode(w.c, w.enc[:0], w.buf)
-		w.vol.WriteAsync(id, w.enc)
-		w.file.Append(Extent{ID: id, Off: 0, Len: len(w.buf), Own: true})
-		w.buf = w.buf[:0]
-	}
+	w.suspend()
 	bufpool.Put(w.enc)
 	w.enc = nil
 	f := w.file
@@ -112,19 +99,15 @@ func (w *writer[T]) finish() File {
 	return f
 }
 
-// suspend writes the partial tail out as a partial block (counted I/O)
-// so the writer holds no element state between all-to-all
-// sub-operations; resume reads it back. Both are no-ops for an empty
-// or block-aligned tail.
+// suspend writes the tail buffer out — a partial block (counted I/O)
+// unless it is full — so the writer holds no element state between
+// all-to-all sub-operations; resume reads a partial one back. Both are
+// no-ops for an empty or block-aligned tail.
 func (w *writer[T]) suspend() {
-	if len(w.buf) == 0 {
-		return
+	if len(w.buf) > 0 {
+		w.flush(w.buf)
+		w.buf = w.buf[:0]
 	}
-	id := w.vol.Alloc()
-	w.enc = elem.AppendEncode(w.c, w.enc[:0], w.buf)
-	w.vol.WriteAsync(id, w.enc)
-	w.file.Append(Extent{ID: id, Off: 0, Len: len(w.buf), Own: true})
-	w.buf = w.buf[:0]
 }
 
 // resume reloads a trailing partial block into the tail buffer so

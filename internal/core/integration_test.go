@@ -18,7 +18,7 @@ func TestSortOnFileBackedStores(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testConfig(4)
 	cfg.NewStore = func(rank int) (blockio.Store, error) {
-		return blockio.NewFileStore(filepath.Join(dir, fmt.Sprintf("pe%d.vol", rank)), cfg.BlockBytes)
+		return blockio.NewFileStore(filepath.Join(dir, fmt.Sprintf("pe%d.vol", rank)), cfg.BlockBytes, false)
 	}
 	input := inputFor(cfg, workload.Uniform, 6000, 77)
 	res, err := Sort[elem.KV16](kvc, cfg, input)

@@ -37,84 +37,49 @@ func TestSortMemBudgetReturnsToZero(t *testing.T) {
 	}
 }
 
-// Run formation's radix sort scratch is charged against the budget
-// (it used to be invisible), and the in-place MSD path needs roughly
-// half the LSD path's scratch: no second pair buffer, no n-element
-// gather buffer. Two identical sorts differing only in the forced
-// path must show that in the run-formation high-water mark.
+// Run formation's radix sort scratch is charged against the budget, and
+// the engine follows the headroom: the same run geometry (4 blocks of
+// 512 elements per PE and run — M/4 floored to whole blocks) sorted under
+// a loose and a tight budget takes the LSD scatter where chunk + scratch
+// (two pair buffers, histograms, the gather buffer) fits and the
+// in-place MSD (one pair buffer, no gather buffer) where it does not.
 func TestRunFormScratchCharged(t *testing.T) {
-	const runLocal = 2048 // same run size as testConfig, more headroom
-	mkCfg := func(path psort.Path) Config {
-		cfg := DefaultConfig(4, 1<<15, 64*16)
-		cfg.RunFraction = float64(runLocal) / float64(1<<15)
-		cfg.RadixPath = path
-		cfg.RealWorkers = 1
-		return cfg
-	}
-	peak := func(path psort.Path) int64 {
-		cfg := mkCfg(path)
-		res, err := Sort[elem.KV16](kvc, cfg, inputFor(cfg, workload.Uniform, 5200, 77))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Runs < 2 {
-			t.Fatalf("want an external sort (R >= 2), got R=%d", res.Runs)
-		}
-		var p int64
-		for _, v := range res.RunFormPeakMemElems {
-			if v > p {
-				p = v
+	const chunk = 4 * 512
+	// One worker at this size whatever the host's (psort clamps to 8 Ki
+	// pairs per worker), so the charge is the same everywhere.
+	lsd := chunk + (psort.ScratchBytes(psort.PathLSD, 16, chunk, psort.DefaultWorkers())+15)/16
+	for _, tc := range []struct {
+		name    string
+		mem     int64
+		wantLSD bool
+	}{
+		{"loose", 10000, true},
+		{"tight", 8192, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig(4, tc.mem, 512*16)
+			res, err := Sort[elem.KV16](kvc, cfg, inputFor(cfg, workload.Uniform, 5200, 77))
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		return p
-	}
-	scratch := func(path psort.Path) int64 {
-		b := psort.ScratchBytes(path, 16, runLocal, 1)
-		return (b + 15) / 16
-	}
-	lsdPeak, msdPeak := peak(psort.PathLSD), peak(psort.PathMSD)
-	t.Logf("run-formation peak: LSD %d elems, MSD %d elems (chunk %d, scratch LSD %d / MSD %d)",
-		lsdPeak, msdPeak, runLocal, scratch(psort.PathLSD), scratch(psort.PathMSD))
-
-	// The LSD sort moment must be visible in the peak: chunk + full
-	// scratch (pairs ×2, histograms, gather buffer).
-	if want := runLocal + scratch(psort.PathLSD); lsdPeak < want {
-		t.Fatalf("LSD run-formation peak %d < chunk+scratch %d — radix scratch not charged", lsdPeak, want)
-	}
-	// The in-place path must show the reduction. Its sort moment is
-	// chunk + half the scratch, so low that the run-exchange phase
-	// (~3·segLen) becomes the high-water mark instead — the peak must
-	// sit strictly below the LSD sort moment, by at least a full chunk.
-	if msdPeak > lsdPeak-runLocal {
-		t.Fatalf("MSD run-formation peak %d not ≥ %d elements below LSD peak %d — in-place scratch saving not visible",
-			msdPeak, runLocal, lsdPeak)
-	}
-	if want := runLocal + scratch(psort.PathLSD); msdPeak >= int64(want) {
-		t.Fatalf("MSD run-formation peak %d reaches the LSD sort moment %d — gather buffer not eliminated", msdPeak, want)
-	}
-}
-
-// Under the regular tight test budget, PathAuto must resolve to the
-// in-place MSD engine (LSD scratch does not fit the headroom) and
-// complete within the budget — the "scratch stolen from run length"
-// guard in action.
-func TestRunFormAutoPathRespectsBudget(t *testing.T) {
-	cfg := testConfig(4)
-	cfg.RealWorkers = 1
-	input := inputFor(cfg, workload.Uniform, 5200, 77)
-	res, err := Sort[elem.KV16](kvc, cfg, input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lsdNeed := (psort.ScratchBytes(psort.PathLSD, 16, 2048, 1) + 15) / 16
-	for rank, p := range res.RunFormPeakMemElems {
-		if p > cfg.MemElems {
-			t.Fatalf("PE %d: run-formation peak %d exceeds budget %d", rank, p, cfg.MemElems)
-		}
-		if p >= 2048+lsdNeed {
-			t.Fatalf("PE %d: peak %d implies the LSD path ran despite insufficient headroom (chunk+LSD scratch = %d)",
-				rank, p, 2048+lsdNeed)
-		}
+			if res.Runs != 3 {
+				t.Fatalf("want 3 runs of %d elements per PE, got R=%d", chunk, res.Runs)
+			}
+			if fits := lsd <= tc.mem; fits != tc.wantLSD {
+				t.Fatalf("chunk + LSD scratch = %d against a budget of %d: the case no longer tells the engines apart", lsd, tc.mem)
+			}
+			for rank, peak := range res.RunFormPeakMemElems {
+				if peak > tc.mem {
+					t.Fatalf("PE %d: run-formation peak %d exceeds budget %d", rank, peak, tc.mem)
+				}
+				// The LSD sort moment is the phase's high-water mark when
+				// it ran; the MSD one (chunk + half the scratch) stays
+				// below it.
+				if ran := peak >= lsd; ran != tc.wantLSD {
+					t.Fatalf("PE %d: peak %d, chunk + LSD scratch %d: LSD ran = %v, want %v", rank, peak, lsd, ran, tc.wantLSD)
+				}
+			}
+		})
 	}
 }
 

@@ -66,7 +66,7 @@ func Sort[T any](c elem.Codec[T], cfg Config, input [][]T) (*Result[T], error) {
 	if err != nil {
 		return nil, err
 	}
-	j, err := job.Open(c, &cfg.Common, input)
+	j, err := job.Open(c, &cfg.Common, input, runFraction)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}

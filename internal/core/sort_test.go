@@ -173,7 +173,6 @@ func TestSortClosureOnlyCodec(t *testing.T) {
 
 func TestSortDeterministic(t *testing.T) {
 	cfg := testConfig(4)
-	cfg.RealWorkers = 1 // pin: byte-reproducibility must not depend on the host
 	input := inputFor(cfg, workload.Uniform, 6000, 5)
 	a, err := Sort[elem.KV16](kvc, cfg, input)
 	if err != nil {
@@ -377,7 +376,6 @@ func TestSortRec100(t *testing.T) {
 	rc := elem.Rec100Codec{}
 	cfg := DefaultConfig(3, 1<<12, 100*32)
 	cfg.Seed = 4
-	cfg.RealWorkers = 1
 	cfg.KeepOutput = true
 	input := make([][]elem.Rec100, cfg.P)
 	rngKeys := workload.Generate(workload.Uniform, cfg.P, 700, 31)

@@ -44,14 +44,6 @@ type Base struct {
 	MemElems int64
 	// Seed drives all randomization.
 	Seed uint64
-	// RealWorkers is the number of goroutines used for genuine
-	// in-node sorting work (virtual CPU time always models
-	// Model.Cores cores). Defaults sets it to GOMAXPROCS clamped to 8;
-	// set 1 explicitly for runs that must be byte-reproducible across
-	// machines with different core counts (psort output is stable for
-	// any worker count, but pinning removes all doubt in
-	// determinism-sensitive tests).
-	RealWorkers int
 	// KeepOutput retains the sorted output in the Result (tests);
 	// production callers stream it through Sink. The striped sorter
 	// implements it on top of its Sink path and therefore needs every
@@ -107,12 +99,6 @@ type Base struct {
 // core.Config and stripesort.Config embed it.
 type Common struct {
 	Base
-	// RunFraction sizes the per-PE share of one run as a fraction of
-	// MemElems. Run formation holds the unsorted chunk, the merged
-	// result and the next run's prefetch at once, so 0.25 is the
-	// default (the paper's footnote 1: runs can be "a factor around
-	// two smaller" than M).
-	RunFraction float64
 	// Randomize enables the random shuffling of local input block IDs
 	// before run formation (§IV: "each PE chooses its participating
 	// blocks for the run randomly"). Figures 4 vs 6 are this switch;
@@ -125,14 +111,6 @@ type Common struct {
 	// it once and sets blockio.Volume.SetSynchronous and
 	// cluster.Node.SetA2AWindow accordingly.
 	Overlap bool
-	// RadixPath selects the radix engine for run formation's in-node
-	// sorts of keyed codecs (psort.SortPath). The zero value
-	// (psort.PathAuto) resolves per chunk against the live memory
-	// budget: the LSD scatter while its scratch fits the remaining
-	// headroom, the in-place American-flag MSD when memory is tight —
-	// scratch charged against m is scratch stolen from run length.
-	// Forcing a path is a test/benchmark knob.
-	RadixPath psort.Path
 }
 
 // Defaults returns a ready-to-use common configuration for p PEs with
@@ -140,16 +118,14 @@ type Common struct {
 func Defaults(p int, memElems int64, blockBytes int) Common {
 	return Common{
 		Base: Base{
-			P:           p,
-			BlockBytes:  blockBytes,
-			MemElems:    memElems,
-			Seed:        1,
-			RealWorkers: psort.DefaultWorkers(),
-			Model:       vtime.Default(),
+			P:          p,
+			BlockBytes: blockBytes,
+			MemElems:   memElems,
+			Seed:       1,
+			Model:      vtime.Default(),
 		},
-		RunFraction: 0.25,
-		Randomize:   true,
-		Overlap:     true,
+		Randomize: true,
+		Overlap:   true,
 	}
 }
 
@@ -165,8 +141,11 @@ type Geometry struct {
 }
 
 // Geometry validates the machine and block size against elemSize and
-// computes the run geometry.
-func (c *Common) Geometry(elemSize int) (Geometry, error) {
+// computes the run geometry: a PE's share of one run is runFraction of
+// MemElems — well below a half, since run formation holds the unsorted
+// chunk, the merged result and the next run's prefetch at once (the
+// paper's footnote 1: runs can be "a factor around two smaller" than M).
+func (c *Base) Geometry(elemSize int, runFraction float64) (Geometry, error) {
 	var g Geometry
 	if c.P < 1 {
 		return g, fmt.Errorf("P must be >= 1, got %d", c.P)
@@ -175,13 +154,9 @@ func (c *Common) Geometry(elemSize int) (Geometry, error) {
 		return g, fmt.Errorf("block size %d smaller than one element (%d)", c.BlockBytes, elemSize)
 	}
 	g.BElem = c.BlockBytes / elemSize
-	rf := c.RunFraction
-	if rf <= 0 || rf > 0.5 {
-		rf = 0.25
-	}
 	runLocal := int64(g.BElem) * 64
 	if c.MemElems > 0 {
-		runLocal = int64(float64(c.MemElems) * rf)
+		runLocal = int64(float64(c.MemElems) * runFraction)
 	}
 	g.BlocksPerRun = max(int(runLocal/int64(g.BElem)), 1)
 	g.RunLocal = int64(g.BlocksPerRun) * int64(g.BElem)
@@ -242,11 +217,12 @@ type Job[T any] struct {
 
 // Open validates cfg and the input against it, applies the defaults in
 // place (cfg is the sorter's own copy), opens the Source of every
-// locally hosted rank and computes the geometry. The machine is not
+// locally hosted rank and computes the geometry for runs of runFraction
+// of the memory budget (see Geometry). The machine is not
 // touched yet: the caller runs its own capacity checks on the returned
 // job first, then calls Start.
-func Open[T any](c elem.Codec[T], cfg *Common, input [][]T) (*Job[T], error) {
-	g, err := cfg.Geometry(c.Size())
+func Open[T any](c elem.Codec[T], cfg *Common, input [][]T, runFraction float64) (*Job[T], error) {
+	g, err := cfg.Geometry(c.Size(), runFraction)
 	if err != nil {
 		return nil, err
 	}
@@ -255,9 +231,6 @@ func Open[T any](c elem.Codec[T], cfg *Common, input [][]T) (*Job[T], error) {
 	}
 	if cfg.Source != nil && input != nil {
 		return nil, fmt.Errorf("Source and input slices are mutually exclusive")
-	}
-	if cfg.RealWorkers <= 0 {
-		cfg.RealWorkers = 1
 	}
 	if cfg.Model == (vtime.CostModel{}) {
 		cfg.Model = vtime.Default()
@@ -316,6 +289,14 @@ func (j *Job[T]) Start() error {
 	if cfg.Machine != nil {
 		if cfg.Machine.P() != cfg.P {
 			return fmt.Errorf("machine has %d PEs, config says %d", cfg.Machine.P(), cfg.P)
+		}
+		// The geometry comes from the config, the volume and the budget
+		// from the machine: they must describe the same PE.
+		for _, n := range cfg.Machine.Nodes() {
+			if b, m := n.Vol.BlockBytes(), n.Mem.Limit(); b != cfg.BlockBytes || m != cfg.MemElems {
+				return fmt.Errorf("machine's rank %d has %d-byte blocks and a memory budget of %d elements, config says %d and %d",
+					n.Rank, b, m, cfg.BlockBytes, cfg.MemElems)
+			}
 		}
 		j.M = cfg.Machine
 		return nil
@@ -405,29 +386,27 @@ func (j *Job[T]) Load(n *cluster.Node) ([]blockio.Span, error) {
 
 // sortChunkBudgeted runs one of run formation's in-node sorts with the
 // radix scratch (pair buffers, histograms, the LSD gather buffer)
-// charged against the memory budget. A PathAuto config resolves per
-// chunk against the live headroom: the LSD scatter while its scratch
-// fits, the in-place MSD when memory is tight (about half the scratch —
-// one pair buffer, no element gather buffer). Closure-only codecs
-// bypass the radix engines and charge nothing.
-func sortChunkBudgeted[T any](c elem.Codec[T], n *cluster.Node, cfg *Common, chunk []T) {
+// charged against the memory budget. The engine is chosen per chunk
+// against the live headroom: the LSD scatter while its scratch fits, the
+// in-place MSD when memory is tight (about half the scratch — one pair
+// buffer, no element gather buffer). Closure-only codecs bypass the
+// radix engines and charge nothing.
+func sortChunkBudgeted[T any](c elem.Codec[T], n *cluster.Node, chunk []T) {
+	workers := psort.DefaultWorkers()
 	if _, keyed := elem.Codec[T](c).(elem.KeyedCodec[T]); !keyed {
-		psort.Sort(c, chunk, cfg.RealWorkers)
+		psort.Sort(c, chunk, workers)
 		return
 	}
 	scratchElems := func(path psort.Path) int64 {
-		b := psort.ScratchBytes(path, c.Size(), len(chunk), cfg.RealWorkers)
+		b := psort.ScratchBytes(path, c.Size(), len(chunk), workers)
 		return (b + int64(c.Size()) - 1) / int64(c.Size())
 	}
-	path := cfg.RadixPath
-	if path == psort.PathAuto {
-		path = psort.PathLSD
-		if lim := n.Mem.Limit(); lim > 0 && n.Mem.Used()+scratchElems(psort.PathLSD) > lim {
-			path = psort.PathMSD
-		}
+	path := psort.PathLSD
+	if lim := n.Mem.Limit(); lim > 0 && n.Mem.Used()+scratchElems(psort.PathLSD) > lim {
+		path = psort.PathMSD
 	}
 	scratch := scratchElems(path)
 	n.Mem.MustAcquire(scratch)
-	psort.SortPath(c, chunk, cfg.RealWorkers, path)
+	psort.SortPath(c, chunk, workers, path)
 	n.Mem.Release(scratch)
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"demsort/internal/cluster"
+	"demsort/internal/cluster/sim"
 	"demsort/internal/elem"
 )
 
@@ -23,20 +24,17 @@ func TestGeometry(t *testing.T) {
 	}{
 		{0.2, 1000, 12}, // 200 elements = 12 whole 16-element blocks
 		{0.5, 1000, 31},
-		{0, 1000, 15}, // outside (0, 0.5]: the 0.25 default
-		{-1, 1000, 15},
-		{0.6, 1000, 15},
+		{0.25, 1000, 15},
 		{0.25, 0, 64}, // no budget: 64 blocks per run
 		{0.25, 8, 1},  // never less than one block
 	} {
 		cfg := Defaults(4, tc.mem, 16*16)
-		cfg.RunFraction = tc.rf
-		g, err := cfg.Geometry(16)
+		g, err := cfg.Geometry(16, tc.rf)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if g.BElem != 16 || g.BlocksPerRun != tc.blocksPerRun || g.RunLocal != int64(16*tc.blocksPerRun) {
-			t.Errorf("RunFraction %v, MemElems %d: %+v, want %d blocks per run", tc.rf, tc.mem, g, tc.blocksPerRun)
+			t.Errorf("run fraction %v, MemElems %d: %+v, want %d blocks per run", tc.rf, tc.mem, g, tc.blocksPerRun)
 		}
 	}
 	g := Geometry{RunLocal: 100}
@@ -46,11 +44,11 @@ func TestGeometry(t *testing.T) {
 		}
 	}
 	small := Defaults(4, 1000, 15)
-	if _, err := small.Geometry(16); err == nil || !strings.Contains(err.Error(), "smaller than one element") {
+	if _, err := small.Geometry(16, 0.25); err == nil || !strings.Contains(err.Error(), "smaller than one element") {
 		t.Errorf("15-byte blocks of 16-byte elements: %v", err)
 	}
 	noPE := Defaults(0, 1000, 256)
-	if _, err := noPE.Geometry(16); err == nil {
+	if _, err := noPE.Geometry(16, 0.25); err == nil {
 		t.Error("P = 0 accepted")
 	}
 }
@@ -132,7 +130,7 @@ func samePermutation(a, b []elem.KV16) bool {
 // every PE.
 func onSim(t *testing.T, cfg Common, input [][]elem.KV16, fn func(j *Job[elem.KV16], n *cluster.Node) error) {
 	t.Helper()
-	j, err := Open(kvc, &cfg, input)
+	j, err := Open(kvc, &cfg, input, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,6 +140,40 @@ func onSim(t *testing.T, cfg Common, input [][]elem.KV16, fn func(j *Job[elem.KV
 	defer j.Close()
 	if err := j.Run(func(n *cluster.Node) error { return fn(j, n) }); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStartChecksAdoptedMachine: the geometry comes from the config, the
+// volume and the budget from the machine, so Start refuses a machine
+// built with another P, block size or memory budget.
+func TestStartChecksAdoptedMachine(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		machine sim.Config
+		wantErr string
+	}{
+		{"same", sim.Config{P: 2, BlockBytes: 256, MemElems: 1024}, ""},
+		{"other P", sim.Config{P: 3, BlockBytes: 256, MemElems: 1024}, "machine has 3 PEs"},
+		{"other block size", sim.Config{P: 2, BlockBytes: 512, MemElems: 1024}, "512-byte blocks"},
+		{"other budget", sim.Config{P: 2, BlockBytes: 256, MemElems: 4096}, "budget of 4096"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := sim.New(tc.machine)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			cfg := Defaults(2, 1024, 256)
+			cfg.Machine = m
+			j, err := Open(kvc, &cfg, make([][]elem.KV16, 2), 0.25)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = j.Start()
+			if tc.wantErr == "" && err != nil || tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)) {
+				t.Fatalf("Start on a machine built as %+v: %v, want %q", tc.machine, err, tc.wantErr)
+			}
+		})
 	}
 }
 

@@ -84,7 +84,7 @@ func (j *Job[T]) FormRuns(n *cluster.Node, spans []blockio.Span, salt uint64,
 				n.Vol.Wait(p.handle)
 				blk := elem.DecodeSlice(c, p.raw, p.span.Bytes/sz)
 				done(p)
-				sortChunkBudgeted(c, n, cfg, blk)
+				sortChunkBudgeted(c, n, blk)
 				n.AddCPU(model.SortCPU(int64(len(blk))) + model.ScanCPU(int64(len(blk))))
 				blocks = append(blocks, blk)
 			}
@@ -97,7 +97,7 @@ func (j *Job[T]) FormRuns(n *cluster.Node, spans []blockio.Span, salt uint64,
 				done(p)
 			}
 			n.AddCPU(model.ScanCPU(chunkLen))
-			sortChunkBudgeted(c, n, cfg, chunk)
+			sortChunkBudgeted(c, n, chunk)
 			n.AddCPU(model.SortCPU(chunkLen))
 		}
 		cur = next

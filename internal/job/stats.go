@@ -89,23 +89,6 @@ func (r *Stats) PhaseBytes(phase string) (read, written int64) {
 	return read, written
 }
 
-// OverlapRatio returns the machine-wide overlap ratio of one phase:
-// 1 − (summed blocked time)/(summed wall time) across the PEs, the
-// share of the phase spent computing rather than stalled on the disk,
-// the network or a peer, clamped to [0, 1]. Zero when the phase
-// recorded no wall time.
-func (r *Stats) OverlapRatio(phase string) float64 {
-	var wall, blocked float64
-	r.each(phase, func(s *vtime.PhaseStats) {
-		wall += s.Wall
-		blocked += s.BlockedTime
-	})
-	if wall <= 0 {
-		return 0
-	}
-	return max(1-blocked/wall, 0)
-}
-
 // NetBytes returns machine-wide bytes sent over the network in a
 // phase (self-messages excluded): the communication-volume metric of
 // the paper's "communicate the data only once" claim.

@@ -114,10 +114,6 @@ func TestScratchBytesMatchesDispatch(t *testing.T) {
 	if msd*2 > lsd {
 		t.Fatalf("MSD scratch %d not ≤ half of LSD scratch %d", msd, lsd)
 	}
-	// Auto prices as LSD (its resolution inside psort).
-	if auto := ScratchBytes(PathAuto, 16, n, 8); auto != lsd {
-		t.Fatalf("Auto scratch = %d, want LSD's %d", auto, lsd)
-	}
 	// Worker clamp: a small input cannot be charged 8 histogram blocks.
 	small := radixMinLen
 	if got, want := ScratchBytes(PathMSD, 16, small, 8), int64(small*pairBytes)+histBytes; got != want {

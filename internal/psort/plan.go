@@ -4,36 +4,27 @@ package psort
 type Path int
 
 const (
-	// PathAuto defers the choice to the dispatcher. Inside psort it
-	// resolves to PathLSD (the faster engine when scratch is free);
-	// core's run formation resolves it against the memory budget —
-	// LSD while its scratch fits the headroom, in-place MSD when
-	// memory is tight ("scratch charged against M is scratch stolen
-	// from run length").
-	PathAuto Path = iota
 	// PathLSD is the shared-histogram parallel LSD scatter: per-worker
 	// digit histograms, a worker×bucket prefix scan assigning disjoint
 	// scatter destinations, and a final gather permutation through an
 	// n-sized element buffer. Scratch: 2n pairs + histograms + n
-	// elements.
-	PathLSD
+	// elements. The faster engine when scratch is free.
+	PathLSD Path = iota
 	// PathMSD is the in-place American-flag MSD: cycle-following
 	// partition on the top non-uniform digit, bucket recursion over a
 	// work queue, and one in-place cycle-following element permute.
-	// Scratch: n pairs + histograms — no element buffer.
+	// Scratch: n pairs + histograms — no element buffer. Run formation
+	// takes it when the LSD scratch does not fit the budget headroom
+	// ("scratch charged against M is scratch stolen from run length").
 	PathMSD
 )
 
-// String names the path for benchmarks and figures.
+// String names the path in test names.
 func (p Path) String() string {
-	switch p {
-	case PathLSD:
-		return "lsd"
-	case PathMSD:
+	if p == PathMSD {
 		return "msd"
-	default:
-		return "auto"
 	}
+	return "lsd"
 }
 
 // Dispatch constants, re-measured for the parallel-scatter engine on a
@@ -92,8 +83,7 @@ func radixWorkers(n, workers int) int {
 // LSD path, the n-element gather buffer. It implements the same
 // dispatch rules as SortPath (0 below radixMinLen; worker count
 // clamped identically), so a membudget charge computed from it always
-// matches what the sort actually acquires. PathAuto prices as PathLSD,
-// mirroring its resolution inside psort. Closure-only codecs never
+// matches what the sort actually acquires. Closure-only codecs never
 // take the radix engines; callers charge nothing for them.
 func ScratchBytes(path Path, elemSize, n, workers int) int64 {
 	if n < radixMinLen {

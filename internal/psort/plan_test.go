@@ -74,5 +74,5 @@ func TestReportDispatchCrossovers(t *testing.T) {
 }
 
 func sortStable(vs []elem.KV16) {
-	SortPath[elem.KV16](closureKV{}, vs, 1, PathAuto)
+	Sort[elem.KV16](closureKV{}, vs, 1)
 }

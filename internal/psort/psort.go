@@ -45,16 +45,15 @@ func DefaultWorkers() int {
 	return w
 }
 
-// Sort sorts vs in place using up to workers goroutines, letting the
-// dispatcher pick the radix path (PathAuto). See SortPath.
+// Sort sorts vs in place using up to workers goroutines, on the LSD
+// path for keyed codecs. See SortPath.
 func Sort[T any](c elem.Codec[T], vs []T, workers int) {
-	SortPath(c, vs, workers, PathAuto)
+	SortPath(c, vs, workers, PathLSD)
 }
 
 // SortPath sorts vs in place using up to workers goroutines and the
-// requested radix path for keyed codecs (PathAuto resolves to the LSD
-// scatter; callers that must respect a memory budget pick explicitly —
-// see ScratchBytes). Closure-only codecs ignore path and use the
+// requested radix path for keyed codecs (callers that must respect a
+// memory budget pick by ScratchBytes). Closure-only codecs ignore path and use the
 // stable chunk-sort/select/merge pipeline. The result equals a stable
 // sort under the codec order for every worker count and every path.
 func SortPath[T any](c elem.Codec[T], vs []T, workers int, path Path) {

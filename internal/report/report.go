@@ -1,6 +1,6 @@
 // Package report renders experiment data as TSV files and quick ASCII
-// charts, used by the benchmark harness (cmd/benchfig and the root
-// benchmarks) to regenerate every figure of the paper in a form that
+// charts, used by cmd/benchfig to regenerate every figure of the paper
+// in a form that
 // can be eyeballed in a terminal and post-processed by plotting tools.
 package report
 

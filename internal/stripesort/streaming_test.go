@@ -107,7 +107,7 @@ func TestCollectStaysWithinBudget(t *testing.T) {
 			t.Run(fmt.Sprintf("p%d_overlap=%v", p, overlap), func(t *testing.T) {
 				cfg := DefaultConfig(p, 32*bElem, bElem*16) // window limited by m/4: 8 blocks
 				cfg.Overlap = overlap
-				j, err := job.Open(kvc, &cfg.Common, make([][]elem.KV16, p))
+				j, err := job.Open(kvc, &cfg.Common, make([][]elem.KV16, p), runFraction)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -31,6 +31,11 @@ const (
 	PhaseMerge   = "merge"
 )
 
+// runFraction is a PE's share of one run as a fraction of its memory
+// budget: below canonical's 0.25 because every PE also holds the
+// prediction table (see job.Geometry).
+const runFraction = 0.2
+
 // Config parameterises the striped sort: exactly the configuration
 // every sorter shares.
 type Config struct {
@@ -39,9 +44,7 @@ type Config struct {
 
 // DefaultConfig mirrors core.DefaultConfig for the striped algorithm.
 func DefaultConfig(p int, memElems int64, blockBytes int) Config {
-	cfg := Config{Common: job.Defaults(p, memElems, blockBytes)}
-	cfg.RunFraction = 0.2
-	return cfg
+	return Config{Common: job.Defaults(p, memElems, blockBytes)}
 }
 
 // Result reports a completed striped sort: the shared job statistics
@@ -82,7 +85,7 @@ type predEntry[T any] struct {
 // disks; afterwards the sorted sequence is striped across all PEs
 // (output block g on PE g mod P).
 func Sort[T any](c elem.Codec[T], cfg Config, input [][]T) (*Result[T], error) {
-	j, err := job.Open(c, &cfg.Common, input)
+	j, err := job.Open(c, &cfg.Common, input, runFraction)
 	if err != nil {
 		return nil, fmt.Errorf("stripesort: %w", err)
 	}
@@ -94,6 +97,13 @@ func Sort[T any](c elem.Codec[T], cfg Config, input [][]T) (*Result[T], error) {
 	if runs := j.Runs(j.NPerPE); cfg.MemElems > 0 && runs*int64(j.BElem) > int64(cfg.P)*cfg.MemElems/4 {
 		return nil, fmt.Errorf("stripesort: %d runs exceed the machine capacity M/(4B) = %d",
 			runs, int64(cfg.P)*cfg.MemElems/(4*int64(j.BElem)))
+	}
+	// The prediction table — one entry per block of the input — is held
+	// on every PE for the whole merge, which sizes its fetch quota from
+	// what is left and needs an eighth of the budget at the least.
+	if table := (int64(cfg.P)*j.NPerPE + int64(j.BElem) - 1) / int64(j.BElem); cfg.MemElems > 0 && table > cfg.MemElems-cfg.MemElems/8 {
+		return nil, fmt.Errorf("stripesort: the prediction table (%d entries, one per %d-element block, on every PE) leaves less than an eighth of the memory budget of %d elements to merge with; raise the budget or the block size (demsort -mem / -block)",
+			table, j.BElem, cfg.MemElems)
 	}
 	if err := j.Start(); err != nil {
 		return nil, fmt.Errorf("stripesort: %w", err)

@@ -2,8 +2,12 @@ package stripesort
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"slices"
+	"strings"
 	"testing"
+	"testing/iotest"
 
 	"demsort/internal/cluster/sim"
 	"demsort/internal/elem"
@@ -153,7 +157,6 @@ func TestStripedEmptyAndTiny(t *testing.T) {
 
 func TestStripedDeterministic(t *testing.T) {
 	cfg := testConfig(4)
-	cfg.RealWorkers = 1 // pin: byte-reproducibility must not depend on the host
 	input := workload.Generate(workload.Uniform, 4, 5000, 13)
 	a, err := Sort[elem.KV16](kvc, cfg, input)
 	if err != nil {
@@ -192,11 +195,28 @@ func TestStripedCapacityBeyondCanonical(t *testing.T) {
 	}
 }
 
+// TestStripedRejectsOversizedPredictionTable sorts at demsort's CLI
+// defaults (-striped -records -p 4: 4 × 24576 records, 8192 elements of
+// memory, 10-record blocks): the prediction table alone — one entry per
+// block, on every PE — outgrows the budget. That must be refused before
+// the machine exists or a byte of input is read, saying what to change;
+// it used to panic in the budget tracker after run formation.
+func TestStripedRejectsOversizedPredictionTable(t *testing.T) {
+	cfg := DefaultConfig(4, 8192, 1024)
+	cfg.Source = func(rank int) (io.Reader, int64, error) {
+		return iotest.ErrReader(errors.New("input was read")), 24576, nil
+	}
+	_, err := Sort[elem.Rec100](elem.Rec100Codec{}, cfg, nil)
+	if err == nil || !strings.Contains(err.Error(), "prediction table") ||
+		!strings.Contains(err.Error(), "-mem") || !strings.Contains(err.Error(), "-block") {
+		t.Fatalf("want a capacity rejection naming -mem and -block, got: %v", err)
+	}
+}
+
 func TestStripedRejectsTooManyRuns(t *testing.T) {
 	cfg := testConfig(1)
 	cfg.MemElems = 512
-	cfg.RunFraction = 0.25
-	// runLocal = 128 elements = 2 blocks; capacity M/(4B) = 2 runs.
+	// runLocal = 102 elements = 1 block; capacity M/(4B) = 2 runs.
 	input := workload.Generate(workload.Uniform, 1, 5000, 1)
 	if _, err := Sort[elem.KV16](kvc, cfg, input); err == nil {
 		t.Fatal("expected capacity rejection")
@@ -248,7 +268,7 @@ func TestStripedRec100SharedPrefixes(t *testing.T) {
 // The batch count pins the fetch quota, max((M − |prediction|)/(16·B), 1)
 // blocks per PE and batch: 325 blocks at a quota of 7 on each of 4 PEs.
 func TestStripedSortStaysWithinBudget(t *testing.T) {
-	cfg := testConfig(4) // RunFraction at DefaultConfig's 0.2
+	cfg := testConfig(4)
 	sm, err := sim.New(sim.Config{P: cfg.P, BlockBytes: cfg.BlockBytes, MemElems: cfg.MemElems, Model: cfg.Model})
 	if err != nil {
 		t.Fatal(err)

@@ -198,19 +198,6 @@ type PhaseStats struct {
 	Messages      int64
 }
 
-// OverlapRatio returns the fraction of the phase's wall time not spent
-// blocked on communication (0 when the phase has no wall time).
-func (s *PhaseStats) OverlapRatio() float64 {
-	if s.Wall <= 0 {
-		return 0
-	}
-	r := 1 - s.BlockedTime/s.Wall
-	if r < 0 {
-		return 0
-	}
-	return r
-}
-
 // Add accumulates o into s.
 func (s *PhaseStats) Add(o *PhaseStats) {
 	s.Wall += o.Wall

@@ -80,11 +80,21 @@ func AppendMerge[T any](c elem.Codec[T], dst []T, seqs [][]T) []T {
 	case 2:
 		return appendMerge2(c, dst, seqs[0], seqs[1])
 	}
-	if kc, ok := c.(elem.KeyedCodec[T]); ok {
-		return appendMergeKeyed(kc, dst, seqs)
+	kc, ok := c.(elem.KeyedCodec[T])
+	if !ok {
+		kc = zeroKey[T]{c}
 	}
-	return appendMergeFallback(c, dst, seqs)
+	return appendMergeKeyed(kc, dst, seqs)
 }
+
+// zeroKey gives a closure-only codec the constant-zero key (as
+// elem.KeyFn does): every comparison then falls through to the Less
+// tie-break, so the tree degenerates to the comparator order (plus the
+// stream-index tie).
+type zeroKey[T any] struct{ elem.Codec[T] }
+
+func (zeroKey[T]) Key(T) uint64   { return 0 }
+func (zeroKey[T]) KeyExact() bool { return false }
 
 // appendMergeKeyed is the normalized-key merge loop: the tree replays
 // on raw uint64 keys, the comparator is consulted only when a prefix
@@ -115,38 +125,6 @@ func appendMergeKeyed[T any](kc elem.KeyedCodec[T], dst []T, seqs [][]T) []T {
 		pos[i] = p
 		if p < len(s) {
 			t.Replace(kc.Key(s[p]))
-		} else {
-			t.Retire()
-		}
-	}
-	return dst
-}
-
-// appendMergeFallback merges closure-only codecs: every head key is
-// zero, so the tree degenerates to the comparator order (plus the
-// stream-index tie), preserving the exact pre-key behaviour.
-func appendMergeFallback[T any](c elem.Codec[T], dst []T, seqs [][]T) []T {
-	n := len(seqs)
-	m := getMerger(n)
-	defer putMerger(m)
-	pos := m.pos
-	for i, s := range seqs {
-		if len(s) > 0 {
-			m.live[i] = true
-		}
-	}
-	tie := func(a, b int) bool { return c.Less(seqs[a][pos[a]], seqs[b][pos[b]]) }
-	t := &m.tree
-	t.Reset(n, m.keys, m.live, tie)
-	for !t.Empty() {
-		i := t.Win()
-		s := seqs[i]
-		p := pos[i]
-		dst = append(dst, s[p])
-		p++
-		pos[i] = p
-		if p < len(s) {
-			t.Replace(0)
 		} else {
 			t.Retire()
 		}
