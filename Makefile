@@ -66,6 +66,11 @@ smoke-smallblock:  BOTH = -mem 4096 -block 400
 smoke-striped-tcp: SEED = 2028
 smoke-striped-tcp: BOTH = -striped -mem 65536
 smoke-striped-tcp: TCP = -p 4 -store=file
+# The other stripe layout: without -randomize the run stripes are not
+# rotated (stripesort's home).
+smoke-striped-norand: SEED = 2029
+smoke-striped-norand: BOTH = -striped -mem 65536 -randomize=false
+smoke-striped-norand: TCP = -p 4 -store=file
 smoke-hostfile:    SEED = 2027
 smoke-hostfile:    TCP = -hostfile $(SMOKE)/hosts.txt -store=file
 # Overlapping changes the schedule, never the bytes.

@@ -326,8 +326,8 @@ func (o *options) sortRecords(p int, configure func(*job.Common)) (*job.Stats, s
 		configure(&opts.Common)
 		res, err := demsort.SortStriped[elem.Rec100](demsort.Rec100Codec{}, opts, nil)
 		fail(err)
-		return &res.Stats, fmt.Sprintf("globally striped mergesort[records]: P=%d N=%d (%d runs, %d merge batches)",
-			res.P, res.N, res.Runs, res.Batches)
+		return &res.Stats, fmt.Sprintf("globally striped mergesort[records]: P=%d N=%d (%d runs, %d merge batches of up to %d blocks per PE)",
+			res.P, res.N, res.Runs, res.Batches, res.Quota)
 	}
 	opts := demsort.NewOptions(p, o.mem, o.block)
 	configure(&opts.Common)
@@ -469,12 +469,17 @@ func runTCPWorker(o *options) {
 	src, readBytes := countingSource(o.source())
 
 	start := time.Now()
-	stats, _ := o.sortRecords(len(peers), func(c *job.Common) {
+	stats, headline := o.sortRecords(len(peers), func(c *job.Common) {
 		o.configure(c)
 		c.Machine = m
 		c.Source = src
 		c.Sink = sink
 	})
+	// The run count, the sub-operations or the merge batches are the same
+	// on every rank: one says so, as the sim path does.
+	if rank == 0 {
+		fmt.Println(headline)
+	}
 	// The rank's share of the output: its canonical partition, or its
 	// block range of the striped output — unless no striped collect ran
 	// (no sink), where the fleet total is all there is to report.
@@ -547,8 +552,8 @@ func runKV16Sim(o *options) {
 		opts.KeepOutput = true
 		res, err := demsort.SortStriped[demsort.KV16](demsort.KV16Codec{}, opts, input)
 		fail(err)
-		fmt.Printf("globally striped mergesort: P=%d N=%d (%d runs, %d merge batches)\n",
-			res.P, res.N, res.Runs, res.Batches)
+		fmt.Printf("globally striped mergesort: P=%d N=%d (%d runs, %d merge batches of up to %d blocks per PE)\n",
+			res.P, res.N, res.Runs, res.Batches, res.Quota)
 		ok = workload.Checksum(ref) == workload.Checksum(res.Output)
 		for i := 1; i < len(res.Output); i++ {
 			ok = ok && res.Output[i].Key >= res.Output[i-1].Key

@@ -145,6 +145,12 @@ func TestStripedTCPLauncherMatchesSim(t *testing.T) {
 	if !strings.Contains(tcpOut, "rank 3:") {
 		t.Fatalf("launcher did not run 4 striped workers:\n%s", tcpOut)
 	}
+	// A real-process run says what it did in the words of the sim run:
+	// rank 0 prints the sort's headline, once.
+	headline := simOut[:strings.Index(simOut, "\n")]
+	if !strings.HasPrefix(headline, "globally striped mergesort[records]") || strings.Count(tcpOut, headline) != 1 {
+		t.Fatalf("the workers printed the headline %q %d times, want once:\n%s", headline, strings.Count(tcpOut, headline), tcpOut)
+	}
 	var total int64
 	for rank := 0; rank < 4; rank++ {
 		name := fmt.Sprintf("part-%03d", rank)

@@ -408,7 +408,11 @@ func AblationSampleK(s FigureScale) (*Figure, error) {
 
 // AblationStripedVsCanonical compares the two algorithms of the paper
 // head to head (Sections III vs IV): I/O volume, communication volume
-// and modelled time on the same machine and inputs.
+// and modelled time on the same machine and inputs. The striped sorter
+// appears under both stripe layouts — its row of the randomisation
+// ablation: with Randomize the run stripes are rotated and a merge batch
+// draws on every PE, without it one PE homes each stretch of the
+// prediction sequence and the same merge takes more, smaller batches.
 func AblationStripedVsCanonical(s FigureScale) (*Table, error) {
 	const p = 16
 	// Smaller input than the scaling figures: the striped algorithm
@@ -418,13 +422,13 @@ func AblationStripedVsCanonical(s FigureScale) (*Table, error) {
 	perPE := 16384
 	tbl := &Table{
 		Title:   "Canonical (Sec. IV) vs globally striped (Sec. III), P=16",
-		Headers: []string{"input", "system", "I/O / N", "comm / N", "modelled time [s]"},
+		Headers: []string{"input", "system", "I/O / N", "comm / N", "merge batches", "modelled time [s]"},
 	}
 	for _, kind := range []workload.Kind{workload.Uniform, workload.WorstCaseLocal} {
 		input := workload.Generate(kind, p, perPE, s.Seed)
 		nBytes := float64(int64(p) * int64(perPE) * 16)
 
-		row := func(system string, st *job.Stats) {
+		row := func(system, batches string, st *job.Stats) {
 			var io, net int64
 			for _, ph := range st.PhaseNames {
 				r, w := st.PhaseBytes(ph)
@@ -434,22 +438,29 @@ func AblationStripedVsCanonical(s FigureScale) (*Table, error) {
 			tbl.AddRow(string(kind), system,
 				fmt.Sprintf("%.2f", float64(io)/nBytes),
 				fmt.Sprintf("%.2f", float64(net)/nBytes),
+				batches,
 				fmt.Sprintf("%.4f", st.TotalWall()))
 		}
 		cres, err := Sort[KV16](KV16Codec{}, s.options(p, s.BlockBytes, true), input)
 		if err != nil {
 			return nil, err
 		}
-		row("canonical", &cres.Stats)
+		row("canonical", "-", &cres.Stats)
 
-		sopts := NewStripedOptions(p, s.MemElems, s.BlockBytes)
-		sopts.Model = scaledModel(s.BlockBytes)
-		sopts.Seed = s.Seed
-		sres, err := SortStriped[KV16](KV16Codec{}, sopts, input)
-		if err != nil {
-			return nil, err
+		for _, layout := range []struct {
+			system    string
+			randomize bool
+		}{{"striped", true}, {"striped, unrotated", false}} {
+			sopts := NewStripedOptions(p, s.MemElems, s.BlockBytes)
+			sopts.Model = scaledModel(s.BlockBytes)
+			sopts.Seed = s.Seed
+			sopts.Randomize = layout.randomize
+			sres, err := SortStriped[KV16](KV16Codec{}, sopts, input)
+			if err != nil {
+				return nil, err
+			}
+			row(layout.system, fmt.Sprint(sres.Batches), &sres.Stats)
 		}
-		row("striped", &sres.Stats)
 	}
 	return tbl, nil
 }

@@ -21,13 +21,14 @@ type localRun[T any] struct {
 }
 
 // runFormation executes phase 1 (§IV, first phase) — job.FormRuns, the
-// run formation both mergesorts share — with CANONICALMERGESORT's way of
-// storing a sorted run: each PE's segment stays on its local disks, and
-// every K-th global run position is sampled into memory (§IV-A).
+// run formation both mergesorts share — with CANONICALMERGESORT's exactly
+// split runs and its way of storing one: each PE's segment stays on its
+// local disks, and every K-th global run position is sampled into memory
+// (§IV-A).
 func runFormation[T any](c elem.Codec[T], j *job.Job[T], n *cluster.Node, d derived, input []blockio.Span) ([]localRun[T], error) {
 	n.SetPhase(PhaseRunForm)
 	var out []localRun[T]
-	_, err := j.FormRuns(n, input, 0xD1CE, func(_ int, runLen, segStart int64, seg []T) error {
+	_, err := j.FormRuns(n, input, 0xD1CE, j.SortExact, func(_ int, runLen, segStart int64, seg []T) error {
 		lr := localRun[T]{segStart: segStart, segLen: int64(len(seg)), runLen: runLen}
 		for i := firstMultiple(segStart, d.sampleK) - segStart; i < lr.segLen; i += d.sampleK {
 			lr.sample = append(lr.sample, seg[i])

@@ -6,10 +6,11 @@
 // common configuration, the run geometry, validation and defaults,
 // opening the input, building or adopting the machine, loading the
 // input onto the volumes, and the per-phase statistics. The shared
-// phases (runform.go): the mergesorts' run formation, FormRuns, and the
-// tail of the distributed internal sort, SortAcross. What the
-// algorithms do differently (where a sorted run is stored, their later
-// phases, their capacity rules, their collect) stays with them.
+// phases (runform.go): the mergesorts' run formation, FormRuns, the exact
+// distributed sort of a run, SortExact, and the tail of any distributed
+// internal sort, SortAcross. What the algorithms do differently (how
+// exactly a run is split and where it is stored, their later phases,
+// their capacity rules, their collect) stays with them.
 package job
 
 import (
@@ -101,9 +102,13 @@ type Common struct {
 	Base
 	// Randomize enables the random shuffling of local input block IDs
 	// before run formation (§IV: "each PE chooses its participating
-	// blocks for the run randomly"). Figures 4 vs 6 are this switch;
-	// under global striping it balances the merge phase's disk load
-	// rather than data placement.
+	// blocks for the run randomly"). Figures 4 vs 6 are this switch.
+	// Under global striping it balances the merge phase's disk load
+	// rather than data placement: the shuffle makes all runs alike, and
+	// the striped sorter then rotates the stripes of its runs — block g
+	// of run r on PE (g + r) mod P instead of g mod P — so the blocks
+	// the merge wants next are spread over all PEs. The striped output
+	// is never rotated (see stripesort).
 	Randomize bool
 	// Overlap enables overlapping of I/O and communication with
 	// computation (§IV-E); switching it off is the ablation knob. It is

@@ -11,6 +11,7 @@ import (
 
 	"demsort/internal/cluster"
 	"demsort/internal/cluster/sim"
+	"demsort/internal/dselect"
 	"demsort/internal/elem"
 )
 
@@ -177,8 +178,8 @@ func TestStartChecksAdoptedMachine(t *testing.T) {
 	}
 }
 
-// TestFormRuns drives the shared phase 1 on the sim backend: per run,
-// the segments handed to store — concatenated in rank order — are
+// TestFormRuns drives the shared phase 1 on the sim backend with the
+// exact run sort: per run, the segments handed to store — concatenated in rank order — are
 // sorted and are a permutation of the blocks that run was formed from,
 // each segment is exactly its rank's RankBounds share, and the budget
 // holds nothing but the documented 2·len(seg) during store and is back
@@ -217,7 +218,7 @@ func TestFormRuns(t *testing.T) {
 					}
 					n.SetPhase("run formation")
 					entry := n.Mem.Used()
-					runCount[n.Rank], err = j.FormRuns(n, spans, 0xABC, func(run int, runLen, segStart int64, s []elem.KV16) error {
+					runCount[n.Rank], err = j.FormRuns(n, spans, 0xABC, j.SortExact, func(run int, runLen, segStart int64, s []elem.KV16) error {
 						if run != len(segs[n.Rank]) {
 							return fmt.Errorf("rank %d: store called for run %d after %d runs", n.Rank, run, len(segs[n.Rank]))
 						}
@@ -276,6 +277,79 @@ func TestFormRuns(t *testing.T) {
 					t.Fatal("the runs together are not a permutation of the input")
 				}
 			})
+		}
+	}
+}
+
+// callLog is a Transport that records the name of every communication
+// call the phase code makes through it.
+type callLog struct {
+	cluster.Transport
+	calls []string
+}
+
+func (l *callLog) Barrier() { l.calls = append(l.calls, "Barrier"); l.Transport.Barrier() }
+func (l *callLog) AllToAllv(send [][]byte) [][]byte {
+	l.calls = append(l.calls, "AllToAllv")
+	return l.Transport.AllToAllv(send)
+}
+func (l *callLog) AllGather(data []byte) [][]byte {
+	l.calls = append(l.calls, "AllGather")
+	return l.Transport.AllGather(data)
+}
+func (l *callLog) AllReduceInt64(v int64, op string) int64 {
+	l.calls = append(l.calls, "AllReduceInt64")
+	return l.Transport.AllReduceInt64(v, op)
+}
+
+// TestSortExactIsTheExactRunSort pins the run sort core passes to
+// FormRuns: SortExact makes exactly the calls that run formation made
+// inline before the run sort became a parameter — the run length's
+// AllReduce, the rounds of dselect.Cuts, one data AllToAllv — in that
+// order, and leaves every PE with exactly its RankBounds share.
+func TestSortExactIsTheExactRunSort(t *testing.T) {
+	const p = 4
+	chunks := tiles([]int{300, 0, 257, 90}, 1<<40, 11)
+	var exact, inline [p][]string
+	onSim(t, Defaults(p, 4096, 256), make([][]elem.KV16, p), func(j *Job[elem.KV16], n *cluster.Node) error {
+		n.SetPhase("run formation")
+		sorted := func() []elem.KV16 {
+			chunk := slices.Clone(chunks[n.Rank])
+			slices.SortStableFunc(chunk, byKeyVal)
+			n.Mem.MustAcquire(int64(len(chunk)))
+			return chunk
+		}
+		log := &callLog{Transport: n.Transport()}
+		ln := cluster.NewNode(log, n.NodeStats(), n.Vol, n.Mem)
+
+		seg, segStart, runLen, err := j.SortExact(ln, sorted(), nil)
+		if err != nil {
+			return err
+		}
+		bounds := RankBounds(647, p)
+		if runLen != 647 || segStart != bounds[n.Rank] || int64(len(seg)) != bounds[n.Rank+1]-bounds[n.Rank] {
+			return fmt.Errorf("rank %d: run of %d, segment [%d, +%d), want 647 and [%d, %d)", n.Rank, runLen, segStart, len(seg), bounds[n.Rank], bounds[n.Rank+1])
+		}
+		n.Mem.Release(2 * int64(len(seg)))
+		exact[n.Rank], log.calls = log.calls, nil
+
+		chunk := sorted()
+		total := ln.AllReduceInt64(int64(len(chunk)), "sum")
+		ref := j.SortAcross(ln, chunk, dselect.Cuts(kvc, ln, chunk, RankBounds(total, p)[1:p]), nil)
+		n.Mem.Release(2 * int64(len(ref)))
+		inline[n.Rank] = log.calls
+		if !slices.Equal(seg, ref) {
+			return fmt.Errorf("rank %d: SortExact's segment differs from the inline sequence's", n.Rank)
+		}
+		return nil
+	})
+	for rank := range exact {
+		calls := exact[rank]
+		if !slices.Equal(calls, inline[rank]) {
+			t.Fatalf("rank %d: SortExact called %v, the inline sequence %v", rank, calls, inline[rank])
+		}
+		if len(calls) < 3 || calls[0] != "AllReduceInt64" || calls[len(calls)-1] != "AllToAllv" {
+			t.Fatalf("rank %d: calls %v, want AllReduceInt64 … AllToAllv", rank, calls)
 		}
 	}
 }

@@ -13,24 +13,35 @@ import (
 	"demsort/internal/xmerge"
 )
 
+// RunSort is the distributed internal sort of one run (§IV-B) as FormRuns
+// calls it on every PE: chunk is this PE's sorted share of the run,
+// charged at its length and dead on return; the result is this PE's
+// piece of the sorted run — merged onto dst, charged at twice its length
+// — with the run position it starts at and the length of the whole run.
+// The pieces concatenate in rank order to the sorted run; how evenly
+// they are cut is the implementation's choice.
+type RunSort[T any] func(n *cluster.Node, chunk, dst []T) (seg []T, segStart, runLen int64, err error)
+
 // FormRuns is phase 1 of both mergesorts (§III and §IV, first phase):
 // R = N/M global runs, each assembled from (randomly chosen) local
 // blocks on every PE and sorted across the machine with the distributed
-// internal sort (§IV-B). What the algorithms do differently is where a
-// sorted run goes — canonical leaves each PE's segment on its local
-// disks, striped stripes it over the machine — so that is the store
-// callback: it receives elements [segStart, segStart+len(seg)) of run
-// number run, runLen elements long, and seg is dead once it returns
-// (the next run's segment is merged into the same storage).
-// Every PE calls store for every run (collective work is allowed in
-// it). salt separates the callers' block shuffles.
+// internal sort sortRun. The algorithms differ in how exactly a run must
+// be split — canonical needs every PE to hold exactly its 1/P share
+// (SortExact), striped re-distributes the run anyway and takes cheaper
+// approximate cuts — and in where a sorted run goes: canonical leaves
+// each PE's segment on its local disks, striped stripes it over the
+// machine. That is the store callback: it receives elements
+// [segStart, segStart+len(seg)) of run number run, runLen elements long,
+// and seg is dead once it returns (the next run's segment is merged into
+// the same storage). Every PE calls store for every run (collective work
+// is allowed in it). salt separates the callers' block shuffles.
 //
 // I/O is overlapped with sorting and communication: while run i is
 // processed, run i+1's blocks are already being fetched and run i−1's
 // output is still draining (§IV-E "Overlapping"). The spans are freed
 // as they are read; the writes store issued are drained on return.
 // FormRuns returns the run count R.
-func (j *Job[T]) FormRuns(n *cluster.Node, spans []blockio.Span, salt uint64,
+func (j *Job[T]) FormRuns(n *cluster.Node, spans []blockio.Span, salt uint64, sortRun RunSort[T],
 	store func(run int, runLen, segStart int64, seg []T) error) (int, error) {
 	c, cfg, sz, model := j.c, j.cfg, j.c.Size(), &j.cfg.Model
 	if cfg.Randomize {
@@ -102,21 +113,31 @@ func (j *Job[T]) FormRuns(n *cluster.Node, spans []blockio.Span, salt uint64,
 		}
 		cur = next
 
-		// Distributed sort of the run: exact splits, all-to-all, merge.
-		runLen := n.AllReduceInt64(chunkLen, "sum")
-		bounds := RankBounds(runLen, n.P)
-		seg = j.SortAcross(n, chunk, dselect.Cuts(c, n, chunk, bounds[1:n.P]), seg[:0])
-		segLen := bounds[n.Rank+1] - bounds[n.Rank]
-		if int64(len(seg)) != segLen {
-			return 0, fmt.Errorf("run %d: PE %d received %d elements, expected segment of %d", r, n.Rank, len(seg), segLen)
+		var segStart, runLen int64
+		var err error
+		if seg, segStart, runLen, err = sortRun(n, chunk, seg[:0]); err != nil {
+			return 0, fmt.Errorf("run %d: %w", r, err)
 		}
-		if err := store(r, runLen, bounds[n.Rank], seg); err != nil {
+		if err := store(r, runLen, segStart, seg); err != nil {
 			return 0, err
 		}
-		n.Mem.Release(2 * segLen)
+		n.Mem.Release(2 * int64(len(seg)))
 	}
 	n.Vol.Drain()
 	return runs, nil
+}
+
+// SortExact is the RunSort with exact splitting (§IV-B): the run length
+// is agreed, dselect.Cuts finds the local positions of the ranks
+// N/P, 2N/P, …, and SortAcross leaves every PE with exactly its share.
+func (j *Job[T]) SortExact(n *cluster.Node, chunk, dst []T) ([]T, int64, int64, error) {
+	runLen := n.AllReduceInt64(int64(len(chunk)), "sum")
+	bounds := RankBounds(runLen, n.P)
+	seg := j.SortAcross(n, chunk, dselect.Cuts(j.c, n, chunk, bounds[1:n.P]), dst)
+	if segLen := bounds[n.Rank+1] - bounds[n.Rank]; int64(len(seg)) != segLen {
+		return nil, 0, 0, fmt.Errorf("PE %d received %d elements, expected segment of %d", n.Rank, len(seg), segLen)
+	}
+	return seg, bounds[n.Rank], runLen, nil
 }
 
 // SortAcross is the tail of the distributed internal sort that ends

@@ -34,7 +34,10 @@ type pe[T any] struct {
 	// merge's product, the collect's input.
 	outBlocks []stripedBlock
 	batches   int
-	outN      int64 // elements delivered to this rank's sink
+	// quota is the merge's fetch quota (mergeQuota), maxFetch the most
+	// blocks this PE did fetch in one batch.
+	quota, maxFetch int64
+	outN            int64 // elements delivered to this rank's sink
 }
 
 // runBlock is block blk of run run, stored here as block id with len
@@ -80,14 +83,15 @@ func runPE[T any](j *job.Job[T], c elem.Codec[T], n *cluster.Node, cfg *Config, 
 }
 
 // formRuns is phase 1, run formation with global striping: the shared
-// run formation, each sorted run striped over the machine as it
-// completes.
+// run formation, each run sorted across the machine under sample
+// splitters — its stripe fixes the positions, so the cuts need not be
+// exact — and striped over the machine as it completes.
 func (s *pe[T]) formRuns(spans []blockio.Span) error {
 	n, model := s.n, &s.cfg.Model
 	n.SetPhase(PhaseRunForm)
 	var err error
-	s.runs, err = s.j.FormRuns(n, spans, 0x57121, func(run int, runLen, segStart int64, seg []T) error {
-		st := s.newStriper(runLen, func(g int64, data []T) {
+	s.runs, err = s.j.FormRuns(n, spans, 0x57121, s.sortSampled, func(run int, runLen, segStart int64, seg []T) error {
+		st := s.newStriper(run, runLen, func(g int64, data []T) {
 			s.stored = append(s.stored, runBlock[T]{run: run, blk: g, id: s.writeBlock(data), len: len(data), first: data[0]})
 		})
 		st.stripe(segStart, seg)
@@ -101,14 +105,35 @@ func (s *pe[T]) formRuns(spans []blockio.Span) error {
 	return nil
 }
 
+// output is the run number of the output sequence, for home and the
+// striper.
+const output = -1
+
+// home is the PE that stores block blk of run run. The output is striped
+// plainly, block g on PE g mod P. A run's stripe is rotated under
+// Randomize: block g of run r lives on PE (g + r) mod P. Randomised run
+// formation makes all runs alike, so the prediction sequence lists block
+// g of every run back to back; were every run striped from PE 0, one PE
+// would home each such stretch — and every run's leftover block — while
+// the others wait. Rotating the stripes spreads both (randomized
+// cycling). Without Randomize nothing promises that runs are alike, and
+// the stripes stay unrotated.
+func (s *pe[T]) home(run int, blk int64) int {
+	if run != output && s.cfg.Randomize {
+		blk += int64(run)
+	}
+	return int(blk % int64(s.n.P))
+}
+
 // striper moves pieces of one block-striped sequence of total elements
-// — block g, elements [g·B, (g+1)·B), lives on PE g mod P — from the PEs
-// that produced them to the PEs that store them: the extra
-// communication of Section III. Blocks assemble across calls, so a
-// piece may end anywhere; emit receives each block this PE homes once,
-// when its last element has arrived.
+// — run run or the output; block g, elements [g·B, (g+1)·B), lives on
+// PE home(run, g) — from the PEs that produced them to the PEs that
+// store them: the extra communication of Section III. Blocks assemble
+// across calls, so a piece may end anywhere; emit receives each block
+// this PE homes once, when its last element has arrived.
 type striper[T any] struct {
 	*pe[T]
+	run   int
 	total int64
 	emit  func(g int64, data []T)
 	asm   map[int64]*asmBlock[T]
@@ -119,9 +144,12 @@ type asmBlock[T any] struct {
 	filled int
 }
 
-func (s *pe[T]) newStriper(total int64, emit func(g int64, data []T)) *striper[T] {
-	return &striper[T]{pe: s, total: total, emit: emit, asm: map[int64]*asmBlock[T]{}}
+func (s *pe[T]) newStriper(run int, total int64, emit func(g int64, data []T)) *striper[T] {
+	return &striper[T]{pe: s, run: run, total: total, emit: emit, asm: map[int64]*asmBlock[T]{}}
 }
+
+// stripeHdr is the (block, offset, count) header of a striped piece.
+const stripeHdr = 16
 
 // stripe is collective: this PE contributes elements [lo, lo+len(elems))
 // of the sequence, cut at block boundaries and sent to each block's home
@@ -130,19 +158,31 @@ func (s *pe[T]) newStriper(total int64, emit func(g int64, data []T)) *striper[T
 // charged to the budget while they wait.
 func (s *striper[T]) stripe(lo int64, elems []T) {
 	n, sz, bElem := s.n, s.c.Size(), int64(s.j.BElem)
-	send := make([][]byte, n.P)
-	for pos := lo; len(elems) > 0; {
-		g := pos / bElem
-		take := min(int64(len(elems)), (g+1)*bElem-pos)
-		home := int(g % int64(n.P))
-		var hdr [16]byte
-		binary.LittleEndian.PutUint64(hdr[:8], uint64(g))
-		binary.LittleEndian.PutUint32(hdr[8:12], uint32(pos-g*bElem))
-		binary.LittleEndian.PutUint32(hdr[12:16], uint32(take))
-		send[home] = append(send[home], hdr[:]...)
-		send[home] = elem.AppendEncode(s.c, send[home], elems[:take])
-		elems, pos = elems[take:], pos+take
+	// pieces walks the block-aligned pieces of [lo, lo+len(elems)).
+	pieces := func(fn func(home int, g, off int64, piece []T)) {
+		for pos, rest := lo, elems; len(rest) > 0; {
+			g := pos / bElem
+			take := min(int64(len(rest)), (g+1)*bElem-pos)
+			fn(s.home(s.run, g), g, pos-g*bElem, rest[:take])
+			rest, pos = rest[take:], pos+take
+		}
 	}
+	// The piece sizes are known before anything is encoded, so each send
+	// vector comes out of the arena once, at its final size.
+	size := make([]int, n.P)
+	pieces(func(home int, _, _ int64, piece []T) { size[home] += stripeHdr + len(piece)*sz })
+	send, at := make([][]byte, n.P), make([]int, n.P)
+	for q := range send {
+		send[q] = bufpool.Get(size[q])
+	}
+	pieces(func(home int, g, off int64, piece []T) {
+		buf := send[home][at[home]:]
+		binary.LittleEndian.PutUint64(buf[:8], uint64(g))
+		binary.LittleEndian.PutUint32(buf[8:12], uint32(off))
+		binary.LittleEndian.PutUint32(buf[12:16], uint32(len(piece)))
+		elem.EncodeInto(s.c, buf[stripeHdr:], piece)
+		at[home] += stripeHdr + len(piece)*sz
+	})
 	recv := n.AllToAllv(send)
 	for _, buf := range recv {
 		for len(buf) > 0 {
@@ -155,8 +195,8 @@ func (s *striper[T]) stripe(lo int64, elems []T) {
 				n.Mem.MustAcquire(int64(len(a.data)))
 				s.asm[g] = a
 			}
-			elem.DecodeInto(s.c, a.data[off:off+cnt], buf[16:16+cnt*sz])
-			buf = buf[16+cnt*sz:]
+			elem.DecodeInto(s.c, a.data[off:off+cnt], buf[stripeHdr:stripeHdr+cnt*sz])
+			buf = buf[stripeHdr+cnt*sz:]
 			if a.filled += cnt; a.filled == len(a.data) {
 				s.emit(g, a.data)
 				delete(s.asm, g)
@@ -248,71 +288,84 @@ type piece[T any] struct {
 	elems []T
 }
 
+// mergeQuota is the number of blocks a PE fetches per merge batch: the
+// largest q whose batch fits a budget of m elements, 0 when not even
+// one block does (4 without a budget). What a batch holds on one PE,
+// with table prediction entries and runs runs of bElem-element blocks:
+//
+//   - the prediction table, for the whole merge;
+//   - pending = (left + q) blocks: the q it fetches on top of the
+//     leftovers of earlier batches. A run leaves at most its last
+//     fetched block behind. Under rotated stripes (see home) a PE homes
+//     the runs of one residue class, and runs that are alike are within
+//     a block of each other, so two classes' worth: left = 2·⌈runs/P⌉.
+//     Unrotated, the leftovers of all runs can share a PE: left = runs;
+//   - then either all of pending is emitted and SortAcross holds the
+//     send copies next to it (2·pending), or — at worst — none of it is
+//     and the PE still receives a full share of what the machine emits,
+//     at most everything pending anywhere, (runs + P·q) blocks:
+//     SortAcross holds 3 × that share (recvBound), and afterwards the
+//     merged share twice next to the output blocks under assembly (one
+//     even share and a partial block at either end).
+func mergeQuota(m, table, bElem, runs int64, p int, rotated bool) int64 {
+	if m <= 0 {
+		return 4
+	}
+	left := runs
+	if rotated {
+		left = min(runs, 2*((runs+int64(p)-1)/int64(p)))
+	}
+	need := func(q int64) int64 {
+		pending := (left + q) * bElem
+		return table + pending + max(pending, 3*recvBound((runs+int64(p)*q)*bElem, p)+2*bElem)
+	}
+	// need grows with q: the largest q that fits is one below the first
+	// that does not.
+	return int64(sort.Search(int(m/bElem)+1, func(q int) bool { return need(int64(q)+1) > m }))
+}
+
 // mergeBatches is phase 2, prediction-driven batch merging: blocks are
 // fetched in prediction order, a batch at a time; what is smaller than
 // the first unfetched element is merged across the machine and striped
 // to the output, the rest waits for the next batch.
 func (s *pe[T]) mergeBatches(pred []predEntry[T]) error {
-	n, cfg, bElem := s.n, s.cfg, int64(s.j.BElem)
+	n := s.n
 	n.SetPhase(PhaseMerge)
-	home := make(map[[2]int64]runBlock[T], len(s.stored))
+	stored := make(map[[2]int64]runBlock[T], len(s.stored))
 	for _, rb := range s.stored {
-		home[[2]int64{int64(rb.run), rb.blk}] = rb
+		stored[[2]int64{int64(rb.run), rb.blk}] = rb
 	}
-	// Blocks each PE fetches per batch. The prediction table is a
-	// first-class memory consumer (the paper's footnote 12 notes the
-	// same pressure); the quota is sized from what remains.
-	quota := int64(4)
-	if cfg.MemElems > 0 {
-		avail := max(cfg.MemElems-int64(len(pred)), cfg.MemElems/8)
-		quota = max(avail/(16*bElem), 1)
-	}
-	out := s.newStriper(s.totalN, func(g int64, data []T) {
+	// Every PE derives the quota from the same collectively agreed
+	// numbers; Sort refused the job if it could come out as 0.
+	s.quota = max(mergeQuota(s.cfg.MemElems, int64(len(pred)), int64(s.j.BElem), int64(s.runs), n.P, s.cfg.Randomize), 1)
+	out := s.newStriper(output, s.totalN, func(g int64, data []T) {
 		s.outBlocks = append(s.outBlocks, stripedBlock{idx: g, id: s.writeBlock(data), len: len(data)})
 	})
 	pending := make([][]piece[T], s.runs)
 	var merged []T // one batch's is striped before the next is merged
 	var outCur int64
 	for cursor := 0; cursor < len(pred); s.batches++ {
-		// Deterministic batch boundary: stop when any PE's fetch count
-		// reaches its quota.
-		perPE := make([]int64, n.P)
-		end := cursor
-		for ; end < len(pred); end++ {
-			h := pred[end].blk % int64(n.P)
-			if perPE[h] == quota {
-				break
-			}
-			perPE[h]++
+		end := s.batchEnd(pred, cursor)
+		if err := s.fetch(pred[cursor:end], stored, pending); err != nil {
+			return err
 		}
-		s.fetch(pred[cursor:end], home, pending)
 		// The barrier is the smallest unfetched element, known from the
 		// prediction sequence.
 		var barrier *predEntry[T]
 		if end < len(pred) {
 			barrier = &pred[end]
 		}
-		chunk := s.extract(pending, barrier)
-
-		if emitTotal := n.AllReduceInt64(int64(len(chunk)), "sum"); emitTotal > 0 {
-			// Distributed merge of the emitted chunks, then stripe the
-			// result to the output — the two communications per element
-			// of the merging pass. Unlike run formation's splitters, the
-			// batch cuts only need to be order-consistent (the striped
-			// layout fixes positions later), so cheap sample-based
-			// splitters suffice — exactness here would cost more
-			// metadata than the batch carries data.
-			merged = s.j.SortAcross(n, chunk, sampleCuts(s.c, n, chunk), merged[:0])
-			// The batch's output positions follow from the actual piece
-			// sizes (approximate splits make them uneven).
-			lo := outCur
-			for _, l := range allGatherInt64(n, int64(len(merged)))[:n.Rank] {
-				lo += l
-			}
-			out.stripe(lo, merged)
-			n.Mem.Release(2 * int64(len(merged)))
-			outCur += emitTotal
+		// Distributed merge of the emitted chunks, then stripe the result
+		// to the output — the two communications per element of the
+		// merging pass.
+		var lo, emitted int64
+		var err error
+		if merged, lo, emitted, err = s.sortSampled(n, s.extract(pending, barrier), merged[:0]); err != nil {
+			return fmt.Errorf("stripesort: merge batch %d: %w", s.batches, err)
 		}
+		out.stripe(outCur+lo, merged)
+		n.Mem.Release(2 * int64(len(merged)))
+		outCur += emitted
 		cursor = end
 	}
 	n.Mem.Release(int64(len(pred))) // prediction table dead after the merge
@@ -324,10 +377,49 @@ func (s *pe[T]) mergeBatches(pred []predEntry[T]) error {
 	return nil
 }
 
+// batchEnd returns where the batch starting at pred[cursor] ends: the
+// longest stretch of the prediction sequence of which no PE homes more
+// than the quota. Every PE computes the same boundary.
+func (s *pe[T]) batchEnd(pred []predEntry[T], cursor int) int {
+	perPE := make([]int64, s.n.P)
+	end := cursor
+	for ; end < len(pred); end++ {
+		h := s.home(pred[end].run, pred[end].blk)
+		if perPE[h] == s.quota {
+			break
+		}
+		perPE[h]++
+	}
+	return end
+}
+
+// sortSampled is the distributed sort both phases end in (a job.RunSort):
+// this PE's sorted chunk is cut at sample splitters and redistributed by
+// SortAcross, so the merged pieces concatenate in rank order to the
+// sorted union of all chunks. The cuts are only approximately even — the
+// stripe that follows fixes the positions — so the piece lengths are
+// gathered: the result is this PE's piece, where it starts in the union,
+// and the union's length.
+func (s *pe[T]) sortSampled(n *cluster.Node, chunk, dst []T) ([]T, int64, int64, error) {
+	cuts, total := sampleCuts(s.c, n, chunk)
+	merged := s.j.SortAcross(n, chunk, cuts, dst)
+	var lo, sum int64
+	for q, l := range allGatherInt64(n, int64(len(merged))) {
+		if q < n.Rank {
+			lo += l
+		}
+		sum += l
+	}
+	if sum != total {
+		return nil, 0, 0, fmt.Errorf("the PEs received %d elements of the %d they contributed", sum, total)
+	}
+	return merged, lo, total, nil
+}
+
 // fetch reads this PE's resident blocks of one batch (asynchronously)
 // and queues each behind its run's pending pieces, charged to the
 // budget until emitted.
-func (s *pe[T]) fetch(batch []predEntry[T], home map[[2]int64]runBlock[T], pending [][]piece[T]) {
+func (s *pe[T]) fetch(batch []predEntry[T], stored map[[2]int64]runBlock[T], pending [][]piece[T]) error {
 	n, sz := s.n, s.c.Size()
 	type fetched struct {
 		rb     runBlock[T]
@@ -336,10 +428,13 @@ func (s *pe[T]) fetch(batch []predEntry[T], home map[[2]int64]runBlock[T], pendi
 	}
 	var fs []fetched
 	for _, e := range batch {
-		if int(e.blk%int64(n.P)) != n.Rank {
+		if s.home(e.run, e.blk) != n.Rank {
 			continue
 		}
-		rb := home[[2]int64{int64(e.run), e.blk}]
+		rb, ok := stored[[2]int64{int64(e.run), e.blk}]
+		if !ok {
+			return fmt.Errorf("stripesort: PE %d homes block %d of run %d but never stored it", n.Rank, e.blk, e.run)
+		}
 		raw := bufpool.Get(rb.len * sz)
 		fs = append(fs, fetched{rb: rb, raw: raw, handle: n.Vol.ReadAsync(rb.id, raw)})
 	}
@@ -351,7 +446,9 @@ func (s *pe[T]) fetch(batch []predEntry[T], home map[[2]int64]runBlock[T], pendi
 		pending[f.rb.run] = append(pending[f.rb.run], piece[T]{pos: f.rb.blk * int64(s.j.BElem), elems: vals})
 		n.Vol.Free(f.rb.id)
 	}
+	s.maxFetch = max(s.maxFetch, int64(len(fs)))
 	n.AddCPU(s.cfg.Model.ScanCPU(int64(len(fs) * s.j.BElem)))
+	return nil
 }
 
 // extract removes from pending everything strictly before the barrier
@@ -391,16 +488,30 @@ func (s *pe[T]) extract(pending [][]piece[T], barrier *predEntry[T]) []T {
 	return xmerge.Merge(s.c, seqs)
 }
 
+// collectWindow is w, the number of consecutive output blocks an owner
+// receives per collect round. A round carries a window for every owner,
+// so a home ships up to w/P blocks to each of the P owners — w in all —
+// while an owner reorders w; A2ARounds keeps up to four rounds' sends
+// (or three and a receive) charged at once, hence w·B ≤ m/4, in whole
+// blocks per (home, owner) pair, 4 of them when memory allows.
+func collectWindow(memElems int64, bElem, p int) int64 {
+	perPair := int64(4)
+	if memElems > 0 {
+		perPair = max(min(perPair, memElems/(4*int64(bElem)*int64(p))), 1)
+	}
+	return perPair * int64(p)
+}
+
 // collectOutput re-routes the globally striped output blocks to their
 // canonical owners and feeds them to the sink in output order: rank i
 // receives blocks [G·i/P, G·(i+1)/P), so the per-rank sink streams
 // concatenate — in rank order — to the sorted sequence, exactly like
-// core.Sort's canonical partition. The transfer runs in windows of W
-// consecutive blocks per exchange, bounding both the sender's
-// staging and the receiver's reorder buffer to O(W·B) — the streamed
-// replacement for the old in-process [][]outBlock reassembly. Homes
-// free their blocks as they are shipped, so the striped copy is
-// consumed in place.
+// core.Sort's canonical partition. Round k ships to every owner i the
+// blocks [lo_i + k·w, lo_i + (k+1)·w) of its range, so all P ranks
+// receive and sink in every round, and both a home's staging and an
+// owner's reorder buffer are bounded by w·B (collectWindow). Homes free
+// their blocks as they are shipped, so the striped copy is consumed in
+// place.
 func collectOutput[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, bElem int, blocks []stripedBlock, sink func(rank int, b []byte) error) (int64, error) {
 	if sink == nil {
 		return 0, nil
@@ -418,68 +529,62 @@ func collectOutput[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, bElem i
 	}
 	sort.Slice(blocks, func(i, j int) bool { return blocks[i].idx < blocks[j].idx })
 	bounds := job.RankBounds(total, n.P)
-	owner := func(g int64) int {
-		return sort.Search(n.P, func(i int) bool { return bounds[i+1] > g })
+	w := collectWindow(cfg.MemElems, bElem, n.P)
+	// next[i] is this home's first unshipped block of owner i's range.
+	next := make([]int, n.P)
+	var widest int64
+	for i := range next {
+		next[i] = sort.Search(len(blocks), func(k int) bool { return blocks[k].idx >= bounds[i] })
+		widest = max(widest, bounds[i+1]-bounds[i])
 	}
-	// Window size: every round ships the blocks of W consecutive output
-	// indices, so a receiving owner reorders at most W blocks (≤ m/4
-	// elements) and a home stages ≈ W/P.
-	w := int64(4 * n.P)
-	if cfg.MemElems > 0 {
-		if lim := cfg.MemElems / (4 * int64(bElem)); lim < w {
-			w = lim
-		}
-	}
-	if w < 1 {
-		w = 1
-	}
-	raw := bufpool.Get(cfg.BlockBytes)
-	defer bufpool.Put(raw)
+	const hdr = 12 // (block index, element count)
 	type entry struct {
 		idx  int64
 		data []byte
 	}
-	ptr := 0
+	var entries []entry
 	var sunk int64
-	// The windows run as one pipeline (Node.A2ARounds): with a stream
-	// window of 2, window wi+1's blocks are read off the store and staged
-	// while window wi is still on the wire, so the part-file sink writes
-	// overlap the next exchange (§IV-E). buildSend stages the blocks of
-	// window wi and reports their elements as the exchange's budget
-	// charge, which A2ARounds holds until this PE's sender has provably
-	// written them; drain sinks one window's receives. Any stream window
-	// issues the same calls in the same per-PE order, so the sink streams
-	// are byte-identical.
-	buildSend := func(wi int) ([][]byte, int64) {
-		w1 := min((int64(wi)+1)*w, total)
+	// The rounds run as one pipeline (Node.A2ARounds): with a stream
+	// window of 2, round k+1's blocks are read off the store and staged
+	// while round k is still on the wire, so the part-file sink writes
+	// overlap the next exchange (§IV-E). buildSend stages round k — each
+	// send vector sized from its block count, taken from the arena once
+	// and read into straight from the store — and reports its elements as
+	// the exchange's budget charge, which A2ARounds holds until this PE's
+	// sender has provably written them; drain sinks one round's receives.
+	// Any stream window issues the same calls in the same per-PE order, so
+	// the sink streams are byte-identical.
+	buildSend := func(k int) ([][]byte, int64) {
 		send := make([][]byte, n.P)
 		var sendElems int64
-		for ptr < len(blocks) && blocks[ptr].idx < w1 {
-			b := blocks[ptr]
-			ptr++
-			n.Vol.ReadWait(b.id, raw[:b.len*sz])
-			dst := owner(b.idx)
-			var hdr [12]byte
-			binary.LittleEndian.PutUint64(hdr[:8], uint64(b.idx))
-			binary.LittleEndian.PutUint32(hdr[8:12], uint32(b.len))
-			send[dst] = append(send[dst], hdr[:]...)
-			send[dst] = append(send[dst], raw[:b.len*sz]...)
-			sendElems += int64(b.len)
-			n.Vol.Free(b.id)
+		for i := range send {
+			first, size := next[i], 0
+			for end := min(bounds[i]+int64(k+1)*w, bounds[i+1]); next[i] < len(blocks) && blocks[next[i]].idx < end; next[i]++ {
+				size += hdr + blocks[next[i]].len*sz
+			}
+			send[i] = bufpool.Get(size)
+			buf := send[i]
+			for _, b := range blocks[first:next[i]] {
+				binary.LittleEndian.PutUint64(buf[:8], uint64(b.idx))
+				binary.LittleEndian.PutUint32(buf[8:hdr], uint32(b.len))
+				n.Vol.ReadWait(b.id, buf[hdr:hdr+b.len*sz])
+				n.Vol.Free(b.id)
+				buf = buf[hdr+b.len*sz:]
+				sendElems += int64(b.len)
+			}
 		}
 		return send, sendElems
 	}
 	drain := func(_ int, recv [][]byte) error {
-		var entries []entry
+		entries = entries[:0]
 		var recvElems int64
-		for p := 0; p < n.P; p++ {
-			buf := recv[p]
+		for _, buf := range recv {
 			for len(buf) > 0 {
 				idx := int64(binary.LittleEndian.Uint64(buf[:8]))
-				cnt := int(binary.LittleEndian.Uint32(buf[8:12]))
-				entries = append(entries, entry{idx: idx, data: buf[12 : 12+cnt*sz]})
+				cnt := int(binary.LittleEndian.Uint32(buf[8:hdr]))
+				entries = append(entries, entry{idx: idx, data: buf[hdr : hdr+cnt*sz]})
 				recvElems += int64(cnt)
-				buf = buf[12+cnt*sz:]
+				buf = buf[hdr+cnt*sz:]
 			}
 		}
 		n.Mem.MustAcquire(recvElems)
@@ -494,33 +599,51 @@ func collectOutput[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, bElem i
 		n.Mem.Release(recvElems)
 		return nil
 	}
-	err := n.A2ARounds(int((total+w-1)/w), buildSend, drain)
+	err := n.A2ARounds(int((widest+w-1)/w), buildSend, drain)
 	return sunk, err
 }
 
+// sampleFactor·P is the number of regular samples a PE contributes to
+// sampleCuts. It fixes how uneven the cuts can be: see recvBound.
+const sampleFactor = 8
+
+// recvBound is the most elements SortAcross can hand one PE when total
+// elements are cut by sampleCuts. With s regular samples per PE, a PE's
+// elements between two splitters are those its samples in between stand
+// for plus at most one more sample's worth, and a splitter misses its
+// target weight by less than the heaviest sample: an even share, 1/s of
+// the total, 1/s of the largest chunk, and a rounding element per PE.
+// With s = sampleFactor·P that is at most 1 + 2/sampleFactor = 5/4 of an
+// even share — the constant mergeQuota and runFraction charge.
+func recvBound(total int64, p int) int64 {
+	share := (total + int64(p) - 1) / int64(p)
+	return min(total, share+(2*share+sampleFactor-1)/sampleFactor+int64(p)+2)
+}
+
 // sampleCuts computes order-consistent (but only approximately
-// balanced) cut positions of this PE's sorted chunk for a P-way
-// distribution: every PE contributes a handful of weighted sample
-// elements, all PEs derive the same P-1 splitters from the pooled
-// sample, and each cuts its chunk at those splitters under the
-// (value, PE, position) total order — so the distributed pieces are
-// globally ordered even with duplicate keys.
-func sampleCuts[T any](c elem.Codec[T], n *cluster.Node, chunk []T) []int64 {
+// balanced, see recvBound) cut positions of this PE's sorted chunk for a
+// P-way distribution, and the total length of all chunks: every PE
+// contributes up to sampleFactor·P evenly spaced elements, each weighted
+// by the stretch of the chunk it starts; all PEs derive the same P-1
+// splitters from the pooled sample — splitter i is the first sample with
+// i/P of the weight before it — and each cuts its chunk at those
+// splitters under the (value, PE, position) total order, so the
+// distributed pieces are globally ordered even with duplicate keys. A
+// machine without elements has no sample and cuts everywhere at 0.
+func sampleCuts[T any](c elem.Codec[T], n *cluster.Node, chunk []T) ([]int64, int64) {
 	sz := c.Size()
-	const sPerPE = 8
-	// Contribute up to sPerPE evenly spaced elements, each weighted by
-	// the share of the chunk it represents.
-	var buf []byte
+	// Sample i of k is the element at position ⌊len·i/k⌋ and stands for
+	// the stretch up to the next one: the chunk length and the k elements
+	// are all a PE has to say.
+	at := func(ln, k, i int64) int64 { return ln * i / k }
+	samples := func(ln int64) int64 { return min(int64(sampleFactor*n.P), ln) }
 	ln := int64(len(chunk))
-	for i := 0; i < sPerPE && ln > 0; i++ {
-		idx := ln * int64(i) / sPerPE
-		var rec [16]byte
-		binary.LittleEndian.PutUint64(rec[:8], uint64(idx))
-		binary.LittleEndian.PutUint64(rec[8:], uint64(ln/sPerPE+1))
-		buf = append(buf, rec[:]...)
-		buf = elem.AppendEncode(c, buf, []T{chunk[idx]})
+	k := samples(ln)
+	buf := binary.LittleEndian.AppendUint64(make([]byte, 0, 8+int(k)*sz), uint64(ln))
+	for i := int64(0); i < k; i++ {
+		idx := at(ln, k, i)
+		buf = elem.AppendEncode(c, buf, chunk[idx:idx+1])
 	}
-	all := n.AllGather(buf)
 	type cand struct {
 		v      T
 		pe     int
@@ -528,19 +651,13 @@ func sampleCuts[T any](c elem.Codec[T], n *cluster.Node, chunk []T) []int64 {
 		weight int64
 	}
 	var pool []cand
-	var wTotal int64
-	for pe := 0; pe < n.P; pe++ {
-		b := all[pe]
-		for len(b) > 0 {
-			cd := cand{
-				pe:     pe,
-				idx:    int64(binary.LittleEndian.Uint64(b[:8])),
-				weight: int64(binary.LittleEndian.Uint64(b[8:16])),
-				v:      c.Decode(b[16 : 16+sz]),
-			}
-			b = b[16+sz:]
-			pool = append(pool, cd)
-			wTotal += cd.weight
+	var total int64
+	for pe, b := range n.AllGather(buf) {
+		peLen := int64(binary.LittleEndian.Uint64(b))
+		total += peLen
+		for i, k := int64(0), samples(peLen); i < k; i++ {
+			idx, enc := at(peLen, k, i), b[8+int(i)*sz:]
+			pool = append(pool, cand{v: c.Decode(enc[:sz]), pe: pe, idx: idx, weight: at(peLen, k, i+1) - idx})
 		}
 	}
 	sort.Slice(pool, func(a, b int) bool {
@@ -557,21 +674,20 @@ func sampleCuts[T any](c elem.Codec[T], n *cluster.Node, chunk []T) []int64 {
 		return pa.idx < pb.idx
 	})
 	cuts := make([]int64, n.P-1)
-	for i := 1; i < n.P; i++ {
-		target := wTotal * int64(i) / int64(n.P)
-		var acc int64
-		sp := pool[len(pool)-1]
-		for _, cd := range pool {
-			acc += cd.weight
-			if acc >= target {
-				sp = cd
-				break
-			}
+	t, before := 0, int64(0) // before is the weight of pool[:t]
+	for i := range cuts {
+		for target := total * int64(i+1) / int64(n.P); t < len(pool) && before < target; t++ {
+			before += pool[t].weight
+		}
+		if t == len(pool) { // the splitter lies beyond every element
+			cuts[i] = ln
+			continue
 		}
 		// Count my chunk elements ordered before the splitter
 		// (value, PE, position) — identical tie handling on every PE
 		// keeps the distributed pieces disjoint and ordered.
-		cuts[i-1] = int64(sort.Search(len(chunk), func(j int) bool {
+		sp := pool[t]
+		cuts[i] = int64(sort.Search(len(chunk), func(j int) bool {
 			v := chunk[j]
 			if c.Less(v, sp.v) {
 				return false
@@ -585,13 +701,7 @@ func sampleCuts[T any](c elem.Codec[T], n *cluster.Node, chunk []T) []int64 {
 			return int64(j) >= sp.idx
 		}))
 	}
-	// Cuts must be monotone (identical splitters in sorted order are).
-	for i := 1; i < len(cuts); i++ {
-		if cuts[i] < cuts[i-1] {
-			cuts[i] = cuts[i-1]
-		}
-	}
-	return cuts
+	return cuts, total
 }
 
 // allGatherInt64 shares one int64 per PE.

@@ -170,3 +170,79 @@ func TestCollectStaysWithinBudget(t *testing.T) {
 		}
 	}
 }
+
+// a2aCounter is a Transport that counts the all-to-all exchanges made
+// through it. It offers no stream of its own, so a Node over it runs
+// every A2ARounds round as one AllToAllv.
+type a2aCounter struct {
+	cluster.Transport
+	exchanges int
+}
+
+func (c *a2aCounter) AllToAllv(send [][]byte) [][]byte {
+	c.exchanges++
+	return c.Transport.AllToAllv(send)
+}
+
+// TestCollectFeedsEveryOwnerEveryRound pins the all-owners collect: 103
+// blocks on 4 PEs give the owners ranges of 25 or 26 blocks; with a
+// window of w = 8 blocks that is ⌈26/8⌉ = 4 rounds — not the ⌈103/8⌉ = 13
+// of one window per round — and every owner sinks w blocks of its range
+// in each of the first three.
+func TestCollectFeedsEveryOwnerEveryRound(t *testing.T) {
+	const p, bElem, totalBlocks, w = 4, 64, 103, 8
+	cfg := DefaultConfig(p, 32*bElem, bElem*16) // w·B = m/4
+	if got := collectWindow(cfg.MemElems, bElem, p); got != w {
+		t.Fatalf("collect window %d blocks, want %d", got, w)
+	}
+	j, err := job.Open(kvc, &cfg.Common, make([][]elem.KV16, p), runFraction)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	rounds := make([]int, p)
+	sunkIn := make([][]int, p) // per rank: the round each block was sunk in, in sink order
+	err = j.Run(func(n *cluster.Node) error {
+		n.SetPhase(job.PhaseCollect)
+		var blocks []stripedBlock
+		data := make([]elem.KV16, bElem)
+		for g := n.Rank; g < totalBlocks; g += p {
+			id := n.Vol.Alloc()
+			n.Vol.WriteAsync(id, elem.EncodeSlice(kvc, data))
+			blocks = append(blocks, stripedBlock{idx: int64(g), id: id, len: bElem})
+		}
+		n.Vol.Drain()
+		n.Barrier()
+		counter := &a2aCounter{Transport: n.Transport()}
+		cn := cluster.NewNode(counter, n.NodeStats(), n.Vol, n.Mem)
+		cn.SetA2AWindow(1) // round k is sunk right after exchange k
+		sink := func(rank int, b []byte) error {
+			sunkIn[rank] = append(sunkIn[rank], counter.exchanges-1)
+			return nil
+		}
+		_, err := collectOutput(kvc, cn, &cfg, bElem, blocks, sink)
+		rounds[n.Rank] = counter.exchanges
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bounds := job.RankBounds(totalBlocks, p)
+	for rank := 0; rank < p; rank++ {
+		if rounds[rank] != 4 {
+			t.Errorf("rank %d: %d collect rounds, want 4", rank, rounds[rank])
+		}
+		owned := int(bounds[rank+1] - bounds[rank])
+		if len(sunkIn[rank]) != owned {
+			t.Fatalf("rank %d sunk %d blocks, owns %d", rank, len(sunkIn[rank]), owned)
+		}
+		for i, round := range sunkIn[rank] {
+			if round != i/w {
+				t.Fatalf("rank %d: block %d of its range sunk in round %d, want %d", rank, i, round, i/w)
+			}
+		}
+	}
+}

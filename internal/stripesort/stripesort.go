@@ -1,10 +1,21 @@
 // Package stripesort implements the paper's Section III algorithm:
 // multiway mergesort with *global striping*. Runs and the final output
-// are striped over all disks of the machine (block g of a sequence
-// lives on PE g mod P), merging is driven by a prediction sequence
-// (the smallest key of every data block) so that blocks are fetched in
-// exactly the order merging needs them, and batches of Θ(M/B) blocks
-// are merged with the distributed internal merge.
+// are striped over all disks of the machine, merging is driven by a
+// prediction sequence (the smallest key of every data block) so that
+// blocks are fetched in exactly the order merging needs them, and
+// batches of Θ(M/B) blocks are merged with the distributed internal
+// merge.
+//
+// Two stripe layouts (pe.home): block g of the output lives on PE
+// g mod P, always. Block g of run r lives on PE (g + r) mod P when
+// Config.Randomize is on — each run's stripe starts one PE further, so
+// the blocks the merge wants next, block g of every run, are spread over
+// all PEs instead of piled on one — and on PE g mod P when it is off.
+// Every step then keeps all P PEs busy: a merge batch fetches as many
+// blocks per PE as the memory budget holds (mergeQuota), runs and
+// batches are redistributed under sample splitters (sampleCuts), which
+// is all a striped layout needs, and every collect round feeds every
+// owner (collectOutput).
 //
 // Contrast with CANONICALMERGESORT (internal/core): this algorithm's
 // I/O volume is exactly 4N — two passes even for inputs near the
@@ -32,8 +43,9 @@ const (
 )
 
 // runFraction is a PE's share of one run as a fraction of its memory
-// budget: below canonical's 0.25 because every PE also holds the
-// prediction table (see job.Geometry).
+// budget (see job.Geometry): a fifth, so that the piece of a run
+// SortAcross hands a PE under sample splitters — up to 5/4 of its share
+// (recvBound), held three times — stays within three quarters of it.
 const runFraction = 0.2
 
 // Config parameterises the striped sort: exactly the configuration
@@ -51,8 +63,12 @@ func DefaultConfig(p int, memElems int64, blockBytes int) Config {
 // plus the striped layout.
 type Result[T any] struct {
 	job.Stats
-	// Batches is the number of merge batches.
-	Batches int
+	// Batches is the number of merge batches, Quota the number of blocks
+	// a PE may fetch in one of them (mergeQuota) and MaxFetch[rank] the
+	// most PE rank did.
+	Batches  int
+	Quota    int64
+	MaxFetch []int64
 	// Output is the globally sorted data reassembled from the stripes
 	// (only with KeepOutput).
 	Output []T
@@ -91,19 +107,25 @@ func Sort[T any](c elem.Codec[T], cfg Config, input [][]T) (*Result[T], error) {
 	}
 	sz := c.Size()
 
-	// Capacity: the merge keeps at most one leftover block per run in
-	// memory machine-wide, and each PE buffers its fetch quota, so R
-	// may grow to Θ(M/B) — the global constraint of Section III.
-	if runs := j.Runs(j.NPerPE); cfg.MemElems > 0 && runs*int64(j.BElem) > int64(cfg.P)*cfg.MemElems/4 {
-		return nil, fmt.Errorf("stripesort: %d runs exceed the machine capacity M/(4B) = %d",
-			runs, int64(cfg.P)*cfg.MemElems/(4*int64(j.BElem)))
+	// Capacity: every PE holds the prediction table — one entry per
+	// input block — through the merge, next to the leftover blocks of the
+	// R runs and the working set of one batch; R may grow to Θ(M/B), the
+	// global constraint of Section III. mergeQuota does the arithmetic.
+	bElem, p := int64(j.BElem), int64(cfg.P)
+	table, runs := p*((j.NPerPE+bElem-1)/bElem), j.Runs(j.NPerPE)
+	if mergeQuota(cfg.MemElems, table, bElem, runs, cfg.P, cfg.Randomize) == 0 {
+		layout := "unrotated run stripes (Randomize is off) can leave all of them on one PE"
+		if cfg.Randomize {
+			layout = "rotated run stripes spread them over the PEs"
+		}
+		return nil, fmt.Errorf("stripesort: no merge batch fits the memory budget of %d elements: every PE holds the prediction table (%d entries, one per %d-element block) and the leftover blocks of %d runs (%s), and needs room to fetch and merge at least one more; raise the budget or change the block size (demsort -mem / -block)",
+			cfg.MemElems, table, bElem, runs, layout)
 	}
-	// The prediction table — one entry per block of the input — is held
-	// on every PE for the whole merge, which sizes its fetch quota from
-	// what is left and needs an eighth of the budget at the least.
-	if table := (int64(cfg.P)*j.NPerPE + int64(j.BElem) - 1) / int64(j.BElem); cfg.MemElems > 0 && table > cfg.MemElems-cfg.MemElems/8 {
-		return nil, fmt.Errorf("stripesort: the prediction table (%d entries, one per %d-element block, on every PE) leaves less than an eighth of the memory budget of %d elements to merge with; raise the budget or the block size (demsort -mem / -block)",
-			table, j.BElem, cfg.MemElems)
+	// The collect keeps four rounds of one block per (home, owner) pair
+	// charged at once (collectWindow).
+	if (cfg.Sink != nil || cfg.KeepOutput) && cfg.MemElems > 0 && cfg.MemElems < 4*p*bElem {
+		return nil, fmt.Errorf("stripesort: collecting the output stages a block for each of the %d PEs, four rounds deep: %d elements of a memory budget of %d; raise the budget or lower the block size (demsort -mem / -block)",
+			p, 4*p*bElem, cfg.MemElems)
 	}
 	if err := j.Start(); err != nil {
 		return nil, fmt.Errorf("stripesort: %w", err)
@@ -134,6 +156,7 @@ func Sort[T any](c elem.Codec[T], cfg Config, input [][]T) (*Result[T], error) {
 	res := &Result[T]{
 		Stats:         j.NewStats([]string{PhaseRunForm, PhaseMerge}),
 		StripedBlocks: make([]int64, cfg.P),
+		MaxFetch:      make([]int64, cfg.P),
 	}
 	err = j.Run(func(n *cluster.Node) error {
 		st, err := runPE(j, c, n, &cfg, sink)
@@ -141,9 +164,10 @@ func Sort[T any](c elem.Codec[T], cfg Config, input [][]T) (*Result[T], error) {
 			return err
 		}
 		res.StripedBlocks[n.Rank] = int64(len(st.outBlocks))
+		res.MaxFetch[n.Rank] = st.maxFetch
 		res.OutputLens[n.Rank] = st.outN
 		if j.First(n) {
-			res.N, res.Runs, res.Batches = st.totalN, st.runs, st.batches
+			res.N, res.Runs, res.Batches, res.Quota = st.totalN, st.runs, st.batches, st.quota
 		}
 		return nil
 	})
