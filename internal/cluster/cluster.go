@@ -112,8 +112,11 @@ type Transport interface {
 	// AllToAllv sends send[j] to PE j and returns what every PE sent
 	// to this one (recv[j] = bytes from PE j). nil entries are
 	// allowed. The self-message send[rank] is delivered without
-	// touching the network and without being copied. Received buffers
-	// are owned by the receiver (see RecycleRecv).
+	// touching the network and without being copied. The send buffers
+	// belong to the transport from the call on — it hands them to the
+	// receiver or, once written, to the arena, so the caller must not
+	// touch them again — and the received ones to the caller (see
+	// RecycleRecv).
 	AllToAllv(send [][]byte) [][]byte
 	// AllGather collects each PE's byte slice; the result is indexed
 	// by rank and may be shared structurally (callers must not mutate
@@ -199,11 +202,14 @@ type MailboxStats interface {
 // receive-side buffering stays O(window · exchange size).
 //
 // Ownership follows AllToAllv: posted send buffers belong to the stream
-// (the backend may hand them to the arena once written — the caller
-// must not touch them after Post), collected buffers belong to the
-// caller (RecycleRecv). While a stream is open no other communication
-// call may run on the transport — Node enforces it (Node.guard); Close
-// (idempotent, safe during unwinds) must be called first.
+// (it hands them to the receiver or, once written, to the arena — the
+// caller must not touch them after Post), collected buffers belong to
+// the caller (RecycleRecv). A collected exchange is a written one:
+// Collect returns only when this PE's own frames of that exchange have
+// left its send buffers, so at most window exchanges' sends are ever
+// alive. While a stream is open no other communication call may run on
+// the transport — Node enforces it (Node.guard); Close (idempotent, safe
+// during unwinds) must be called first.
 type A2AStream interface {
 	// Post enqueues one exchange's send vectors (send[j] to PE j, nil
 	// entries allowed). It never blocks on the network; posting more
@@ -211,7 +217,8 @@ type A2AStream interface {
 	// fails the machine.
 	Post(send [][]byte)
 	// Collect blocks for the oldest uncollected exchange's receives
-	// (recv[j] = bytes from PE j, self-message uncopied).
+	// (recv[j] = bytes from PE j, self-message uncopied) and until that
+	// exchange's own sends are written.
 	Collect() [][]byte
 	// Close releases the stream. Calling it with posted-but-uncollected
 	// exchanges pending is only legal during an abort unwind.
@@ -333,9 +340,8 @@ func (n *Node) PhaseStats() (names []string, stats map[string]*vtime.PhaseStats)
 }
 
 // guard fails the run when call is made between OpenA2AStream and the
-// stream's Close. Collect only proves the peers wrote their frames, not
-// that this PE's background sender has written its own, so a frame from
-// another call could overtake a queued all-to-all frame on the same
+// stream's Close: a frame from another call could overtake a posted
+// exchange's frame still queued in the backend's sender, on the same
 // ordered per-peer channel. The panic unwinds the PE program; Machine.Run
 // turns it into the run's *ErrAborted.
 func (n *Node) guard(call string) {
@@ -398,15 +404,12 @@ func (n *Node) A2AWindow(rounds int) int {
 //
 // build also returns the budget charge of its send vectors (0 when the
 // caller reserved its staging up front); A2ARounds acquires it and
-// holds it until this PE's sender has provably written that exchange:
-// collecting exchange s only shows that the peers wrote theirs, but a
-// peer cannot post s+window before collecting s, which needs our
-// frame — so the charge of exchange s is released once exchange
-// s+window is collected, or at Close, which joins the sender.
+// releases it when that exchange is collected, which is when its sends
+// are written (A2AStream) — so at most window charges are ever held.
 func (n *Node) A2ARounds(rounds int, build func(s int) (send [][]byte, charge int64), consume func(s int, recv [][]byte) error) error {
 	window := n.A2AWindow(rounds)
 	st := n.OpenA2AStream(window)
-	var charges []int64 // exchanges posted, send charge still held
+	var charges []int64 // send charges of the exchanges posted, not yet collected
 	defer func() {
 		st.Close()
 		for _, c := range charges {
@@ -422,10 +425,8 @@ func (n *Node) A2ARounds(rounds int, build func(s int) (send [][]byte, charge in
 			st.Post(send)
 		}
 		recv := st.Collect()
-		if s >= window {
-			n.Mem.Release(charges[0])
-			charges = charges[1:]
-		}
+		n.Mem.Release(charges[0])
+		charges = charges[1:]
 		if err := consume(s, recv); err != nil {
 			return err
 		}

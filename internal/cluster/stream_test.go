@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"fmt"
+	"math/bits"
 	"reflect"
 	"strings"
 	"sync"
@@ -11,6 +12,8 @@ import (
 	"demsort/internal/cluster"
 	"demsort/internal/cluster/sim"
 	"demsort/internal/cluster/tcp"
+	"demsort/internal/membudget"
+	"demsort/internal/vtime"
 )
 
 // runOn runs fn on every PE of a p-rank machine of the given backend
@@ -114,8 +117,8 @@ func TestOpenStreamFailsOtherCalls(t *testing.T) {
 // TestA2ARoundsWindowAndCharges pins the one windowed post/collect loop
 // core.exchange and the striped collect share: exchanges are built in
 // order at most window ahead of the one being consumed, the data
-// arrives, the send charge of exchange s is held until exchange
-// s+window is collected (or Close), and the stream is closed on return.
+// arrives, the send charge of exchange s is held until exchange s is
+// collected (or Close), and the stream is closed on return.
 func TestA2ARoundsWindowAndCharges(t *testing.T) {
 	const rounds, charge = 5, 10
 	for _, backend := range []string{"sim", "tcp"} {
@@ -124,10 +127,10 @@ func TestA2ARoundsWindowAndCharges(t *testing.T) {
 			wantLog   string  // rank 0's build/consume order
 			wantHeld  []int64 // budget held inside consume(s)
 		}{
-			{p: 2, window: 2, wantLog: "b0 b1 c0 b2 c1 b3 c2 b4 c3 c4", wantHeld: []int64{20, 30, 30, 30, 20}},
-			{p: 2, window: 1, wantLog: "b0 c0 b1 c1 b2 c2 b3 c3 b4 c4", wantHeld: []int64{10, 10, 10, 10, 10}},
+			{p: 2, window: 2, wantLog: "b0 b1 c0 b2 c1 b3 c2 b4 c3 c4", wantHeld: []int64{10, 10, 10, 10, 0}},
+			{p: 2, window: 1, wantLog: "b0 c0 b1 c1 b2 c2 b3 c3 b4 c4", wantHeld: []int64{0, 0, 0, 0, 0}},
 			// One PE has nothing to pipeline: the window collapses to 1.
-			{p: 1, window: 2, wantLog: "b0 c0 b1 c1 b2 c2 b3 c3 b4 c4", wantHeld: []int64{10, 10, 10, 10, 10}},
+			{p: 1, window: 2, wantLog: "b0 c0 b1 c1 b2 c2 b3 c3 b4 c4", wantHeld: []int64{0, 0, 0, 0, 0}},
 		} {
 			t.Run(fmt.Sprintf("%s/p%d/w%d", backend, tc.p, tc.window), func(t *testing.T) {
 				var log []string
@@ -198,5 +201,80 @@ func TestA2ARoundsClosesOnError(t *testing.T) {
 	})
 	if errs[0] != nil {
 		t.Fatal(errs[0])
+	}
+}
+
+// recordingTransport is a 3-PE machine seen from rank 0 whose only
+// working call is OpenA2AStream: the stream it hands out records what the
+// budget holds at every Post and Collect.
+type recordingTransport struct {
+	cluster.Transport
+	mem  *membudget.Tracker
+	held []int64 // Mem.Used() on entry to each Post ("p") and Collect ("c")
+	ops  []string
+	open bool
+}
+
+func (r *recordingTransport) Rank() int { return 0 }
+func (r *recordingTransport) P() int    { return 3 }
+
+func (r *recordingTransport) OpenA2AStream(window int) cluster.A2AStream {
+	r.open = true
+	return r
+}
+
+func (r *recordingTransport) record(op string) {
+	r.ops = append(r.ops, op)
+	r.held = append(r.held, r.mem.Used())
+}
+
+func (r *recordingTransport) Post(send [][]byte) { r.record("p") }
+func (r *recordingTransport) Collect() [][]byte  { r.record("c"); return make([][]byte, 3) }
+func (r *recordingTransport) Close()             { r.open = false }
+func (r *recordingTransport) Closed() bool       { return !r.open }
+
+// TestA2ARoundsHoldsAtMostWindowCharges pins the send accounting against
+// the stream contract (a collected exchange is a written one): exchange
+// s charges 1<<s, so the budget's use spells out which exchanges are
+// held — never more than window of them, exchange s from its build to
+// its Collect and not a step longer.
+func TestA2ARoundsHoldsAtMostWindowCharges(t *testing.T) {
+	const rounds = 7
+	for _, window := range []int{1, 2, 3} {
+		t.Run(fmt.Sprintf("w%d", window), func(t *testing.T) {
+			mem := membudget.New(1 << rounds)
+			tr := &recordingTransport{mem: mem}
+			n := cluster.NewNode(tr, vtime.NewClock(), nil, mem)
+			n.SetA2AWindow(window)
+			posted, collected := 0, 0
+			// want is the charges of the exchanges built but not collected.
+			want := func() int64 { return int64(1)<<posted - int64(1)<<collected }
+			err := n.A2ARounds(rounds,
+				func(s int) ([][]byte, int64) {
+					if got := mem.Used(); got != want() {
+						t.Errorf("building %d: %b charged, want %b", s, got, want())
+					}
+					posted++
+					return make([][]byte, 3), 1 << s
+				},
+				func(s int, recv [][]byte) error {
+					collected++
+					if got := mem.Used(); got != want() {
+						t.Errorf("consuming %d: %b charged, want %b (exchange %d is written: its charge must be gone)", s, got, want(), s)
+					}
+					return nil
+				})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mem.Used() != 0 || tr.open {
+				t.Fatalf("after A2ARounds: %d charged, stream open = %v", mem.Used(), tr.open)
+			}
+			for i, held := range tr.held {
+				if k := bits.OnesCount64(uint64(held)); k > window {
+					t.Errorf("%s #%d: %d exchanges' charges held (%b), window %d", tr.ops[i], i, k, held, window)
+				}
+			}
+		})
 	}
 }

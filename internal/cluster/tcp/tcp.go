@@ -206,15 +206,15 @@ type Config struct {
 // Machine hosts this process's single PE; it implements both
 // cluster.Machine and cluster.Transport.
 type Machine struct {
-	cfg   Config
-	rank  int
-	p     int
-	ln    net.Listener
+	cfg     Config
+	rank    int
+	p       int
+	ln      net.Listener
 	peers   []*peerConn // by rank; self slot is mailbox-only
 	peersMu sync.Mutex  // guards slot publication during bring-up
-	node  *cluster.Node
-	clock *vtime.Clock
-	stats *wallStats
+	node    *cluster.Node
+	clock   *vtime.Clock
+	stats   *wallStats
 
 	closed    atomic.Bool
 	abortOnce sync.Once
@@ -936,9 +936,9 @@ func (m *Machine) stalled(src int, pc *peerConn, start time.Time) error {
 }
 
 // writeFrame writes one frame to dst's socket and returns the write
-// error instead of failing the machine — the shared write path of the
-// PE goroutine (sendFrame) and the pipelined stream's background
-// sender, which must never panic or touch the PE-owned clock. Writes
+// error instead of failing the machine — the shared write path of
+// sendFrame and of writeExchange, which also runs on the stream's sender
+// goroutine and so must never panic or touch the PE-owned clock. Writes
 // are bounded by OpTimeout so a wedged receiver with a full socket
 // buffer cannot block a writer forever; an abort elsewhere poisons the
 // write deadline and unblocks it immediately.
@@ -1051,73 +1051,114 @@ func (m *Machine) Barrier() {
 	}
 }
 
-// AllToAllv implements cluster.Transport with a 1-factorization
-// schedule: the rounds partition all rank pairs into perfect
-// matchings, so each PE stages only its own O(N/P) send and receive
-// buffers, every link carries exactly one exchange per round in each
-// direction, and the machine's P² streams never funnel through one
-// node. Eager reader-side buffering makes the schedule deadlock-free
-// even when ranks progress at different rates.
-func (m *Machine) AllToAllv(send [][]byte) [][]byte {
-	if len(send) != m.p {
-		m.failNow(fmt.Errorf("tcp: AllToAllv needs %d destination slots, got %d", m.p, len(send)))
-	}
-	recv := make([][]byte, m.p)
-	recv[m.rank] = send[m.rank] // self-message: delivered uncopied, off-network
+// errAborting is what writeExchange returns when it stops because the
+// machine is already failing; the recorded abort carries the attribution.
+var errAborting = errors.New("tcp: machine is aborting")
+
+// writeExchange is the one place an all-to-all's frames are written: in
+// 1-factor round order — the rounds partition all rank pairs into
+// perfect matchings, so every link carries exactly one exchange per
+// round in each direction and the machine's P² streams never funnel
+// through one node — and with the ownership Transport.AllToAllv
+// documents: each non-self payload goes back to the arena as soon as it
+// is on the wire. It returns the payload bytes written and, for a failed
+// write, an *ErrAborted naming the peer; it never panics and never
+// touches the PE-owned clock, so AllToAllv runs it on the PE goroutine
+// and the stream on its sender goroutine.
+func (m *Machine) writeExchange(send [][]byte) (sent int64, err error) {
 	for r := 0; r < oneFactorRounds(m.p); r++ {
 		q := oneFactorPartner(m.rank, r, m.p)
 		if q < 0 {
 			continue // odd P: paired with the dummy this round
 		}
-		m.sendFrame(q, tagA2A, send[q])
-		recv[q] = m.recvFrame(q, tagA2A)
+		if m.abortFlag.Load() {
+			return sent, errAborting
+		}
+		payload := send[q]
+		if err := m.writeFrame(q, tagA2A, payload); err != nil {
+			return sent, cluster.Abortedf(q, "tcp: rank %d all-to-all send to %d: %w", m.rank, q, err)
+		}
+		sent += int64(len(payload))
+		send[q] = nil
+		bufpool.Put(payload)
+	}
+	return sent, nil
+}
+
+// collectExchange is the one place an all-to-all's frames are read: one
+// frame per 1-factor partner, on the PE goroutine (recvFrame charges
+// blocked and network time per round). Eager reader-side buffering makes
+// the schedule deadlock-free even when ranks progress at different
+// rates. self is this rank's own message, delivered uncopied and
+// off-network.
+func (m *Machine) collectExchange(self []byte) [][]byte {
+	recv := make([][]byte, m.p)
+	recv[m.rank] = self
+	for r := 0; r < oneFactorRounds(m.p); r++ {
+		if q := oneFactorPartner(m.rank, r, m.p); q >= 0 {
+			recv[q] = m.recvFrame(q, tagA2A)
+		}
 	}
 	return recv
 }
 
-// a2aStream is the pipelined AllToAllv path (cluster.A2AStream): a
-// background sender goroutine drains posted exchanges onto the wire in
-// 1-factor round order while the PE goroutine encodes the next
-// exchange or collects the previous one — the double-buffered
-// all-to-all of §IV-E. Per-peer frame order is preserved (one FIFO
-// sender, ordered TCP, no other collectives while the stream is open),
-// so a plain recvFrame sequence on the collect side matches exchanges
-// one to one.
+// AllToAllv implements cluster.Transport: writeExchange, then
+// collectExchange, both inline on the PE goroutine, so each PE stages
+// only its own O(N/P) send and receive buffers. The write duration
+// counts as blocked time, as for any sendFrame.
+func (m *Machine) AllToAllv(send [][]byte) [][]byte {
+	if len(send) != m.p {
+		m.failNow(fmt.Errorf("tcp: AllToAllv needs %d destination slots, got %d", m.p, len(send)))
+	}
+	self := send[m.rank]
+	t0 := time.Now()
+	sent, err := m.writeExchange(send)
+	if err != nil {
+		m.failNow(err) // a no-op fail when the machine is already aborting
+	}
+	st := m.clock.Cur()
+	st.BlockedTime += time.Since(t0).Seconds()
+	st.BytesSent += sent
+	return m.collectExchange(self)
+}
+
+// a2aStream is the pipelined AllToAllv path (cluster.A2AStream): the same
+// writeExchange and collectExchange with the write behind a sender
+// goroutine, which drains posted exchanges onto the wire while the PE
+// goroutine encodes the next exchange or collects the previous one — the
+// double-buffered all-to-all of §IV-E. Per-peer frame order is preserved
+// (one FIFO sender, ordered TCP, no other collectives while the stream
+// is open), so the collect side matches exchanges one to one.
 //
-// Division of labour: the sender goroutine only writes sockets and
-// recycles written buffers — it accumulates its wire accounting in an
-// atomic drained into the PE-owned clock at Collect/Close, and on a
-// write error it fails the machine via m.fail (never panic, which only
-// the PE goroutine may do) and exits. Abort unwinds close m.done,
-// which the sender selects on, so Close always joins in bounded time.
+// Division of labour: the sender goroutine only writes sockets and hands
+// each finished exchange's byte count back over written, which Collect
+// receives from — so a collected exchange is a written one, and its wire
+// accounting reaches the PE-owned clock on the PE goroutine. On a write
+// error the sender fails the machine via m.fail (never panic, which only
+// the PE goroutine may do) and exits. Abort unwinds close m.done, which
+// the sender and Collect select on, so Close always joins in bounded
+// time.
 type a2aStream struct {
 	m      *Machine
 	window int
 
-	sendQ      chan [][]byte // posted, not yet fully written; cap = window
+	sendQ      chan [][]byte // posted, not yet written; cap = window
+	written    chan int64    // wire bytes of each written exchange, uncollected; cap = window
 	senderDone chan struct{} // closed when the sender goroutine exits
 
 	selfQ  [][]byte // self payloads of posted exchanges, FIFO
 	posted int      // exchanges posted but not collected
 	closed bool     // Close has run (PE goroutine only)
-
-	sentBytes atomic.Int64 // wire bytes written by the sender, undrained
 }
 
 // OpenA2AStream implements cluster.StreamingTransport.
 func (m *Machine) OpenA2AStream(window int) cluster.A2AStream {
-	if window < 1 {
-		window = 1
-	}
-	// The queue holds posted-but-not-yet-dequeued exchanges, which can
-	// trail the posted-but-not-collected count: collecting exchange s
-	// only proves the peers wrote, not that our own sender was ever
-	// scheduled. Peers' equal windows bound the lag at one extra window,
-	// so 2·window slots keep Post non-blocking.
+	window = max(window, 1)
 	s := &a2aStream{
 		m:          m,
 		window:     window,
-		sendQ:      make(chan [][]byte, 2*window),
+		sendQ:      make(chan [][]byte, window),
+		written:    make(chan int64, window),
 		senderDone: make(chan struct{}),
 	}
 	m.bg.Add(1)
@@ -1125,10 +1166,10 @@ func (m *Machine) OpenA2AStream(window int) cluster.A2AStream {
 	return s
 }
 
-// Post implements cluster.A2AStream. It never blocks on the network:
-// the vector is handed to the sender goroutine, whose queue has room
-// for the full window by construction (posted ≤ window is enforced
-// here, and a collected exchange has always left the queue).
+// Post implements cluster.A2AStream. It never blocks: the vector is
+// handed to the sender goroutine, whose queue has room for the full
+// window (posted ≤ window is enforced here, and a collected exchange has
+// left the queue).
 func (s *a2aStream) Post(send [][]byte) {
 	m := s.m
 	if m.abortFlag.Load() {
@@ -1142,40 +1183,37 @@ func (s *a2aStream) Post(send [][]byte) {
 	}
 	s.posted++
 	s.selfQ = append(s.selfQ, send[m.rank])
-	if m.p == 1 {
-		return // nothing for the wire, and no peer whose window bounds the sender's lag
-	}
-	select {
-	case s.sendQ <- send:
-	default:
-		// Unreachable while every rank runs the same window (see the
-		// 2·window queue sizing in OpenA2AStream).
-		m.failNow(fmt.Errorf("tcp: A2AStream sender queue full despite window accounting"))
+	if m.p > 1 {
+		s.sendQ <- send
 	}
 }
 
 // Collect implements cluster.A2AStream: it receives the oldest posted
-// exchange's frames on the PE goroutine (recvFrame charges blocked and
-// network time per round) and drains the sender's wire accounting into
-// the phase stats.
+// exchange's frames, then waits until the sender has written this PE's
+// own frames of that exchange (usually long done — the peers' frames took
+// the same trip) and charges their bytes; the wait counts as blocked
+// time. With one PE nothing was queued and there is nothing to wait for.
 func (s *a2aStream) Collect() [][]byte {
 	m := s.m
 	if s.posted == 0 {
 		m.failNow(fmt.Errorf("tcp: A2AStream Collect without a posted exchange"))
 	}
 	s.posted--
-	recv := make([][]byte, m.p)
-	recv[m.rank] = s.selfQ[0] // self-message: delivered uncopied, off-network
+	self := s.selfQ[0]
 	s.selfQ[0] = nil
 	s.selfQ = s.selfQ[1:]
-	for r := 0; r < oneFactorRounds(m.p); r++ {
-		q := oneFactorPartner(m.rank, r, m.p)
-		if q < 0 {
-			continue
+	recv := m.collectExchange(self)
+	if m.p > 1 {
+		t0 := time.Now()
+		select {
+		case sent := <-s.written:
+			st := m.clock.Cur()
+			st.BlockedTime += time.Since(t0).Seconds()
+			st.BytesSent += sent
+		case <-m.done:
+			m.failNow(cluster.Abortedf(m.rank, "tcp: rank %d: machine stopped with an exchange unwritten", m.rank))
 		}
-		recv[q] = m.recvFrame(q, tagA2A)
 	}
-	m.clock.Cur().BytesSent += s.sentBytes.Swap(0)
 	return recv
 }
 
@@ -1195,15 +1233,20 @@ func (s *a2aStream) Close() {
 	}
 	s.selfQ = nil
 	s.posted = 0
-	s.m.clock.Cur().BytesSent += s.sentBytes.Swap(0)
 }
 
 // Closed implements cluster.A2AStream.
 func (s *a2aStream) Closed() bool { return s.closed }
 
-// sender drains posted exchanges onto the wire in posting order.
+// sender writes posted exchanges in posting order and reports each one's
+// byte count (written has room: at most window are uncollected). A failed
+// write fails the machine — unless the machine was killed or closed,
+// whose severed sockets are not the peer's fault (a SIGKILLed worker
+// broadcasts nothing) — and the PE goroutine unwinds through its own
+// blocked receive or Collect's wait.
 func (s *a2aStream) sender() {
-	defer s.m.bg.Done()
+	m := s.m
+	defer m.bg.Done()
 	defer close(s.senderDone)
 	for {
 		select {
@@ -1211,48 +1254,18 @@ func (s *a2aStream) sender() {
 			if !ok {
 				return
 			}
-			if !s.writeExchange(send) {
+			sent, err := m.writeExchange(send)
+			if err != nil {
+				if !m.closed.Load() {
+					m.fail(err) // a no-op when the machine is already aborting
+				}
 				return
 			}
-		case <-s.m.done:
+			s.written <- sent
+		case <-m.done:
 			return
 		}
 	}
-}
-
-// writeExchange writes one exchange's frames in 1-factor round order,
-// recycling each non-self payload to the arena once it is on the wire
-// (the PR 1 allocation discipline: double-buffer scratch comes from
-// bufpool and goes back per round). Returns false when the machine is
-// aborting or a write failed — the failure is recorded via m.fail and
-// the PE goroutine unwinds through its own blocked receive.
-func (s *a2aStream) writeExchange(send [][]byte) bool {
-	m := s.m
-	for r := 0; r < oneFactorRounds(m.p); r++ {
-		q := oneFactorPartner(m.rank, r, m.p)
-		if q < 0 {
-			continue
-		}
-		if m.abortFlag.Load() {
-			return false
-		}
-		payload := send[q]
-		if err := m.writeFrame(q, tagA2A, payload); err != nil {
-			// A killed or closed machine severed its own sockets: the
-			// write error is local, not the peer's fault — unwind without
-			// blaming q (a SIGKILLed worker broadcasts nothing).
-			if !m.abortFlag.Load() && !m.closed.Load() {
-				m.fail(cluster.Abortedf(q, "tcp: rank %d pipelined send to %d: %w", m.rank, q, err))
-			}
-			return false
-		}
-		s.sentBytes.Add(int64(len(payload)))
-		if payload != nil {
-			send[q] = nil
-			bufpool.Put(payload)
-		}
-	}
-	return true
 }
 
 // bcastTree distributes data down the binomial tree rooted at root

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"demsort/internal/bufpool"
 	"demsort/internal/cluster"
 	"demsort/internal/vtime"
 )
@@ -397,6 +398,42 @@ func TestSingleRankMachine(t *testing.T) {
 		recv := n.AllToAllv([][]byte{{1, 2}})
 		if len(recv) != 1 || len(recv[0]) != 2 {
 			return fmt.Errorf("P=1 alltoallv = %v", recv)
+		}
+		return nil
+	})
+}
+
+// TestCollectMeansWritten pins the stream contract the send accounting
+// rests on: when Collect returns exchange s, every payload this PE
+// posted for s is on the wire and charged — although the peer's frames
+// were in the mailbox before the Post (so there was nothing of the
+// peer's to wait for) and the peer's program collects late (so nothing
+// of its progress can be what Collect waited on).
+func TestCollectMeansWritten(t *testing.T) {
+	const big = 4 << 20 // far beyond a socket buffer: the write takes a while
+	runMachines(t, 2, func(n *cluster.Node) error {
+		st := n.OpenA2AStream(2)
+		defer st.Close()
+		if n.Rank == 0 {
+			time.Sleep(50 * time.Millisecond)
+		}
+		for s := 0; s < 2; s++ {
+			send := make([][]byte, 2)
+			send[1-n.Rank] = []byte{byte(s)}
+			if n.Rank == 0 {
+				send[1] = bufpool.Get(big)
+			}
+			st.Post(send)
+		}
+		if n.Rank == 1 {
+			time.Sleep(200 * time.Millisecond)
+		}
+		for s := 1; s <= 2; s++ {
+			cluster.RecycleRecv(st.Collect())
+			_, stats := n.PhaseStats()
+			if got := stats["init"].BytesSent; n.Rank == 0 && got != int64(s*big) {
+				return fmt.Errorf("after Collect %d: %d bytes written, want the %d posted", s-1, got, s*big)
+			}
 		}
 		return nil
 	})

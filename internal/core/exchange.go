@@ -155,19 +155,10 @@ func exchange[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, d derived, m
 	// The sub-operations run as one windowed pipeline (Node.A2ARounds):
 	// with a window of 2, sub-op s+1's send windows are read off disk
 	// and encoded while sub-op s is still on the wire, so encode and
-	// transfer overlap (§IV-E). The budget is one staged sub-op quota
-	// per posted send plus one for the receives being consumed.
-	//
-	// This pre-reservation is the approximation the exchange has always
-	// made: it counts send s as freed once sub-op s is collected, while
-	// A2ARounds can only prove that once s+window is (so up to 2·window
-	// sends may still be queued in this PE's sender). The exact charge —
-	// what the striped collect gets from A2ARounds' build return — would
-	// need (2·window+1)·quota ≤ m, i.e. quota = m/5 instead of m/4, and
-	// quota fixes k: every multi-sub-op run's sub-operation count and
-	// modelled time would move. So buildSend reports charge 0 and the
-	// reservation stays (window+1)·quota; the gap is at most window·quota
-	// of pooled send bytes, and only on a backend with a background sender.
+	// transfer overlap (§IV-E). A collected sub-op's sends are written
+	// (cluster.A2AStream), so at most window staged sends are alive
+	// beside the receives being consumed: the reservation is one quota
+	// for each, and buildSend charges nothing more.
 	budget := int64(n.A2AWindow(k)+1) * quota
 	if cfg.MemElems > 0 {
 		n.Mem.MustAcquire(budget)
@@ -177,8 +168,7 @@ func exchange[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, d derived, m
 	// ----- Execute k sub-operations -----
 	// buildSend assembles sub-op s's send vectors (sequentially, in
 	// sub-op order: it advances the per-block send accounting and the
-	// read cache; its staging is part of budget, so it charges nothing
-	// itself); process consumes sub-op s's receives. Any window runs
+	// read cache); process consumes sub-op s's receives. Any window runs
 	// exactly the same calls in the same per-PE order, so the output is
 	// byte-identical.
 	buildSend := func(s int) ([][]byte, int64) {

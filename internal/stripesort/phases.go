@@ -491,9 +491,9 @@ func (s *pe[T]) extract(pending [][]piece[T], barrier *predEntry[T]) []T {
 // collectWindow is w, the number of consecutive output blocks an owner
 // receives per collect round. A round carries a window for every owner,
 // so a home ships up to w/P blocks to each of the P owners — w in all —
-// while an owner reorders w; A2ARounds keeps up to four rounds' sends
-// (or three and a receive) charged at once, hence w·B ≤ m/4, in whole
-// blocks per (home, owner) pair, 4 of them when memory allows.
+// while an owner reorders w; w·B ≤ m/4 leaves room for A2ARounds' two
+// posted rounds and the receive being sunk, in whole blocks per (home,
+// owner) pair, 4 of them when memory allows.
 func collectWindow(memElems int64, bElem, p int) int64 {
 	perPair := int64(4)
 	if memElems > 0 {
@@ -550,8 +550,8 @@ func collectOutput[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, bElem i
 	// overlap the next exchange (§IV-E). buildSend stages round k — each
 	// send vector sized from its block count, taken from the arena once
 	// and read into straight from the store — and reports its elements as
-	// the exchange's budget charge, which A2ARounds holds until this PE's
-	// sender has provably written them; drain sinks one round's receives.
+	// the exchange's budget charge, which A2ARounds holds until the round
+	// is collected, hence written; drain sinks one round's receives.
 	// Any stream window issues the same calls in the same per-PE order, so
 	// the sink streams are byte-identical.
 	buildSend := func(k int) ([][]byte, int64) {

@@ -94,12 +94,10 @@ func TestStripedSinkErrorAborts(t *testing.T) {
 }
 
 // TestCollectStaysWithinBudget pins the collect's memory accounting:
-// the send staging of exchange s stays charged until this PE's sender
-// has provably written it (exchange s+window collected, or the stream
-// closed — Node.A2ARounds), not merely until the peers' frames for s
-// arrived, and even so the collect's peak stays within the budget its
-// window size is derived from, nothing stays charged afterwards, and
-// every rank's sink sees its block range once, in order.
+// the send staging of exchange s stays charged until it is collected,
+// hence written (Node.A2ARounds), the collect's peak stays within the
+// budget its window size is derived from, nothing stays charged
+// afterwards, and every rank's sink sees its block range once, in order.
 func TestCollectStaysWithinBudget(t *testing.T) {
 	const bElem, totalBlocks = 64, 96
 	for _, p := range []int{1, 2, 4} {

@@ -121,8 +121,8 @@ func Sort[T any](c elem.Codec[T], cfg Config, input [][]T) (*Result[T], error) {
 		return nil, fmt.Errorf("stripesort: no merge batch fits the memory budget of %d elements: every PE holds the prediction table (%d entries, one per %d-element block) and the leftover blocks of %d runs (%s), and needs room to fetch and merge at least one more; raise the budget or change the block size (demsort -mem / -block)",
 			cfg.MemElems, table, bElem, runs, layout)
 	}
-	// The collect keeps four rounds of one block per (home, owner) pair
-	// charged at once (collectWindow).
+	// A collect round is a quarter of the budget and holds at least one
+	// block per (home, owner) pair (collectWindow).
 	if (cfg.Sink != nil || cfg.KeepOutput) && cfg.MemElems > 0 && cfg.MemElems < 4*p*bElem {
 		return nil, fmt.Errorf("stripesort: collecting the output stages a block for each of the %d PEs, four rounds deep: %d elements of a memory budget of %d; raise the budget or lower the block size (demsort -mem / -block)",
 			p, 4*p*bElem, cfg.MemElems)
