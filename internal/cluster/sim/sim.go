@@ -21,7 +21,6 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sync"
@@ -47,12 +46,6 @@ type Config struct {
 	// NewStore creates the block store backing one PE's volume; nil
 	// defaults to RAM-backed stores.
 	NewStore func(rank int) (blockio.Store, error)
-	// Ctx optionally cancels the job from the outside: when it is
-	// done, the machine aborts and Run returns *cluster.ErrAborted
-	// with Rank cluster.JobRank. (Liveness machinery beyond this —
-	// heartbeats, per-op deadlines — belongs to the multi-process tcp
-	// backend; a single-process simulation cannot half-die.)
-	Ctx context.Context
 }
 
 // p2pDepth is the initial capacity, in messages, of each (src, dst)
@@ -71,9 +64,6 @@ type Machine struct {
 	abortFlag atomic.Bool
 	abortErr  error // always *cluster.ErrAborted once set
 
-	done     chan struct{} // closed on abort or Close: the ctx watcher exits
-	stopOnce sync.Once
-
 	boxBytes atomic.Int64 // payload bytes queued undelivered across p2p mailboxes
 	boxPeak  atomic.Int64 // high-water mark of boxBytes
 }
@@ -86,7 +76,7 @@ func New(cfg Config) (*Machine, error) {
 	if cfg.BlockBytes <= 0 {
 		return nil, fmt.Errorf("sim: block size must be positive, got %d", cfg.BlockBytes)
 	}
-	m := &Machine{cfg: cfg, done: make(chan struct{})}
+	m := &Machine{cfg: cfg}
 	m.rv = newRendezvous(cfg.P, m)
 	m.p2p = make([]*mailbox, cfg.P*cfg.P)
 	for i := range m.p2p {
@@ -113,21 +103,11 @@ func New(cfg Config) (*Machine, error) {
 			membudget.New(cfg.MemElems),
 		))
 	}
-	if cfg.Ctx != nil {
-		go func() {
-			select {
-			case <-cfg.Ctx.Done():
-				m.Abort(cfg.Ctx.Err())
-			case <-m.done:
-			}
-		}()
-	}
 	return m, nil
 }
 
 // Close releases the per-PE stores.
 func (m *Machine) Close() error {
-	m.stopOnce.Do(func() { close(m.done) })
 	var first error
 	for _, n := range m.nodes {
 		if err := n.Vol.Store().Close(); err != nil && first == nil {
@@ -142,12 +122,6 @@ func (m *Machine) Nodes() []*cluster.Node { return m.nodes }
 
 // P returns the machine size.
 func (m *Machine) P() int { return m.cfg.P }
-
-// Config returns the machine configuration.
-func (m *Machine) Config() Config { return m.cfg }
-
-// Clock returns PE rank's virtual clock (tests and figure harnesses).
-func (m *Machine) Clock(rank int) *vtime.Clock { return m.eps[rank].clock }
 
 // abort is panicked through PE goroutines when any PE fails, so peers
 // blocked in collectives unwind instead of deadlocking.
@@ -200,7 +174,6 @@ func (m *Machine) fail(err error) {
 		m.abortFlag.Store(true)
 		m.rv.cond.Broadcast()
 		m.rv.mu.Unlock()
-		m.stopOnce.Do(func() { close(m.done) })
 		for _, box := range m.p2p {
 			box.wake()
 		}

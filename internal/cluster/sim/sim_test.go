@@ -26,8 +26,8 @@ func TestBarrierSynchronisesClocks(t *testing.T) {
 	err = m.Run(func(n *cluster.Node) error {
 		n.AddCPU(float64(n.Rank)) // skewed clocks
 		n.Barrier()
-		if m.Clock(n.Rank).Now() < 3 {
-			return fmt.Errorf("clock %v below slowest PE", m.Clock(n.Rank).Now())
+		if m.eps[n.Rank].clock.Now() < 3 {
+			return fmt.Errorf("clock %v below slowest PE", m.eps[n.Rank].clock.Now())
 		}
 		return nil
 	})
@@ -336,7 +336,7 @@ func TestDeterministicVirtualTime(t *testing.T) {
 		}
 		var times []float64
 		for rank := range m.Nodes() {
-			times = append(times, m.Clock(rank).Now())
+			times = append(times, m.eps[rank].clock.Now())
 		}
 		return times
 	}
@@ -368,7 +368,7 @@ func TestCongestionSlowsBigMachines(t *testing.T) {
 			}
 			n.AllToAllv(send)
 			if n.Rank == 0 {
-				t0 = m.Clock(0).Now()
+				t0 = m.eps[0].clock.Now()
 			}
 			return nil
 		})

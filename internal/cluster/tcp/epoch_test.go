@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"demsort/internal/cluster"
-	"demsort/internal/vtime"
 )
 
 // TestStaleIncarnationFenced pins the restart plane's wire guarantee:
@@ -20,11 +19,9 @@ import (
 func TestStaleIncarnationFenced(t *testing.T) {
 	const p = 2
 	peers := freePorts(t, p)
-	model := vtime.Default()
-	model.DiskJitter = 0
 	cfgFor := func(rank, epoch int) Config {
 		return Config{
-			Rank: rank, Peers: peers, BlockBytes: 1024, Model: model,
+			Rank: rank, Peers: peers, BlockBytes: 1024,
 			ConnectTimeout: 20 * time.Second,
 			JobID:          "sortjob", Epoch: epoch,
 		}

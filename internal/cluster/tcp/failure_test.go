@@ -127,20 +127,20 @@ func TestOpTimeoutBoundsBlockingReceive(t *testing.T) {
 	}
 }
 
-// TestContextCancelAbortsFleet: job-level cancellation unwinds every
-// rank with the JobRank attribution.
+// TestContextCancelAbortsFleet: job-level cancellation — a context wired
+// to Machine.Abort, the one cancellation primitive — unwinds every rank
+// with the JobRank attribution.
 func TestContextCancelAbortsFleet(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(100 * time.Millisecond)
 		cancel()
 	}()
-	errs := launchFleet(t, 2,
-		func(rank int, cfg *Config) { cfg.Ctx = ctx },
-		func(m *Machine, n *cluster.Node) error {
-			n.Recv(1-n.Rank, 7) // both block: only the cancellation ends this
-			return nil
-		})
+	errs := launchFleet(t, 2, nil, func(m *Machine, n *cluster.Node) error {
+		defer context.AfterFunc(ctx, func() { m.Abort(ctx.Err()) })()
+		n.Recv(1-n.Rank, 7) // both block: only the cancellation ends this
+		return nil
+	})
 	for rank, err := range errs {
 		var ae *cluster.ErrAborted
 		if !errors.As(err, &ae) {

@@ -45,12 +45,11 @@
 //     the hard per-op backstop: no single blocking send or receive
 //     outlives it even while heartbeats still flow.
 //   - abort propagation: the first failure (lost conn, missed
-//     heartbeats, a rank's program returning an error, Abort/context
-//     cancellation) fans an ABORT frame out to every peer carrying
-//     the culprit rank and cause, so the whole fleet unwinds
-//     peer-to-peer with consistent attribution instead of each rank
-//     timing out on its own. Stuck writers are unblocked by poisoning
-//     their write deadlines.
+//     heartbeats, a rank's program returning an error, Abort) fans an
+//     ABORT frame out to every peer carrying the culprit rank and
+//     cause, so the whole fleet unwinds peer-to-peer with consistent
+//     attribution instead of each rank timing out on its own. Stuck
+//     writers are unblocked by poisoning their write deadlines.
 //   - bring-up: dial retries use jittered exponential backoff
 //     (Backoff), bounded by ConnectTimeout.
 //
@@ -61,7 +60,6 @@ package tcp
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
@@ -163,19 +161,12 @@ type Config struct {
 	BlockBytes int
 	// MemElems is the per-PE internal memory budget in elements.
 	MemElems int64
-	// Model parameterises the PE's Volume accounting (modelled I/O
-	// durations; byte counters are real). Zero value: vtime.Default.
-	Model vtime.CostModel
 	// NewStore creates the block store backing this PE's volume; nil
 	// defaults to a RAM-backed store.
 	NewStore func(rank int) (blockio.Store, error)
 	// ConnectTimeout bounds connection establishment (dial retries
 	// plus accepts); 0 means 30s.
 	ConnectTimeout time.Duration
-	// Ctx optionally cancels the job from the outside: when it is
-	// done, the machine aborts (Run returns *cluster.ErrAborted with
-	// Rank cluster.JobRank) and the abort fans out to the peers.
-	Ctx context.Context
 	// HeartbeatInterval is how often an idle pairwise connection
 	// carries a heartbeat frame so silence means trouble rather than
 	// idleness; 0 means 500ms, negative disables sending (peers will
@@ -225,7 +216,7 @@ type Machine struct {
 	done     chan struct{} // closed on abort or Close: background goroutines exit
 	stopOnce sync.Once
 	wedged   atomic.Bool    // fault injection: stop proving liveness
-	bg       sync.WaitGroup // liveness + ctx watcher + per-peer readers
+	bg       sync.WaitGroup // liveness, per-peer readers, stream senders
 
 	boxBytes atomic.Int64 // bytes currently queued undelivered
 	boxPeak  atomic.Int64 // high-water mark of boxBytes
@@ -275,9 +266,6 @@ func New(cfg Config) (*Machine, error) {
 	}
 	if cfg.BlockBytes <= 0 {
 		return nil, fmt.Errorf("tcp: block size must be positive, got %d", cfg.BlockBytes)
-	}
-	if cfg.Model == (vtime.CostModel{}) {
-		cfg.Model = vtime.Default()
 	}
 	if cfg.ConnectTimeout <= 0 {
 		cfg.ConnectTimeout = 30 * time.Second
@@ -332,22 +320,13 @@ func New(cfg Config) (*Machine, error) {
 	m.node = cluster.NewNode(
 		m,
 		m.stats,
-		blockio.NewVolume(store, cfg.BlockBytes, cfg.Rank, cfg.Model, m.clock),
+		// Byte counters are real; the volume's modelled I/O durations are
+		// not read on this backend.
+		blockio.NewVolume(store, cfg.BlockBytes, cfg.Rank, vtime.Default(), m.clock),
 		membudget.New(cfg.MemElems),
 	)
 	m.bg.Add(1)
 	go m.liveness()
-	if cfg.Ctx != nil {
-		m.bg.Add(1)
-		go func() {
-			defer m.bg.Done()
-			select {
-			case <-cfg.Ctx.Done():
-				m.fail(&cluster.ErrAborted{Rank: cluster.JobRank, Cause: cfg.Ctx.Err()})
-			case <-m.done:
-			}
-		}()
-	}
 	return m, nil
 }
 
@@ -545,7 +524,7 @@ func (m *Machine) Close() error {
 	return nil
 }
 
-// stop makes the background goroutines (liveness, ctx watcher) exit.
+// stop makes the background goroutines (liveness, stream senders) exit.
 func (m *Machine) stop() {
 	m.stopOnce.Do(func() { close(m.done) })
 }
@@ -569,9 +548,6 @@ func (m *Machine) P() int { return m.p }
 
 // Rank implements cluster.Transport.
 func (m *Machine) Rank() int { return m.rank }
-
-// Config returns the machine configuration.
-func (m *Machine) Config() Config { return m.cfg }
 
 // tcpAbort is panicked through the PE program when the machine fails,
 // so Run unwinds instead of hanging on a dead transport.

@@ -10,7 +10,6 @@ import (
 
 	"demsort/internal/bufpool"
 	"demsort/internal/cluster"
-	"demsort/internal/vtime"
 )
 
 // freePorts reserves p distinct localhost ports (ReservePorts with
@@ -30,8 +29,6 @@ func freePorts(t *testing.T, p int) []string {
 func runMachines(t *testing.T, p int, fn func(*cluster.Node) error) {
 	t.Helper()
 	peers := freePorts(t, p)
-	model := vtime.Default()
-	model.DiskJitter = 0
 	errs := make([]error, p)
 	var wg sync.WaitGroup
 	for rank := 0; rank < p; rank++ {
@@ -42,7 +39,6 @@ func runMachines(t *testing.T, p int, fn func(*cluster.Node) error) {
 				Rank:           rank,
 				Peers:          peers,
 				BlockBytes:     1024,
-				Model:          model,
 				ConnectTimeout: 20 * time.Second,
 			})
 			if err != nil {
