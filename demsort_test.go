@@ -83,6 +83,31 @@ func TestFiguresProduceData(t *testing.T) {
 	}
 }
 
+// TestFig3IsReproducible: the figures are modelled, so one binary must
+// render one figure — byte for byte. Fig. 3 is the sensitive one: it
+// plots each PE's I/O seconds, a float sum over every transfer the PE
+// issued, so any step that issues its transfers in a run-dependent order
+// (a map walk) moves the last ULP.
+func TestFig3IsReproducible(t *testing.T) {
+	render := func() string {
+		f, err := demsort.Fig3(demsort.DefaultScale())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		if err := f.WriteTSV(&sb); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
+	}
+	first := render()
+	for i := 1; i < 5; i++ {
+		if again := render(); again != first {
+			t.Fatalf("rendering %d of fig3.tsv differs from the first:\n%s\nvs\n%s", i+1, again, first)
+		}
+	}
+}
+
 func TestFig5ShapeMatchesPaper(t *testing.T) {
 	// The qualitative claims of Figure 5 at P=4: non-randomized worst
 	// case exchanges (nearly) everything; randomization cuts it by a

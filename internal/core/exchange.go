@@ -97,10 +97,7 @@ func exchange[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, d derived, m
 	if cfg.MemElems > 0 {
 		quota = cfg.MemElems / 4
 	}
-	k := int((maxMove + quota - 1) / quota)
-	if k < 1 {
-		k = 1
-	}
+	k := max(int((maxMove+quota-1)/quota), 1)
 
 	// In-place block recycling: per (run, block), how many elements
 	// will be sent away; blocks with no kept overlap are freed once
@@ -124,10 +121,13 @@ func exchange[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, d derived, m
 	// Per-(run, src) receive writers; resumed/suspended around
 	// sub-operations so only actively-filled partial blocks occupy
 	// memory — the flush/reload is the paper's "partially filled
-	// blocks" overhead (temporary disk overhead R·P′ blocks).
-	writers := make([]map[int]*writer[T], r)
+	// blocks" overhead (temporary disk overhead R·P′ blocks). Indexed by
+	// source rank, not keyed: the flushes below must be issued in one
+	// order on every run of the program, or the modelled I/O time (a
+	// float sum per PE, Fig. 3) moves in its last digit.
+	writers := make([][]*writer[T], r)
 	for ri := range writers {
-		writers[ri] = map[int]*writer[T]{}
+		writers[ri] = make([]*writer[T], n.P)
 	}
 
 	// One-block read cache for assembling send windows (adjacent
@@ -255,7 +255,9 @@ func exchange[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, d derived, m
 		// Sub-operation boundary: flush all partial receive blocks.
 		for ri := range writers {
 			for _, w := range writers[ri] {
-				w.suspend()
+				if w != nil {
+					w.suspend()
+				}
 			}
 		}
 		return nil
