@@ -6,7 +6,7 @@
 GO ?= go
 BIN := bin
 
-.PHONY: all build lint vet demsortvet staticcheck test race stress bench-check loc options clean
+.PHONY: all build lint vet demsortvet staticcheck test race stress bench-check loc options budget clean
 
 all: build lint test
 
@@ -85,16 +85,18 @@ smoke-%:
 	printf 'localhost slots=2\n127.0.0.1 slots=2\n' > $(SMOKE)/hosts.txt
 	$(BIN)/demsort -transport=tcp $(TCP) $(BOTH) -n 50000 -seed $(SEED) -infile $(SMOKE)/data.gen -outdir $(SMOKE)/tcp
 	$(BIN)/valsort $(SMOKE)/tcp/part-000 $(SMOKE)/tcp/part-001 $(SMOKE)/tcp/part-002 $(SMOKE)/tcp/part-003
-	$(BIN)/demsort -transport=sim -records -p 4 $(SIM) $(BOTH) -n 50000 -seed $(SEED) -infile $(SMOKE)/data.gen -outdir $(SMOKE)/sim
+	$(BIN)/demsort -transport=sim -p 4 $(SIM) $(BOTH) -n 50000 -seed $(SEED) -infile $(SMOKE)/data.gen -outdir $(SMOKE)/sim
 	for r in 0 1 2 3; do cmp $(SMOKE)/sim/part-00$$r $(SMOKE)/tcp/part-00$$r || exit 1; done
 	@echo "smoke-$*: tcp and sim part files are byte-identical"
 
-# Non-test Go lines, the number ROADMAP direction 4 budgets and
-# CHANGES.md reports per PR: the total by its pinned definition, then
-# the same count per top-level package (the root package first).
+# Non-test Go lines, the number ROADMAP's standing [simplicity] list
+# budgets and CHANGES.md reports per PR: the total by its pinned
+# definition, then the same count per top-level package (the root
+# package first).
 LOC_FIND = -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*'
+LOC_TOTAL = $$(find . $(LOC_FIND) | xargs cat | wc -l)
 loc:
-	@printf '%6d total\n' $$(find . $(LOC_FIND) | xargs cat | wc -l)
+	@printf '%6d total\n' $(LOC_TOTAL)
 	@printf '%6d .\n' $$(find . -maxdepth 1 $(LOC_FIND) | xargs cat | wc -l)
 	@for d in cmd/* examples/* internal/*; do \
 		printf '%6d %s\n' $$(find ./$$d $(LOC_FIND) | xargs cat | wc -l) $$d; \
@@ -111,6 +113,15 @@ options:
 			on && /^\t[A-Z][A-Za-z0-9]* +[^ ]/ {c++} END {print c + 0}' $${s%:*}); \
 		printf '%6d %s\n' $$c $$s; n=$$((n + c)); \
 	done; printf '%6d options total\n' $$n
+
+# The budget both figures are held to (CI's lint job runs this): a PR
+# that spends lines or adds an option raises the limit here, in the open.
+LOC_MAX = 14950
+OPTIONS_MAX = 60
+budget:
+	@loc=$(LOC_TOTAL); opts=$$($(MAKE) -s options | awk 'END {print $$1}'); \
+	echo "$$loc non-test lines (max $(LOC_MAX)), $$opts options (max $(OPTIONS_MAX))"; \
+	[ $$loc -le $(LOC_MAX) ] && [ $$opts -le $(OPTIONS_MAX) ]
 
 clean:
 	rm -rf $(BIN) smoke-out

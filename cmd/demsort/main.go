@@ -16,8 +16,8 @@
 //     combined output of an all-local run. With -rank/-peers, it is
 //     one worker of a (possibly multi-host) machine.
 //
-// The tcp transport (and sim with -records) sorts SortBenchmark-style
-// 100-byte records: streamed in-process gensort-equivalently from
+// The tcp transport (and sim with -workload=records) sorts
+// SortBenchmark-style 100-byte records: streamed in-process gensort-equivalently from
 // -seed, or from a gensort file via -infile — either way the input
 // tile goes block-at-a-time straight onto the rank's block store
 // (core.Config.Source), never through an in-RAM slice. Sorted
@@ -35,9 +35,9 @@
 // Usage:
 //
 //	demsort [-p 8] [-n 24576] [-mem 8192] [-block 1024]
-//	        [-workload uniform|worstcase|reversed|narrow|allequal|hotkey|sorted]
+//	        [-workload uniform|worstcase|reversed|narrow|allequal|hotkey|sorted|records]
 //	        [-randomize=true] [-striped] [-seed 1]
-//	        [-transport sim|tcp] [-records] [-infile data] [-outdir out]
+//	        [-transport sim|tcp] [-infile data] [-outdir out]
 //	        [-store ram|file] [-workdir dir]
 //	        [-hostfile hosts.txt] [-baseport 7070] [-ssh ssh] [-remote-exe path]
 //	        [-rank R -peers host:port,host:port,...]
@@ -45,7 +45,7 @@
 // Examples:
 //
 //	demsort                                      # simulated, KV16 figures workload
-//	demsort -records -outdir out                 # simulated, gensort records
+//	demsort -workload=records -outdir out        # simulated, gensort records
 //	demsort -transport=tcp -p 4 -outdir out      # 4 real worker processes on localhost
 //	demsort -transport=tcp -hostfile hosts.txt -store=file -outdir out   # a real cluster
 //	demsort -transport=tcp -rank 1 -peers hostA:7001,hostB:7002  # one PE of a 2-host machine
@@ -86,7 +86,7 @@ type options struct {
 	n, mem                                   int64
 	seed                                     uint64
 
-	randomize, overlap, striped, records, resume, durable bool
+	randomize, overlap, striped, resume, durable bool
 
 	kind, transport, store, jobid, fault, peers       string
 	infile, outdir, workdir, hostfile, ssh, remoteExe string
@@ -99,14 +99,13 @@ func parseOptions(args []string) *options {
 	fs.Int64Var(&o.n, "n", 24576, "elements (records) per PE")
 	fs.Int64Var(&o.mem, "mem", 8192, "internal memory budget per PE (elements)")
 	fs.IntVar(&o.block, "block", 1024, "block size in bytes")
-	fs.StringVar(&o.kind, "workload", "uniform", "input distribution (sim KV16 mode)")
+	fs.StringVar(&o.kind, "workload", "uniform", "sim input: a KV16 distribution (uniform, worstcase, reversed, narrow, allequal, hotkey, sorted) or records, SortBenchmark 100-byte records (what -infile and -transport=tcp always sort)")
 	fs.BoolVar(&o.randomize, "randomize", true, "shuffle input blocks before run formation")
 	fs.BoolVar(&o.overlap, "overlap", true, "overlap I/O and communication with compute (pipelined all-to-all, async load/collect)")
 	fs.BoolVar(&o.striped, "striped", false, "use the globally striped algorithm (Section III)")
 	fs.Uint64Var(&o.seed, "seed", 1, "random seed")
 	fs.StringVar(&o.transport, "transport", "sim", "cluster backend: sim (virtual time) or tcp (real processes)")
-	fs.BoolVar(&o.records, "records", false, "sort SortBenchmark 100-byte records instead of KV16")
-	fs.StringVar(&o.infile, "infile", "", "gensort input file (implies -records; rank r takes records [r·n, (r+1)·n))")
+	fs.StringVar(&o.infile, "infile", "", "gensort input file (implies -workload=records; rank r takes records [r·n, (r+1)·n))")
 	fs.StringVar(&o.outdir, "outdir", "", "write sorted partitions here as part-%03d (raw records)")
 	fs.StringVar(&o.store, "store", "ram", "block store backing each PE: ram, or file (disk-resident blocks; data need not fit in RAM)")
 	fs.StringVar(&o.workdir, "workdir", "", "spill directory for -store=file (default: <outdir>/work, or a temp dir in worker mode)")
@@ -143,7 +142,7 @@ func main() {
 	}
 	switch o.transport {
 	case "sim":
-		if o.records || o.infile != "" {
+		if o.kind == "records" || o.infile != "" {
 			runRecordsSim(o)
 			return
 		}

@@ -59,7 +59,7 @@ func TestTCPLauncherMatchesSim(t *testing.T) {
 	}
 
 	// Simulated reference run, then the real 4-process tcp run.
-	simOut := runDemsort("-records -p 4 -n 2000 -seed 99 -outdir " + simDir)
+	simOut := runDemsort("-workload=records -p 4 -n 2000 -seed 99 -outdir " + simDir)
 	tcpOut := runDemsort("-transport=tcp -p 4 -n 2000 -seed 99 -outdir " + tcpDir)
 	for _, out := range []string{simOut, tcpOut} {
 		if !strings.Contains(out, "validation: OK") {
@@ -135,7 +135,7 @@ func TestStripedTCPLauncherMatchesSim(t *testing.T) {
 		return string(out)
 	}
 
-	simOut := runDemsort("-striped -records -p 4 -n 2000 -seed 77 -outdir " + simDir)
+	simOut := runDemsort("-striped -workload=records -p 4 -n 2000 -seed 77 -outdir " + simDir)
 	tcpOut := runDemsort("-striped -transport=tcp -store=file -p 4 -n 2000 -seed 77 -outdir " + tcpDir)
 	for _, out := range []string{simOut, tcpOut} {
 		if !strings.Contains(out, "validation: OK") {
@@ -239,7 +239,7 @@ func TestHostfileLauncherMatchesSim(t *testing.T) {
 		return string(out)
 	}
 
-	simOut := runDemsort("-records -p 4 -n 1500 -seed 31 -outdir " + simDir)
+	simOut := runDemsort("-workload=records -p 4 -n 1500 -seed 31 -outdir " + simDir)
 	tcpOut := runDemsort("-transport=tcp -hostfile " + hf + " -n 1500 -seed 31 -store=file -outdir " + tcpDir)
 	for _, out := range []string{simOut, tcpOut} {
 		if !strings.Contains(out, "validation: OK") {

@@ -38,7 +38,7 @@ func TestRestartResumesWithoutReread(t *testing.T) {
 		return string(out)
 	}
 
-	simOut := runDemsort("-records -p 4 -n 2000 -seed 55 -outdir " + simDir)
+	simOut := runDemsort("-workload=records -p 4 -n 2000 -seed 55 -outdir " + simDir)
 	tcpOut := runDemsort("-transport=tcp -p 4 -n 2000 -seed 55 -store=file -restart=1" +
 		" -fault rank=2,action=die,op=AllToAllv,phase=all-to-all -outdir " + tcpDir)
 	for _, out := range []string{simOut, tcpOut} {

@@ -4,16 +4,14 @@
 // internal/analysis for the contracts and the PRs that motivated
 // them).
 //
-// Two modes:
+// It speaks cmd/go's unit-checker protocol, so vet's caching and
+// test-package coverage come with it:
 //
-//	go run ./cmd/demsortvet ./...         # standalone multichecker
-//	go vet -vettool=$(pwd)/bin/demsortvet ./...   # vet tool protocol
+//	go build -o bin/demsortvet ./cmd/demsortvet
+//	go vet -vettool=$(pwd)/bin/demsortvet ./...
 //
-// The standalone mode loads packages itself (go list -export) and is
-// the local entry point (`make lint`); the vet-tool mode speaks the
-// cmd/go unit-checker protocol so CI runs the suite with vet's
-// caching and test-package coverage. Deliberate exceptions are
-// annotated in the source with `//lint:allow <analyzer> <reason>`.
+// (`make lint` does both.) Deliberate exceptions are annotated in the
+// source with `//lint:allow <analyzer> <reason>`.
 package main
 
 import (
@@ -25,7 +23,6 @@ import (
 	"demsort/internal/analysis/abortcheck"
 	"demsort/internal/analysis/bufpoolcheck"
 	"demsort/internal/analysis/gojoin"
-	"demsort/internal/analysis/load"
 	"demsort/internal/analysis/phasestats"
 	"demsort/internal/analysis/wallclock"
 )
@@ -57,44 +54,9 @@ func main() {
 		unitcheckerMode(args[0])
 		return
 	}
-	standalone(args)
-}
-
-func standalone(patterns []string) {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
+	fmt.Fprintln(os.Stderr, "usage: go vet -vettool=/path/to/demsortvet [packages]")
+	for _, a := range suite {
+		fmt.Fprintf(os.Stderr, "\n%s: %s\n", a.Name, a.Doc)
 	}
-	for _, p := range patterns {
-		if strings.HasPrefix(p, "-") {
-			fmt.Fprintf(os.Stderr, "demsortvet: unknown flag %s\nusage: demsortvet [packages]\n", p)
-			for _, a := range suite {
-				fmt.Fprintf(os.Stderr, "\n%s: %s\n", a.Name, a.Doc)
-			}
-			os.Exit(2)
-		}
-	}
-	pkgs, err := load.Load(".", patterns...)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "demsortvet:", err)
-		os.Exit(1)
-	}
-	bad := false
-	for _, p := range pkgs {
-		for _, terr := range p.TypeErrors {
-			fmt.Fprintf(os.Stderr, "demsortvet: %s: type error: %v\n", p.ImportPath, terr)
-			bad = true
-		}
-		diags, err := analysis.Run(&analysis.Unit{Fset: p.Fset, Files: p.Files, Pkg: p.Types, Info: p.Info}, suite)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "demsortvet:", err)
-			os.Exit(1)
-		}
-		for _, d := range diags {
-			fmt.Fprintln(os.Stderr, d)
-			bad = true
-		}
-	}
-	if bad {
-		os.Exit(1)
-	}
+	os.Exit(2)
 }

@@ -102,11 +102,6 @@ func NewStripedOptions(p int, memElems int64, blockBytes int) StripedOptions {
 	return stripesort.DefaultConfig(p, memElems, blockBytes)
 }
 
-// DefaultModel returns the cost model calibrated to the paper's
-// 200-node testbed (4×67 MiB/s disks, InfiniBand with congestion,
-// 8 cores per node).
-func DefaultModel() CostModel { return vtime.Default() }
-
 // ScaledModel returns the cost model re-calibrated for scaled-down
 // block sizes: per-block seek keeps the paper's 0.27 seek-to-transfer
 // ratio and per-message latency shrinks with the data scale, so

@@ -97,14 +97,14 @@ func (s FigureScale) runCanonical(p, blockBytes int, kind workload.Kind, randomi
 	return Sort[KV16](KV16Codec{}, s.options(p, blockBytes, randomize), input)
 }
 
-// Fig2 reproduces Figure 2: per-phase running times for random input,
-// weak scaling over the P sweep.
-func Fig2(s FigureScale) (*Figure, error) {
-	f := &Figure{Title: "Fig 2: running times, random input (per phase)", XLabel: "P", YLabel: "modelled time [s]"}
+// phaseTimes is the sweep Figures 2, 4 and 6 share: per-phase and total
+// running times of one input kind, weak scaling over the P sweep.
+func (s FigureScale) phaseTimes(title string, kind workload.Kind, randomize bool) (*Figure, error) {
+	f := &Figure{Title: title, XLabel: "P", YLabel: "modelled time [s]"}
 	for _, p := range s.PSweep {
-		res, err := s.runCanonical(p, s.BlockBytes, workload.Uniform, true)
+		res, err := s.runCanonical(p, s.BlockBytes, kind, randomize)
 		if err != nil {
-			return nil, fmt.Errorf("fig2 P=%d: %w", p, err)
+			return nil, fmt.Errorf("%s, P=%d: %w", title, p, err)
 		}
 		for _, ph := range res.PhaseNames {
 			f.Add(ph, float64(p), res.MaxWall(ph))
@@ -112,6 +112,12 @@ func Fig2(s FigureScale) (*Figure, error) {
 		f.Add("total", float64(p), res.TotalWall())
 	}
 	return f, nil
+}
+
+// Fig2 reproduces Figure 2: per-phase running times for random input,
+// weak scaling over the P sweep.
+func Fig2(s FigureScale) (*Figure, error) {
+	return s.phaseTimes("Fig 2: running times, random input (per phase)", workload.Uniform, true)
 }
 
 // Fig3 reproduces Figure 3: per-PE wall-clock and I/O time of every
@@ -135,18 +141,7 @@ func Fig3(s FigureScale) (*Figure, error) {
 
 // Fig4 reproduces Figure 4: worst-case input *with* randomization.
 func Fig4(s FigureScale) (*Figure, error) {
-	f := &Figure{Title: "Fig 4: running times, worst-case input with randomization", XLabel: "P", YLabel: "modelled time [s]"}
-	for _, p := range s.PSweep {
-		res, err := s.runCanonical(p, s.BlockBytes, workload.WorstCaseLocal, true)
-		if err != nil {
-			return nil, fmt.Errorf("fig4 P=%d: %w", p, err)
-		}
-		for _, ph := range res.PhaseNames {
-			f.Add(ph, float64(p), res.MaxWall(ph))
-		}
-		f.Add("total", float64(p), res.TotalWall())
-	}
-	return f, nil
+	return s.phaseTimes("Fig 4: running times, worst-case input with randomization", workload.WorstCaseLocal, true)
 }
 
 // Fig5 reproduces Figure 5: all-to-all I/O volume divided by N for the
@@ -186,18 +181,7 @@ func Fig5(s FigureScale) (*Figure, error) {
 // Fig6 reproduces Figure 6: worst-case input *without* randomization —
 // the all-to-all penalty of up to ~50%.
 func Fig6(s FigureScale) (*Figure, error) {
-	f := &Figure{Title: "Fig 6: running times, worst-case input without randomization", XLabel: "P", YLabel: "modelled time [s]"}
-	for _, p := range s.PSweep {
-		res, err := s.runCanonical(p, s.BlockBytes, workload.WorstCaseLocal, false)
-		if err != nil {
-			return nil, fmt.Errorf("fig6 P=%d: %w", p, err)
-		}
-		for _, ph := range res.PhaseNames {
-			f.Add(ph, float64(p), res.MaxWall(ph))
-		}
-		f.Add("total", float64(p), res.TotalWall())
-	}
-	return f, nil
+	return s.phaseTimes("Fig 6: running times, worst-case input without randomization", workload.WorstCaseLocal, false)
 }
 
 // SortBenchTable reproduces the Section VI SortBenchmark comparison at
@@ -492,9 +476,7 @@ func AblationPrefetch() (*Figure, error) {
 	perDisk := make([]int, d)
 	for _, q := range disks {
 		perDisk[q]++
-		if perDisk[q] > lb {
-			lb = perDisk[q]
-		}
+		lb = max(lb, perDisk[q])
 	}
 	for _, w := range []int{d, 2 * d, 4 * d, 8 * d} {
 		naive := prefetch.Naive(disks, d, w)

@@ -1,10 +1,10 @@
-// Package load type-checks module packages for the demsortvet
-// analyzers without golang.org/x/tools: `go list -export -deps -json`
-// enumerates the build list and compiles export data for every
-// dependency (stdlib included), the target packages are parsed from
-// source, and the stock gc importer resolves their imports straight
-// from the export files the go command reported. Everything is stdlib;
-// nothing needs the network.
+// Package load type-checks the analyzers' fixture packages without
+// golang.org/x/tools: `go list -export -deps -json` compiles export data
+// for everything a fixture imports (stdlib included), the fixture is
+// parsed from source, and the stock gc importer resolves its imports
+// straight from the export files the go command reported. Everything is
+// stdlib; nothing needs the network. (The real tree is checked through
+// `go vet -vettool`, which hands cmd/demsortvet its export data itself.)
 package load
 
 import (
@@ -19,19 +19,16 @@ import (
 	"io"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"runtime"
 	"strconv"
 )
 
-// Package is one parsed, type-checked target package.
+// Package is one parsed, type-checked package.
 type Package struct {
-	ImportPath string
-	Dir        string
-	Fset       *token.FileSet
-	Files      []*ast.File
-	Types      *types.Package
-	Info       *types.Info
+	Fset  *token.FileSet
+	Files []*ast.File
+	Types *types.Package
+	Info  *types.Info
 	// TypeErrors holds non-fatal type-checking errors (the analyzers
 	// still run on what was resolved).
 	TypeErrors []error
@@ -40,17 +37,12 @@ type Package struct {
 // listedPkg is the subset of `go list -json` output the loader needs.
 type listedPkg struct {
 	ImportPath string
-	Dir        string
 	Export     string
-	GoFiles    []string
-	DepOnly    bool
-	Standard   bool
-	Error      *struct{ Err string }
 }
 
 // goList runs `go list -export -deps -json` on the patterns and
-// decodes the package stream.
-func goList(dir string, patterns []string) (map[string]*listedPkg, []string, error) {
+// decodes the package stream, keyed by import path.
+func goList(dir string, patterns []string) (map[string]*listedPkg, error) {
 	args := append([]string{"list", "-export", "-deps", "-json"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
@@ -58,24 +50,20 @@ func goList(dir string, patterns []string) (map[string]*listedPkg, []string, err
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
 	if err != nil {
-		return nil, nil, fmt.Errorf("go list %v: %v\n%s", patterns, err, stderr.String())
+		return nil, fmt.Errorf("go list %v: %v\n%s", patterns, err, stderr.String())
 	}
 	pkgs := map[string]*listedPkg{}
-	var targets []string
 	dec := json.NewDecoder(bytes.NewReader(out))
 	for {
 		var p listedPkg
 		if err := dec.Decode(&p); err == io.EOF {
 			break
 		} else if err != nil {
-			return nil, nil, fmt.Errorf("go list %v: decoding: %v", patterns, err)
+			return nil, fmt.Errorf("go list %v: decoding: %v", patterns, err)
 		}
 		pkgs[p.ImportPath] = &p
-		if !p.DepOnly {
-			targets = append(targets, p.ImportPath)
-		}
 	}
-	return pkgs, targets, nil
+	return pkgs, nil
 }
 
 // exportLookup builds the gc importer's lookup function over the
@@ -100,47 +88,6 @@ func newInfo() *types.Info {
 		Implicits:  map[ast.Node]types.Object{},
 		Scopes:     map[ast.Node]*types.Scope{},
 	}
-}
-
-// Load lists patterns (relative to dir, a directory inside the
-// module), parses every matched package from source and type-checks it
-// against compiler export data. Test files are not analyzed: the
-// invariants demsortvet enforces are production data-plane contracts,
-// and tests legitimately reach for wall clocks and raw errors.
-func Load(dir string, patterns ...string) ([]*Package, error) {
-	pkgs, targets, err := goList(dir, patterns)
-	if err != nil {
-		return nil, err
-	}
-	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "gc", exportLookup(pkgs))
-	var out []*Package
-	for _, path := range targets {
-		lp := pkgs[path]
-		if lp.Error != nil {
-			return nil, fmt.Errorf("package %s: %s", path, lp.Error.Err)
-		}
-		if len(lp.GoFiles) == 0 {
-			continue
-		}
-		var files []*ast.File
-		for _, name := range lp.GoFiles {
-			f, err := parser.ParseFile(fset, filepath.Join(lp.Dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
-			if err != nil {
-				return nil, fmt.Errorf("package %s: %v", path, err)
-			}
-			files = append(files, f)
-		}
-		p := &Package{ImportPath: path, Dir: lp.Dir, Fset: fset, Files: files, Info: newInfo()}
-		conf := types.Config{
-			Importer: imp,
-			Sizes:    types.SizesFor("gc", runtime.GOARCH),
-			Error:    func(err error) { p.TypeErrors = append(p.TypeErrors, err) },
-		}
-		p.Types, _ = conf.Check(path, fset, files, p.Info)
-		out = append(out, p)
-	}
-	return out, nil
 }
 
 // LoadFiles parses the given files as a single package with the given
@@ -176,12 +123,12 @@ func LoadFiles(moduleDir, pkgPath string, filenames []string) (*Package, error) 
 	pkgs := map[string]*listedPkg{}
 	if len(imports) > 0 {
 		var err error
-		pkgs, _, err = goList(moduleDir, imports)
+		pkgs, err = goList(moduleDir, imports)
 		if err != nil {
 			return nil, err
 		}
 	}
-	p := &Package{ImportPath: pkgPath, Fset: fset, Files: files, Info: newInfo()}
+	p := &Package{Fset: fset, Files: files, Info: newInfo()}
 	conf := types.Config{
 		Importer: importer.ForCompiler(fset, "gc", exportLookup(pkgs)),
 		Sizes:    types.SizesFor("gc", runtime.GOARCH),

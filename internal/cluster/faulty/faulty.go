@@ -289,11 +289,7 @@ func (t *transport) before(op string) {
 			continue
 		}
 		f.seen++
-		nth := f.Call
-		if nth < 1 {
-			nth = 1
-		}
-		if f.seen < nth {
+		if f.seen < max(f.Call, 1) {
 			continue
 		}
 		switch f.Action {
@@ -386,7 +382,7 @@ func (t *transport) MailboxPeakBytes() int64 {
 // check through the intercepted AllToAllv.
 func (t *transport) OpenA2AStream(window int) cluster.A2AStream {
 	if st, ok := t.Transport.(cluster.StreamingTransport); ok {
-		return &faultyStream{inner: st.OpenA2AStream(window), t: t}
+		return &faultyStream{A2AStream: st.OpenA2AStream(window), t: t}
 	}
 	return cluster.SyncA2AStream(t)
 }
@@ -394,20 +390,14 @@ func (t *transport) OpenA2AStream(window int) cluster.A2AStream {
 // faultyStream injects the AllToAllv fault at each Post — the same
 // call position the synchronous path triggers at.
 type faultyStream struct {
-	inner cluster.A2AStream
-	t     *transport
+	cluster.A2AStream
+	t *transport
 }
 
 func (s *faultyStream) Post(send [][]byte) {
 	s.t.before("AllToAllv")
-	s.inner.Post(send)
+	s.A2AStream.Post(send)
 }
-
-func (s *faultyStream) Collect() [][]byte { return s.inner.Collect() }
-
-func (s *faultyStream) Close() { s.inner.Close() }
-
-func (s *faultyStream) Closed() bool { return s.inner.Closed() }
 
 // Interface conformance.
 var (

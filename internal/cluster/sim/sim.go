@@ -184,13 +184,10 @@ func (m *Machine) fail(err error) {
 func (m *Machine) aborted() bool { return m.abortErr != nil }
 
 // ---------------------------------------------------------------------
-// Point-to-point mailboxes.
-//
-// Historically these were fixed 1024-deep channels, which could
-// deadlock sender and receiver on deep prefetch/overlap patterns (both
-// PEs fill each other's inbox before either drains). A mailbox is an
-// unbounded FIFO ring: Send never blocks (MPI eager buffering), only
-// Recv waits, and an abort wakes all waiters.
+// Point-to-point mailboxes: unbounded FIFO rings. Send never blocks (MPI
+// eager buffering — a bounded inbox deadlocks two PEs that fill each
+// other's before either drains), only Recv waits, and an abort wakes all
+// waiters.
 // ---------------------------------------------------------------------
 
 type message struct {
@@ -340,9 +337,7 @@ func (rv *rendezvous) do(rank int, op string, t float64, data any, compute func(
 func maxEntry(ins []collIn) float64 {
 	t := math.Inf(-1)
 	for i := range ins {
-		if ins[i].t > t {
-			t = ins[i].t
-		}
+		t = max(t, ins[i].t)
 	}
 	return t
 }
@@ -430,9 +425,7 @@ func (e *endpoint) AllToAllv(send [][]byte) [][]byte {
 				}
 			}
 			vol := bytesIn
-			if bytesOut > vol {
-				vol = bytesOut
-			}
+			vol = max(vol, bytesOut)
 			net := float64(vol)/bw + lat
 			outs[i] = collOut{
 				t:    t0 + net,
@@ -506,13 +499,9 @@ func (e *endpoint) AllReduceInt64(v int64, op string) int64 {
 			case "sum":
 				acc += x
 			case "max":
-				if x > acc {
-					acc = x
-				}
+				acc = max(acc, x)
 			case "min":
-				if x < acc {
-					acc = x
-				}
+				acc = min(acc, x)
 			case "or":
 				acc |= x
 			default:

@@ -104,15 +104,9 @@ func (m *Machine) AllReduceInt64(v int64, op string) int64 {
 		case "sum":
 			return acc + x
 		case "max":
-			if x > acc {
-				return x
-			}
-			return acc
+			return max(acc, x)
 		case "min":
-			if x < acc {
-				return x
-			}
-			return acc
+			return min(acc, x)
 		case "or":
 			return acc | x
 		default:

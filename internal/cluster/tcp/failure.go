@@ -146,13 +146,7 @@ func (m *Machine) liveness() {
 	if hb <= 0 {
 		hb = 500 * time.Millisecond
 	}
-	wake := hb / 2
-	if wake < time.Millisecond {
-		wake = time.Millisecond
-	}
-	if wake > 250*time.Millisecond {
-		wake = 250 * time.Millisecond
-	}
+	wake := min(max(hb/2, time.Millisecond), 250*time.Millisecond)
 	t := time.NewTicker(wake)
 	defer t.Stop()
 	var lastHB time.Time

@@ -9,20 +9,18 @@ import (
 	"demsort/internal/cluster"
 )
 
-// errAborting is what writeExchange returns when it stops because the
-// machine is already failing; the recorded abort carries the attribution.
+// errAborting is writeExchange's error when it stops because the machine
+// is already failing; the recorded abort carries the attribution.
 var errAborting = errors.New("tcp: machine is aborting")
 
 // writeExchange is the one place an all-to-all's frames are written: in
-// 1-factor round order — the rounds partition all rank pairs into
-// perfect matchings, so every link carries exactly one exchange per
-// round in each direction and the machine's P² streams never funnel
-// through one node — and with the ownership Transport.AllToAllv
-// documents: each non-self payload goes back to the arena as soon as it
-// is on the wire. It returns the payload bytes written and, for a failed
-// write, an *ErrAborted naming the peer; it never panics and never
-// touches the PE-owned clock, so AllToAllv runs it on the PE goroutine
-// and the stream on its sender goroutine.
+// 1-factor round order — every round a perfect matching, so each link
+// carries one exchange per round in each direction and the machine's P²
+// streams never funnel through one node — each non-self payload going
+// back to the arena once it is on the wire (Transport.AllToAllv's
+// ownership rule). It returns the payload bytes written and, for a
+// failed write, an *ErrAborted naming the peer; it neither panics nor
+// touches the PE-owned clock, so the stream's sender goroutine can run it.
 func (m *Machine) writeExchange(send [][]byte) (sent int64, err error) {
 	for r := 0; r < oneFactorRounds(m.p); r++ {
 		q := oneFactorPartner(m.rank, r, m.p)
@@ -44,11 +42,10 @@ func (m *Machine) writeExchange(send [][]byte) (sent int64, err error) {
 }
 
 // collectExchange is the one place an all-to-all's frames are read: one
-// frame per 1-factor partner, on the PE goroutine (recvFrame charges
-// blocked and network time per round). Eager reader-side buffering makes
-// the schedule deadlock-free even when ranks progress at different
-// rates. self is this rank's own message, delivered uncopied and
-// off-network.
+// per 1-factor partner, on the PE goroutine (recvFrame charges blocked
+// and network time). Eager reader-side buffering keeps the schedule
+// deadlock-free when ranks progress at different rates. self is this
+// rank's own message, delivered uncopied and off-network.
 func (m *Machine) collectExchange(self []byte) [][]byte {
 	recv := make([][]byte, m.p)
 	recv[m.rank] = self
@@ -61,9 +58,8 @@ func (m *Machine) collectExchange(self []byte) [][]byte {
 }
 
 // AllToAllv implements cluster.Transport: writeExchange, then
-// collectExchange, both inline on the PE goroutine, so each PE stages
-// only its own O(N/P) send and receive buffers. The write duration
-// counts as blocked time, as for any sendFrame.
+// collectExchange, inline on the PE goroutine; the write duration counts
+// as blocked time, as for any sendFrame.
 func (m *Machine) AllToAllv(send [][]byte) [][]byte {
 	if len(send) != m.p {
 		m.failNow(fmt.Errorf("tcp: AllToAllv needs %d destination slots, got %d", m.p, len(send)))
@@ -80,7 +76,7 @@ func (m *Machine) AllToAllv(send [][]byte) [][]byte {
 	return m.collectExchange(self)
 }
 
-// a2aStream is the pipelined AllToAllv path (cluster.A2AStream): the same
+// a2aStream is the pipelined AllToAllv (cluster.A2AStream): the same
 // writeExchange and collectExchange with the write behind a sender
 // goroutine, which drains posted exchanges onto the wire while the PE
 // goroutine encodes the next exchange or collects the previous one — the
@@ -88,14 +84,13 @@ func (m *Machine) AllToAllv(send [][]byte) [][]byte {
 // (one FIFO sender, ordered TCP, no other collectives while the stream
 // is open), so the collect side matches exchanges one to one.
 //
-// Division of labour: the sender goroutine only writes sockets and hands
-// each finished exchange's byte count back over written, which Collect
-// receives from — so a collected exchange is a written one, and its wire
-// accounting reaches the PE-owned clock on the PE goroutine. On a write
-// error the sender fails the machine via m.fail (never panic, which only
-// the PE goroutine may do) and exits. Abort unwinds close m.done, which
-// the sender and Collect select on, so Close always joins in bounded
-// time.
+// The sender hands each finished exchange's byte count back over
+// written, which Collect receives from: a collected exchange is a
+// written one, and its wire accounting reaches the PE-owned clock on the
+// PE goroutine. On a write error the sender fails the machine via m.fail
+// (never panic, which only the PE goroutine may do) and exits. Abort
+// unwinds close m.done, which the sender and Collect select on, so Close
+// always joins in bounded time.
 type a2aStream struct {
 	m      *Machine
 	window int
@@ -124,10 +119,8 @@ func (m *Machine) OpenA2AStream(window int) cluster.A2AStream {
 	return s
 }
 
-// Post implements cluster.A2AStream. It never blocks: the vector is
-// handed to the sender goroutine, whose queue has room for the full
-// window (posted ≤ window is enforced here, and a collected exchange has
-// left the queue).
+// Post implements cluster.A2AStream. It never blocks: posted ≤ window is
+// enforced here and a collected exchange has left the sender's queue.
 func (s *a2aStream) Post(send [][]byte) {
 	m := s.m
 	if m.abortFlag.Load() {
@@ -147,10 +140,9 @@ func (s *a2aStream) Post(send [][]byte) {
 }
 
 // Collect implements cluster.A2AStream: it receives the oldest posted
-// exchange's frames, then waits until the sender has written this PE's
-// own frames of that exchange (usually long done — the peers' frames took
-// the same trip) and charges their bytes; the wait counts as blocked
-// time. With one PE nothing was queued and there is nothing to wait for.
+// exchange's frames, then waits (as blocked time) until the sender has
+// written this PE's own — usually long done — and charges their bytes.
+// With one PE nothing was queued and there is nothing to wait for.
 func (s *a2aStream) Collect() [][]byte {
 	m := s.m
 	if s.posted == 0 {
@@ -198,10 +190,9 @@ func (s *a2aStream) Closed() bool { return s.closed }
 
 // sender writes posted exchanges in posting order and reports each one's
 // byte count (written has room: at most window are uncollected). A failed
-// write fails the machine — unless the machine was killed or closed,
-// whose severed sockets are not the peer's fault (a SIGKILLed worker
-// broadcasts nothing) — and the PE goroutine unwinds through its own
-// blocked receive or Collect's wait.
+// write fails the machine — unless it was killed or closed, whose severed
+// sockets are not the peer's fault — and the PE goroutine unwinds through
+// its own blocked receive or Collect's wait.
 func (s *a2aStream) sender() {
 	m := s.m
 	defer m.bg.Done()

@@ -56,6 +56,12 @@
 // Receive-side buffering is accounted: MailboxPeakBytes reports the
 // high-water mark of queued undelivered frames, and crossing
 // mailboxHighWater warn-logs once.
+//
+// Files: tcp.go (Config, New, Close, Run), connect.go (bring-up and the
+// handshake fence), framing.go (wire format, readLoop, send/recv),
+// mailbox.go, failure.go (liveness, abort fan-out, fault hooks),
+// collectives.go, stream.go (the all-to-all, inline and pipelined),
+// stats.go; schedules in topology.go, placement in hostfile.go.
 package tcp
 
 import (
@@ -195,10 +201,7 @@ func New(cfg Config) (*Machine, error) {
 		cfg.HeartbeatInterval = 500 * time.Millisecond
 	}
 	if cfg.HeartbeatTimeout == 0 {
-		cfg.HeartbeatTimeout = 10 * cfg.HeartbeatInterval
-		if cfg.HeartbeatTimeout < 5*time.Second {
-			cfg.HeartbeatTimeout = 5 * time.Second
-		}
+		cfg.HeartbeatTimeout = max(10*cfg.HeartbeatInterval, 5*time.Second)
 	}
 	if cfg.OpTimeout == 0 {
 		cfg.OpTimeout = 2 * time.Minute
@@ -314,32 +317,26 @@ func (m *Machine) Rank() int { return m.rank }
 func (m *Machine) Run(fn func(*cluster.Node) error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			if _, ok := r.(tcpAbort); ok {
-				m.abortMu.Lock()
-				err = m.abortErr
-				m.abortMu.Unlock()
-				return
+			if _, unwound := r.(tcpAbort); !unwound {
+				m.fail(cluster.Abortedf(m.rank, "tcp: PE %d panicked: %v", m.rank, r))
 			}
-			m.fail(cluster.AsAborted(m.rank, fmt.Errorf("tcp: PE %d panicked: %v", m.rank, r)))
-			m.abortMu.Lock()
-			err = m.abortErr
-			m.abortMu.Unlock()
+			err = m.aborted()
 		}
 	}()
 	if err := fn(m.node); err != nil {
-		ae := cluster.AsAborted(m.rank, fmt.Errorf("PE %d: %w", m.rank, err))
-		m.fail(ae)
-		m.abortMu.Lock()
-		recorded := m.abortErr
-		m.abortMu.Unlock()
-		return recorded
+		m.fail(cluster.AsAborted(m.rank, fmt.Errorf("PE %d: %w", m.rank, err)))
 	}
-	if m.abortFlag.Load() {
-		m.abortMu.Lock()
-		defer m.abortMu.Unlock()
-		return m.abortErr
+	return m.aborted()
+}
+
+// aborted returns the recorded abort, nil while the machine is healthy.
+func (m *Machine) aborted() error {
+	m.abortMu.Lock()
+	defer m.abortMu.Unlock()
+	if m.abortErr == nil {
+		return nil
 	}
-	return nil
+	return m.abortErr
 }
 
 // Interface conformance.

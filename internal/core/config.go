@@ -74,13 +74,9 @@ type derived struct {
 	sampleK int64
 }
 
-// derive validates cfg against an element size and computes the
-// derived parameters, enforcing the paper's memory constraints.
-func (cfg *Config) derive(elemSize int) (derived, error) {
-	g, err := cfg.Geometry(elemSize, runFraction)
-	if err != nil {
-		return derived{}, fmt.Errorf("core: %w", err)
-	}
+// derive completes a run geometry (job.Open's, computed once per sort)
+// with the sampling distance, enforcing the paper's memory constraints.
+func (cfg *Config) derive(g job.Geometry) (derived, error) {
 	if cfg.MemElems > 0 && int64(g.BElem)*4 > cfg.MemElems {
 		return derived{}, fmt.Errorf("core: memory budget %d elements cannot hold 4 blocks of %d", cfg.MemElems, g.BElem)
 	}
@@ -91,16 +87,12 @@ func (cfg *Config) derive(elemSize int) (derived, error) {
 	return d, nil
 }
 
-// CheckCapacity verifies that nPerPE elements per PE can be sorted in
+// checkCapacity verifies that nPerPE elements per PE can be sorted in
 // two passes under cfg: the final merge needs two prefetch buffers and
 // an output buffer per run within the memory budget, and the sample
 // must fit in memory. This is the practical form of the paper's
 // O(P·m²/B) capacity bound (§IV-D).
-func (cfg *Config) CheckCapacity(elemSize int, nPerPE int64) error {
-	d, err := cfg.derive(elemSize)
-	if err != nil {
-		return err
-	}
+func (cfg *Config) checkCapacity(d derived, nPerPE int64) error {
 	if cfg.MemElems <= 0 {
 		return nil
 	}
@@ -109,7 +101,7 @@ func (cfg *Config) CheckCapacity(elemSize int, nPerPE int64) error {
 	// output block, within half the budget.
 	if need := (2*runs + 1) * int64(d.BElem); need > cfg.MemElems/2 {
 		return fmt.Errorf("core: %d runs of %d-element blocks need %d elements of merge buffers, budget allows %d — input too large for two passes (capacity %d elements/PE)",
-			runs, d.BElem, need, cfg.MemElems/2, cfg.MaxElemsPerPE(elemSize))
+			runs, d.BElem, need, cfg.MemElems/2, cfg.maxElemsPerPE(d))
 	}
 	// Sample memory: N/K elements on every PE, within an eighth.
 	sample := runs * ((d.RunLocal*int64(cfg.P) + d.sampleK - 1) / d.sampleK)
@@ -124,10 +116,18 @@ func (cfg *Config) CheckCapacity(elemSize int, nPerPE int64) error {
 // m/(4B)-ish, each contributing m/4 elements. Multiplying by
 // P gives the machine capacity Θ(P·m²/B) from §IV-D.
 func (cfg *Config) MaxElemsPerPE(elemSize int) int64 {
-	d, err := cfg.derive(elemSize)
+	g, err := cfg.Geometry(elemSize, runFraction)
+	if err != nil {
+		return 0
+	}
+	d, err := cfg.derive(g)
 	if err != nil || cfg.MemElems <= 0 {
 		return 0
 	}
+	return cfg.maxElemsPerPE(d)
+}
+
+func (cfg *Config) maxElemsPerPE(d derived) int64 {
 	maxRuns := (cfg.MemElems/2 - int64(d.BElem)) / (2 * int64(d.BElem))
 	if maxRuns < 1 {
 		return 0

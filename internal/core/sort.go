@@ -62,13 +62,13 @@ func releaseSamples[T any](n *cluster.Node, meta *runsMeta[T], locals []localRun
 // elements of global ranks (i·N/P, (i+1)·N/P] sorted on its local
 // disks. The returned Result carries the per-phase measurements.
 func Sort[T any](c elem.Codec[T], cfg Config, input [][]T) (*Result[T], error) {
-	d, err := cfg.derive(c.Size())
-	if err != nil {
-		return nil, err
-	}
 	j, err := job.Open(c, &cfg.Common, input, runFraction)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
+	}
+	d, err := cfg.derive(j.Geometry)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.SampleK == 0 && cfg.MemElems > 0 {
 		// Auto-size the sampling distance so the in-memory sample
@@ -86,7 +86,7 @@ func Sort[T any](c elem.Codec[T], cfg Config, input [][]T) (*Result[T], error) {
 		cfg.SampleK = k
 		d.sampleK = k
 	}
-	if err := cfg.CheckCapacity(c.Size(), j.NPerPE); err != nil {
+	if err := cfg.checkCapacity(d, j.NPerPE); err != nil {
 		return nil, err
 	}
 	if cfg.Checkpoint.Dir != "" && cfg.Checkpoint.JobID == "" {
@@ -105,9 +105,8 @@ func Sort[T any](c elem.Codec[T], cfg Config, input [][]T) (*Result[T], error) {
 		LoadPeakMemElems:    make([]int64, cfg.P),
 		RunFormPeakMemElems: make([]int64, cfg.P),
 	}
-	if cfg.KeepOutput {
-		res.Output = make([][]T, cfg.P)
-	}
+	sink, kept := j.OutputSink()
+	res.Output = kept
 
 	err = j.Run(func(n *cluster.Node) error {
 		n.SetPhase(PhaseLoad)
@@ -216,28 +215,10 @@ func Sort[T any](c elem.Codec[T], cfg Config, input [][]T) (*Result[T], error) {
 			res.N, res.Runs, res.SubOps = totalN, len(locals), k
 		}
 		res.OutputLens[n.Rank] = out.N
-		if cfg.KeepOutput || cfg.Sink != nil {
-			// One pass over the store feeds both consumers: the Sink
-			// gets each encoded extent, KeepOutput decodes the same
-			// buffer — the output is never read twice.
-			var kept []T
-			if cfg.KeepOutput {
-				kept = make([]T, 0, out.N)
-			}
-			err := streamRaw(c, n.Vol, out, func(b []byte) error {
-				if cfg.KeepOutput {
-					kept = elem.AppendDecode(c, kept, b, len(b)/c.Size())
-				}
-				if cfg.Sink != nil {
-					return cfg.Sink(n.Rank, b)
-				}
-				return nil
-			})
+		if sink != nil {
+			err := streamRaw(c, n.Vol, out, func(b []byte) error { return sink(n.Rank, b) })
 			if err != nil {
 				return fmt.Errorf("core: output sink, rank %d: %w", n.Rank, err)
-			}
-			if cfg.KeepOutput {
-				res.Output[n.Rank] = kept
 			}
 		}
 		res.PeakDiskBlocks[n.Rank] = n.Vol.PeakUsed()

@@ -46,9 +46,9 @@ type Base struct {
 	// Seed drives all randomization.
 	Seed uint64
 	// KeepOutput retains the sorted output in the Result (tests);
-	// production callers stream it through Sink. The striped sorter
-	// implements it on top of its Sink path and therefore needs every
-	// PE hosted in-process.
+	// production callers stream it through Sink, which it rides on
+	// (Job.OutputSink). The striped sorter returns one concatenated
+	// sequence and therefore needs every PE hosted in-process.
 	KeepOutput bool
 	// Source, when non-nil, streams each locally hosted rank's input as
 	// encoded element bytes — the streaming dual of Sink, and the
@@ -342,6 +342,27 @@ func (j *Job[T]) Run(fn func(n *cluster.Node) error) error {
 		n.SetA2AWindow(window)
 		return fn(n)
 	})
+}
+
+// OutputSink returns what a sorter's collect step feeds each rank's
+// sorted stream to, block at a time — the configured Sink, behind a
+// decode into kept[rank] when KeepOutput is set — and kept itself (nil
+// without KeepOutput). A nil sink means nobody wants the output. Distinct
+// ranks write distinct slots, so the sim backend's concurrent PEs need
+// no lock.
+func (j *Job[T]) OutputSink() (sink func(rank int, encoded []byte) error, kept [][]T) {
+	user := j.cfg.Sink
+	if !j.cfg.KeepOutput {
+		return user, nil
+	}
+	kept = make([][]T, j.cfg.P)
+	return func(rank int, b []byte) error {
+		kept[rank] = elem.AppendDecode(j.c, kept[rank], b, len(b)/j.c.Size())
+		if user != nil {
+			return user(rank, b)
+		}
+		return nil
+	}, kept
 }
 
 // First reports whether n is the first locally hosted PE — the one

@@ -152,9 +152,7 @@ func Select[T any](c elem.Codec[T], acc Accessor[T], rank int64) []int64 {
 		if cnt < rank {
 			// Pivot and everything before it belong to the left set.
 			for q := 0; q < r; q++ {
-				if split[q] > lo[q] {
-					lo[q] = split[q]
-				}
+				lo[q] = max(lo[q], split[q])
 			}
 			if pi+1 > lo[best] {
 				lo[best] = pi + 1
@@ -162,9 +160,7 @@ func Select[T any](c elem.Codec[T], acc Accessor[T], rank int64) []int64 {
 		} else {
 			// Pivot and everything after it stay right.
 			for q := 0; q < r; q++ {
-				if split[q] < hi[q] {
-					hi[q] = split[q]
-				}
+				hi[q] = min(hi[q], split[q])
 			}
 		}
 	}
@@ -224,54 +220,7 @@ func SampleCuts[T any](c elem.Codec[T], samples []Sample[T], lens []int64, rank 
 	cuts := make([]int64, r)
 	for q := 0; q < r; q++ {
 		cuts[q] = scut[q] * k
-		if cuts[q] > lens[q] {
-			cuts[q] = lens[q]
-		}
+		cuts[q] = min(cuts[q], lens[q])
 	}
 	return cuts
-}
-
-// CheckPartition verifies the selection invariant for positions pos on
-// acc at rank: positions sum to rank and max-left orders before
-// min-right. It returns an error describing the first violation.
-func CheckPartition[T any](c elem.Codec[T], acc Accessor[T], rank int64, pos []int64) error {
-	ord := OrderOf(c)
-	var sum int64
-	for q := range pos {
-		if pos[q] < 0 || pos[q] > acc.Len(q) {
-			return fmt.Errorf("mselect: position %d of seq %d outside [0,%d]", pos[q], q, acc.Len(q))
-		}
-		sum += pos[q]
-	}
-	if sum != rank {
-		return fmt.Errorf("mselect: positions sum %d, want rank %d", sum, rank)
-	}
-	maxQ := -1
-	var maxV T
-	for q := range pos {
-		if pos[q] == 0 {
-			continue
-		}
-		v := acc.At(q, pos[q]-1)
-		if maxQ == -1 || ord.Less(maxV, maxQ, pos[maxQ]-1, v, q, pos[q]-1) {
-			maxQ, maxV = q, v
-		}
-	}
-	minQ := -1
-	var minV T
-	for q := range pos {
-		if pos[q] >= acc.Len(q) {
-			continue
-		}
-		v := acc.At(q, pos[q])
-		if minQ == -1 || ord.Less(v, q, pos[q], minV, minQ, pos[minQ]) {
-			minQ, minV = q, v
-		}
-	}
-	if maxQ != -1 && minQ != -1 &&
-		ord.Less(minV, minQ, pos[minQ], maxV, maxQ, pos[maxQ]-1) {
-		return fmt.Errorf("mselect: left element (seq %d pos %d) orders after right element (seq %d pos %d)",
-			maxQ, pos[maxQ]-1, minQ, pos[minQ])
-	}
-	return nil
 }

@@ -1,6 +1,7 @@
 package mselect
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -70,7 +71,7 @@ func TestSelectMatchesBruteForce(t *testing.T) {
 		if !slices.Equal(got, want) {
 			t.Fatalf("iter %d: Select=%v brute=%v (rank %d, seqs %v)", iter, got, want, rank, seqs)
 		}
-		if err := CheckPartition[elem.U64](u64c, acc, rank, got); err != nil {
+		if err := checkPartition[elem.U64](u64c, acc, rank, got); err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
 	}
@@ -112,7 +113,7 @@ func TestSelectQuickProperty(t *testing.T) {
 			rank = int64(rankSel) % (total + 1)
 		}
 		pos := Select[elem.U64](u64c, acc, rank)
-		return CheckPartition[elem.U64](u64c, acc, rank, pos) == nil
+		return checkPartition[elem.U64](u64c, acc, rank, pos) == nil
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
@@ -186,7 +187,7 @@ func TestSelectRec100(t *testing.T) {
 	total := Total[elem.Rec100](acc)
 	for _, rank := range []int64{0, 1, total / 3, total / 2, total - 1, total} {
 		pos := Select[elem.Rec100](c, acc, rank)
-		if err := CheckPartition[elem.Rec100](c, acc, rank, pos); err != nil {
+		if err := checkPartition[elem.Rec100](c, acc, rank, pos); err != nil {
 			t.Fatalf("rank %d: %v", rank, err)
 		}
 	}
@@ -208,4 +209,49 @@ func BenchmarkSelect8x64k(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		Select[elem.U64](u64c, acc, total/2)
 	}
+}
+
+// checkPartition verifies the selection invariant for positions pos on
+// acc at rank: positions sum to rank and max-left orders before
+// min-right. It returns an error describing the first violation.
+func checkPartition[T any](c elem.Codec[T], acc Accessor[T], rank int64, pos []int64) error {
+	ord := OrderOf(c)
+	var sum int64
+	for q := range pos {
+		if pos[q] < 0 || pos[q] > acc.Len(q) {
+			return fmt.Errorf("mselect: position %d of seq %d outside [0,%d]", pos[q], q, acc.Len(q))
+		}
+		sum += pos[q]
+	}
+	if sum != rank {
+		return fmt.Errorf("mselect: positions sum %d, want rank %d", sum, rank)
+	}
+	maxQ := -1
+	var maxV T
+	for q := range pos {
+		if pos[q] == 0 {
+			continue
+		}
+		v := acc.At(q, pos[q]-1)
+		if maxQ == -1 || ord.Less(maxV, maxQ, pos[maxQ]-1, v, q, pos[q]-1) {
+			maxQ, maxV = q, v
+		}
+	}
+	minQ := -1
+	var minV T
+	for q := range pos {
+		if pos[q] >= acc.Len(q) {
+			continue
+		}
+		v := acc.At(q, pos[q])
+		if minQ == -1 || ord.Less(v, q, pos[q], minV, minQ, pos[minQ]) {
+			minQ, minV = q, v
+		}
+	}
+	if maxQ != -1 && minQ != -1 &&
+		ord.Less(minV, minQ, pos[minQ], maxV, maxQ, pos[maxQ]-1) {
+		return fmt.Errorf("mselect: left element (seq %d pos %d) orders after right element (seq %d pos %d)",
+			maxQ, pos[maxQ]-1, minQ, pos[minQ])
+	}
+	return nil
 }

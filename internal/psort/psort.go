@@ -35,14 +35,7 @@ import (
 // simulated PE runs its own sort — an unclamped fan-out of P×cores
 // goroutines oversubscribes the host without helping).
 func DefaultWorkers() int {
-	w := runtime.GOMAXPROCS(0)
-	if w > 8 {
-		w = 8
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return max(min(runtime.GOMAXPROCS(0), 8), 1)
 }
 
 // Sort sorts vs in place using up to workers goroutines, on the LSD

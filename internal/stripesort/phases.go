@@ -10,6 +10,7 @@ import (
 	"demsort/internal/cluster"
 	"demsort/internal/elem"
 	"demsort/internal/job"
+	"demsort/internal/mselect"
 	"demsort/internal/xmerge"
 )
 
@@ -20,10 +21,9 @@ type pe[T any] struct {
 	c   elem.Codec[T]
 	n   *cluster.Node
 	cfg *Config
-	// key and exact are elem.KeyFn(c): the normalized key, and whether
-	// it decides the order alone.
-	key   func(T) uint64
-	exact bool
+	// ord is the total order on (element, run, position) — the barrier
+	// rule — that predict and extract share.
+	ord mselect.Order[T]
 
 	runs   int
 	totalN int64 // the sum of the run lengths
@@ -59,8 +59,7 @@ func runPE[T any](j *job.Job[T], c elem.Codec[T], n *cluster.Node, cfg *Config, 
 	if err != nil {
 		return nil, fmt.Errorf("stripesort: %w", err)
 	}
-	s := &pe[T]{j: j, c: c, n: n, cfg: cfg}
-	s.key, s.exact = elem.KeyFn(c)
+	s := &pe[T]{j: j, c: c, n: n, cfg: cfg, ord: mselect.OrderOf(c)}
 	if err := s.formRuns(spans); err != nil {
 		return nil, err
 	}
@@ -226,28 +225,6 @@ func (s *pe[T]) writeBlock(data []T) blockio.BlockID {
 	return id
 }
 
-// less orders (element, run, position) triples totally — the barrier
-// rule — probing normalized uint64 keys first; the comparator runs only
-// on equal inexact keys (never for U64/KV16, and only on shared 8-byte
-// prefixes for Rec100).
-func (s *pe[T]) less(ak uint64, a T, ar int, ap int64, bk uint64, b T, br int, bp int64) bool {
-	if ak != bk {
-		return ak < bk
-	}
-	if !s.exact {
-		if s.c.Less(a, b) {
-			return true
-		}
-		if s.c.Less(b, a) {
-			return false
-		}
-	}
-	if ar != br {
-		return ar < br
-	}
-	return ap < bp
-}
-
 // predict closes phase 1 with the global prediction sequence: the first
 // key of every block of every run, allgathered and sorted, so each PE
 // can compute the fetch order deterministically. The table stays
@@ -266,7 +243,7 @@ func (s *pe[T]) predict() []predEntry[T] {
 	for _, pb := range n.AllGather(buf) {
 		for len(pb) > 0 {
 			v := s.c.Decode(pb[12 : 12+sz])
-			pred = append(pred, predEntry[T]{first: v, firstKey: s.key(v),
+			pred = append(pred, predEntry[T]{first: v, firstKey: s.ord.Key(v),
 				run: int(binary.LittleEndian.Uint32(pb[:4])), blk: int64(binary.LittleEndian.Uint64(pb[4:12]))})
 			pb = pb[12+sz:]
 		}
@@ -274,7 +251,7 @@ func (s *pe[T]) predict() []predEntry[T] {
 	bElem := int64(s.j.BElem)
 	sort.Slice(pred, func(i, j int) bool {
 		a, b := pred[i], pred[j]
-		return s.less(a.firstKey, a.first, a.run, a.blk*bElem, b.firstKey, b.first, b.run, b.blk*bElem)
+		return s.ord.LessK(a.firstKey, a.first, a.run, a.blk*bElem, b.firstKey, b.first, b.run, b.blk*bElem)
 	})
 	n.Mem.MustAcquire(int64(len(pred)))
 	n.Barrier()
@@ -470,7 +447,7 @@ func (s *pe[T]) extract(pending [][]piece[T], barrier *predEntry[T]) []T {
 			if barrier != nil {
 				cnt = sort.Search(cnt, func(i int) bool {
 					v := pc.elems[i]
-					return !s.less(s.key(v), v, r, pc.pos+int64(i), barrier.firstKey, barrier.first, barrier.run, bPos)
+					return !s.ord.LessK(s.ord.Key(v), v, r, pc.pos+int64(i), barrier.firstKey, barrier.first, barrier.run, bPos)
 				})
 			}
 			seq = append(seq, pc.elems[:cnt]...)
@@ -519,9 +496,7 @@ func collectOutput[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, bElem i
 	sz := c.Size()
 	maxIdx := int64(-1)
 	for _, b := range blocks {
-		if b.idx > maxIdx {
-			maxIdx = b.idx
-		}
+		maxIdx = max(maxIdx, b.idx)
 	}
 	total := n.AllReduceInt64(maxIdx+1, "max") // G: global output blocks
 	if total == 0 {
@@ -631,7 +606,7 @@ func recvBound(total int64, p int) int64 {
 // distributed pieces are globally ordered even with duplicate keys. A
 // machine without elements has no sample and cuts everywhere at 0.
 func sampleCuts[T any](c elem.Codec[T], n *cluster.Node, chunk []T) ([]int64, int64) {
-	sz := c.Size()
+	sz, ord := c.Size(), mselect.OrderOf(c)
 	// Sample i of k is the element at position ⌊len·i/k⌋ and stands for
 	// the stretch up to the next one: the chunk length and the k elements
 	// are all a PE has to say.
@@ -646,6 +621,7 @@ func sampleCuts[T any](c elem.Codec[T], n *cluster.Node, chunk []T) ([]int64, in
 	}
 	type cand struct {
 		v      T
+		key    uint64
 		pe     int
 		idx    int64
 		weight int64
@@ -657,21 +633,13 @@ func sampleCuts[T any](c elem.Codec[T], n *cluster.Node, chunk []T) ([]int64, in
 		total += peLen
 		for i, k := int64(0), samples(peLen); i < k; i++ {
 			idx, enc := at(peLen, k, i), b[8+int(i)*sz:]
-			pool = append(pool, cand{v: c.Decode(enc[:sz]), pe: pe, idx: idx, weight: at(peLen, k, i+1) - idx})
+			v := c.Decode(enc[:sz])
+			pool = append(pool, cand{v: v, key: ord.Key(v), pe: pe, idx: idx, weight: at(peLen, k, i+1) - idx})
 		}
 	}
 	sort.Slice(pool, func(a, b int) bool {
 		pa, pb := pool[a], pool[b]
-		if c.Less(pa.v, pb.v) {
-			return true
-		}
-		if c.Less(pb.v, pa.v) {
-			return false
-		}
-		if pa.pe != pb.pe {
-			return pa.pe < pb.pe
-		}
-		return pa.idx < pb.idx
+		return ord.LessK(pa.key, pa.v, pa.pe, pa.idx, pb.key, pb.v, pb.pe, pb.idx)
 	})
 	cuts := make([]int64, n.P-1)
 	t, before := 0, int64(0) // before is the weight of pool[:t]
@@ -683,22 +651,13 @@ func sampleCuts[T any](c elem.Codec[T], n *cluster.Node, chunk []T) ([]int64, in
 			cuts[i] = ln
 			continue
 		}
-		// Count my chunk elements ordered before the splitter
-		// (value, PE, position) — identical tie handling on every PE
-		// keeps the distributed pieces disjoint and ordered.
+		// Count my chunk elements ordered before the splitter — the same
+		// total order on every PE keeps the distributed pieces disjoint
+		// and ordered.
 		sp := pool[t]
 		cuts[i] = int64(sort.Search(len(chunk), func(j int) bool {
 			v := chunk[j]
-			if c.Less(v, sp.v) {
-				return false
-			}
-			if c.Less(sp.v, v) {
-				return true
-			}
-			if n.Rank != sp.pe {
-				return n.Rank > sp.pe
-			}
-			return int64(j) >= sp.idx
+			return !ord.LessK(ord.Key(v), v, n.Rank, int64(j), sp.key, sp.v, sp.pe, sp.idx)
 		}))
 	}
 	return cuts, total

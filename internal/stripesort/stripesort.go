@@ -105,7 +105,6 @@ func Sort[T any](c elem.Codec[T], cfg Config, input [][]T) (*Result[T], error) {
 	if err != nil {
 		return nil, fmt.Errorf("stripesort: %w", err)
 	}
-	sz := c.Size()
 
 	// Capacity: every PE holds the prediction table — one entry per
 	// input block — through the merge, next to the leftover blocks of the
@@ -132,26 +131,12 @@ func Sort[T any](c elem.Codec[T], cfg Config, input [][]T) (*Result[T], error) {
 	}
 	defer j.Close()
 
-	// KeepOutput rides on the Sink path: an internal sink decodes each
-	// rank's contiguous output range, and the ranges concatenate in
-	// rank order to the globally sorted sequence. Distinct ranks write
-	// distinct slots, so the sim backend's concurrent PEs need no lock.
-	sink := cfg.Sink
-	var keep [][]T
-	if cfg.KeepOutput {
-		if hosted := len(j.M.Nodes()); hosted != cfg.P {
-			return nil, fmt.Errorf("stripesort: KeepOutput needs all %d PEs hosted in-process (machine hosts %d); stream a distributed run through Sink instead", cfg.P, hosted)
-		}
-		keep = make([][]T, cfg.P)
-		user := sink
-		sink = func(rank int, b []byte) error {
-			keep[rank] = elem.AppendDecode(c, keep[rank], b, len(b)/sz)
-			if user != nil {
-				return user(rank, b)
-			}
-			return nil
-		}
+	// The kept ranges concatenate in rank order to the globally sorted
+	// sequence, so every rank's must be here.
+	if hosted := len(j.M.Nodes()); cfg.KeepOutput && hosted != cfg.P {
+		return nil, fmt.Errorf("stripesort: KeepOutput needs all %d PEs hosted in-process (machine hosts %d); stream a distributed run through Sink instead", cfg.P, hosted)
 	}
+	sink, keep := j.OutputSink()
 
 	res := &Result[T]{
 		Stats:         j.NewStats([]string{PhaseRunForm, PhaseMerge}),
@@ -175,10 +160,8 @@ func Sort[T any](c elem.Codec[T], cfg Config, input [][]T) (*Result[T], error) {
 		return nil, err
 	}
 	j.Harvest(&res.Stats)
-	if cfg.KeepOutput {
-		for _, part := range keep {
-			res.Output = append(res.Output, part...)
-		}
+	for _, part := range keep {
+		res.Output = append(res.Output, part...)
 	}
 	return res, nil
 }

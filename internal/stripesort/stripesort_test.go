@@ -199,7 +199,7 @@ func TestStripedCapacityBeyondCanonical(t *testing.T) {
 }
 
 // TestStripedRejectsOversizedPredictionTable sorts at demsort's CLI
-// defaults (-striped -records -p 4: 4 × 24576 records, 8192 elements of
+// defaults (-striped -workload=records -p 4: 4 × 24576 records, 8192 elements of
 // memory, 10-record blocks): the prediction table alone — one entry per
 // block, on every PE — outgrows the budget. That must be refused before
 // the machine exists or a byte of input is read, saying what to change;

@@ -95,16 +95,9 @@ func (m CostModel) EffNetBandwidth(p int) float64 {
 	if p <= 2 {
 		return m.NetBandwidth
 	}
-	n := m.CongestionNodes
-	if n < 4 {
-		n = 4
-	}
+	n := max(m.CongestionNodes, 4)
 	drop := (1 - m.CongestionFloor) * math.Log2(float64(p)/2) / math.Log2(float64(n)/2)
-	f := 1 - drop
-	if f < m.CongestionFloor {
-		f = m.CongestionFloor
-	}
-	return m.NetBandwidth * f
+	return m.NetBandwidth * max(1-drop, m.CongestionFloor)
 }
 
 // NodeDiskBandwidth returns the aggregate striped bandwidth of one
@@ -166,9 +159,7 @@ type Device struct {
 // before at, and returns its completion time.
 func (d *Device) Acquire(at, dur float64) float64 {
 	start := d.busyUntil
-	if at > start {
-		start = at
-	}
+	start = max(start, at)
 	d.busyUntil = start + dur
 	return d.busyUntil
 }
@@ -259,9 +250,7 @@ func (c *Clock) Cur() *PhaseStats { return c.stats[c.phase] }
 
 // AdvanceTo moves the clock forward to t (never backward).
 func (c *Clock) AdvanceTo(t float64) {
-	if t > c.now {
-		c.now = t
-	}
+	c.now = max(c.now, t)
 }
 
 // AddCPU advances the clock by CPU work of the given duration.
