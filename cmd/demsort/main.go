@@ -17,11 +17,11 @@
 //     one worker of a (possibly multi-host) machine.
 //
 // The tcp transport (and sim with -workload=records) sorts
-// SortBenchmark-style 100-byte records: streamed in-process gensort-equivalently from
-// -seed, or from a gensort file via -infile — either way the input
-// tile goes block-at-a-time straight onto the rank's block store
-// (core.Config.Source), never through an in-RAM slice. Sorted
-// partitions are written to -outdir as raw records
+// SortBenchmark-style 100-byte records: streamed in-process
+// gensort-equivalently from -seed, or from a gensort file via -infile —
+// either way the input tile goes block-at-a-time straight onto the
+// rank's block store (core.Config.Source), never through an in-RAM
+// slice. Sorted partitions are written to -outdir as raw records
 // (valsort-compatible), streamed block-at-a-time from each worker's
 // store (Config.Sink) into part-%03d.tmp and renamed on success, so
 // outdir never holds a truncated part. With -store=file the blocks

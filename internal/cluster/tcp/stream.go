@@ -1,7 +1,6 @@
 package tcp
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -9,18 +8,15 @@ import (
 	"demsort/internal/cluster"
 )
 
-// errAborting is writeExchange's error when it stops because the machine
-// is already failing; the recorded abort carries the attribution.
-var errAborting = errors.New("tcp: machine is aborting")
-
 // writeExchange is the one place an all-to-all's frames are written: in
 // 1-factor round order — every round a perfect matching, so each link
 // carries one exchange per round in each direction and the machine's P²
 // streams never funnel through one node — each non-self payload going
 // back to the arena once it is on the wire (Transport.AllToAllv's
 // ownership rule). It returns the payload bytes written and, for a
-// failed write, an *ErrAborted naming the peer; it neither panics nor
-// touches the PE-owned clock, so the stream's sender goroutine can run it.
+// failed write, an *ErrAborted naming the peer (the recorded abort when
+// the machine is already failing); it neither panics nor touches the
+// PE-owned clock, so the stream's sender goroutine can run it.
 func (m *Machine) writeExchange(send [][]byte) (sent int64, err error) {
 	for r := 0; r < oneFactorRounds(m.p); r++ {
 		q := oneFactorPartner(m.rank, r, m.p)
@@ -28,7 +24,7 @@ func (m *Machine) writeExchange(send [][]byte) (sent int64, err error) {
 			continue // odd P: paired with the dummy this round
 		}
 		if m.abortFlag.Load() {
-			return sent, errAborting
+			return sent, m.aborted()
 		}
 		payload := send[q]
 		if err := m.writeFrame(q, tagA2A, payload); err != nil {
