@@ -83,14 +83,7 @@ func unitcheckerMode(cfgPath string) {
 		}
 		return os.Open(file)
 	}
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Implicits:  map[ast.Node]types.Object{},
-		Scopes:     map[ast.Node]*types.Scope{},
-	}
+	info := analysis.NewInfo()
 	conf := types.Config{
 		Importer:  importer.ForCompiler(fset, "gc", lookup),
 		Sizes:     types.SizesFor(compilerOf(cfg), runtime.GOARCH),

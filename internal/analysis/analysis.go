@@ -112,6 +112,19 @@ type Unit struct {
 	Info  *types.Info
 }
 
+// NewInfo allocates the fact maps the analyzers consume, for the type
+// checker to fill (Unit.Info).
+func NewInfo() *types.Info {
+	return &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+		Implicits:  map[ast.Node]types.Object{},
+		Scopes:     map[ast.Node]*types.Scope{},
+	}
+}
+
 // Run applies every analyzer to the unit and returns the surviving
 // diagnostics (suppressions applied, position-sorted).
 func Run(u *Unit, analyzers []*Analyzer) ([]Diagnostic, error) {

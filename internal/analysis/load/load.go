@@ -21,6 +21,8 @@ import (
 	"os/exec"
 	"runtime"
 	"strconv"
+
+	"demsort/internal/analysis"
 )
 
 // Package is one parsed, type-checked package.
@@ -78,18 +80,6 @@ func exportLookup(pkgs map[string]*listedPkg) func(string) (io.ReadCloser, error
 	}
 }
 
-// newInfo allocates the fact maps the analyzers consume.
-func newInfo() *types.Info {
-	return &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Implicits:  map[ast.Node]types.Object{},
-		Scopes:     map[ast.Node]*types.Scope{},
-	}
-}
-
 // LoadFiles parses the given files as a single package with the given
 // import path and type-checks it, resolving its imports (and theirs)
 // through export data built from moduleDir. The fixture harness uses
@@ -128,7 +118,7 @@ func LoadFiles(moduleDir, pkgPath string, filenames []string) (*Package, error) 
 			return nil, err
 		}
 	}
-	p := &Package{Fset: fset, Files: files, Info: newInfo()}
+	p := &Package{Fset: fset, Files: files, Info: analysis.NewInfo()}
 	conf := types.Config{
 		Importer: importer.ForCompiler(fset, "gc", exportLookup(pkgs)),
 		Sizes:    types.SizesFor("gc", runtime.GOARCH),

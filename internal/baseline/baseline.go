@@ -67,7 +67,9 @@ type Result[T any] struct {
 func (r *Result[T]) Imbalance() float64 {
 	var maxPart int64
 	for _, s := range r.PartSizes {
-		maxPart = max(maxPart, s)
+		if s > maxPart {
+			maxPart = s
+		}
 	}
 	if r.N == 0 {
 		return 1
@@ -168,7 +170,9 @@ func SampleSort[T any](c elem.Codec[T], cfg Config, input [][]T) (*Result[T], er
 			var lens []int
 			for off := 0; off < len(pendingRecv); off += bElem {
 				hi := off + bElem
-				hi = min(hi, len(pendingRecv))
+				if hi > len(pendingRecv) {
+					hi = len(pendingRecv)
+				}
 				id := n.Vol.Alloc()
 				n.Vol.WriteAsync(id, elem.EncodeSlice(c, pendingRecv[off:hi]))
 				ids = append(ids, id)
@@ -195,7 +199,9 @@ func SampleSort[T any](c elem.Codec[T], cfg Config, input [][]T) (*Result[T], er
 			lo := round * chunkBlocks
 			if lo < len(blocks) {
 				hi := lo + chunkBlocks
-				hi = min(hi, len(blocks))
+				if hi > len(blocks) {
+					hi = len(blocks)
+				}
 				for _, b := range blocks[lo:hi] {
 					n.Vol.ReadWait(b.ID, raw[:b.Bytes])
 					for off := 0; off < b.Bytes; off += sz {

@@ -287,7 +287,9 @@ func (v *Volume) Clock() *vtime.Clock { return v.clock }
 // consuming their inputs).
 func (v *Volume) Alloc() BlockID {
 	v.used++
-	v.peakUsed = max(v.peakUsed, v.used)
+	if v.used > v.peakUsed {
+		v.peakUsed = v.used
+	}
 	if n := len(v.freeList); n > 0 {
 		id := v.freeList[n-1]
 		v.freeList = v.freeList[:n-1]
@@ -404,7 +406,9 @@ func (v *Volume) RestoreAlloc(next int64, freeList []int64) {
 		v.freeList = append(v.freeList, BlockID(id))
 	}
 	v.used = next - int64(len(freeList))
-	v.peakUsed = max(v.peakUsed, v.used)
+	if v.used > v.peakUsed {
+		v.peakUsed = v.used
+	}
 }
 
 // syncer is the optional durability hook of a Store (FileStore's

@@ -27,7 +27,11 @@ var classes [maxBits + 1]sync.Pool
 
 // class returns the smallest size class that holds n bytes.
 func class(n int) int {
-	return max(bits.Len(uint(n-1)), minBits)
+	c := bits.Len(uint(n - 1))
+	if c < minBits {
+		c = minBits
+	}
+	return c
 }
 
 // Pooled buffers are stored as the raw pointer to their backing array,

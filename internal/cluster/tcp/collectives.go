@@ -7,6 +7,7 @@ import (
 	"fmt"
 
 	"demsort/internal/bufpool"
+	"demsort/internal/cluster"
 )
 
 // ---------------------------------------------------------------------
@@ -69,21 +70,14 @@ func (m *Machine) AllGather(data []byte) [][]byte {
 		copy(parts[c:], decodeVec(payload, btreeSpan(c, m.p)))
 		pooled = append(pooled, payload)
 	}
-	var full []byte
+	// This subtree's parts as one vector — at the root, everyone's.
+	vec := encodeVec(parts[m.rank : m.rank+btreeSpan(m.rank, m.p)])
+	cluster.RecycleRecv(pooled)
 	if parent >= 0 {
-		m.sendFrame(parent, tagGather, encodeVec(parts[m.rank:m.rank+btreeSpan(m.rank, m.p)]))
-		for _, b := range pooled {
-			bufpool.Put(b)
-		}
-		full = m.bcastTree(0, nil, tagGatherVec)
-	} else {
-		full = encodeVec(parts)
-		for _, b := range pooled {
-			bufpool.Put(b)
-		}
-		m.bcastTree(0, full, tagGatherVec)
+		m.sendFrame(parent, tagGather, vec)
+		vec = nil
 	}
-	return decodeVec(full, m.p)
+	return decodeVec(m.bcastTree(0, vec, tagGatherVec), m.p)
 }
 
 // Bcast implements cluster.Transport: binomial tree from root,

@@ -95,8 +95,7 @@ type a2aStream struct {
 	written    chan int64    // wire bytes of each written exchange, uncollected; cap = window
 	senderDone chan struct{} // closed when the sender goroutine exits
 
-	selfQ  [][]byte // self payloads of posted exchanges, FIFO
-	posted int      // exchanges posted but not collected
+	selfQ  [][]byte // self payloads of the exchanges posted but not collected, FIFO
 	closed bool     // Close has run (PE goroutine only)
 }
 
@@ -125,10 +124,9 @@ func (s *a2aStream) Post(send [][]byte) {
 	if len(send) != m.p {
 		m.failNow(fmt.Errorf("tcp: A2AStream Post needs %d destination slots, got %d", m.p, len(send)))
 	}
-	if s.posted >= s.window {
-		m.failNow(fmt.Errorf("tcp: A2AStream window overflow: %d exchanges already in flight (window %d)", s.posted, s.window))
+	if len(s.selfQ) >= s.window {
+		m.failNow(fmt.Errorf("tcp: A2AStream window overflow: %d exchanges already in flight (window %d)", len(s.selfQ), s.window))
 	}
-	s.posted++
 	s.selfQ = append(s.selfQ, send[m.rank])
 	if m.p > 1 {
 		s.sendQ <- send
@@ -141,10 +139,9 @@ func (s *a2aStream) Post(send [][]byte) {
 // With one PE nothing was queued and there is nothing to wait for.
 func (s *a2aStream) Collect() [][]byte {
 	m := s.m
-	if s.posted == 0 {
+	if len(s.selfQ) == 0 {
 		m.failNow(fmt.Errorf("tcp: A2AStream Collect without a posted exchange"))
 	}
-	s.posted--
 	self := s.selfQ[0]
 	s.selfQ[0] = nil
 	s.selfQ = s.selfQ[1:]
@@ -178,7 +175,6 @@ func (s *a2aStream) Close() {
 		bufpool.Put(b)
 	}
 	s.selfQ = nil
-	s.posted = 0
 }
 
 // Closed implements cluster.A2AStream.

@@ -24,7 +24,9 @@ func New(limit int64) *Tracker { return &Tracker{limit: limit} }
 // a configuration bug, because phase parameters are derived to fit.
 func (t *Tracker) Acquire(n int64) error {
 	t.used += n
-	t.peak = max(t.peak, t.used)
+	if t.used > t.peak {
+		t.peak = t.used
+	}
 	if t.limit > 0 && t.used > t.limit {
 		return fmt.Errorf("membudget: %d elements in use, budget %d", t.used, t.limit)
 	}

@@ -163,7 +163,9 @@ func Valid(s Schedule, disks []int, d, w int) (bool, string) {
 	consumeStep := make([]int, n)
 	maxSoFar := -1
 	for i := 0; i < n; i++ {
-		maxSoFar = max(maxSoFar, fetchStep[i])
+		if fetchStep[i] > maxSoFar {
+			maxSoFar = fetchStep[i]
+		}
 		consumeStep[i] = maxSoFar
 	}
 	occ := make([]int, len(s.Steps)+1)

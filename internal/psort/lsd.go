@@ -82,7 +82,9 @@ func buildPairs[T any](kc elem.KeyedCodec[T], vs []T, a []keyIdx, lo, hi int, h 
 	var kbuf [512]uint64
 	for base := lo; base < hi; base += len(kbuf) {
 		end := base + len(kbuf)
-		end = min(end, hi)
+		if end > hi {
+			end = hi
+		}
 		elem.KeysInto[T](kc, kbuf[:end-base], vs[base:end])
 		for i := base; i < end; i++ {
 			k := kbuf[i-base]

@@ -35,7 +35,14 @@ import (
 // simulated PE runs its own sort — an unclamped fan-out of P×cores
 // goroutines oversubscribes the host without helping).
 func DefaultWorkers() int {
-	return max(min(runtime.GOMAXPROCS(0), 8), 1)
+	w := runtime.GOMAXPROCS(0)
+	if w > 8 {
+		w = 8
+	}
+	if w < 1 {
+		w = 1
+	}
+	return w
 }
 
 // Sort sorts vs in place using up to workers goroutines, on the LSD

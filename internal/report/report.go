@@ -128,7 +128,9 @@ func (f *Figure) ASCII(w io.Writer, width int) {
 	fmt.Fprintf(w, "   y: %s%s\n", f.YLabel, map[bool]string{true: " (log scale)", false: ""}[f.LogY])
 	nameW := 0
 	for _, s := range f.Series {
-		nameW = max(nameW, len(s.Name))
+		if len(s.Name) > nameW {
+			nameW = len(s.Name)
+		}
 	}
 	for _, s := range f.Series {
 		for i := range s.X {
@@ -139,7 +141,9 @@ func (f *Figure) ASCII(w io.Writer, width int) {
 			} else if maxY > 0 {
 				frac = y / maxY
 			}
-			frac = max(frac, 0)
+			if frac < 0 {
+				frac = 0
+			}
 			bar := strings.Repeat("#", int(frac*float64(width)))
 			fmt.Fprintf(w, "%*s %s=%-8g |%s %.4g\n", nameW, s.Name, f.XLabel, s.X[i], bar, y)
 		}

@@ -95,9 +95,16 @@ func (m CostModel) EffNetBandwidth(p int) float64 {
 	if p <= 2 {
 		return m.NetBandwidth
 	}
-	n := max(m.CongestionNodes, 4)
+	n := m.CongestionNodes
+	if n < 4 {
+		n = 4
+	}
 	drop := (1 - m.CongestionFloor) * math.Log2(float64(p)/2) / math.Log2(float64(n)/2)
-	return m.NetBandwidth * max(1-drop, m.CongestionFloor)
+	f := 1 - drop
+	if f < m.CongestionFloor {
+		f = m.CongestionFloor
+	}
+	return m.NetBandwidth * f
 }
 
 // NodeDiskBandwidth returns the aggregate striped bandwidth of one
@@ -159,7 +166,9 @@ type Device struct {
 // before at, and returns its completion time.
 func (d *Device) Acquire(at, dur float64) float64 {
 	start := d.busyUntil
-	start = max(start, at)
+	if at > start {
+		start = at
+	}
 	d.busyUntil = start + dur
 	return d.busyUntil
 }
@@ -250,7 +259,9 @@ func (c *Clock) Cur() *PhaseStats { return c.stats[c.phase] }
 
 // AdvanceTo moves the clock forward to t (never backward).
 func (c *Clock) AdvanceTo(t float64) {
-	c.now = max(c.now, t)
+	if t > c.now {
+		c.now = t
+	}
 }
 
 // AddCPU advances the clock by CPU work of the given duration.
