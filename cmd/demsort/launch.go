@@ -25,8 +25,10 @@ import (
 	"sync"
 	"time"
 
+	demsort "demsort"
 	"demsort/internal/blockio"
 	"demsort/internal/cluster/tcp"
+	"demsort/internal/job"
 	"demsort/internal/sortbench"
 )
 
@@ -221,6 +223,31 @@ func exitCode(err error) int {
 // listen-race retry, and — when every rank is local — valsort over
 // the combined partitions.
 func runLauncher(o *options) {
+	var placements []tcp.Placement
+	if o.hostfile != "" {
+		hosts, err := tcp.LoadHostfile(o.hostfile)
+		fail(err)
+		placements, err = tcp.PlaceRanks(hosts, o.baseport)
+		fail(err)
+	} else {
+		for rank := 0; rank < o.p; rank++ {
+			placements = append(placements, tcp.Placement{Rank: rank, Host: "127.0.0.1", Local: true})
+		}
+	}
+	p := len(placements)
+	// The workers would open the job with this very plan: a job it
+	// refuses is refused here, once, before a port is reserved or a worker
+	// spawned — so a restart never re-drives it. Workers sort records and
+	// always write part files.
+	sorter := job.Canonical
+	if o.striped {
+		sorter = job.Striped
+	}
+	if _, err := job.NewPlan(job.Shape{Sorter: sorter, P: p, MemElems: o.mem, BlockBytes: o.block,
+		ElemSize: demsort.Rec100Codec{}.Size(), NPerPE: o.n, Randomize: o.randomize, Collected: true}); err != nil {
+		fail(fmt.Errorf("demsort: %w", err))
+	}
+
 	if o.outdir == "" {
 		o.outdir = "demsort-out"
 	}
@@ -249,18 +276,6 @@ func runLauncher(o *options) {
 		fmt.Printf("resuming job %q from %s at epoch %d\n", o.jobid, o.workdir, o.epoch)
 	}
 
-	var placements []tcp.Placement
-	if o.hostfile != "" {
-		hosts, err := tcp.LoadHostfile(o.hostfile)
-		fail(err)
-		placements, err = tcp.PlaceRanks(hosts, o.baseport)
-		fail(err)
-	} else {
-		for rank := 0; rank < o.p; rank++ {
-			placements = append(placements, tcp.Placement{Rank: rank, Host: "127.0.0.1", Local: true})
-		}
-	}
-	p := len(placements)
 	allLocal := true
 	for _, pl := range placements {
 		allLocal = allLocal && pl.Local

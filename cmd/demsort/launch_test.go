@@ -1,11 +1,16 @@
 package main
 
 import (
+	"errors"
 	"flag"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"slices"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestLauncherForwardsEveryFlagOnce walks the flag set itself, so a flag
@@ -58,5 +63,37 @@ func TestLauncherForwardsEveryFlagOnce(t *testing.T) {
 	want := []string{"-rank=0", "-peers=a:1", "-durable=true", "-epoch=3", "-outdir=out", "-resume=true", "-store=file", "-transport=tcp"}
 	if !slices.Equal(got, want) {
 		t.Fatalf("forwarded argv %v, want %v", got, want)
+	}
+}
+
+// TestLauncherRefusesBeforeSpawning: a job the plan refuses is refused by
+// the launcher itself — once, promptly, with exit 1 — and no fleet is
+// spawned, so -restart has nothing to re-drive.
+func TestLauncherRefusesBeforeSpawning(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ args, refusal string }{
+		{"-transport=tcp -p 4 -block 1048576 -mem 100000 -restart 2", "merge buffers"},
+		{"-transport=tcp -striped -p 4 -n 131072 -mem 12000 -restart 1", "no merge batch fits"},
+	} {
+		cmd := exec.Command(exe)
+		cmd.Env = append(os.Environ(), "DEMSORT_ARGS="+tc.args+" -outdir "+filepath.Join(t.TempDir(), "out"))
+		start := time.Now()
+		out, err := cmd.CombinedOutput()
+		elapsed := time.Since(start)
+		text := string(out)
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 1 {
+			t.Fatalf("%s: %v, want exit 1:\n%s", tc.args, err, text)
+		}
+		if n := strings.Count(text, tc.refusal); n != 1 || strings.Contains(text, "launching") ||
+			strings.Contains(text, "restarting") || strings.Contains(text, "re-admitting") {
+			t.Fatalf("%s: %d refusals, want one and no fleet:\n%s", tc.args, n, text)
+		}
+		if elapsed > 2*time.Second {
+			t.Fatalf("%s: refused after %v, want under 2s", tc.args, elapsed)
+		}
 	}
 }

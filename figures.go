@@ -5,7 +5,6 @@ import (
 
 	"demsort/internal/baseline"
 	"demsort/internal/core"
-	"demsort/internal/elem"
 	"demsort/internal/job"
 	"demsort/internal/prefetch"
 	"demsort/internal/report"
@@ -517,5 +516,3 @@ func BaselineSkewTable(s FigureScale) (*Table, error) {
 	}
 	return tbl, nil
 }
-
-var _ = elem.U64Codec{} // elem is referenced through type aliases above

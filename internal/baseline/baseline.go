@@ -84,7 +84,7 @@ func SampleSort[T any](c elem.Codec[T], cfg Config, input [][]T) (*Result[T], er
 		cfg.Oversample = 32
 	}
 	common := job.Common{Base: cfg.Base, Overlap: true}
-	j, err := job.Open(c, &common, input, 0.25) // forms no runs: only BElem is used
+	j, err := job.Open(c, &common, input, job.Baseline, 0)
 	if err != nil {
 		return nil, fmt.Errorf("baseline: %w", err)
 	}
@@ -182,15 +182,8 @@ func SampleSort[T any](c elem.Codec[T], cfg Config, input [][]T) (*Result[T], er
 			pendingRecv = pendingRecv[:0]
 		}
 
-		chunkBlocks := 1
-		if cfg.MemElems > 0 {
-			if cb := int(cfg.MemElems / 4 / int64(bElem)); cb > chunkBlocks {
-				chunkBlocks = cb
-			}
-		} else {
-			chunkBlocks = 64
-		}
-		runCap := int64(chunkBlocks * bElem)
+		// One round distributes one chunk: the plan's run.
+		chunkBlocks, runCap := j.BlocksPerRun, j.RunLocal
 		rounds := (len(blocks) + chunkBlocks - 1) / chunkBlocks
 		globalRounds := int(n.AllReduceInt64(int64(rounds), "max"))
 		for round := 0; round < globalRounds; round++ {

@@ -100,7 +100,7 @@ func loadCkpt(ck CheckpointConfig, rank, p, elemSize, blockBytes int) (*blockio.
 // fsync'd first, then the manifest describing them — run directory,
 // gathered segment matrices, the whole-run samples, allocator state
 // and block layout.
-func commitRunform[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, d derived, meta *runsMeta[T], locals []localRun[T]) (*blockio.Manifest, error) {
+func commitRunform[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, k int64, meta *runsMeta[T], locals []localRun[T]) (*blockio.Manifest, error) {
 	ls, ok := n.Vol.Store().(lensStore)
 	if !ok {
 		return nil, fmt.Errorf("core: Checkpoint.Dir is set but rank %d's block store is not durable (use blockio.DurableFileStoreFactory)", n.Rank)
@@ -116,7 +116,7 @@ func commitRunform[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, d deriv
 		Epoch:      cfg.Checkpoint.Epoch,
 		ElemSize:   c.Size(),
 		BlockBytes: cfg.BlockBytes,
-		SampleK:    d.sampleK,
+		SampleK:    k,
 		Phase:      PhaseRunForm,
 		NextBlock:  next,
 		FreeList:   free,
@@ -156,13 +156,13 @@ func commitSelection(cfg *Config, n *cluster.Node, man *blockio.Manifest, split 
 // manifest: the volume allocator and store block layout, the local run
 // directory, and the gathered run metadata (including the in-memory
 // samples, charged to the budget exactly as gatherRunsMeta would).
-func restoreRunform[T any](c elem.Codec[T], n *cluster.Node, d derived, man *blockio.Manifest) ([]localRun[T], *runsMeta[T], error) {
+func restoreRunform[T any](c elem.Codec[T], n *cluster.Node, k int64, man *blockio.Manifest) ([]localRun[T], *runsMeta[T], error) {
 	ls, ok := n.Vol.Store().(lensStore)
 	if !ok {
 		return nil, nil, fmt.Errorf("core: resume requires a durable block store on rank %d (use blockio.DurableFileStoreFactory)", n.Rank)
 	}
-	if man.SampleK != d.sampleK {
-		return nil, nil, fmt.Errorf("core: resume: manifest SampleK %d differs from configured %d — resume with the same flags as the original job", man.SampleK, d.sampleK)
+	if man.SampleK != k {
+		return nil, nil, fmt.Errorf("core: resume: manifest SampleK %d differs from configured %d — resume with the same flags as the original job", man.SampleK, k)
 	}
 	ls.SetBlockLens(man.Blocks)
 	n.Vol.RestoreAlloc(man.NextBlock, man.FreeList)

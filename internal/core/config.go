@@ -24,11 +24,7 @@
 //     pieces with prefetching, entirely without communication.
 package core
 
-import (
-	"fmt"
-
-	"demsort/internal/job"
-)
+import "demsort/internal/job"
 
 // Phase names used in per-phase statistics and the figures.
 const (
@@ -66,73 +62,11 @@ func DefaultConfig(p int, memElems int64, blockBytes int) Config {
 	return Config{Common: job.Defaults(p, memElems, blockBytes)}
 }
 
-// runFraction is a PE's share of one run as a fraction of its memory
-// budget (see job.Geometry).
-const runFraction = 0.25
-
-// derived holds the parameters computed from a validated config for a
-// particular element size: the shared run geometry plus the sampling
-// distance.
-type derived struct {
-	job.Geometry
-	sampleK int64
-}
-
-// derive completes a run geometry (job.Open's, computed once per sort)
-// for nPerPE elements per PE, enforcing the paper's memory constraints —
-// the practical form of its O(P·m²/B) capacity bound (§IV-D): four
-// blocks fit the budget, the final merge's two prefetch buffers per run
-// and output buffer fit half of it, and the sample (N/K elements on
-// every PE) an eighth. It is the one place the sampling distance K is
-// set: the configured one, or the first of K = B, B·5/4+1, … whose sample
-// fits — coarser for large machines (the footnote-12 pressure).
-func (cfg *Config) derive(g job.Geometry, nPerPE int64) (derived, error) {
-	d := derived{Geometry: g, sampleK: cfg.SampleK}
-	if cfg.MemElems <= 0 {
-		if d.sampleK <= 0 {
-			d.sampleK = int64(g.BElem)
-		}
-		return d, nil
-	}
-	if int64(g.BElem)*4 > cfg.MemElems {
-		return derived{}, fmt.Errorf("core: memory budget %d elements cannot hold 4 blocks of %d", cfg.MemElems, g.BElem)
-	}
-	runs := g.Runs(nPerPE)
-	if need := (2*runs + 1) * int64(g.BElem); need > cfg.MemElems/2 {
-		return derived{}, fmt.Errorf("core: %d runs of %d-element blocks need %d elements of merge buffers, budget allows %d — input too large for two passes (capacity %d elements/PE)",
-			runs, g.BElem, need, cfg.MemElems/2, cfg.maxElemsPerPE(g))
-	}
-	sample := func(k int64) int64 { return runs * ((g.RunLocal*int64(cfg.P) + k - 1) / k) }
-	if d.sampleK <= 0 {
-		// Past K = RunLocal·P the sample is one element per run and
-		// stops shrinking.
-		d.sampleK = int64(g.BElem)
-		for sample(d.sampleK) > cfg.MemElems/8 && d.sampleK < g.RunLocal*int64(cfg.P) {
-			d.sampleK = d.sampleK*5/4 + 1
-		}
-	}
-	if s := sample(d.sampleK); s > cfg.MemElems/8 {
-		return derived{}, fmt.Errorf("core: sample of %d elements exceeds budget share %d; increase SampleK", s, cfg.MemElems/8)
-	}
-	return d, nil
-}
-
 // MaxElemsPerPE returns the largest two-pass-sortable input per PE
-// under cfg: the merge-buffer constraint caps the number of runs at
-// m/(4B)-ish, each contributing m/4 elements. Multiplying by
-// P gives the machine capacity Θ(P·m²/B) from §IV-D.
+// under cfg (job.Plan.MaxElemsPerPE); multiplying by P gives the machine
+// capacity Θ(P·m²/B) from §IV-D. The refusal is not the question here:
+// a refused plan still carries the capacity, 0 when nothing fits.
 func (cfg *Config) MaxElemsPerPE(elemSize int) int64 {
-	g, err := cfg.Geometry(elemSize, runFraction)
-	if err != nil || cfg.MemElems <= 0 || int64(g.BElem)*4 > cfg.MemElems {
-		return 0
-	}
-	return cfg.maxElemsPerPE(g)
-}
-
-func (cfg *Config) maxElemsPerPE(g job.Geometry) int64 {
-	maxRuns := (cfg.MemElems/2 - int64(g.BElem)) / (2 * int64(g.BElem))
-	if maxRuns < 1 {
-		return 0
-	}
-	return maxRuns * g.RunLocal
+	pl, _ := job.NewPlan(job.Shape{Sorter: job.Canonical, P: cfg.P, MemElems: cfg.MemElems, BlockBytes: cfg.BlockBytes, ElemSize: elemSize})
+	return pl.MaxElemsPerPE
 }

@@ -7,6 +7,7 @@ import (
 	"demsort/internal/bufpool"
 	"demsort/internal/cluster"
 	"demsort/internal/elem"
+	"demsort/internal/job"
 )
 
 // piece is one run-major stretch of a (sender → receiver) stream:
@@ -82,16 +83,12 @@ type exchanger[T any] struct {
 // zero I/O, which is why the all-to-all is nearly free for random
 // inputs (Figure 5). The result is, per run, this PE's sorted
 // destination range as a local file.
-func exchange[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, d derived, meta *runsMeta[T], locals []localRun[T], split [][]int64) ([]File, int, error) {
+func exchange[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, pl *job.Plan, meta *runsMeta[T], locals []localRun[T], split [][]int64) ([]File, int, error) {
 	n.SetPhase(PhaseExchange)
-	x := &exchanger[T]{c: c, n: n, cfg: cfg, bElem: int64(d.BElem), meta: meta, locals: locals, split: split,
+	x := &exchanger[T]{c: c, n: n, cfg: cfg, bElem: int64(pl.BElem), meta: meta, locals: locals, split: split,
 		durable: cfg.Checkpoint.Dir != "", cached: blockKey{-1, -1}}
 	x.plan()
-	quota := int64(1) << 62
-	if cfg.MemElems > 0 {
-		quota = cfg.MemElems / 4
-	}
-	x.k = x.subOps(quota)
+	x.k = x.subOps(pl.ExchangeQuota)
 	x.recycling()
 
 	// The sub-operations run as one windowed pipeline (Node.A2ARounds):
@@ -100,11 +97,9 @@ func exchange[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, d derived, m
 	// written (cluster.A2AStream), so the reservation is one quota for
 	// each of window sends and for the receives, and build charges
 	// nothing more. Any window makes the same calls in the same order.
-	if cfg.MemElems > 0 {
-		budget := int64(n.A2AWindow(x.k)+1) * quota
-		n.Mem.MustAcquire(budget)
-		defer n.Mem.Release(budget)
-	}
+	budget := int64(n.A2AWindow(x.k)+1) * pl.ExchangeQuota
+	n.Mem.MustAcquire(budget)
+	defer n.Mem.Release(budget)
 	if err := n.A2ARounds(x.k, x.build, x.process); err != nil {
 		return nil, 0, err
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"demsort/internal/cluster"
 	"demsort/internal/elem"
+	"demsort/internal/job"
 	"demsort/internal/xmerge"
 )
 
@@ -23,7 +24,7 @@ import (
 // phase costs no I/O at all; together with run formation that gives
 // the "only 2 I/Os per block" behaviour the paper notes for N < M
 // (the MinuteSort regime).
-func mergeLocal[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, d derived, files []File) (File, error) {
+func mergeLocal[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, pl *job.Plan, files []File) (File, error) {
 	n.SetPhase(PhaseMerge)
 	if len(files) == 1 {
 		n.Barrier()
@@ -32,17 +33,15 @@ func mergeLocal[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, d derived,
 
 	r := len(files)
 	// 2 blocks per run (current + prefetch) plus the output buffer.
-	if cfg.MemElems > 0 {
-		n.Mem.MustAcquire(int64(2*r+1) * int64(d.BElem))
-		defer n.Mem.Release(int64(2*r+1) * int64(d.BElem))
-	}
+	n.Mem.MustAcquire(pl.MergeBuffers)
+	defer n.Mem.Release(pl.MergeBuffers)
 
 	readers := make([]*reader[T], r)
 	for i, f := range files {
 		readers[i] = newReader(c, n.Vol, f, true)
 	}
 	w := newWriter(c, n.Vol)
-	xmerge.MergeStream(c, r, d.BElem, func(i int) []T { return readers[i].nextBlock() }, func(out []T) error {
+	xmerge.MergeStream(c, r, pl.BElem, func(i int) []T { return readers[i].nextBlock() }, func(out []T) error {
 		w.addSlice(out)
 		n.AddCPU(cfg.Model.MergeCPU(int64(len(out)), r) + cfg.Model.ScanCPU(int64(len(out))))
 		return nil

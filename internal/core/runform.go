@@ -25,12 +25,12 @@ type localRun[T any] struct {
 // split runs and its way of storing one: each PE's segment stays on its
 // local disks, and every K-th global run position is sampled into memory
 // (§IV-A).
-func runFormation[T any](c elem.Codec[T], j *job.Job[T], n *cluster.Node, d derived, input []blockio.Span) ([]localRun[T], error) {
+func runFormation[T any](c elem.Codec[T], j *job.Job[T], n *cluster.Node, input []blockio.Span) ([]localRun[T], error) {
 	n.SetPhase(PhaseRunForm)
 	var out []localRun[T]
 	_, err := j.FormRuns(n, input, 0xD1CE, j.SortExact, func(_ int, runLen, segStart int64, seg []T) error {
 		lr := localRun[T]{segStart: segStart, segLen: int64(len(seg)), runLen: runLen}
-		for i := firstMultiple(segStart, d.sampleK) - segStart; i < lr.segLen; i += d.sampleK {
+		for i := firstMultiple(segStart, j.K) - segStart; i < lr.segLen; i += j.K {
 			lr.sample = append(lr.sample, seg[i])
 		}
 		// Held until gatherRunsMeta has encoded it.

@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"math"
 
 	"demsort/internal/bufpool"
 	"demsort/internal/cluster"
@@ -28,7 +27,7 @@ type runsMeta[T any] struct {
 // the paper ("In our implementation, we keep the sample in main
 // memory"); the local samples are released once encoded, the gathered
 // one is charged until releaseSamples.
-func gatherRunsMeta[T any](c elem.Codec[T], n *cluster.Node, d derived, locals []localRun[T]) *runsMeta[T] {
+func gatherRunsMeta[T any](c elem.Codec[T], n *cluster.Node, k int64, locals []localRun[T]) *runsMeta[T] {
 	r := len(locals)
 	sz := c.Size()
 	// Wire format: for each run, 8B segLen, 4B sample count, samples.
@@ -68,7 +67,7 @@ func gatherRunsMeta[T any](c elem.Codec[T], n *cluster.Node, d derived, locals [
 			pos += segLen
 		}
 		m.runLens[ri] = pos
-		m.samples[ri] = mselect.Sample[T]{K: d.sampleK, Vals: sample}
+		m.samples[ri] = mselect.Sample[T]{K: k, Vals: sample}
 		m.totalN += pos
 		n.Mem.MustAcquire(int64(len(sample)))
 	}
@@ -94,28 +93,27 @@ type blockKey struct {
 type runPieces[T any] struct {
 	c      elem.Codec[T]
 	n      *cluster.Node
-	d      derived
+	pl     *job.Plan
 	meta   *runsMeta[T]
 	locals []localRun[T]
 
 	cache    map[blockKey][]T
-	cacheSeq []blockKey // FIFO eviction order
-	cacheCap int
+	cacheSeq []blockKey // FIFO eviction order, at most pl.CacheBlocks
 }
 
 func (a *runPieces[T]) Pieces() []dselect.Piece {
 	pcs := make([]dselect.Piece, len(a.locals))
 	for ri, lr := range a.locals {
-		pcs[ri] = dselect.Piece{ID: ri, Start: lr.segStart, Len: lr.segLen, SeqLen: a.meta.runLens[ri], Stride: a.d.sampleK}
+		pcs[ri] = dselect.Piece{ID: ri, Start: lr.segStart, Len: lr.segLen, SeqLen: a.meta.runLens[ri], Stride: a.pl.K}
 	}
 	return pcs
 }
 
 func (a *runPieces[T]) At(run int, i int64) T {
-	if g := a.locals[run].segStart + i; g%a.d.sampleK == 0 {
-		return a.meta.samples[run].Vals[g/a.d.sampleK]
+	if g := a.locals[run].segStart + i; g%a.pl.K == 0 {
+		return a.meta.samples[run].Vals[g/a.pl.K]
 	}
-	bElem := int64(a.d.BElem)
+	bElem := int64(a.pl.BElem)
 	key := blockKey{run: run, blk: i / bElem}
 	vals, ok := a.cache[key]
 	if !ok {
@@ -124,7 +122,7 @@ func (a *runPieces[T]) At(run int, i int64) T {
 		a.n.Vol.ReadWait(e.ID, raw)
 		vals = elem.DecodeSlice(a.c, raw, e.Len)
 		bufpool.Put(raw)
-		if len(a.cacheSeq) >= a.cacheCap {
+		if len(a.cacheSeq) >= a.pl.CacheBlocks {
 			delete(a.cache, a.cacheSeq[0])
 			a.cacheSeq = a.cacheSeq[1:]
 		} else {
@@ -154,7 +152,7 @@ var selectionHook struct {
 // are all that cross the wire, in O(log N) rounds whatever the block
 // size. The returned matrix (identical on every PE) has P+1 rows:
 // splitters[i][r] is the first run-r position belonging to PE i.
-func multiwaySelection[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, d derived, meta *runsMeta[T], locals []localRun[T]) [][]int64 {
+func multiwaySelection[T any](c elem.Codec[T], n *cluster.Node, pl *job.Plan, meta *runsMeta[T], locals []localRun[T]) [][]int64 {
 	n.SetPhase(PhaseSelection)
 	r := len(meta.runLens)
 	ranks := job.RankBounds(meta.totalN, n.P)[1:n.P]
@@ -163,7 +161,7 @@ func multiwaySelection[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, d d
 		est[i] = mselect.SampleCuts(c, meta.samples, meta.runLens, rank)
 	}
 	if selectionHook.estimates != nil {
-		selectionHook.estimates(est, d.sampleK)
+		selectionHook.estimates(est, pl.K)
 	}
 
 	// Start every search within 2·K of the estimate. The worst case is
@@ -171,7 +169,7 @@ func multiwaySelection[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, d d
 	// error stays below 1.3·K (one skewed table reaches 5·K), and a
 	// start the exact counts disprove only costs that rank a second
 	// pass from the full range.
-	margin := 2 * d.sampleK
+	margin := 2 * pl.K
 	warm := make([][]dselect.Interval, len(est))
 	for i := range warm {
 		warm[i] = make([]dselect.Interval, r)
@@ -179,17 +177,9 @@ func multiwaySelection[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, d d
 			warm[i][ri] = dselect.Interval{Lo: est[i][ri] - margin, Hi: est[i][ri] + margin}
 		}
 	}
-	// Memory: beside the sample (an eighth of the budget), up to half
-	// for cached blocks and an eighth for a gathered residual — which is
-	// read from disk, so bisecting stops at a couple of blocks per run.
-	acc := &runPieces[T]{c: c, n: n, d: d, meta: meta, locals: locals, cache: map[blockKey][]T{}, cacheCap: math.MaxInt}
-	gather := int64(2 * d.BElem * r)
-	if cfg.MemElems > 0 {
-		acc.cacheCap = max(int(cfg.MemElems/2/int64(d.BElem)), 2)
-		gather = min(gather, cfg.MemElems/8)
-	}
-	defer func() { n.Mem.Release(int64(len(acc.cacheSeq)) * int64(d.BElem)) }()
-	cuts := dselect.Select[T](c, n, acc, ranks, warm, gather)
+	acc := &runPieces[T]{c: c, n: n, pl: pl, meta: meta, locals: locals, cache: map[blockKey][]T{}}
+	defer func() { n.Mem.Release(int64(len(acc.cacheSeq)) * int64(pl.BElem)) }()
+	cuts := dselect.Select[T](c, n, acc, ranks, warm, pl.Gather)
 
 	// Share the splitters: "After communicating the splitter positions
 	// ... every PE knows the elements it has to merge." A run's

@@ -55,14 +55,11 @@ func releaseSamples[T any](n *cluster.Node, meta *runsMeta[T]) {
 // elements of global ranks (i·N/P, (i+1)·N/P] sorted on its local
 // disks. The returned Result carries the per-phase measurements.
 func Sort[T any](c elem.Codec[T], cfg Config, input [][]T) (*Result[T], error) {
-	j, err := job.Open(c, &cfg.Common, input, runFraction)
+	j, err := job.Open(c, &cfg.Common, input, job.Canonical, cfg.SampleK)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	d, err := cfg.derive(j.Geometry, j.NPerPE)
-	if err != nil {
-		return nil, err
-	}
+	pl := &j.Plan
 	if cfg.Checkpoint.Dir != "" && cfg.Checkpoint.JobID == "" {
 		cfg.Checkpoint.JobID = "job"
 	}
@@ -118,7 +115,7 @@ func Sort[T any](c elem.Codec[T], cfg Config, input [][]T) (*Result[T], error) {
 			// The runs are already on disk: rebuild the directory from
 			// the manifest without touching the input source.
 			var err error
-			locals, meta, err = restoreRunform(c, n, d, man)
+			locals, meta, err = restoreRunform(c, n, pl.K, man)
 			if err != nil {
 				return err
 			}
@@ -135,14 +132,14 @@ func Sort[T any](c elem.Codec[T], cfg Config, input [][]T) (*Result[T], error) {
 			res.LoadPeakMemElems[n.Rank] = n.Mem.Peak()
 			n.Vol.ResetPeak()
 
-			locals, err = runFormation(c, j, n, d, spans)
+			locals, err = runFormation(c, j, n, spans)
 			if err != nil {
 				return err
 			}
 			res.RunFormPeakMemElems[n.Rank] = n.Mem.Peak()
-			meta = gatherRunsMeta(c, n, d, locals)
+			meta = gatherRunsMeta(c, n, pl.K, locals)
 			if durable {
-				man, err = commitRunform(c, n, &cfg, d, meta, locals)
+				man, err = commitRunform(c, n, &cfg, pl.K, meta, locals)
 				if err != nil {
 					return err
 				}
@@ -160,7 +157,7 @@ func Sort[T any](c elem.Codec[T], cfg Config, input [][]T) (*Result[T], error) {
 			// reuse the committed copy instead of re-running selection.
 			split = man.Splitters
 		} else {
-			split = multiwaySelection(c, n, &cfg, d, meta, locals)
+			split = multiwaySelection(c, n, pl, meta, locals)
 			if durable {
 				if err := commitSelection(&cfg, n, man, split); err != nil {
 					return err
@@ -172,12 +169,12 @@ func Sort[T any](c elem.Codec[T], cfg Config, input [][]T) (*Result[T], error) {
 		}
 		releaseSamples(n, meta)
 
-		pieces, k, err := exchange(c, n, &cfg, d, meta, locals, split)
+		pieces, k, err := exchange(c, n, &cfg, pl, meta, locals, split)
 		if err != nil {
 			return err
 		}
 
-		out, err := mergeLocal(c, n, &cfg, d, pieces)
+		out, err := mergeLocal(c, n, &cfg, pl, pieces)
 		if err != nil {
 			return err
 		}

@@ -347,14 +347,33 @@ func TestSortConfigErrors(t *testing.T) {
 	if _, err := Sort[elem.KV16](kvc, cfg, [][]elem.KV16{{}}); err == nil {
 		t.Fatal("input/PE mismatch must fail")
 	}
-	// One-element blocks: 12 runs fit the merge, but even K = RunLocal·P
-	// leaves a 12-element sample against a share of 8 — the K search
-	// stops there instead of overflowing.
-	cfg = testConfig(2)
-	cfg.BlockBytes, cfg.MemElems = 16, 64
-	big := make([]elem.KV16, 192)
-	if _, err := Sort[elem.KV16](kvc, cfg, [][]elem.KV16{big, big}); err == nil || !strings.Contains(err.Error(), "sample of 12 elements") {
-		t.Fatalf("a sample that fits no K: %v, want the sample refusal", err)
+	// Every refusal says what to change, by flag.
+	for _, tc := range []struct {
+		name       string
+		block      int
+		mem        int64
+		perPE      int
+		want, flag string
+	}{
+		{"no budget", 64 * 16, 0, 0, "memory budget of 0", "-mem"},
+		{"negative budget", 64 * 16, -5, 0, "memory budget of -5", "-mem"},
+		{"four blocks", 64 * 16, 200, 0, "cannot hold 4 blocks", "-block"},
+		{"merge buffers", 64 * 16, 1 << 10, 1 << 14, "merge buffers", "-n"},
+		// One-element blocks: 12 runs fit the merge, but even K =
+		// RunLocal·P leaves a 12-element sample against a share of 8 — the K
+		// search stops there instead of overflowing.
+		{"sample", 16, 64, 192, "sample of 12 elements", "-n"},
+		// 8-element blocks: a 256-element run share and its 768 elements of
+		// sort scratch leave no room for the sample of earlier runs.
+		{"run formation", 128, 1024, 700, "run formation", "-mem"},
+	} {
+		cfg = testConfig(2)
+		cfg.BlockBytes, cfg.MemElems = tc.block, tc.mem
+		tile := make([]elem.KV16, tc.perPE)
+		_, err := Sort[elem.KV16](kvc, cfg, [][]elem.KV16{tile, tile})
+		if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("%s: %v, want a refusal with %q naming %s", tc.name, err, tc.want, tc.flag)
+		}
 	}
 }
 

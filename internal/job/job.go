@@ -3,14 +3,15 @@
 // (§III striped, §IV canonical) plus the NOW-Sort baseline, and
 // everything about a sort job that does not depend on which of them
 // runs lives here exactly once. The skeleton (this file, stats.go): the
-// common configuration, the run geometry, validation and defaults,
-// opening the input, building or adopting the machine, loading the
-// input onto the volumes, and the per-phase statistics. The shared
-// phases (runform.go): the mergesorts' run formation, FormRuns, the exact
-// distributed sort of a run, SortExact, and the tail of any distributed
-// internal sort, SortAcross. What the algorithms do differently (how
-// exactly a run is split and where it is stored, their later phases,
-// their capacity rules, their collect) stays with them.
+// common configuration, validation and defaults, opening the input,
+// building or adopting the machine, loading the input onto the volumes,
+// and the per-phase statistics. The capacity plan (plan.go): the run
+// geometry, every budget share and every refusal of all three sorters.
+// The shared phases (runform.go): the mergesorts' run formation,
+// FormRuns, the exact distributed sort of a run, SortExact, and the tail
+// of any distributed internal sort, SortAcross. What the algorithms do
+// differently (how exactly a run is split and where it is stored, their
+// later phases, their collect) stays with them.
 package job
 
 import (
@@ -42,7 +43,8 @@ type Base struct {
 	P int
 	// BlockBytes is the block size B in bytes (paper default 8 MiB).
 	BlockBytes int
-	// MemElems is the per-PE internal memory budget m in elements.
+	// MemElems is the per-PE internal memory budget m in elements; the
+	// plan refuses a job without one.
 	MemElems int64
 	// Seed drives all randomization.
 	Seed uint64
@@ -91,8 +93,8 @@ type Base struct {
 	// the sort; a supplied Machine is left open — its lifecycle
 	// belongs to the caller. With a remote backend only the locally
 	// hosted ranks appear in input/Result slots, and every process
-	// must pass the same per-PE input size (capacity checks and
-	// auto-sizing are derived from the local part).
+	// must pass the same per-PE input size (the plan is derived from the
+	// local part).
 	Machine cluster.Machine
 }
 
@@ -135,46 +137,6 @@ func Defaults(p int, memElems int64, blockBytes int) Common {
 	}
 }
 
-// Geometry is the run geometry a configuration implies for one element
-// size.
-type Geometry struct {
-	// BElem is the block size B in elements.
-	BElem int
-	// BlocksPerRun is the number of blocks a PE contributes to one
-	// global run, RunLocal the same in elements (block-aligned).
-	BlocksPerRun int
-	RunLocal     int64
-}
-
-// Geometry validates the machine and block size against elemSize and
-// computes the run geometry: a PE's share of one run is runFraction of
-// MemElems — well below a half, since run formation holds the unsorted
-// chunk, the merged result and the next run's prefetch at once (the
-// paper's footnote 1: runs can be "a factor around two smaller" than M).
-func (c *Base) Geometry(elemSize int, runFraction float64) (Geometry, error) {
-	var g Geometry
-	if c.P < 1 {
-		return g, fmt.Errorf("P must be >= 1, got %d", c.P)
-	}
-	if c.BlockBytes < elemSize {
-		return g, fmt.Errorf("block size %d smaller than one element (%d)", c.BlockBytes, elemSize)
-	}
-	g.BElem = c.BlockBytes / elemSize
-	runLocal := int64(g.BElem) * 64
-	if c.MemElems > 0 {
-		runLocal = int64(float64(c.MemElems) * runFraction)
-	}
-	g.BlocksPerRun = max(int(runLocal/int64(g.BElem)), 1)
-	g.RunLocal = int64(g.BlocksPerRun) * int64(g.BElem)
-	return g, nil
-}
-
-// Runs returns the number of global runs nPerPE elements per PE form
-// (at least one: an empty input still runs the protocol once).
-func (g Geometry) Runs(nPerPE int64) int64 {
-	return max((nPerPE+g.RunLocal-1)/g.RunLocal, 1)
-}
-
 // RankBounds returns the P+1 exact boundary ranks 0, N/P, 2N/P, …, N of
 // the canonical partition of total elements.
 func RankBounds(total int64, p int) []int64 {
@@ -204,12 +166,10 @@ func EncodeParts[T any](c elem.Codec[T], chunk []T, cuts []int64) [][]byte {
 }
 
 // Job is one opened sort: validated configuration with defaults
-// applied, run geometry, opened input and — after Start — the machine.
+// applied, its capacity plan, opened input and — after Start — the
+// machine.
 type Job[T any] struct {
-	Geometry
-	// NPerPE is the largest per-PE input size, which capacity checks
-	// and auto-sizing are derived from.
-	NPerPE int64
+	Plan
 	// M is the machine the sort runs on (set by Start).
 	M cluster.Machine
 
@@ -220,18 +180,13 @@ type Job[T any] struct {
 	owned   bool // M was built by Start and is closed by Close
 }
 
-// Open validates cfg and the input against it, applies the defaults in
-// place (cfg is the sorter's own copy), opens the Source of every
-// locally hosted rank and computes the geometry for runs of runFraction
-// of the memory budget (see Geometry); input slices are opened like a
-// Source, so Load has one path. The machine is not touched yet: the
-// caller runs its own capacity checks on the returned job first, then
-// calls Start.
-func Open[T any](c elem.Codec[T], cfg *Common, input [][]T, runFraction float64) (*Job[T], error) {
-	g, err := cfg.Geometry(c.Size(), runFraction)
-	if err != nil {
-		return nil, err
-	}
+// Open validates the input against cfg, applies the defaults in place
+// (cfg is the sorter's own copy), opens the Source of every locally
+// hosted rank — input slices are opened like a Source, so Load has one
+// path — and plans the job for sorter (NewPlan; sampleK is the canonical
+// sorter's configured K), which refuses a job that cannot work before
+// any machine exists or a byte of input is read.
+func Open[T any](c elem.Codec[T], cfg *Common, input [][]T, sorter Sorter, sampleK int64) (*Job[T], error) {
 	if cfg.Source == nil && len(input) != cfg.P {
 		return nil, fmt.Errorf("input has %d PE slices, machine has %d PEs", len(input), cfg.P)
 	}
@@ -241,12 +196,20 @@ func Open[T any](c elem.Codec[T], cfg *Common, input [][]T, runFraction float64)
 	if cfg.Model == (vtime.CostModel{}) {
 		cfg.Model = vtime.Default()
 	}
-	j := &Job[T]{Geometry: g, c: c, cfg: cfg}
+	j := &Job[T]{c: c, cfg: cfg}
+	var err error
 	if j.readers, j.counts, err = openSources(c, cfg, input); err != nil {
 		return nil, err
 	}
+	var nPerPE int64
 	for _, cnt := range j.counts {
-		j.NPerPE = max(j.NPerPE, cnt)
+		nPerPE = max(nPerPE, cnt)
+	}
+	j.Plan, err = NewPlan(Shape{Sorter: sorter, P: cfg.P, MemElems: cfg.MemElems, BlockBytes: cfg.BlockBytes,
+		ElemSize: c.Size(), NPerPE: nPerPE, Randomize: cfg.Randomize, SampleK: sampleK,
+		Collected: cfg.Sink != nil || cfg.KeepOutput})
+	if err != nil {
+		return nil, err
 	}
 	return j, nil
 }
@@ -411,7 +374,7 @@ func sortChunkBudgeted[T any](c elem.Codec[T], n *cluster.Node, chunk []T) {
 		return (b + int64(c.Size()) - 1) / int64(c.Size())
 	}
 	path := psort.PathLSD
-	if lim := n.Mem.Limit(); lim > 0 && n.Mem.Used()+scratchElems(psort.PathLSD) > lim {
+	if n.Mem.Used()+scratchElems(psort.PathLSD) > n.Mem.Limit() {
 		path = psort.PathMSD
 	}
 	scratch := scratchElems(path)

@@ -17,43 +17,6 @@ import (
 
 var kvc = elem.KV16Codec{}
 
-func TestGeometry(t *testing.T) {
-	for _, tc := range []struct {
-		rf           float64
-		mem          int64
-		blocksPerRun int
-	}{
-		{0.2, 1000, 12}, // 200 elements = 12 whole 16-element blocks
-		{0.5, 1000, 31},
-		{0.25, 1000, 15},
-		{0.25, 0, 64}, // no budget: 64 blocks per run
-		{0.25, 8, 1},  // never less than one block
-	} {
-		cfg := Defaults(4, tc.mem, 16*16)
-		g, err := cfg.Geometry(16, tc.rf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if g.BElem != 16 || g.BlocksPerRun != tc.blocksPerRun || g.RunLocal != int64(16*tc.blocksPerRun) {
-			t.Errorf("run fraction %v, MemElems %d: %+v, want %d blocks per run", tc.rf, tc.mem, g, tc.blocksPerRun)
-		}
-	}
-	g := Geometry{RunLocal: 100}
-	for nPerPE, want := range map[int64]int64{0: 1, 1: 1, 100: 1, 101: 2, 1000: 10} {
-		if got := g.Runs(nPerPE); got != want {
-			t.Errorf("Runs(%d) = %d, want %d", nPerPE, got, want)
-		}
-	}
-	small := Defaults(4, 1000, 15)
-	if _, err := small.Geometry(16, 0.25); err == nil || !strings.Contains(err.Error(), "smaller than one element") {
-		t.Errorf("15-byte blocks of 16-byte elements: %v", err)
-	}
-	noPE := Defaults(0, 1000, 256)
-	if _, err := noPE.Geometry(16, 0.25); err == nil {
-		t.Error("P = 0 accepted")
-	}
-}
-
 func TestRankBounds(t *testing.T) {
 	if got, want := RankBounds(10, 4), []int64{0, 2, 5, 7, 10}; !slices.Equal(got, want) {
 		t.Errorf("RankBounds(10, 4) = %v, want %v", got, want)
@@ -128,10 +91,12 @@ func samePermutation(a, b []elem.KV16) bool {
 }
 
 // onSim opens a job over input on a fresh sim machine and runs fn on
-// every PE.
+// every PE. The job is planned as the baseline's — the quarter-budget run
+// geometry with no sorter's refusals — since these tests charge the
+// budget only for the shared phases they drive.
 func onSim(t *testing.T, cfg Common, input [][]elem.KV16, fn func(j *Job[elem.KV16], n *cluster.Node) error) {
 	t.Helper()
-	j, err := Open(kvc, &cfg, input, 0.25)
+	j, err := Open(kvc, &cfg, input, Baseline, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +131,7 @@ func TestStartChecksAdoptedMachine(t *testing.T) {
 			defer m.Close()
 			cfg := Defaults(2, 1024, 256)
 			cfg.Machine = m
-			j, err := Open(kvc, &cfg, make([][]elem.KV16, 2), 0.25)
+			j, err := Open(kvc, &cfg, make([][]elem.KV16, 2), Canonical, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -152,11 +152,10 @@ func Valid(s Schedule, disks []int, d, w int) (bool, string) {
 			fetchStep[i] = t
 		}
 	}
-	for i, t := range fetchStep {
+	for _, t := range fetchStep {
 		if t == -1 {
 			return false, "block never fetched"
 		}
-		_ = i
 	}
 	// Buffer occupancy: block i occupies a buffer from its fetch step
 	// until the step at which the prefix 0..i is entirely fetched.

@@ -24,14 +24,17 @@ import (
 	"demsort/internal/elem"
 )
 
+// MaxWorkers caps the in-node sorting parallelism: the paper's nodes
+// have 8 cores, and every simulated PE runs its own sort — an unclamped
+// fan-out of P×cores goroutines oversubscribes the host without helping.
+const MaxWorkers = 8
+
 // DefaultWorkers returns the default in-node sorting parallelism:
-// GOMAXPROCS clamped to 8 (the paper's nodes have 8 cores, and every
-// simulated PE runs its own sort — an unclamped fan-out of P×cores
-// goroutines oversubscribes the host without helping).
+// GOMAXPROCS clamped to MaxWorkers.
 func DefaultWorkers() int {
 	w := runtime.GOMAXPROCS(0)
-	if w > 8 {
-		w = 8
+	if w > MaxWorkers {
+		w = MaxWorkers
 	}
 	if w < 1 {
 		w = 1

@@ -34,7 +34,7 @@ type pe[T any] struct {
 	// merge's product, the collect's input.
 	outBlocks []stripedBlock
 	batches   int
-	// quota is the merge's fetch quota (mergeQuota), maxFetch the most
+	// quota is the merge's fetch quota (Plan.MergeQuota), maxFetch the most
 	// blocks this PE did fetch in one batch.
 	quota, maxFetch int64
 	outN            int64 // elements delivered to this rank's sink
@@ -77,7 +77,7 @@ func runPE[T any](j *job.Job[T], c elem.Codec[T], n *cluster.Node, cfg *Config, 
 	if outN := n.AllReduceInt64(myN, "sum"); outN != s.totalN {
 		return nil, fmt.Errorf("stripesort: %d elements in the output blocks, %d in the runs", outN, s.totalN)
 	}
-	s.outN, err = collectOutput(c, n, cfg, j.BElem, s.outBlocks, sink)
+	s.outN, err = collectOutput(c, n, &j.Plan, s.outBlocks, sink)
 	return s, err
 }
 
@@ -265,42 +265,6 @@ type piece[T any] struct {
 	elems []T
 }
 
-// mergeQuota is the number of blocks a PE fetches per merge batch: the
-// largest q whose batch fits a budget of m elements, 0 when not even
-// one block does (4 without a budget). What a batch holds on one PE,
-// with table prediction entries and runs runs of bElem-element blocks:
-//
-//   - the prediction table, for the whole merge;
-//   - pending = (left + q) blocks: the q it fetches on top of the
-//     leftovers of earlier batches. A run leaves at most its last
-//     fetched block behind. Under rotated stripes (see home) a PE homes
-//     the runs of one residue class, and runs that are alike are within
-//     a block of each other, so two classes' worth: left = 2·⌈runs/P⌉.
-//     Unrotated, the leftovers of all runs can share a PE: left = runs;
-//   - then either all of pending is emitted and SortAcross holds the
-//     send copies next to it (2·pending), or — at worst — none of it is
-//     and the PE still receives a full share of what the machine emits,
-//     at most everything pending anywhere, (runs + P·q) blocks:
-//     SortAcross holds 3 × that share (recvBound), and afterwards the
-//     merged share twice next to the output blocks under assembly (one
-//     even share and a partial block at either end).
-func mergeQuota(m, table, bElem, runs int64, p int, rotated bool) int64 {
-	if m <= 0 {
-		return 4
-	}
-	left := runs
-	if rotated {
-		left = min(runs, 2*((runs+int64(p)-1)/int64(p)))
-	}
-	need := func(q int64) int64 {
-		pending := (left + q) * bElem
-		return table + pending + max(pending, 3*recvBound((runs+int64(p)*q)*bElem, p)+2*bElem)
-	}
-	// need grows with q: the largest q that fits is one below the first
-	// that does not.
-	return int64(sort.Search(int(m/bElem)+1, func(q int) bool { return need(int64(q)+1) > m }))
-}
-
 // mergeBatches is phase 2, prediction-driven batch merging: blocks are
 // fetched in prediction order, a batch at a time; what is smaller than
 // the first unfetched element is merged across the machine and striped
@@ -313,8 +277,8 @@ func (s *pe[T]) mergeBatches(pred []predEntry[T]) error {
 		stored[[2]int64{int64(rb.run), rb.blk}] = rb
 	}
 	// Every PE derives the quota from the same collectively agreed
-	// numbers; Sort refused the job if it could come out as 0.
-	s.quota = max(mergeQuota(s.cfg.MemElems, int64(len(pred)), int64(s.j.BElem), int64(s.runs), n.P, s.cfg.Randomize), 1)
+	// table; the plan refused the job if it could come out as 0.
+	s.quota = max(s.j.MergeQuota(int64(len(pred))), 1)
 	out := s.newStriper(output, s.totalN, func(g int64, data []T) {
 		s.outBlocks = append(s.outBlocks, stripedBlock{idx: g, id: s.writeBlock(data), len: len(data)})
 	})
@@ -465,20 +429,6 @@ func (s *pe[T]) extract(pending [][]piece[T], barrier *predEntry[T]) []T {
 	return xmerge.Merge(s.c, seqs)
 }
 
-// collectWindow is w, the number of consecutive output blocks an owner
-// receives per collect round. A round carries a window for every owner,
-// so a home ships up to w/P blocks to each of the P owners — w in all —
-// while an owner reorders w; w·B ≤ m/4 leaves room for A2ARounds' two
-// posted rounds and the receive being sunk, in whole blocks per (home,
-// owner) pair, 4 of them when memory allows.
-func collectWindow(memElems int64, bElem, p int) int64 {
-	perPair := int64(4)
-	if memElems > 0 {
-		perPair = max(min(perPair, memElems/(4*int64(bElem)*int64(p))), 1)
-	}
-	return perPair * int64(p)
-}
-
 // collectOutput re-routes the globally striped output blocks to their
 // canonical owners and feeds them to the sink in output order: rank i
 // receives blocks [G·i/P, G·(i+1)/P), so the per-rank sink streams
@@ -486,10 +436,10 @@ func collectWindow(memElems int64, bElem, p int) int64 {
 // core.Sort's canonical partition. Round k ships to every owner i the
 // blocks [lo_i + k·w, lo_i + (k+1)·w) of its range, so all P ranks
 // receive and sink in every round, and both a home's staging and an
-// owner's reorder buffer are bounded by w·B (collectWindow). Homes free
-// their blocks as they are shipped, so the striped copy is consumed in
-// place.
-func collectOutput[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, bElem int, blocks []stripedBlock, sink func(rank int, b []byte) error) (int64, error) {
+// owner's reorder buffer are bounded by w·B (w is the plan's
+// CollectWindow). Homes free their blocks as they are shipped, so the
+// striped copy is consumed in place.
+func collectOutput[T any](c elem.Codec[T], n *cluster.Node, pl *job.Plan, blocks []stripedBlock, sink func(rank int, b []byte) error) (int64, error) {
 	if sink == nil {
 		return 0, nil
 	}
@@ -504,7 +454,7 @@ func collectOutput[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, bElem i
 	}
 	sort.Slice(blocks, func(i, j int) bool { return blocks[i].idx < blocks[j].idx })
 	bounds := job.RankBounds(total, n.P)
-	w := collectWindow(cfg.MemElems, bElem, n.P)
+	w := pl.CollectWindow
 	// next[i] is this home's first unshipped block of owner i's range.
 	next := make([]int, n.P)
 	var widest int64
@@ -578,27 +528,10 @@ func collectOutput[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, bElem i
 	return sunk, err
 }
 
-// sampleFactor·P is the number of regular samples a PE contributes to
-// sampleCuts. It fixes how uneven the cuts can be: see recvBound.
-const sampleFactor = 8
-
-// recvBound is the most elements SortAcross can hand one PE when total
-// elements are cut by sampleCuts. With s regular samples per PE, a PE's
-// elements between two splitters are those its samples in between stand
-// for plus at most one more sample's worth, and a splitter misses its
-// target weight by less than the heaviest sample: an even share, 1/s of
-// the total, 1/s of the largest chunk, and a rounding element per PE.
-// With s = sampleFactor·P that is at most 1 + 2/sampleFactor = 5/4 of an
-// even share — the constant mergeQuota and runFraction charge.
-func recvBound(total int64, p int) int64 {
-	share := (total + int64(p) - 1) / int64(p)
-	return min(total, share+(2*share+sampleFactor-1)/sampleFactor+int64(p)+2)
-}
-
 // sampleCuts computes order-consistent (but only approximately
-// balanced, see recvBound) cut positions of this PE's sorted chunk for a
-// P-way distribution, and the total length of all chunks: every PE
-// contributes up to sampleFactor·P evenly spaced elements, each weighted
+// balanced, see job.RecvBound) cut positions of this PE's sorted chunk
+// for a P-way distribution, and the total length of all chunks: every PE
+// contributes up to job.SampleFactor·P evenly spaced elements, each weighted
 // by the stretch of the chunk it starts; all PEs derive the same P-1
 // splitters from the pooled sample — splitter i is the first sample with
 // i/P of the weight before it — and each cuts its chunk at those
@@ -611,7 +544,7 @@ func sampleCuts[T any](c elem.Codec[T], n *cluster.Node, chunk []T) ([]int64, in
 	// the stretch up to the next one: the chunk length and the k elements
 	// are all a PE has to say.
 	at := func(ln, k, i int64) int64 { return ln * i / k }
-	samples := func(ln int64) int64 { return min(int64(sampleFactor*n.P), ln) }
+	samples := func(ln int64) int64 { return min(int64(job.SampleFactor*n.P), ln) }
 	ln := int64(len(chunk))
 	k := samples(ln)
 	buf := binary.LittleEndian.AppendUint64(make([]byte, 0, 8+int(k)*sz), uint64(ln))

@@ -105,7 +105,7 @@ func TestCollectStaysWithinBudget(t *testing.T) {
 			t.Run(fmt.Sprintf("p%d_overlap=%v", p, overlap), func(t *testing.T) {
 				cfg := DefaultConfig(p, 32*bElem, bElem*16) // window limited by m/4: 8 blocks
 				cfg.Overlap = overlap
-				j, err := job.Open(kvc, &cfg.Common, make([][]elem.KV16, p), runFraction)
+				j, err := job.Open(kvc, &cfg.Common, make([][]elem.KV16, p), job.Striped, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -134,7 +134,7 @@ func TestCollectStaysWithinBudget(t *testing.T) {
 					}
 					n.Vol.Drain()
 					n.Barrier()
-					outN, err := collectOutput(kvc, n, &cfg, bElem, blocks, sink)
+					outN, err := collectOutput(kvc, n, &j.Plan, blocks, sink)
 					if err != nil {
 						return err
 					}
@@ -190,12 +190,12 @@ func (c *a2aCounter) AllToAllv(send [][]byte) [][]byte {
 func TestCollectFeedsEveryOwnerEveryRound(t *testing.T) {
 	const p, bElem, totalBlocks, w = 4, 64, 103, 8
 	cfg := DefaultConfig(p, 32*bElem, bElem*16) // w·B = m/4
-	if got := collectWindow(cfg.MemElems, bElem, p); got != w {
-		t.Fatalf("collect window %d blocks, want %d", got, w)
-	}
-	j, err := job.Open(kvc, &cfg.Common, make([][]elem.KV16, p), runFraction)
+	j, err := job.Open(kvc, &cfg.Common, make([][]elem.KV16, p), job.Striped, 0)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if j.CollectWindow != w {
+		t.Fatalf("collect window %d blocks, want %d", j.CollectWindow, w)
 	}
 	if err := j.Start(); err != nil {
 		t.Fatal(err)
@@ -221,7 +221,7 @@ func TestCollectFeedsEveryOwnerEveryRound(t *testing.T) {
 			sunkIn[rank] = append(sunkIn[rank], counter.exchanges-1)
 			return nil
 		}
-		_, err := collectOutput(kvc, cn, &cfg, bElem, blocks, sink)
+		_, err := collectOutput(kvc, cn, &j.Plan, blocks, sink)
 		rounds[n.Rank] = counter.exchanges
 		return err
 	})

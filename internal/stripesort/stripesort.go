@@ -12,7 +12,7 @@
 // the blocks the merge wants next, block g of every run, are spread over
 // all PEs instead of piled on one — and on PE g mod P when it is off.
 // Every step then keeps all P PEs busy: a merge batch fetches as many
-// blocks per PE as the memory budget holds (mergeQuota), runs and
+// blocks per PE as the memory budget holds (job.Plan.MergeQuota), runs and
 // batches are redistributed under sample splitters (sampleCuts), which
 // is all a striped layout needs, and every collect round feeds every
 // owner (collectOutput).
@@ -42,12 +42,6 @@ const (
 	PhaseMerge   = "merge"
 )
 
-// runFraction is a PE's share of one run as a fraction of its memory
-// budget (see job.Geometry): a fifth, so that the piece of a run
-// SortAcross hands a PE under sample splitters — up to 5/4 of its share
-// (recvBound), held three times — stays within three quarters of it.
-const runFraction = 0.2
-
 // Config parameterises the striped sort: exactly the configuration
 // every sorter shares.
 type Config struct {
@@ -64,7 +58,7 @@ func DefaultConfig(p int, memElems int64, blockBytes int) Config {
 type Result[T any] struct {
 	job.Stats
 	// Batches is the number of merge batches, Quota the number of blocks
-	// a PE may fetch in one of them (mergeQuota) and MaxFetch[rank] the
+	// a PE may fetch in one of them (job.Plan.MergeQuota) and MaxFetch[rank] the
 	// most PE rank did.
 	Batches  int
 	Quota    int64
@@ -101,30 +95,9 @@ type predEntry[T any] struct {
 // disks; afterwards the sorted sequence is striped across all PEs
 // (output block g on PE g mod P).
 func Sort[T any](c elem.Codec[T], cfg Config, input [][]T) (*Result[T], error) {
-	j, err := job.Open(c, &cfg.Common, input, runFraction)
+	j, err := job.Open(c, &cfg.Common, input, job.Striped, 0)
 	if err != nil {
 		return nil, fmt.Errorf("stripesort: %w", err)
-	}
-
-	// Capacity: every PE holds the prediction table — one entry per
-	// input block — through the merge, next to the leftover blocks of the
-	// R runs and the working set of one batch; R may grow to Θ(M/B), the
-	// global constraint of Section III. mergeQuota does the arithmetic.
-	bElem, p := int64(j.BElem), int64(cfg.P)
-	table, runs := p*((j.NPerPE+bElem-1)/bElem), j.Runs(j.NPerPE)
-	if mergeQuota(cfg.MemElems, table, bElem, runs, cfg.P, cfg.Randomize) == 0 {
-		layout := "unrotated run stripes (Randomize is off) can leave all of them on one PE"
-		if cfg.Randomize {
-			layout = "rotated run stripes spread them over the PEs"
-		}
-		return nil, fmt.Errorf("stripesort: no merge batch fits the memory budget of %d elements: every PE holds the prediction table (%d entries, one per %d-element block) and the leftover blocks of %d runs (%s), and needs room to fetch and merge at least one more; raise the budget or change the block size (demsort -mem / -block)",
-			cfg.MemElems, table, bElem, runs, layout)
-	}
-	// A collect round is a quarter of the budget and holds at least one
-	// block per (home, owner) pair (collectWindow).
-	if (cfg.Sink != nil || cfg.KeepOutput) && cfg.MemElems > 0 && cfg.MemElems < 4*p*bElem {
-		return nil, fmt.Errorf("stripesort: collecting the output stages a block for each of the %d PEs, four rounds deep: %d elements of a memory budget of %d; raise the budget or lower the block size (demsort -mem / -block)",
-			p, 4*p*bElem, cfg.MemElems)
 	}
 	if err := j.Start(); err != nil {
 		return nil, fmt.Errorf("stripesort: %w", err)

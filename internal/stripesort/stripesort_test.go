@@ -14,6 +14,7 @@ import (
 	"demsort/internal/cluster"
 	"demsort/internal/cluster/sim"
 	"demsort/internal/elem"
+	"demsort/internal/job"
 	"demsort/internal/sortbench"
 	"demsort/internal/vtime"
 	"demsort/internal/workload"
@@ -312,7 +313,7 @@ func checkBudget(t *testing.T, sm *sim.Machine, memElems int64) {
 // TestStripedSortStaysWithinBudget runs a whole multi-run striped sort
 // on a machine the test keeps, so the budget can be read afterwards:
 // every rank's peak stays within M and nothing is left charged. The
-// quota and the batch count pin mergeQuota's arithmetic: M = 8192, 325
+// quota and the batch count pin the plan's MergeQuota: M = 8192, 325
 // prediction entries, B = 64, R = 4 runs on P = 4 PEs, rotated, so 2
 // leftover blocks; at q = 24 a batch holds 325 + 26·64 + 3·(25·64·5/4 + 6)
 // + 2·64 = 8135 elements, at q = 25 it would hold 8439. 325 blocks at 24
@@ -333,35 +334,6 @@ func TestStripedSortStaysWithinBudget(t *testing.T) {
 		t.Errorf("quota %d, %d merge batches, want 24 and 4", res.Quota, res.Batches)
 	}
 	checkBudget(t, sm, cfg.MemElems)
-}
-
-// TestMergeQuota pins the arithmetic on the benchmark's striped geometry
-// (Rec100, M = 25 000, 163-record blocks, 26 runs, P = 4) and its two
-// edges: no budget, and a budget that the table and the leftovers fill.
-func TestMergeQuota(t *testing.T) {
-	for _, tc := range []struct {
-		name                  string
-		m, table, bElem, runs int64
-		p                     int
-		rotated               bool
-		want                  int64
-	}{
-		// 3068 + (14+q)·163 + 3·((26+4q)·163/4·5/4 + 6) + 2·163 ≤ 25 000
-		{"bench, rotated", 25000, 3068, 163, 26, 4, true, 19},
-		// unrotated, all 26 leftovers can share a PE: (26+q)·163 of pending
-		{"bench, unrotated", 25000, 3068, 163, 26, 4, false, 17},
-		{"no budget", 0, 3068, 163, 26, 4, true, 4},
-		// ROADMAP direction 4's geometry: 8192 + 29·64 + 3·(60·64/4·5/4 + 6) + 128 = 13 794
-		{"too small, rotated", 12000, 8192, 64, 56, 4, true, 0},
-		{"too small, unrotated", 12000, 8192, 64, 56, 4, false, 0},
-		{"just fits", 13794, 8192, 64, 56, 4, true, 1},
-		// everything it sends comes back: 100 + (4+q)·64 + 3·(4+q)·64 + 128
-		{"one PE", 8192, 100, 64, 4, 1, true, 27},
-	} {
-		if got := mergeQuota(tc.m, tc.table, tc.bElem, tc.runs, tc.p, tc.rotated); got != tc.want {
-			t.Errorf("%s: quota %d, want %d", tc.name, got, tc.want)
-		}
-	}
 }
 
 // TestStripedBatchesUseEveryPE is the striped row of the randomisation
@@ -510,8 +482,8 @@ func TestSampleCutsDegenerate(t *testing.T) {
 	if total != 800 || !slices.Equal(cuts[1], []int64{0, 0}) {
 		t.Fatalf("one empty PE: total %d, its cuts %v", total, cuts[1])
 	}
-	if recv := cuts[0][0] + cuts[1][0] + cuts[2][0]; recv == 0 || recv > recvBound(800, 3) {
-		t.Fatalf("one empty PE: PE 0 receives %d of 800 elements, bound %d", recv, recvBound(800, 3))
+	if recv := cuts[0][0] + cuts[1][0] + cuts[2][0]; recv == 0 || recv > job.RecvBound(800, 3) {
+		t.Fatalf("one empty PE: PE 0 receives %d of 800 elements, bound %d", recv, job.RecvBound(800, 3))
 	}
 
 	// All keys equal: in (value, PE, position) order the union is PE 0's
@@ -537,12 +509,12 @@ func TestSampleCutsDegenerate(t *testing.T) {
 	checkRecvBound(t, "all equal", equal, cuts, total)
 }
 
-// checkRecvBound asserts that no PE receives more than recvBound under
+// checkRecvBound asserts that no PE receives more than job.RecvBound under
 // cuts, and that the cuts are monotone.
 func checkRecvBound(t *testing.T, name string, chunks [][]elem.KV16, cuts [][]int64, total int64) {
 	t.Helper()
 	p := len(chunks)
-	bound := recvBound(total, p)
+	bound := job.RecvBound(total, p)
 	for i := 0; i < p; i++ {
 		var recv int64
 		for q := range chunks {
