@@ -116,7 +116,7 @@ options:
 
 # The budget both figures are held to (CI's lint job runs this): a PR
 # that spends lines or adds an option raises the limit here, in the open.
-LOC_MAX = 14833
+LOC_MAX = 14853
 OPTIONS_MAX = 60
 budget:
 	@loc=$(LOC_TOTAL); opts=$$($(MAKE) -s options | awk 'END {print $$1}'); \

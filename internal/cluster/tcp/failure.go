@@ -36,17 +36,24 @@ func (m *Machine) fail(err error) {
 }
 
 // broadcastAbort sends the abort frame to every peer (best effort,
-// bounded: TryLock the write lane, short write deadline) and then
-// poisons every connection's write deadline so a sender stuck mid-write
-// to a wedged peer unwinds through its own deadline error.
+// bounded: a busy write lane is waited for until a shared deadline, each
+// write has a short deadline) and then poisons every connection's write
+// deadline so a sender stuck mid-write to a wedged peer unwinds through
+// its own deadline error. A peer skipped would learn of the abort from
+// this rank's closing connection, and blame this rank.
 func (m *Machine) broadcastAbort(ae *cluster.ErrAborted) {
 	payload := encodeAbort(ae)
 	hdr := putHeader(tagAbort, len(payload))
+	wait := time.Now().Add(500 * time.Millisecond)
 	for rank, pc := range m.snapshotPeers() {
 		if rank == m.rank || pc == nil || pc.conn == nil {
 			continue
 		}
-		if pc.wmu.TryLock() {
+		locked := pc.wmu.TryLock()
+		for ; !locked && time.Now().Before(wait); locked = pc.wmu.TryLock() {
+			time.Sleep(time.Millisecond) // poisoning the frame in flight could cut it short
+		}
+		if locked {
 			pc.conn.SetWriteDeadline(time.Now().Add(500 * time.Millisecond))
 			bufs := net.Buffers{hdr[:], payload}
 			bufs.WriteTo(pc.conn) // best effort: EOF peers learn via their read side

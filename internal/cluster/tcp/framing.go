@@ -102,7 +102,9 @@ func (m *Machine) readLoop(src int, pc *peerConn) {
 // goroutine and so must never panic or touch the PE-owned clock. Writes
 // are bounded by OpTimeout so a wedged receiver with a full socket
 // buffer cannot block a writer forever; an abort elsewhere poisons the
-// write deadline and unblocks it immediately.
+// write deadline and unblocks it immediately. A dst that aborted sent
+// its abort frame before closing, so a failed write waits (bounded) for
+// the machine to stop, letting that abort's attribution win over dst's.
 func (m *Machine) writeFrame(dst, tag int, payload []byte) error {
 	pc := m.peers[dst]
 	hdr := putHeader(tag, len(payload))
@@ -120,6 +122,12 @@ func (m *Machine) writeFrame(dst, tag int, payload []byte) error {
 	}
 	pc.lastSent.Store(time.Now().UnixNano())
 	pc.wmu.Unlock()
+	if err != nil {
+		select {
+		case <-m.done:
+		case <-time.After(500 * time.Millisecond):
+		}
+	}
 	return err
 }
 

@@ -261,6 +261,11 @@ func New(cfg Config) (*Machine, error) {
 // machine-owned goroutine is left running (the leak checks in the
 // tests pin this).
 func (m *Machine) Close() error {
+	// An abort fan-out in flight (abortFlag is set inside abortOnce) ends
+	// first: a peer must read the abort before this rank's EOF.
+	if m.abortFlag.Load() {
+		m.abortOnce.Do(func() {})
+	}
 	for _, pc := range m.peers {
 		if pc != nil && pc.conn != nil && !m.closed.Load() && !m.abortFlag.Load() {
 			pc.sayGoodbye()

@@ -26,9 +26,43 @@ func mustPlan(t *testing.T, s job.Shape) job.Plan {
 	return pl
 }
 
-// TestPlan pins the plan's arithmetic: the benchmark's shapes, the run
-// geometry of each sorter, the striped merge quota and the refusals of
-// a job no sorter can run.
+// TestGeometry pins the plan's run geometry: a PE's share of a run, R,
+// and the shapes that have no geometry at all.
+func TestGeometry(t *testing.T) {
+	// A PE's share of a run: a quarter of the budget, a fifth striped (200
+	// elements = 12 whole 16-element blocks), never less than a block.
+	kv := func(sorter job.Sorter, mem int64) job.Shape {
+		return job.Shape{Sorter: sorter, P: 4, MemElems: mem, BlockBytes: 256, ElemSize: 16}
+	}
+	for _, tc := range []struct {
+		shape        job.Shape
+		blocksPerRun int
+	}{
+		{kv(job.Canonical, 1000), 15},
+		{kv(job.Striped, 1000), 12},
+		{kv(job.Baseline, 8), 1},
+	} {
+		if pl := mustPlan(t, tc.shape); pl.BElem != 16 || pl.BlocksPerRun != tc.blocksPerRun || pl.RunLocal != int64(16*tc.blocksPerRun) {
+			t.Errorf("%+v: %d blocks per run, want %d", tc.shape, pl.BlocksPerRun, tc.blocksPerRun)
+		}
+	}
+	// R = ⌈N/P / RunLocal⌉, at least one.
+	for nPerPE, want := range map[int64]int64{0: 1, 1: 1, 100: 1, 101: 2, 1000: 10} {
+		s := job.Shape{Sorter: job.Baseline, P: 1, MemElems: 400, BlockBytes: 100, ElemSize: 1, NPerPE: nPerPE}
+		if pl := mustPlan(t, s); pl.Runs != want {
+			t.Errorf("RunLocal 100, N/P %d: %d runs, want %d", nPerPE, pl.Runs, want)
+		}
+	}
+	if _, err := job.NewPlan(job.Shape{Sorter: job.Canonical, P: 4, MemElems: 1000, BlockBytes: 15, ElemSize: 16}); err == nil || !strings.Contains(err.Error(), "smaller than one element") {
+		t.Errorf("15-byte blocks of 16-byte elements: %v", err)
+	}
+	if _, err := job.NewPlan(job.Shape{Sorter: job.Baseline, P: 0, MemElems: 1000, BlockBytes: 256, ElemSize: 16}); err == nil || !strings.Contains(err.Error(), "P must be") {
+		t.Errorf("P = 0: %v", err)
+	}
+}
+
+// TestPlan pins the plan's arithmetic: the benchmark's shapes, their
+// budget shares and the refusals of a job no sorter can run.
 func TestPlan(t *testing.T) {
 	// The benchmark's geometries: Rec100 on 4 PEs.
 	rec := func(sorter job.Sorter, mem int64, block int, nPerPE int64) job.Shape {
@@ -56,67 +90,14 @@ func TestPlan(t *testing.T) {
 		}
 	}
 
-	// A PE's share of a run: a quarter of the budget, a fifth striped (200
-	// elements = 12 whole 16-element blocks), never less than a block.
-	kv := func(sorter job.Sorter, mem int64) job.Shape {
-		return job.Shape{Sorter: sorter, P: 4, MemElems: mem, BlockBytes: 256, ElemSize: 16}
-	}
-	for _, tc := range []struct {
-		shape        job.Shape
-		blocksPerRun int
-	}{
-		{kv(job.Canonical, 1000), 15},
-		{kv(job.Striped, 1000), 12},
-		{kv(job.Baseline, 8), 1},
-	} {
-		if pl := mustPlan(t, tc.shape); pl.BElem != 16 || pl.BlocksPerRun != tc.blocksPerRun || pl.RunLocal != int64(16*tc.blocksPerRun) {
-			t.Errorf("%+v: %d blocks per run, want %d", tc.shape, pl.BlocksPerRun, tc.blocksPerRun)
-		}
-	}
-	// R = ⌈N/P / RunLocal⌉, at least one.
-	for nPerPE, want := range map[int64]int64{0: 1, 1: 1, 100: 1, 101: 2, 1000: 10} {
-		s := job.Shape{Sorter: job.Baseline, P: 1, MemElems: 400, BlockBytes: 100, ElemSize: 1, NPerPE: nPerPE}
-		if pl := mustPlan(t, s); pl.Runs != want {
-			t.Errorf("RunLocal 100, N/P %d: %d runs, want %d", nPerPE, pl.Runs, want)
-		}
-	}
-
-	// The merge quota on the benchmark's striped geometry and its edges.
-	for _, tc := range []struct {
-		name     string
-		m, table int64
-		bElem    int
-		runs     int64
-		p        int
-		rotated  bool
-		want     int64
-	}{
-		// 3068 + (14+q)·163 + 3·((26+4q)·163/4·5/4 + 6) + 2·163 ≤ 25 000
-		{"bench, rotated", 25000, 3068, 163, 26, 4, true, 19},
-		// unrotated, all 26 leftovers can share a PE: (26+q)·163 of pending
-		{"bench, unrotated", 25000, 3068, 163, 26, 4, false, 17},
-		// ROADMAP direction 4's geometry: 8192 + 29·64 + 3·(60·64/4·5/4 + 6) + 128 = 13 794
-		{"too small, rotated", 12000, 8192, 64, 56, 4, true, 0},
-		{"too small, unrotated", 12000, 8192, 64, 56, 4, false, 0},
-		{"just fits", 13794, 8192, 64, 56, 4, true, 1},
-		// everything it sends comes back: 100 + (4+q)·64 + 3·(4+q)·64 + 128
-		{"one PE", 8192, 100, 64, 4, 1, true, 27},
-	} {
-		pl := job.Plan{Shape: job.Shape{P: tc.p, MemElems: tc.m, Randomize: tc.rotated}, BElem: tc.bElem, Runs: tc.runs}
-		if got := pl.MergeQuota(tc.table); got != tc.want {
-			t.Errorf("%s: quota %d, want %d", tc.name, got, tc.want)
-		}
-	}
-
-	// What no sorter runs, and run formation's own limit: at 8-element
-	// blocks and M = 1024 a run share of 256 elements and its 768 elements
-	// of MSD scratch leave no room for the canonical sample of earlier runs.
+	// What no sorter runs (TestGeometry has the shapes with no geometry),
+	// and run formation's own limit: at 8-element blocks and M = 1024 a
+	// run share of 256 elements and its 768 elements of MSD scratch leave
+	// no room for the canonical sample of earlier runs.
 	for _, tc := range []struct {
 		shape job.Shape
 		want  []string
 	}{
-		{job.Shape{Sorter: job.Baseline, P: 0, MemElems: 1000, BlockBytes: 256, ElemSize: 16}, []string{"P must be"}},
-		{job.Shape{Sorter: job.Canonical, P: 4, MemElems: 1000, BlockBytes: 15, ElemSize: 16}, []string{"smaller than one element"}},
 		{job.Shape{Sorter: job.Striped, P: 4, MemElems: 0, BlockBytes: 256, ElemSize: 16}, []string{"-mem"}},
 		{job.Shape{Sorter: job.Baseline, P: 4, MemElems: -1, BlockBytes: 256, ElemSize: 16}, []string{"-mem"}},
 		{job.Shape{Sorter: job.Canonical, P: 1, MemElems: 1024, BlockBytes: 128, ElemSize: 16, NPerPE: 700}, []string{"run formation", "768 of sort scratch", "-mem"}},

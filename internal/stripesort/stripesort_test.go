@@ -336,6 +336,38 @@ func TestStripedSortStaysWithinBudget(t *testing.T) {
 	checkBudget(t, sm, cfg.MemElems)
 }
 
+// TestMergeQuota pins the merge's fetch quota (job.Plan.MergeQuota) on
+// the benchmark's striped geometry (Rec100, M = 25 000, 163-record
+// blocks, 26 runs, P = 4) and its edges: a budget that the table and
+// the leftovers fill, and one PE.
+func TestMergeQuota(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		m, table int64
+		bElem    int
+		runs     int64
+		p        int
+		rotated  bool
+		want     int64
+	}{
+		// 3068 + (14+q)·163 + 3·((26+4q)·163/4·5/4 + 6) + 2·163 ≤ 25 000
+		{"bench, rotated", 25000, 3068, 163, 26, 4, true, 19},
+		// unrotated, all 26 leftovers can share a PE: (26+q)·163 of pending
+		{"bench, unrotated", 25000, 3068, 163, 26, 4, false, 17},
+		// ROADMAP direction 4's geometry: 8192 + 29·64 + 3·(60·64/4·5/4 + 6) + 128 = 13 794
+		{"too small, rotated", 12000, 8192, 64, 56, 4, true, 0},
+		{"too small, unrotated", 12000, 8192, 64, 56, 4, false, 0},
+		{"just fits", 13794, 8192, 64, 56, 4, true, 1},
+		// everything it sends comes back: 100 + (4+q)·64 + 3·(4+q)·64 + 128
+		{"one PE", 8192, 100, 64, 4, 1, true, 27},
+	} {
+		pl := job.Plan{Shape: job.Shape{Sorter: job.Striped, P: tc.p, MemElems: tc.m, Randomize: tc.rotated}, BElem: tc.bElem, Runs: tc.runs}
+		if got := pl.MergeQuota(tc.table); got != tc.want {
+			t.Errorf("%s: quota %d, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
 // TestStripedBatchesUseEveryPE is the striped row of the randomisation
 // ablation. On uniform input all runs are alike, so the prediction
 // sequence asks for block g of every run in a row. With Randomize the
