@@ -264,6 +264,12 @@ var chaosScenarios = []chaosScenario{
 	{"crash-mid-selection-rounds", func(r int) faulty.Fault {
 		return faulty.Fault{Rank: r, Action: faulty.Crash, Op: "AllToAllv", Phase: core.PhaseSelection, Call: 5}
 	}, false, true},
+	// A run is split in one AllGather (samples) and two AllToAllv
+	// (residuals, answers) before its data's: the second AllToAllv is run
+	// 0's answer exchange, with the owners holding gathered residuals.
+	{"crash-mid-run-split", func(r int) faulty.Fault {
+		return faulty.Fault{Rank: r, Action: faulty.Crash, Op: "AllToAllv", Phase: core.PhaseRunForm, Call: 2}
+	}, false, false},
 	{"crash-mid-all-to-all", func(r int) faulty.Fault {
 		return faulty.Fault{Rank: r, Action: faulty.Crash, Op: "AllToAllv", Phase: core.PhaseExchange}
 	}, false, false},

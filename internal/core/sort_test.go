@@ -10,6 +10,8 @@ import (
 	"fmt"
 	"testing"
 
+	"demsort/internal/cluster"
+	"demsort/internal/cluster/sim"
 	"demsort/internal/elem"
 	"demsort/internal/vtime"
 	"demsort/internal/workload"
@@ -319,6 +321,77 @@ func TestSortSelectionNegligible(t *testing.T) {
 	rf := res.MaxWall(PhaseRunForm)
 	if sel > rf/5 {
 		t.Errorf("selection wall %.4fs vs run formation %.4fs — not negligible", sel, rf)
+	}
+}
+
+// phaseCalls is a Transport that counts the collective calls its PE
+// makes in one phase.
+type phaseCalls struct {
+	cluster.Transport
+	st    cluster.Stats
+	phase string
+	n     *int
+}
+
+func (c phaseCalls) count() {
+	if c.st.Phase() == c.phase {
+		*c.n++
+	}
+}
+func (c phaseCalls) Barrier() { c.count(); c.Transport.Barrier() }
+func (c phaseCalls) AllToAllv(send [][]byte) [][]byte {
+	c.count()
+	return c.Transport.AllToAllv(send)
+}
+func (c phaseCalls) AllGather(data []byte) [][]byte {
+	c.count()
+	return c.Transport.AllGather(data)
+}
+func (c phaseCalls) AllReduceInt64(v int64, op string) int64 {
+	c.count()
+	return c.Transport.AllReduceInt64(v, op)
+}
+
+// runFormCalls hosts a machine's PEs on phaseCalls transports counting
+// their run formation calls.
+type runFormCalls struct {
+	cluster.Machine
+	calls []int
+}
+
+func (m *runFormCalls) Run(fn func(*cluster.Node) error) error {
+	return m.Machine.Run(func(n *cluster.Node) error {
+		tr := phaseCalls{Transport: n.Transport(), st: n.NodeStats(), phase: PhaseRunForm, n: &m.calls[n.Rank]}
+		return fn(cluster.NewNode(tr, n.NodeStats(), n.Vol, n.Mem))
+	})
+}
+
+// TestSortRunFormationCalls pins what the exact split costs: run
+// formation makes 4·R + 3 transport calls on every PE — the run count's
+// AllReduceInt64; per run the sample AllGather, the residual and answer
+// exchanges and SortAcross's data exchange; the phase's closing Barrier
+// and the run metadata's AllGather (gatherRunsMeta).
+func TestSortRunFormationCalls(t *testing.T) {
+	cfg := testConfig(4)
+	sm, err := sim.New(sim.Config{P: cfg.P, BlockBytes: cfg.BlockBytes, MemElems: cfg.MemElems, Model: cfg.Model})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sm.Close()
+	m := &runFormCalls{Machine: sm, calls: make([]int, cfg.P)}
+	cfg.Machine = m
+	input := inputFor(cfg, workload.Uniform, 5500, 5)
+	res, err := Sort[elem.KV16](kvc, cfg, input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := res.Validate(kvc, input); err != nil {
+		t.Fatal(err)
+	}
+	for rank, calls := range m.calls {
+		if calls != 4*res.Runs+3 {
+			t.Errorf("rank %d: %d calls in run formation for %d runs, want %d", rank, calls, res.Runs, 4*res.Runs+3)
+		}
 	}
 }
 

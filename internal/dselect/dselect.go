@@ -1,12 +1,14 @@
 // Package dselect implements exact distributed multiway selection: the
+// external selection of Section IV-A, and with the same engine the
 // splitting step of the paper's internal-memory parallel sort (§IV-B:
 // "the internal memory variant of the multiway selection algorithm from
 // Section IV-A is used to split the P sorted sequences into P pieces of
-// equal size") and, with the same engine, the external selection of
-// Section IV-A itself. Every PE holds contiguous pieces of globally
-// sorted sequences — one in-memory slice during run formation, its
-// on-disk segments of the R runs in phase two — and only pivots and
-// counts cross the wire: elements are probed where they live.
+// equal size"), Cuts. Every PE holds contiguous pieces of globally
+// sorted sequences — its on-disk segments of the R runs in phase two,
+// one in-memory slice in Cuts — and only pivots and counts cross the
+// wire: elements are probed where they live. Run formation splits with
+// job.SortExact's one sample round instead: Cuts stays for the benchmark's
+// replays, and for the tests as that split's oracle.
 //
 // All boundary ranks are refined together in synchronous rounds with an
 // owner per rank (rank j is coordinated by PE j mod P):

@@ -7,11 +7,12 @@
 // building or adopting the machine, loading the input onto the volumes,
 // and the per-phase statistics. The capacity plan (plan.go): the run
 // geometry, every budget share and every refusal of all three sorters.
-// The shared phases (runform.go): the mergesorts' run formation,
-// FormRuns, the exact distributed sort of a run, SortExact, and the tail
-// of any distributed internal sort, SortAcross. What the algorithms do
-// differently (how exactly a run is split and where it is stored, their
-// later phases, their collect) stays with them.
+// The shared phases (runform.go, split.go): run formation, FormRuns;
+// the regular sampler both mergesorts split with, RegularSample; the
+// exact sort of a run, SortExact, split in one sample round; and the
+// tail of any distributed internal sort, SortAcross. What the algorithms
+// do differently (how exactly a run is split and where it is stored,
+// their later phases, their collect) stays with them.
 package job
 
 import (

@@ -1,7 +1,9 @@
 package job
 
 import (
+	"bytes"
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"math/rand/v2"
 	"slices"
@@ -13,6 +15,7 @@ import (
 	"demsort/internal/cluster/sim"
 	"demsort/internal/dselect"
 	"demsort/internal/elem"
+	"demsort/internal/workload"
 )
 
 var kvc = elem.KV16Codec{}
@@ -94,9 +97,9 @@ func samePermutation(a, b []elem.KV16) bool {
 // every PE. The job is planned as the baseline's — the quarter-budget run
 // geometry with no sorter's refusals — since these tests charge the
 // budget only for the shared phases they drive.
-func onSim(t *testing.T, cfg Common, input [][]elem.KV16, fn func(j *Job[elem.KV16], n *cluster.Node) error) {
+func onSim[T any](t *testing.T, c elem.Codec[T], cfg Common, input [][]T, fn func(j *Job[T], n *cluster.Node) error) {
 	t.Helper()
-	j, err := Open(kvc, &cfg, input, Baseline, 0)
+	j, err := Open(c, &cfg, input, Baseline, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +179,7 @@ func TestFormRuns(t *testing.T) {
 				}
 				segs := make([][]seg, p) // [rank][run]
 				runCount := make([]int, p)
-				onSim(t, cfg, input, func(j *Job[elem.KV16], n *cluster.Node) error {
+				onSim(t, kvc, cfg, input, func(j *Job[elem.KV16], n *cluster.Node) error {
 					spans, err := j.Load(n)
 					if err != nil {
 						return err
@@ -268,53 +271,104 @@ func (l *callLog) AllReduceInt64(v int64, op string) int64 {
 }
 
 // TestSortExactIsTheExactRunSort pins the run sort core passes to
-// FormRuns: SortExact makes exactly the calls that run formation made
-// inline before the run sort became a parameter — the run length's
-// AllReduce, the rounds of dselect.Cuts, one data AllToAllv — in that
-// order, and leaves every PE with exactly its RankBounds share.
+// FormRuns over a table of inputs and machine sizes. On every PE,
+// SortExact makes one AllGather (lengths and samples) and three
+// AllToAllv (residuals, answers, data) — at P = 1 only the data's — and
+// leaves every PE with exactly its RankBounds share: the segment the
+// oracle, dselect.Cuts' exact cuts under SortAcross, gives it. No owner
+// gathers more than the plan's SplitResidual.
 func TestSortExactIsTheExactRunSort(t *testing.T) {
-	const p = 4
-	chunks := tiles([]int{300, 0, 257, 90}, 1<<40, 11)
-	var exact, inline [p][]string
-	onSim(t, Defaults(p, 4096, 256), make([][]elem.KV16, p), func(j *Job[elem.KV16], n *cluster.Node) error {
+	const perPE = 1024 // RunLocal at M = 4096
+	rec := elem.Rec100Codec{}
+	for _, p := range []int{1, 2, 3, 4, 7} {
+		sized := func(size func(q int) int) [][]elem.KV16 {
+			sizes := make([]int, p)
+			for q := range sizes {
+				sizes[q] = size(q)
+			}
+			return tiles(sizes, 1<<40, uint64(p))
+		}
+		emptyPEs := workload.Generate(workload.Uniform, p, perPE, 3)
+		for q := 0; q < p; q += 2 {
+			emptyPEs[q] = nil
+		}
+		for name, chunks := range map[string][][]elem.KV16{
+			"uniform":        workload.Generate(workload.Uniform, p, perPE, 3),
+			"all_equal":      workload.Generate(workload.AllEqual, p, perPE, 3),
+			"hot_key":        workload.Generate(workload.HotKey, p, perPE, 3),
+			"disjoint_bands": workload.Generate(workload.GloballySorted, p, perPE, 3),
+			"reversed_bands": workload.Generate(workload.ReversedBands, p, perPE, 3),
+			"empty_pes":      emptyPEs,
+			"shorter_than_s": sized(func(q int) int { return 7 * q % 31 }),
+			"uneven":         sized(func(q int) int { return (389*q + 17) % (perPE + 1) }),
+		} {
+			t.Run(fmt.Sprintf("%s_p%d", name, p), func(t *testing.T) { checkSortExact(t, kvc, 256, chunks) })
+		}
+		// Records whose 8-byte keys collide: the comparator decides.
+		rng := rand.New(rand.NewPCG(uint64(p), 2))
+		recs := make([][]elem.Rec100, p)
+		for q := range recs {
+			recs[q] = make([]elem.Rec100, (perPE-4)*(q+1)/p)
+			for i := range recs[q] {
+				r := &recs[q][i]
+				r[7], r[8], r[9] = byte(rng.IntN(3)), byte(rng.IntN(4)), byte(rng.IntN(4))
+				binary.LittleEndian.PutUint64(r[10:], rng.Uint64())
+			}
+		}
+		t.Run(fmt.Sprintf("rec100_shared_prefixes_p%d", p), func(t *testing.T) { checkSortExact(t, rec, 1000, recs) })
+	}
+}
+
+// checkSortExact runs SortExact on the sim backend, PE q holding chunks[q]
+// sorted, at M = 4096 and the given block size; see
+// TestSortExactIsTheExactRunSort.
+func checkSortExact[T any](t *testing.T, c elem.Codec[T], blockBytes int, chunks [][]T) {
+	p := len(chunks)
+	calls, gathered, bound := make([][]string, p), make([]int64, p), make([]int64, p)
+	onSim(t, c, Defaults(p, 4096, blockBytes), make([][]T, p), func(j *Job[T], n *cluster.Node) error {
 		n.SetPhase("run formation")
-		sorted := func() []elem.KV16 {
+		sorted := func() []T {
 			chunk := slices.Clone(chunks[n.Rank])
-			slices.SortStableFunc(chunk, byKeyVal)
+			slices.SortStableFunc(chunk, func(a, b T) int {
+				switch {
+				case c.Less(a, b):
+					return -1
+				case c.Less(b, a):
+					return 1
+				}
+				return 0
+			})
 			n.Mem.MustAcquire(int64(len(chunk)))
 			return chunk
 		}
 		log := &callLog{Transport: n.Transport()}
-		ln := cluster.NewNode(log, n.NodeStats(), n.Vol, n.Mem)
-
-		seg, segStart, runLen, err := j.SortExact(ln, sorted(), nil)
+		seg, segStart, runLen, err := j.SortExact(cluster.NewNode(log, n.NodeStats(), n.Vol, n.Mem), sorted(), nil)
 		if err != nil {
 			return err
 		}
-		bounds := RankBounds(647, p)
-		if runLen != 647 || segStart != bounds[n.Rank] || int64(len(seg)) != bounds[n.Rank+1]-bounds[n.Rank] {
-			return fmt.Errorf("rank %d: run of %d, segment [%d, +%d), want 647 and [%d, %d)", n.Rank, runLen, segStart, len(seg), bounds[n.Rank], bounds[n.Rank+1])
-		}
+		calls[n.Rank], bound[n.Rank] = log.calls, j.SplitResidual
 		n.Mem.Release(2 * int64(len(seg)))
-		exact[n.Rank], log.calls = log.calls, nil
 
 		chunk := sorted()
-		total := ln.AllReduceInt64(int64(len(chunk)), "sum")
-		ref := j.SortAcross(ln, chunk, dselect.Cuts(kvc, ln, chunk, RankBounds(total, p)[1:p]), nil)
+		_, _, gathered[n.Rank] = j.splitExact(n, chunk)
+		bounds := RankBounds(runLen, p)
+		ref := j.SortAcross(n, chunk, dselect.Cuts(c, n, chunk, bounds[1:p]), nil)
 		n.Mem.Release(2 * int64(len(ref)))
-		inline[n.Rank] = log.calls
-		if !slices.Equal(seg, ref) {
-			return fmt.Errorf("rank %d: SortExact's segment differs from the inline sequence's", n.Rank)
+		if segStart != bounds[n.Rank] || !bytes.Equal(elem.EncodeSlice(c, seg), elem.EncodeSlice(c, ref)) {
+			return fmt.Errorf("rank %d: segment of %d from %d, the exact cuts give %d from %d", n.Rank, len(seg), segStart, len(ref), bounds[n.Rank])
 		}
 		return nil
 	})
-	for rank := range exact {
-		calls := exact[rank]
-		if !slices.Equal(calls, inline[rank]) {
-			t.Fatalf("rank %d: SortExact called %v, the inline sequence %v", rank, calls, inline[rank])
+	want := []string{"AllGather", "AllToAllv", "AllToAllv", "AllToAllv"}
+	if p == 1 {
+		want = want[3:]
+	}
+	for rank := range calls {
+		if !slices.Equal(calls[rank], want) {
+			t.Errorf("rank %d: SortExact called %v, want %v", rank, calls[rank], want)
 		}
-		if len(calls) < 3 || calls[0] != "AllReduceInt64" || calls[len(calls)-1] != "AllToAllv" {
-			t.Fatalf("rank %d: calls %v, want AllReduceInt64 … AllToAllv", rank, calls)
+		if gathered[rank] > bound[rank] {
+			t.Errorf("rank %d gathered %d elements as an owner, the plan's bound is %d", rank, gathered[rank], bound[rank])
 		}
 	}
 }
@@ -337,7 +391,7 @@ func TestSortAcross(t *testing.T) {
 			p := len(tc.sizes)
 			chunks := tiles(tc.sizes, tc.keyRange, 7)
 			out := make([][]elem.KV16, p)
-			onSim(t, Defaults(p, 1024, 256), make([][]elem.KV16, p), func(j *Job[elem.KV16], n *cluster.Node) error {
+			onSim(t, kvc, Defaults(p, 1024, 256), make([][]elem.KV16, p), func(j *Job[elem.KV16], n *cluster.Node) error {
 				n.SetPhase("merge")
 				chunk := slices.Clone(chunks[n.Rank])
 				slices.SortStableFunc(chunk, byKeyVal)

@@ -2,6 +2,7 @@ package job
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"demsort/internal/psort"
@@ -44,8 +45,9 @@ type Shape struct {
 // what a canonical all-to-all sub-operation stages on either side of a
 // PE, the final merge's buffers, the selection's block cache (in blocks)
 // and its residual gather; a striped owner's collect window (in blocks;
-// the striped merge quota is MergeQuota); and the largest N/P the
-// canonical sorter takes in two passes.
+// the striped merge quota is MergeQuota); the largest N/P the canonical
+// sorter takes in two passes; and the exact run split's regular samples
+// per PE and the most elements one of its owners gathers (SortExact).
 type Plan struct {
 	Shape
 	BElem, BlocksPerRun         int
@@ -54,6 +56,7 @@ type Plan struct {
 	CacheBlocks                 int
 	Gather, CollectWindow       int64
 	MaxElemsPerPE               int64
+	SplitSamples, SplitResidual int64
 }
 
 // NewPlan computes the plan of a job of shape s, or refuses the job
@@ -89,6 +92,11 @@ func NewPlan(s Shape) (Plan, error) {
 	p.RunLocal = int64(p.BlocksPerRun) * b
 	// At least one run: an empty input still runs the protocol once.
 	p.Runs = max((s.NPerPE+p.RunLocal-1)/p.RunLocal, 1)
+	// The exact split (SortExact) pools s samples of every PE, then
+	// gathers at most 2·P·(⌈RunLocal/s⌉ − 1) elements at an owner: s =
+	// ⌊√(2·RunLocal)⌋ holds either to about P·√(2·RunLocal).
+	p.SplitSamples = int64(math.Sqrt(float64(2 * p.RunLocal)))
+	p.SplitResidual = 2 * int64(s.P) * ((p.RunLocal+p.SplitSamples-1)/p.SplitSamples - 1)
 	switch s.Sorter {
 	case Canonical:
 		return p, p.canonical()
@@ -133,7 +141,7 @@ func (p *Plan) canonical() error {
 	}
 	// A PE's segment of a run is at most RunLocal long, so it holds at
 	// most ⌈RunLocal/K⌉ sample elements of each earlier run.
-	if err := p.formRunsFits((runs - 1) * ((p.RunLocal + p.K - 1) / p.K)); err != nil {
+	if err := p.formRunsFits((runs-1)*((p.RunLocal+p.K-1)/p.K), max(int64(p.P)*p.SplitSamples, p.SplitResidual)); err != nil {
 		return err
 	}
 	p.ExchangeQuota = m / 4
@@ -170,19 +178,20 @@ func (p *Plan) striped() error {
 		return fmt.Errorf("collecting the output stages a block for each of the %d PEs, four rounds deep: %d elements of a memory budget of %d; raise the budget or lower the block size (demsort -mem / -block)",
 			pe, 4*pe*b, m)
 	}
-	return p.formRunsFits(0)
+	return p.formRunsFits(0, 0)
 }
 
 // formRunsFits refuses a job whose run formation overflows the budget:
-// a PE holds its run share, the scratch of the MSD engine that
-// sortChunkBudgeted falls back to (on any host's worker count) and what
-// the sorter holds of earlier runs.
-func (p *Plan) formRunsFits(held int64) error {
+// a PE holds its run share and what the sorter holds of earlier runs,
+// next to first the scratch of the MSD engine that sortChunkBudgeted
+// falls back to (on any host's worker count) and then what the run's
+// split holds.
+func (p *Plan) formRunsFits(held, split int64) error {
 	es := int64(p.ElemSize)
 	scratch := (psort.ScratchBytes(psort.PathMSD, p.ElemSize, int(p.RunLocal), psort.MaxWorkers) + es - 1) / es
-	if need := p.RunLocal + scratch + held; need > p.MemElems {
-		return fmt.Errorf("run formation holds a run share of %d elements, %d of sort scratch and %d sampled from earlier runs: %d elements of a memory budget of %d; raise the budget (demsort -mem)",
-			p.RunLocal, scratch, held, need, p.MemElems)
+	if need := p.RunLocal + held + max(scratch, split); need > p.MemElems {
+		return fmt.Errorf("run formation holds a run share of %d elements, %d of sort scratch (%d to split it) and %d sampled from earlier runs: %d elements of a memory budget of %d; raise the budget (demsort -mem)",
+			p.RunLocal, scratch, split, held, need, p.MemElems)
 	}
 	return nil
 }

@@ -77,8 +77,16 @@ func TestPlan(t *testing.T) {
 	if pl.ExchangeQuota != 12500 || pl.MergeBuffers != 43*163 || pl.CacheBlocks != 153 || pl.Gather != 6250 {
 		t.Errorf("canon_uniform shares: exchange %d, merge %d, cache %d blocks, gather %d", pl.ExchangeQuota, pl.MergeBuffers, pl.CacheBlocks, pl.Gather)
 	}
+	// The exact run split: s = ⌊√(2·RunLocal)⌋ samples per PE, and an
+	// owner gathers at most 2·P·(⌈RunLocal/s⌉ − 1) elements.
+	if pl.SplitSamples != 157 || pl.SplitResidual != 624 {
+		t.Errorf("canon_uniform split: %d samples, residual %d; want 157, 624", pl.SplitSamples, pl.SplitResidual)
+	}
 	if pl = mustPlan(t, rec(job.Canonical, 4096, 400, 50000)); pl.BElem != 4 || pl.Runs != 49 || pl.K != 453 {
 		t.Errorf("canon_smallblock: B %d, R %d, K %d; want 4, 49, 453", pl.BElem, pl.Runs, pl.K)
+	}
+	if pl.SplitSamples != 45 || pl.SplitResidual != 176 {
+		t.Errorf("canon_smallblock split: %d samples, residual %d; want 45, 176", pl.SplitSamples, pl.SplitResidual)
 	}
 	// striped_uniform: 26 runs; its table bound is one entry per input
 	// block, 4 × 767.

@@ -8,7 +8,6 @@ import (
 	"demsort/internal/blockio"
 	"demsort/internal/bufpool"
 	"demsort/internal/cluster"
-	"demsort/internal/dselect"
 	"demsort/internal/elem"
 	"demsort/internal/xmerge"
 )
@@ -127,13 +126,13 @@ func (j *Job[T]) FormRuns(n *cluster.Node, spans []blockio.Span, salt uint64, so
 	return runs, nil
 }
 
-// SortExact is the RunSort with exact splitting (§IV-B): the run length
-// is agreed, dselect.Cuts finds the local positions of the ranks
-// N/P, 2N/P, …, and SortAcross leaves every PE with exactly its share.
+// SortExact is the RunSort with exact splitting (§IV-B): splitExact
+// finds the local positions of the ranks N/P, 2N/P, … in one sample
+// round, and SortAcross leaves every PE with exactly its share.
 func (j *Job[T]) SortExact(n *cluster.Node, chunk, dst []T) ([]T, int64, int64, error) {
-	runLen := n.AllReduceInt64(int64(len(chunk)), "sum")
+	cuts, runLen, _ := j.splitExact(n, chunk)
 	bounds := RankBounds(runLen, n.P)
-	seg := j.SortAcross(n, chunk, dselect.Cuts(j.c, n, chunk, bounds[1:n.P]), dst)
+	seg := j.SortAcross(n, chunk, cuts, dst)
 	if segLen := bounds[n.Rank+1] - bounds[n.Rank]; int64(len(seg)) != segLen {
 		return nil, 0, 0, fmt.Errorf("PE %d received %d elements, expected segment of %d", n.Rank, len(seg), segLen)
 	}

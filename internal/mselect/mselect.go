@@ -14,10 +14,10 @@
 // identical on every PE, which is what turns "approximately equal parts"
 // (NOW-Sort) into the exact partition the paper advertises.
 //
-// Select is the in-memory algorithm (deterministic pivot bisection); the
-// distributed engine in package dselect runs the same bisection across
-// PEs — over in-memory slices during run formation and over the on-disk
-// runs in phase two — and finishes its small residuals with Select.
+// Select is the in-memory algorithm (deterministic pivot bisection). Run
+// formation's one-round split (job.SortExact) finishes every cut with it
+// at the cut's owner; the distributed engine in package dselect runs the
+// same bisection over the on-disk runs in phase two and finishes with it.
 package mselect
 
 import (

@@ -531,67 +531,27 @@ func collectOutput[T any](c elem.Codec[T], n *cluster.Node, pl *job.Plan, blocks
 // sampleCuts computes order-consistent (but only approximately
 // balanced, see job.RecvBound) cut positions of this PE's sorted chunk
 // for a P-way distribution, and the total length of all chunks: every PE
-// contributes up to job.SampleFactor·P evenly spaced elements, each weighted
-// by the stretch of the chunk it starts; all PEs derive the same P-1
-// splitters from the pooled sample — splitter i is the first sample with
-// i/P of the weight before it — and each cuts its chunk at those
+// contributes job.SampleFactor·P regular samples (job.RegularSample),
+// each weighted by the stretch of the chunk it stands for; all PEs derive
+// the same P-1 splitters from the pool — splitter i is the first sample
+// with i/P of the weight before it — and each cuts its chunk at those
 // splitters under the (value, PE, position) total order, so the
 // distributed pieces are globally ordered even with duplicate keys. A
 // machine without elements has no sample and cuts everywhere at 0.
 func sampleCuts[T any](c elem.Codec[T], n *cluster.Node, chunk []T) ([]int64, int64) {
-	sz, ord := c.Size(), mselect.OrderOf(c)
-	// Sample i of k is the element at position ⌊len·i/k⌋ and stands for
-	// the stretch up to the next one: the chunk length and the k elements
-	// are all a PE has to say.
-	at := func(ln, k, i int64) int64 { return ln * i / k }
-	samples := func(ln int64) int64 { return min(int64(job.SampleFactor*n.P), ln) }
-	ln := int64(len(chunk))
-	k := samples(ln)
-	buf := binary.LittleEndian.AppendUint64(make([]byte, 0, 8+int(k)*sz), uint64(ln))
-	for i := int64(0); i < k; i++ {
-		idx := at(ln, k, i)
-		buf = elem.AppendEncode(c, buf, chunk[idx:idx+1])
-	}
-	type cand struct {
-		v      T
-		key    uint64
-		pe     int
-		idx    int64
-		weight int64
-	}
-	var pool []cand
-	var total int64
-	for pe, b := range n.AllGather(buf) {
-		peLen := int64(binary.LittleEndian.Uint64(b))
-		total += peLen
-		for i, k := int64(0), samples(peLen); i < k; i++ {
-			idx, enc := at(peLen, k, i), b[8+int(i)*sz:]
-			v := c.Decode(enc[:sz])
-			pool = append(pool, cand{v: v, key: ord.Key(v), pe: pe, idx: idx, weight: at(peLen, k, i+1) - idx})
-		}
-	}
-	sort.Slice(pool, func(a, b int) bool {
-		pa, pb := pool[a], pool[b]
-		return ord.LessK(pa.key, pa.v, pa.pe, pa.idx, pb.key, pb.v, pb.pe, pb.idx)
-	})
+	ord := mselect.OrderOf(c)
+	pool, total := job.RegularSample(c, ord, n, chunk, job.SampleFactor*int64(n.P))
 	cuts := make([]int64, n.P-1)
 	t, before := 0, int64(0) // before is the weight of pool[:t]
 	for i := range cuts {
 		for target := total * int64(i+1) / int64(n.P); t < len(pool) && before < target; t++ {
-			before += pool[t].weight
+			before += pool[t].Next - pool[t].Pos
 		}
 		if t == len(pool) { // the splitter lies beyond every element
-			cuts[i] = ln
+			cuts[i] = int64(len(chunk))
 			continue
 		}
-		// Count my chunk elements ordered before the splitter — the same
-		// total order on every PE keeps the distributed pieces disjoint
-		// and ordered.
-		sp := pool[t]
-		cuts[i] = int64(sort.Search(len(chunk), func(j int) bool {
-			v := chunk[j]
-			return !ord.LessK(ord.Key(v), v, n.Rank, int64(j), sp.key, sp.v, sp.pe, sp.idx)
-		}))
+		cuts[i] = job.Before(ord, chunk, n.Rank, pool[t])
 	}
 	return cuts, total
 }
