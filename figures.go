@@ -366,7 +366,7 @@ func AblationOverlap(s FigureScale) (*Figure, error) {
 // AblationSampleK sweeps the sampling distance K. Every round of the
 // owner-computes selection locates the pivot inside one sample cell of K
 // elements per live run segment, so the modelled selection wall grows
-// with log(K/B): from 0.16× run formation at K = 8 blocks to 0.37× at
+// with log(K/B): from 0.13× run formation at K = 8 blocks to 0.34× at
 // K = 64 at this scale (memory is 128 blocks, and each PE's dozen cuts
 // are searched in 384 blocks of input) — without the cliff of the
 // sequential walk, which cost 10× more at K = 64 blocks than at 32, once

@@ -258,11 +258,12 @@ var chaosScenarios = []chaosScenario{
 		return faulty.Fault{Rank: r, Action: faulty.Crash, Phase: core.PhaseSelection}
 	}, false, false},
 	// The selection is lock-step rounds of three AllToAllv (proposals,
-	// counts, verdicts) and an AllGather: the fifth AllToAllv is the
-	// count exchange of the second round, with every peer's brackets
-	// half-narrowed and the survivors parked in a collective.
+	// counts or residuals, verdicts) and an AllGather: the second
+	// AllToAllv is the first round's counts, with the owners' pivots
+	// published and the survivors parked in a collective. (From proven
+	// brackets a P = 2 fleet may need only that one round.)
 	{"crash-mid-selection-rounds", func(r int) faulty.Fault {
-		return faulty.Fault{Rank: r, Action: faulty.Crash, Op: "AllToAllv", Phase: core.PhaseSelection, Call: 5}
+		return faulty.Fault{Rank: r, Action: faulty.Crash, Op: "AllToAllv", Phase: core.PhaseSelection, Call: 2}
 	}, false, true},
 	// A run is split in one AllGather (samples) and two AllToAllv
 	// (residuals, answers) before its data's: the second AllToAllv is run

@@ -104,7 +104,7 @@ type runPieces[T any] struct {
 func (a *runPieces[T]) Pieces() []dselect.Piece {
 	pcs := make([]dselect.Piece, len(a.locals))
 	for ri, lr := range a.locals {
-		pcs[ri] = dselect.Piece{ID: ri, Start: lr.segStart, Len: lr.segLen, SeqLen: a.meta.runLens[ri], Stride: a.pl.K}
+		pcs[ri] = dselect.Piece{ID: ri, Start: lr.segStart, Len: lr.segLen, Stride: a.pl.K}
 	}
 	return pcs
 }
@@ -134,52 +134,59 @@ func (a *runPieces[T]) At(run int, i int64) T {
 	return vals[i-key.blk*bElem]
 }
 
+// closeTails returns each rank's run brackets for dselect.Select, first
+// closing (in place) those the sample cannot place. A run's last cell
+// holds no sample, so a bracket reaching the run's end may lie wholly
+// left of the cut, as every run left of it does on key-band runs. The PE
+// holding that end compares the run's last element with the rank's low
+// sample once: ordered before it, the whole run is left of the cut.
+func (a *runPieces[T]) closeTails(brackets []mselect.Bracket) [][]mselect.Interval {
+	ord := mselect.OrderOf(a.c)
+	out := make([][]mselect.Interval, len(brackets))
+	for i, br := range brackets {
+		out[i] = br.Seqs
+		if br.Low.Seq < 0 {
+			continue
+		}
+		low := a.meta.samples[br.Low.Seq].Vals[br.Low.At/a.pl.K]
+		for ri, lr := range a.locals {
+			b := &br.Seqs[ri]
+			if b.Lo < b.Hi && b.Hi == lr.runLen && lr.segLen > 0 && lr.segStart+lr.segLen == lr.runLen &&
+				ord.Less(a.At(ri, lr.segLen-1), ri, lr.runLen-1, low, br.Low.Seq, br.Low.At) {
+				b.Lo = b.Hi
+			}
+		}
+	}
+	return out
+}
+
 // selectionHook lets this package's tests stand in the middle of a
-// sort: estimates sees (and may perturb) every rank's sample estimates
-// before they are refined, splitters the exact matrix next to the
-// rank's runs ([]localRun[T]) it splits. Both are nil outside tests.
+// sort: splitters sees the exact matrix next to the rank's runs
+// ([]localRun[T]) it splits, the sample distance K and the brackets the
+// selection started from. It is nil outside tests.
 var selectionHook struct {
-	estimates func(est [][]int64, k int64)
-	splitters func(n *cluster.Node, runs any, split [][]int64)
+	splitters func(n *cluster.Node, runs any, k int64, brackets []mselect.Bracket, split [][]int64)
 }
 
 // multiwaySelection is phase 2a: the exact splitter positions of the
-// ranks i·N/P in every run, all P−1 at once. The in-memory sample gives
-// the estimates (§IV-A: "this sample is used to find initial values for
-// the approximate splitters"); owner-computes bisection (dselect.Select)
-// makes them exact: every PE counts pivots against its own on-disk
-// segments, and pivots, counts and one small residual gather per rank
-// are all that cross the wire, in O(log N) rounds whatever the block
-// size. The returned matrix (identical on every PE) has P+1 rows:
-// splitters[i][r] is the first run-r position belonging to PE i.
+// ranks i·N/P in every run, all P−1 at once. The in-memory sample
+// brackets every cut (§IV-A: "this sample is used to find initial values
+// for the approximate splitters"): mselect.SampleBrackets proves a range
+// of each run that holds it, at most 2·R·K elements per rank in all.
+// Owner-computes bisection (dselect.Select) makes them exact: every PE
+// counts pivots against its own on-disk segments, and pivots, counts and
+// one small residual gather per rank are all that cross the wire, in
+// O(log(R·K)) rounds whatever the block size. The returned matrix
+// (identical on every PE) has P+1 rows: splitters[i][r] is the first
+// run-r position belonging to PE i.
 func multiwaySelection[T any](c elem.Codec[T], n *cluster.Node, pl *job.Plan, meta *runsMeta[T], locals []localRun[T]) [][]int64 {
 	n.SetPhase(PhaseSelection)
 	r := len(meta.runLens)
 	ranks := job.RankBounds(meta.totalN, n.P)[1:n.P]
-	est := make([][]int64, len(ranks))
-	for i, rank := range ranks {
-		est[i] = mselect.SampleCuts(c, meta.samples, meta.runLens, rank)
-	}
-	if selectionHook.estimates != nil {
-		selectionHook.estimates(est, pl.K)
-	}
-
-	// Start every search within 2·K of the estimate. The worst case is
-	// (R+2)·K, but across the test suite's workloads and geometries the
-	// error stays below 1.3·K (one skewed table reaches 5·K), and a
-	// start the exact counts disprove only costs that rank a second
-	// pass from the full range.
-	margin := 2 * pl.K
-	warm := make([][]dselect.Interval, len(est))
-	for i := range warm {
-		warm[i] = make([]dselect.Interval, r)
-		for ri := range warm[i] {
-			warm[i][ri] = dselect.Interval{Lo: est[i][ri] - margin, Hi: est[i][ri] + margin}
-		}
-	}
+	brackets := mselect.SampleBrackets(c, meta.samples, meta.runLens, ranks)
 	acc := &runPieces[T]{c: c, n: n, pl: pl, meta: meta, locals: locals, cache: map[blockKey][]T{}}
 	defer func() { n.Mem.Release(int64(len(acc.cacheSeq)) * int64(pl.BElem)) }()
-	cuts := dselect.Select[T](c, n, acc, ranks, warm, pl.Gather)
+	cuts := dselect.Select[T](c, n, acc, ranks, acc.closeTails(brackets), pl.Gather)
 
 	// Share the splitters: "After communicating the splitter positions
 	// ... every PE knows the elements it has to merge." A run's
@@ -205,7 +212,7 @@ func multiwaySelection[T any](c elem.Codec[T], n *cluster.Node, pl *job.Plan, me
 		}
 	}
 	if selectionHook.splitters != nil {
-		selectionHook.splitters(n, locals, split)
+		selectionHook.splitters(n, locals, pl.K, brackets, split)
 	}
 	return split
 }

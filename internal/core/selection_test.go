@@ -15,15 +15,17 @@ import (
 	"demsort/internal/workload"
 )
 
-// selectionRun is what the ranks of one fleet leave behind for the
-// round-count test through selectionHook.splitters.
+// selectionRun is what the ranks of one fleet leave behind through
+// selectionHook.splitters.
 type selectionRun struct {
-	mu     sync.Mutex
-	split  [][]int64         // the splitter matrix (identical on every rank)
-	pieces [][][]elem.Rec100 // [run][rank] segment contents, read back from disk
+	mu       sync.Mutex
+	k        int64
+	split    [][]int64           // the splitter matrix (identical on every rank)
+	brackets [][]mselect.Bracket // [rank] the brackets the selection started from
+	pieces   [][][]elem.Rec100   // [run][rank] segment contents, read back from disk
 }
 
-func (out *selectionRun) capture(n *cluster.Node, runs any, split [][]int64) {
+func (out *selectionRun) capture(n *cluster.Node, runs any, k int64, brackets []mselect.Bracket, split [][]int64) {
 	c := elem.Rec100Codec{}
 	locals := runs.([]localRun[elem.Rec100])
 	segs := make([][]elem.Rec100, len(locals))
@@ -38,16 +40,125 @@ func (out *selectionRun) capture(n *cluster.Node, runs any, split [][]int64) {
 	}
 	out.mu.Lock()
 	defer out.mu.Unlock()
-	out.split = split
+	out.k, out.split = k, split
 	if out.pieces == nil {
 		out.pieces = make([][][]elem.Rec100, len(locals))
 		for ri := range out.pieces {
 			out.pieces[ri] = make([][]elem.Rec100, n.P)
 		}
+		out.brackets = make([][]mselect.Bracket, n.P)
 	}
+	out.brackets[n.Rank] = brackets
 	for ri := range segs {
 		out.pieces[ri][n.Rank] = segs[ri]
 	}
+}
+
+// selectionCase is one input of the selection tests, all at M = 4096.
+type selectionCase struct {
+	name      string
+	p         int // 0: 4 ranks on both backends; larger fleets on sim only
+	block     int
+	input     func(p int) [][]elem.Rec100
+	randomize bool
+}
+
+func selectionCases() []selectionCase {
+	const nPer = 50000
+	uniform := func(p, n int) [][]elem.Rec100 {
+		in := make([][]elem.Rec100, p)
+		for r := range in {
+			in[r] = sortbench.Generate(7, int64(r*n), int64(n))
+		}
+		return in
+	}
+	byKey := func(a, b elem.Rec100) int { return slices.Compare(a[:10], b[:10]) }
+	return []selectionCase{
+		{name: "B400", block: 400, input: func(p int) [][]elem.Rec100 { return uniform(p, nPer) }, randomize: true},
+		{name: "B1600", block: 1600, input: func(p int) [][]elem.Rec100 { return uniform(p, nPer) }, randomize: true},
+		// 16 KiB blocks leave M = 4096 room for five runs: the two-pass
+		// capacity is 4 890 elements per rank.
+		{name: "B16K", block: 16384, input: func(p int) [][]elem.Rec100 { return uniform(p, 4800) }, randomize: true},
+		{name: "all-equal-keys", block: 400, randomize: true, input: func(p int) [][]elem.Rec100 {
+			in := uniform(p, nPer)
+			for _, tile := range in {
+				for i := range tile {
+					copy(tile[i][:10], "samekey---")
+				}
+			}
+			return in
+		}},
+		{name: "presorted-tiles-norandomize", block: 400, randomize: false, input: func(p int) [][]elem.Rec100 {
+			in := uniform(p, nPer)
+			for _, tile := range in {
+				slices.SortFunc(tile, byKey)
+			}
+			return in
+		}},
+		{name: "empty-rank", block: 400, randomize: true, input: func(p int) [][]elem.Rec100 {
+			in := uniform(p, nPer)
+			in[2] = nil
+			return in
+		}},
+		// The selection's working set must not grow with the fleet: the
+		// sample, the block cache and one gathered residual, whatever P·R.
+		{name: "P16", p: 16, block: 400, input: func(p int) [][]elem.Rec100 { return uniform(p, nPer) }, randomize: true},
+	}
+}
+
+// runSelectionCase sorts tc's input on p ranks of backend ("sim" or
+// in-process "tcp") and returns what the hook saw and every rank's
+// measurements: results[rank] is the one Result of a sim run, or rank's
+// own on tcp.
+func runSelectionCase(t *testing.T, tc selectionCase, p int, backend string) (*selectionRun, []*Result[elem.Rec100]) {
+	const mem = 4096
+	input := tc.input(p)
+	cfg := DefaultConfig(p, mem, tc.block)
+	cfg.Seed = 7
+	cfg.Randomize = tc.randomize
+	out := &selectionRun{}
+	selectionHook.splitters = out.capture
+	defer func() { selectionHook.splitters = nil }()
+	results := make([]*Result[elem.Rec100], p)
+	if backend == "sim" {
+		res, err := Sort[elem.Rec100](elem.Rec100Codec{}, cfg, input)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for rank := range results {
+			results[rank] = res
+		}
+		return out, results
+	}
+	peers, err := tcp.ReservePorts(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := make([]error, p)
+	var wg sync.WaitGroup
+	for rank := 0; rank < p; rank++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			m, err := tcp.New(tcp.Config{Rank: rank, Peers: peers, BlockBytes: tc.block,
+				MemElems: mem, ConnectTimeout: 20 * time.Second})
+			if err != nil {
+				errs[rank] = err
+				return
+			}
+			defer m.Close()
+			rcfg := cfg
+			rcfg.Machine = m
+			results[rank], errs[rank] = Sort[elem.Rec100](elem.Rec100Codec{}, rcfg, input)
+		}()
+	}
+	wg.Wait()
+	for rank, err := range errs {
+		if err != nil {
+			t.Fatalf("tcp rank %d: %v", rank, err)
+		}
+	}
+	return out, results
 }
 
 // TestSelectionRoundsIndependentOfBlockSize pins the owner-computes
@@ -59,125 +170,16 @@ func (out *selectionRun) capture(n *cluster.Node, runs any, split [][]int64) {
 func TestSelectionRoundsIndependentOfBlockSize(t *testing.T) {
 	const (
 		mem      = 4096
-		nPer     = 50000
 		msgBound = 160
 	)
-	p := 4
-	uniform := func(n int) [][]elem.Rec100 {
-		in := make([][]elem.Rec100, p)
-		for r := range in {
-			in[r] = sortbench.Generate(7, int64(r*n), int64(n))
-		}
-		return in
-	}
-	byKey := func(a, b elem.Rec100) int { return slices.Compare(a[:10], b[:10]) }
-	cases := []struct {
-		name      string
-		p         int // 0: 4 ranks on both backends; larger fleets on sim only
-		block     int
-		input     func() [][]elem.Rec100
-		randomize bool
-		skew      func(est [][]int64, k int64)
-		msgBound  int64
-	}{
-		{name: "B400", block: 400, input: func() [][]elem.Rec100 { return uniform(nPer) }, randomize: true},
-		{name: "B1600", block: 1600, input: func() [][]elem.Rec100 { return uniform(nPer) }, randomize: true},
-		// 16 KiB blocks leave M = 4096 room for five runs: the two-pass
-		// capacity is 4 890 elements per rank.
-		{name: "B16K", block: 16384, input: func() [][]elem.Rec100 { return uniform(4800) }, randomize: true},
-		{name: "all-equal-keys", block: 400, randomize: true, input: func() [][]elem.Rec100 {
-			in := uniform(nPer)
-			for _, tile := range in {
-				for i := range tile {
-					copy(tile[i][:10], "samekey---")
-				}
-			}
-			return in
-		}},
-		{name: "presorted-tiles-norandomize", block: 400, randomize: false, input: func() [][]elem.Rec100 {
-			in := uniform(nPer)
-			for _, tile := range in {
-				slices.SortFunc(tile, byKey)
-			}
-			return in
-		}},
-		{name: "empty-rank", block: 400, randomize: true, input: func() [][]elem.Rec100 {
-			in := uniform(nPer)
-			in[2] = nil
-			return in
-		}},
-		// Every estimate is off by more than the (R+2)·K worst case of an
-		// honest sample, in alternating directions: the exact counts must
-		// disprove the start and the second pass must still be exact.
-		{name: "wrong-warm-start", block: 400, randomize: true, msgBound: 2 * msgBound,
-			input: func() [][]elem.Rec100 { return uniform(nPer) },
-			skew: func(est [][]int64, k int64) {
-				for _, e := range est {
-					for ri := range e {
-						e[ri] += int64(1-2*(ri%2)) * int64(len(e)+3) * k
-					}
-				}
-			}},
-		// The selection's working set must not grow with the fleet: the
-		// sample, the block cache and one gathered residual, whatever P·R.
-		{name: "P16", p: 16, block: 400, input: func() [][]elem.Rec100 { return uniform(nPer) }, randomize: true},
-	}
-	for _, tc := range cases {
-		backends := []string{"sim", "tcp"}
-		if p = 4; tc.p != 0 {
+	for _, tc := range selectionCases() {
+		p, backends := 4, []string{"sim", "tcp"}
+		if tc.p != 0 {
 			p, backends = tc.p, backends[:1]
 		}
 		for _, backend := range backends {
 			t.Run(tc.name+"_"+backend, func(t *testing.T) {
-				input := tc.input()
-				cfg := DefaultConfig(p, mem, tc.block)
-				cfg.Seed = 7
-				cfg.Randomize = tc.randomize
-				out := &selectionRun{}
-				selectionHook.estimates, selectionHook.splitters = tc.skew, out.capture
-				defer func() { selectionHook.estimates, selectionHook.splitters = nil, nil }()
-				// results[rank] holds rank's measurements: all of them in
-				// the one Result of a sim run, one Result per tcp machine.
-				results := make([]*Result[elem.Rec100], p)
-				if backend == "sim" {
-					res, err := Sort[elem.Rec100](elem.Rec100Codec{}, cfg, input)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for rank := range results {
-						results[rank] = res
-					}
-				} else {
-					peers, err := tcp.ReservePorts(p)
-					if err != nil {
-						t.Fatal(err)
-					}
-					errs := make([]error, p)
-					var wg sync.WaitGroup
-					for rank := 0; rank < p; rank++ {
-						wg.Add(1)
-						go func() {
-							defer wg.Done()
-							m, err := tcp.New(tcp.Config{Rank: rank, Peers: peers, BlockBytes: tc.block,
-								MemElems: mem, ConnectTimeout: 20 * time.Second})
-							if err != nil {
-								errs[rank] = err
-								return
-							}
-							defer m.Close()
-							rcfg := cfg
-							rcfg.Machine = m
-							results[rank], errs[rank] = Sort[elem.Rec100](elem.Rec100Codec{}, rcfg, input)
-						}()
-					}
-					wg.Wait()
-					for rank, err := range errs {
-						if err != nil {
-							t.Fatalf("tcp rank %d: %v", rank, err)
-						}
-					}
-				}
-
+				out, results := runSelectionCase(t, tc, p, backend)
 				runs := make([][]elem.Rec100, len(out.pieces))
 				var total int64
 				for ri, segs := range out.pieces {
@@ -193,11 +195,7 @@ func TestSelectionRoundsIndependentOfBlockSize(t *testing.T) {
 				}
 				// A round is a fixed number of collectives, each p-1
 				// messages per rank: the bound is stated for four ranks.
-				bound := tc.msgBound
-				if bound == 0 {
-					bound = msgBound
-				}
-				bound = bound * int64(p-1) / 3
+				bound := int64(msgBound) * int64(p-1) / 3
 				var messages []int64
 				for rank, res := range results {
 					msgs := res.PerPE[rank][PhaseSelection].Messages
@@ -215,6 +213,49 @@ func TestSelectionRoundsIndependentOfBlockSize(t *testing.T) {
 				t.Logf("R=%d messages/rank %v", len(runs), messages)
 			})
 		}
+	}
+}
+
+// TestSelectionStartsFromProvenBrackets: on sim, on every input of the
+// round-count test, each rank starts every splitter rank's selection
+// from the brackets the in-memory sample proves — at most 2·R·K
+// elements in all, each holding the exact splitter of its run, with the
+// low sample at or left of it — so no rank's selection has to be redone
+// from a wider range.
+func TestSelectionStartsFromProvenBrackets(t *testing.T) {
+	for _, tc := range selectionCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			p := max(tc.p, 4)
+			out, _ := runSelectionCase(t, tc, p, "sim")
+			r := int64(len(out.pieces))
+			bound := 2 * r * out.k
+			for rank, brackets := range out.brackets {
+				if len(brackets) != p-1 {
+					t.Fatalf("rank %d: %d bracket rows, want %d", rank, len(brackets), p-1)
+				}
+				var masses []int64
+				for i, br := range brackets {
+					cuts := out.split[i+1]
+					if a := br.Low; a.Seq < 0 || cuts[a.Seq] < a.At {
+						t.Errorf("rank %d row %d: low sample %v right of the splitters %v", rank, i+1, a, cuts)
+					}
+					var mass int64
+					for ri, b := range br.Seqs {
+						if cut := cuts[ri]; cut < b.Lo || cut > b.Hi {
+							t.Errorf("rank %d row %d run %d: splitter %d outside bracket %v", rank, i+1, ri, cut, b)
+						}
+						mass += b.Hi - b.Lo
+					}
+					if mass > bound {
+						t.Errorf("rank %d row %d: brackets hold %d elements, bound 2·R·K = %d", rank, i+1, mass, bound)
+					}
+					masses = append(masses, mass)
+				}
+				if rank == 0 {
+					t.Logf("R=%d K=%d bracket mass per row %v (bound %d)", r, out.k, masses, bound)
+				}
+			}
+		})
 	}
 }
 

@@ -10,8 +10,11 @@
 // job.SortExact's one sample round instead: Cuts stays for the benchmark's
 // replays, and for the tests as that split's oracle.
 //
-// All boundary ranks are refined together in synchronous rounds with an
-// owner per rank (rank j is coordinated by PE j mod P):
+// Every rank starts from brackets known to hold its cut: in phase two
+// the ones the in-memory sample proves (mselect.SampleBrackets), in Cuts
+// the full range. All boundary ranks are refined together in
+// synchronous rounds with an owner per rank (rank j is coordinated by PE
+// j mod P):
 //
 //  1. every PE sends the owner up to three weighted quantiles of its
 //     interval middles as pivot proposals, and how much lies left of
@@ -26,9 +29,11 @@
 // Interval mass shrinks geometrically (see aim; the pivot's own interval
 // shrinks by at least one element every round, so termination is
 // unconditional). Small residuals are gathered to the owner and finished
-// exactly in memory. Per PE and round the traffic is
-// O(#ranks) bytes — independent of P², of the number of pieces and of
-// their block count — which is what keeps both selections scalable.
+// exactly in memory — with nothing to gather once the cut is known to be
+// at every bracket's low end; nothing is guessed, so no rank is ever
+// redone. Per PE and round the traffic is O(#ranks) bytes — independent
+// of P², of the number of pieces and of their block count — which is
+// what keeps both selections scalable.
 //
 // Ranks use the (value, sequence, position) total order, so the
 // resulting partition is exact even when every key is equal.
@@ -53,22 +58,21 @@ const gatherThreshold = 512
 // Commands published by rank owners: a pivot to count against or the
 // order to gather (phase B), then the verdict (phase D).
 const (
-	cmdPivot   = 1 // payload: pivot (elem, sequence, position)
-	cmdGather  = 2 // send the residual intervals to the owner
-	cmdLeft    = 3 // pivot was left of the cut: lo = split
-	cmdRight   = 4 // pivot was right: hi = split
-	cmdDone    = 5 // payload: this PE's final cut of every piece
-	cmdRestart = 6 // the warm start excluded the cut: retry from the full range
+	cmdPivot  = 1 // payload: pivot (elem, sequence, position)
+	cmdGather = 2 // send the residual intervals to the owner
+	cmdLeft   = 3 // pivot was left of the cut: lo = split
+	cmdRight  = 4 // pivot was right: hi = split
+	cmdDone   = 5 // payload: this PE's final cut of every piece
+	cmdAtLo   = 6 // gather nothing: the cut is every bracket's lo
 )
 
 // Piece describes one PE's contiguous piece of a globally sorted
 // sequence: elements [Start, Start+Len) of sequence ID. (ID, position)
 // break ties between equal values.
 type Piece struct {
-	ID     int
-	Start  int64
-	Len    int64
-	SeqLen int64 // length of the whole sequence
+	ID    int
+	Start int64
+	Len   int64
 	// Stride > 1 says the piece lives on storage and Local.At is free
 	// only at positions whose global index Start+i is a multiple of
 	// Stride (an in-memory sample): searches bisect that grid first and
@@ -84,9 +88,6 @@ type Local[T any] interface {
 	At(s int, i int64) T
 }
 
-// Interval is a half-open range [Lo, Hi) of positions.
-type Interval struct{ Lo, Hi int64 }
-
 // sliceLocal is the single in-memory piece of Cuts: PE rank's whole
 // sequence.
 type sliceLocal[T any] struct {
@@ -95,7 +96,7 @@ type sliceLocal[T any] struct {
 }
 
 func (l sliceLocal[T]) Pieces() []Piece {
-	return []Piece{{ID: l.rank, Len: int64(len(l.vals)), SeqLen: int64(len(l.vals))}}
+	return []Piece{{ID: l.rank, Len: int64(len(l.vals))}}
 }
 func (l sliceLocal[T]) At(_ int, i int64) T { return l.vals[i] }
 
@@ -143,18 +144,9 @@ type engine[T any] struct {
 	pcs []Piece
 }
 
-// bracket is one rank's interval [Lo, Hi) in one piece. openLo and
-// openHi mark an end that is still where a warm start put it, with
-// elements of the sequence beyond: nothing has shown yet that the cut is
-// not out there.
-type bracket struct {
-	Interval
-	openLo, openHi bool
-}
-
-// grid returns the bracket's free probe positions: first, first+Stride,
-// … — cnt of them inside [Lo, Hi).
-func (b *bracket) grid(pc Piece) (first, cnt int64) {
+// grid returns the free probe positions of bracket b of the piece:
+// first, first+Stride, … — cnt of them inside [Lo, Hi).
+func (pc Piece) grid(b mselect.Interval) (first, cnt int64) {
 	k := pc.Stride
 	if k <= 1 {
 		return 0, 0
@@ -165,20 +157,13 @@ func (b *bracket) grid(pc Piece) (first, cnt int64) {
 	return first, cnt
 }
 
-// mid returns the bracket's middle: on the free grid where the bracket
-// spans it.
-func (b *bracket) mid(pc Piece) int64 {
-	if first, cnt := b.grid(pc); cnt > 0 {
+// mid returns the middle of bracket b of the piece: on the free grid
+// where the bracket spans it.
+func (pc Piece) mid(b mselect.Interval) int64 {
+	if first, cnt := pc.grid(b); cnt > 0 {
 		return first + (cnt-1)/2*pc.Stride
 	}
 	return (b.Lo + b.Hi) / 2
-}
-
-// narrow moves the bracket's ends; a moved end is no longer open.
-func (b *bracket) narrow(lo, hi int64) {
-	b.openLo = b.openLo && lo == b.Lo
-	b.openHi = b.openHi && hi == b.Hi
-	b.Lo, b.Hi = lo, hi
 }
 
 // byOrder sorts cands under the total order.
@@ -248,7 +233,7 @@ func (e *engine[T]) aim(cands []weighted[T], want, mass int64) pivot[T] {
 // left: on storage from where the bounding keys interpolate pv,
 // galloping outwards, so that nearly uniform keys cost a few
 // neighbouring blocks and any others at most twice a bisection.
-func (e *engine[T]) split(s int, b *bracket, pv pivot[T], pk uint64) int64 {
+func (e *engine[T]) split(s int, b mselect.Interval, pv pivot[T], pk uint64) int64 {
 	pc := e.pcs[s]
 	lo, hi := b.Lo, b.Hi
 	var kLo, kHi uint64 // keys of the elements at lo-1 and hi, once compared
@@ -264,7 +249,7 @@ func (e *engine[T]) split(s int, b *bracket, pv pivot[T], pk uint64) int64 {
 	}
 	at := func(i int64) bool { return try(i, e.loc.At(s, i)) }
 
-	if first, cnt := b.grid(pc); cnt > 0 {
+	if first, cnt := pc.grid(b); cnt > 0 {
 		for l, h := int64(0), cnt; l < h; {
 			if m := (l + h) / 2; at(first + m*pc.Stride) {
 				l = m + 1
@@ -333,11 +318,10 @@ func readers(bufs [][]byte) []reader {
 // residual is one gathered bracket: the elements from global position
 // pos of sequence id on, sent by PE q.
 type residual[T any] struct {
-	q              int
-	id             int
-	pos            int64
-	openLo, openHi bool
-	vals           []T
+	q    int
+	id   int
+	pos  int64
+	vals []T
 }
 
 // Select is the round engine: it returns, for every global rank, this
@@ -346,12 +330,11 @@ type residual[T any] struct {
 // total order. Summed over all pieces of all PEs, out[j] equals
 // ranks[j].
 //
-// warm[j][s], when warm is non-nil, is a range of positions of piece s's
-// sequence believed to hold rank j's cut of it strictly inside (a sample
-// estimate widened by its likely error); every piece of a sequence gets
-// the same range. It only saves rounds: the residual gather proves the
-// cut exact, and a rank whose ranges turn out to exclude it is redone
-// from the full range.
+// brackets[j][s], when brackets is non-nil, is a range of positions of
+// piece s's sequence known to hold rank j's cut of it — every piece of a
+// sequence may get the same one, as from mselect.SampleBrackets; nil
+// means each piece's full range. They are only ever narrowed: the
+// residual gather panics if they do not hold the cut.
 //
 // gather is the residual interval mass (elements, summed over PEs) at
 // which a rank's remaining candidates are shipped to its owner instead
@@ -360,8 +343,8 @@ type residual[T any] struct {
 // most that many elements, charged to its budget.
 //
 // Every PE must call Select collectively with identical ranks and
-// gather, and with warm nil on all PEs or on none.
-func Select[T any](c elem.Codec[T], n *cluster.Node, loc Local[T], ranks []int64, warm [][]Interval, gather int64) [][]int64 {
+// gather, and with brackets nil on all PEs or on none.
+func Select[T any](c elem.Codec[T], n *cluster.Node, loc Local[T], ranks []int64, brackets [][]mselect.Interval, gather int64) [][]int64 {
 	p, me := n.P, n.Rank
 	e := &engine[T]{c: c, ord: mselect.OrderOf(c), loc: loc, pcs: loc.Pieces()}
 	pcs := e.pcs
@@ -371,42 +354,22 @@ func Select[T any](c elem.Codec[T], n *cluster.Node, loc Local[T], ranks []int64
 	for _, r := range ranks {
 		total = max(total, r)
 	}
-	// Adapt the gather threshold to the instance: on the big run-
-	// formation selections the full threshold saves rounds, on the
-	// small per-batch selections of the striped merge it would move a
-	// large fraction of the data as metadata.
+	// At most an eighth of a PE's share per gather, so that on small
+	// instances the owners do not end up holding most of the data.
 	thr := max(min(gather, total/(8*int64(p))), 16)
-	// iv[j][s] brackets rank j's cut of piece s; split[j][s] is the
-	// last pivot's position in it. A cold rank started from the full
-	// range, so its brackets hold the cut by construction.
-	iv := make([][]bracket, nRanks)
+	// iv[j][s] brackets rank j's cut of piece s, which lies in Lo…Hi;
+	// split[j][s] is the last pivot's position in it.
+	iv := make([][]mselect.Interval, nRanks)
 	split := make([][]int64, nRanks)
-	cold := make([]bool, nRanks)
 	done := make([]bool, nRanks)
-	reset := func(j int) {
-		cold[j] = true
-		for s, pc := range pcs {
-			iv[j][s] = bracket{Interval: Interval{0, pc.Len}}
-		}
-	}
 	for j := range iv {
-		iv[j] = make([]bracket, len(pcs))
+		iv[j] = make([]mselect.Interval, len(pcs))
 		split[j] = make([]int64, len(pcs))
-		if warm == nil {
-			reset(j)
-			continue
-		}
 		for s, pc := range pcs {
-			// At least one element of the sequence inside, so that an
-			// end with elements beyond it lies in exactly one piece.
-			lo := min(max(warm[j][s].Lo, 0), max(pc.SeqLen-1, 0))
-			hi := max(min(warm[j][s].Hi, pc.SeqLen), min(lo+1, pc.SeqLen))
-			end := pc.Start + pc.Len
-			l := min(max(lo, pc.Start), end) - pc.Start
-			iv[j][s] = bracket{
-				Interval: Interval{l, max(min(hi, end)-pc.Start, l)},
-				openLo:   lo > 0 && lo >= pc.Start && lo < end,
-				openHi:   hi < pc.SeqLen && hi > pc.Start && hi <= end,
+			iv[j][s].Hi = pc.Len
+			if brackets != nil {
+				clamp := func(x int64) int64 { return min(max(x-pc.Start, 0), pc.Len) }
+				iv[j][s] = mselect.Interval{Lo: clamp(brackets[j][s].Lo), Hi: clamp(brackets[j][s].Hi)}
 			}
 		}
 	}
@@ -430,10 +393,9 @@ func Select[T any](c elem.Codec[T], n *cluster.Node, loc Local[T], ranks []int64
 		send := make([][]byte, p)
 		forActive(func(j int) {
 			cands = cands[:0]
-			for s := range iv[j] {
-				b := &iv[j][s]
+			for s, b := range iv[j] {
 				if w := b.Hi - b.Lo; w > 0 {
-					mid := b.mid(pcs[s])
+					mid := pcs[s].mid(b)
 					cands = append(cands, weighted[T]{pivot[T]{loc.At(s, mid), pcs[s].ID, pcs[s].Start + mid}, w})
 				}
 			}
@@ -469,11 +431,14 @@ func Select[T any](c elem.Codec[T], n *cluster.Node, loc Local[T], ranks []int64
 					cands = append(cands, weighted[T]{readPivot(e, &rs[q]), w})
 				}
 			}
-			if mass <= thr {
+			switch {
+			case want == 0:
+				pub = append(pub, cmdAtLo)
+			case mass <= thr:
 				pub = append(pub, cmdGather)
-				return
+			default:
+				pub = e.appendPivot(append(pub, cmdPivot), e.aim(cands, want, mass))
 			}
-			pub = e.appendPivot(append(pub, cmdPivot), e.aim(cands, want, mass))
 		})
 		cluster.RecycleRecv(props)
 		rs = readers(n.AllGather(pub))
@@ -490,44 +455,32 @@ func Select[T any](c elem.Codec[T], n *cluster.Node, loc Local[T], ranks []int64
 				pk := e.ord.Key(pv.v)
 				var sum int64
 				for s := range iv[j] {
-					split[j][s] = e.split(s, &iv[j][s], pv, pk)
+					split[j][s] = e.split(s, iv[j][s], pv, pk)
 					sum += split[j][s]
 				}
 				send[owner(j)] = binary.LittleEndian.AppendUint64(buf, uint64(sum))
 				return
 			}
 			// The residual: what lies left of the brackets, and every
-			// non-empty bracket with its elements. An open end that the
-			// cut may not touch is flagged — for an empty bracket the
-			// cut is on it.
+			// non-empty bracket with its elements (none at cmdAtLo).
 			var fixed int64
-			var onOpenEnd byte
 			shipped := 0
-			for s := range iv[j] {
-				b := &iv[j][s]
+			for s, b := range iv[j] {
+				if cmds[j] == cmdAtLo {
+					iv[j][s].Hi, b.Hi = b.Lo, b.Lo
+				}
 				fixed += b.Lo
 				if b.Lo < b.Hi {
 					shipped++
-				} else if b.openLo || b.openHi {
-					onOpenEnd = 1
 				}
 			}
-			buf = append(buf, onOpenEnd)
 			buf = binary.LittleEndian.AppendUint64(buf, uint64(fixed))
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(shipped))
-			for s := range iv[j] {
-				b := &iv[j][s]
+			for s, b := range iv[j] {
 				if b.Lo == b.Hi {
 					continue
 				}
-				var open byte
-				if b.openLo {
-					open |= 1
-				}
-				if b.openHi {
-					open |= 2
-				}
-				buf = binary.LittleEndian.AppendUint32(append(buf, open), uint32(pcs[s].ID))
+				buf = binary.LittleEndian.AppendUint32(buf, uint32(pcs[s].ID))
 				buf = binary.LittleEndian.AppendUint64(buf, uint64(pcs[s].Start+b.Lo))
 				buf = binary.LittleEndian.AppendUint64(buf, uint64(b.Hi-b.Lo))
 				for i := b.Lo; i < b.Hi; i++ {
@@ -560,15 +513,13 @@ func Select[T any](c elem.Codec[T], n *cluster.Node, loc Local[T], ranks []int64
 				return
 			}
 			res = res[:0]
-			want, ok := ranks[j], true
+			want := ranks[j]
 			var gathered int64
 			for q := range rs {
 				r := &rs[q]
-				ok = r.byte() == 0 && ok
 				want -= r.i64()
 				for cnt := r.u32(); cnt > 0; cnt-- {
-					open := r.byte()
-					x := residual[T]{q: q, openLo: open&1 != 0, openHi: open&2 != 0, id: r.u32(), pos: r.i64()}
+					x := residual[T]{q: q, id: r.u32(), pos: r.i64()}
 					k := int(r.i64())
 					x.vals = elem.DecodeSlice(c, r.b, k)
 					r.b = r.b[k*c.Size():]
@@ -576,23 +527,17 @@ func Select[T any](c elem.Codec[T], n *cluster.Node, loc Local[T], ranks []int64
 					res = append(res, x)
 				}
 			}
-			n.Mem.MustAcquire(gathered)
-			cuts, inside := finish(c, res, want)
-			n.Mem.Release(gathered)
-			if ok = ok && inside; !ok && cold[j] {
-				panic(fmt.Sprintf("dselect: rank %d: residual gather from full-range intervals does not contain the cut", j))
+			if want < 0 || want > gathered {
+				panic(fmt.Sprintf("dselect: rank %d: the brackets do not hold the cut (residual rank %d of %d)", ranks[j], want, gathered))
 			}
+			n.Mem.MustAcquire(gathered)
+			cuts := finish(c, res, want)
+			n.Mem.Release(gathered)
 			for q := range send {
-				if !ok {
-					send[q] = append(send[q], cmdRestart)
-					continue
-				}
 				send[q] = append(send[q], cmdDone)
 			}
-			if ok {
-				for k, x := range res {
-					send[x.q] = binary.LittleEndian.AppendUint64(send[x.q], uint64(cuts[k]))
-				}
+			for k, x := range res {
+				send[x.q] = binary.LittleEndian.AppendUint64(send[x.q], uint64(cuts[k]))
 			}
 		})
 		cluster.RecycleRecv(replies)
@@ -608,11 +553,11 @@ func Select[T any](c elem.Codec[T], n *cluster.Node, loc Local[T], ranks []int64
 					if i := pv.pos - pc.Start; pc.ID == pv.id && i >= 0 && i < pc.Len {
 						lo = i + 1 // the pivot itself belongs left
 					}
-					iv[j][s].narrow(lo, iv[j][s].Hi)
+					iv[j][s].Lo = lo
 				}
 			case cmdRight:
 				for s := range pcs {
-					iv[j][s].narrow(iv[j][s].Lo, split[j][s])
+					iv[j][s].Hi = split[j][s]
 				}
 			case cmdDone:
 				// The shipped brackets' cuts come back in shipping order.
@@ -626,8 +571,6 @@ func Select[T any](c elem.Codec[T], n *cluster.Node, loc Local[T], ranks []int64
 				}
 				done[j] = true
 				active--
-			case cmdRestart:
-				reset(j)
 			default:
 				panic(fmt.Sprintf("dselect: bad answer %d", kind))
 			}
@@ -637,12 +580,10 @@ func Select[T any](c elem.Codec[T], n *cluster.Node, loc Local[T], ranks []int64
 	return out
 }
 
-// finish selects the cut of residual rank want inside the gathered
-// brackets exactly and returns it per bracket, in res order. inside is
-// false when the brackets cannot be shown to hold the cut: want falls
-// outside them, or the cut touches an open end — the element next to it
-// stands for everything beyond, which nothing has compared.
-func finish[T any](c elem.Codec[T], res []residual[T], want int64) (cuts []int64, inside bool) {
+// finish selects the cut of residual rank want, 0 ≤ want ≤ the gathered
+// mass, inside the gathered brackets exactly and returns it per bracket,
+// in res order.
+func finish[T any](c elem.Codec[T], res []residual[T], want int64) []int64 {
 	// Sequence order for the in-memory selection is the total order's
 	// tie-break: (sequence, position).
 	order := make([]int, len(res))
@@ -657,21 +598,12 @@ func finish[T any](c elem.Codec[T], res []residual[T], want int64) (cuts []int64
 		return x.pos < y.pos
 	})
 	seqs := make([][]T, len(res))
-	var mass int64
 	for k, at := range order {
 		seqs[k] = res[at].vals
-		mass += int64(len(seqs[k]))
 	}
-	if want < 0 || want > mass {
-		return nil, false
-	}
-	cuts, inside = make([]int64, len(res)), true
+	cuts := make([]int64, len(res))
 	for k, cut := range mselect.Select[T](c, mselect.SliceAccessor[T](seqs), want) {
-		x := res[order[k]]
-		if (cut == 0 && x.openLo) || (cut == int64(len(x.vals)) && x.openHi) {
-			inside = false
-		}
 		cuts[order[k]] = cut
 	}
-	return cuts, inside
+	return cuts
 }

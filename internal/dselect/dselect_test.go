@@ -272,10 +272,11 @@ func (l *runPieces) At(s int, i int64) elem.KV16 {
 }
 
 // TestSelectPiecesMatchCentralSelect runs the engine the way phase two
-// does — R sequences, each split over the PEs, sample stride, warm
-// intervals — and checks the summed cuts against mselect.Select over
-// the whole sequences: from exact, vacuous and deliberately wrong warm
-// starts, with an empty PE and with all keys equal.
+// does — R sequences, each split over the PEs, sample stride, starting
+// brackets — and checks the summed cuts against mselect.Select over the
+// whole sequences: from exact brackets, from the full range and from
+// the brackets the sample proves (mselect.SampleBrackets), with an empty
+// PE and with all keys equal.
 func TestSelectPiecesMatchCentralSelect(t *testing.T) {
 	const (
 		p, r   = 4, 9
@@ -291,8 +292,8 @@ func TestSelectPiecesMatchCentralSelect(t *testing.T) {
 		{"cold", 1 << 40, -1, "none"},
 		{"warm-exact", 1 << 40, -1, "exact"},
 		{"warm-duplicates", 5, -1, "exact"},
-		{"warm-wrong", 1 << 40, -1, "wrong"},
-		{"warm-wrong-all-equal", 1, -1, "wrong"},
+		{"sample-brackets", 1 << 40, -1, "sample"},
+		{"sample-brackets-all-equal", 1, -1, "sample"},
 		{"empty-pe", 1 << 40, 2, "exact"},
 		{"all-equal", 1, -1, "none"},
 	} {
@@ -322,32 +323,40 @@ func TestSelectPiecesMatchCentralSelect(t *testing.T) {
 					if pe == p-1 {
 						n = left
 					}
-					locs[pe].pcs = append(locs[pe].pcs, Piece{ID: ri, Start: start, Len: n, SeqLen: int64(len(seqs[ri])), Stride: stride})
+					locs[pe].pcs = append(locs[pe].pcs, Piece{ID: ri, Start: start, Len: n, Stride: stride})
 					locs[pe].vals = append(locs[pe].vals, seqs[ri][start:start+n])
 					start += n
 				}
 			}
-			ranks := []int64{total / 4, total / 2, 3 * total / 4, 0, total}
+			ranks := []int64{0, total / 4, total / 2, 3 * total / 4, total}
 			acc := mselect.SliceAccessor[elem.KV16](seqs)
 			want := make([][]int64, len(ranks))
 			for j, rank := range ranks {
 				want[j] = mselect.Select[elem.KV16](kvc, acc, rank)
 			}
-			// Warm ranges around the true cut (exact) or well away from it
-			// (wrong).
-			warmFor := func(l *runPieces) [][]Interval {
+			// Brackets a few elements around the true cut (exact) or proven
+			// from every stride-th element (sample).
+			samples, lens := make([]mselect.Sample[elem.KV16], r), make([]int64, r)
+			for ri, seq := range seqs {
+				lens[ri] = int64(len(seq))
+				samples[ri].K = stride
+				for i := 0; i < len(seq); i += stride {
+					samples[ri].Vals = append(samples[ri].Vals, seq[i])
+				}
+			}
+			proven := mselect.SampleBrackets[elem.KV16](kvc, samples, lens, ranks)
+			warmFor := func(l *runPieces) [][]mselect.Interval {
 				if tc.warm == "none" {
 					return nil
 				}
-				w := make([][]Interval, len(ranks))
+				w := make([][]mselect.Interval, len(ranks))
 				for j := range ranks {
-					w[j] = make([]Interval, len(l.pcs))
+					w[j] = make([]mselect.Interval, len(l.pcs))
 					for s, pc := range l.pcs {
-						glo, ghi := want[j][pc.ID]-3, want[j][pc.ID]+3
-						if tc.warm == "wrong" && pc.ID%2 == 0 {
-							glo, ghi = want[j][pc.ID]+40, want[j][pc.ID]+90
+						w[j][s] = mselect.Interval{Lo: want[j][pc.ID] - 3, Hi: want[j][pc.ID] + 3}
+						if tc.warm == "sample" {
+							w[j][s] = proven[j].Seqs[pc.ID]
 						}
-						w[j][s] = Interval{glo, ghi}
 					}
 				}
 				return w
@@ -374,10 +383,10 @@ func TestSelectPiecesMatchCentralSelect(t *testing.T) {
 			}
 			for pe, l := range locs {
 				t.Logf("PE %d: %d storage probes for %d ranks x %d pieces", pe, l.probes, len(ranks), len(l.pcs))
-				// A start that holds the cut is never redone from the
-				// full range (which costs several hundred probes here).
+				// An exact start costs a few probes per bracket, the full
+				// range several hundred.
 				if tc.warm == "exact" && l.probes > 150 {
-					t.Errorf("PE %d: %d storage probes from an exact warm start", pe, l.probes)
+					t.Errorf("PE %d: %d storage probes from exact brackets", pe, l.probes)
 				}
 			}
 		})

@@ -5,9 +5,9 @@
 //
 // This is the engine of the paper's exact partitioning (Section IV-A):
 // the run-formation internal sort uses it to split P node-local sorted
-// arrays into P exactly equal parts, and phase two uses it (through the
-// in-memory sample) to bootstrap the global splitters of the R external
-// runs.
+// arrays into P exactly equal parts, and phase two finishes the global
+// splitters of the R external runs with it, starting from the brackets
+// the in-memory sample proves (SampleBrackets).
 //
 // Exactness requires a *total* order, so ties between equal elements are
 // broken by (sequence index, position). This makes the answer unique and
@@ -25,6 +25,7 @@ import (
 	"sort"
 
 	"demsort/internal/elem"
+	"demsort/internal/pq"
 )
 
 // Accessor is a read-only view of R sorted sequences.
@@ -183,44 +184,100 @@ type Sample[T any] struct {
 	Vals []T
 }
 
-// SampleCuts runs the exact selection on the samples only and returns
-// the estimated full-sequence positions scut[q]·K (clamped to the
-// sequence lengths). The true splitters deviate from these estimates by
-// at most (R+2)·K per sequence in the worst case, and typically by about
-// K.
-func SampleCuts[T any](c elem.Codec[T], samples []Sample[T], lens []int64, rank int64) []int64 {
+// Interval is a range of positions of one sequence: the elements
+// [Lo, Hi), and the cuts Lo…Hi.
+type Interval struct{ Lo, Hi int64 }
+
+// Pos names the element at position At of sequence Seq (Seq < 0: none).
+type Pos struct {
+	Seq int
+	At  int64
+}
+
+// Bracket is what the sample proves about one rank's cut: Seqs[q] holds
+// its cut of sequence q, and whatever orders before sample Low lies left
+// of it.
+type Bracket struct {
+	Seqs []Interval
+	Low  Pos
+}
+
+// SampleBrackets returns the Bracket of each of the ascending ranks:
+// out[j].Seqs[q].Lo ≤ Select(…, ranks[j])[q] ≤ out[j].Seqs[q].Hi. It
+// walks the samples in the total order. Before sample t (of sequence q,
+// at position x) lie x elements of q and, of a sequence with c samples
+// walked, at least (c−1)·K+1 (c = 0: none) and at most min(c·K, its
+// length): summed, lo(t) ≤ rank(t) ≤ hi(t). With a the last stop whose
+// hi ≤ r (Low) and b the first whose lo ≥ r (or a sentinel past the
+// end), a's lower and b's upper bounds bracket every sequence's cut r.
+// The intervals reach out to the samples next to them (a itself in its
+// own sequence, b in its), so that a search's first probes are free. A
+// rank's intervals hold at most 2·R·K elements: lo and hi rise by at most
+// K a stop and differ by at most (R−1)·(K−1), so a's lower bounds sum to
+// at least r − R·(K−1), b's upper ones to at most r + R·(K−1), and
+// reaching out adds one element an end. The walk keeps a loser tree over
+// the sequences, not a copy of the sample.
+func SampleBrackets[T any](c elem.Codec[T], samples []Sample[T], lens []int64, ranks []int64) []Bracket {
 	r := len(samples)
-	if r == 0 {
-		return nil
+	out := make([]Bracket, len(ranks))
+	for j := range out {
+		out[j].Seqs = make([]Interval, r)
 	}
-	k := samples[0].K
-	sseqs := make([][]T, r)
-	for q := range samples {
-		if samples[q].K != k {
+	ord := OrderOf(c)
+	var n, k int64
+	keys, live := make([]uint64, r), make([]bool, r)
+	for q, s := range samples {
+		if k = samples[0].K; s.K != k {
 			panic("mselect: samples must share one K")
 		}
-		sseqs[q] = samples[q].Vals
+		n += lens[q]
+		if live[q] = len(s.Vals) > 0; live[q] {
+			keys[q] = ord.Key(s.Vals[0])
+		}
 	}
-	sacc := SliceAccessor[T](sseqs)
-	stotal := Total[T](sacc)
-	// Scale the rank by the actual sampling ratio, not by 1/K: a run's
-	// last sample stands for fewer than K elements, and when the runs
-	// are key bands (pre-sorted input, all keys equal) rank/K lets that
-	// shortfall add up over the runs left of the cut — whole runs' worth
-	// of error in the one run the cut passes through.
-	var total int64
-	for _, n := range lens {
-		total += n
+	// seen[q] of sequence q's samples are walked, which bounds how many
+	// of its elements lie before the stop.
+	seen := make([]int64, r)
+	low := func(q int) int64 { return max((seen[q]-1)*k+1, 0) }
+	high := func(q int) int64 { return min(seen[q]*k, lens[q]) }
+	var sumLo, sumHi int64
+	var tree pq.KeyTree
+	tree.Reset(r, keys, live, func(a, b int) bool {
+		return ord.Less(samples[a].Vals[seen[a]], a, seen[a]*k, samples[b].Vals[seen[b]], b, seen[b]*k)
+	})
+	for ia, ib := 0, 0; ; {
+		// The stop: sequence w's sample at x, or (w = −1) the sentinel.
+		w, x, lo, hi := -1, int64(0), n, n
+		if !tree.Empty() {
+			w = tree.Win()
+			x = seen[w] * k
+			lo, hi = sumLo-low(w)+x, sumHi
+		}
+		for ; ib < len(ranks) && lo >= ranks[ib]; ib++ {
+			for q := range out[ib].Seqs {
+				out[ib].Seqs[q].Hi = min(seen[q]*k+1, lens[q])
+			}
+		}
+		// hi at the next stop, which is sumHi once this sample is walked.
+		for ; ia < len(ranks) && (w < 0 || hi+min(x+k, lens[w])-x > ranks[ia]); ia++ {
+			out[ia].Low = Pos{w, x}
+			for q := range out[ia].Seqs {
+				out[ia].Seqs[q].Lo = max(seen[q]-1, 0) * k
+			}
+			if w >= 0 {
+				out[ia].Seqs[w].Lo = x
+			}
+		}
+		if w < 0 {
+			return out
+		}
+		sumLo, sumHi = sumLo-low(w), sumHi-high(w)
+		seen[w]++
+		sumLo, sumHi = sumLo+low(w), sumHi+high(w)
+		if seen[w] < int64(len(samples[w].Vals)) {
+			tree.Replace(ord.Key(samples[w].Vals[seen[w]]))
+		} else {
+			tree.Retire()
+		}
 	}
-	var srank int64
-	if total > 0 {
-		srank = min(int64(float64(rank)*float64(stotal)/float64(total)), stotal)
-	}
-	scut := Select[T](c, sacc, srank)
-	cuts := make([]int64, r)
-	for q := 0; q < r; q++ {
-		cuts[q] = scut[q] * k
-		cuts[q] = min(cuts[q], lens[q])
-	}
-	return cuts
 }

@@ -135,26 +135,62 @@ func buildSamples(seqs [][]elem.U64, k int64) ([]Sample[elem.U64], []int64) {
 	return samples, lens
 }
 
-// The worst case of the sample estimate: the true splitters lie within
-// (R+2)·K of it. (The external selection starts 2·K around the estimate
-// and redoes a rank that the exact counts show to lie outside.)
+// TestSampleCutsWithinBound: every interval of SampleBrackets holds the
+// exact cut and ends on samples (or the sequence's end), a rank's
+// intervals hold at most 2·R·K elements, and its low sample lies at or
+// left of the cut — on random sequences with many duplicates,
+// all-equal ones, and key bands (each sequence a disjoint range, as
+// presorted input makes runs).
 func TestSampleCutsWithinBound(t *testing.T) {
 	rng := rand.New(rand.NewPCG(40, 41))
+	type instance struct {
+		name string
+		seqs [][]elem.U64
+	}
+	var cases []instance
 	for iter := 0; iter < 100; iter++ {
-		nSeq := 1 + int(rng.UintN(6))
-		seqs := randSeqs(rng, nSeq, 200, 50)
-		acc := SliceAccessor[elem.U64](seqs)
+		cases = append(cases, instance{fmt.Sprintf("random-%d", iter), randSeqs(rng, 1+int(rng.UintN(6)), 200, 50)})
+	}
+	equal, bands := make([][]elem.U64, 7), make([][]elem.U64, 7)
+	for q := range equal {
+		equal[q] = make([]elem.U64, 100+rng.UintN(200))
+		bands[q] = make([]elem.U64, 100+rng.UintN(200))
+		for i := range bands[q] {
+			bands[q][i] = elem.U64((6-q)*1000 + i)
+		}
+	}
+	cases = append(cases, instance{"all-equal", equal}, instance{"bands", bands})
+	for _, tc := range cases {
+		acc := SliceAccessor[elem.U64](tc.seqs)
 		total := Total[elem.U64](acc)
-		rank := int64(rng.Uint64N(uint64(total + 1)))
-		want := Select[elem.U64](u64c, acc, rank)
+		ranks := []int64{0, total}
+		for i := 0; i < 5; i++ {
+			ranks = append(ranks, int64(rng.Uint64N(uint64(total+1))))
+		}
+		slices.Sort(ranks)
 		for _, k := range []int64{1, 4, 16} {
-			samples, lens := buildSamples(seqs, k)
-			cuts := SampleCuts[elem.U64](u64c, samples, lens, rank)
-			margin := int64(nSeq+2) * k
-			for q := range want {
-				if want[q] < cuts[q]-margin || want[q] > cuts[q]+margin {
-					t.Fatalf("iter %d K=%d seq %d: answer %d further than %d from estimate %d",
-						iter, k, q, want[q], margin, cuts[q])
+			samples, lens := buildSamples(tc.seqs, k)
+			for j, br := range SampleBrackets[elem.U64](u64c, samples, lens, ranks) {
+				want := Select[elem.U64](u64c, acc, ranks[j])
+				var mass int64
+				for q, b := range br.Seqs {
+					if want[q] < b.Lo || want[q] > b.Hi {
+						t.Fatalf("%s K=%d rank %d seq %d: cut %d outside bracket %v", tc.name, k, ranks[j], q, want[q], b)
+					}
+					if b.Lo%k != 0 || (b.Hi-1)%k != 0 && b.Hi != lens[q] {
+						t.Fatalf("%s K=%d rank %d seq %d: bracket %v does not end on samples", tc.name, k, ranks[j], q, b)
+					}
+					mass += b.Hi - b.Lo
+				}
+				if bound := 2 * int64(len(tc.seqs)) * k; mass > bound {
+					t.Fatalf("%s K=%d rank %d: brackets hold %d elements, bound %d", tc.name, k, ranks[j], mass, bound)
+				}
+				// The low sample is at or left of the cut.
+				if a := br.Low; a.Seq >= 0 && (a.At%k != 0 || want[a.Seq] < a.At) {
+					t.Fatalf("%s K=%d rank %d: low sample %v right of the cut %v", tc.name, k, ranks[j], a, want)
+				}
+				if ranks[j] < total && br.Low.Seq < 0 {
+					t.Fatalf("%s K=%d rank %d: no low sample", tc.name, k, ranks[j])
 				}
 			}
 		}
