@@ -487,7 +487,7 @@ func AblationPrefetch() (*Figure, error) {
 	return f, nil
 }
 
-// baselineSkewFigure (supporting §II): sample sort collapses on skew,
+// BaselineSkewTable (supporting §II): sample sort collapses on skew,
 // canonical does not.
 func BaselineSkewTable(s FigureScale) (*Table, error) {
 	const p = 8

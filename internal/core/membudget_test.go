@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"demsort/internal/elem"
@@ -38,23 +39,23 @@ func TestSortMemBudgetReturnsToZero(t *testing.T) {
 }
 
 // Run formation's radix sort scratch is charged against the budget, and
-// the engine follows the headroom: the same run geometry (4 blocks of
-// 512 elements per PE and run — M/4 floored to whole blocks) sorted under
-// a loose and a tight budget takes the LSD scatter where chunk + scratch
-// (two pair buffers, histograms, the gather buffer) fits and the
-// in-place MSD (one pair buffer, no gather buffer) where it does not.
+// the engine does not follow the headroom: the same run geometry (4
+// blocks of 512 elements per PE and run — M/4 floored to whole blocks)
+// sorted under a loose and a tight budget reaches the same run-formation
+// high-water mark on every PE, which holds the chunk and the radix
+// engine's scratch (one pair buffer and the histograms) at once.
 func TestRunFormScratchCharged(t *testing.T) {
 	const chunk = 4 * 512
 	// One worker at this size whatever the host's (psort clamps to 8 Ki
 	// pairs per worker), so the charge is the same everywhere.
-	lsd := chunk + (psort.ScratchBytes(psort.PathLSD, 16, chunk, psort.DefaultWorkers())+15)/16
+	sorting := chunk + (psort.ScratchBytes(chunk, psort.DefaultWorkers())+15)/16
+	var peaks [][]int64
 	for _, tc := range []struct {
-		name    string
-		mem     int64
-		wantLSD bool
+		name string
+		mem  int64
 	}{
-		{"loose", 10000, true},
-		{"tight", 8192, false},
+		{"loose", 10000},
+		{"tight", 8192},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig(4, tc.mem, 512*16)
@@ -65,21 +66,19 @@ func TestRunFormScratchCharged(t *testing.T) {
 			if res.Runs != 3 {
 				t.Fatalf("want 3 runs of %d elements per PE, got R=%d", chunk, res.Runs)
 			}
-			if fits := lsd <= tc.mem; fits != tc.wantLSD {
-				t.Fatalf("chunk + LSD scratch = %d against a budget of %d: the case no longer tells the engines apart", lsd, tc.mem)
-			}
 			for rank, peak := range res.RunFormPeakMemElems {
 				if peak > tc.mem {
 					t.Fatalf("PE %d: run-formation peak %d exceeds budget %d", rank, peak, tc.mem)
 				}
-				// The LSD sort moment is the phase's high-water mark when
-				// it ran; the MSD one (chunk + half the scratch) stays
-				// below it.
-				if ran := peak >= lsd; ran != tc.wantLSD {
-					t.Fatalf("PE %d: peak %d, chunk + LSD scratch %d: LSD ran = %v, want %v", rank, peak, lsd, ran, tc.wantLSD)
+				if peak < sorting {
+					t.Fatalf("PE %d: run-formation peak %d below chunk + sort scratch %d", rank, peak, sorting)
 				}
 			}
+			peaks = append(peaks, res.RunFormPeakMemElems)
 		})
+	}
+	if len(peaks) == 2 && !slices.Equal(peaks[0], peaks[1]) {
+		t.Fatalf("run-formation peaks differ between budgets: loose %v, tight %v", peaks[0], peaks[1])
 	}
 }
 

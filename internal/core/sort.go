@@ -28,11 +28,11 @@ type Result[T any] struct {
 	// is (the membudget test pins it).
 	LoadPeakMemElems []int64
 	// RunFormPeakMemElems[rank] is the budget high-water mark at the
-	// end of run formation, which now includes the in-node radix sort
-	// scratch (pair buffers, histograms, and the LSD gather buffer —
-	// the in-place MSD path has no gather buffer, which the membudget
-	// test pins as roughly halved scratch). Zero when run formation
-	// was restored from a checkpoint instead of executed.
+	// end of run formation, which includes the in-node radix sort
+	// scratch (one pair buffer and the histograms of the in-place MSD;
+	// the membudget test pins that it does not depend on the headroom).
+	// Zero when run formation was restored from a checkpoint instead of
+	// executed.
 	RunFormPeakMemElems []int64
 	// EndMemElems[rank] is the memory budget still reserved when the
 	// sort finished — always zero unless a phase leaks reservations

@@ -358,28 +358,18 @@ func (j *Job[T]) Load(n *cluster.Node) ([]blockio.Span, error) {
 }
 
 // sortChunkBudgeted runs one of run formation's in-node sorts with the
-// radix scratch (pair buffers, histograms, the LSD gather buffer)
-// charged against the memory budget. The engine is chosen per chunk
-// against the live headroom: the LSD scatter while its scratch fits, the
-// in-place MSD when memory is tight (about half the scratch — one pair
-// buffer, no element gather buffer). Closure-only codecs bypass the
-// radix engines and charge nothing.
+// radix engine's scratch (one pair buffer and the histograms, rounded up
+// to whole elements) charged against the memory budget — within the
+// share Plan.formRunsFits reserves. Closure-only codecs bypass the radix
+// engine and charge nothing.
 func sortChunkBudgeted[T any](c elem.Codec[T], n *cluster.Node, chunk []T) {
 	workers := psort.DefaultWorkers()
-	if _, keyed := elem.Codec[T](c).(elem.KeyedCodec[T]); !keyed {
-		psort.Sort(c, chunk, workers)
-		return
+	var scratch int64
+	if _, keyed := elem.Codec[T](c).(elem.KeyedCodec[T]); keyed {
+		es := int64(c.Size())
+		scratch = (psort.ScratchBytes(len(chunk), workers) + es - 1) / es
 	}
-	scratchElems := func(path psort.Path) int64 {
-		b := psort.ScratchBytes(path, c.Size(), len(chunk), workers)
-		return (b + int64(c.Size()) - 1) / int64(c.Size())
-	}
-	path := psort.PathLSD
-	if n.Mem.Used()+scratchElems(psort.PathLSD) > n.Mem.Limit() {
-		path = psort.PathMSD
-	}
-	scratch := scratchElems(path)
 	n.Mem.MustAcquire(scratch)
-	psort.SortPath(c, chunk, workers, path)
+	psort.Sort(c, chunk, workers)
 	n.Mem.Release(scratch)
 }

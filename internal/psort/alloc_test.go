@@ -1,6 +1,6 @@
 //go:build !race
 
-// The allocation pin for the MSD path's headline claim: no n-sized
+// The allocation pin for the radix engine's headline claim: no n-sized
 // element gather buffer. Excluded under -race because the race
 // runtime's sync.Pool instrumentation drops pooled buffers at random,
 // which makes allocation deltas meaningless there.
@@ -33,12 +33,12 @@ func minAllocBytes(reps int, f func()) uint64 {
 	return best
 }
 
-// TestMSDEliminatesGatherBuffer: with pools warm, a sequential LSD
-// sort of n KV16 elements still allocates the n-element gather buffer
-// (≈ 16n bytes — []T may hold pointers, so it can never come from the
-// byte pool), while the in-place MSD path allocates no element-sized
-// scratch at all. This is the allocation half of the halved-scratch
-// claim; the membudget half lives in core's TestRunFormScratchCharged.
+// TestMSDEliminatesGatherBuffer: with pools warm, a sequential sort of
+// n KV16 elements allocates no element-sized scratch — no n-element
+// gather buffer (≈ 16n bytes, which could never come from the byte
+// pool since []T may hold pointers), the elements are permuted in
+// place. The budget half of the claim lives in core's
+// TestRunFormScratchCharged.
 func TestMSDEliminatesGatherBuffer(t *testing.T) {
 	const n = 1 << 16
 	rng := rand.New(rand.NewPCG(51, 52))
@@ -47,24 +47,14 @@ func TestMSDEliminatesGatherBuffer(t *testing.T) {
 
 	// Warm the pair/histogram pool classes.
 	copy(buf, base)
-	SortPath[elem.KV16](kvc, buf, 1, PathLSD)
-	copy(buf, base)
-	SortPath[elem.KV16](kvc, buf, 1, PathMSD)
+	Sort[elem.KV16](kvc, buf, 1)
 
-	lsd := minAllocBytes(6, func() {
+	got := minAllocBytes(6, func() {
 		copy(buf, base)
-		SortPath[elem.KV16](kvc, buf, 1, PathLSD)
+		Sort[elem.KV16](kvc, buf, 1)
 	})
-	msd := minAllocBytes(6, func() {
-		copy(buf, base)
-		SortPath[elem.KV16](kvc, buf, 1, PathMSD)
-	})
-	t.Logf("steady-state bytes/sort: LSD %d, MSD %d", lsd, msd)
-
-	if lsd < n*16 {
-		t.Fatalf("LSD path allocated %d bytes, expected at least the %d-byte gather buffer", lsd, n*16)
-	}
-	if msd >= lsd/4 {
-		t.Fatalf("MSD path allocated %d bytes — the gather buffer was not eliminated (LSD: %d)", msd, lsd)
+	t.Logf("steady-state bytes/sort: %d", got)
+	if got >= n*16/4 {
+		t.Fatalf("sort allocated %d bytes, want < %d: element-sized scratch is back", got, n*16/4)
 	}
 }

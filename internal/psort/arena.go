@@ -6,19 +6,19 @@ import (
 	"demsort/internal/bufpool"
 )
 
-// The radix engines sort (normalized key, original index) pairs and
-// keep their digit counts in per-worker histogram blocks. Both kinds
-// of scratch are plain old data — no pointers — so they are drawn from
+// The radix engine sorts (normalized key, original index) pairs and
+// keeps its digit counts in per-worker histogram blocks. Both kinds of
+// scratch are plain old data — no pointers — so they are drawn from
 // the shared bufpool arena and reinterpreted, exactly like the codec
 // bulk paths (elem/pod.go): a sort in steady state allocates no fresh
-// pair or histogram memory. The element gather buffer of the LSD path
-// is the one piece of scratch that must NOT come from the pool: []T is
-// generic and may contain pointers, and pointers living in a pooled
-// byte buffer would be invisible to the garbage collector.
+// pair or histogram memory. Elements are permuted in place, so no
+// element-sized scratch exists — and none could come from the pool:
+// []T is generic and may contain pointers, and pointers living in a
+// pooled byte buffer would be invisible to the garbage collector.
 
 // keyIdx is one radix element: the normalized key plus the element's
 // original position (the payload of the sort). Pairs are ordered by
-// (key, idx) — a total order with no duplicates — which is why even the
+// (key, idx) — a total order with no duplicates — which is why the
 // unstable in-place MSD partitions reproduce the stable sort exactly.
 type keyIdx struct {
 	key uint64
@@ -46,14 +46,14 @@ var (
 	_ [unsafe.Sizeof(digitHist{}) - histBytes]byte
 )
 
-// arena owns the pooled scratch of one radix sort call. At most four
-// grabs ever happen (pair buffers a and b, histogram block, fused
-// count rows), so the registry is a fixed array and the arena itself
-// never allocates. Callers arm `defer ar.release()` immediately after
-// declaring it: every exit — including a panic unwinding out of a
-// user codec's Key — returns the buffers to the pool.
+// arena owns the pooled scratch of one radix sort call. Two grabs
+// happen (the pair buffer, the histogram block), so the registry is a
+// fixed array and the arena itself never allocates. Callers arm
+// `defer ar.release()` immediately after declaring it: every exit —
+// including a panic unwinding out of a user codec's Key — returns the
+// buffers to the pool.
 type arena struct {
-	bufs [4][]byte
+	bufs [2][]byte
 	n    int
 }
 
@@ -67,8 +67,8 @@ func (ar *arena) grab(nbytes int) unsafe.Pointer {
 }
 
 // pairs returns an uninitialized pooled []keyIdx of length n. Contents
-// are stale pool bytes; every engine fully overwrites them before
-// reading.
+// are stale pool bytes; the build pass fully overwrites them before
+// anything reads them.
 func (ar *arena) pairs(n int) []keyIdx {
 	p := ar.grab(n * pairBytes)
 	if uintptr(p)%unsafe.Alignof(keyIdx{}) != 0 {
@@ -92,16 +92,6 @@ func (ar *arena) hists(w int) []digitHist {
 		hs[i] = digitHist{} // pooled scratch is dirty; counts start at zero
 	}
 	return hs
-}
-
-// rows returns k pooled bucket-count rows, uninitialized (the scatter
-// zeroes each worker's rows before counting into them).
-func (ar *arena) rows(k int) []histRow {
-	p := ar.grab(k * int(unsafe.Sizeof(histRow{})))
-	if uintptr(p)%unsafe.Alignof(histRow{}) != 0 {
-		return make([]histRow, k)
-	}
-	return unsafe.Slice((*histRow)(p), k)
 }
 
 // release returns every grabbed buffer to the pool. Safe to call with

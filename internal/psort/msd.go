@@ -7,19 +7,18 @@ import (
 	"demsort/internal/elem"
 )
 
-// The MSD engine: one pass builds pairs + per-worker histograms (same
-// as LSD), the column sums give a global uniform-digit mask and the
-// bucket boundaries of the most significant non-uniform digit, an
-// American-flag cycle scatter partitions the pairs in place on that
-// digit, and the resulting buckets are sorted independently — in
-// parallel through a work queue — by recursive in-place partitioning.
-// Because the pairs carry (key, original index), a *distinct* total
-// order, fully sorting them by (key, idx) yields exactly the stable
-// sort permutation even though the partitioning itself is unstable.
-// The elements are then permuted once, in place, by cycle following —
-// the n-sized element gather buffer of the LSD path does not exist on
-// this path, which is the point: sort scratch is n pairs + histograms
-// instead of 2n pairs + n elements.
+// The radix engine, an in-place American-flag MSD: the shared pass
+// (pass.go) builds pairs + per-worker histograms, the column sums give
+// a global uniform-digit mask and the bucket boundaries of the most
+// significant non-uniform digit, an American-flag cycle scatter
+// partitions the pairs in place on that digit, and the resulting
+// buckets are sorted independently — in parallel through a work queue
+// — by recursive in-place partitioning. Because the pairs carry (key,
+// original index), a *distinct* total order, fully sorting them by
+// (key, idx) yields exactly the stable sort permutation even though
+// the partitioning itself is unstable. The elements are then permuted
+// once, in place, by cycle following, so sort scratch is n pairs +
+// histograms and no element-sized buffer.
 
 // flagPartition partitions a in place by byte digit d using the
 // American-flag cycle scatter. h holds a's digit-d counts on entry and
@@ -217,8 +216,8 @@ func cyclePermute[T any](vs []T, a []keyIdx) {
 
 // radixMSD sorts vs by the stable sort order with the in-place
 // American-flag MSD engine, using up to `workers` goroutines for the
-// bucket recursion. Scratch is one pooled pair buffer plus pooled
-// histograms — no element-sized buffer exists on this path.
+// build pass and the bucket recursion. Scratch is one pooled pair
+// buffer plus pooled histograms (ScratchBytes).
 func radixMSD[T any](kc elem.KeyedCodec[T], vs []T, workers int) {
 	n := len(vs)
 	checkLen(n)
@@ -240,24 +239,16 @@ func radixMSD[T any](kc elem.KeyedCodec[T], vs []T, workers int) {
 	}
 
 	if dTop >= 0 {
+		sizes := col[dTop] // flagPartition consumes its counts
 		flagPartition(a, dTop, &col[dTop])
 		nd := nextDigit(dTop, &uniform)
 		tasks := make([]msdTask, 0, 256)
 		start := 0
-		var sum int32
-		for j := 0; j < 256; j++ {
-			// col[dTop] was consumed by flagPartition; recompute bucket
-			// sizes from the per-worker counts.
-			sum = 0
-			for w := range hists {
-				sum += hists[w][dTop][j]
+		for _, c := range sizes {
+			if c > 1 {
+				tasks = append(tasks, msdTask{lo: start, hi: start + int(c), d: nd})
 			}
-			if c := int(sum); c > 1 {
-				tasks = append(tasks, msdTask{lo: start, hi: start + c, d: nd})
-				start += c
-			} else {
-				start += c
-			}
+			start += int(c)
 		}
 		msdSortBuckets(a, tasks, &uniform, workers)
 		cyclePermute(vs, a)

@@ -44,15 +44,14 @@ func TestReportDispatchCrossovers(t *testing.T) {
 		buf := make([]elem.KV16, n)
 		reps := 200_000 / n
 		cmpT := timeSort(reps, base, buf, func(vs []elem.KV16) { sortStable(vs) })
-		lsdT := timeSort(reps, base, buf, func(vs []elem.KV16) { radixLSD[elem.KV16](kvc, vs, 1) })
 		msdT := timeSort(reps, base, buf, func(vs []elem.KV16) { radixMSD[elem.KV16](kvc, vs, 1) })
-		t.Logf("  n=%5d  stable=%8v  lsd=%8v  msd=%8v", n, cmpT, lsdT, msdT)
+		t.Logf("  n=%5d  stable=%8v  msd=%8v", n, cmpT, msdT)
 	}
 
-	// Crossover 2: per-digit parallel machinery overhead vs the
-	// sequential engine. On a many-core host this shows the speedup
-	// floor; on a 1-core host it shows pure overhead — the quantity
-	// parMinPerWorker guards against either way.
+	// Crossover 2: parallel machinery overhead vs the sequential
+	// engine. On a many-core host this shows the speedup floor; on a
+	// 1-core host it shows pure overhead — the quantity parMinPerWorker
+	// guards against either way.
 	t.Log("parMinPerWorker crossover (KV16, w=1 vs parallel machinery):")
 	for _, n := range []int{2 << 10, 4 << 10, 8 << 10, 16 << 10, 32 << 10, 64 << 10, 128 << 10} {
 		base := randKV(rng, n, 1<<62)
@@ -61,11 +60,10 @@ func TestReportDispatchCrossovers(t *testing.T) {
 		if reps < 3 {
 			reps = 3
 		}
-		seq := timeSort(reps, base, buf, func(vs []elem.KV16) { radixLSD[elem.KV16](kvc, vs, 1) })
-		par2 := timeSort(reps, base, buf, func(vs []elem.KV16) { radixLSD[elem.KV16](kvc, vs, 2) })
-		par4 := timeSort(reps, base, buf, func(vs []elem.KV16) { radixLSD[elem.KV16](kvc, vs, 4) })
-		msd2 := timeSort(reps, base, buf, func(vs []elem.KV16) { radixMSD[elem.KV16](kvc, vs, 2) })
-		t.Logf("  n=%6d  w1=%8v  lsd-w2=%8v  lsd-w4=%8v  msd-w2=%8v", n, seq, par2, par4, msd2)
+		seq := timeSort(reps, base, buf, func(vs []elem.KV16) { radixMSD[elem.KV16](kvc, vs, 1) })
+		par2 := timeSort(reps, base, buf, func(vs []elem.KV16) { radixMSD[elem.KV16](kvc, vs, 2) })
+		par4 := timeSort(reps, base, buf, func(vs []elem.KV16) { radixMSD[elem.KV16](kvc, vs, 4) })
+		t.Logf("  n=%6d  w1=%8v  w2=%8v  w4=%8v", n, seq, par2, par4)
 	}
 
 	// msdInsertion sweep: bucket base-case cutoff.

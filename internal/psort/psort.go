@@ -4,16 +4,16 @@
 // the STL implementation of GCC 4.3.1"), per §IV-E "Hierarchical
 // Parallelism".
 //
-// Key-normalized codecs (elem.KeyedCodec) are sorted by a parallel
-// radix engine over (key, original index) pairs with two
-// interchangeable paths — a shared-histogram LSD scatter (lsd.go) and
-// an in-place American-flag MSD (msd.go) that needs roughly half the
-// scratch; see Path. Closure-only codecs (no product codec is one) take
-// slices.SortStableFunc.
+// Key-normalized codecs (elem.KeyedCodec) of at least radixMinLen
+// elements are sorted by one parallel radix engine over (key, original
+// index) pairs: an in-place American-flag MSD (msd.go) whose scratch is
+// one pair buffer and the digit histograms (ScratchBytes); plan.go
+// records why it is the only engine. Shorter inputs and closure-only
+// codecs (no product codec is one) take slices.SortStableFunc.
 //
 // Every path, for every worker count, produces the result of a stable
-// sort under the codec order, bit for bit: the radix engines sort the
-// pair array into the unique (key, index) order and permute the
+// sort under the codec order, bit for bit: the radix engine sorts the
+// pair array into the unique (key, index) order and permutes the
 // elements once.
 package psort
 
@@ -42,37 +42,18 @@ func DefaultWorkers() int {
 	return w
 }
 
-// Sort sorts vs in place using up to workers goroutines, on the LSD
-// path for keyed codecs. See SortPath.
+// Sort sorts vs in place using up to workers goroutines: keyed codecs
+// with the radix engine, drawing ScratchBytes of pooled scratch (callers
+// that must respect a memory budget charge that), the rest with a
+// stable comparison sort that ignores workers. The result equals a
+// stable sort under the codec order for every worker count.
 func Sort[T any](c elem.Codec[T], vs []T, workers int) {
-	SortPath(c, vs, workers, PathLSD)
-}
-
-// SortPath sorts vs in place using up to workers goroutines and the
-// requested radix path for keyed codecs (callers that must respect a
-// memory budget pick by ScratchBytes). Closure-only codecs ignore path
-// and workers. The result equals a stable sort under the codec order for
-// every worker count and every path.
-func SortPath[T any](c elem.Codec[T], vs []T, workers int, path Path) {
-	n := len(vs)
-	if n < 2 {
-		return
-	}
 	kc, keyed := elem.Codec[T](c).(elem.KeyedCodec[T])
-	if !keyed {
+	if !keyed || len(vs) < radixMinLen {
 		slices.SortStableFunc(vs, cmp(c))
 		return
 	}
-	if n < radixMinLen {
-		slices.SortStableFunc(vs, cmp[T](c))
-		return
-	}
-	w := radixWorkers(n, workers)
-	if path == PathMSD {
-		radixMSD(kc, vs, w)
-	} else {
-		radixLSD(kc, vs, w)
-	}
+	radixMSD(kc, vs, radixWorkers(len(vs), workers))
 }
 
 // cmp converts a codec order into a three-way comparison.

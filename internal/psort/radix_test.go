@@ -42,21 +42,19 @@ func adversarialKV(rng *rand.Rand, n int) []elem.KV16 {
 	return vs
 }
 
-// TestRadixMatchesStableSort: both radix engines must reproduce a
-// stable comparison sort bit-for-bit, payloads included.
+// TestRadixMatchesStableSort: the radix engine must reproduce a stable
+// comparison sort bit-for-bit, payloads included.
 func TestRadixMatchesStableSort(t *testing.T) {
 	rng := rand.New(rand.NewPCG(21, 22))
 	for _, n := range []int{radixMinLen, 1000, 1 << 14} {
 		vs := adversarialKV(rng, n)
 		want := slices.Clone(vs)
 		slices.SortStableFunc(want, cmp[elem.KV16](kvc))
-		for _, path := range []Path{PathLSD, PathMSD} {
-			for _, workers := range []int{1, 4} {
-				got := slices.Clone(vs)
-				SortPath[elem.KV16](kvc, got, workers, path)
-				if !slices.Equal(got, want) {
-					t.Fatalf("n=%d path=%v workers=%d: radix differs from stable sort", n, path, workers)
-				}
+		for _, workers := range []int{1, 4} {
+			got := slices.Clone(vs)
+			Sort[elem.KV16](kvc, got, workers)
+			if !slices.Equal(got, want) {
+				t.Fatalf("n=%d workers=%d: radix differs from stable sort", n, workers)
 			}
 		}
 	}
@@ -82,12 +80,10 @@ func TestRadixRec100TailTies(t *testing.T) {
 	}
 	want := slices.Clone(vs)
 	slices.SortStableFunc(want, cmp[elem.Rec100](rc))
-	for _, path := range []Path{PathLSD, PathMSD} {
-		got := slices.Clone(vs)
-		SortPath[elem.Rec100](rc, got, 2, path)
-		if !slices.Equal(got, want) {
-			t.Fatalf("path=%v: radix with tail fix-up differs from stable sort", path)
-		}
+	got := slices.Clone(vs)
+	Sort[elem.Rec100](rc, got, 2)
+	if !slices.Equal(got, want) {
+		t.Fatal("radix with tail fix-up differs from stable sort")
 	}
 }
 

@@ -184,9 +184,8 @@ func (t *Table) Write(w io.Writer) {
 		fmt.Fprintln(w)
 	}
 	line(t.Headers)
-	for i, wd := range widths {
+	for _, wd := range widths {
 		fmt.Fprintf(w, "%s  ", strings.Repeat("-", wd))
-		_ = i
 	}
 	fmt.Fprintln(w)
 	for _, row := range t.Rows {
