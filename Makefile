@@ -123,8 +123,9 @@ options:
 # +100 for the one-round exact run split (job/split.go), net of the
 # regular sampler it now shares with the striped sorter; −4 when phase
 # 2's selection started from proven sample brackets; −235 when the
-# in-place MSD became psort's one radix engine.
-LOC_MAX = 14714
+# in-place MSD became psort's one radix engine; −28 when the final merge
+# fed the Sink directly and the collect's re-read went.
+LOC_MAX = 14686
 OPTIONS_MAX = 60
 budget:
 	@loc=$(LOC_TOTAL); opts=$$($(MAKE) -s options | awk 'END {print $$1}'); \

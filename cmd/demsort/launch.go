@@ -53,8 +53,9 @@ var launcherOnly = map[string]bool{
 // forward renders the worker command line for one rank: its -rank and
 // -peers, then every other flag whose value — as parsed, or as the
 // launcher has set it since — differs from the default. The values are
-// space-free by construction (DEMSORT_ARGS splits on spaces, and
-// faulty.ParseSpec accepts nothing else).
+// space-free by construction (DEMSORT_ARGS and ssh split on spaces):
+// main re-renders -fault through faulty.Fault.String, which writes a
+// phase's spaces as _.
 func (o *options) forward(rank int, peers []string) []string {
 	args := []string{fmt.Sprintf("-rank=%d", rank), "-peers=" + strings.Join(peers, ",")}
 	o.fs.VisitAll(func(f *flag.Flag) {

@@ -22,8 +22,8 @@
 // either way the input tile goes block-at-a-time straight onto the
 // rank's block store (core.Config.Source), never through an in-RAM
 // slice. Sorted partitions are written to -outdir as raw records
-// (valsort-compatible), streamed block-at-a-time from each worker's
-// store (Config.Sink) into part-%03d.tmp and renamed on success, so
+// (valsort-compatible), streamed block-at-a-time by the pass that
+// produces them (Config.Sink) into part-%03d.tmp and renamed on success, so
 // outdir never holds a truncated part. With -store=file the blocks
 // themselves live on disk under -workdir, so the data never has to
 // fit in RAM: end-to-end memory is O(m) per worker. -striped runs the
@@ -131,9 +131,14 @@ func main() {
 		fail(fmt.Errorf("demsort: unknown store %q (want ram or file)", o.store))
 	}
 	o.durable = o.durable || o.resume
-	if _, err := faulty.ParseSpec(o.fault); err != nil {
-		fail(err)
+	faults, err := faulty.ParseSpec(o.fault)
+	fail(err)
+	// Re-rendered from the parse, so forward never hands a worker a space.
+	specs := make([]string, len(faults))
+	for i, f := range faults {
+		specs[i] = f.String()
 	}
+	o.fault = strings.Join(specs, ";")
 	if o.durable && o.store != "file" {
 		fail(fmt.Errorf("demsort: -durable/-resume need -store=file (checkpoints describe on-disk blocks)"))
 	}

@@ -110,7 +110,8 @@ func ScaledModel(blockBytes int) CostModel { return scaledModel(blockBytes) }
 
 // Sort runs CANONICALMERGESORT: input[i] is PE i's on-disk data;
 // afterwards PE i holds the elements of global ranks (i·N/P, (i+1)·N/P]
-// sorted on its local disks. See core.Sort.
+// sorted on its local disks, or handed to the Sink by the final merge.
+// See core.Sort.
 func Sort[T any](c Codec[T], opts Options, input [][]T) (*Result[T], error) {
 	return core.Sort(c, opts, input)
 }

@@ -242,10 +242,11 @@ func SampleSort[T any](c elem.Codec[T], cfg Config, input [][]T) (*Result[T], er
 	return res, nil
 }
 
-// mergeRuns k-way merges sorted on-disk runs, reading and writing each
-// element once and feeding every output block to sink (Job.OutputSink;
-// nil when nobody wants the output) — the same streaming merge
-// (xmerge.MergeStream) as the core final merge.
+// mergeRuns k-way merges sorted on-disk runs, reading each element once
+// and handing every output block either to sink (Job.OutputSink) or,
+// when nobody wants the output (nil sink), to the volume — the same
+// streaming merge (xmerge.MergeStream) and the same rule as the core
+// final merge.
 func mergeRuns[T any](c elem.Codec[T], n *cluster.Node, cfg Config, runs [][]blockio.BlockID, runLens [][]int, bElem int,
 	sink func(rank int, encoded []byte) error) error {
 	sz := c.Size()
@@ -265,18 +266,15 @@ func mergeRuns[T any](c elem.Codec[T], n *cluster.Node, cfg Config, runs [][]blo
 		return bufs[i]
 	}
 	err := xmerge.MergeStream(c, len(runs), bElem, next, func(blk []T) error {
-		id := n.Vol.Alloc()
 		enc := bufpool.Get(len(blk) * sz)
 		defer bufpool.Put(enc)
 		elem.EncodeInto(c, enc, blk)
-		// The sink sees each output block exactly once, in order, before
-		// the buffer is handed to the async write (the slice is only
-		// valid for the duration of the call — same contract as core).
 		var sinkErr error
 		if sink != nil {
 			sinkErr = sink(n.Rank, enc)
+		} else {
+			n.Vol.WriteAsync(n.Vol.Alloc(), enc)
 		}
-		n.Vol.WriteAsync(id, enc)
 		n.AddCPU(cfg.Model.MergeCPU(int64(len(blk)), len(runs)) + cfg.Model.ScanCPU(int64(len(blk))))
 		return sinkErr
 	})

@@ -164,6 +164,10 @@ func TestSampleSortSourceSinkMatchesSlices(t *testing.T) {
 			t.Fatalf("rank %d: part size %d vs %d", rank, res.PartSizes[rank], ref.PartSizes[rank])
 		}
 	}
+	// The output leaves once: with a Sink the merge writes no block.
+	if _, written := res.PhaseBytes(PhaseLocalSort); written != 0 {
+		t.Errorf("local external sort wrote %d bytes with a Sink", written)
+	}
 
 	// The contract is exclusive: Source plus slice input is a config
 	// error, not a silent preference.

@@ -233,9 +233,7 @@ type Handle float64
 // free list (in-place operation), asynchronous reads/writes accounted
 // against the PE's clock and disk device, and traffic counters.
 //
-// A Volume is owned by its PE's goroutine. The one exception is
-// ServeRemoteRead, which the owner itself calls while answering probe
-// requests during synchronous selection rounds.
+// A Volume is owned by its PE's goroutine; no other goroutine calls it.
 type Volume struct {
 	store      Store
 	blockBytes int

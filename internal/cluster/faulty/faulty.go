@@ -87,7 +87,7 @@ func (f Fault) String() string {
 		s += ",op=" + f.Op
 	}
 	if f.Phase != "" {
-		s += ",phase=" + f.Phase
+		s += ",phase=" + strings.ReplaceAll(f.Phase, " ", "_")
 	}
 	if f.Call > 0 {
 		s += fmt.Sprintf(",call=%d", f.Call)
@@ -135,9 +135,10 @@ func known(val string, set []string) bool {
 //
 //	rank=2,action=die,op=AllToAllv,phase=all-to-all;rank=0,action=delay,maxdelay=5ms
 //
-// No spaces (the launcher splits worker argv on them). Actions, ops
-// and phases are validated against the known sets here, at parse time:
-// a typo'd trigger would otherwise be discovered only by never firing.
+// No spaces (argv is split on them): a phase reads '_' as a space
+// (phase=final_merge), as String writes it. Actions, ops and phases are
+// validated against the known sets here, at parse time: a typo'd
+// trigger would otherwise be discovered only by never firing.
 func ParseSpec(spec string) ([]Fault, error) {
 	var faults []Fault
 	for _, one := range strings.Split(spec, ";") {
@@ -168,9 +169,9 @@ func ParseSpec(spec string) ([]Fault, error) {
 					err = fmt.Errorf("unknown op %q (known: %s)", val, strings.Join(KnownOps, ", "))
 				}
 			case "phase":
-				f.Phase = val
-				if !known(val, KnownPhases) {
-					err = fmt.Errorf("unknown phase %q (known: %s)", val, strings.Join(KnownPhases, ", "))
+				f.Phase = strings.ReplaceAll(val, "_", " ")
+				if !known(f.Phase, KnownPhases) {
+					err = fmt.Errorf("unknown phase %q (known: %s; write a space as _)", val, strings.Join(KnownPhases, ", "))
 				}
 			case "call":
 				f.Call, err = strconv.Atoi(val)

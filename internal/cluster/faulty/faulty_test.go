@@ -44,6 +44,7 @@ func TestParseSpecRoundTrip(t *testing.T) {
 		{Rank: 1, Action: faulty.Wedge, Phase: "collect", Call: 3},
 		{Rank: 3, Action: faulty.DropConn, Peer: 1},
 		{Rank: 0, Action: faulty.Crash, Op: "Barrier"},
+		{Rank: 1, Action: faulty.Die, Op: "Barrier", Phase: "final merge"},
 	}
 	var specs []string
 	for _, f := range faults {
@@ -89,8 +90,8 @@ func TestParseSpecErrors(t *testing.T) {
 		t.Errorf("op error does not list the known ops: %v", err)
 	}
 	if _, err := faulty.ParseSpec("rank=1,action=die,phase=warp"); err == nil ||
-		!strings.Contains(err.Error(), "multiway selection") {
-		t.Errorf("phase error does not list the known phases: %v", err)
+		!strings.Contains(err.Error(), "multiway selection") || !strings.Contains(err.Error(), "space as _") {
+		t.Errorf("phase error does not list the known phases and the _ spelling: %v", err)
 	}
 }
 

@@ -2,7 +2,8 @@ package tcp_test
 
 // Overlap conformance: every overlapped path of the pipeline — the
 // double-buffered Source load, the A2AStream-pipelined all-to-all, the
-// read-ahead Sink collect and the windowed striped collect — must
+// prefetching final merge feeding the Sink and the windowed striped
+// collect — must
 // produce per-rank output streams byte-identical to the synchronous
 // paths, on the sim backend and on real tcp machines alike. The
 // synchronous sim run is the reference everything else diffs against.

@@ -21,7 +21,8 @@
 //     count, block recycling, then build and process per sub-operation
 //     (one walker, window, cuts both sides), assemble;
 //  4. final merge (mergelocal.go): every PE merges its R local run
-//     pieces with prefetching, entirely without communication.
+//     pieces with prefetching, entirely without communication, onto
+//     its disks or straight into the Sink.
 package core
 
 import "demsort/internal/job"

@@ -206,42 +206,3 @@ func (r *reader[T]) nextBlock() []T {
 	r.pos = len(r.cur)
 	return blk
 }
-
-// streamRaw feeds a File's encoded bytes to fn in element order — the
-// zero-RAM-footprint way to drain a sorted output file (Config.Sink).
-// The slice passed to fn is only valid for the duration of the call.
-// The extents flow through two pooled buffers and extent i+1's read is
-// issued before fn consumes extent i, hiding the store reads behind the
-// sink writes.
-func streamRaw[T any](c elem.Codec[T], vol *blockio.Volume, f File, fn func([]byte) error) error {
-	var bufs [2][]byte
-	var hs [2]blockio.Handle
-	bufs[0] = bufpool.Get(vol.BlockBytes())
-	bufs[1] = bufpool.Get(vol.BlockBytes())
-	defer func() { bufpool.Put(bufs[0]); bufpool.Put(bufs[1]) }()
-	issue := func(i int) {
-		e := f.Extents[i]
-		need := (e.Off + e.Len) * c.Size()
-		b := i & 1
-		if cap(bufs[b]) < need {
-			bufpool.Put(bufs[b])
-			bufs[b] = bufpool.Get(need)
-		}
-		bufs[b] = bufs[b][:need]
-		hs[b] = vol.ReadAsync(e.ID, bufs[b])
-	}
-	if len(f.Extents) > 0 {
-		issue(0)
-	}
-	for i, e := range f.Extents {
-		b := i & 1
-		vol.Wait(hs[b])
-		if i+1 < len(f.Extents) {
-			issue(i + 1)
-		}
-		if err := fn(bufs[b][e.Off*c.Size():]); err != nil {
-			return err
-		}
-	}
-	return nil
-}

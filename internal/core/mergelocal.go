@@ -1,34 +1,34 @@
 package core
 
 import (
+	"fmt"
+
 	"demsort/internal/cluster"
 	"demsort/internal/elem"
 	"demsort/internal/job"
 	"demsort/internal/xmerge"
 )
 
-// mergeLocal is phase 3 (§IV third phase): every PE merges its R
-// sorted run pieces into the final output file, reading and writing
-// each element exactly once with no communication. Input blocks are
-// prefetched one extent ahead per run (overlapping I/O with merging)
-// and deallocated as soon as they are consumed, so the output can
-// recycle them — the (nearly) in-place operation of §IV-E.
+// mergeLocal is phase 4 (§IV third phase): every PE merges its R
+// sorted run pieces, reading each element exactly once with no
+// communication, and returns how many elements it emitted. Input blocks
+// are prefetched one extent ahead per run (overlapping I/O with
+// merging) and deallocated as soon as they are consumed, so the output
+// can recycle them — the (nearly) in-place operation of §IV-E.
 //
-// The merge is xmerge.MergeStream, block-at-a-time: each stream exposes
-// its current decoded extent as a slice and output accumulates in a
-// block-sized buffer that is bulk-encoded per flush — decode → merge →
-// encode over slices, never element-at-a-time through reader/writer
-// calls.
-//
-// With a single run the piece already is the sorted output and the
-// phase costs no I/O at all; together with run formation that gives
-// the "only 2 I/Os per block" behaviour the paper notes for N < M
-// (the MinuteSort regime).
-func mergeLocal[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, pl *job.Plan, files []File) (File, error) {
+// The merge is xmerge.MergeStream, block-at-a-time — decode → merge →
+// encode over slices. Each output block goes one way: to sink
+// (Job.OutputSink) when the output leaves, else onto the volume as the
+// rank's output file. Without a sink a single run's piece already is
+// the sorted output and the phase costs no I/O at all; together with
+// run formation that gives the "only 2 I/Os per block" behaviour the
+// paper notes for N < M (the MinuteSort regime).
+func mergeLocal[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, pl *job.Plan, files []File,
+	sink func(rank int, encoded []byte) error) (int64, error) {
 	n.SetPhase(PhaseMerge)
-	if len(files) == 1 {
+	if sink == nil && len(files) == 1 {
 		n.Barrier()
-		return files[0], nil
+		return files[0].N, nil
 	}
 
 	r := len(files)
@@ -40,14 +40,23 @@ func mergeLocal[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, pl *job.Pl
 	for i, f := range files {
 		readers[i] = newReader(c, n.Vol, f, true)
 	}
-	w := newWriter(c, n.Vol)
-	xmerge.MergeStream(c, r, pl.BElem, func(i int) []T { return readers[i].nextBlock() }, func(out []T) error {
-		w.addSlice(out)
+	w := newWriter(c, n.Vol) // with a sink, only its block-sized encode buffer is used
+	var emitted int64
+	err := xmerge.MergeStream(c, r, pl.BElem, func(i int) []T { return readers[i].nextBlock() }, func(out []T) error {
+		emitted += int64(len(out))
+		if sink == nil {
+			w.addSlice(out)
+		} else if err := sink(n.Rank, elem.AppendEncode(c, w.enc[:0], out)); err != nil {
+			return err
+		}
 		n.AddCPU(cfg.Model.MergeCPU(int64(len(out)), r) + cfg.Model.ScanCPU(int64(len(out))))
 		return nil
 	})
-	outFile := w.finish()
+	w.finish()
+	if err != nil {
+		return 0, fmt.Errorf("core: output sink, rank %d: %w", n.Rank, err)
+	}
 	n.Vol.Drain()
 	n.Barrier()
-	return outFile, nil
+	return emitted, nil
 }

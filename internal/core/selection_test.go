@@ -30,12 +30,9 @@ func (out *selectionRun) capture(n *cluster.Node, runs any, k int64, brackets []
 	locals := runs.([]localRun[elem.Rec100])
 	segs := make([][]elem.Rec100, len(locals))
 	for ri, lr := range locals {
-		err := streamRaw(c, n.Vol, lr.file, func(b []byte) error {
-			segs[ri] = elem.AppendDecode(c, segs[ri], b, len(b)/c.Size())
-			return nil
-		})
-		if err != nil {
-			panic(err)
+		rd := newReader(c, n.Vol, lr.file, false)
+		for blk := rd.nextBlock(); blk != nil; blk = rd.nextBlock() {
+			segs[ri] = append(segs[ri], blk...)
 		}
 	}
 	out.mu.Lock()

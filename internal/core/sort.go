@@ -53,7 +53,8 @@ func releaseSamples[T any](n *cluster.Node, meta *runsMeta[T]) {
 // Sort runs CANONICALMERGESORT on the simulated cluster: input[i] is
 // loaded onto PE i's local disks, and afterwards PE i holds the
 // elements of global ranks (i·N/P, (i+1)·N/P] sorted on its local
-// disks. The returned Result carries the per-phase measurements.
+// disks, or handed to the Sink by the final merge. The returned Result
+// carries the per-phase measurements.
 func Sort[T any](c elem.Codec[T], cfg Config, input [][]T) (*Result[T], error) {
 	j, err := job.Open(c, &cfg.Common, input, job.Canonical, cfg.SampleK)
 	if err != nil {
@@ -174,27 +175,21 @@ func Sort[T any](c elem.Codec[T], cfg Config, input [][]T) (*Result[T], error) {
 			return err
 		}
 
-		out, err := mergeLocal(c, n, &cfg, pl, pieces)
+		outN, err := mergeLocal(c, n, &cfg, pl, pieces, sink)
 		if err != nil {
 			return err
 		}
 
 		// Post-sort bookkeeping, outside the measured phases. N is the
-		// run directory's; the barrier fences the output: no rank streams
-		// its part before every rank has merged, so a rank lost here
-		// aborts the fleet before any part exists.
+		// run directory's; the barrier closes the sort: no rank returns
+		// (and publishes what its sink received) before every rank has
+		// merged, so a rank lost here aborts the whole fleet.
 		n.SetPhase(job.PhaseCollect)
 		n.Barrier()
 		if j.First(n) {
 			res.N, res.Runs, res.SubOps = meta.totalN, len(locals), k
 		}
-		res.OutputLens[n.Rank] = out.N
-		if sink != nil {
-			err := streamRaw(c, n.Vol, out, func(b []byte) error { return sink(n.Rank, b) })
-			if err != nil {
-				return fmt.Errorf("core: output sink, rank %d: %w", n.Rank, err)
-			}
-		}
+		res.OutputLens[n.Rank] = outN
 		res.PeakDiskBlocks[n.Rank] = n.Vol.PeakUsed()
 		res.EndMemElems[n.Rank] = n.Mem.Used()
 		return nil

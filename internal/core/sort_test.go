@@ -13,6 +13,7 @@ import (
 	"demsort/internal/cluster"
 	"demsort/internal/cluster/sim"
 	"demsort/internal/elem"
+	"demsort/internal/job"
 	"demsort/internal/vtime"
 	"demsort/internal/workload"
 )
@@ -114,8 +115,11 @@ func TestSortSingleElement(t *testing.T) {
 }
 
 func TestSortSingleRunRegime(t *testing.T) {
-	// Input fits into one run: the §IV-E single-run path.
+	// Input fits into one run: the §IV-E single-run path. With the
+	// output staying on the store (no Sink, no KeepOutput), the final
+	// merge must cost no disk traffic at all.
 	cfg := testConfig(4)
+	cfg.KeepOutput = false
 	input := inputFor(cfg, workload.Uniform, 900, 3) // < runLocal
 	res, err := Sort[elem.KV16](kvc, cfg, input)
 	if err != nil {
@@ -124,13 +128,18 @@ func TestSortSingleRunRegime(t *testing.T) {
 	if res.Runs != 1 {
 		t.Fatalf("expected single run, got %d", res.Runs)
 	}
-	if err := res.Validate(kvc, input); err != nil {
-		t.Fatal(err)
-	}
-	// Single-run final merge must cost no disk traffic at all.
 	read, written := res.PhaseBytes(PhaseMerge)
 	if read != 0 || written != 0 {
 		t.Fatalf("single-run merge did I/O: read %d written %d", read, written)
+	}
+	// A kept output leaves through the merge (a one-way merge): it is
+	// validated on its own run.
+	cfg.KeepOutput = true
+	if res, err = Sort[elem.KV16](kvc, cfg, input); err != nil {
+		t.Fatal(err)
+	}
+	if err := res.Validate(kvc, input); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -239,8 +248,10 @@ func TestSortInPlaceDiskBound(t *testing.T) {
 
 func TestSortIOVolumeTwoPasses(t *testing.T) {
 	// The paper's headline: 4N + o(N) I/O volume (two read/write passes)
-	// for random input with randomization.
+	// for random input with randomization, the output staying on the
+	// store (no Sink, no KeepOutput).
 	cfg := testConfig(4)
+	cfg.KeepOutput = false
 	input := inputFor(cfg, workload.Uniform, 6000, 21)
 	res, err := Sort[elem.KV16](kvc, cfg, input)
 	if err != nil {
@@ -267,6 +278,13 @@ func TestSortIOVolumeTwoPasses(t *testing.T) {
 	}
 	if float64(net) > 1.3*float64(nBytes) {
 		t.Errorf("network volume %.2fx N, want ~1x", float64(net)/float64(nBytes))
+	}
+	cfg.KeepOutput = true
+	if res, err = Sort[elem.KV16](kvc, cfg, input); err != nil {
+		t.Fatal(err)
+	}
+	if err := res.Validate(kvc, input); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -507,13 +525,22 @@ func TestSortSinkStreamsOutput(t *testing.T) {
 	// Config.Sink must deliver exactly the sorted output bytes, in
 	// order, without requiring KeepOutput's in-RAM materialization —
 	// on the RAM store and on a file-backed store (the -store=file
-	// path of the tcp workers).
+	// path of the tcp workers). The output leaves once: the final merge
+	// reads what a store-only run reads, writes nothing and hands every
+	// block to the Sink, and the collect reads nothing back.
 	for _, store := range []string{"ram", "file"} {
 		t.Run(store, func(t *testing.T) {
 			cfg := testConfig(4)
 			if store == "file" {
 				cfg.NewStore = blockio.FileStoreFactory(t.TempDir(), cfg.BlockBytes)
 			}
+			input := inputFor(cfg, workload.Uniform, 5200, 11)
+			cfg.KeepOutput = false
+			stored, err := Sort[elem.KV16](kvc, cfg, input)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.KeepOutput = true
 			var mu sync.Mutex
 			streamed := make([][]byte, cfg.P)
 			cfg.Sink = func(rank int, b []byte) error {
@@ -522,13 +549,19 @@ func TestSortSinkStreamsOutput(t *testing.T) {
 				mu.Unlock()
 				return nil
 			}
-			input := inputFor(cfg, workload.Uniform, 5200, 11)
 			res, err := Sort[elem.KV16](kvc, cfg, input)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := res.Validate(kvc, input); err != nil {
 				t.Fatal(err)
+			}
+			read, written := res.PhaseBytes(PhaseMerge)
+			if want, _ := stored.PhaseBytes(PhaseMerge); read != want || written != 0 {
+				t.Errorf("final merge with a Sink: read %d written %d, want read %d (the store-only run's) written 0", read, written, want)
+			}
+			if read, _ := res.PhaseBytes(job.PhaseCollect); read != 0 {
+				t.Errorf("collect re-read %d bytes of output", read)
 			}
 			for rank := 0; rank < cfg.P; rank++ {
 				want := elem.EncodeSlice(kvc, res.Output[rank])

@@ -69,19 +69,20 @@ type Base struct {
 	Source func(rank int) (io.Reader, int64, error)
 	// Sink, when non-nil, streams each locally hosted rank's sorted
 	// output as encoded element bytes — in order, block-at-a-time —
-	// during the collect step. It is the scalable alternative to
-	// KeepOutput: the output never has to be materialized in RAM
-	// (demsort's tcp workers write their part files through it). The
-	// canonical sorter streams the rank's local output file; the
-	// striped sorter re-routes its striped blocks over the transport so
-	// that rank i receives the contiguous block range [G·i/P, G·(i+1)/P)
-	// — either way the per-rank streams concatenate in rank order to
-	// the sorted sequence. The byte slice is only valid for the
-	// duration of the call. Calls for one rank are sequential; on the
-	// sim backend different ranks stream concurrently, so a Sink shared
-	// across ranks must be safe for concurrent calls with distinct rank
-	// arguments. It must be set (or unset) uniformly across the
-	// processes of one machine; a Sink error aborts the sort.
+	// from the pass that produces the output. It is the scalable
+	// alternative to KeepOutput: the output never has to be materialized
+	// in RAM (demsort's tcp workers write their part files through it).
+	// The canonical sorter's final merge hands it each output block
+	// instead of writing it to the store; the striped sorter's collect
+	// re-routes its striped blocks over the transport so that rank i
+	// receives the contiguous block range [G·i/P, G·(i+1)/P) — either
+	// way the per-rank streams concatenate in rank order to the sorted
+	// sequence. The byte slice is only valid for the duration of the
+	// call. Calls for one rank are sequential; on the sim backend
+	// different ranks stream concurrently, so a Sink shared across ranks
+	// must be safe for concurrent calls with distinct rank arguments. It
+	// must be set (or unset) uniformly across the processes of one
+	// machine; a Sink error aborts the sort.
 	Sink func(rank int, encoded []byte) error
 	// Model is the virtual-time cost model (zero value: vtime.Default).
 	Model vtime.CostModel
@@ -309,12 +310,12 @@ func (j *Job[T]) Run(fn func(n *cluster.Node) error) error {
 	})
 }
 
-// OutputSink returns what a sorter's collect step feeds each rank's
-// sorted stream to, block at a time — the configured Sink, behind a
-// decode into kept[rank] when KeepOutput is set — and kept itself (nil
-// without KeepOutput). A nil sink means nobody wants the output. Distinct
-// ranks write distinct slots, so the sim backend's concurrent PEs need
-// no lock.
+// OutputSink returns what a sorter feeds each rank's sorted stream to,
+// block at a time, from the pass that produces the output — the
+// configured Sink, behind a decode into kept[rank] when KeepOutput is
+// set — and kept itself (nil without KeepOutput). A nil sink means
+// nobody wants the output. Distinct ranks write distinct slots, so the
+// sim backend's concurrent PEs need no lock.
 func (j *Job[T]) OutputSink() (sink func(rank int, encoded []byte) error, kept [][]T) {
 	user := j.cfg.Sink
 	if !j.cfg.KeepOutput {

@@ -15,7 +15,8 @@
 // blocks per PE as the memory budget holds (job.Plan.MergeQuota), runs and
 // batches are redistributed under sample splitters (sampleCuts), which
 // is all a striped layout needs, and every collect round feeds every
-// owner (collectOutput).
+// owner (collectOutput), re-reading the output even with a Sink: a batch
+// sent straight to owners could all land on one, beyond Plan.MergeQuota.
 //
 // Contrast with CANONICALMERGESORT (internal/core): this algorithm's
 // I/O volume is exactly 4N — two passes even for inputs near the
