@@ -219,22 +219,27 @@ func exitCode(err error) int {
 	return -1
 }
 
-// runLauncher drives a tcp fleet end to end: placement (hostfile or p
-// loopback ranks), port assignment, spawn, supervision with
-// listen-race retry, and — when every rank is local — valsort over
-// the combined partitions.
-func runLauncher(o *options) {
-	var placements []tcp.Placement
+// place resolves where a launcher's ranks run: the hostfile's slots, or
+// -p loopback ranks.
+func (o *options) place() []tcp.Placement {
 	if o.hostfile != "" {
 		hosts, err := tcp.LoadHostfile(o.hostfile)
 		fail(err)
-		placements, err = tcp.PlaceRanks(hosts, o.baseport)
+		placements, err := tcp.PlaceRanks(hosts, o.baseport)
 		fail(err)
-	} else {
-		for rank := 0; rank < o.p; rank++ {
-			placements = append(placements, tcp.Placement{Rank: rank, Host: "127.0.0.1", Local: true})
-		}
+		return placements
 	}
+	var placements []tcp.Placement
+	for rank := 0; rank < o.p; rank++ {
+		placements = append(placements, tcp.Placement{Rank: rank, Host: "127.0.0.1", Local: true})
+	}
+	return placements
+}
+
+// runLauncher drives a tcp fleet end to end over its placements: port
+// assignment, spawn, supervision with listen-race retry, and — when
+// every rank is local — valsort over the combined partitions.
+func runLauncher(o *options, placements []tcp.Placement) {
 	p := len(placements)
 	// The workers would open the job with this very plan: a job it
 	// refuses is refused here, once, before a port is reserved or a worker

@@ -11,6 +11,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"demsort/internal/elem"
+	"demsort/internal/sortbench"
 )
 
 // TestLauncherForwardsEveryFlagOnce walks the flag set itself, so a flag
@@ -66,17 +69,24 @@ func TestLauncherForwardsEveryFlagOnce(t *testing.T) {
 	}
 }
 
-// TestLauncherRefusesBeforeSpawning: a job the plan refuses is refused by
-// the launcher itself — once, promptly, with exit 1 — and no fleet is
+// TestLauncherRefusesBeforeSpawning: a job the plan refuses, an -infile
+// too short for its tiles or an unknown -workload is refused by the
+// launcher itself — once, promptly, with exit 1 — and no fleet is
 // spawned, so -restart has nothing to re-drive.
 func TestLauncherRefusesBeforeSpawning(t *testing.T) {
 	exe, err := os.Executable()
 	if err != nil {
 		t.Fatal(err)
 	}
+	short := filepath.Join(t.TempDir(), "short.gen") // 10 records
+	if err := os.WriteFile(short, elem.EncodeSlice(elem.Rec100Codec{}, sortbench.Generate(1, 0, 10)), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct{ args, refusal string }{
 		{"-transport=tcp -p 4 -block 1048576 -mem 100000 -restart 2", "merge buffers"},
 		{"-transport=tcp -striped -p 4 -n 131072 -mem 12000 -restart 1", "no merge batch fits"},
+		{"-transport=tcp -p 4 -n 5 -restart 1 -infile " + short, "holds 1000 bytes; -p 4 ranks of -n 5 records need 2000"},
+		{"-transport=tcp -p 4 -restart 1 -workload bogus", `unknown workload "bogus" (want one of records, uniform,`},
 	} {
 		cmd := exec.Command(exe)
 		cmd.Env = append(os.Environ(), "DEMSORT_ARGS="+tc.args+" -outdir "+filepath.Join(t.TempDir(), "out"))

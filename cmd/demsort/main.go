@@ -19,10 +19,10 @@
 // The tcp transport (and sim with -workload=records) sorts
 // SortBenchmark-style 100-byte records: streamed in-process
 // gensort-equivalently from -seed, or from a gensort file via -infile —
-// either way the input tile goes block-at-a-time straight onto the
-// rank's block store (core.Config.Source), never through an in-RAM
-// slice. Sorted partitions are written to -outdir as raw records
-// (valsort-compatible), streamed block-at-a-time by the pass that
+// either way run formation reads the input tile in place, block at a
+// time (core.Config.Source), never through an in-RAM slice or a staged
+// copy on the block store. Sorted partitions are written to -outdir as
+// raw records (valsort-compatible), streamed block-at-a-time by the pass that
 // produces them (Config.Sink) into part-%03d.tmp and renamed on success, so
 // outdir never holds a truncated part. With -store=file the blocks
 // themselves live on disk under -workdir, so the data never has to
@@ -130,6 +130,22 @@ func main() {
 	if o.store != "ram" && o.store != "file" {
 		fail(fmt.Errorf("demsort: unknown store %q (want ram or file)", o.store))
 	}
+	kinds := []string{"records"}
+	for _, k := range workload.Kinds() {
+		kinds = append(kinds, string(k))
+	}
+	if !slices.Contains(kinds, o.kind) {
+		fail(fmt.Errorf("demsort: unknown workload %q (want one of %s)", o.kind, strings.Join(kinds, ", ")))
+	}
+	// P as the sort sees it: a worker's -peers, a launcher's placements.
+	var placements []tcp.Placement
+	if o.transport == "tcp" && o.rank >= 0 {
+		o.p = len(strings.Split(o.peers, ","))
+	} else if o.transport == "tcp" {
+		placements = o.place()
+		o.p = len(placements)
+	}
+	fail(o.checkInfile(placements))
 	o.durable = o.durable || o.resume
 	faults, err := faulty.ParseSpec(o.fault)
 	fail(err)
@@ -154,7 +170,7 @@ func main() {
 		runKV16Sim(o)
 	case "tcp":
 		if o.rank < 0 {
-			runLauncher(o)
+			runLauncher(o, placements)
 			return
 		}
 		if o.peers == "" {
@@ -214,9 +230,9 @@ func (o *options) checkpoint() demsort.CheckpointOptions {
 // source returns the per-rank streaming input (core.Config.Source):
 // a section of the gensort file when given, else an in-process
 // generator producing the same tile the gensort command would — either
-// way the tile is never materialized in RAM. The gensort file stays
-// open for the life of the process (its SectionReaders are consumed
-// inside the load phase).
+// way the tile is never materialized in RAM, and both can be read at an
+// offset, so the sort reads it in place. The gensort file stays open for
+// the life of the process (run formation reads its SectionReaders).
 func (o *options) source() func(rank int) (io.Reader, int64, error) {
 	if o.infile == "" {
 		return func(rank int) (io.Reader, int64, error) {
@@ -233,6 +249,25 @@ func (o *options) source() func(rank int) (io.Reader, int64, error) {
 		}
 		return io.NewSectionReader(f, int64(rank)*o.n*100, o.n*100), o.n, nil
 	}
+}
+
+// checkInfile refuses an -infile shorter than the P tiles of -n records
+// it must hold, before a fleet is launched or a byte of it is read: a
+// section of a file reports its nominal size, so a short file would
+// otherwise fail in the middle of run formation. A launcher with ranks
+// on other hosts leaves the check to their workers.
+func (o *options) checkInfile(placements []tcp.Placement) error {
+	fi, err := os.Stat(o.infile)
+	switch {
+	case o.infile == "" || slices.ContainsFunc(placements, func(pl tcp.Placement) bool { return !pl.Local }):
+		return nil
+	case err != nil:
+		return fmt.Errorf("demsort: -infile: %w", err)
+	case fi.Size() < int64(o.p)*o.n*100:
+		return fmt.Errorf("demsort: -infile %s holds %d bytes; -p %d ranks of -n %d records need %d (shorten -n or -p)",
+			o.infile, fi.Size(), o.p, o.n, int64(o.p)*o.n*100)
+	}
+	return nil
 }
 
 // inputSummary digests the whole input tile by tile, streaming (only
@@ -512,7 +547,10 @@ func runTCPWorker(o *options) {
 }
 
 // countingSource wraps a Source so every byte actually read from the
-// input is tallied — the evidence behind "resume re-reads nothing".
+// input is tallied — the evidence behind "resume re-reads nothing" and
+// "a fresh run reads its tile once". A reader that can be read at an
+// offset stays one (ReadAt is counted, Size forwarded), so the sort
+// still reads it in place instead of staging it.
 func countingSource(src func(rank int) (io.Reader, int64, error)) (func(rank int) (io.Reader, int64, error), *atomic.Int64) {
 	var n atomic.Int64
 	return func(rank int) (io.Reader, int64, error) {
@@ -520,17 +558,31 @@ func countingSource(src func(rank int) (io.Reader, int64, error)) (func(rank int
 		if err != nil {
 			return nil, 0, err
 		}
+		if at, ok := r.(interface {
+			io.ReaderAt
+			Size() int64
+		}); ok {
+			return io.NewSectionReader(&countingReader{at: at, n: &n}, 0, at.Size()), cnt, nil
+		}
 		return &countingReader{r: r, n: &n}, cnt, nil
 	}, &n
 }
 
+// countingReader counts the bytes read through r, or through at.
 type countingReader struct {
-	r io.Reader
-	n *atomic.Int64
+	r  io.Reader
+	at io.ReaderAt
+	n  *atomic.Int64
 }
 
 func (c *countingReader) Read(p []byte) (int, error) {
 	n, err := c.r.Read(p)
+	c.n.Add(int64(n))
+	return n, err
+}
+
+func (c *countingReader) ReadAt(p []byte, off int64) (int, error) {
+	n, err := c.at.ReadAt(p, off)
 	c.n.Add(int64(n))
 	return n, err
 }

@@ -10,8 +10,10 @@ package main
 // so launcher, workers and the wire protocol all run for real.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"os/exec"
@@ -21,6 +23,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"demsort/internal/elem"
+	"demsort/internal/sortbench"
 )
 
 func TestMain(m *testing.M) {
@@ -405,5 +410,38 @@ func TestWorkerListenRaceExitsFast(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "listen") {
 		t.Fatalf("error not actionable:\n%s", out)
+	}
+}
+
+// TestCountingSourceKeepsReaderAt: the worker's counting wrapper must not
+// hide that its input can be read at an offset — an -infile section or
+// the in-process generator — or every real-process run would stage its
+// input onto the store. It still counts every byte read.
+func TestCountingSourceKeepsReaderAt(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "in.gen")
+	recs := sortbench.Generate(7, 0, 6)
+	if err := os.WriteFile(path, elem.EncodeSlice(elem.Rec100Codec{}, recs), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{{"-n", "3", "-seed", "7", "-infile", path}, {"-n", "3", "-seed", "7"}} {
+		src, counted := countingSource(parseOptions(args).source())
+		r, cnt, err := src(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		at, ok := r.(interface {
+			io.ReaderAt
+			Size() int64
+		})
+		if !ok || cnt != 3 || at.Size() != 300 {
+			t.Fatalf("%v: counted source is a %T (ReaderAt with Size: %v) of %d records", args, r, ok, cnt)
+		}
+		got := make([]byte, 150)
+		if _, err := at.ReadAt(got, 150); err != nil {
+			t.Fatal(err)
+		}
+		if want := elem.EncodeSlice(elem.Rec100Codec{}, recs)[450:600]; !bytes.Equal(got, want) || counted.Load() != 150 {
+			t.Fatalf("%v: ReadAt read other bytes than rank 1's tile, or counted %d of 150", args, counted.Load())
+		}
 	}
 }

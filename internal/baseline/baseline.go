@@ -107,14 +107,21 @@ func SampleSort[T any](c elem.Codec[T], cfg Config, input [][]T) (*Result[T], er
 	res.Output = kept
 
 	err = j.Run(func(n *cluster.Node) error {
-		// Load input to disk (unmeasured), block-aligned.
-		blocks, err := j.Load(n)
+		// Open the input (unmeasured), block-aligned.
+		input, err := j.Load(n)
 		if err != nil {
 			return fmt.Errorf("baseline: %w", err)
 		}
+		blocks := input.Spans
 		var myN int64
 		for _, b := range blocks {
 			myN += int64(b.Bytes / sz)
+		}
+		raw := make([]byte, cfg.BlockBytes)
+		read := func(b blockio.Span) error { // span b into raw
+			h, err := input.Read(b, raw[:b.Bytes])
+			n.Vol.Wait(h)
+			return err
 		}
 
 		// Phase 1: sample keys and agree on splitters. NOW-Sort reads
@@ -122,10 +129,11 @@ func SampleSort[T any](c elem.Codec[T], cfg Config, input [][]T) (*Result[T], er
 		n.SetPhase(PhaseSample)
 		rng := rand.New(rand.NewPCG(cfg.Seed, uint64(n.Rank)+0xBA5E))
 		sample := make([]T, 0, cfg.Oversample)
-		raw := make([]byte, cfg.BlockBytes)
 		for i := 0; i < cfg.Oversample && myN > 0; i++ {
 			b := blocks[rng.Uint64N(uint64(len(blocks)))]
-			n.Vol.ReadWait(b.ID, raw[:b.Bytes])
+			if err := read(b); err != nil {
+				return err
+			}
 			at := int(rng.Uint64N(uint64(b.Bytes / sz)))
 			sample = append(sample, c.Decode(raw[at*sz:]))
 		}
@@ -195,13 +203,15 @@ func SampleSort[T any](c elem.Codec[T], cfg Config, input [][]T) (*Result[T], er
 					hi = len(blocks)
 				}
 				for _, b := range blocks[lo:hi] {
-					n.Vol.ReadWait(b.ID, raw[:b.Bytes])
+					if err := read(b); err != nil {
+						return err
+					}
 					for off := 0; off < b.Bytes; off += sz {
 						v := c.Decode(raw[off:])
 						q := dest(v)
 						send[q] = elem.AppendEncode(c, send[q], []T{v})
 					}
-					n.Vol.Free(b.ID)
+					input.Release(b)
 					n.AddCPU(cfg.Model.ScanCPU(int64(b.Bytes/sz)) * 2)
 				}
 			}

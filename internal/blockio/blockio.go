@@ -337,11 +337,32 @@ func (v *Volume) ReadAsync(id BlockID, dst []byte) Handle {
 	if err := v.store.ReadAt(id, dst); err != nil {
 		panic(err)
 	}
-	dur := v.model.DiskDur(v.rank, len(dst))
+	return v.readIssued(len(dst))
+}
+
+// ReadAtAsync is ReadAsync from outside the store: it fills dst from r
+// at byte offset off — an input read in place instead of being staged
+// onto the store first — and accounts the transfer exactly as a store
+// read of len(dst) bytes. The input comes from outside the program, so
+// a short or failed read is an error wrapping the cause, not a panic.
+func (v *Volume) ReadAtAsync(r io.ReaderAt, off int64, dst []byte) (Handle, error) {
+	if n, err := r.ReadAt(dst, off); n < len(dst) {
+		if err == nil || err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return 0, fmt.Errorf("blockio: read of %d bytes at offset %d: %w", len(dst), off, err)
+	}
+	return v.readIssued(len(dst)), nil
+}
+
+// readIssued queues the transfer of an n-byte read on the disk device
+// and charges it to the current phase.
+func (v *Volume) readIssued(n int) Handle {
+	dur := v.model.DiskDur(v.rank, n)
 	done := v.disk.Acquire(v.clock.Now(), dur)
 	st := v.clock.Cur()
 	st.IOTime += dur
-	st.BytesRead += int64(len(dst))
+	st.BytesRead += int64(n)
 	st.BlocksRead++
 	return v.issued(done)
 }
@@ -422,7 +443,8 @@ func (v *Volume) SyncStore() error {
 	return nil
 }
 
-// Span is one block filled by FillFrom: block ID holds Bytes bytes.
+// Span is one block of an input, Bytes bytes long: the store block ID
+// that FillFrom filled, or block number ID of an input read in place.
 type Span struct {
 	ID    BlockID
 	Bytes int
@@ -436,7 +458,9 @@ type fillChunk struct {
 
 // FillFrom streams totalBytes from r onto the volume, chunkBytes at a
 // time (the last span may be shorter) — the O(B)-memory way to load an
-// input that does not fit in RAM. chunkBytes is the caller's
+// input that does not fit in RAM and can only be read forward (an input
+// that can be read at an offset needs no staging: ReadAtAsync reads its
+// blocks where they are). chunkBytes is the caller's
 // element-aligned block payload (it may be less than BlockBytes when
 // the element size does not divide the block size). A reader goroutine
 // stages up to two pooled chunks ahead while the calling PE goroutine

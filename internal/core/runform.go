@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"demsort/internal/blockio"
 	"demsort/internal/cluster"
 	"demsort/internal/elem"
 	"demsort/internal/job"
@@ -25,7 +24,7 @@ type localRun[T any] struct {
 // split runs and its way of storing one: each PE's segment stays on its
 // local disks, and every K-th global run position is sampled into memory
 // (§IV-A).
-func runFormation[T any](c elem.Codec[T], j *job.Job[T], n *cluster.Node, input []blockio.Span) ([]localRun[T], error) {
+func runFormation[T any](c elem.Codec[T], j *job.Job[T], n *cluster.Node, input *job.Input) ([]localRun[T], error) {
 	n.SetPhase(PhaseRunForm)
 	var out []localRun[T]
 	_, err := j.FormRuns(n, input, 0xD1CE, j.SortExact, func(_ int, runLen, segStart int64, seg []T) error {

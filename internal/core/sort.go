@@ -23,9 +23,10 @@ type Result[T any] struct {
 	// PeakDiskBlocks is the per-PE disk high-water mark.
 	PeakDiskBlocks []int64
 	// LoadPeakMemElems[rank] is the budget high-water mark at the end
-	// of the load phase. The load charges only its three block-sized
-	// staging chunks, so this stays O(B) no matter how large the tile
-	// is (the membudget test pins it).
+	// of the load phase: zero for an input read in place, and only the
+	// three block-sized staging chunks for a forward-only Source, so it
+	// stays O(B) no matter how large the tile is (the source tests pin
+	// both).
 	LoadPeakMemElems []int64
 	// RunFormPeakMemElems[rank] is the budget high-water mark at the
 	// end of run formation, which includes the in-node radix sort
@@ -124,16 +125,17 @@ func Sort[T any](c elem.Codec[T], cfg Config, input [][]T) (*Result[T], error) {
 			n.Barrier()
 			n.Vol.ResetPeak()
 		} else {
-			// Load the input onto the local disks (outside the measured
-			// sort: the paper's inputs pre-exist on disk).
-			spans, err := j.Load(n)
+			// Open the input where it lies, or stage a forward-only
+			// Source onto the local disks (outside the measured sort:
+			// the paper's inputs pre-exist on disk).
+			input, err := j.Load(n)
 			if err != nil {
 				return fmt.Errorf("core: %w", err)
 			}
 			res.LoadPeakMemElems[n.Rank] = n.Mem.Peak()
 			n.Vol.ResetPeak()
 
-			locals, err = runFormation(c, j, n, spans)
+			locals, err = runFormation(c, j, n, input)
 			if err != nil {
 				return err
 			}

@@ -4,10 +4,10 @@
 // everything about a sort job that does not depend on which of them
 // runs lives here exactly once. The skeleton (this file, stats.go): the
 // common configuration, validation and defaults, opening the input,
-// building or adopting the machine, loading the input onto the volumes,
-// and the per-phase statistics. The capacity plan (plan.go): the run
-// geometry, every budget share and every refusal of all three sorters.
-// The shared phases (runform.go, split.go): run formation, FormRuns;
+// building or adopting the machine, loading the input (staging a
+// forward-only one onto the volumes), and the per-phase statistics. The
+// capacity plan (plan.go): the run geometry, every budget share and
+// every refusal of all three sorters. The shared phases (runform.go, split.go): run formation, FormRuns;
 // the regular sampler both mergesorts split with, RegularSample; the
 // exact sort of a run, SortExact, split in one sample round; and the
 // tail of any distributed internal sort, SortAcross. What the algorithms
@@ -30,7 +30,7 @@ import (
 )
 
 // PhaseLoad and PhaseCollect bracket every sorter's accounted phases:
-// putting the input on the volumes and handing the output over are
+// opening (or staging) the input and handing the output over are
 // outside the measured sort (the paper's inputs pre-exist on disk).
 const (
 	PhaseLoad    = "load"
@@ -57,15 +57,19 @@ type Base struct {
 	// Source, when non-nil, streams each locally hosted rank's input as
 	// encoded element bytes — the streaming dual of Sink, and the
 	// scalable alternative to the input slices. It returns the rank's
-	// byte stream and its element count; the load phase reads it
-	// block-at-a-time straight onto the rank's volume through
-	// blockio.FillFrom's three staging chunks, so loading never holds
-	// more than that of the tile in RAM (demsort's -infile path). With
-	// Source set the input argument of the sort must be nil. Reader
-	// lifecycle belongs to the caller (the sort consumes exactly
-	// count·elemSize bytes and does not Close). With a remote backend
-	// Source is only called for the locally hosted ranks, and every
-	// process must report the same per-rank counts.
+	// byte stream and its element count. A reader that can be read at an
+	// offset (an io.ReaderAt with Size() int64, as bytes.Reader and
+	// io.SectionReader are — demsort's -infile path) is read once: run
+	// formation fetches each block straight from it, and it must hold at
+	// least count·elemSize bytes. A forward-only reader is staged onto
+	// the rank's volume by the load phase, block-at-a-time through
+	// blockio.FillFrom's three staging chunks. Either way no more than a
+	// few blocks of the tile are ever in RAM. With Source set the input
+	// argument of the sort must be nil. Reader lifecycle belongs to the
+	// caller (the sort reads exactly count·elemSize bytes and does not
+	// Close). With a remote backend Source is only called for the
+	// locally hosted ranks, and every process must report the same
+	// per-rank counts.
 	Source func(rank int) (io.Reader, int64, error)
 	// Sink, when non-nil, streams each locally hosted rank's sorted
 	// output as encoded element bytes — in order, block-at-a-time —
@@ -179,7 +183,8 @@ type Job[T any] struct {
 	cfg     *Common
 	readers map[int]io.Reader
 	counts  map[int]int64
-	owned   bool // M was built by Start and is closed by Close
+	inPlace map[int]io.ReaderAt // the ranks whose input is read in place
+	owned   bool                // M was built by Start and is closed by Close
 }
 
 // Open validates the input against cfg, applies the defaults in place
@@ -204,8 +209,21 @@ func Open[T any](c elem.Codec[T], cfg *Common, input [][]T, sorter Sorter, sampl
 		return nil, err
 	}
 	var nPerPE int64
-	for _, cnt := range j.counts {
+	j.inPlace = make(map[int]io.ReaderAt)
+	for rank := range cfg.P {
+		cnt := j.counts[rank]
 		nPerPE = max(nPerPE, cnt)
+		// A reader that can be read at an offset (bytes.Reader,
+		// io.SectionReader) is read in place, so it must hold the tile.
+		if at, ok := j.readers[rank].(interface {
+			io.ReaderAt
+			Size() int64
+		}); ok {
+			if at.Size() < cnt*int64(c.Size()) {
+				return nil, fmt.Errorf("input source, rank %d: reader holds %d bytes, %d elements need %d", rank, at.Size(), cnt, cnt*int64(c.Size()))
+			}
+			j.inPlace[rank] = at
+		}
 	}
 	j.Plan, err = NewPlan(Shape{Sorter: sorter, P: cfg.P, MemElems: cfg.MemElems, BlockBytes: cfg.BlockBytes,
 		ElemSize: c.Size(), NPerPE: nPerPE, Randomize: cfg.Randomize, SampleK: sampleK,
@@ -219,8 +237,9 @@ func Open[T any](c elem.Codec[T], cfg *Common, input [][]T, sorter Sorter, sampl
 // openSources opens the streaming input of every locally hosted rank
 // up front (all P ranks before a sim machine exists), so the per-rank
 // element counts can drive the sizing; the readers themselves are only
-// consumed by Load. Input slices are encoded behind one bytes.Reader
-// per rank. The single place the Source contract is enforced.
+// consumed once the PEs run. Input slices are encoded behind one
+// bytes.Reader per rank. With Open's size check, the one place the
+// Source contract is enforced.
 func openSources[T any](c elem.Codec[T], cfg *Common, input [][]T) (map[int]io.Reader, map[int]int64, error) {
 	readers := make(map[int]io.Reader)
 	counts := make(map[int]int64)
@@ -335,27 +354,71 @@ func (j *Job[T]) OutputSink() (sink func(rank int, encoded []byte) error, kept [
 // whose machine-wide values (N, run count, …) a Result records.
 func (j *Job[T]) First(n *cluster.Node) bool { return n.Rank == j.M.Nodes()[0].Rank }
 
-// Load is the load step: it streams rank n's Source onto the local
-// volume as block-aligned spans of BElem elements (the last one may be
-// shorter) through FillFrom, whose three staging chunks are charged to
-// the budget — nothing else of the tile is ever resident — then drains
-// the writes and closes the step with a barrier.
-func (j *Job[T]) Load(n *cluster.Node) ([]blockio.Span, error) {
-	n.SetPhase(PhaseLoad)
-	sz := int64(j.c.Size())
-	stage := 3 * int64(j.BElem)
-	n.Mem.MustAcquire(stage)
-	spans, err := n.Vol.FillFrom(j.readers[n.Rank], j.counts[n.Rank]*sz, j.BElem*int(sz))
-	n.Mem.Release(stage)
-	if err != nil {
-		for _, sp := range spans {
-			n.Vol.Free(sp.ID)
-		}
-		return nil, fmt.Errorf("input source, rank %d: %w", n.Rank, err)
+// Input is one rank's input as Load hands it to the phases: its
+// block-aligned spans of BElem elements (the last one may be shorter),
+// in input order. A phase reads a span (Read, then Wait on the volume)
+// and releases it once decoded; whether a span is a range of the Source
+// or a block staged on the store is Load's business, never the phase's.
+type Input struct {
+	Spans  []blockio.Span
+	vol    *blockio.Volume
+	rank   int
+	at     io.ReaderAt // read in place: span ID is bytes [ID·stride, +Bytes); nil: staged on vol
+	stride int64
+}
+
+// Read issues the read of span sp into dst (sp.Bytes long) and returns
+// its handle.
+func (in *Input) Read(sp blockio.Span, dst []byte) (blockio.Handle, error) {
+	if in.at == nil {
+		return in.vol.ReadAsync(sp.ID, dst), nil
 	}
-	n.Vol.Drain()
+	h, err := in.vol.ReadAtAsync(in.at, int64(sp.ID)*in.stride, dst)
+	if err != nil {
+		return 0, fmt.Errorf("input source, rank %d: %w", in.rank, err)
+	}
+	return h, nil
+}
+
+// Release drops a span that has been read: a staged block goes back to
+// the volume; a range of the Source has nothing to free.
+func (in *Input) Release(sp blockio.Span) {
+	if in.at == nil {
+		in.vol.Free(sp.ID)
+	}
+}
+
+// Load is the load step. A Source that can be read at an offset is left
+// where it is: Load only cuts it into spans, and run formation reads
+// each block once, straight from it. A forward-only Source is staged:
+// Load streams it onto the local volume through FillFrom, whose three
+// staging chunks are charged to the budget — nothing else of the tile
+// is ever resident — and drains the writes. Either way the step closes
+// with a barrier.
+func (j *Job[T]) Load(n *cluster.Node) (*Input, error) {
+	n.SetPhase(PhaseLoad)
+	chunk, total := j.BElem*j.c.Size(), j.counts[n.Rank]*int64(j.c.Size())
+	in := &Input{vol: n.Vol, rank: n.Rank, at: j.inPlace[n.Rank], stride: int64(chunk)}
+	if in.at != nil {
+		for off := int64(0); off < total; off += in.stride {
+			in.Spans = append(in.Spans, blockio.Span{ID: blockio.BlockID(off / in.stride), Bytes: int(min(in.stride, total-off))})
+		}
+	} else {
+		stage := 3 * int64(j.BElem)
+		n.Mem.MustAcquire(stage)
+		spans, err := n.Vol.FillFrom(j.readers[n.Rank], total, chunk)
+		n.Mem.Release(stage)
+		if err != nil {
+			for _, sp := range spans {
+				n.Vol.Free(sp.ID)
+			}
+			return nil, fmt.Errorf("input source, rank %d: %w", n.Rank, err)
+		}
+		in.Spans = spans
+		n.Vol.Drain()
+	}
 	n.Barrier()
-	return spans, nil
+	return in, nil
 }
 
 // sortChunkBudgeted runs one of run formation's in-node sorts with the

@@ -37,12 +37,15 @@ type RunSort[T any] func(n *cluster.Node, chunk, dst []T) (seg []T, segStart, ru
 //
 // I/O is overlapped with sorting and communication: while run i is
 // processed, run i+1's blocks are already being fetched and run i−1's
-// output is still draining (§IV-E "Overlapping"). The spans are freed
-// as they are read; the writes store issued are drained on return.
-// FormRuns returns the run count R.
-func (j *Job[T]) FormRuns(n *cluster.Node, spans []blockio.Span, salt uint64, sortRun RunSort[T],
+// output is still draining (§IV-E "Overlapping"). Each input block is
+// read once, from wherever Load left it, and the spans are freed as they
+// are read; the writes store issued are drained on return. An input
+// read error ends run formation with that error. FormRuns returns the
+// run count R.
+func (j *Job[T]) FormRuns(n *cluster.Node, in *Input, salt uint64, sortRun RunSort[T],
 	store func(run int, runLen, segStart int64, seg []T) error) (int, error) {
 	c, cfg, sz, model := j.c, j.cfg, j.c.Size(), &j.cfg.Model
+	spans := in.Spans
 	if cfg.Randomize {
 		rng := rand.New(rand.NewPCG(cfg.Seed, uint64(n.Rank)+salt))
 		rng.Shuffle(len(spans), func(a, b int) { spans[a], spans[b] = spans[b], spans[a] })
@@ -57,27 +60,38 @@ func (j *Job[T]) FormRuns(n *cluster.Node, spans []blockio.Span, salt uint64, so
 		raw    []byte
 		handle blockio.Handle
 	}
-	fetchRun := func(r int) []pending {
+	fetchRun := func(r int) ([]pending, error) {
 		lo := min(r*bpr, len(spans))
 		mine := spans[lo:min(lo+bpr, len(spans))]
 		ps := make([]pending, 0, len(mine))
 		for _, sp := range mine {
 			raw := bufpool.Get(sp.Bytes)
-			ps = append(ps, pending{span: sp, raw: raw, handle: n.Vol.ReadAsync(sp.ID, raw)})
+			h, err := in.Read(sp, raw)
+			if err != nil {
+				bufpool.Put(raw)
+				return nil, err
+			}
+			ps = append(ps, pending{span: sp, raw: raw, handle: h})
 		}
-		return ps
+		return ps, nil
 	}
-	done := func(p pending) { // decoded: recycle the buffer and the block
+	done := func(p pending) { // decoded: recycle the buffer and the span
 		bufpool.Put(p.raw)
-		n.Vol.Free(p.span.ID)
+		in.Release(p.span)
 	}
 
 	// One run's chunk and one merged segment are dead before the next
 	// run's are built, so the runs share their two buffers.
 	var chunk, seg []T
-	cur := fetchRun(0)
+	cur, err := fetchRun(0)
+	if err != nil {
+		return 0, err
+	}
 	for r := 0; r < runs; r++ {
-		next := fetchRun(r + 1) // overlap: prefetch while we sort
+		next, err := fetchRun(r + 1) // overlap: prefetch while we sort
+		if err != nil {
+			return 0, err
+		}
 
 		var chunkLen int64
 		for _, p := range cur {
@@ -113,7 +127,6 @@ func (j *Job[T]) FormRuns(n *cluster.Node, spans []blockio.Span, salt uint64, so
 		cur = next
 
 		var segStart, runLen int64
-		var err error
 		if seg, segStart, runLen, err = sortRun(n, chunk, seg[:0]); err != nil {
 			return 0, fmt.Errorf("run %d: %w", r, err)
 		}

@@ -63,19 +63,45 @@ func Skewed(seed uint64, start, n int64, hotIn10 int) []elem.Rec100 {
 // Reader streams the records of Generate(seed, start, n) as raw bytes
 // without ever materializing the tile — the generator-backed
 // core.Config.Source. Records are produced in small batches into an
-// internal buffer, so memory stays O(1) regardless of n.
+// internal buffer, so memory stays O(1) regardless of n. Records are
+// position-addressable, so the tile can also be read at any offset
+// (ReadAt, Size), like a file: the sort then reads it in place.
 type Reader struct {
-	seed    uint64
-	next    int64 // next record index to generate
-	end     int64
-	pending []byte
-	buf     [100 * 64]byte
+	seed        uint64
+	start, next int64 // first record of the tile, next one Read generates
+	end         int64
+	pending     []byte
+	buf         [100 * 64]byte
 }
 
 // NewReader returns a Reader over records [start, start+n) of seed's
 // sequence.
 func NewReader(seed uint64, start, n int64) *Reader {
-	return &Reader{seed: seed, next: start, end: start + n}
+	return &Reader{seed: seed, start: start, next: start, end: start + n}
+}
+
+// Size returns the tile's length in bytes.
+func (r *Reader) Size() int64 { return (r.end - r.start) * 100 }
+
+// ReadAt implements io.ReaderAt: the tile's bytes from offset off,
+// generated record by record (a read may start or end mid-record). It
+// shares no state with Read or other ReadAt calls, so concurrent calls
+// are safe.
+func (r *Reader) ReadAt(p []byte, off int64) (int, error) {
+	if off < 0 {
+		return 0, fmt.Errorf("sortbench: ReadAt at negative offset %d", off)
+	}
+	n := 0
+	for n < len(p) && off < r.Size() {
+		rec := Record(r.seed, r.start+off/100)
+		c := copy(p[n:], rec[off%100:])
+		n += c
+		off += int64(c)
+	}
+	if n < len(p) {
+		return n, io.EOF
+	}
+	return n, nil
 }
 
 // Read implements io.Reader.

@@ -3,7 +3,9 @@ package sortbench
 import (
 	"bytes"
 	"io"
+	"math/rand/v2"
 	"slices"
+	"sync"
 	"testing"
 
 	"demsort/internal/elem"
@@ -146,6 +148,47 @@ func TestReaderMatchesGenerate(t *testing.T) {
 	}
 	if !bytes.Equal(got, wantBytes) {
 		t.Fatalf("streamed %d bytes differ from Generate's %d", len(got), len(wantBytes))
+	}
+}
+
+// ReadAt at random offsets and lengths — starting and ending mid-record,
+// from concurrent goroutines — returns the bytes Read streams, and a
+// read that runs past Size returns what there is and io.EOF.
+func TestReaderReadAtMatchesRead(t *testing.T) {
+	const start, n = 411, 300
+	r := NewReader(5, start, n)
+	stream, err := io.ReadAll(NewReader(5, start, n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Size() != int64(len(stream)) {
+		t.Fatalf("Size %d, stream %d bytes", r.Size(), len(stream))
+	}
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewPCG(uint64(g), 9))
+			for range 200 {
+				off := rng.Int64N(r.Size())
+				p := make([]byte, rng.IntN(450)+1)
+				k, err := r.ReadAt(p, off)
+				want := stream[off:min(off+int64(len(p)), r.Size())]
+				if k != len(want) || !bytes.Equal(p[:k], want) {
+					t.Errorf("ReadAt(%d bytes, %d): %d bytes, want %d equal to Read's", len(p), off, k, len(want))
+					return
+				}
+				if short := k < len(p); short != (err == io.EOF) || !short && err != nil {
+					t.Errorf("ReadAt(%d bytes, %d) past Size %v: err %v", len(p), off, short, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if k, err := r.ReadAt(make([]byte, 10), r.Size()-3); k != 3 || err != io.EOF {
+		t.Fatalf("read across the end: %d bytes, %v; want 3 and io.EOF", k, err)
 	}
 }
 

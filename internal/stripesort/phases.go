@@ -54,13 +54,13 @@ type runBlock[T any] struct {
 // rank's contiguous share of the sorted output (nil = leave the striped
 // blocks on the volumes).
 func runPE[T any](j *job.Job[T], c elem.Codec[T], n *cluster.Node, cfg *Config, sink func(rank int, b []byte) error) (*pe[T], error) {
-	// Load input onto local disks (unmeasured).
-	spans, err := j.Load(n)
+	// Open the input (unmeasured; a forward-only Source is staged).
+	input, err := j.Load(n)
 	if err != nil {
 		return nil, fmt.Errorf("stripesort: %w", err)
 	}
 	s := &pe[T]{j: j, c: c, n: n, cfg: cfg, ord: mselect.OrderOf(c)}
-	if err := s.formRuns(spans); err != nil {
+	if err := s.formRuns(input); err != nil {
 		return nil, err
 	}
 	if err := s.mergeBatches(s.predict()); err != nil {
@@ -85,11 +85,11 @@ func runPE[T any](j *job.Job[T], c elem.Codec[T], n *cluster.Node, cfg *Config, 
 // run formation, each run sorted across the machine under sample
 // splitters — its stripe fixes the positions, so the cuts need not be
 // exact — and striped over the machine as it completes.
-func (s *pe[T]) formRuns(spans []blockio.Span) error {
+func (s *pe[T]) formRuns(input *job.Input) error {
 	n, model := s.n, &s.cfg.Model
 	n.SetPhase(PhaseRunForm)
 	var err error
-	s.runs, err = s.j.FormRuns(n, spans, 0x57121, s.sortSampled, func(run int, runLen, segStart int64, seg []T) error {
+	s.runs, err = s.j.FormRuns(n, input, 0x57121, s.sortSampled, func(run int, runLen, segStart int64, seg []T) error {
 		st := s.newStriper(run, runLen, func(g int64, data []T) {
 			s.stored = append(s.stored, runBlock[T]{run: run, blk: g, id: s.writeBlock(data), len: len(data), first: data[0]})
 		})
