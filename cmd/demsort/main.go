@@ -548,9 +548,9 @@ func runTCPWorker(o *options) {
 
 // countingSource wraps a Source so every byte actually read from the
 // input is tallied — the evidence behind "resume re-reads nothing" and
-// "a fresh run reads its tile once". A reader that can be read at an
-// offset stays one (ReadAt is counted, Size forwarded), so the sort
-// still reads it in place instead of staging it.
+// "a fresh run reads its tile once". The wrapper stays a ReaderAt with
+// Size, so the sort reads the input in place; a source that cannot be
+// read at an offset is an error, not a silent fall back to staging.
 func countingSource(src func(rank int) (io.Reader, int64, error)) (func(rank int) (io.Reader, int64, error), *atomic.Int64) {
 	var n atomic.Int64
 	return func(rank int) (io.Reader, int64, error) {
@@ -558,27 +558,21 @@ func countingSource(src func(rank int) (io.Reader, int64, error)) (func(rank int
 		if err != nil {
 			return nil, 0, err
 		}
-		if at, ok := r.(interface {
+		at, ok := r.(interface {
 			io.ReaderAt
 			Size() int64
-		}); ok {
-			return io.NewSectionReader(&countingReader{at: at, n: &n}, 0, at.Size()), cnt, nil
+		})
+		if !ok {
+			return nil, 0, fmt.Errorf("rank %d: input %T cannot be read at an offset", rank, r)
 		}
-		return &countingReader{r: r, n: &n}, cnt, nil
+		return io.NewSectionReader(&countingReader{at: at, n: &n}, 0, at.Size()), cnt, nil
 	}, &n
 }
 
-// countingReader counts the bytes read through r, or through at.
+// countingReader counts the bytes read through at.
 type countingReader struct {
-	r  io.Reader
 	at io.ReaderAt
 	n  *atomic.Int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n.Add(int64(n))
-	return n, err
 }
 
 func (c *countingReader) ReadAt(p []byte, off int64) (int, error) {

@@ -444,4 +444,11 @@ func TestCountingSourceKeepsReaderAt(t *testing.T) {
 			t.Fatalf("%v: ReadAt read other bytes than rank 1's tile, or counted %d of 150", args, counted.Load())
 		}
 	}
+	// A source that cannot be read at an offset is refused, not staged.
+	forward, _ := countingSource(func(int) (io.Reader, int64, error) {
+		return struct{ io.Reader }{bytes.NewReader(nil)}, 0, nil
+	})
+	if _, _, err := forward(2); err == nil || !strings.Contains(err.Error(), "rank 2") {
+		t.Fatalf("a forward-only source must be an error naming the rank, got %v", err)
+	}
 }

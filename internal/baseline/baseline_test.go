@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"demsort/internal/elem"
+	"demsort/internal/job"
 	"demsort/internal/vtime"
 	"demsort/internal/workload"
 )
@@ -129,7 +130,8 @@ func TestSampleSortImbalanceInflatesTime(t *testing.T) {
 
 // TestSampleSortSourceSinkMatchesSlices: the streaming plane must be a
 // pure transport change — a Source/Sink run produces exactly the bytes
-// of the slice-fed run, rank for rank, and reports the same part sizes.
+// of the slice-fed run, rank for rank, and reports the same part sizes,
+// whether the Source is read in place or, forward-only, staged first.
 func TestSampleSortSourceSinkMatchesSlices(t *testing.T) {
 	const p = 4
 	input := workload.Generate(workload.Uniform, p, 4000, 9)
@@ -139,34 +141,49 @@ func TestSampleSortSourceSinkMatchesSlices(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cfg := testConfig(p)
-	cfg.KeepOutput = false
-	cfg.Source = func(rank int) (io.Reader, int64, error) {
-		return bytes.NewReader(elem.EncodeSlice(kvc, input[rank])), int64(len(input[rank])), nil
-	}
-	got := make([][]byte, p)
-	var mu sync.Mutex
-	cfg.Sink = func(rank int, b []byte) error {
-		mu.Lock()
-		got[rank] = append(got[rank], b...)
-		mu.Unlock()
-		return nil
-	}
-	res, err := SampleSort[elem.KV16](kvc, cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for rank := 0; rank < p; rank++ {
-		if !bytes.Equal(got[rank], elem.EncodeSlice(kvc, ref.Output[rank])) {
-			t.Fatalf("rank %d: streamed output differs from the slice-fed run", rank)
+	var cfg Config
+	for _, forward := range []bool{false, true} {
+		cfg = testConfig(p)
+		cfg.KeepOutput = false
+		cfg.Source = func(rank int) (io.Reader, int64, error) {
+			r := bytes.NewReader(elem.EncodeSlice(kvc, input[rank]))
+			if forward {
+				return struct{ io.Reader }{r}, int64(len(input[rank])), nil
+			}
+			return r, int64(len(input[rank])), nil
 		}
-		if res.PartSizes[rank] != ref.PartSizes[rank] {
-			t.Fatalf("rank %d: part size %d vs %d", rank, res.PartSizes[rank], ref.PartSizes[rank])
+		got := make([][]byte, p)
+		var mu sync.Mutex
+		cfg.Sink = func(rank int, b []byte) error {
+			mu.Lock()
+			got[rank] = append(got[rank], b...)
+			mu.Unlock()
+			return nil
 		}
-	}
-	// The output leaves once: with a Sink the merge writes no block.
-	if _, written := res.PhaseBytes(PhaseLocalSort); written != 0 {
-		t.Errorf("local external sort wrote %d bytes with a Sink", written)
+		res, err := SampleSort[elem.KV16](kvc, cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for rank := 0; rank < p; rank++ {
+			if !bytes.Equal(got[rank], elem.EncodeSlice(kvc, ref.Output[rank])) {
+				t.Fatalf("forward-only=%v, rank %d: streamed output differs from the slice-fed run", forward, rank)
+			}
+			if res.PartSizes[rank] != ref.PartSizes[rank] {
+				t.Fatalf("forward-only=%v, rank %d: part size %d vs %d", forward, rank, res.PartSizes[rank], ref.PartSizes[rank])
+			}
+		}
+		// The output leaves once: with a Sink the merge writes no block.
+		if _, written := res.PhaseBytes(PhaseLocalSort); written != 0 {
+			t.Errorf("forward-only=%v: local external sort wrote %d bytes with a Sink", forward, written)
+		}
+		// The input is staged only when it cannot be read in place.
+		want := int64(0)
+		if forward {
+			want = p * 4000 * 16
+		}
+		if _, written := res.PhaseBytes(job.PhaseLoad); written != want {
+			t.Errorf("forward-only=%v: load wrote %d bytes, want %d", forward, written, want)
+		}
 	}
 
 	// The contract is exclusive: Source plus slice input is a config

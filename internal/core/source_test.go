@@ -78,23 +78,49 @@ func (f *failingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// A Source that fails mid-stream must abort the sort with its error —
-// and must not leave the machine wedged.
-func TestSortSourceErrorAborts(t *testing.T) {
-	srcErr := errors.New("input device vanished")
-	cfg := testConfig(2)
-	cfg.KeepOutput = false
-	input := inputFor(cfg, workload.Uniform, 5000, 23)
-	cfg.Source = func(rank int) (io.Reader, int64, error) {
-		r := bytes.NewReader(elem.EncodeSlice(kvc, input[rank]))
-		if rank == 1 {
-			return &failingReader{r: r, limit: 4096, err: srcErr}, int64(len(input[rank])), nil
-		}
-		return r, int64(len(input[rank])), nil
+// failingReaderAt serves reads in place below byte limit of r and fails
+// every read that reaches past it.
+type failingReaderAt struct {
+	*bytes.Reader
+	limit int64
+	err   error
+}
+
+func (f *failingReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	if off+int64(len(p)) > f.limit {
+		return 0, f.err
 	}
-	_, err := Sort[elem.KV16](kvc, cfg, nil)
-	if err == nil || !errors.Is(err, srcErr) {
-		t.Fatalf("source error must abort the sort, got %v", err)
+	return f.Reader.ReadAt(p, off)
+}
+
+// A Source that fails mid-stream must abort the sort with its error —
+// and must not leave the machine wedged. A forward-only reader fails in
+// the load; one read in place fails inside run formation, while the
+// other PEs are already in the run's collectives.
+func TestSortSourceErrorAborts(t *testing.T) {
+	for _, direct := range []bool{false, true} {
+		srcErr := errors.New("input device vanished")
+		cfg := testConfig(2)
+		cfg.KeepOutput = false
+		input := inputFor(cfg, workload.Uniform, 5000, 23)
+		cfg.Source = func(rank int) (io.Reader, int64, error) {
+			r := bytes.NewReader(elem.EncodeSlice(kvc, input[rank]))
+			switch {
+			case rank != 1:
+				return r, int64(len(input[rank])), nil
+			case direct:
+				return &failingReaderAt{Reader: r, limit: 4096, err: srcErr}, int64(len(input[rank])), nil
+			default:
+				return &failingReader{r: r, limit: 4096, err: srcErr}, int64(len(input[rank])), nil
+			}
+		}
+		_, err := Sort[elem.KV16](kvc, cfg, nil)
+		if err == nil || !errors.Is(err, srcErr) {
+			t.Fatalf("direct=%v: source error must abort the sort, got %v", direct, err)
+		}
+		if direct && !strings.Contains(err.Error(), "input source, rank 1") {
+			t.Fatalf("an in-place read error must name the rank: %v", err)
+		}
 	}
 }
 

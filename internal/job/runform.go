@@ -60,6 +60,11 @@ func (j *Job[T]) FormRuns(n *cluster.Node, in *Input, salt uint64, sortRun RunSo
 		raw    []byte
 		handle blockio.Handle
 	}
+	drop := func(ps []pending) { // never decoded (an error ends the phase): recycle the buffers
+		for _, p := range ps {
+			bufpool.Put(p.raw)
+		}
+	}
 	fetchRun := func(r int) ([]pending, error) {
 		lo := min(r*bpr, len(spans))
 		mine := spans[lo:min(lo+bpr, len(spans))]
@@ -68,7 +73,7 @@ func (j *Job[T]) FormRuns(n *cluster.Node, in *Input, salt uint64, sortRun RunSo
 			raw := bufpool.Get(sp.Bytes)
 			h, err := in.Read(sp, raw)
 			if err != nil {
-				bufpool.Put(raw)
+				drop(append(ps, pending{raw: raw}))
 				return nil, err
 			}
 			ps = append(ps, pending{span: sp, raw: raw, handle: h})
@@ -87,6 +92,7 @@ func (j *Job[T]) FormRuns(n *cluster.Node, in *Input, salt uint64, sortRun RunSo
 	if err != nil {
 		return 0, err
 	}
+	defer func() { drop(cur) }() // the fetched run an error leaves undecoded
 	for r := 0; r < runs; r++ {
 		next, err := fetchRun(r + 1) // overlap: prefetch while we sort
 		if err != nil {
