@@ -85,7 +85,7 @@ func okStraight(n int) {
 	bufpool.Put(buf)
 }
 
-// okGrow: Put-then-rebind inside a branch, the core/file.go idiom.
+// okGrow: Put-then-rebind inside a branch, the job/file.go idiom.
 func okGrow(buf []byte, need int) []byte {
 	if need > cap(buf) {
 		bufpool.Put(buf)

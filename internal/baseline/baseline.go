@@ -1,17 +1,15 @@
-// Package baseline implements the comparison algorithms the paper
-// positions itself against:
-//
-//   - SampleSort: a NOW-Sort-style distribution sort (Arpaci-Dusseau
-//     et al., SIGMOD 1997). One pass reads the input and routes every
-//     record to its destination PE using splitters estimated from a
-//     key sample; each PE then sorts what it received externally. Fast
-//     for random inputs, but "it only works efficiently for random
-//     inputs. In the worst case, it deteriorates to a sequential
-//     algorithm since all the data ends up in a single processor"
-//     (§II) — the skew experiments measure exactly that.
-//
-//   - ExternalMergeSortSeq: the classic single-node two-pass external
-//     mergesort, the P = 1 reference point.
+// Package baseline implements the comparison algorithm the paper
+// positions itself against, SampleSort: a NOW-Sort-style distribution
+// sort (Arpaci-Dusseau et al., SIGMOD 1997). One pass reads the input
+// and routes every record to its destination PE using splitters
+// estimated from a key sample; each PE then sorts what it received
+// externally, keeping its sorted runs as the canonical sorter's run
+// files (job.Writer) and merging them with the same local merge
+// (Job.MergeFiles). Fast for random inputs, but "it only works
+// efficiently for random inputs. In the worst case, it deteriorates to
+// a sequential algorithm since all the data ends up in a single
+// processor" (§II) — the skew experiments measure exactly that. At
+// P = 1 it is the classic two-pass external mergesort.
 package baseline
 
 import (
@@ -20,12 +18,10 @@ import (
 	"sort"
 
 	"demsort/internal/blockio"
-	"demsort/internal/bufpool"
 	"demsort/internal/cluster"
 	"demsort/internal/elem"
 	"demsort/internal/job"
 	"demsort/internal/psort"
-	"demsort/internal/xmerge"
 )
 
 // Phase names of the sample sort.
@@ -89,7 +85,7 @@ func SampleSort[T any](c elem.Codec[T], cfg Config, input [][]T) (*Result[T], er
 		return nil, fmt.Errorf("baseline: %w", err)
 	}
 	cfg.Base = common.Base // with Open's defaults applied
-	sz, bElem := c.Size(), j.BElem
+	sz := c.Size()
 	if err := j.Start(); err != nil {
 		return nil, fmt.Errorf("baseline: %w", err)
 	}
@@ -163,8 +159,7 @@ func SampleSort[T any](c elem.Codec[T], cfg Config, input [][]T) (*Result[T], er
 			})
 		}
 		// Received data goes to disk in sorted memory-sized runs.
-		var recvRuns [][]blockio.BlockID
-		var recvRunLens [][]int
+		var recvRuns []job.File
 		var recvTotal int64
 		pendingRecv := make([]T, 0)
 		flushRecv := func() {
@@ -173,20 +168,9 @@ func SampleSort[T any](c elem.Codec[T], cfg Config, input [][]T) (*Result[T], er
 			}
 			psort.Sort(c, pendingRecv, psort.DefaultWorkers())
 			n.AddCPU(cfg.Model.SortCPU(int64(len(pendingRecv))))
-			var ids []blockio.BlockID
-			var lens []int
-			for off := 0; off < len(pendingRecv); off += bElem {
-				hi := off + bElem
-				if hi > len(pendingRecv) {
-					hi = len(pendingRecv)
-				}
-				id := n.Vol.Alloc()
-				n.Vol.WriteAsync(id, elem.EncodeSlice(c, pendingRecv[off:hi]))
-				ids = append(ids, id)
-				lens = append(lens, hi-off)
-			}
-			recvRuns = append(recvRuns, ids)
-			recvRunLens = append(recvRunLens, lens)
+			w := job.NewWriter(c, n.Vol)
+			w.AddSlice(pendingRecv)
+			recvRuns = append(recvRuns, w.Finish())
 			pendingRecv = pendingRecv[:0]
 		}
 
@@ -232,8 +216,8 @@ func SampleSort[T any](c elem.Codec[T], cfg Config, input [][]T) (*Result[T], er
 
 		// Phase 3: local external merge of the received runs.
 		n.SetPhase(PhaseLocalSort)
-		if err := mergeRuns(c, n, cfg, recvRuns, recvRunLens, bElem, sink); err != nil {
-			return err
+		if _, err := j.MergeFiles(n, recvRuns, sink); err != nil {
+			return fmt.Errorf("baseline: %w", err)
 		}
 		n.Vol.Drain()
 		n.Barrier()
@@ -250,54 +234,4 @@ func SampleSort[T any](c elem.Codec[T], cfg Config, input [][]T) (*Result[T], er
 		res.N += part
 	}
 	return res, nil
-}
-
-// mergeRuns k-way merges sorted on-disk runs, reading each element once
-// and handing every output block either to sink (Job.OutputSink) or,
-// when nobody wants the output (nil sink), to the volume — the same
-// streaming merge (xmerge.MergeStream) and the same rule as the core
-// final merge.
-func mergeRuns[T any](c elem.Codec[T], n *cluster.Node, cfg Config, runs [][]blockio.BlockID, runLens [][]int, bElem int,
-	sink func(rank int, encoded []byte) error) error {
-	sz := c.Size()
-	bufs := make([][]T, len(runs)) // per run: the decode buffer of its current block
-	at := make([]int, len(runs))   // per run: the next block to read
-	next := func(i int) []T {
-		b := at[i]
-		if b >= len(runs[i]) {
-			return nil
-		}
-		at[i]++
-		raw := bufpool.Get(runLens[i][b] * sz)
-		n.Vol.ReadWait(runs[i][b], raw)
-		bufs[i] = elem.AppendDecode(c, bufs[i][:0], raw, runLens[i][b])
-		bufpool.Put(raw)
-		n.Vol.Free(runs[i][b])
-		return bufs[i]
-	}
-	err := xmerge.MergeStream(c, len(runs), bElem, next, func(blk []T) error {
-		enc := bufpool.Get(len(blk) * sz)
-		defer bufpool.Put(enc)
-		elem.EncodeInto(c, enc, blk)
-		var sinkErr error
-		if sink != nil {
-			sinkErr = sink(n.Rank, enc)
-		} else {
-			n.Vol.WriteAsync(n.Vol.Alloc(), enc)
-		}
-		n.AddCPU(cfg.Model.MergeCPU(int64(len(blk)), len(runs)) + cfg.Model.ScanCPU(int64(len(blk))))
-		return sinkErr
-	})
-	if err != nil {
-		return fmt.Errorf("baseline: output sink, rank %d: %w", n.Rank, err)
-	}
-	return nil
-}
-
-// ExternalMergeSortSeq sorts one PE's data with the classic two-pass
-// external mergesort (run formation + k-way merge) and returns the
-// modelled stats; it reuses the cluster machinery with P = 1.
-func ExternalMergeSortSeq[T any](c elem.Codec[T], cfg Config, input []T) (*Result[T], error) {
-	cfg.P = 1
-	return SampleSort(c, cfg, [][]T{input}) // with P=1 the distribute pass degenerates to run formation
 }

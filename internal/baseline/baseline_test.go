@@ -101,11 +101,48 @@ func TestSampleSortEmpty(t *testing.T) {
 func TestExternalMergeSortSeq(t *testing.T) {
 	cfg := testConfig(1)
 	input := workload.Generate(workload.Uniform, 1, 9000, 9)
-	res, err := ExternalMergeSortSeq[elem.KV16](kvc, cfg, input[0])
+	res, err := SampleSort[elem.KV16](kvc, cfg, input) // at P = 1 the distribute pass degenerates to run formation
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkSorted(t, res, input)
+}
+
+// TestSampleSortLocalSortIO pins the local external sort's I/O: the
+// merge reads every received element exactly once, and writes each once
+// onto the volume when nobody wants the output — nothing with a Sink.
+func TestSampleSortLocalSortIO(t *testing.T) {
+	const p = 4
+	input := workload.Generate(workload.Uniform, p, 20000, 13)
+	for _, withSink := range []bool{false, true} {
+		cfg := testConfig(p)
+		cfg.KeepOutput = false
+		if withSink {
+			cfg.Sink = func(rank int, b []byte) error { return nil }
+		}
+		res, err := SampleSort[elem.KV16](kvc, cfg, input)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var n int64
+		for _, s := range res.PartSizes {
+			n += s
+		}
+		want := n * int64(kvc.Size())
+		if want == 0 {
+			t.Fatal("test degenerate: nothing received")
+		}
+		read, written := res.PhaseBytes(PhaseLocalSort)
+		if read != want {
+			t.Errorf("sink=%v: local external sort read %d bytes, want %d", withSink, read, want)
+		}
+		if withSink {
+			want = 0
+		}
+		if written != want {
+			t.Errorf("sink=%v: local external sort wrote %d bytes, want %d", withSink, written, want)
+		}
+	}
 }
 
 func TestSampleSortImbalanceInflatesTime(t *testing.T) {

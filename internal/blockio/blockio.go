@@ -450,71 +450,34 @@ type Span struct {
 	Bytes int
 }
 
-// fillChunk is one staged read of FillFrom.
-type fillChunk struct {
-	buf []byte
-	err error
-}
-
 // FillFrom streams totalBytes from r onto the volume, chunkBytes at a
 // time (the last span may be shorter) — the O(B)-memory way to load an
 // input that does not fit in RAM and can only be read forward (an input
 // that can be read at an offset needs no staging: ReadAtAsync reads its
-// blocks where they are). chunkBytes is the caller's
-// element-aligned block payload (it may be less than BlockBytes when
-// the element size does not divide the block size). A reader goroutine
-// stages up to two pooled chunks ahead while the calling PE goroutine
-// allocates and writes blocks — the double-buffered load pipeline of
-// §IV-E — so at most three chunks are live (the caller charges them to
-// its budget) and the volume itself is only ever touched by the calling
-// goroutine. Spans are returned in stream order; on a short or failed
-// read the blocks already written are returned alongside the error so
-// the caller can free them.
+// blocks where they are). chunkBytes is the caller's element-aligned
+// block payload (it may be less than BlockBytes when the element size
+// does not divide the block size). It is one loop — read a chunk,
+// allocate a block, write it — through one pooled chunk, so a single
+// chunk is live (the caller charges it to its budget). Spans are
+// returned in stream order; on a short or failed read the blocks
+// already written are returned alongside the error so the caller can
+// free them.
 func (v *Volume) FillFrom(r io.Reader, totalBytes int64, chunkBytes int) ([]Span, error) {
 	if chunkBytes <= 0 || chunkBytes > v.blockBytes {
 		return nil, fmt.Errorf("blockio: FillFrom chunk %d outside (0, %d]", chunkBytes, v.blockBytes)
 	}
 	var spans []Span
-	if totalBytes <= 0 {
-		return spans, nil
-	}
-	const depth = 2
-	ch := make(chan fillChunk, depth)
-	stop := make(chan struct{})
-	defer close(stop) // a consumer-side panic must not strand the reader
-	go func() {
-		defer close(ch)
-		for rem := totalBytes; rem > 0; {
-			take := chunkBytes
-			if int64(take) > rem {
-				take = int(rem)
-			}
-			b := bufpool.Get(take)
-			if _, err := io.ReadFull(r, b); err != nil {
-				bufpool.Put(b)
-				select {
-				case ch <- fillChunk{err: fmt.Errorf("blockio: source read at byte %d of %d: %w", totalBytes-rem, totalBytes, err)}:
-				case <-stop:
-				}
-				return
-			}
-			select {
-			case ch <- fillChunk{buf: b}:
-			case <-stop:
-				bufpool.Put(b)
-				return
-			}
-			rem -= int64(take)
-		}
-	}()
-	for c := range ch {
-		if c.err != nil {
-			return spans, c.err
+	buf := bufpool.Get(chunkBytes)
+	defer bufpool.Put(buf)
+	for rem := totalBytes; rem > 0; {
+		b := buf[:min(int64(chunkBytes), rem)]
+		if _, err := io.ReadFull(r, b); err != nil {
+			return spans, fmt.Errorf("blockio: source read at byte %d of %d: %w", totalBytes-rem, totalBytes, err)
 		}
 		id := v.Alloc()
-		v.WriteAsync(id, c.buf)
-		spans = append(spans, Span{ID: id, Bytes: len(c.buf)})
-		bufpool.Put(c.buf)
+		v.WriteAsync(id, b)
+		spans = append(spans, Span{ID: id, Bytes: len(b)})
+		rem -= int64(len(b))
 	}
 	return spans, nil
 }

@@ -276,7 +276,9 @@ func SyncA2AStream(tr Transport) A2AStream { return &syncA2AStream{tr: tr} }
 
 // Node is the per-PE context handed to the program run on the machine:
 // the facade phase code programs against, delegating communication to
-// the backend Transport and time accounting to the backend Stats.
+// the backend Transport and time accounting to the backend Stats. Every
+// communication call passes one entry point (op), which enforces the
+// stream rule and runs the op hook fault injection sets (SetOpHook).
 type Node struct {
 	// Rank is this PE's index in 0..P-1.
 	Rank int
@@ -297,6 +299,8 @@ type Node struct {
 	// so any other communication call would interleave with them (see
 	// guard).
 	stream A2AStream
+	// hook, when set, sees every communication call (SetOpHook).
+	hook func(op string)
 }
 
 // NewNode assembles a PE context over a backend transport and stats
@@ -339,6 +343,15 @@ func (n *Node) PhaseStats() (names []string, stats map[string]*vtime.PhaseStats)
 	return n.st.Stats()
 }
 
+// SetOpHook installs hook (nil clears it) to run on the PE goroutine
+// before every communication call made through the Node, with the
+// Transport method's name: once per Barrier, AllToAllv, AllGather,
+// Bcast, AllReduceInt64, ExchangeAny, Send and Recv, and once per
+// exchange A2ARounds posts, as "AllToAllv" — never for OpenA2AStream.
+// It is how fault injection (cluster/faulty) finds its trigger points,
+// a position in the PE's call sequence, on any backend.
+func (n *Node) SetOpHook(hook func(op string)) { n.hook = hook }
+
 // guard fails the run when call is made between OpenA2AStream and the
 // stream's Close: a frame from another call could overtake a posted
 // exchange's frame still queued in the backend's sender, on the same
@@ -350,13 +363,21 @@ func (n *Node) guard(call string) {
 	}
 }
 
+// op admits a transport call: the guard, then the op hook.
+func (n *Node) op(call string) {
+	n.guard(call)
+	if n.hook != nil {
+		n.hook(call)
+	}
+}
+
 // Barrier synchronises all PEs.
-func (n *Node) Barrier() { n.guard("Barrier"); n.tr.Barrier() }
+func (n *Node) Barrier() { n.op("Barrier"); n.tr.Barrier() }
 
 // AllToAllv sends send[j] to PE j and returns what every PE sent to
 // this one; see Transport.AllToAllv.
 func (n *Node) AllToAllv(send [][]byte) [][]byte {
-	n.guard("AllToAllv")
+	n.op("AllToAllv")
 	return n.tr.AllToAllv(send)
 }
 
@@ -422,6 +443,9 @@ func (n *Node) A2ARounds(rounds int, build func(s int) (send [][]byte, charge in
 			send, charge := build(posted)
 			n.Mem.MustAcquire(charge)
 			charges = append(charges, charge)
+			if n.hook != nil {
+				n.hook("AllToAllv") // what a plain AllToAllv announces
+			}
 			st.Post(send)
 		}
 		recv := st.Collect()
@@ -437,39 +461,39 @@ func (n *Node) A2ARounds(rounds int, build func(s int) (send [][]byte, charge in
 // AllGather collects each PE's byte slice, indexed by rank; the result
 // may be shared structurally (callers must not mutate it).
 func (n *Node) AllGather(data []byte) [][]byte {
-	n.guard("AllGather")
+	n.op("AllGather")
 	return n.tr.AllGather(data)
 }
 
 // Bcast distributes root's data to every PE.
 func (n *Node) Bcast(root int, data []byte) []byte {
-	n.guard("Bcast")
+	n.op("Bcast")
 	return n.tr.Bcast(root, data)
 }
 
 // AllReduceInt64 combines every PE's value with op ("sum", "max",
 // "min", "or") and returns the result to all.
 func (n *Node) AllReduceInt64(v int64, op string) int64 {
-	n.guard("AllReduceInt64")
+	n.op("AllReduceInt64")
 	return n.tr.AllReduceInt64(v, op)
 }
 
 // ExchangeAny is a generic personalised exchange of small metadata
 // values; see Transport.ExchangeAny.
 func (n *Node) ExchangeAny(items []any, nominalBytes int) []any {
-	n.guard("ExchangeAny")
+	n.op("ExchangeAny")
 	return n.tr.ExchangeAny(items, nominalBytes)
 }
 
 // Send transmits payload to PE dst with a tag.
 func (n *Node) Send(dst, tag int, payload []byte) {
-	n.guard("Send")
+	n.op("Send")
 	n.tr.Send(dst, tag, payload)
 }
 
 // Recv blocks for the next message from src with the given tag.
 func (n *Node) Recv(src, tag int) []byte {
-	n.guard("Recv")
+	n.op("Recv")
 	return n.tr.Recv(src, tag)
 }
 

@@ -7,10 +7,11 @@
 // fan-out) and the abort semantics of sim are exercised by table-driven
 // tests instead of one-off environment-variable hacks.
 //
-// Faults trigger from the PE's own program goroutine, in the wrapped
-// Transport methods, which is what makes them deterministic: the
-// trigger point is a position in the PE's call sequence, not a timer
-// race. The seeded RNG only parameterises delay durations.
+// Faults trigger from the PE's own program goroutine, through the op
+// hook every communication call of a cluster.Node passes
+// (Node.SetOpHook), which is what makes them deterministic: the trigger
+// point is a position in the PE's call sequence, not a timer race. The
+// seeded RNG only parameterises delay durations.
 //
 // Backend-specific sharp edges (abrupt socket teardown, stopped
 // heartbeats, a severed link) are reached through optional interfaces
@@ -102,7 +103,8 @@ func (f Fault) String() string {
 }
 
 // KnownOps lists the Transport methods a Fault's Op can intercept —
-// the complete trigger surface of this package.
+// the ops cluster.Node announces to its op hook, the complete trigger
+// surface of this package.
 var KnownOps = []string{
 	"Barrier", "AllToAllv", "AllGather", "Bcast", "AllReduceInt64",
 	"ExchangeAny", "Send", "Recv",
@@ -203,7 +205,7 @@ type wedger interface{ Wedge() }
 type connDropper interface{ DropPeer(rank int) }
 
 // Machine wraps a backend machine, injecting the configured faults
-// into the Transport calls of the PEs it hosts. It implements
+// into the communication calls of the PEs it hosts. It implements
 // cluster.Machine and delegates everything else.
 type Machine struct {
 	inner  cluster.Machine
@@ -226,22 +228,20 @@ func (m *Machine) Release() {
 	m.releaseOnce.Do(func() { close(m.release) })
 }
 
-// Run implements cluster.Machine: each locally hosted PE runs fn
-// against a Transport that injects this rank's faults.
+// Run implements cluster.Machine: each locally hosted PE runs fn with
+// this rank's faults checked before every communication call, as the
+// backend Node's op hook — installed for the run, cleared on return.
 func (m *Machine) Run(fn func(*cluster.Node) error) error {
 	return m.inner.Run(func(n *cluster.Node) error {
-		tr := &transport{
-			Transport: n.Transport(),
-			st:        n.NodeStats(),
-			m:         m,
-			rng:       rand.New(rand.NewSource(int64(m.seed ^ uint64(n.Rank)*0x9e3779b97f4a7c15))),
-		}
+		pf := &peFaults{n: n, m: m, rng: rand.New(rand.NewSource(int64(m.seed ^ uint64(n.Rank)*0x9e3779b97f4a7c15)))}
 		for _, f := range m.faults {
 			if f.Rank == n.Rank {
-				tr.faults = append(tr.faults, &armed{Fault: f})
+				pf.faults = append(pf.faults, &armed{Fault: f})
 			}
 		}
-		return fn(cluster.NewNode(tr, n.NodeStats(), n.Vol, n.Mem))
+		n.SetOpHook(pf.before)
+		defer n.SetOpHook(nil)
+		return fn(n)
 	})
 }
 
@@ -268,25 +268,24 @@ type armed struct {
 	fired bool // one-shot actions already taken
 }
 
-// transport intercepts every Transport call on one PE.
-type transport struct {
-	cluster.Transport
-	st     cluster.Stats
+// peFaults is one PE's armed faults.
+type peFaults struct {
+	n      *cluster.Node
 	m      *Machine
 	faults []*armed
 	rng    *rand.Rand
 }
 
 // before runs the fault check for one op on the PE's own goroutine.
-func (t *transport) before(op string) {
-	for _, f := range t.faults {
+func (pf *peFaults) before(op string) {
+	for _, f := range pf.faults {
 		if f.fired {
 			continue
 		}
 		if f.Op != "" && f.Op != op {
 			continue
 		}
-		if f.Phase != "" && f.Phase != t.st.Phase() {
+		if f.Phase != "" && f.Phase != pf.n.Phase() {
 			continue
 		}
 		f.seen++
@@ -299,111 +298,30 @@ func (t *transport) before(op string) {
 			if max <= 0 {
 				max = 10 * time.Millisecond
 			}
-			time.Sleep(max/2 + time.Duration(t.rng.Int63n(int64(max/2)+1)))
+			time.Sleep(max/2 + time.Duration(pf.rng.Int63n(int64(max/2)+1)))
 		case Crash:
 			f.fired = true
-			if k, ok := t.m.inner.(killer); ok {
+			if k, ok := pf.m.inner.(killer); ok {
 				k.Kill()
 			}
-			panic(fmt.Sprintf("faulty: injected crash on rank %d (%s)", t.Transport.Rank(), f.Fault))
+			panic(fmt.Sprintf("faulty: injected crash on rank %d (%s)", pf.n.Rank, f.Fault))
 		case Die:
 			f.fired = true
-			fmt.Fprintf(os.Stderr, "faulty: injected death of rank %d (%s)\n", t.Transport.Rank(), f.Fault)
+			fmt.Fprintf(os.Stderr, "faulty: injected death of rank %d (%s)\n", pf.n.Rank, f.Fault)
 			os.Exit(11)
 		case Wedge:
 			f.fired = true
-			if w, ok := t.m.inner.(wedger); ok {
+			if w, ok := pf.m.inner.(wedger); ok {
 				w.Wedge()
 			}
-			<-t.m.release
+			<-pf.m.release
 		case DropConn:
 			f.fired = true
-			if d, ok := t.m.inner.(connDropper); ok {
+			if d, ok := pf.m.inner.(connDropper); ok {
 				d.DropPeer(f.Peer)
 			}
 		}
 	}
 }
 
-// The intercepted surface: every call announces its op name first.
-
-func (t *transport) Barrier() { t.before("Barrier"); t.Transport.Barrier() }
-
-func (t *transport) AllToAllv(send [][]byte) [][]byte {
-	t.before("AllToAllv")
-	return t.Transport.AllToAllv(send)
-}
-
-func (t *transport) AllGather(data []byte) [][]byte {
-	t.before("AllGather")
-	return t.Transport.AllGather(data)
-}
-
-func (t *transport) Bcast(root int, data []byte) []byte {
-	t.before("Bcast")
-	return t.Transport.Bcast(root, data)
-}
-
-func (t *transport) AllReduceInt64(v int64, op string) int64 {
-	t.before("AllReduceInt64")
-	return t.Transport.AllReduceInt64(v, op)
-}
-
-func (t *transport) ExchangeAny(items []any, nominalBytes int) []any {
-	t.before("ExchangeAny")
-	return t.Transport.ExchangeAny(items, nominalBytes)
-}
-
-func (t *transport) Send(dst, tag int, payload []byte) {
-	t.before("Send")
-	t.Transport.Send(dst, tag, payload)
-}
-
-func (t *transport) Recv(src, tag int) []byte {
-	t.before("Recv")
-	return t.Transport.Recv(src, tag)
-}
-
-// MailboxPeakBytes delegates to the wrapped backend when it buffers
-// (cluster.MailboxStats passthrough).
-func (t *transport) MailboxPeakBytes() int64 {
-	if ms, ok := t.Transport.(cluster.MailboxStats); ok {
-		return ms.MailboxPeakBytes()
-	}
-	return 0
-}
-
-// OpenA2AStream forwards the pipelined all-to-all path
-// (cluster.StreamingTransport passthrough), wrapping the stream so
-// every posted exchange still runs this rank's AllToAllv fault check on
-// the PE goroutine — without this, chaos runs would silently fall back
-// to the synchronous adapter and never exercise the double-buffered
-// rounds. On a backend without an asynchronous path the synchronous
-// adapter is built over this wrapper, so its Post reaches the fault
-// check through the intercepted AllToAllv.
-func (t *transport) OpenA2AStream(window int) cluster.A2AStream {
-	if st, ok := t.Transport.(cluster.StreamingTransport); ok {
-		return &faultyStream{A2AStream: st.OpenA2AStream(window), t: t}
-	}
-	return cluster.SyncA2AStream(t)
-}
-
-// faultyStream injects the AllToAllv fault at each Post — the same
-// call position the synchronous path triggers at.
-type faultyStream struct {
-	cluster.A2AStream
-	t *transport
-}
-
-func (s *faultyStream) Post(send [][]byte) {
-	s.t.before("AllToAllv")
-	s.A2AStream.Post(send)
-}
-
-// Interface conformance.
-var (
-	_ cluster.Machine            = (*Machine)(nil)
-	_ cluster.Transport          = (*transport)(nil)
-	_ cluster.MailboxStats       = (*transport)(nil)
-	_ cluster.StreamingTransport = (*transport)(nil)
-)
+var _ cluster.Machine = (*Machine)(nil)

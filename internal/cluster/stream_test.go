@@ -21,6 +21,13 @@ import (
 // one goroutine each) and returns the per-rank Run errors.
 func runOn(t *testing.T, backend string, p int, fn func(*cluster.Node) error) []error {
 	t.Helper()
+	return useMachines(t, backend, p, func(m cluster.Machine) error { return m.Run(fn) })
+}
+
+// useMachines builds runOn's machines and hands each to use, returning
+// the per-rank errors.
+func useMachines(t *testing.T, backend string, p int, use func(cluster.Machine) error) []error {
+	t.Helper()
 	errs := make([]error, p)
 	if backend == "sim" {
 		m, err := sim.New(sim.Config{P: p, BlockBytes: 1024, MemElems: 1 << 20})
@@ -28,7 +35,7 @@ func runOn(t *testing.T, backend string, p int, fn func(*cluster.Node) error) []
 			t.Fatal(err)
 		}
 		defer m.Close()
-		err = m.Run(fn)
+		err = use(m)
 		for rank := range errs {
 			errs[rank] = err
 		}
@@ -49,7 +56,7 @@ func runOn(t *testing.T, backend string, p int, fn func(*cluster.Node) error) []
 				return
 			}
 			defer m.Close()
-			errs[rank] = m.Run(fn)
+			errs[rank] = use(m)
 		}(rank)
 	}
 	wg.Wait()

@@ -33,6 +33,7 @@ import (
 	"demsort/internal/blockio"
 	"demsort/internal/cluster"
 	"demsort/internal/elem"
+	"demsort/internal/job"
 	"demsort/internal/mselect"
 )
 
@@ -176,7 +177,7 @@ func restoreRunform[T any](c elem.Codec[T], n *cluster.Node, k int64, man *block
 		totalN:    man.TotalN,
 	}
 	for ri, rm := range man.Runs {
-		locals[ri] = localRun[T]{file: File{Extents: rm.Extents, N: rm.SegLen}, segStart: rm.SegStart, segLen: rm.SegLen, runLen: rm.RunLen}
+		locals[ri] = localRun[T]{file: job.File{Extents: rm.Extents, N: rm.SegLen}, segStart: rm.SegStart, segLen: rm.SegLen, runLen: rm.RunLen}
 		meta.runLens[ri] = rm.RunLen
 		sample := elem.AppendDecode(c, nil, rm.Sample, len(rm.Sample)/c.Size())
 		meta.samples[ri] = mselect.Sample[T]{K: man.SampleK, Vals: sample}

@@ -22,7 +22,8 @@
 //     (one walker, window, cuts both sides), assemble;
 //  4. final merge (mergelocal.go): every PE merges its R local run
 //     pieces with prefetching, entirely without communication, onto
-//     its disks or straight into the Sink.
+//     its disks or straight into the Sink — job.MergeFiles, the local
+//     merge the baseline shares; the run pieces are job.Files.
 package core
 
 import "demsort/internal/job"

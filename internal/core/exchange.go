@@ -67,9 +67,9 @@ type exchanger[T any] struct {
 	kept         []piece   // per run: pieces(me, me), the zero piece if none
 	k            int
 
-	sendLeft  [][]int32      // per (run, block): elements still to send away
-	keptTouch [][]bool       // per (run, block): overlaps the kept range
-	writers   [][]*writer[T] // per (run, source rank): indexed, so flushes go in rank order
+	sendLeft  [][]int32          // per (run, block): elements still to send away
+	keptTouch [][]bool           // per (run, block): overlaps the kept range
+	writers   [][]*job.Writer[T] // per (run, source rank): indexed, so flushes go in rank order
 
 	cached blockKey // readBlock's one-block cache
 	vals   []T
@@ -83,7 +83,7 @@ type exchanger[T any] struct {
 // zero I/O, which is why the all-to-all is nearly free for random
 // inputs (Figure 5). The result is, per run, this PE's sorted
 // destination range as a local file.
-func exchange[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, pl *job.Plan, meta *runsMeta[T], locals []localRun[T], split [][]int64) ([]File, int, error) {
+func exchange[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, pl *job.Plan, meta *runsMeta[T], locals []localRun[T], split [][]int64) ([]job.File, int, error) {
 	n.SetPhase(PhaseExchange)
 	x := &exchanger[T]{c: c, n: n, cfg: cfg, bElem: int64(pl.BElem), meta: meta, locals: locals, split: split,
 		durable: cfg.Checkpoint.Dir != "", cached: blockKey{-1, -1}}
@@ -164,7 +164,7 @@ func (x *exchanger[T]) subOps(quota int64) int {
 // once fully consumed — and the empty per-(run, source) writer table.
 func (x *exchanger[T]) recycling() {
 	r := len(x.locals)
-	x.sendLeft, x.keptTouch, x.writers = make([][]int32, r), make([][]bool, r), make([][]*writer[T], r)
+	x.sendLeft, x.keptTouch, x.writers = make([][]int32, r), make([][]bool, r), make([][]*job.Writer[T], r)
 	for ri, lr := range x.locals {
 		nb := len(lr.file.Extents)
 		x.sendLeft[ri], x.keptTouch[ri] = make([]int32, nb), make([]bool, nb)
@@ -176,7 +176,7 @@ func (x *exchanger[T]) recycling() {
 			x.sendLeft[ri][b] = int32(bHi - bLo - kOv)
 			x.keptTouch[ri][b] = kOv > 0
 		}
-		x.writers[ri] = make([]*writer[T], x.n.P)
+		x.writers[ri] = make([]*job.Writer[T], x.n.P)
 	}
 }
 
@@ -251,14 +251,14 @@ func (x *exchanger[T]) process(s int, recv [][]byte) error {
 		for _, pc := range win {
 			w := x.writers[pc.run][p]
 			if w == nil {
-				w = newWriter(x.c, x.n.Vol)
+				w = job.NewWriter(x.c, x.n.Vol)
 				x.writers[pc.run][p] = w
 			}
-			w.resume()
+			w.Resume()
 			m := int(pc.hi - pc.lo)
 			x.dec = elem.AppendDecode(x.c, x.dec[:0], data[:m*sz], m)
 			data = data[m*sz:]
-			w.addSlice(x.dec)
+			w.AddSlice(x.dec)
 		}
 		x.n.AddCPU(x.cfg.Model.ScanCPU(cnt))
 	}
@@ -266,7 +266,7 @@ func (x *exchanger[T]) process(s int, recv [][]byte) error {
 	for _, ws := range x.writers {
 		for _, w := range ws {
 			if w != nil {
-				w.suspend()
+				w.Suspend()
 			}
 		}
 	}
@@ -279,9 +279,9 @@ func (x *exchanger[T]) process(s int, recv [][]byte) error {
 // extents, trimmed at the boundaries. Blocks fully inside it transfer
 // ownership; boundary blocks shared with sent data are not freeable (the
 // bounded space overhead of in-place operation).
-func (x *exchanger[T]) assemble() ([]File, error) {
+func (x *exchanger[T]) assemble() ([]job.File, error) {
 	me := x.n.Rank
-	out := make([]File, len(x.locals))
+	out := make([]job.File, len(x.locals))
 	for ri := range out {
 		f := &out[ri]
 		for p, w := range x.writers[ri] {
@@ -290,7 +290,7 @@ func (x *exchanger[T]) assemble() ([]File, error) {
 					f.Append(blockio.Extent{ID: e.ID, Off: int(l), Len: int(h - l), Own: l == 0 && h == int64(e.Len) && !x.durable})
 				})
 			} else if w != nil {
-				for _, e := range w.finish().Extents {
+				for _, e := range w.Finish().Extents {
 					f.Append(e)
 				}
 			}

@@ -12,7 +12,7 @@ import (
 // elements of global run positions [SegStart, SegStart+SegLen) sorted
 // on local disk, plus the in-memory sample (every K-th run position).
 type localRun[T any] struct {
-	file     File
+	file     job.File
 	segStart int64
 	segLen   int64
 	runLen   int64
@@ -35,9 +35,9 @@ func runFormation[T any](c elem.Codec[T], j *job.Job[T], n *cluster.Node, input 
 		// Held until gatherRunsMeta has encoded it.
 		n.Mem.MustAcquire(int64(len(lr.sample)))
 
-		w := newWriter(c, n.Vol)
-		w.addSlice(seg)
-		lr.file = w.finish()
+		w := job.NewWriter(c, n.Vol)
+		w.AddSlice(seg)
+		lr.file = w.Finish()
 		out = append(out, lr)
 		return nil
 	})

@@ -30,9 +30,10 @@ func (out *selectionRun) capture(n *cluster.Node, runs any, k int64, brackets []
 	locals := runs.([]localRun[elem.Rec100])
 	segs := make([][]elem.Rec100, len(locals))
 	for ri, lr := range locals {
-		rd := newReader(c, n.Vol, lr.file, false)
-		for blk := rd.nextBlock(); blk != nil; blk = rd.nextBlock() {
-			segs[ri] = append(segs[ri], blk...)
+		for _, e := range lr.file.Extents {
+			raw := make([]byte, (e.Off+e.Len)*c.Size())
+			n.Vol.ReadWait(e.ID, raw)
+			segs[ri] = elem.AppendDecode(c, segs[ri], raw[e.Off*c.Size():], e.Len)
 		}
 	}
 	out.mu.Lock()

@@ -23,8 +23,8 @@ type Result[T any] struct {
 	// PeakDiskBlocks is the per-PE disk high-water mark.
 	PeakDiskBlocks []int64
 	// LoadPeakMemElems[rank] is the budget high-water mark at the end
-	// of the load phase: zero for an input read in place, and only the
-	// three block-sized staging chunks for a forward-only Source, so it
+	// of the load phase: zero for an input read in place, and exactly
+	// the one block-sized staging chunk for a forward-only Source, so it
 	// stays O(B) no matter how large the tile is (the source tests pin
 	// both).
 	LoadPeakMemElems []int64
@@ -177,7 +177,7 @@ func Sort[T any](c elem.Codec[T], cfg Config, input [][]T) (*Result[T], error) {
 			return err
 		}
 
-		outN, err := mergeLocal(c, n, &cfg, pl, pieces, sink)
+		outN, err := mergeLocal(j, n, pieces, sink)
 		if err != nil {
 			return err
 		}

@@ -342,36 +342,8 @@ func TestSortSelectionNegligible(t *testing.T) {
 	}
 }
 
-// phaseCalls is a Transport that counts the collective calls its PE
-// makes in one phase.
-type phaseCalls struct {
-	cluster.Transport
-	st    cluster.Stats
-	phase string
-	n     *int
-}
-
-func (c phaseCalls) count() {
-	if c.st.Phase() == c.phase {
-		*c.n++
-	}
-}
-func (c phaseCalls) Barrier() { c.count(); c.Transport.Barrier() }
-func (c phaseCalls) AllToAllv(send [][]byte) [][]byte {
-	c.count()
-	return c.Transport.AllToAllv(send)
-}
-func (c phaseCalls) AllGather(data []byte) [][]byte {
-	c.count()
-	return c.Transport.AllGather(data)
-}
-func (c phaseCalls) AllReduceInt64(v int64, op string) int64 {
-	c.count()
-	return c.Transport.AllReduceInt64(v, op)
-}
-
-// runFormCalls hosts a machine's PEs on phaseCalls transports counting
-// their run formation calls.
+// runFormCalls hosts a machine's PEs with an op hook counting their run
+// formation calls.
 type runFormCalls struct {
 	cluster.Machine
 	calls []int
@@ -379,8 +351,13 @@ type runFormCalls struct {
 
 func (m *runFormCalls) Run(fn func(*cluster.Node) error) error {
 	return m.Machine.Run(func(n *cluster.Node) error {
-		tr := phaseCalls{Transport: n.Transport(), st: n.NodeStats(), phase: PhaseRunForm, n: &m.calls[n.Rank]}
-		return fn(cluster.NewNode(tr, n.NodeStats(), n.Vol, n.Mem))
+		n.SetOpHook(func(string) {
+			if n.Phase() == PhaseRunForm {
+				m.calls[n.Rank]++
+			}
+		})
+		defer n.SetOpHook(nil)
+		return fn(n)
 	})
 }
 

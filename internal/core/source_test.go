@@ -168,10 +168,10 @@ func TestSortSourceRejectsBothInputs(t *testing.T) {
 // TestSortSourceLoadPeakIsBlockSized pins the O(m) claim of the
 // streaming loader: an -infile-style run (gensort records streamed
 // from a Source, file-backed store) charges the load phase nothing when
-// the generator is read in place, and only its bounded staging —
-// FillFrom's three chunks, whether or not the sort itself overlaps —
-// when it can only be read forward; never the tile, which is three
-// orders of magnitude larger.
+// the generator is read in place, and exactly its staging — FillFrom's
+// one chunk, whether or not the sort itself overlaps — when it can only
+// be read forward; never the tile, which is three orders of magnitude
+// larger.
 func TestSortSourceLoadPeakIsBlockSized(t *testing.T) {
 	const p = 2
 	const nPer = 20000 // records per rank; tile = 2,000,000 bytes
@@ -195,15 +195,12 @@ func TestSortSourceLoadPeakIsBlockSized(t *testing.T) {
 				t.Fatal(err)
 			}
 			bElem := int64(res.BlockElems)
-			stage := 3 * bElem
 			for rank, peak := range res.LoadPeakMemElems {
 				switch {
 				case direct && peak != 0:
 					t.Errorf("overlap=%v rank %d: an input read in place charged the load %d elements, want 0", overlap, rank, peak)
-				case !direct && peak > stage:
-					t.Errorf("overlap=%v rank %d: load phase held %d elements, want <= staging bound (%d)", overlap, rank, peak, stage)
-				case !direct && peak == 0:
-					t.Errorf("overlap=%v rank %d: load phase charged nothing — the staging buffer is untracked", overlap, rank)
+				case !direct && peak != bElem:
+					t.Errorf("overlap=%v rank %d: load phase held %d elements, want the one staging chunk (%d)", overlap, rank, peak, bElem)
 				}
 			}
 			if bElem*100 > nPer {

@@ -1,9 +1,13 @@
-package core
+package job
 
 import (
+	"fmt"
+
 	"demsort/internal/blockio"
 	"demsort/internal/bufpool"
+	"demsort/internal/cluster"
 	"demsort/internal/elem"
+	"demsort/internal/xmerge"
 )
 
 // File is an ordered sequence of elements stored as extents on one
@@ -23,12 +27,12 @@ func (f *File) Append(e blockio.Extent) {
 	f.N += int64(e.Len)
 }
 
-// writer buffers elements and writes full blocks asynchronously,
+// Writer buffers elements and writes full blocks asynchronously,
 // producing an aligned File. The partial tail buffer can be flushed
 // (creating a partial block) and refilled later — that flush/reload
 // pair is exactly the "partially filled blocks" overhead of the
 // external all-to-all (§IV-E).
-type writer[T any] struct {
+type Writer[T any] struct {
 	c     elem.Codec[T]
 	vol   *blockio.Volume
 	bElem int
@@ -37,9 +41,10 @@ type writer[T any] struct {
 	enc   []byte
 }
 
-func newWriter[T any](c elem.Codec[T], vol *blockio.Volume) *writer[T] {
+// NewWriter starts an empty file on vol.
+func NewWriter[T any](c elem.Codec[T], vol *blockio.Volume) *Writer[T] {
 	bElem := vol.BlockBytes() / c.Size()
-	return &writer[T]{
+	return &Writer[T]{
 		c:     c,
 		vol:   vol,
 		bElem: bElem,
@@ -48,11 +53,11 @@ func newWriter[T any](c elem.Codec[T], vol *blockio.Volume) *writer[T] {
 	}
 }
 
-// addSlice appends many elements. Whole blocks arriving on an empty
+// AddSlice appends many elements. Whole blocks arriving on an empty
 // tail buffer are encoded straight from vs — the block-at-a-time merge
 // loop hits this path for every full output block, paying no staging
 // copy.
-func (w *writer[T]) addSlice(vs []T) {
+func (w *Writer[T]) AddSlice(vs []T) {
 	for len(vs) > 0 {
 		if len(w.buf) == 0 && len(vs) >= w.bElem {
 			w.flush(vs[:w.bElem])
@@ -63,23 +68,23 @@ func (w *writer[T]) addSlice(vs []T) {
 		w.buf = append(w.buf, vs[:take]...)
 		vs = vs[take:]
 		if len(w.buf) == w.bElem {
-			w.suspend()
+			w.Suspend()
 		}
 	}
 }
 
 // flush writes blk out as one owned block at the end of the file.
-func (w *writer[T]) flush(blk []T) {
+func (w *Writer[T]) flush(blk []T) {
 	id := w.vol.Alloc()
 	w.enc = elem.AppendEncode(w.c, w.enc[:0], blk)
 	w.vol.WriteAsync(id, w.enc)
 	w.file.Append(blockio.Extent{ID: id, Off: 0, Len: len(blk), Own: true})
 }
 
-// finish flushes any partial tail, releases the encode buffer to the
+// Finish flushes any partial tail, releases the encode buffer to the
 // arena and returns the file. The writer must not be reused after.
-func (w *writer[T]) finish() File {
-	w.suspend()
+func (w *Writer[T]) Finish() File {
+	w.Suspend()
 	bufpool.Put(w.enc)
 	w.enc = nil
 	f := w.file
@@ -87,20 +92,20 @@ func (w *writer[T]) finish() File {
 	return f
 }
 
-// suspend writes the tail buffer out — a partial block (counted I/O)
+// Suspend writes the tail buffer out — a partial block (counted I/O)
 // unless it is full — so the writer holds no element state between
-// all-to-all sub-operations; resume reads a partial one back. Both are
+// all-to-all sub-operations; Resume reads a partial one back. Both are
 // no-ops for an empty or block-aligned tail.
-func (w *writer[T]) suspend() {
+func (w *Writer[T]) Suspend() {
 	if len(w.buf) > 0 {
 		w.flush(w.buf)
 		w.buf = w.buf[:0]
 	}
 }
 
-// resume reloads a trailing partial block into the tail buffer so
+// Resume reloads a trailing partial block into the tail buffer so
 // appending continues seamlessly.
-func (w *writer[T]) resume() {
+func (w *Writer[T]) Resume() {
 	n := len(w.file.Extents)
 	if n == 0 {
 		return
@@ -205,4 +210,40 @@ func (r *reader[T]) nextBlock() []T {
 	blk := r.cur[r.pos:]
 	r.pos = len(r.cur)
 	return blk
+}
+
+// MergeFiles k-way merges this PE's sorted files — the local merge both
+// the canonical final merge and the baseline's local external sort end
+// with — reading each element exactly once, and returns how many
+// elements it emitted. Input blocks are prefetched one extent ahead per
+// file (overlapping I/O with merging) and freed as soon as they are
+// consumed, so the output can recycle them — the (nearly) in-place
+// operation of §IV-E. The merge is xmerge.MergeStream, block-at-a-time:
+// each output block goes to sink (Job.OutputSink), encoded in the
+// writer's one block buffer, or — nil sink, nobody wants the output —
+// onto the volume. Every block is charged the merge and a scan; the
+// memory charge and the closing barrier are the caller's.
+func (j *Job[T]) MergeFiles(n *cluster.Node, files []File, sink func(rank int, encoded []byte) error) (int64, error) {
+	c, model := j.c, j.cfg.Model
+	readers := make([]*reader[T], len(files))
+	for i, f := range files {
+		readers[i] = newReader(c, n.Vol, f, true)
+	}
+	w := NewWriter(c, n.Vol) // with a sink, only its block-sized encode buffer is used
+	var emitted int64
+	err := xmerge.MergeStream(c, len(files), j.BElem, func(i int) []T { return readers[i].nextBlock() }, func(out []T) error {
+		emitted += int64(len(out))
+		if sink == nil {
+			w.AddSlice(out)
+		} else if err := sink(n.Rank, elem.AppendEncode(c, w.enc[:0], out)); err != nil {
+			return err
+		}
+		n.AddCPU(model.MergeCPU(int64(len(out)), len(files)) + model.ScanCPU(int64(len(out))))
+		return nil
+	})
+	w.Finish()
+	if err != nil {
+		return 0, fmt.Errorf("output sink, rank %d: %w", n.Rank, err)
+	}
+	return emitted, nil
 }

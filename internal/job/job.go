@@ -7,12 +7,16 @@
 // building or adopting the machine, loading the input (staging a
 // forward-only one onto the volumes), and the per-phase statistics. The
 // capacity plan (plan.go): the run geometry, every budget share and
-// every refusal of all three sorters. The shared phases (runform.go, split.go): run formation, FormRuns;
-// the regular sampler both mergesorts split with, RegularSample; the
-// exact sort of a run, SortExact, split in one sample round; and the
-// tail of any distributed internal sort, SortAcross. What the algorithms
-// do differently (how exactly a run is split and where it is stored,
-// their later phases, their collect) stays with them.
+// every refusal of all three sorters. The run files (file.go): File, the
+// block writer with the exchange's suspend/resume, the prefetching
+// reader, and MergeFiles, the local k-way merge the canonical final
+// merge and the baseline's local external sort share. The shared phases
+// (runform.go, split.go): run formation, FormRuns; the regular sampler
+// both mergesorts split with, RegularSample; the exact sort of a run,
+// SortExact, split in one sample round; and the tail of any distributed
+// internal sort, SortAcross. What the algorithms do differently (how
+// exactly a run is split and where it is stored, their later phases,
+// their collect) stays with them.
 package job
 
 import (
@@ -63,7 +67,7 @@ type Base struct {
 	// formation fetches each block straight from it, and it must hold at
 	// least count·elemSize bytes. A forward-only reader is staged onto
 	// the rank's volume by the load phase, block-at-a-time through
-	// blockio.FillFrom's three staging chunks. Either way no more than a
+	// blockio.FillFrom's one staging chunk. Either way no more than a
 	// few blocks of the tile are ever in RAM. With Source set the input
 	// argument of the sort must be nil. Reader lifecycle belongs to the
 	// caller (the sort reads exactly count·elemSize bytes and does not
@@ -391,9 +395,9 @@ func (in *Input) Release(sp blockio.Span) {
 // Load is the load step. A Source that can be read at an offset is left
 // where it is: Load only cuts it into spans, and run formation reads
 // each block once, straight from it. A forward-only Source is staged:
-// Load streams it onto the local volume through FillFrom, whose three
-// staging chunks are charged to the budget — nothing else of the tile
-// is ever resident — and drains the writes. Either way the step closes
+// Load streams it onto the local volume through FillFrom, whose one
+// staging chunk is charged to the budget — nothing else of the tile is
+// ever resident — and drains the writes. Either way the step closes
 // with a barrier.
 func (j *Job[T]) Load(n *cluster.Node) (*Input, error) {
 	n.SetPhase(PhaseLoad)
@@ -404,10 +408,9 @@ func (j *Job[T]) Load(n *cluster.Node) (*Input, error) {
 			in.Spans = append(in.Spans, blockio.Span{ID: blockio.BlockID(off / in.stride), Bytes: int(min(in.stride, total-off))})
 		}
 	} else {
-		stage := 3 * int64(j.BElem)
-		n.Mem.MustAcquire(stage)
+		n.Mem.MustAcquire(int64(j.BElem))
 		spans, err := n.Vol.FillFrom(j.readers[n.Rank], total, chunk)
-		n.Mem.Release(stage)
+		n.Mem.Release(int64(j.BElem))
 		if err != nil {
 			for _, sp := range spans {
 				n.Vol.Free(sp.ID)

@@ -249,27 +249,6 @@ func TestFormRuns(t *testing.T) {
 	}
 }
 
-// callLog is a Transport that records the name of every communication
-// call the phase code makes through it.
-type callLog struct {
-	cluster.Transport
-	calls []string
-}
-
-func (l *callLog) Barrier() { l.calls = append(l.calls, "Barrier"); l.Transport.Barrier() }
-func (l *callLog) AllToAllv(send [][]byte) [][]byte {
-	l.calls = append(l.calls, "AllToAllv")
-	return l.Transport.AllToAllv(send)
-}
-func (l *callLog) AllGather(data []byte) [][]byte {
-	l.calls = append(l.calls, "AllGather")
-	return l.Transport.AllGather(data)
-}
-func (l *callLog) AllReduceInt64(v int64, op string) int64 {
-	l.calls = append(l.calls, "AllReduceInt64")
-	return l.Transport.AllReduceInt64(v, op)
-}
-
 // TestSortExactIsTheExactRunSort pins the run sort core passes to
 // FormRuns over a table of inputs and machine sizes. On every PE,
 // SortExact makes one AllGather (lengths and samples) and three
@@ -341,12 +320,13 @@ func checkSortExact[T any](t *testing.T, c elem.Codec[T], blockBytes int, chunks
 			n.Mem.MustAcquire(int64(len(chunk)))
 			return chunk
 		}
-		log := &callLog{Transport: n.Transport()}
-		seg, segStart, runLen, err := j.SortExact(cluster.NewNode(log, n.NodeStats(), n.Vol, n.Mem), sorted(), nil)
+		n.SetOpHook(func(op string) { calls[n.Rank] = append(calls[n.Rank], op) })
+		seg, segStart, runLen, err := j.SortExact(n, sorted(), nil)
+		n.SetOpHook(nil)
 		if err != nil {
 			return err
 		}
-		calls[n.Rank], bound[n.Rank] = log.calls, j.SplitResidual
+		bound[n.Rank] = j.SplitResidual
 		n.Mem.Release(2 * int64(len(seg)))
 
 		chunk := sorted()

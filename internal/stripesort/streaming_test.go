@@ -169,19 +169,6 @@ func TestCollectStaysWithinBudget(t *testing.T) {
 	}
 }
 
-// a2aCounter is a Transport that counts the all-to-all exchanges made
-// through it. It offers no stream of its own, so a Node over it runs
-// every A2ARounds round as one AllToAllv.
-type a2aCounter struct {
-	cluster.Transport
-	exchanges int
-}
-
-func (c *a2aCounter) AllToAllv(send [][]byte) [][]byte {
-	c.exchanges++
-	return c.Transport.AllToAllv(send)
-}
-
 // TestCollectFeedsEveryOwnerEveryRound pins the all-owners collect: 103
 // blocks on 4 PEs give the owners ranges of 25 or 26 blocks; with a
 // window of w = 8 blocks that is ⌈26/8⌉ = 4 rounds — not the ⌈103/8⌉ = 13
@@ -214,15 +201,19 @@ func TestCollectFeedsEveryOwnerEveryRound(t *testing.T) {
 		}
 		n.Vol.Drain()
 		n.Barrier()
-		counter := &a2aCounter{Transport: n.Transport()}
-		cn := cluster.NewNode(counter, n.NodeStats(), n.Vol, n.Mem)
-		cn.SetA2AWindow(1) // round k is sunk right after exchange k
+		exchanges := 0
+		n.SetOpHook(func(op string) {
+			if op == "AllToAllv" {
+				exchanges++
+			}
+		})
+		n.SetA2AWindow(1) // round k is sunk right after exchange k
 		sink := func(rank int, b []byte) error {
-			sunkIn[rank] = append(sunkIn[rank], counter.exchanges-1)
+			sunkIn[rank] = append(sunkIn[rank], exchanges-1)
 			return nil
 		}
-		_, err := collectOutput(kvc, cn, &j.Plan, blocks, sink)
-		rounds[n.Rank] = counter.exchanges
+		_, err := collectOutput(kvc, n, &j.Plan, blocks, sink)
+		rounds[n.Rank] = exchanges
 		return err
 	})
 	if err != nil {
