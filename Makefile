@@ -134,8 +134,11 @@ options:
 # -infile and an unknown -workload before a fleet exists; −144 when the
 # baseline kept and merged its runs through job's run files and
 # MergeFiles, fault injection hooked Node instead of re-implementing the
-# Transport, and FillFrom became one loop.
-LOC_MAX = 14736
+# Transport, and FillFrom became one loop; −78 when the in-memory and
+# streaming merges ran xmerge's one tournament loop, closure-only codecs
+# got their zero key from elem.Keyed, and three settings nothing set
+# became constants.
+LOC_MAX = 14658
 OPTIONS_MAX = 60
 budget:
 	@loc=$(LOC_TOTAL); opts=$$($(MAKE) -s options | awk 'END {print $$1}'); \

@@ -32,17 +32,18 @@ const (
 )
 
 // Config parameterises the baselines: the machine and I/O configuration
-// every sorter shares plus the sample size. A distribution sort has no
-// run-formation knobs, and the baselines always run overlapped.
+// every sorter shares. A distribution sort has no run-formation knobs,
+// and the baselines always run overlapped.
 type Config struct {
 	job.Base
-	// Oversample is the number of sample keys per PE (default 32).
-	Oversample int
 }
+
+// oversample is the number of sample keys per PE.
+const oversample = 32
 
 // DefaultConfig mirrors core.DefaultConfig for the baselines.
 func DefaultConfig(p int, memElems int64, blockBytes int) Config {
-	return Config{Base: job.Defaults(p, memElems, blockBytes).Base, Oversample: 32}
+	return Config{Base: job.Defaults(p, memElems, blockBytes).Base}
 }
 
 // Result reports a baseline run: the shared job statistics plus the
@@ -76,9 +77,6 @@ func (r *Result[T]) Imbalance() float64 {
 // SampleSort runs the NOW-Sort-style distribution sort on the
 // simulated cluster.
 func SampleSort[T any](c elem.Codec[T], cfg Config, input [][]T) (*Result[T], error) {
-	if cfg.Oversample <= 0 {
-		cfg.Oversample = 32
-	}
 	common := job.Common{Base: cfg.Base, Overlap: true}
 	j, err := job.Open(c, &common, input, job.Baseline, 0)
 	if err != nil {
@@ -124,8 +122,8 @@ func SampleSort[T any](c elem.Codec[T], cfg Config, input [][]T) (*Result[T], er
 		// a random subset of keys — cheap, but only approximate.
 		n.SetPhase(PhaseSample)
 		rng := rand.New(rand.NewPCG(cfg.Seed, uint64(n.Rank)+0xBA5E))
-		sample := make([]T, 0, cfg.Oversample)
-		for i := 0; i < cfg.Oversample && myN > 0; i++ {
+		sample := make([]T, 0, oversample)
+		for i := 0; i < oversample && myN > 0; i++ {
 			b := blocks[rng.Uint64N(uint64(len(blocks)))]
 			if err := read(b); err != nil {
 				return err

@@ -465,18 +465,38 @@ func (n *Node) AllGather(data []byte) [][]byte {
 	return n.tr.AllGather(data)
 }
 
-// Bcast distributes root's data to every PE.
+// Bcast distributes root's data to every PE. A root outside [0, P)
+// fails the run before the collective.
 func (n *Node) Bcast(root int, data []byte) []byte {
+	if root < 0 || root >= n.P {
+		panic(fmt.Errorf("cluster: rank %d: Bcast root %d outside [0, %d)", n.Rank, root, n.P))
+	}
 	n.op("Bcast")
 	return n.tr.Bcast(root, data)
 }
 
 // AllReduceInt64 combines every PE's value with op ("sum", "max",
-// "min", "or") and returns the result to all.
+// "min", "or") and returns the result to all. Any other op fails the
+// run before the collective.
 func (n *Node) AllReduceInt64(v int64, op string) int64 {
+	if ReduceOp(op) == nil {
+		panic(fmt.Errorf("cluster: rank %d: AllReduceInt64 op %q is none of sum, max, min, or", n.Rank, op))
+	}
 	n.op("AllReduceInt64")
 	return n.tr.AllReduceInt64(v, op)
 }
+
+// reduceOps are AllReduceInt64's combine steps, by op name.
+var reduceOps = map[string]func(acc, x int64) int64{
+	"sum": func(acc, x int64) int64 { return acc + x },
+	"max": func(acc, x int64) int64 { return max(acc, x) },
+	"min": func(acc, x int64) int64 { return min(acc, x) },
+	"or":  func(acc, x int64) int64 { return acc | x },
+}
+
+// ReduceOp returns the combine step backends apply for AllReduceInt64's
+// op, nil for an op Node rejects.
+func ReduceOp(op string) func(acc, x int64) int64 { return reduceOps[op] }
 
 // ExchangeAny is a generic personalised exchange of small metadata
 // values; see Transport.ExchangeAny.

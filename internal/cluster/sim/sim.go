@@ -136,10 +136,11 @@ func (m *Machine) Run(fn func(*cluster.Node) error) error {
 		go func(n *cluster.Node) {
 			defer wg.Done()
 			defer func() {
-				if r := recover(); r != nil {
-					if _, isAbort := r.(abort); isAbort {
-						return // unwound because a peer failed
-					}
+				switch r := recover().(type) {
+				case nil, abort: // done, or unwound because a peer failed
+				case *cluster.ErrAborted: // attributed by the rendezvous
+					m.fail(r)
+				default:
 					m.fail(cluster.Abortedf(n.Rank, "sim: PE %d panicked: %v", n.Rank, r))
 				}
 			}()
@@ -290,11 +291,13 @@ func newRendezvous(p int, m *Machine) *rendezvous {
 }
 
 // do performs one collective step for rank. compute receives the
-// rank-ordered inputs and must fill outs.
+// rank-ordered inputs and must fill outs. The lock is released on
+// every exit, a panicking compute included, so the PE's recover can
+// fail the machine.
 func (rv *rendezvous) do(rank int, op string, t float64, data any, compute func(ins []collIn, outs []collOut)) collOut {
 	rv.mu.Lock()
+	defer rv.mu.Unlock()
 	if rv.m.aborted() {
-		rv.mu.Unlock()
 		panic(abort{})
 	}
 	rv.ins[rank] = collIn{op: op, t: t, data: data}
@@ -302,10 +305,8 @@ func (rv *rendezvous) do(rank int, op string, t float64, data any, compute func(
 	if rv.arrived == rv.p {
 		for i := range rv.ins {
 			if rv.ins[i].op != op {
-				rv.mu.Unlock()
-				rv.m.fail(cluster.Abortedf(i, "sim: collective mismatch: PE %d in %q, PE %d in %q",
+				panic(cluster.Abortedf(i, "sim: collective mismatch: PE %d in %q, PE %d in %q",
 					i, rv.ins[i].op, rank, op))
-				panic(abort{})
 			}
 		}
 		compute(rv.ins, rv.outs)
@@ -314,22 +315,17 @@ func (rv *rendezvous) do(rank int, op string, t float64, data any, compute func(
 			rv.ins[i] = collIn{}
 		}
 		rv.gen++
-		out := rv.outs[rank]
 		rv.cond.Broadcast()
-		rv.mu.Unlock()
-		return out
+		return rv.outs[rank]
 	}
 	gen := rv.gen
 	for rv.gen == gen && !rv.m.aborted() {
 		rv.cond.Wait()
 	}
 	if rv.m.aborted() {
-		rv.mu.Unlock()
 		panic(abort{})
 	}
-	out := rv.outs[rank]
-	rv.mu.Unlock()
-	return out
+	return rv.outs[rank]
 }
 
 // maxEntry returns the latest entry time among the inputs — collectives
@@ -492,21 +488,9 @@ func (e *endpoint) Bcast(root int, data []byte) []byte {
 func (e *endpoint) AllReduceInt64(v int64, op string) int64 {
 	out := e.m.rv.do(e.rank, "allreduce:"+op, e.clock.Now(), v, func(ins []collIn, outs []collOut) {
 		t := maxEntry(ins) + e.m.latencyTerm()
-		acc := ins[0].data.(int64)
+		reduce, acc := cluster.ReduceOp(op), ins[0].data.(int64)
 		for j := 1; j < len(ins); j++ {
-			x := ins[j].data.(int64)
-			switch op {
-			case "sum":
-				acc += x
-			case "max":
-				acc = max(acc, x)
-			case "min":
-				acc = min(acc, x)
-			case "or":
-				acc |= x
-			default:
-				panic("sim: unknown reduce op " + op)
-			}
+			acc = reduce(acc, ins[j].data.(int64))
 		}
 		for i := range outs {
 			outs[i] = collOut{t: t, data: acc, net: e.m.latencyTerm(), msgs: 1}

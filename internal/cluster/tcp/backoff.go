@@ -6,9 +6,9 @@ import (
 )
 
 // Backoff produces jittered exponential retry delays: attempt k waits
-// around Base·Factor^k, capped at Max, with a uniform ±Jitter fraction
-// so a fleet of processes retrying the same contended resource (a
-// listen port, a peer that is still starting) does not stampede in
+// Base·2^k, capped at Max, shortened by a uniform random fraction of up
+// to half, so a fleet of processes retrying the same contended resource
+// (a listen port, a peer that is still starting) does not stampede in
 // lockstep. The sequence is deterministic for a given seed, which is
 // what lets the fault-injection tests reproduce timing-sensitive
 // schedules exactly.
@@ -17,15 +17,15 @@ type Backoff struct {
 	Base time.Duration
 	// Max caps every delay (default 2s).
 	Max time.Duration
-	// Factor is the per-attempt growth (default 2).
-	Factor float64
-	// Jitter is the uniform random fraction applied to each delay,
-	// 0..1 (default 0.5: delays land in [d/2, 3d/2)).
-	Jitter float64
 
 	rng     *rand.Rand
 	attempt int
 }
+
+const (
+	backoffFactor = 2   // per-attempt growth
+	backoffJitter = 0.5 // delays land in (d/2, d]
+)
 
 // NewBackoff returns a Backoff with the given base and cap and a
 // deterministic jitter stream from seed.
@@ -38,42 +38,30 @@ func NewBackoff(base, max time.Duration, seed uint64) *Backoff {
 // Next returns the delay to sleep before the next retry and advances
 // the attempt counter.
 func (b *Backoff) Next() time.Duration {
-	base, max, factor, jitter := b.Base, b.Max, b.Factor, b.Jitter
+	base, max := b.Base, b.Max
 	if base <= 0 {
 		base = 25 * time.Millisecond
 	}
 	if max <= 0 {
 		max = 2 * time.Second
 	}
-	if factor < 1 {
-		factor = 2
-	}
-	if jitter < 0 || jitter > 1 {
-		jitter = 0.5
-	}
 	d := float64(base)
 	for i := 0; i < b.attempt; i++ {
-		d *= factor
+		d *= backoffFactor
 		if d >= float64(max) {
 			d = float64(max)
 			break
 		}
 	}
 	b.attempt++
-	if jitter > 0 && b.rng != nil {
-		d *= 1 + jitter*(2*b.rng.Float64()-1)
-	}
-	if d > float64(max) {
-		d = float64(max)
+	if b.rng != nil {
+		d *= 1 - backoffJitter*b.rng.Float64()
 	}
 	if d < 1 {
 		d = 1
 	}
 	return time.Duration(d)
 }
-
-// Attempt returns the number of delays handed out so far.
-func (b *Backoff) Attempt() int { return b.attempt }
 
 // Reset rewinds the attempt counter (the jitter stream keeps
 // advancing, so a reset sequence still differs run to run within one

@@ -93,25 +93,10 @@ func (m *Machine) Bcast(root int, data []byte) []byte {
 // to rank 0 (partial results combine on the way up), then a tree
 // broadcast of the result, O(log P) rounds each way.
 func (m *Machine) AllReduceInt64(v int64, op string) int64 {
-	reduce := func(acc, x int64) int64 {
-		switch op {
-		case "sum":
-			return acc + x
-		case "max":
-			return max(acc, x)
-		case "min":
-			return min(acc, x)
-		case "or":
-			return acc | x
-		default:
-			m.failNow(fmt.Errorf("tcp: unknown reduce op %q", op))
-			return 0
-		}
-	}
 	if m.p == 1 {
-		reduce(0, 0) // still validate op
 		return v
 	}
+	reduce := cluster.ReduceOp(op)
 	children, parent := btreeUp(m.rank, m.p)
 	acc := v
 	for _, c := range children {

@@ -189,7 +189,8 @@ func referenceCuts[T any](c elem.Codec[T], n *cluster.Node, local []T, ranks []i
 				// Weighted median of the proposals, keyed like
 				// countBefore: normalized keys first, comparator only
 				// on equal inexact keys.
-				key, exact := elem.KeyFn(c)
+				kc := elem.Keyed(c)
+				key, exact := kc.Key, kc.KeyExact()
 				sort.Slice(cands, func(a, b int) bool {
 					pa, pb := cands[a], cands[b]
 					if ka, kb := key(pa.v), key(pb.v); ka != kb {
@@ -417,7 +418,8 @@ func referenceCuts[T any](c elem.Codec[T], n *cluster.Node, local []T, ranks []i
 // (the pivot's key is computed once per search); the comparator runs
 // only on equal inexact keys — never for exact-keyed codecs.
 func refCountBefore[T any](c elem.Codec[T], local []T, me int, pv T, pq int, ppos int64) int64 {
-	key, exact := elem.KeyFn(c)
+	kc := elem.Keyed(c)
+	key, exact := kc.Key, kc.KeyExact()
 	pk := key(pv)
 	return int64(sort.Search(len(local), func(j int) bool {
 		v := local[j]

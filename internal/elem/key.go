@@ -53,16 +53,21 @@ var (
 	_ KeyedCodec[Rec100] = Rec100Codec{}
 )
 
-// KeyFn returns c's normalized key function and whether key order is
-// exact. Non-keyed codecs get the constant-zero key: every comparison
-// then falls through to the Less tie-break, which is exactly the old
-// comparator-only behaviour.
-func KeyFn[T any](c Codec[T]) (key func(T) uint64, exact bool) {
+// Keyed returns c's normalized keys: c itself when it is keyed. A
+// closure-only codec gets the constant-zero, inexact key: every
+// comparison then falls through to the Less tie-break, which is
+// exactly the comparator-only order.
+func Keyed[T any](c Codec[T]) KeyedCodec[T] {
 	if kc, ok := c.(KeyedCodec[T]); ok {
-		return kc.Key, kc.KeyExact()
+		return kc
 	}
-	return func(T) uint64 { return 0 }, false
+	return zeroKey[T]{c}
 }
+
+type zeroKey[T any] struct{ Codec[T] }
+
+func (zeroKey[T]) Key(T) uint64   { return 0 }
+func (zeroKey[T]) KeyExact() bool { return false }
 
 // BulkKeyer is an optional extension of KeyedCodec: extract the
 // normalized keys of a whole slice in one call. The radix sort's first
@@ -111,8 +116,8 @@ func KeysInto[T any](c Codec[T], dst []uint64, vs []T) {
 		bk.KeysInto(dst, vs)
 		return
 	}
-	key, _ := KeyFn(c)
+	kc := Keyed(c)
 	for i, v := range vs {
-		dst[i] = key(v)
+		dst[i] = kc.Key(v)
 	}
 }

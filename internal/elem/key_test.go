@@ -132,16 +132,16 @@ func TestRec100TailTieBreak(t *testing.T) {
 	}
 }
 
-func TestKeyFnFallback(t *testing.T) {
-	key, exact := KeyFn[U64](U64Codec{})
-	if !exact || key(U64(7)) != 7 {
+func TestKeyedFallback(t *testing.T) {
+	kc := Keyed[U64](U64Codec{})
+	if !kc.KeyExact() || kc.Key(U64(7)) != 7 {
 		t.Fatal("U64Codec must expose its exact key")
 	}
-	key, exact = KeyFn[U64](closureCodec{})
-	if exact {
+	kc = Keyed[U64](closureCodec{})
+	if kc.KeyExact() {
 		t.Fatal("closure codec cannot be exact")
 	}
-	if key(U64(7)) != 0 || key(U64(1<<63)) != 0 {
+	if kc.Key(U64(7)) != 0 || kc.Key(U64(1<<63)) != 0 {
 		t.Fatal("fallback key must be constant zero")
 	}
 }
@@ -202,7 +202,7 @@ func TestKeysIntoMatchesKey(t *testing.T) {
 	})
 }
 
-// TestKeysIntoFallback: a closure-only codec takes the KeyFn fallback
+// TestKeysIntoFallback: a closure-only codec takes the Keyed fallback
 // path, which is the constant-zero key.
 func TestKeysIntoFallback(t *testing.T) {
 	vs := []U64{7, 1 << 63, ^U64(0)}

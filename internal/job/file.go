@@ -126,13 +126,12 @@ func (w *Writer[T]) Resume() {
 // reader streams a File's elements with double-buffered asynchronous
 // prefetching: while one extent is being consumed the next is already
 // in flight, the element-level analogue of the paper's prefetch
-// buffers. When free is true, owned blocks are returned to the volume
-// as soon as they are fully consumed (in-place operation).
+// buffers. Owned blocks are returned to the volume as soon as they are
+// fully consumed (in-place operation).
 type reader[T any] struct {
 	c    elem.Codec[T]
 	vol  *blockio.Volume
 	file File
-	free bool
 
 	idx  int // next extent to hand out
 	cur  []T
@@ -145,8 +144,8 @@ type reader[T any] struct {
 	nextE   blockio.Extent
 }
 
-func newReader[T any](c elem.Codec[T], vol *blockio.Volume, f File, free bool) *reader[T] {
-	r := &reader[T]{c: c, vol: vol, file: f, free: free}
+func newReader[T any](c elem.Codec[T], vol *blockio.Volume, f File) *reader[T] {
+	r := &reader[T]{c: c, vol: vol, file: f}
 	r.prefetch()
 	r.advance()
 	return r
@@ -173,7 +172,7 @@ func (r *reader[T]) prefetch() {
 
 // advance makes the prefetched extent current and prefetches another.
 func (r *reader[T]) advance() {
-	if r.free && r.curE.Own && r.curE.Len > 0 {
+	if r.curE.Own && r.curE.Len > 0 {
 		r.vol.Free(r.curE.ID)
 	}
 	if !r.nextOK {
@@ -227,7 +226,7 @@ func (j *Job[T]) MergeFiles(n *cluster.Node, files []File, sink func(rank int, e
 	c, model := j.c, j.cfg.Model
 	readers := make([]*reader[T], len(files))
 	for i, f := range files {
-		readers[i] = newReader(c, n.Vol, f, true)
+		readers[i] = newReader(c, n.Vol, f)
 	}
 	w := NewWriter(c, n.Vol) // with a sink, only its block-sized encode buffer is used
 	var emitted int64

@@ -72,8 +72,8 @@ type Order[T any] struct {
 
 // OrderOf returns the total order induced by c.
 func OrderOf[T any](c elem.Codec[T]) Order[T] {
-	key, exact := elem.KeyFn(c)
-	return Order[T]{c: c, Key: key, exact: exact}
+	kc := elem.Keyed(c)
+	return Order[T]{c: c, Key: kc.Key, exact: kc.KeyExact()}
 }
 
 // LessK compares with the keys already computed — the binary searches

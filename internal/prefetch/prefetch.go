@@ -17,7 +17,8 @@
 //     optimal with any number of buffers ≥ D.
 //
 // The step counts of the two schedules are compared in the Appendix-A
-// ablation benchmark.
+// ablation benchmark. This is figure code: only that ablation
+// (AblationPrefetch) calls it, no sort path does.
 package prefetch
 
 // Schedule is a sequence of parallel I/O steps; Steps[t] lists the

@@ -82,7 +82,7 @@ type stripedBlock struct {
 
 // predEntry is one prediction-sequence entry: block blk of run run
 // starts with key first (its globally smallest unread element).
-// firstKey caches first's normalized uint64 key (elem.KeyFn) so the
+// firstKey caches first's normalized uint64 key (elem.Keyed) so the
 // prediction sort and the batch-boundary probes run on integers, with
 // the comparator only breaking equal inexact keys.
 type predEntry[T any] struct {

@@ -2,6 +2,7 @@ package xmerge
 
 import (
 	"errors"
+	"fmt"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -75,26 +76,67 @@ func streamOf[T any](seqs [][]T, blk int) func(i int) []T {
 	}
 }
 
-// TestMergeStreamEqualsMerge checks the streaming merge against the
-// in-memory one — same order, same tie-breaking by stream index — for
-// exact keys, the comparator fallback and Rec100's prefix keys, with
-// input blocks and output slices of sizes that do not divide anything.
+// stableMerged is the merge oracle: a stable sort of the sequences'
+// concatenation in sequence order, which orders equal elements by
+// sequence index — exactly the merge's tie rule.
+func stableMerged[T any](c elem.Codec[T], seqs [][]T) []T {
+	all := slices.Concat(seqs...)
+	slices.SortStableFunc(all, func(a, b T) int {
+		switch {
+		case c.Less(a, b):
+			return -1
+		case c.Less(b, a):
+			return 1
+		}
+		return 0
+	})
+	return all
+}
+
+// streamed runs MergeStream over seqs in input blocks of blk elements
+// and output slices of outLen, checking every slice's length.
+func streamed[T any](t *testing.T, c elem.Codec[T], seqs [][]T, blk, outLen int) []T {
+	t.Helper()
+	var got []T
+	err := MergeStream(c, len(seqs), outLen, streamOf(seqs, blk), func(out []T) error {
+		if len(out) == 0 || len(out) > outLen {
+			t.Fatalf("emit of %d elements, outLen %d", len(out), outLen)
+		}
+		got = append(got, out...)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// TestMergeStreamEqualsMerge checks both entries, the streaming merge
+// and the in-memory one, against a stable sort — same order, ties
+// broken by stream index — for exact keys, the comparator fallback and
+// Rec100's prefix keys, with input blocks and output slices of sizes
+// that do not divide anything, and with one, two and empty streams.
 func TestMergeStreamEqualsMerge(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 7))
+	a, b := sortedKVSeqs(rng, 1, 60, 8)[0], sortedKVSeqs(rng, 1, 60, 8)[0]
+	fixed := map[string][][]elem.KV16{
+		"one":       {a},
+		"two":       {a, b},
+		"empties":   {{}, a, {}, b, {}},
+		"all-empty": {{}, {}},
+	}
 	for _, k := range []int{0, 1, 2, 3, 9, 20} {
+		fixed[fmt.Sprintf("k=%d", k)] = sortedKVSeqs(rng, k, 60, 8)
+	}
+	for name, kv := range fixed {
 		for _, blk := range []int{1, 7, 64} {
-			kv := sortedKVSeqs(rng, k, 60, 8)
-			for name, c := range map[string]elem.Codec[elem.KV16]{"keyed": kvc, "closure": closureKV{}} {
-				var got []elem.KV16
-				err := MergeStream(c, k, 5, streamOf(kv, blk), func(out []elem.KV16) error {
-					if len(out) == 0 || len(out) > 5 {
-						t.Fatalf("emit of %d elements, outLen 5", len(out))
-					}
-					got = append(got, out...)
-					return nil
-				})
-				if err != nil || !slices.Equal(got, Merge(c, kv)) {
-					t.Fatalf("%s k=%d blk=%d: err %v, streamed merge differs from Merge", name, k, blk, err)
+			for cname, c := range map[string]elem.Codec[elem.KV16]{"keyed": kvc, "closure": closureKV{}} {
+				want := stableMerged(c, kv)
+				if got := streamed(t, c, kv, blk, 5); !slices.Equal(got, want) {
+					t.Fatalf("%s %s blk=%d: MergeStream differs from the stable sort", cname, name, blk)
+				}
+				if got := Merge(c, kv); !slices.Equal(got, want) {
+					t.Fatalf("%s %s: Merge differs from the stable sort", cname, name)
 				}
 			}
 		}
@@ -107,13 +149,10 @@ func TestMergeStreamEqualsMerge(t *testing.T) {
 		}
 		recs = append(recs, seq)
 	}
-	var got []elem.Rec100
-	MergeStream[elem.Rec100](elem.Rec100Codec{}, 3, 4, streamOf(recs, 2), func(out []elem.Rec100) error {
-		got = append(got, out...)
-		return nil
-	})
-	if !slices.Equal(got, Merge[elem.Rec100](elem.Rec100Codec{}, recs)) {
-		t.Fatal("prefix-key ties merged differently from Merge")
+	want := stableMerged[elem.Rec100](elem.Rec100Codec{}, recs)
+	if !slices.Equal(streamed[elem.Rec100](t, elem.Rec100Codec{}, recs, 2, 4), want) ||
+		!slices.Equal(Merge[elem.Rec100](elem.Rec100Codec{}, recs), want) {
+		t.Fatal("prefix-key ties merged differently from the stable sort")
 	}
 }
 
@@ -135,5 +174,59 @@ func BenchmarkMerge8Way(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Merge[elem.U64](u64c, seqs)
+	}
+}
+
+// sortedRecSeqs returns k sorted Rec100 sequences of n/k random
+// records each.
+func sortedRecSeqs(rng *rand.Rand, k, n int) [][]elem.Rec100 {
+	rc := elem.Rec100Codec{}
+	seqs := make([][]elem.Rec100, k)
+	for i := range seqs {
+		seqs[i] = make([]elem.Rec100, n/k)
+		for j := range seqs[i] {
+			for b := 0; b < 10; b += 2 {
+				v := rng.Uint32()
+				seqs[i][j][b], seqs[i][j][b+1] = byte(v), byte(v>>8)
+			}
+		}
+		slices.SortFunc(seqs[i], func(a, b elem.Rec100) int {
+			switch {
+			case rc.Less(a, b):
+				return -1
+			case rc.Less(b, a):
+				return 1
+			}
+			return 0
+		})
+	}
+	return seqs
+}
+
+// BenchmarkMergeRec100 sizes the one merge loop on gensort records
+// (2^17 of them, cut into k equal sequences): AppendMerge at k = 2, 4
+// and 21, and MergeStream at the benchmark's run counts (21 and 49 per
+// PE) over 163-record blocks, the records a 16 KiB block holds.
+func BenchmarkMergeRec100(b *testing.B) {
+	const n, blk = 1 << 17, 163
+	rc := elem.Rec100Codec{}
+	for _, k := range []int{2, 4, 21} {
+		seqs := sortedRecSeqs(rand.New(rand.NewPCG(uint64(k), 1)), k, n)
+		dst := make([]elem.Rec100, 0, n)
+		b.Run(fmt.Sprintf("AppendMerge/k=%d", k), func(b *testing.B) {
+			for b.Loop() {
+				AppendMerge[elem.Rec100](rc, dst[:0], seqs)
+			}
+			b.ReportMetric(float64(n/k*k)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Melem/s")
+		})
+	}
+	for _, k := range []int{21, 49} {
+		seqs := sortedRecSeqs(rand.New(rand.NewPCG(uint64(k), 2)), k, n)
+		b.Run(fmt.Sprintf("MergeStream/k=%d", k), func(b *testing.B) {
+			for b.Loop() {
+				MergeStream[elem.Rec100](rc, k, blk, streamOf(seqs, blk), func([]elem.Rec100) error { return nil })
+			}
+			b.ReportMetric(float64(n/k*k)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Melem/s")
+		})
 	}
 }
