@@ -1,8 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"flag"
+	"fmt"
+	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -106,4 +109,84 @@ func TestLauncherRefusesBeforeSpawning(t *testing.T) {
 			t.Fatalf("%s: refused after %v, want under 2s", tc.args, elapsed)
 		}
 	}
+}
+
+// TestRemoteSpawnPath drives the launcher's ssh spawn path. 127.0.0.2
+// is loopback to the kernel but not by name, so its hostfile line is
+// placed remote and spawned through -ssh: here a stub that drops ssh's
+// options and host and runs the worker binary in place. The launcher
+// leaves valsort to the remote hosts, so the test valsorts the parts
+// itself and compares them with a sim run.
+func TestRemoteSpawnPath(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmp := t.TempDir()
+	stub := filepath.Join(tmp, "ssh")
+	script := "#!/bin/sh\n# ssh -o BatchMode=yes -tt HOST EXE ARGS...\nshift 4\nexe=$1\nshift\nDEMSORT_ARGS=\"$*\" exec \"$exe\"\n"
+	if err := os.WriteFile(stub, []byte(script), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	hf := filepath.Join(tmp, "hosts")
+	if err := os.WriteFile(hf, []byte(fmt.Sprintf("127.0.0.2:%d slots=2\n", portPair(t, "127.0.0.2"))), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const n = 20000 // R = 10 runs at the default -mem
+	simDir, tcpDir := filepath.Join(tmp, "sim"), filepath.Join(tmp, "tcp")
+	for args, want := range map[string]string{
+		fmt.Sprintf("-workload=records -p 2 -n %d -seed 37 -outdir %s", n, simDir):                        "validation: OK",
+		fmt.Sprintf("-transport=tcp -hostfile %s -ssh %s -n %d -seed 37 -outdir %s", hf, stub, n, tcpDir): "(valsort them there)",
+	} {
+		cmd := exec.Command(exe)
+		cmd.Env = append(os.Environ(), "DEMSORT_ARGS="+args)
+		out, err := cmd.CombinedOutput()
+		if err != nil || !strings.Contains(string(out), want) {
+			t.Fatalf("demsort %s: %v, want %q in:\n%s", args, err, want, out)
+		}
+	}
+	var sums []sortbench.Summary
+	for rank := 0; rank < 2; rank++ {
+		name := fmt.Sprintf("part-%03d", rank)
+		part, err := os.ReadFile(filepath.Join(tcpDir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join(simDir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(part, want) {
+			t.Fatalf("%s differs between sim and the ssh-spawned fleet", name)
+		}
+		s, err := sortbench.SummarizeReader(bytes.NewReader(part))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sums = append(sums, s)
+	}
+	if got := sortbench.Merge(sums); got.Unsorted != 0 || got.Records != 2*n {
+		t.Fatalf("valsort of the parts: %d records, %d unsorted; want %d, 0", got.Records, got.Unsorted, 2*n)
+	}
+}
+
+// portPair returns a port p on host with p and p+1 both free, for a
+// hostfile line whose two slots listen on them.
+func portPair(t *testing.T, host string) int {
+	t.Helper()
+	for try := 0; try < 20; try++ {
+		a, err := net.Listen("tcp", net.JoinHostPort(host, "0"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		port := a.Addr().(*net.TCPAddr).Port
+		b, err := net.Listen("tcp", net.JoinHostPort(host, strconv.Itoa(port+1)))
+		a.Close()
+		if err == nil {
+			b.Close()
+			return port
+		}
+	}
+	t.Fatalf("no two consecutive free ports on %s", host)
+	return 0
 }

@@ -49,7 +49,7 @@ var Analyzer = &analysis.Analyzer{
 // targetPkg limits the check to the phase-driving packages; backends
 // implement the ops rather than consume them.
 func targetPkg(path string) bool {
-	for _, p := range []string{"core", "stripesort", "baseline", "dselect", "mselect"} {
+	for _, p := range []string{"job", "core", "stripesort", "baseline", "dselect", "mselect"} {
 		if path == "demsort/internal/"+p || strings.HasPrefix(path, "demsort/internal/"+p+"/") {
 			return true
 		}

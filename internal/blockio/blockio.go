@@ -132,8 +132,10 @@ func (s *FileStore) ReadAt(id BlockID, dst []byte) error {
 	if len(dst) > n {
 		return fmt.Errorf("blockio: block %d holds %d bytes, want %d", id, n, len(dst))
 	}
-	if _, err := s.f.ReadAt(dst, int64(id)*int64(s.blockBytes)); err != nil && err != io.EOF {
-		return fmt.Errorf("blockio: %w", err)
+	// A short read is an error even at EOF: an adopted file shorter than
+	// its manifest says must not hand back stale buffer bytes.
+	if got, err := s.f.ReadAt(dst, int64(id)*int64(s.blockBytes)); got < len(dst) {
+		return fmt.Errorf("blockio: block %d: read %d of %d bytes: %w", id, got, len(dst), err)
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -51,6 +52,28 @@ func TestDurableFileStoreSurvivesClose(t *testing.T) {
 	}
 	if !bytes.Equal(got[:17], b) {
 		t.Fatal("partial block 1 changed across close/reopen")
+	}
+}
+
+// TestFileStoreShortReadFails: a durable file truncated behind its
+// block layout (an adopted rank file shorter than its manifest says)
+// fails the read, naming the block, instead of returning stale bytes.
+func TestFileStoreShortReadFails(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "rank.blocks")
+	s, err := NewFileStore(path, 128, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.WriteAt(0, bytes.Repeat([]byte{0xCC}, 100)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, 40); err != nil {
+		t.Fatal(err)
+	}
+	err = s.ReadAt(0, make([]byte, 100))
+	if err == nil || !strings.Contains(err.Error(), "block 0") {
+		t.Fatalf("short read returned %v, want an error naming block 0", err)
 	}
 }
 

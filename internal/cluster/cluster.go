@@ -1,29 +1,31 @@
 // Package cluster defines the transport-agnostic machine abstraction
 // the sorting phases program against: P PEs, each with a private
-// address space, exchanging data only through MPI-like primitives
-// (point-to-point Send/Recv and the collectives Barrier, Bcast,
-// AllGather, AllToAllv, Allreduce). The paper's implementation runs
-// over MVAPICH/InfiniBand; here the communication surface is the
+// address space, exchanging data only through MPI-like collectives:
+// the sorters call Barrier, AllGather, AllReduceInt64 and AllToAllv
+// (the last also as a pipelined A2AStream). The paper's implementation
+// runs over MVAPICH/InfiniBand; here the communication surface is the
 // Transport interface, with two backends:
 //
 //   - cluster/sim — the single-process simulator: every PE is a
 //     goroutine, collectives rendezvous deterministically, and a
 //     virtual-time cost model (calibrated to the paper's testbed)
 //     charges network and disk time so phase timings reproduce the
-//     shape of the paper's figures;
+//     shape of the paper's figures. It implements only the
+//     collectives the sorters call: Transport's Bcast, ExchangeAny,
+//     Send and Recv abort the run;
 //   - cluster/tcp — one OS process per PE, length-prefixed framed
 //     messages over persistent pairwise TCP connections, collectives
 //     built from point-to-point over cluster-shaped schedules (a
 //     binomial tree for the rooted collectives, a 1-factorization of
 //     K_P for the personalised exchanges); timings are real
-//     wall-clock.
+//     wall-clock. It implements the whole Transport.
 //
-// Phase code (core, stripesort, baseline, dselect, mselect) sees only
-// *Node — a facade over a Transport plus the PE's local volume, memory
-// tracker and per-phase Stats — so the same algorithms run unchanged on
-// the simulator and on real processes. Like the paper's re-implemented
-// MPI_Alltoallv (which broke MPI's 2 GiB counts limit), AllToAllv has
-// no message-size limit in either backend.
+// Phase code (job, core, stripesort, baseline, dselect, mselect) sees
+// only *Node — a facade over a Transport plus the PE's local volume,
+// memory tracker and per-phase Stats — so the same algorithms run
+// unchanged on the simulator and on real processes. Like the paper's
+// re-implemented MPI_Alltoallv (which broke MPI's 2 GiB counts limit),
+// AllToAllv has no message-size limit in either backend.
 package cluster
 
 import (
@@ -86,8 +88,10 @@ func AsAborted(rank int, err error) *ErrAborted {
 }
 
 // Transport is the communication surface of one PE: the MPI-like
-// collectives and point-to-point primitives the phases are written
-// against. Implementations are owned by a single PE "program"
+// collectives the phases are written against, plus Bcast, ExchangeAny,
+// Send and Recv, which no sorter calls — only the tcp backend
+// implements them; on the sim each aborts the run, attributed to the
+// caller. Implementations are owned by a single PE "program"
 // goroutine; calls are collective (every PE of the machine must make
 // matching calls in the same order) except Send/Recv.
 //
@@ -186,7 +190,7 @@ type Machine interface {
 }
 
 // MailboxStats is an optional Transport extension for backends that
-// buffer received messages (eager buffering): it reports the peak
+// buffer received messages (eager buffering; tcp): it reports the peak
 // number of bytes that were ever queued undelivered across this PE's
 // mailboxes — the receive-side memory that membudget-style tests pin.
 type MailboxStats interface {
@@ -346,8 +350,8 @@ func (n *Node) PhaseStats() (names []string, stats map[string]*vtime.PhaseStats)
 // SetOpHook installs hook (nil clears it) to run on the PE goroutine
 // before every communication call made through the Node, with the
 // Transport method's name: once per Barrier, AllToAllv, AllGather,
-// Bcast, AllReduceInt64, ExchangeAny, Send and Recv, and once per
-// exchange A2ARounds posts, as "AllToAllv" — never for OpenA2AStream.
+// AllReduceInt64, Send and Recv, and once per exchange A2ARounds
+// posts, as "AllToAllv" — never for OpenA2AStream.
 // It is how fault injection (cluster/faulty) finds its trigger points,
 // a position in the PE's call sequence, on any backend.
 func (n *Node) SetOpHook(hook func(op string)) { n.hook = hook }
@@ -465,16 +469,6 @@ func (n *Node) AllGather(data []byte) [][]byte {
 	return n.tr.AllGather(data)
 }
 
-// Bcast distributes root's data to every PE. A root outside [0, P)
-// fails the run before the collective.
-func (n *Node) Bcast(root int, data []byte) []byte {
-	if root < 0 || root >= n.P {
-		panic(fmt.Errorf("cluster: rank %d: Bcast root %d outside [0, %d)", n.Rank, root, n.P))
-	}
-	n.op("Bcast")
-	return n.tr.Bcast(root, data)
-}
-
 // AllReduceInt64 combines every PE's value with op ("sum", "max",
 // "min", "or") and returns the result to all. Any other op fails the
 // run before the collective.
@@ -498,20 +492,15 @@ var reduceOps = map[string]func(acc, x int64) int64{
 // op, nil for an op Node rejects.
 func ReduceOp(op string) func(acc, x int64) int64 { return reduceOps[op] }
 
-// ExchangeAny is a generic personalised exchange of small metadata
-// values; see Transport.ExchangeAny.
-func (n *Node) ExchangeAny(items []any, nominalBytes int) []any {
-	n.op("ExchangeAny")
-	return n.tr.ExchangeAny(items, nominalBytes)
-}
-
-// Send transmits payload to PE dst with a tag.
+// Send transmits payload to PE dst with a tag (tcp only; the sim
+// aborts the run).
 func (n *Node) Send(dst, tag int, payload []byte) {
 	n.op("Send")
 	n.tr.Send(dst, tag, payload)
 }
 
-// Recv blocks for the next message from src with the given tag.
+// Recv blocks for the next message from src with the given tag (tcp
+// only; the sim aborts the run).
 func (n *Node) Recv(src, tag int) []byte {
 	n.op("Recv")
 	return n.tr.Recv(src, tag)
@@ -521,7 +510,7 @@ func (n *Node) Recv(src, tag int) []byte {
 // once their contents have been decoded. Message buffers have exactly
 // one receiver, so the receiver owns them after the collective; the
 // sender must not touch its send buffers after AllToAllv returns.
-// Never call this on AllGather or Bcast results — those may be shared
+// Never call this on AllGather results — those may be shared
 // structurally between PEs.
 func RecycleRecv(bufs [][]byte) {
 	for _, b := range bufs {

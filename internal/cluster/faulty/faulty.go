@@ -66,8 +66,8 @@ type Fault struct {
 	Rank int
 	// Action is what happens.
 	Action Action
-	// Op filters on the Transport method name ("AllToAllv", "Recv",
-	// ...); empty matches any op.
+	// Op filters on the Transport method name, one of KnownOps; empty
+	// matches any op.
 	Op string
 	// Phase filters on the PE's accounting phase at call time (e.g.
 	// "all-to-all", "multiway selection"); empty matches any phase.
@@ -104,11 +104,9 @@ func (f Fault) String() string {
 
 // KnownOps lists the Transport methods a Fault's Op can intercept —
 // the ops cluster.Node announces to its op hook, the complete trigger
-// surface of this package.
-var KnownOps = []string{
-	"Barrier", "AllToAllv", "AllGather", "Bcast", "AllReduceInt64",
-	"ExchangeAny", "Send", "Recv",
-}
+// surface of this package. Only tcp carries Send and Recv; the sim
+// aborts any run that calls them.
+var KnownOps = []string{"Barrier", "AllToAllv", "AllGather", "AllReduceInt64", "Send", "Recv"}
 
 // KnownPhases lists every phase name the sorters announce via
 // SetPhase — the values a Fault's Phase can match. A spec naming an

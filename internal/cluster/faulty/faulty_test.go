@@ -14,12 +14,14 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"demsort/internal/baseline"
 	"demsort/internal/blockio"
 	"demsort/internal/cluster"
 	"demsort/internal/cluster/faulty"
@@ -27,7 +29,9 @@ import (
 	"demsort/internal/cluster/tcp"
 	"demsort/internal/core"
 	"demsort/internal/elem"
+	"demsort/internal/job"
 	"demsort/internal/sortbench"
+	"demsort/internal/stripesort"
 )
 
 const (
@@ -107,6 +111,26 @@ func TestParseSpecKnownSetsAccepted(t *testing.T) {
 		if _, err := faulty.ParseSpec("rank=0,action=die,phase=" + ph); err != nil {
 			t.Errorf("known phase %q rejected: %v", ph, err)
 		}
+	}
+}
+
+// TestKnownPhasesMatchSorters pins KnownPhases to the sorters' own
+// phase names: a renamed phase fails here instead of leaving a
+// -fault phase= spec that never fires.
+func TestKnownPhasesMatchSorters(t *testing.T) {
+	announced := append(core.Phases(), job.PhaseLoad, job.PhaseCollect,
+		stripesort.PhaseRunForm, stripesort.PhaseMerge,
+		baseline.PhaseSample, baseline.PhaseDistribute, baseline.PhaseLocalSort)
+	want := map[string]bool{}
+	for _, ph := range announced {
+		want[ph] = true
+	}
+	got := map[string]bool{}
+	for _, ph := range faulty.KnownPhases {
+		got[ph] = true
+	}
+	if !reflect.DeepEqual(got, want) || len(got) != len(faulty.KnownPhases) {
+		t.Fatalf("KnownPhases = %q, the sorters announce %q", faulty.KnownPhases, announced)
 	}
 }
 

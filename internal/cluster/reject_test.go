@@ -8,16 +8,14 @@ import (
 	"demsort/internal/cluster"
 )
 
-// TestBadCollectiveArgumentsAbort: an unknown reduce op and a Bcast
-// root outside [0, P) fail the run with *ErrAborted on both backends
-// — within a deadline, since a panic inside a collective must never
-// leave the machine blocked. The unknown op also goes straight to the
-// backend, past Node's check, where it panics inside the collective.
+// TestBadCollectiveArgumentsAbort: an unknown reduce op fails the run
+// with *ErrAborted on both backends — within a deadline, since a panic
+// inside a collective must never leave the machine blocked. The
+// unknown op also goes straight to the backend, past Node's check,
+// where it panics inside the collective.
 func TestBadCollectiveArgumentsAbort(t *testing.T) {
 	calls := map[string]func(n *cluster.Node){
 		"AllReduceInt64/xor": func(n *cluster.Node) { n.AllReduceInt64(1, "xor") },
-		"Bcast/root=P":       func(n *cluster.Node) { n.Bcast(n.P, nil) },
-		"Bcast/root=-1":      func(n *cluster.Node) { n.Bcast(-1, nil) },
 		"Transport/xor":      func(n *cluster.Node) { n.Transport().AllReduceInt64(1, "xor") },
 	}
 	for _, backend := range []string{"sim", "tcp"} {

@@ -13,18 +13,15 @@
 // Collectives are generation-synchronised rendezvous: all P PEs
 // deposit (opName, entryTime, payload), the last arrival runs a
 // compute function over the rank-ordered inputs — deterministic
-// regardless of goroutine scheduling. Point-to-point messages go
-// through growable per-(src,dst) mailboxes that never block the
-// sender, modelling MPI's eager
-// buffering: deep prefetch/overlap patterns cannot deadlock on inbox
-// capacity.
+// regardless of goroutine scheduling. The sim implements only the
+// collectives the sorters call; Transport's Bcast, ExchangeAny, Send
+// and Recv abort the run, attributed to the calling PE.
 package sim
 
 import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"demsort/internal/blockio"
 	"demsort/internal/cluster"
@@ -48,24 +45,15 @@ type Config struct {
 	NewStore func(rank int) (blockio.Store, error)
 }
 
-// p2pDepth is the initial capacity, in messages, of each (src, dst)
-// point-to-point mailbox; mailboxes grow beyond it on demand.
-const p2pDepth = 64
-
 // Machine is the simulated cluster; it implements cluster.Machine.
 type Machine struct {
 	cfg   Config
 	nodes []*cluster.Node
 	eps   []*endpoint
 	rv    *rendezvous
-	p2p   []*mailbox // one mailbox per (src*P+dst)
 
 	abortOnce sync.Once
-	abortFlag atomic.Bool
 	abortErr  error // always *cluster.ErrAborted once set
-
-	boxBytes atomic.Int64 // payload bytes queued undelivered across p2p mailboxes
-	boxPeak  atomic.Int64 // high-water mark of boxBytes
 }
 
 // New builds a machine; Close releases the stores.
@@ -78,10 +66,6 @@ func New(cfg Config) (*Machine, error) {
 	}
 	m := &Machine{cfg: cfg}
 	m.rv = newRendezvous(cfg.P, m)
-	m.p2p = make([]*mailbox, cfg.P*cfg.P)
-	for i := range m.p2p {
-		m.p2p[i] = newMailbox(p2pDepth)
-	}
 	for rank := 0; rank < cfg.P; rank++ {
 		var store blockio.Store
 		var err error
@@ -138,7 +122,7 @@ func (m *Machine) Run(fn func(*cluster.Node) error) error {
 			defer func() {
 				switch r := recover().(type) {
 				case nil, abort: // done, or unwound because a peer failed
-				case *cluster.ErrAborted: // attributed by the rendezvous
+				case *cluster.ErrAborted: // attributed by the rendezvous or a refusal
 					m.fail(r)
 				default:
 					m.fail(cluster.Abortedf(n.Rank, "sim: PE %d panicked: %v", n.Rank, r))
@@ -162,97 +146,23 @@ func (m *Machine) Abort(cause error) {
 
 // fail records the first failure — wrapped as *cluster.ErrAborted, the
 // first attribution winning — and wakes every PE blocked in a
-// collective or a p2p receive. abortErr is guarded by the rendezvous
-// mutex: aborted() is only called with it held, and Run reads the
-// error only after all PE goroutines have joined. Callers pass an
-// already-attributed *ErrAborted when they know the culprit rank;
-// plain errors are attributed to no PE in particular (JobRank).
+// collective. abortErr is guarded by the rendezvous mutex: aborted() is
+// only called with it held, and Run reads the error only after all PE
+// goroutines have joined. Callers pass an already-attributed
+// *ErrAborted when they know the culprit rank; plain errors are
+// attributed to no PE in particular (JobRank).
 func (m *Machine) fail(err error) {
 	m.abortOnce.Do(func() {
 		ae := cluster.AsAborted(cluster.JobRank, err)
 		m.rv.mu.Lock()
 		m.abortErr = ae
-		m.abortFlag.Store(true)
 		m.rv.cond.Broadcast()
 		m.rv.mu.Unlock()
-		for _, box := range m.p2p {
-			box.wake()
-		}
 	})
 }
 
 // aborted must be called with rv.mu held.
 func (m *Machine) aborted() bool { return m.abortErr != nil }
-
-// ---------------------------------------------------------------------
-// Point-to-point mailboxes: unbounded FIFO rings. Send never blocks (MPI
-// eager buffering — a bounded inbox deadlocks two PEs that fill each
-// other's before either drains), only Recv waits, and an abort wakes all
-// waiters.
-// ---------------------------------------------------------------------
-
-type message struct {
-	tag     int
-	payload []byte
-	arrival float64
-}
-
-type mailbox struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	buf  []message // ring
-	head int
-	n    int
-}
-
-func newMailbox(capacity int) *mailbox {
-	b := &mailbox{buf: make([]message, capacity)}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-// push enqueues without ever blocking, growing the ring as needed.
-func (b *mailbox) push(msg message) {
-	b.mu.Lock()
-	if b.n == len(b.buf) {
-		grown := make([]message, 2*len(b.buf)+1)
-		for i := 0; i < b.n; i++ {
-			grown[i] = b.buf[(b.head+i)%len(b.buf)]
-		}
-		b.buf = grown
-		b.head = 0
-	}
-	b.buf[(b.head+b.n)%len(b.buf)] = msg
-	b.n++
-	b.cond.Signal()
-	b.mu.Unlock()
-}
-
-// pop dequeues, blocking until a message arrives or the machine
-// aborts; ok is false on abort.
-func (b *mailbox) pop(m *Machine) (message, bool) {
-	b.mu.Lock()
-	for b.n == 0 && !m.abortFlag.Load() {
-		b.cond.Wait()
-	}
-	if b.n == 0 {
-		b.mu.Unlock()
-		return message{}, false
-	}
-	msg := b.buf[b.head]
-	b.buf[b.head] = message{}
-	b.head = (b.head + 1) % len(b.buf)
-	b.n--
-	b.mu.Unlock()
-	return msg, true
-}
-
-// wake unblocks all waiters (abort path).
-func (b *mailbox) wake() {
-	b.mu.Lock()
-	b.cond.Broadcast()
-	b.mu.Unlock()
-}
 
 // ---------------------------------------------------------------------
 // Rendezvous: generation-synchronised collectives.
@@ -460,30 +370,6 @@ func (e *endpoint) AllGather(data []byte) [][]byte {
 	return out.data.([][]byte)
 }
 
-// Bcast implements cluster.Transport.
-func (e *endpoint) Bcast(root int, data []byte) []byte {
-	out := e.m.rv.do(e.rank, "bcast", e.clock.Now(), data, func(ins []collIn, outs []collOut) {
-		p := e.m.cfg.P
-		t0 := maxEntry(ins)
-		bw := e.m.cfg.Model.EffNetBandwidth(p)
-		lat := e.m.latencyTerm()
-		payload := ins[root].data.([]byte)
-		net := float64(len(payload))/bw + lat
-		for i := 0; i < p; i++ {
-			o := collOut{t: t0 + net, data: payload, net: net}
-			if i != root {
-				o.recv = int64(len(payload))
-				o.msgs = 1
-			} else {
-				o.sent = int64(len(payload))
-			}
-			outs[i] = o
-		}
-	})
-	e.charge(out)
-	return out.data.([]byte)
-}
-
 // AllReduceInt64 implements cluster.Transport.
 func (e *endpoint) AllReduceInt64(v int64, op string) int64 {
 	out := e.m.rv.do(e.rank, "allreduce:"+op, e.clock.Now(), v, func(ins []collIn, outs []collOut) {
@@ -500,86 +386,21 @@ func (e *endpoint) AllReduceInt64(v int64, op string) int64 {
 	return out.data.(int64)
 }
 
-// ExchangeAny implements cluster.Transport.
-func (e *endpoint) ExchangeAny(items []any, nominalBytes int) []any {
-	if len(items) != e.m.cfg.P {
-		panic("sim: ExchangeAny needs P items")
-	}
-	out := e.m.rv.do(e.rank, "exchangeany", e.clock.Now(), items, func(ins []collIn, outs []collOut) {
-		p := e.m.cfg.P
-		t0 := maxEntry(ins)
-		bw := e.m.cfg.Model.EffNetBandwidth(p)
-		lat := e.m.latencyTerm()
-		for i := 0; i < p; i++ {
-			recv := make([]any, p)
-			for j := 0; j < p; j++ {
-				recv[j] = ins[j].data.([]any)[i]
-			}
-			net := float64((p-1)*nominalBytes)/bw + lat
-			outs[i] = collOut{t: t0 + net, data: recv, net: net, msgs: int64(p - 1)}
-		}
-	})
-	e.charge(out)
-	return out.data.([]any)
-}
+// Bcast, ExchangeAny, Send and Recv complete cluster.Transport; no
+// sorter calls them, so on the sim each aborts the run, attributed to
+// the calling PE (Run recovers the panic into its *ErrAborted).
+func (e *endpoint) Bcast(int, []byte) []byte     { panic(e.refuse("Bcast")) }
+func (e *endpoint) ExchangeAny([]any, int) []any { panic(e.refuse("ExchangeAny")) }
+func (e *endpoint) Send(int, int, []byte)        { panic(e.refuse("Send")) }
+func (e *endpoint) Recv(int, int) []byte         { panic(e.refuse("Recv")) }
 
-// Send implements cluster.Transport: the NIC cost is charged and the
-// arrival time stamped so the receiver's clock synchronises. Send
-// never blocks (mailboxes grow on demand).
-func (e *endpoint) Send(dst, tag int, payload []byte) {
-	model := e.m.cfg.Model
-	dur := float64(len(payload)) / model.EffNetBandwidth(e.m.cfg.P)
-	st := e.clock.Cur()
-	st.NetTime += dur
-	st.BytesSent += int64(len(payload))
-	arrival := e.clock.Now() + dur + model.NetLatency
-	e.m.p2p[e.rank*e.m.cfg.P+dst].push(message{tag: tag, payload: payload, arrival: arrival})
-	total := e.m.boxBytes.Add(int64(len(payload)))
-	for {
-		peak := e.m.boxPeak.Load()
-		if total <= peak || e.m.boxPeak.CompareAndSwap(peak, total) {
-			break
-		}
-	}
+func (e *endpoint) refuse(op string) *cluster.ErrAborted {
+	return cluster.Abortedf(e.rank, "sim: PE %d called %s, which the simulator does not provide", e.rank, op)
 }
-
-// Recv implements cluster.Transport, advancing this PE's clock to the
-// message's arrival time.
-func (e *endpoint) Recv(src, tag int) []byte {
-	msg, ok := e.m.p2p[src*e.m.cfg.P+e.rank].pop(e.m)
-	if !ok {
-		panic(abort{}) // machine failed while we were blocked
-	}
-	if msg.tag != tag {
-		e.m.fail(cluster.Abortedf(e.rank, "sim: PE %d expected tag %d from %d, got %d", e.rank, tag, src, msg.tag))
-		panic(abort{})
-	}
-	e.m.boxBytes.Add(-int64(len(msg.payload)))
-	entry := e.clock.Now()
-	e.clock.AdvanceTo(msg.arrival)
-	st := e.clock.Cur()
-	if msg.arrival > entry {
-		st.BlockedTime += msg.arrival - entry
-	}
-	st.BytesRecv += int64(len(msg.payload))
-	// Count the message on the receive side, matching the collectives
-	// (AllToAllv/AllGather/Bcast all count incoming messages only);
-	// Send deliberately does not count, or every p2p message would be
-	// double-counted relative to collective traffic.
-	st.Messages++
-	return msg.payload
-}
-
-// MailboxPeakBytes implements cluster.MailboxStats: the machine-wide
-// high-water mark of payload bytes queued undelivered in the p2p
-// mailboxes (the eager-buffering memory a real receiver would hold;
-// one shared figure, since all PEs live in one address space here).
-func (e *endpoint) MailboxPeakBytes() int64 { return e.m.boxPeak.Load() }
 
 // Interface conformance.
 var (
-	_ cluster.Machine      = (*Machine)(nil)
-	_ cluster.Transport    = (*endpoint)(nil)
-	_ cluster.MailboxStats = (*endpoint)(nil)
-	_ cluster.Stats        = (*vtime.Clock)(nil)
+	_ cluster.Machine   = (*Machine)(nil)
+	_ cluster.Transport = (*endpoint)(nil)
+	_ cluster.Stats     = (*vtime.Clock)(nil)
 )

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -83,7 +84,7 @@ func TestAllToAllvSelfMessageFree(t *testing.T) {
 	}
 }
 
-func TestAllGatherAndBcast(t *testing.T) {
+func TestAllGather(t *testing.T) {
 	const p = 3
 	m, err := New(testConfig(p))
 	if err != nil {
@@ -96,10 +97,6 @@ func TestAllGatherAndBcast(t *testing.T) {
 			if all[j][0] != byte(j*10) {
 				return fmt.Errorf("allgather[%d] = %d", j, all[j][0])
 			}
-		}
-		got := n.Bcast(1, []byte{byte(n.Rank)})
-		if got[0] != 1 {
-			return fmt.Errorf("bcast got %d", got[0])
 		}
 		return nil
 	})
@@ -133,125 +130,43 @@ func TestAllReduce(t *testing.T) {
 	}
 }
 
-func TestSendRecvOrdering(t *testing.T) {
-	m, err := New(testConfig(2))
-	if err != nil {
-		t.Fatal(err)
+// TestUnsimulatedOpsAbort: Transport's Bcast, ExchangeAny, Send and
+// Recv, which no sorter calls, each end the run with *ErrAborted naming
+// the calling PE while the other PE waits in a Barrier.
+func TestUnsimulatedOpsAbort(t *testing.T) {
+	calls := map[string]func(tr cluster.Transport){
+		"Bcast":       func(tr cluster.Transport) { tr.Bcast(0, []byte{1}) },
+		"ExchangeAny": func(tr cluster.Transport) { tr.ExchangeAny(make([]any, 2), 8) },
+		"Send":        func(tr cluster.Transport) { tr.Send(0, 7, []byte{1}) },
+		"Recv":        func(tr cluster.Transport) { tr.Recv(0, 7) },
 	}
-	defer m.Close()
-	err = m.Run(func(n *cluster.Node) error {
-		if n.Rank == 0 {
-			for i := 0; i < 10; i++ {
-				n.Send(1, 7, []byte{byte(i)})
+	for name, call := range calls {
+		t.Run(name, func(t *testing.T) {
+			m, err := New(testConfig(2))
+			if err != nil {
+				t.Fatal(err)
 			}
-			return nil
-		}
-		for i := 0; i < 10; i++ {
-			got := n.Recv(0, 7)
-			if got[0] != byte(i) {
-				return fmt.Errorf("message %d out of order: %d", i, got[0])
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestDeepP2PDoesNotDeadlock is the regression test for the fixed
-// 1024-deep p2p inboxes: both PEs push far more messages than any
-// fixed channel capacity before either receives. With bounded-channel
-// inboxes both senders block with full inboxes on each side and the
-// machine deadlocks; growable mailboxes (p2pDepth messages to start
-// with) absorb the burst.
-func TestDeepP2PDoesNotDeadlock(t *testing.T) {
-	const burst = 8192 // far beyond the historical 1024-deep inboxes
-	cfg := testConfig(2)
-	m, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	done := make(chan error, 1)
-	go func() {
-		done <- m.Run(func(n *cluster.Node) error {
-			peer := 1 - n.Rank
-			for i := 0; i < burst; i++ {
-				n.Send(peer, 3, []byte{byte(i)})
-			}
-			for i := 0; i < burst; i++ {
-				got := n.Recv(peer, 3)
-				if got[0] != byte(i) {
-					return fmt.Errorf("message %d out of order: %d", i, got[0])
+			defer m.Close()
+			done := make(chan error, 1)
+			go func() {
+				done <- m.Run(func(n *cluster.Node) error {
+					if n.Rank == 1 {
+						call(n.Transport())
+					}
+					n.Barrier()
+					return nil
+				})
+			}()
+			select {
+			case err := <-done:
+				var ae *cluster.ErrAborted
+				if !errors.As(err, &ae) || ae.Rank != 1 || !strings.Contains(err.Error(), name) {
+					t.Fatalf("got %v, want *ErrAborted naming rank 1 and %s", err, name)
 				}
+			case <-time.After(30 * time.Second):
+				t.Fatalf("%s did not end the run", name)
 			}
-			return nil
 		})
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("deadlocked: p2p inboxes blocked both senders")
-	}
-}
-
-// TestRecvUnblocksOnPeerFailure: a PE blocked in Recv must unwind when
-// another PE fails (previously it would block forever on its inbox
-// channel and hang Run).
-func TestRecvUnblocksOnPeerFailure(t *testing.T) {
-	m, err := New(testConfig(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	sentinel := errors.New("boom")
-	done := make(chan error, 1)
-	go func() {
-		done <- m.Run(func(n *cluster.Node) error {
-			if n.Rank == 0 {
-				return sentinel
-			}
-			n.Recv(0, 1) // never sent
-			return nil
-		})
-	}()
-	select {
-	case err := <-done:
-		if err == nil || !errors.Is(err, sentinel) {
-			t.Fatalf("got %v, want wrapped sentinel", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("Recv did not unblock on peer failure")
-	}
-}
-
-func TestExchangeAnyRoutesItems(t *testing.T) {
-	const p = 4
-	m, err := New(testConfig(p))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	err = m.Run(func(n *cluster.Node) error {
-		items := make([]any, p)
-		for j := 0; j < p; j++ {
-			items[j] = fmt.Sprintf("%d->%d", n.Rank, j)
-		}
-		got := n.ExchangeAny(items, 16)
-		for j := 0; j < p; j++ {
-			want := fmt.Sprintf("%d->%d", j, n.Rank)
-			if got[j] != want {
-				return fmt.Errorf("got[%d] = %v, want %v", j, got[j], want)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -73,9 +73,7 @@ func TestOpenStreamFailsOtherCalls(t *testing.T) {
 		"Barrier":        func(n *cluster.Node) { n.Barrier() },
 		"AllToAllv":      func(n *cluster.Node) { cluster.RecycleRecv(n.AllToAllv(make([][]byte, n.P))) },
 		"AllGather":      func(n *cluster.Node) { n.AllGather([]byte{1}) },
-		"Bcast":          func(n *cluster.Node) { n.Bcast(0, []byte{1}) },
 		"AllReduceInt64": func(n *cluster.Node) { n.AllReduceInt64(1, "sum") },
-		"ExchangeAny":    func(n *cluster.Node) { n.ExchangeAny(make([]any, n.P), 8) },
 		"Send":           func(n *cluster.Node) { n.Send(1-n.Rank, 7, []byte{1}) },
 		"Recv":           func(n *cluster.Node) { n.Recv(1-n.Rank, 7) },
 		"OpenA2AStream":  func(n *cluster.Node) { n.OpenA2AStream(2).Close() },

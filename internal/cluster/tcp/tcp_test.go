@@ -133,7 +133,7 @@ func TestAllGatherAndBcast(t *testing.T) {
 				return fmt.Errorf("allgather[%d] = %v", j, all[j])
 			}
 		}
-		got := n.Bcast(1, []byte{byte(n.Rank)})
+		got := n.Transport().Bcast(1, []byte{byte(n.Rank)})
 		if got[0] != 1 {
 			return fmt.Errorf("bcast got %d", got[0])
 		}
@@ -178,7 +178,7 @@ func TestCollectivesManyRanks(t *testing.T) {
 					}
 				}
 				for root := 0; root < p; root++ {
-					got := n.Bcast(root, []byte{byte(100 + n.Rank)})
+					got := n.Transport().Bcast(root, []byte{byte(100 + n.Rank)})
 					if len(got) != 1 || got[0] != byte(100+root) {
 						return fmt.Errorf("bcast root %d got %v", root, got)
 					}
@@ -217,7 +217,7 @@ func TestCollectiveResultsDoNotAliasArena(t *testing.T) {
 	const p = 4
 	runMachines(t, p, func(n *cluster.Node) error {
 		gathered := n.AllGather(bytes.Repeat([]byte{byte(n.Rank + 1)}, 256))
-		bcasted := n.Bcast(2, bytes.Repeat([]byte{0xAB}, 512))
+		bcasted := n.Transport().Bcast(2, bytes.Repeat([]byte{0xAB}, 512))
 		for round := 0; round < 8; round++ {
 			send := make([][]byte, p)
 			for j := 0; j < p; j++ {
@@ -268,7 +268,7 @@ func TestExchangeAnyGob(t *testing.T) {
 		for j := 0; j < p; j++ {
 			items[j] = []int64{int64(n.Rank), int64(j)}
 		}
-		got := n.ExchangeAny(items, 16)
+		got := n.Transport().ExchangeAny(items, 16)
 		for j := 0; j < p; j++ {
 			vs, ok := got[j].([]int64)
 			if !ok || len(vs) != 2 || vs[0] != int64(j) || vs[1] != int64(n.Rank) {
