@@ -67,13 +67,15 @@ func (o *options) forward(rank int, peers []string) []string {
 }
 
 // prefixWriter tags each line one worker writes with its rank, so the
-// interleaved logs of a fleet stay attributable. Each worker has its
-// own instance; lines are written to the underlying writer whole.
+// interleaved logs of a fleet stay attributable, and keeps the worker's
+// digest line. Each worker has its own instance; lines are written to
+// the underlying writer whole.
 type prefixWriter struct {
 	mu     sync.Mutex
 	w      io.Writer
 	prefix string
 	tail   []byte // unterminated partial line
+	digest string // the last line that starts with "digest ", without its line end
 }
 
 func (pw *prefixWriter) Write(p []byte) (int, error) {
@@ -87,6 +89,11 @@ func (pw *prefixWriter) Write(p []byte) (int, error) {
 			return n, nil
 		}
 		line := pw.tail[:i+1]
+		if bytes.HasPrefix(line, []byte("digest ")) {
+			// A remote worker's lines come through ssh -tt's terminal,
+			// which ends them in \r\n.
+			pw.digest = strings.TrimRight(string(line), "\r\n")
+		}
 		if _, err := fmt.Fprintf(pw.w, "%s%s", pw.prefix, line); err != nil {
 			return n, err
 		}
@@ -237,8 +244,8 @@ func (o *options) place() []tcp.Placement {
 }
 
 // runLauncher drives a tcp fleet end to end over its placements: port
-// assignment, spawn, supervision with listen-race retry, and — when
-// every rank is local — valsort over the combined partitions.
+// assignment, spawn, supervision with listen-race retry, and the
+// fleet's valsort verdict, from what its workers proved in flight.
 func runLauncher(o *options, placements []tcp.Placement) {
 	p := len(placements)
 	// The workers would open the job with this very plan: a job it
@@ -282,11 +289,6 @@ func runLauncher(o *options, placements []tcp.Placement) {
 		fmt.Printf("resuming job %q from %s at epoch %d\n", o.jobid, o.workdir, o.epoch)
 	}
 
-	allLocal := true
-	for _, pl := range placements {
-		allLocal = allLocal && pl.Local
-	}
-
 	// Listen-race retries back off with jitter instead of immediately
 	// re-reserving: the contention that stole one port (another test
 	// fleet, a mass of short-lived dials) rarely clears in microseconds,
@@ -294,6 +296,7 @@ func runLauncher(o *options, placements []tcp.Placement) {
 	const maxAttempts = 5
 	backoff := tcp.NewBackoff(50*time.Millisecond, time.Second, uint64(os.Getpid()))
 	start := time.Now()
+	var workers []*worker
 	for attempt := 1; ; attempt++ {
 		// Assign the launcher-reserved ephemeral ports (loopback
 		// placements without an explicit hostfile port).
@@ -314,7 +317,8 @@ func runLauncher(o *options, placements []tcp.Placement) {
 			}
 		}
 		fmt.Printf("launching %d workers on %s\n", p, strings.Join(peers, ","))
-		workers, err := spawnFleet(placements, peers, o)
+		var err error
+		workers, err = spawnFleet(placements, peers, o)
 		fail(err)
 		firstErr, raceRanks := waitFleet(workers)
 		if firstErr == nil {
@@ -353,19 +357,56 @@ func runLauncher(o *options, placements []tcp.Placement) {
 	}
 	wall := time.Since(start).Seconds()
 
-	if !allLocal {
-		fmt.Printf("fleet done in %.3fs; partitions live in %s on each worker's host (valsort them there)\n", wall, o.outdir)
-		return
+	digests := make([]string, p)
+	for _, w := range workers {
+		digests[w.rank] = w.out.digest
 	}
-
-	// valsort over the partitions, in rank order, streaming (the
-	// combined output may not fit in the launcher's RAM).
-	var sums []sortbench.Summary
-	for rank := 0; rank < p; rank++ {
-		sums = append(sums, partSummary(o.outdir, rank))
-	}
-	got := sortbench.Merge(sums)
-	verdictRecords(got, o.inputSummary(p))
+	got, want, err := mergeDigests(digests)
+	fail(err)
+	verdictRecords(got, want)
 	fmt.Printf("wall total: %.3fs (%.2f MB/s across %d processes)\n",
 		wall, float64(got.Records)*100/1e6/wall, p)
+}
+
+// digestFormat is a worker's proof of its share of the run, the one
+// line the launcher validates the fleet from: its input's record count
+// and checksum (in-from says whether the sort's reads or a resumed
+// rank's own pass over its tile folded them), then its output's count,
+// order violations, duplicates, checksum, and first and last key
+// (quoted; "" for an empty partition).
+const digestFormat = "digest rank=%d in-from=%s in-records=%d in-checksum=%016x " +
+	"out-records=%d out-unsorted=%d out-duplicates=%d out-checksum=%016x out-first=%q out-last=%q"
+
+func digestLine(rank int, in sortbench.Summary, from string, out sortbench.Summary) string {
+	return fmt.Sprintf(digestFormat, rank, from, in.Records, in.Checksum,
+		out.Records, out.Unsorted, out.Duplicate, out.Checksum, out.FirstKey, out.LastKey)
+}
+
+// mergeDigests validates a fleet from its workers' digest lines, one per
+// rank in rank order: the output summaries merged in rank order
+// (sortbench.Merge adds the order checks across partition boundaries),
+// and the input's records and checksum summed. A missing or malformed
+// line, or another rank's, is an error naming the rank.
+func mergeDigests(lines []string) (got, want sortbench.Summary, err error) {
+	outs := make([]sortbench.Summary, len(lines))
+	for rank, line := range lines {
+		var in sortbench.Summary
+		var r int
+		var from, first, last string
+		out := &outs[rank]
+		_, err = fmt.Sscanf(line, digestFormat, &r, &from, &in.Records, &in.Checksum,
+			&out.Records, &out.Unsorted, &out.Duplicate, &out.Checksum, &first, &last)
+		if err == nil && r != rank {
+			err = fmt.Errorf("it is rank %d's", r)
+		}
+		if err != nil {
+			return got, want, fmt.Errorf("demsort: rank %d: no digest line (%q: %w)", rank, line, err)
+		}
+		if first != "" {
+			out.FirstKey, out.LastKey = []byte(first), []byte(last)
+		}
+		want.Records += in.Records
+		want.Checksum += in.Checksum
+	}
+	return sortbench.Merge(outs), want, nil
 }

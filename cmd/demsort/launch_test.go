@@ -115,8 +115,9 @@ func TestLauncherRefusesBeforeSpawning(t *testing.T) {
 // is loopback to the kernel but not by name, so its hostfile line is
 // placed remote and spawned through -ssh: here a stub that drops ssh's
 // options and host and runs the worker binary in place. The launcher
-// leaves valsort to the remote hosts, so the test valsorts the parts
-// itself and compares them with a sim run.
+// validates a remote fleet from its workers' digest lines, as it does a
+// local one; the test also valsorts the parts itself and compares them
+// with a sim run.
 func TestRemoteSpawnPath(t *testing.T) {
 	exe, err := os.Executable()
 	if err != nil {
@@ -136,7 +137,7 @@ func TestRemoteSpawnPath(t *testing.T) {
 	simDir, tcpDir := filepath.Join(tmp, "sim"), filepath.Join(tmp, "tcp")
 	for args, want := range map[string]string{
 		fmt.Sprintf("-workload=records -p 2 -n %d -seed 37 -outdir %s", n, simDir):                        "validation: OK",
-		fmt.Sprintf("-transport=tcp -hostfile %s -ssh %s -n %d -seed 37 -outdir %s", hf, stub, n, tcpDir): "(valsort them there)",
+		fmt.Sprintf("-transport=tcp -hostfile %s -ssh %s -n %d -seed 37 -outdir %s", hf, stub, n, tcpDir): "validation: OK",
 	} {
 		cmd := exec.Command(exe)
 		cmd.Env = append(os.Environ(), "DEMSORT_ARGS="+args)
@@ -189,4 +190,75 @@ func portPair(t *testing.T, host string) int {
 	}
 	t.Fatalf("no two consecutive free ports on %s", host)
 	return 0
+}
+
+// TestMergeDigests: the launcher validates a fleet from its workers'
+// digest lines alone. A line whose partition had one byte corrupted or
+// one record dropped turns the verdict to FAILED; a missing, malformed
+// or misplaced line is an error naming the rank. A remote worker's line,
+// which ssh -tt's terminal ends in \r\n, is kept without its line end.
+func TestMergeDigests(t *testing.T) {
+	const p, n = 4, 300
+	recs := sortbench.Generate(11, 0, p*n)
+	sorted := slices.Clone(recs)
+	slices.SortFunc(sorted, func(a, b elem.Rec100) int { return bytes.Compare(a[:10], b[:10]) })
+	fleet := func(edit func(rank int, part []elem.Rec100) []elem.Rec100) []string {
+		var lines []string
+		for rank := 0; rank < p; rank++ {
+			part := slices.Clone(sorted[rank*n : (rank+1)*n])
+			if edit != nil {
+				part = edit(rank, part)
+			}
+			lines = append(lines, digestLine(rank, sortbench.Validate(recs[rank*n:(rank+1)*n]), "sort", sortbench.Validate(part)))
+		}
+		return lines
+	}
+	good := fleet(nil)
+	if got, want, err := mergeDigests(good); err != nil || !recordsOK(got, want) || got.Records != p*n {
+		t.Fatalf("the correct fleet: %+v against %+v, %v; want OK with %d records", got, want, err, p*n)
+	}
+
+	for name, edit := range map[string]func(int, []elem.Rec100) []elem.Rec100{
+		"flipped byte": func(rank int, part []elem.Rec100) []elem.Rec100 {
+			if rank == 2 {
+				part[7][50] ^= 1
+			}
+			return part
+		},
+		"dropped record": func(rank int, part []elem.Rec100) []elem.Rec100 {
+			if rank == 1 {
+				return part[1:]
+			}
+			return part
+		},
+	} {
+		if got, want, err := mergeDigests(fleet(edit)); err != nil || recordsOK(got, want) {
+			t.Fatalf("%s: %+v against %+v, %v; want a FAILED verdict", name, got, want, err)
+		}
+	}
+
+	for _, tc := range []struct {
+		edit func(lines []string)
+		want string
+	}{
+		{func(l []string) { l[3] = "" }, "rank 3: no digest line"},
+		{func(l []string) { l[1] = l[1][:len(l[1])/2] }, "rank 1: no digest line"},
+		{func(l []string) { l[2] = strings.Replace(l[2], "out-first=\"", "out-first=", 1) }, "rank 2: no digest line"},
+		{func(l []string) { l[0], l[1] = l[1], l[0] }, "rank 0: no digest line"},
+	} {
+		lines := slices.Clone(good)
+		tc.edit(lines)
+		if _, _, err := mergeDigests(lines); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("want an error with %q, got %v", tc.want, err)
+		}
+	}
+
+	var log bytes.Buffer
+	pw := &prefixWriter{w: &log, prefix: "[w0] "}
+	line := good[0] + "\r\n"
+	pw.Write([]byte("rank 0: read 0 input bytes\r\n" + line[:20]))
+	pw.Write([]byte(line[20:]))
+	if pw.digest != good[0] || !strings.Contains(log.String(), "[w0] "+line) {
+		t.Fatalf("captured digest %q from the log %q, want %q", pw.digest, log.String(), good[0])
+	}
 }

@@ -13,8 +13,10 @@
 //     placing ranks across machines from a -hostfile, remote ones over
 //     ssh), supervises it — first failure reaps the fleet, a lost
 //     reserved port retries on fresh ones — and valsort-validates the
-//     combined output of an all-local run. With -rank/-peers, it is
-//     one worker of a (possibly multi-host) machine.
+//     combined output, local or remote, from the digest line each
+//     worker prints: a CRC-32C valsort of its input and of its output,
+//     folded as the bytes pass, so nothing is read a third time. With
+//     -rank/-peers, it is one worker of a (possibly multi-host) machine.
 //
 // The tcp transport (and sim with -workload=records) sorts
 // SortBenchmark-style 100-byte records: streamed in-process
@@ -270,24 +272,6 @@ func (o *options) checkInfile(placements []tcp.Placement) error {
 	return nil
 }
 
-// inputSummary digests the whole input tile by tile, streaming (only
-// Records and Checksum matter for the permutation check — the input is
-// unsorted by nature, so no cross-tile order folding is needed or
-// wanted).
-func (o *options) inputSummary(p int) sortbench.Summary {
-	src := o.source()
-	var s sortbench.Summary
-	for rank := 0; rank < p; rank++ {
-		r, _, err := src(rank)
-		fail(err)
-		tile, err := sortbench.SummarizeReader(r)
-		fail(err)
-		s.Records += tile.Records
-		s.Checksum += tile.Checksum
-	}
-	return s
-}
-
 // partFile streams one rank's sorted partition to outdir/part-%03d.
 // It writes to part-%03d.tmp and renames on Close, so an aborted or
 // reaped worker never leaves a truncated part file behind — outdir
@@ -335,17 +319,6 @@ func (p *partFile) Close() error {
 	return blockio.SyncDir(filepath.Dir(p.path))
 }
 
-// partSummary re-reads a published part file and valsorts it, O(1)
-// memory.
-func partSummary(outdir string, rank int) sortbench.Summary {
-	f, err := os.Open(filepath.Join(outdir, fmt.Sprintf("part-%03d", rank)))
-	fail(err)
-	defer f.Close()
-	s, err := sortbench.SummarizeReader(bufio.NewReaderSize(f, 1<<20))
-	fail(err)
-	return s
-}
-
 // configure applies the options every sorter shares to a freshly
 // defaulted common configuration.
 func (o *options) configure(c *job.Common) {
@@ -377,20 +350,19 @@ func (o *options) sortRecords(p int, configure func(*job.Common)) (*job.Stats, s
 		res.P, res.N, res.Runs, res.SubOps)
 }
 
-// recordSinks builds the per-rank output sinks of an in-process run:
-// each rank's sorted stream is valsorted incrementally and — when
-// outdir is set — written to its part file. Distinct ranks stream
+// recordSinks is where a records run's sorted partitions go: each
+// locally hosted rank's stream is valsorted as it passes (Accum) and,
+// when outdir is set, written to its part file. Distinct ranks stream
 // concurrently on the sim backend; each writes only its own slot.
 type recordSinks struct {
 	accums []sortbench.Accum
-	parts  []*partFile
+	parts  []*partFile // nil without an outdir, and for ranks hosted elsewhere
 }
 
-func newRecordSinks(p int, outdir string) *recordSinks {
-	s := &recordSinks{accums: make([]sortbench.Accum, p)}
-	if outdir != "" {
-		s.parts = make([]*partFile, p)
-		for rank := 0; rank < p; rank++ {
+func newRecordSinks(p int, outdir string, local func(rank int) bool) *recordSinks {
+	s := &recordSinks{accums: make([]sortbench.Accum, p), parts: make([]*partFile, p)}
+	for rank := range p {
+		if outdir != "" && local(rank) {
 			pf, err := newPartFile(outdir, rank)
 			fail(err)
 			s.parts[rank] = pf
@@ -401,23 +373,18 @@ func newRecordSinks(p int, outdir string) *recordSinks {
 
 func (s *recordSinks) sink(rank int, b []byte) error {
 	s.accums[rank].Add(b)
-	if s.parts != nil {
+	if s.parts[rank] != nil {
 		return s.parts[rank].Write(b)
 	}
 	return nil
 }
 
-// finish publishes the part files and returns the merged valsort
-// summary of the partitions in rank order.
-func (s *recordSinks) finish() sortbench.Summary {
-	var sums []sortbench.Summary
-	for rank := range s.accums {
-		sums = append(sums, s.accums[rank].Summary())
-		if s.parts != nil {
-			fail(s.parts[rank].Close())
-		}
+// publish publishes rank's part file, if it writes one.
+func (s *recordSinks) publish(rank int) error {
+	if s.parts[rank] == nil {
+		return nil
 	}
-	return sortbench.Merge(sums)
+	return s.parts[rank].Close()
 }
 
 // printPhases prints the per-phase breakdown and the modelled total of
@@ -434,22 +401,45 @@ func printTotal(st *job.Stats, nBytes int64) {
 		st.TotalWall(), float64(nBytes)/1e6/st.TotalWall())
 }
 
-// runRecordsSim sorts gensort records on the simulated machine —
-// the reference run the tcp backend's output must match bit for bit.
-// Input arrives through the streaming Source and output leaves through
-// the per-rank Sinks, so no tile or partition is ever resident in RAM.
+// runRecordsSim sorts gensort records on the simulated machine — the
+// reference run the tcp backend's output must match bit for bit.
 func runRecordsSim(o *options) {
-	sinks := newRecordSinks(o.p, o.outdir)
-	stats, headline := o.sortRecords(o.p, func(c *job.Common) {
-		o.configure(c)
-		c.NewStore = o.newStoreFactory()
-		c.Source = o.source()
-		c.Sink = sinks.sink
-	})
+	stats, headline, got, want := o.simRecords(nil)
 	fmt.Println(headline)
 	printPhases(stats, stats.N*100)
-	verdictRecords(sinks.finish(), o.inputSummary(o.p))
+	verdictRecords(got, want)
 	printTotal(stats, stats.N*100)
+}
+
+// simRecords runs runRecordsSim's sort and returns its statistics, its
+// headline, and the valsort digests it proves itself by: of the output,
+// folded as each rank's blocks pass its Sink (behind wrap, when set),
+// merged in rank order; and of the input, tallied as the sort read it.
+// Input arrives through the streaming Source and output leaves through
+// the per-rank Sinks, so no tile or partition is ever resident in RAM.
+func (o *options) simRecords(wrap func(sink func(int, []byte) error) func(int, []byte) error) (
+	stats *job.Stats, headline string, got, want sortbench.Summary) {
+	sinks := newRecordSinks(o.p, o.outdir, func(int) bool { return true })
+	sink := sinks.sink
+	if wrap != nil {
+		sink = wrap(sink)
+	}
+	src, tallies := countingSource(o.p, o.source())
+	stats, headline = o.sortRecords(o.p, func(c *job.Common) {
+		o.configure(c)
+		c.NewStore = o.newStoreFactory()
+		c.Source = src
+		c.Sink = sink
+	})
+	outs := make([]sortbench.Summary, o.p)
+	for rank := range outs {
+		fail(sinks.publish(rank))
+		outs[rank] = sinks.accums[rank].Summary()
+		in, _ := o.inputDigest(rank, &tallies[rank])
+		want.Records += in.Records
+		want.Checksum += in.Checksum
+	}
+	return stats, headline, sortbench.Merge(outs), want
 }
 
 // ---------------------------------------------------------------------
@@ -493,38 +483,25 @@ func runTCPWorker(o *options) {
 	// in-process generator) and the sorted partition streams out via
 	// Sink to part-%03d.tmp, renamed on success: neither the tile nor
 	// the output ever has to fit in this process's RAM, and outdir
-	// never holds a truncated part.
-	var part *partFile
-	var sink func(rank int, b []byte) error
-	if o.outdir != "" {
-		part, err = newPartFile(o.outdir, rank)
-		fail(err)
-		sink = func(_ int, b []byte) error { return part.Write(b) }
-	}
-
-	// The instrumented Source: every byte the sort pulls from the input
-	// goes through this counter, so a resumed run can prove it re-read
-	// nothing (the resume acceptance test greps the line below).
-	src, readBytes := countingSource(o.source())
+	// never holds a truncated part. Both are digested as they pass — the
+	// Source counts every byte the sort pulls from the input, so a
+	// resumed run can prove it re-read nothing (the resume acceptance
+	// test greps the line below) — and the digest line at the end is the
+	// launcher's proof of this rank's share of the run.
+	sinks := newRecordSinks(len(peers), o.outdir, func(r int) bool { return r == rank })
+	src, tallies := countingSource(len(peers), o.source())
 
 	start := time.Now()
 	stats, headline := o.sortRecords(len(peers), func(c *job.Common) {
 		o.configure(c)
 		c.Machine = m
 		c.Source = src
-		c.Sink = sink
+		c.Sink = sinks.sink
 	})
 	// The run count, the sub-operations or the merge batches are the same
 	// on every rank: one says so, as the sim path does.
 	if rank == 0 {
 		fmt.Println(headline)
-	}
-	// The rank's share of the output: its canonical partition, or its
-	// block range of the striped output — unless no striped collect ran
-	// (no sink), where the fleet total is all there is to report.
-	outLen := stats.OutputLens[rank]
-	if o.striped && sink == nil {
-		outLen = stats.N
 	}
 	// Every second of the rank's wall gets a name: the phases the sort
 	// accounted (a resumed run never entered the committed ones, so they
@@ -536,23 +513,37 @@ func runTCPWorker(o *options) {
 			phases = append(phases, fmt.Sprintf("%s %.3fs", ph, st.Wall))
 		}
 	}
-	if part != nil {
+	if o.outdir != "" {
 		t0 := time.Now()
-		fail(part.Close())
+		fail(sinks.publish(rank))
 		phases = append(phases, fmt.Sprintf("publish %.3fs", time.Since(t0).Seconds()))
 	}
-	fmt.Printf("rank %d: read %d input bytes\n", rank, readBytes.Load())
+	// The rank's share of the output is its canonical partition, or its
+	// block range of the striped output.
+	fmt.Printf("rank %d: read %d input bytes\n", rank, tallies[rank].bytes.Load())
 	fmt.Printf("rank %d: %d records in %.3fs (%s)\n",
-		rank, outLen, time.Since(start).Seconds(), strings.Join(phases, " | "))
+		rank, stats.OutputLens[rank], time.Since(start).Seconds(), strings.Join(phases, " | "))
+	in, from := o.inputDigest(rank, &tallies[rank])
+	fmt.Println(digestLine(rank, in, from, sinks.accums[rank].Summary()))
+}
+
+// inputTally is what the sort read of one rank's input: its bytes, and
+// the records among them counted and checksummed (sortbench.Tally).
+// Run formation's reads arrive concurrently, so every field is atomic.
+type inputTally struct {
+	bytes, records atomic.Int64
+	checksum       atomic.Uint64
 }
 
 // countingSource wraps a Source so every byte actually read from the
-// input is tallied — the evidence behind "resume re-reads nothing" and
-// "a fresh run reads its tile once". The wrapper stays a ReaderAt with
-// Size, so the sort reads the input in place; a source that cannot be
-// read at an offset is an error, not a silent fall back to staging.
-func countingSource(src func(rank int) (io.Reader, int64, error)) (func(rank int) (io.Reader, int64, error), *atomic.Int64) {
-	var n atomic.Int64
+// input of each of the p ranks is tallied — the evidence behind "resume
+// re-reads nothing" and "a fresh run reads its tile once", and the
+// input's half of the run's valsort, folded as the bytes pass. The
+// wrapper stays a ReaderAt with Size, so the sort reads the input in
+// place; a source that cannot be read at an offset is an error, not a
+// silent fall back to staging.
+func countingSource(p int, src func(rank int) (io.Reader, int64, error)) (func(rank int) (io.Reader, int64, error), []inputTally) {
+	tallies := make([]inputTally, p)
 	return func(rank int) (io.Reader, int64, error) {
 		r, cnt, err := src(rank)
 		if err != nil {
@@ -565,20 +556,44 @@ func countingSource(src func(rank int) (io.Reader, int64, error)) (func(rank int
 		if !ok {
 			return nil, 0, fmt.Errorf("rank %d: input %T cannot be read at an offset", rank, r)
 		}
-		return io.NewSectionReader(&countingReader{at: at, n: &n}, 0, at.Size()), cnt, nil
-	}, &n
+		return io.NewSectionReader(&countingReader{at: at, t: &tallies[rank]}, 0, at.Size()), cnt, nil
+	}, tallies
 }
 
-// countingReader counts the bytes read through at.
+// countingReader tallies the records read through at. A read that is
+// not record-aligned would split a record between two tallies, so it is
+// an error.
 type countingReader struct {
 	at io.ReaderAt
-	n  *atomic.Int64
+	t  *inputTally
 }
 
 func (c *countingReader) ReadAt(p []byte, off int64) (int, error) {
+	if off%100 != 0 || len(p)%100 != 0 {
+		return 0, fmt.Errorf("input read of %d bytes at offset %d is not record-aligned", len(p), off)
+	}
 	n, err := c.at.ReadAt(p, off)
-	c.n.Add(int64(n))
+	records, checksum := sortbench.Tally(p[:n])
+	c.t.bytes.Add(int64(n))
+	c.t.records.Add(records)
+	c.t.checksum.Add(checksum)
 	return n, err
+}
+
+// inputDigest returns the digest of rank's input and where it came
+// from: "sort", the tally of what the sort read; or "tile" when the sort
+// read nothing — a rank resumed past run formation — and the tile was
+// digested here, outside the tally, which keeps "read 0 input bytes"
+// true.
+func (o *options) inputDigest(rank int, t *inputTally) (sortbench.Summary, string) {
+	if t.bytes.Load() > 0 {
+		return sortbench.Summary{Records: t.records.Load(), Checksum: t.checksum.Load()}, "sort"
+	}
+	r, _, err := o.source()(rank)
+	fail(err)
+	s, err := sortbench.SummarizeReader(r)
+	fail(err)
+	return s, "tile"
 }
 
 // ---------------------------------------------------------------------
@@ -639,10 +654,17 @@ func verdict(ok bool) {
 	os.Exit(1)
 }
 
+// verdictRecords prints the valsort line of a records run's output and
+// its verdict against the input's digest.
 func verdictRecords(got, want sortbench.Summary) {
-	fmt.Printf("valsort: records=%d unsorted=%d duplicates=%d checksum=%016x\n",
-		got.Records, got.Unsorted, got.Duplicate, got.Checksum)
-	verdict(got.Unsorted == 0 && got.Records == want.Records && got.Checksum == want.Checksum)
+	fmt.Println("valsort:", got)
+	verdict(recordsOK(got, want))
+}
+
+// recordsOK reports whether an output digest proves a sort of the
+// input's: sorted, and the same records by count and checksum.
+func recordsOK(got, want sortbench.Summary) bool {
+	return got.Unsorted == 0 && got.Records == want.Records && got.Checksum == want.Checksum
 }
 
 func fail(err error) {

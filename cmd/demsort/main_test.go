@@ -19,6 +19,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -413,18 +414,53 @@ func TestWorkerListenRaceExitsFast(t *testing.T) {
 	}
 }
 
+// TestSimRecordsVerdictCatchesBadSink: the sim records path proves its
+// output from the blocks that pass its Sink, so a stream with one byte
+// of one record flipped, or one record dropped, fails the verdict, and
+// the untouched stream validates.
+func TestSimRecordsVerdictCatchesBadSink(t *testing.T) {
+	o := parseOptions([]string{"-workload=records", "-p", "4", "-n", "2000", "-seed", "5"})
+	for _, tc := range []struct {
+		name string
+		edit func(b []byte) []byte
+		ok   bool
+	}{
+		{"untouched", func(b []byte) []byte { return b }, true},
+		{"flipped-byte", func(b []byte) []byte { c := slices.Clone(b); c[150] ^= 1; return c }, false},
+		{"dropped-record", func(b []byte) []byte { return b[100:] }, false},
+	} {
+		wrap := func(sink func(int, []byte) error) func(int, []byte) error {
+			edited := false
+			return func(rank int, b []byte) error {
+				if rank == 2 && !edited { // only rank 2's PE touches edited
+					edited = true
+					b = tc.edit(b)
+				}
+				return sink(rank, b)
+			}
+		}
+		_, _, got, want := o.simRecords(wrap)
+		if recordsOK(got, want) != tc.ok || got.Records == 0 {
+			t.Fatalf("%s: output %+v against input %+v: verdict OK = %v, want %v",
+				tc.name, got, want, recordsOK(got, want), tc.ok)
+		}
+	}
+}
+
 // TestCountingSourceKeepsReaderAt: the worker's counting wrapper must not
 // hide that its input can be read at an offset — an -infile section or
 // the in-process generator — or every real-process run would stage its
-// input onto the store. It still counts every byte read.
+// input onto the store. It still tallies every record read, and refuses
+// a read that would split a record.
 func TestCountingSourceKeepsReaderAt(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "in.gen")
 	recs := sortbench.Generate(7, 0, 6)
-	if err := os.WriteFile(path, elem.EncodeSlice(elem.Rec100Codec{}, recs), 0o644); err != nil {
+	raw := elem.EncodeSlice(elem.Rec100Codec{}, recs)
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	for _, args := range [][]string{{"-n", "3", "-seed", "7", "-infile", path}, {"-n", "3", "-seed", "7"}} {
-		src, counted := countingSource(parseOptions(args).source())
+		src, tallies := countingSource(2, parseOptions(args).source())
 		r, cnt, err := src(1)
 		if err != nil {
 			t.Fatal(err)
@@ -436,16 +472,26 @@ func TestCountingSourceKeepsReaderAt(t *testing.T) {
 		if !ok || cnt != 3 || at.Size() != 300 {
 			t.Fatalf("%v: counted source is a %T (ReaderAt with Size: %v) of %d records", args, r, ok, cnt)
 		}
-		got := make([]byte, 150)
-		if _, err := at.ReadAt(got, 150); err != nil {
+		got := make([]byte, 200)
+		if _, err := at.ReadAt(got, 100); err != nil {
 			t.Fatal(err)
 		}
-		if want := elem.EncodeSlice(elem.Rec100Codec{}, recs)[450:600]; !bytes.Equal(got, want) || counted.Load() != 150 {
-			t.Fatalf("%v: ReadAt read other bytes than rank 1's tile, or counted %d of 150", args, counted.Load())
+		want := raw[400:600]
+		records, checksum := sortbench.Tally(want)
+		tl := &tallies[1]
+		if !bytes.Equal(got, want) || tl.bytes.Load() != 200 || tl.records.Load() != records || tl.checksum.Load() != checksum {
+			t.Fatalf("%v: ReadAt read other bytes than rank 1's tile, or tallied %d bytes, %d records, %016x; want 200, %d, %016x",
+				args, tl.bytes.Load(), tl.records.Load(), tl.checksum.Load(), records, checksum)
+		}
+		if _, err := at.ReadAt(got[:150], 150); err == nil || tl.bytes.Load() != 200 {
+			t.Fatalf("%v: a read splitting records returned %v and tallied %d bytes; want an error and 200", args, err, tl.bytes.Load())
+		}
+		if tallies[0].bytes.Load() != 0 {
+			t.Fatalf("%v: rank 1's read tallied on rank 0", args)
 		}
 	}
 	// A source that cannot be read at an offset is refused, not staged.
-	forward, _ := countingSource(func(int) (io.Reader, int64, error) {
+	forward, _ := countingSource(3, func(int) (io.Reader, int64, error) {
 		return struct{ io.Reader }{bytes.NewReader(nil)}, 0, nil
 	})
 	if _, _, err := forward(2); err == nil || !strings.Contains(err.Error(), "rank 2") {

@@ -1,7 +1,10 @@
 // Command valsort validates a file of 100-byte records, like the
 // SortBenchmark's valsort: order violations, record count, duplicate
 // keys and an order-independent checksum (for comparing against the
-// input file's digest).
+// input file's digest). Each file is streamed, so it needs O(1) memory
+// whatever the files' size. Its summary line has the form of the line
+// demsort's launcher prints from its workers' in-flight digests, so the
+// two can be compared as text.
 //
 // Usage:
 //
@@ -15,7 +18,6 @@ import (
 	"fmt"
 	"os"
 
-	"demsort/internal/elem"
 	"demsort/internal/sortbench"
 )
 
@@ -26,29 +28,27 @@ func main() {
 	}
 	var parts []sortbench.Summary
 	for _, path := range os.Args[1:] {
-		data, err := os.ReadFile(path)
+		s, err := summarize(path)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintf(os.Stderr, "valsort: %s: %v\n", path, err)
 			os.Exit(1)
 		}
-		if len(data)%100 != 0 {
-			fmt.Fprintf(os.Stderr, "valsort: %s is not a whole number of 100-byte records\n", path)
-			os.Exit(1)
-		}
-		recs := make([]elem.Rec100, len(data)/100)
-		for i := range recs {
-			copy(recs[i][:], data[i*100:])
-		}
-		parts = append(parts, sortbench.Validate(recs))
+		parts = append(parts, s)
 	}
 	s := sortbench.Merge(parts)
-	fmt.Printf("records:    %d\n", s.Records)
-	fmt.Printf("unsorted:   %d\n", s.Unsorted)
-	fmt.Printf("duplicates: %d (adjacent equal keys)\n", s.Duplicate)
-	fmt.Printf("checksum:   %016x\n", s.Checksum)
+	fmt.Println("valsort:", s)
 	if s.Unsorted > 0 {
 		fmt.Println("NOT SORTED")
 		os.Exit(1)
 	}
 	fmt.Println("SORTED")
+}
+
+func summarize(path string) (sortbench.Summary, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return sortbench.Summary{}, err
+	}
+	defer f.Close()
+	return sortbench.SummarizeReader(f)
 }

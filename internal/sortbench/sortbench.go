@@ -8,7 +8,9 @@ package sortbench
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math/rand/v2"
 
@@ -128,12 +130,21 @@ func (r *Reader) Read(p []byte) (int, error) {
 
 // Summary is valsort's digest of one record stream.
 type Summary struct {
-	Records   int64
-	Unsorted  int64  // order violations (adjacent inversions)
-	Checksum  uint64 // order-independent sum over record hashes
+	Records  int64
+	Unsorted int64 // order violations (adjacent inversions)
+	// Checksum is the sum, modulo 2^64, of every record's CRC-32C
+	// (Castagnoli) over all 100 bytes — SortBenchmark valsort's
+	// convention: order-independent, so equal on the input and on any
+	// permutation of it, and changed by any one corrupted byte.
+	Checksum  uint64
 	FirstKey  []byte
 	LastKey   []byte
 	Duplicate int64 // adjacent duplicate keys (informational)
+}
+
+// String renders the digest as valsort's summary line prints it.
+func (s Summary) String() string {
+	return fmt.Sprintf("records=%d unsorted=%d duplicates=%d checksum=%016x", s.Records, s.Unsorted, s.Duplicate, s.Checksum)
 }
 
 // Validate scans records and produces a Summary; a sorted stream has
@@ -142,73 +153,81 @@ type Summary struct {
 func Validate(recs []elem.Rec100) Summary {
 	var a Accum
 	for i := range recs {
-		a.AddRecord(&recs[i])
+		a.Add(recs[i][:])
 	}
 	return a.Summary()
+}
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// Tally counts and checksums a chunk of raw records, as Summary's
+// Records and Checksum — the whole digest of an input, whose order
+// means nothing. len(raw) must be a multiple of 100.
+func Tally(raw []byte) (records int64, checksum uint64) {
+	for off := 0; off+100 <= len(raw); off += 100 {
+		checksum += uint64(crc32.Checksum(raw[off:off+100], castagnoli))
+		records++
+	}
+	return records, checksum
 }
 
 // Accum builds a Summary incrementally from record-aligned raw chunks
 // — the streaming valsort that Sink callbacks and part-file readers
 // feed without ever materializing a partition.
 type Accum struct {
-	sum  Summary
-	prev elem.Rec100
-	has  bool
-}
-
-// AddRecord folds one record into the digest.
-func (a *Accum) AddRecord(rec *elem.Rec100) {
-	a.sum.Records++
-	a.sum.Checksum += hashRec(rec)
-	if a.has {
-		switch bytes.Compare(a.prev[:10], rec[:10]) {
-		case 1:
-			a.sum.Unsorted++
-		case 0:
-			a.sum.Duplicate++
-		}
-	} else {
-		a.sum.FirstKey = append([]byte(nil), rec[:10]...)
-	}
-	a.prev = *rec
-	a.has = true
+	sum    Summary
+	hi, lo uint64 // the previous record's key: bytes 0–7 and 8–9, big-endian
+	has    bool
 }
 
 // Add folds a chunk of raw records; len(raw) must be a multiple of 100
-// (Sink chunks are element-aligned by construction).
+// (Sink chunks are element-aligned by construction). Keys are compared
+// as two big-endian integers, which orders them as bytes.Compare does.
 func (a *Accum) Add(raw []byte) {
-	var rec elem.Rec100
 	for off := 0; off+100 <= len(raw); off += 100 {
-		copy(rec[:], raw[off:])
-		a.AddRecord(&rec)
+		rec := raw[off : off+100]
+		a.sum.Checksum += uint64(crc32.Checksum(rec, castagnoli))
+		hi, lo := binary.BigEndian.Uint64(rec), uint64(binary.BigEndian.Uint16(rec[8:]))
+		switch {
+		case !a.has:
+			a.sum.FirstKey = append([]byte(nil), rec[:10]...)
+			a.has = true
+		case hi < a.hi || hi == a.hi && lo < a.lo:
+			a.sum.Unsorted++
+		case hi == a.hi && lo == a.lo:
+			a.sum.Duplicate++
+		}
+		a.hi, a.lo = hi, lo
 	}
+	a.sum.Records += int64(len(raw) / 100)
 }
 
 // Summary returns the digest folded so far.
 func (a *Accum) Summary() Summary {
 	s := a.sum
 	if a.has {
-		s.LastKey = append([]byte(nil), a.prev[:10]...)
+		s.LastKey = binary.BigEndian.AppendUint16(binary.BigEndian.AppendUint64(nil, a.hi), uint16(a.lo))
 	}
 	return s
 }
 
 // SummarizeReader digests a raw record byte stream to EOF — the
-// O(1)-memory way to valsort a part file or an input tile.
+// O(1)-memory way to valsort a part file or an input tile. A read
+// error is reported as itself, wherever in a record it lands.
 func SummarizeReader(r io.Reader) (Summary, error) {
 	var a Accum
 	buf := make([]byte, 100*512)
 	for {
 		n, err := io.ReadFull(r, buf)
+		if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+			return a.Summary(), err
+		}
 		if n%100 != 0 {
 			return a.Summary(), fmt.Errorf("sortbench: stream not record-aligned (%d trailing bytes)", n%100)
 		}
 		a.Add(buf[:n])
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return a.Summary(), nil
-		}
 		if err != nil {
-			return a.Summary(), err
+			return a.Summary(), nil
 		}
 	}
 }
@@ -237,14 +256,4 @@ func Merge(parts []Summary) Summary {
 		s.LastKey = p.LastKey
 	}
 	return s
-}
-
-// hashRec hashes all 100 bytes, so payload corruption is detected too.
-func hashRec(r *elem.Rec100) uint64 {
-	var h uint64 = 0xcbf29ce484222325
-	for _, b := range r {
-		h ^= uint64(b)
-		h *= 0x100000001b3
-	}
-	return h
 }

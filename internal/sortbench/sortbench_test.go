@@ -2,11 +2,14 @@ package sortbench
 
 import (
 	"bytes"
+	"errors"
+	"hash/crc32"
 	"io"
 	"math/rand/v2"
 	"slices"
 	"sync"
 	"testing"
+	"testing/iotest"
 
 	"demsort/internal/elem"
 	"demsort/internal/psort"
@@ -230,5 +233,72 @@ func TestAccumAndSummarizeReaderMatchValidate(t *testing.T) {
 
 	if _, err := SummarizeReader(bytes.NewReader(raw[:150])); err == nil {
 		t.Fatal("non-record-aligned stream must be rejected")
+	}
+}
+
+// A read error is reported as itself even when it lands mid-record,
+// not as a misaligned stream.
+func TestSummarizeReaderReportsReadError(t *testing.T) {
+	boom := errors.New("disk on fire")
+	raw := elem.EncodeSlice(elem.Rec100Codec{}, Generate(5, 0, 4))
+	r := io.MultiReader(bytes.NewReader(raw[:150]), iotest.ErrReader(boom))
+	if _, err := SummarizeReader(r); !errors.Is(err, boom) {
+		t.Fatalf("read error after 150 bytes reported as %v, want %v", err, boom)
+	}
+}
+
+// Validate, Accum.Add fed uneven chunks and Tally all agree with
+// valsort's definition, written out the slow way: the count, the sum of
+// every record's CRC-32C, and adjacent keys compared as bytes. The keys
+// differ in their last bytes and in bytes with the high bit set, where
+// an integer compare could part from bytes.Compare.
+func TestValidateAndAddMatchDefinition(t *testing.T) {
+	recs := Generate(31, 0, 300)
+	for i := range recs {
+		switch i % 5 {
+		case 1: // equal to the previous key but for byte 9
+			copy(recs[i][:9], recs[i-1][:9])
+		case 2: // a duplicate
+			copy(recs[i][:10], recs[i-1][:10])
+		case 3:
+			recs[i][0] |= 0x80
+		case 4:
+			recs[i][8] |= 0x80
+		}
+	}
+	var want Summary
+	for i := range recs {
+		want.Records++
+		want.Checksum += uint64(crc32.Checksum(recs[i][:], crc32.MakeTable(crc32.Castagnoli)))
+		if i > 0 {
+			switch bytes.Compare(recs[i-1][:10], recs[i][:10]) {
+			case 1:
+				want.Unsorted++
+			case 0:
+				want.Duplicate++
+			}
+		}
+	}
+	want.FirstKey, want.LastKey = recs[0][:10], recs[len(recs)-1][:10]
+	if want.Unsorted == 0 || want.Duplicate == 0 {
+		t.Fatalf("fixture exercises too little: %+v", want)
+	}
+	check := func(name string, got Summary) {
+		t.Helper()
+		if got.Records != want.Records || got.Unsorted != want.Unsorted ||
+			got.Checksum != want.Checksum || got.Duplicate != want.Duplicate ||
+			!bytes.Equal(got.FirstKey, want.FirstKey) || !bytes.Equal(got.LastKey, want.LastKey) {
+			t.Fatalf("%s summary %+v, definition %+v", name, got, want)
+		}
+	}
+	check("Validate", Validate(recs))
+	raw := elem.EncodeSlice(elem.Rec100Codec{}, recs)
+	var a Accum
+	for off, step := 0, 100; off < len(raw); off, step = off+step, step%700+100 {
+		a.Add(raw[off:min(off+step, len(raw))])
+	}
+	check("Add", a.Summary())
+	if n, sum := Tally(raw); n != want.Records || sum != want.Checksum {
+		t.Fatalf("Tally: %d records, checksum %016x; definition %d, %016x", n, sum, want.Records, want.Checksum)
 	}
 }
