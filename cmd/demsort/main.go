@@ -30,9 +30,10 @@
 // themselves live on disk under -workdir, so the data never has to
 // fit in RAM: end-to-end memory is O(m) per worker. -striped runs the
 // globally striped algorithm (Section III) on every one of these
-// scenarios, including multi-process tcp fleets: its part files are
-// the canonical block-range shares of the striped output, so they
-// concatenate to the sorted sequence just like the canonical sorter's.
+// scenarios, including multi-process tcp fleets: its merge sends each
+// batch straight to the output's owners, so its part files are the
+// canonical block ranges of the sorted output and concatenate to the
+// sorted sequence just like the canonical sorter's.
 //
 // Usage:
 //

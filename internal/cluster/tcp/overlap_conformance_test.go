@@ -2,11 +2,12 @@ package tcp_test
 
 // Overlap conformance: every overlapped path of the pipeline — the
 // double-buffered Source load, the A2AStream-pipelined all-to-all, the
-// prefetching final merge feeding the Sink and the windowed striped
-// collect — must
-// produce per-rank output streams byte-identical to the synchronous
-// paths, on the sim backend and on real tcp machines alike. The
-// synchronous sim run is the reference everything else diffs against.
+// prefetching final merge feeding the Sink and the striped merge's
+// asynchronous block I/O, its batches delivered straight to the owners'
+// Sinks — must produce per-rank output streams byte-identical to the
+// synchronous paths, on the sim backend and on real tcp machines alike.
+// The synchronous sim run is the reference everything else diffs
+// against.
 
 import (
 	"bytes"
@@ -134,8 +135,8 @@ func TestOverlapConformance(t *testing.T) {
 }
 
 // TestOverlapStripedConformance pins overlapped ≡ synchronous for the
-// striped sort's windowed collect (and its overlapped load) on both
-// backends.
+// striped sort (its overlapped load and block I/O, the merge feeding the
+// owners' Sinks) on both backends.
 func TestOverlapStripedConformance(t *testing.T) {
 	const p = 4
 	for _, store := range []string{"ram", "file"} {

@@ -76,15 +76,16 @@ type Base struct {
 	// per-rank counts.
 	Source func(rank int) (io.Reader, int64, error)
 	// Sink, when non-nil, streams each locally hosted rank's sorted
-	// output as encoded element bytes — in order, block-at-a-time —
+	// output as encoded element bytes — in order, in whole elements —
 	// from the pass that produces the output. It is the scalable
 	// alternative to KeepOutput: the output never has to be materialized
 	// in RAM (demsort's tcp workers write their part files through it).
 	// The canonical sorter's final merge hands it each output block
-	// instead of writing it to the store; the striped sorter's collect
-	// re-routes its striped blocks over the transport so that rank i
-	// receives the contiguous block range [G·i/P, G·(i+1)/P) — either
-	// way the per-rank streams concatenate in rank order to the sorted
+	// instead of writing it to the store; the striped sorter's merge
+	// sends each merged batch straight to its owners, rank i receiving
+	// the contiguous block range [G·i/P, G·(i+1)/P), a piece per sender
+	// and batch — either way the output is never written to the store,
+	// and the per-rank streams concatenate in rank order to the sorted
 	// sequence. The byte slice is only valid for the duration of the
 	// call. Calls for one rank are sequential; on the sim backend
 	// different ranks stream concurrently, so a Sink shared across ranks
@@ -334,7 +335,7 @@ func (j *Job[T]) Run(fn func(n *cluster.Node) error) error {
 }
 
 // OutputSink returns what a sorter feeds each rank's sorted stream to,
-// block at a time, from the pass that produces the output — the
+// piece by piece, from the pass that produces the output — the
 // configured Sink, behind a decode into kept[rank] when KeepOutput is
 // set — and kept itself (nil without KeepOutput). A nil sink means
 // nobody wants the output. Distinct ranks write distinct slots, so the

@@ -24,7 +24,8 @@ const (
 // the element size in bytes, the largest per-PE input N/P in elements,
 // Common.Randomize (it rotates the striped run stripes), the canonical
 // sorter's configured K (0: the plan picks) and whether the output is
-// collected (a Sink or KeepOutput).
+// collected (a Sink or KeepOutput: the striped merge then delivers each
+// batch to the output's owners).
 type Shape struct {
 	Sorter     Sorter
 	P          int
@@ -44,17 +45,17 @@ type Shape struct {
 // contributes to each run, R; the canonical sampling distance K (§IV-A);
 // what a canonical all-to-all sub-operation stages on either side of a
 // PE, the final merge's buffers, the selection's block cache (in blocks)
-// and its residual gather; a striped owner's collect window (in blocks;
-// the striped merge quota is MergeQuota); the largest N/P the canonical
-// sorter takes in two passes; and the exact run split's regular samples
-// per PE and the most elements one of its owners gathers (SortExact).
+// and its residual gather (the striped merge quota is MergeQuota); the
+// largest N/P the canonical sorter takes in two passes; and the exact run
+// split's regular samples per PE and the most elements one of its owners
+// gathers (SortExact).
 type Plan struct {
 	Shape
 	BElem, BlocksPerRun         int
 	RunLocal, Runs, K           int64
 	ExchangeQuota, MergeBuffers int64
 	CacheBlocks                 int
-	Gather, CollectWindow       int64
+	Gather                      int64
 	MaxElemsPerPE               int64
 	SplitSamples, SplitResidual int64
 }
@@ -160,23 +161,13 @@ func (p *Plan) canonical() error {
 // Θ(M/B), the global constraint of Section III.
 func (p *Plan) striped() error {
 	m, b, pe := p.MemElems, int64(p.BElem), int64(p.P)
-	// A collect round carries a window for every owner, so a home ships
-	// up to w/P blocks to each of the P owners — w in all — while an owner
-	// reorders w; w·B ≤ m/4 leaves room for A2ARounds' two posted rounds
-	// and the receive being sunk, in whole blocks per (home, owner) pair,
-	// 4 of them when memory allows.
-	p.CollectWindow = max(min(4, m/(4*b*pe)), 1) * pe
 	if table := pe * ((p.NPerPE + b - 1) / b); p.MergeQuota(table) == 0 {
 		layout := "unrotated run stripes (Randomize is off) can leave all of them on one PE"
 		if p.Randomize {
 			layout = "rotated run stripes spread them over the PEs"
 		}
-		return fmt.Errorf("no merge batch fits the memory budget of %d elements: every PE holds the prediction table (%d entries, one per %d-element block) and the leftover blocks of %d runs (%s), and needs room to fetch and merge at least one more; raise the budget or change the block size (demsort -mem / -block)",
+		return fmt.Errorf("no merge batch fits the memory budget of %d elements: every PE holds the prediction table (%d entries, one per %d-element block) and the leftover blocks of %d runs (%s), and needs room to fetch, merge and send on at least one more; raise the budget or change the block size (demsort -mem / -block)",
 			m, table, b, p.Runs, layout)
-	}
-	if p.Collected && m < 4*pe*b {
-		return fmt.Errorf("collecting the output stages a block for each of the %d PEs, four rounds deep: %d elements of a memory budget of %d; raise the budget or lower the block size (demsort -mem / -block)",
-			pe, 4*pe*b, m)
 	}
 	return p.formRunsFits(0, 0)
 }
@@ -213,10 +204,13 @@ func (p *Plan) formRunsFits(held, split int64) error {
 //   - then either all of pending is emitted and SortAcross holds the
 //     send copies next to it (2·pending), or — at worst — none of it is
 //     and the PE still receives a full share of what the machine emits,
-//     at most everything pending anywhere, (R + P·q) blocks:
+//     at most everything pending anywhere, E = (R + P·q) blocks:
 //     SortAcross holds 3 × that share (RecvBound), and afterwards the
 //     merged share twice next to the output blocks under assembly (one
-//     even share and a partial block at either end).
+//     even share and a partial block at either end);
+//   - with the output collected, the merged share goes to the output's
+//     owners instead: its send copies stay charged while this PE, as an
+//     owner, receives up to all of E (RecvBound(E) + E).
 func (p *Plan) MergeQuota(table int64) int64 {
 	m, b, runs, pe := p.MemElems, int64(p.BElem), p.Runs, int64(p.P)
 	left := runs
@@ -224,8 +218,12 @@ func (p *Plan) MergeQuota(table int64) int64 {
 		left = min(runs, 2*((runs+pe-1)/pe))
 	}
 	need := func(q int64) int64 {
-		pending := (left + q) * b
-		return table + pending + max(pending, 3*RecvBound((runs+pe*q)*b, p.P)+2*b)
+		pending, emitted := (left+q)*b, (runs+pe*q)*b
+		work := 3*RecvBound(emitted, p.P) + 2*b
+		if p.Collected {
+			work = max(work, RecvBound(emitted, p.P)+emitted)
+		}
+		return table + pending + max(pending, work)
 	}
 	// need grows with q: the largest q that fits is one below the first
 	// that does not.

@@ -89,12 +89,23 @@ func TestPlan(t *testing.T) {
 		t.Errorf("canon_smallblock split: %d samples, residual %d; want 45, 176", pl.SplitSamples, pl.SplitResidual)
 	}
 	// striped_uniform: 26 runs; its table bound is one entry per input
-	// block, 4 × 767.
-	for randomize, want := range map[bool]int64{true: 19, false: 17} {
+	// block, 4 × 767. A PE holds the table, (left + q)·163 pending (left =
+	// 14 rotated, 26 not) and the larger of the pending, SortAcross's 3 ×
+	// RecvBound of E = (26 + 4q)·163 plus two blocks, and — collected — its
+	// send copies next to all of E received as an owner. Collected, the
+	// last is the largest: rotated, q = 13 holds 3068 + 27·163 + 3980 +
+	// 12 714 = 24 163 of 25 000 and q = 14 would hold 25 182; unrotated,
+	// q = 11 holds 3068 + 37·163 + 3573 + 11 410 = 24 082 and q = 12 25 100.
+	// Left striped, q = 19 holds 3068 + 33·163 + 3·5203 + 326 = 24 382
+	// rotated, q = 17 holds 3068 + 43·163 + 3·4795 + 326 = 24 788 not.
+	for _, tc := range []struct {
+		randomize, collected bool
+		want                 int64
+	}{{true, true, 13}, {false, true, 11}, {true, false, 19}, {false, false, 17}} {
 		s := rec(job.Striped, 25000, 16384, 125000)
-		s.Randomize = randomize
-		if pl := mustPlan(t, s); pl.Runs != 26 || pl.MergeQuota(3068) != want {
-			t.Errorf("striped_uniform, randomize=%v: R %d, quota %d; want 26 and %d", randomize, pl.Runs, pl.MergeQuota(3068), want)
+		s.Randomize, s.Collected = tc.randomize, tc.collected
+		if pl := mustPlan(t, s); pl.Runs != 26 || pl.MergeQuota(3068) != tc.want {
+			t.Errorf("striped_uniform, %+v: R %d, quota %d; want 26", tc, pl.Runs, pl.MergeQuota(3068))
 		}
 	}
 

@@ -20,8 +20,9 @@ type Stats struct {
 	// (locally hosted ranks only).
 	PerPE []map[string]*vtime.PhaseStats
 	// OutputLens[rank] is the element count rank ends up with: its
-	// canonical partition, or its block-range share of the striped
-	// output delivered to its Sink (zero when no striped collect ran).
+	// canonical partition, its block-range share of the striped output
+	// delivered to its Sink, or without one the elements of the striped
+	// output blocks it stores.
 	OutputLens []int64
 	// PeakMemElems[rank] is the memory budget's high-water mark.
 	PeakMemElems []int64

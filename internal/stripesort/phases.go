@@ -30,14 +30,17 @@ type pe[T any] struct {
 	// stored lists the striped run blocks this PE homes, in (run, block)
 	// order — phase 1's product, the merge's input.
 	stored []runBlock[T]
-	// outBlocks lists the striped output blocks this PE homes — the
-	// merge's product, the collect's input.
-	outBlocks []stripedBlock
+	// outBlocks lists the striped output blocks this PE homes, in index
+	// order — the merge's product when there is no sink.
+	outBlocks []blockio.BlockID
 	batches   int
 	// quota is the merge's fetch quota (Plan.MergeQuota), maxFetch the most
 	// blocks this PE did fetch in one batch.
 	quota, maxFetch int64
-	outN            int64 // elements delivered to this rank's sink
+	// starts are where each PE's piece of the last sortSampled begins
+	// (and, last, the total); outN is the output elements stored or sunk.
+	starts []int64
+	outN   int64
 }
 
 // runBlock is block blk of run run, stored here as block id with len
@@ -51,8 +54,8 @@ type runBlock[T any] struct {
 }
 
 // runPE executes the whole striped sort on one PE; sink receives the
-// rank's contiguous share of the sorted output (nil = leave the striped
-// blocks on the volumes).
+// rank's canonical block range of the sorted output (nil = leave the
+// output striped on the volumes).
 func runPE[T any](j *job.Job[T], c elem.Codec[T], n *cluster.Node, cfg *Config, sink func(rank int, b []byte) error) (*pe[T], error) {
 	// Open the input (unmeasured; a forward-only Source is staged).
 	input, err := j.Load(n)
@@ -63,22 +66,16 @@ func runPE[T any](j *job.Job[T], c elem.Codec[T], n *cluster.Node, cfg *Config, 
 	if err := s.formRuns(input); err != nil {
 		return nil, err
 	}
-	if err := s.mergeBatches(s.predict()); err != nil {
+	if err := s.mergeBatches(s.predict(), sink); err != nil {
 		return nil, err
 	}
-
-	// Collect: stream the output to the per-rank sinks (outside the
-	// measured phases, like core.Sort's collect step).
+	// Outside the measured phases, like core.Sort's collect step: every
+	// element of the runs was stored or sunk exactly once.
 	n.SetPhase(job.PhaseCollect)
-	var myN int64
-	for _, b := range s.outBlocks {
-		myN += int64(b.len)
+	if outN := n.AllReduceInt64(s.outN, "sum"); outN != s.totalN {
+		return nil, fmt.Errorf("stripesort: %d elements in the output, %d in the runs", outN, s.totalN)
 	}
-	if outN := n.AllReduceInt64(myN, "sum"); outN != s.totalN {
-		return nil, fmt.Errorf("stripesort: %d elements in the output blocks, %d in the runs", outN, s.totalN)
-	}
-	s.outN, err = collectOutput(c, n, &j.Plan, s.outBlocks, sink)
-	return s, err
+	return s, nil
 }
 
 // formRuns is phase 1, run formation with global striping: the shared
@@ -267,9 +264,10 @@ type piece[T any] struct {
 
 // mergeBatches is phase 2, prediction-driven batch merging: blocks are
 // fetched in prediction order, a batch at a time; what is smaller than
-// the first unfetched element is merged across the machine and striped
-// to the output, the rest waits for the next batch.
-func (s *pe[T]) mergeBatches(pred []predEntry[T]) error {
+// the first unfetched element is merged across the machine and either
+// striped to the output on the volumes (no sink) or delivered straight
+// to its owners' sinks, the rest waits for the next batch.
+func (s *pe[T]) mergeBatches(pred []predEntry[T], sink func(rank int, b []byte) error) error {
 	n := s.n
 	n.SetPhase(PhaseMerge)
 	stored := make(map[[2]int64]runBlock[T], len(s.stored))
@@ -280,10 +278,16 @@ func (s *pe[T]) mergeBatches(pred []predEntry[T]) error {
 	// table; the plan refused the job if it could come out as 0.
 	s.quota = max(s.j.MergeQuota(int64(len(pred))), 1)
 	out := s.newStriper(output, s.totalN, func(g int64, data []T) {
-		s.outBlocks = append(s.outBlocks, stripedBlock{idx: g, id: s.writeBlock(data), len: len(data)})
+		s.outBlocks = append(s.outBlocks, s.writeBlock(data))
+		s.outN += int64(len(data))
 	})
+	// Owner i of the output holds its canonical block range, elements
+	// [own(i), own(i+1)).
+	b := int64(s.j.BElem)
+	bounds := job.RankBounds((s.totalN+b-1)/b, n.P)
+	own := func(i int) int64 { return min(bounds[i]*b, s.totalN) }
 	pending := make([][]piece[T], s.runs)
-	var merged []T // one batch's is striped before the next is merged
+	var merged []T // one batch's leaves before the next is merged
 	var outCur int64
 	for cursor := 0; cursor < len(pred); s.batches++ {
 		end := s.batchEnd(pred, cursor)
@@ -296,17 +300,20 @@ func (s *pe[T]) mergeBatches(pred []predEntry[T]) error {
 		if end < len(pred) {
 			barrier = &pred[end]
 		}
-		// Distributed merge of the emitted chunks, then stripe the result
+		// Distributed merge of the emitted chunks, then send the result on
 		// to the output — the two communications per element of the
 		// merging pass.
-		var lo, emitted int64
 		var err error
-		if merged, lo, emitted, err = s.sortSampled(n, s.extract(pending, barrier), merged[:0]); err != nil {
+		if merged, _, _, err = s.sortSampled(n, s.extract(pending, barrier), merged[:0]); err == nil && sink == nil {
+			out.stripe(outCur+s.starts[n.Rank], merged)
+			n.Mem.Release(2 * int64(len(merged)))
+		} else if err == nil {
+			err = s.deliver(merged, outCur, own, sink)
+		}
+		if err != nil {
 			return fmt.Errorf("stripesort: merge batch %d: %w", s.batches, err)
 		}
-		out.stripe(outCur+lo, merged)
-		n.Mem.Release(2 * int64(len(merged)))
-		outCur += emitted
+		outCur += s.starts[n.P]
 		cursor = end
 	}
 	n.Mem.Release(int64(len(pred))) // prediction table dead after the merge
@@ -315,6 +322,43 @@ func (s *pe[T]) mergeBatches(pred []predEntry[T]) error {
 	if err := out.done(); err != nil {
 		return fmt.Errorf("stripesort: output: %w", err)
 	}
+	return nil
+}
+
+// deliver hands one merged batch to the output's owners: this PE's
+// piece, output elements outCur + [s.starts[rank], s.starts[rank+1]), is
+// cut at the owners' bounds own and sent in one AllToAllv. An owner
+// checks each sender's piece against that sender's span and sinks the
+// pieces in sender order, which is output order: they concatenate in
+// rank order, and batches finish in order. merged arrives charged twice
+// (SortAcross); its decoded pieces are dead, and once it is encoded only
+// the send copies remain, charged until the receive is.
+func (s *pe[T]) deliver(merged []T, outCur int64, own func(i int) int64, sink func(rank int, b []byte) error) error {
+	n, sz, held, at := s.n, int64(s.c.Size()), int64(len(merged)), outCur+s.starts[s.n.Rank]
+	// mine is how much of the batch's elements [lo, hi) this PE owns.
+	mine := func(lo, hi int64) int64 { return max(min(outCur+hi, own(n.Rank+1))-max(outCur+lo, own(n.Rank)), 0) }
+	cuts := make([]int64, n.P-1)
+	for i := range cuts {
+		cuts[i] = min(max(own(i+1)-at, 0), held)
+	}
+	n.Mem.Release(held)
+	recv := n.AllToAllv(job.EncodeParts(s.c, merged, cuts))
+	defer cluster.RecycleRecv(recv)
+	got := mine(0, s.starts[n.P])
+	n.Mem.MustAcquire(got)
+	n.Mem.Release(held)
+	defer n.Mem.Release(got)
+	for q, b := range recv {
+		if want := mine(s.starts[q], s.starts[q+1]); int64(len(b)) != want*sz {
+			return fmt.Errorf("owner %d received %d bytes from PE %d, whose piece overlaps its range by %d elements", n.Rank, len(b), q, want)
+		}
+		if len(b) > 0 {
+			if err := sink(n.Rank, b); err != nil {
+				return fmt.Errorf("output sink, rank %d: %w", n.Rank, err)
+			}
+		}
+	}
+	s.outN += got
 	return nil
 }
 
@@ -338,23 +382,21 @@ func (s *pe[T]) batchEnd(pred []predEntry[T], cursor int) int {
 // this PE's sorted chunk is cut at sample splitters and redistributed by
 // SortAcross, so the merged pieces concatenate in rank order to the
 // sorted union of all chunks. The cuts are only approximately even — the
-// stripe that follows fixes the positions — so the piece lengths are
-// gathered: the result is this PE's piece, where it starts in the union,
-// and the union's length.
+// stripe or the delivery that follows fixes the positions — so the piece
+// lengths are gathered, and PE q's piece starts at s.starts[q]: the
+// result is this PE's piece, where it starts in the union, and the
+// union's length.
 func (s *pe[T]) sortSampled(n *cluster.Node, chunk, dst []T) ([]T, int64, int64, error) {
 	cuts, total := sampleCuts(s.c, n, chunk)
 	merged := s.j.SortAcross(n, chunk, cuts, dst)
-	var lo, sum int64
+	s.starts = make([]int64, n.P+1)
 	for q, l := range allGatherInt64(n, int64(len(merged))) {
-		if q < n.Rank {
-			lo += l
-		}
-		sum += l
+		s.starts[q+1] = s.starts[q] + l
 	}
-	if sum != total {
-		return nil, 0, 0, fmt.Errorf("the PEs received %d elements of the %d they contributed", sum, total)
+	if s.starts[n.P] != total {
+		return nil, 0, 0, fmt.Errorf("the PEs received %d elements of the %d they contributed", s.starts[n.P], total)
 	}
-	return merged, lo, total, nil
+	return merged, s.starts[n.Rank], total, nil
 }
 
 // fetch reads this PE's resident blocks of one batch (asynchronously)
@@ -427,105 +469,6 @@ func (s *pe[T]) extract(pending [][]piece[T], barrier *predEntry[T]) []T {
 	}
 	s.n.AddCPU(s.cfg.Model.MergeCPU(total, len(seqs)+1))
 	return xmerge.Merge(s.c, seqs)
-}
-
-// collectOutput re-routes the globally striped output blocks to their
-// canonical owners and feeds them to the sink in output order: rank i
-// receives blocks [G·i/P, G·(i+1)/P), so the per-rank sink streams
-// concatenate — in rank order — to the sorted sequence, exactly like
-// core.Sort's canonical partition. Round k ships to every owner i the
-// blocks [lo_i + k·w, lo_i + (k+1)·w) of its range, so all P ranks
-// receive and sink in every round, and both a home's staging and an
-// owner's reorder buffer are bounded by w·B (w is the plan's
-// CollectWindow). Homes free their blocks as they are shipped, so the
-// striped copy is consumed in place.
-func collectOutput[T any](c elem.Codec[T], n *cluster.Node, pl *job.Plan, blocks []stripedBlock, sink func(rank int, b []byte) error) (int64, error) {
-	if sink == nil {
-		return 0, nil
-	}
-	sz := c.Size()
-	maxIdx := int64(-1)
-	for _, b := range blocks {
-		maxIdx = max(maxIdx, b.idx)
-	}
-	total := n.AllReduceInt64(maxIdx+1, "max") // G: global output blocks
-	if total == 0 {
-		return 0, nil
-	}
-	sort.Slice(blocks, func(i, j int) bool { return blocks[i].idx < blocks[j].idx })
-	bounds := job.RankBounds(total, n.P)
-	w := pl.CollectWindow
-	// next[i] is this home's first unshipped block of owner i's range.
-	next := make([]int, n.P)
-	var widest int64
-	for i := range next {
-		next[i] = sort.Search(len(blocks), func(k int) bool { return blocks[k].idx >= bounds[i] })
-		widest = max(widest, bounds[i+1]-bounds[i])
-	}
-	const hdr = 12 // (block index, element count)
-	type entry struct {
-		idx  int64
-		data []byte
-	}
-	var entries []entry
-	var sunk int64
-	// The rounds run as one pipeline (Node.A2ARounds): with a stream
-	// window of 2, round k+1's blocks are read off the store and staged
-	// while round k is still on the wire, so the part-file sink writes
-	// overlap the next exchange (§IV-E). buildSend stages round k — each
-	// send vector sized from its block count, taken from the arena once
-	// and read into straight from the store — and reports its elements as
-	// the exchange's budget charge, which A2ARounds holds until the round
-	// is collected, hence written; drain sinks one round's receives.
-	// Any stream window issues the same calls in the same per-PE order, so
-	// the sink streams are byte-identical.
-	buildSend := func(k int) ([][]byte, int64) {
-		send := make([][]byte, n.P)
-		var sendElems int64
-		for i := range send {
-			first, size := next[i], 0
-			for end := min(bounds[i]+int64(k+1)*w, bounds[i+1]); next[i] < len(blocks) && blocks[next[i]].idx < end; next[i]++ {
-				size += hdr + blocks[next[i]].len*sz
-			}
-			send[i] = bufpool.Get(size)
-			buf := send[i]
-			for _, b := range blocks[first:next[i]] {
-				binary.LittleEndian.PutUint64(buf[:8], uint64(b.idx))
-				binary.LittleEndian.PutUint32(buf[8:hdr], uint32(b.len))
-				n.Vol.ReadWait(b.id, buf[hdr:hdr+b.len*sz])
-				n.Vol.Free(b.id)
-				buf = buf[hdr+b.len*sz:]
-				sendElems += int64(b.len)
-			}
-		}
-		return send, sendElems
-	}
-	drain := func(_ int, recv [][]byte) error {
-		entries = entries[:0]
-		var recvElems int64
-		for _, buf := range recv {
-			for len(buf) > 0 {
-				idx := int64(binary.LittleEndian.Uint64(buf[:8]))
-				cnt := int(binary.LittleEndian.Uint32(buf[8:hdr]))
-				entries = append(entries, entry{idx: idx, data: buf[hdr : hdr+cnt*sz]})
-				recvElems += int64(cnt)
-				buf = buf[hdr+cnt*sz:]
-			}
-		}
-		n.Mem.MustAcquire(recvElems)
-		sort.Slice(entries, func(i, j int) bool { return entries[i].idx < entries[j].idx })
-		for _, e := range entries {
-			if err := sink(n.Rank, e.data); err != nil {
-				return fmt.Errorf("stripesort: output sink, rank %d: %w", n.Rank, err)
-			}
-			sunk += int64(len(e.data)) / int64(sz)
-		}
-		cluster.RecycleRecv(recv)
-		n.Mem.Release(recvElems)
-		return nil
-	}
-	err := n.A2ARounds(int((widest+w-1)/w), buildSend, drain)
-	return sunk, err
 }
 
 // sampleCuts computes order-consistent (but only approximately

@@ -7,6 +7,7 @@ import (
 	"io"
 	"slices"
 	"testing"
+	"time"
 
 	"demsort/internal/blockio"
 	"demsort/internal/cluster"
@@ -15,41 +16,49 @@ import (
 	"demsort/internal/workload"
 )
 
-// TestStripedSinkStreamsCanonicalRanges pins the Sink contract: rank
-// i's stream is a contiguous, in-order share of the sorted output, and
-// the streams concatenate in rank order to exactly Result.Output.
+// TestStripedSinkStreamsCanonicalRanges pins the Sink contract: with
+// G = ⌈N/B⌉ output blocks, rank i's stream is exactly elements
+// [RankBounds(G,P)[i]·B, min(RankBounds(G,P)[i+1]·B, N)) of the sorted
+// output, the last range cut short — on either store, when P does not
+// divide G, when there are fewer blocks than PEs (some owners get
+// nothing) and when the input is empty.
 func TestStripedSinkStreamsCanonicalRanges(t *testing.T) {
-	for _, store := range []string{"ram", "file"} {
-		t.Run(store, func(t *testing.T) {
-			cfg := testConfig(4)
-			if store == "file" {
+	for _, tc := range []struct {
+		name    string
+		p, nPer int
+		g       int64 // G, so that each case stays the edge it is named for
+	}{
+		{"ram", 4, 5200, 325}, {"file", 4, 5200, 325}, {"p1", 1, 5200, 82}, {"p3", 3, 5200, 244},
+		{"fewer_blocks_than_PEs", 4, 30, 2}, {"empty", 4, 0, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig(tc.p)
+			if tc.name == "file" {
 				cfg.NewStore = blockio.FileStoreFactory(t.TempDir(), cfg.BlockBytes)
 			}
-			streamed := make([][]byte, cfg.P)
+			streamed := make([][]byte, tc.p)
 			cfg.Sink = func(rank int, b []byte) error {
 				streamed[rank] = append(streamed[rank], b...)
 				return nil
 			}
-			input := workload.Generate(workload.Uniform, cfg.P, 5200, 77)
+			input := workload.Generate(workload.Uniform, tc.p, tc.nPer, 77)
 			res, err := Sort[elem.KV16](kvc, cfg, input)
 			if err != nil {
 				t.Fatal(err)
 			}
 			checkSorted(t, res, input)
-			var all []byte
-			for rank := 0; rank < cfg.P; rank++ {
-				if len(streamed[rank]) == 0 {
-					t.Fatalf("rank %d received no output stream", rank)
-				}
-				part := elem.DecodeSlice(kvc, streamed[rank], len(streamed[rank])/16)
-				if !elem.IsSorted[elem.KV16](kvc, part) {
-					t.Fatalf("rank %d: sink stream not sorted", rank)
-				}
-				all = append(all, streamed[rank]...)
+			b := int64(res.BlockElems)
+			if g := (res.N + b - 1) / b; g != tc.g {
+				t.Fatalf("%d output blocks, want %d", g, tc.g)
 			}
-			want := elem.EncodeSlice(kvc, res.Output)
-			if !bytes.Equal(all, want) {
-				t.Fatalf("concatenated sink streams (%d bytes) differ from Output (%d bytes)", len(all), len(want))
+			sorted := elem.EncodeSlice(kvc, res.Output)
+			bounds := job.RankBounds(tc.g, tc.p)
+			for rank := range streamed {
+				lo, hi := min(bounds[rank]*b, res.N), min(bounds[rank+1]*b, res.N)
+				if !bytes.Equal(streamed[rank], sorted[lo*16:hi*16]) || res.OutputLens[rank] != hi-lo {
+					t.Fatalf("rank %d streamed %d bytes (%d elements reported), want elements [%d, %d) of the output",
+						rank, len(streamed[rank]), res.OutputLens[rank], lo, hi)
+				}
 			}
 		})
 	}
@@ -80,158 +89,40 @@ func TestStripedSourceMatchesSliceInput(t *testing.T) {
 	}
 }
 
-// A Sink error during striped collection must abort the sort.
+// A Sink error aborts the whole fleet: rank 2's Sink fails on its third
+// call, while the other ranks are inside the merge batches' collectives.
+// Every rank returns, in bounded time, and the sort's error is the abort
+// that rank 2's Sink error caused.
 func TestStripedSinkErrorAborts(t *testing.T) {
-	cfg := testConfig(2)
+	cfg := testConfig(4)
 	cfg.KeepOutput = false
 	sinkErr := errors.New("part file write failed")
-	cfg.Sink = func(rank int, b []byte) error { return sinkErr }
-	input := workload.Generate(workload.Uniform, 2, 5000, 3)
-	_, err := Sort[elem.KV16](kvc, cfg, input)
-	if err == nil || !errors.Is(err, sinkErr) {
-		t.Fatalf("sink error must abort the striped sort, got %v", err)
-	}
-}
-
-// TestCollectStaysWithinBudget pins the collect's memory accounting:
-// the send staging of exchange s stays charged until it is collected,
-// hence written (Node.A2ARounds), the collect's peak stays within the
-// budget its window size is derived from, nothing stays charged
-// afterwards, and every rank's sink sees its block range once, in order.
-func TestCollectStaysWithinBudget(t *testing.T) {
-	const bElem, totalBlocks = 64, 96
-	for _, p := range []int{1, 2, 4} {
-		for _, overlap := range []bool{true, false} {
-			t.Run(fmt.Sprintf("p%d_overlap=%v", p, overlap), func(t *testing.T) {
-				cfg := DefaultConfig(p, 32*bElem, bElem*16) // window limited by m/4: 8 blocks
-				cfg.Overlap = overlap
-				j, err := job.Open(kvc, &cfg.Common, make([][]elem.KV16, p), job.Striped, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := j.Start(); err != nil {
-					t.Fatal(err)
-				}
-				defer j.Close()
-				got := make([][]uint64, p) // per rank: the block indices sunk, in order
-				sink := func(rank int, b []byte) error {
-					blk := elem.DecodeSlice(kvc, b, len(b)/16)
-					got[rank] = append(got[rank], blk[0].Key)
-					return nil
-				}
-				err = j.Run(func(n *cluster.Node) error {
-					n.SetPhase(job.PhaseCollect)
-					// The striped layout: output block g lives on PE g mod P.
-					var blocks []stripedBlock
-					data := make([]elem.KV16, bElem)
-					for g := n.Rank; g < totalBlocks; g += n.P {
-						for i := range data {
-							data[i].Key = uint64(g)
-						}
-						id := n.Vol.Alloc()
-						n.Vol.WriteAsync(id, elem.EncodeSlice(kvc, data))
-						blocks = append(blocks, stripedBlock{idx: int64(g), id: id, len: bElem})
-					}
-					n.Vol.Drain()
-					n.Barrier()
-					outN, err := collectOutput(kvc, n, &j.Plan, blocks, sink)
-					if err != nil {
-						return err
-					}
-					if want := int64(totalBlocks / p * bElem); outN != want {
-						return fmt.Errorf("rank %d sunk %d elements, want %d", n.Rank, outN, want)
-					}
-					if peak := n.Mem.Peak(); peak == 0 || peak > cfg.MemElems {
-						return fmt.Errorf("rank %d: collect peak %d elements, budget %d", n.Rank, peak, cfg.MemElems)
-					}
-					if used := n.Mem.Used(); used != 0 {
-						return fmt.Errorf("rank %d: %d elements still charged after the collect", n.Rank, used)
-					}
-					return nil
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				next := uint64(0)
-				for rank := range got {
-					for _, g := range got[rank] {
-						if g != next {
-							t.Fatalf("rank %d sunk block %d, want %d", rank, g, next)
-						}
-						next++
-					}
-				}
-				if next != totalBlocks {
-					t.Fatalf("%d of %d blocks sunk", next, totalBlocks)
-				}
-			})
-		}
-	}
-}
-
-// TestCollectFeedsEveryOwnerEveryRound pins the all-owners collect: 103
-// blocks on 4 PEs give the owners ranges of 25 or 26 blocks; with a
-// window of w = 8 blocks that is ⌈26/8⌉ = 4 rounds — not the ⌈103/8⌉ = 13
-// of one window per round — and every owner sinks w blocks of its range
-// in each of the first three.
-func TestCollectFeedsEveryOwnerEveryRound(t *testing.T) {
-	const p, bElem, totalBlocks, w = 4, 64, 103, 8
-	cfg := DefaultConfig(p, 32*bElem, bElem*16) // w·B = m/4
-	j, err := job.Open(kvc, &cfg.Common, make([][]elem.KV16, p), job.Striped, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j.CollectWindow != w {
-		t.Fatalf("collect window %d blocks, want %d", j.CollectWindow, w)
-	}
-	if err := j.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	rounds := make([]int, p)
-	sunkIn := make([][]int, p) // per rank: the round each block was sunk in, in sink order
-	err = j.Run(func(n *cluster.Node) error {
-		n.SetPhase(job.PhaseCollect)
-		var blocks []stripedBlock
-		data := make([]elem.KV16, bElem)
-		for g := n.Rank; g < totalBlocks; g += p {
-			id := n.Vol.Alloc()
-			n.Vol.WriteAsync(id, elem.EncodeSlice(kvc, data))
-			blocks = append(blocks, stripedBlock{idx: int64(g), id: id, len: bElem})
-		}
-		n.Vol.Drain()
-		n.Barrier()
-		exchanges := 0
-		n.SetOpHook(func(op string) {
-			if op == "AllToAllv" {
-				exchanges++
-			}
-		})
-		n.SetA2AWindow(1) // round k is sunk right after exchange k
-		sink := func(rank int, b []byte) error {
-			sunkIn[rank] = append(sunkIn[rank], exchanges-1)
+	calls := 0 // rank 2's; calls for one rank are sequential
+	cfg.Sink = func(rank int, b []byte) error {
+		if rank != 2 {
 			return nil
 		}
-		_, err := collectOutput(kvc, n, &j.Plan, blocks, sink)
-		rounds[n.Rank] = exchanges
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
+		if calls++; calls == 3 {
+			return sinkErr
+		}
+		return nil
 	}
-	bounds := job.RankBounds(totalBlocks, p)
-	for rank := 0; rank < p; rank++ {
-		if rounds[rank] != 4 {
-			t.Errorf("rank %d: %d collect rounds, want 4", rank, rounds[rank])
+	input := workload.Generate(workload.Uniform, 4, 5200, 3)
+	done := make(chan error, 1)
+	go func() {
+		_, err := Sort[elem.KV16](kvc, cfg, input)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		var ae *cluster.ErrAborted
+		if !errors.Is(err, sinkErr) || !errors.As(err, &ae) || ae.Rank != 2 {
+			t.Fatalf("sink error must abort the striped sort, blamed on rank 2, got %v", err)
 		}
-		owned := int(bounds[rank+1] - bounds[rank])
-		if len(sunkIn[rank]) != owned {
-			t.Fatalf("rank %d sunk %d blocks, owns %d", rank, len(sunkIn[rank]), owned)
+		if calls != 3 {
+			t.Fatalf("rank 2's sink was called %d times, want 3 (none after its error)", calls)
 		}
-		for i, round := range sunkIn[rank] {
-			if round != i/w {
-				t.Fatalf("rank %d: block %d of its range sunk in round %d, want %d", rank, i, round, i/w)
-			}
-		}
+	case <-time.After(time.Minute):
+		t.Fatal("the fleet did not unwind within a minute of rank 2's sink error")
 	}
 }

@@ -6,32 +6,32 @@
 // batches of Θ(M/B) blocks are merged with the distributed internal
 // merge.
 //
-// Two stripe layouts (pe.home): block g of the output lives on PE
-// g mod P, always. Block g of run r lives on PE (g + r) mod P when
-// Config.Randomize is on — each run's stripe starts one PE further, so
-// the blocks the merge wants next, block g of every run, are spread over
-// all PEs instead of piled on one — and on PE g mod P when it is off.
-// Every step then keeps all P PEs busy: a merge batch fetches as many
-// blocks per PE as the memory budget holds (job.Plan.MergeQuota), runs and
-// batches are redistributed under sample splitters (sampleCuts), which
-// is all a striped layout needs, and every collect round feeds every
-// owner (collectOutput), re-reading the output even with a Sink: a batch
-// sent straight to owners could all land on one, beyond Plan.MergeQuota.
+// Two stripe layouts (pe.home): block g of the output, left on the
+// volumes when there is no Sink, lives on PE g mod P, always. Block g of
+// run r lives on PE (g + r) mod P when Config.Randomize is on — each
+// run's stripe starts one PE further, so the blocks the merge wants next,
+// block g of every run, are spread over all PEs instead of piled on one —
+// and on PE g mod P when it is off. Every step then keeps all P PEs busy:
+// a merge batch fetches as many blocks per PE as the memory budget holds
+// (job.Plan.MergeQuota), runs and batches are redistributed under sample
+// splitters (sampleCuts), which is all a striped layout needs. With a
+// Sink the output is not striped at all: each merged batch goes straight
+// to the output's canonical owners (pe.deliver), rank i receiving the
+// block range [G·i/P, G·(i+1)/P), so the output leaves once.
 //
 // Contrast with CANONICALMERGESORT (internal/core): this algorithm's
-// I/O volume is exactly 4N — two passes even for inputs near the
-// theoretical M²/B limit, a factor P beyond canonical's capacity — but
-// every pass communicates the data up to twice (internal sorting or
-// merging, then striping), i.e. ~4 communications versus ~1, and the
-// output layout is globally striped rather than canonical. This is the
-// trade-off the paper's Sections III/IV discuss and the ablation
-// benchmarks measure.
+// I/O volume is exactly 4N (3N with a Sink, which takes the last write)
+// — two passes even for inputs near the theoretical M²/B limit, a factor
+// P beyond canonical's capacity — but every pass communicates the data
+// up to twice (internal sorting or merging, then striping or delivery),
+// i.e. ~4 communications versus ~1, and without a Sink the output layout
+// is globally striped rather than canonical. This is the trade-off the
+// paper's Sections III/IV discuss and the ablation benchmarks measure.
 package stripesort
 
 import (
 	"fmt"
 
-	"demsort/internal/blockio"
 	"demsort/internal/cluster"
 	"demsort/internal/elem"
 	"demsort/internal/job"
@@ -64,20 +64,13 @@ type Result[T any] struct {
 	Batches  int
 	Quota    int64
 	MaxFetch []int64
-	// Output is the globally sorted data reassembled from the stripes
-	// (only with KeepOutput).
+	// Output is the globally sorted data, the ranks' Sink streams
+	// concatenated (only with KeepOutput).
 	Output []T
 	// StripedBlocks[rank] is the number of output blocks PE rank
-	// stores — the striped layout itself.
+	// stores — the striped layout itself; zero with a Sink (or
+	// KeepOutput), which receives the output instead.
 	StripedBlocks []int64
-}
-
-// stripedBlock is one globally striped output block this PE homes:
-// global output block index idx, stored as block id with len elements.
-type stripedBlock struct {
-	idx int64
-	id  blockio.BlockID
-	len int
 }
 
 // predEntry is one prediction-sequence entry: block blk of run run
@@ -94,7 +87,8 @@ type predEntry[T any] struct {
 
 // Sort runs the globally striped mergesort. input[i] starts on PE i's
 // disks; afterwards the sorted sequence is striped across all PEs
-// (output block g on PE g mod P).
+// (output block g on PE g mod P), or with a Sink streamed to it in
+// canonical block ranges.
 func Sort[T any](c elem.Codec[T], cfg Config, input [][]T) (*Result[T], error) {
 	j, err := job.Open(c, &cfg.Common, input, job.Striped, 0)
 	if err != nil {

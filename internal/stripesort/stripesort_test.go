@@ -68,48 +68,106 @@ func TestStripedSortEndToEnd(t *testing.T) {
 }
 
 func TestStripedOutputIsStriped(t *testing.T) {
-	// Block homes must alternate across PEs: with striping, per-PE
-	// block counts differ by at most one.
+	// Without a Sink the output stays striped: block homes alternate
+	// across PEs, so per-PE block counts differ by at most one and add up
+	// to the output's G = ⌈N/B⌉ blocks.
 	cfg := testConfig(4)
+	cfg.KeepOutput = false
 	input := workload.Generate(workload.Uniform, 4, 5000, 3)
 	res, err := Sort[elem.KV16](kvc, cfg, input)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo, hi := res.StripedBlocks[0], res.StripedBlocks[0]
+	lo, hi, sum := res.StripedBlocks[0], res.StripedBlocks[0], int64(0)
 	for _, c := range res.StripedBlocks {
-		if c < lo {
-			lo = c
-		}
-		if c > hi {
-			hi = c
-		}
+		lo, hi, sum = min(lo, c), max(hi, c), sum+c
 	}
-	if hi-lo > 1 {
-		t.Fatalf("striped block counts unbalanced: %v", res.StripedBlocks)
+	if b := int64(res.BlockElems); hi-lo > 1 || sum != (res.N+b-1)/b {
+		t.Fatalf("striped block counts %v: unbalanced, or not the %d-element output's", res.StripedBlocks, res.N)
 	}
+}
+
+// TestStripedOutputLayout reads back the output a sort without a Sink
+// leaves on the volumes: PE r's output blocks, in index order, are blocks
+// r, r+P, r+2P, … of the sorted sequence — block g on PE g mod P — and
+// read in g order they are the sorted input.
+func TestStripedOutputLayout(t *testing.T) {
+	const p = 4
+	cfg := testConfig(p)
+	cfg.KeepOutput = false
+	input := workload.Generate(workload.Uniform, p, 5100, 8)
+	j, err := job.Open(kvc, &cfg.Common, input, job.Striped, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	bElem := int64(j.BElem)
+	homed := make([][][]elem.KV16, p) // per PE, its output blocks in index order
+	err = j.Run(func(n *cluster.Node) error {
+		st, err := runPE(j, kvc, n, &cfg, nil)
+		if err != nil {
+			return err
+		}
+		for k, id := range st.outBlocks {
+			g := int64(n.Rank + k*p)
+			l := min(bElem, st.totalN-g*bElem)
+			if l <= 0 {
+				return fmt.Errorf("PE %d homes %d output blocks: block %d is past the output's end", n.Rank, len(st.outBlocks), g)
+			}
+			raw := make([]byte, l*int64(kvc.Size()))
+			n.Vol.ReadWait(id, raw)
+			homed[n.Rank] = append(homed[n.Rank], elem.DecodeSlice(kvc, raw, int(l)))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := &Result[elem.KV16]{}
+	for g := 0; g/p < len(homed[g%p]); g++ {
+		res.Output = append(res.Output, homed[g%p][g/p]...)
+	}
+	for _, part := range input {
+		res.N += int64(len(part))
+	}
+	if got := int64(len(res.Output)); got != res.N {
+		t.Fatalf("the blocks homed in g order hold %d elements, want %d", got, res.N)
+	}
+	checkSorted(t, res, input)
 }
 
 func TestStripedIOIsExactlyTwoPasses(t *testing.T) {
 	// Section III's defining property: I/O volume exactly 4N (read and
 	// write each element once per pass), even for the worst-case input
-	// that costs CANONICALMERGESORT extra all-to-all I/O.
-	cfg := testConfig(4)
-	cfg.Randomize = false
+	// that costs CANONICALMERGESORT extra all-to-all I/O. Every phase
+	// counts, the load and the collect included. With a Sink the output
+	// is delivered instead of written, and never read back: N less
+	// written, the same 2N read.
 	input := workload.Generate(workload.WorstCaseLocal, 4, 6000, 5)
-	res, err := Sort[elem.KV16](kvc, cfg, input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nBytes := res.N * int64(res.ElemSize)
-	var read, written int64
-	for _, ph := range res.PhaseNames {
-		r, w := res.PhaseBytes(ph)
-		read += r
-		written += w
-	}
-	if read != 2*nBytes || written != 2*nBytes {
-		t.Fatalf("I/O read %d written %d, want exactly %d each (4N total)", read, written, 2*nBytes)
+	for _, sink := range []bool{false, true} {
+		cfg := testConfig(4)
+		cfg.Randomize, cfg.KeepOutput = false, sink
+		res, err := Sort[elem.KV16](kvc, cfg, input)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nBytes := res.N * int64(res.ElemSize)
+		var read, written int64
+		for _, ph := range slices.Concat([]string{job.PhaseLoad}, res.PhaseNames, []string{job.PhaseCollect}) {
+			r, w := res.PhaseBytes(ph)
+			read += r
+			written += w
+		}
+		wantWritten := 2 * nBytes
+		if sink {
+			wantWritten = nBytes
+		}
+		if read != 2*nBytes || written != wantWritten {
+			t.Fatalf("sink=%v: I/O read %d written %d, want exactly %d and %d", sink, read, written, 2*nBytes, wantWritten)
+		}
 	}
 }
 
@@ -217,21 +275,24 @@ func TestStripedRejectsOversizedPredictionTable(t *testing.T) {
 	}
 }
 
-// TestStripedRejectsCollectOverBudget: merging fits this budget, but
-// the all-owners collect stages a block for each of the 16 owners, four
-// rounds deep — 4096 elements of 3000. Refused up front, by name; without
-// a sink there is no collect and the same sort runs.
-func TestStripedRejectsCollectOverBudget(t *testing.T) {
-	cfg := DefaultConfig(16, 3000, 64*16)
+// TestStripedSinkFitsSmallBudget: 16 PEs and a budget of 3000 elements,
+// less than a 64-element block for each PE four times over. An owner
+// receives at most a batch's output, whatever P is, so the sort runs
+// within its budget with the output collected as it does without.
+func TestStripedSinkFitsSmallBudget(t *testing.T) {
 	input := workload.Generate(workload.Uniform, 16, 900, 3)
-	if res, err := Sort[elem.KV16](kvc, cfg, input); err != nil || res.Runs != 2 {
-		t.Fatalf("without a sink: %v", err)
-	}
-	cfg.KeepOutput = true
-	_, err := Sort[elem.KV16](kvc, cfg, input)
-	if err == nil || !strings.Contains(err.Error(), "collecting the output") ||
-		!strings.Contains(err.Error(), "-mem") || !strings.Contains(err.Error(), "-block") {
-		t.Fatalf("want a collect capacity rejection naming -mem and -block, got: %v", err)
+	for _, keep := range []bool{false, true} {
+		cfg := DefaultConfig(16, 3000, 64*16)
+		cfg.KeepOutput = keep
+		sm := simMachine(t, &cfg)
+		res, err := Sort[elem.KV16](kvc, cfg, input)
+		if err != nil || res.Runs != 2 {
+			t.Fatalf("keep=%v: %v", keep, err)
+		}
+		if keep {
+			checkSorted(t, res, input)
+		}
+		checkBudget(t, sm, cfg.MemElems)
 	}
 }
 
@@ -312,28 +373,40 @@ func checkBudget(t *testing.T, sm *sim.Machine, memElems int64) {
 
 // TestStripedSortStaysWithinBudget runs a whole multi-run striped sort
 // on a machine the test keeps, so the budget can be read afterwards:
-// every rank's peak stays within M and nothing is left charged. The
-// quota and the batch count pin the plan's MergeQuota: M = 8192, 325
-// prediction entries, B = 64, R = 4 runs on P = 4 PEs, rotated, so 2
-// leftover blocks; at q = 24 a batch holds 325 + 26·64 + 3·(25·64·5/4 + 6)
-// + 2·64 = 8135 elements, at q = 25 it would hold 8439. 325 blocks at 24
-// per PE and batch are 4 batches.
+// every rank's peak stays within M and nothing is left charged, with the
+// output left striped and with it delivered to a Sink. The quota and the
+// batch count pin the plan's MergeQuota: M = 8192, 325 prediction
+// entries, B = 64, R = 4 runs on P = 4 PEs, rotated, so 2 leftover
+// blocks. Without a Sink, at q = 24 a batch holds 325 + 26·64 +
+// 3·(25·64·5/4 + 6) + 2·64 = 8135 elements, at q = 25 it would hold
+// 8439: 325 blocks at 24 per PE and batch are 4 batches. With one, an
+// owner may receive a batch's E = (4 + 4q)·64 elements next to its send
+// copies: at q = 18 that is 325 + 20·64 + (1216 + 304 + 6) + 4864 = 7995,
+// at q = 19 it would be 8395; 325 blocks at 18 are 5 batches.
 func TestStripedSortStaysWithinBudget(t *testing.T) {
-	cfg := testConfig(4)
-	sm := simMachine(t, &cfg)
 	input := workload.Generate(workload.Uniform, 4, 5200, 21)
-	res, err := Sort[elem.KV16](kvc, cfg, input)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		sink           bool // KeepOutput, which rides on the Sink
+		quota, batches int64
+	}{{false, 24, 4}, {true, 18, 5}} {
+		cfg := testConfig(4)
+		cfg.KeepOutput = tc.sink
+		sm := simMachine(t, &cfg)
+		res, err := Sort[elem.KV16](kvc, cfg, input)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Runs < 3 {
+			t.Fatalf("expected several runs, got %d", res.Runs)
+		}
+		if res.Quota != tc.quota || int64(res.Batches) != tc.batches {
+			t.Errorf("sink=%v: quota %d, %d merge batches, want %d and %d", tc.sink, res.Quota, res.Batches, tc.quota, tc.batches)
+		}
+		if tc.sink {
+			checkSorted(t, res, input)
+		}
+		checkBudget(t, sm, cfg.MemElems)
 	}
-	checkSorted(t, res, input)
-	if res.Runs < 3 {
-		t.Fatalf("expected several runs, got %d", res.Runs)
-	}
-	if res.Quota != 24 || res.Batches != 4 {
-		t.Errorf("quota %d, %d merge batches, want 24 and 4", res.Quota, res.Batches)
-	}
-	checkBudget(t, sm, cfg.MemElems)
 }
 
 // TestMergeQuota pins the merge's fetch quota (job.Plan.MergeQuota) on
@@ -349,19 +422,26 @@ func TestMergeQuota(t *testing.T) {
 		p        int
 		rotated  bool
 		want     int64
+		// collected: an owner may receive a batch's whole output
+		collected bool
 	}{
 		// 3068 + (14+q)·163 + 3·((26+4q)·163/4·5/4 + 6) + 2·163 ≤ 25 000
-		{"bench, rotated", 25000, 3068, 163, 26, 4, true, 19},
+		{"bench, rotated", 25000, 3068, 163, 26, 4, true, 19, false},
 		// unrotated, all 26 leftovers can share a PE: (26+q)·163 of pending
-		{"bench, unrotated", 25000, 3068, 163, 26, 4, false, 17},
+		{"bench, unrotated", 25000, 3068, 163, 26, 4, false, 17, false},
+		// the send copies and E = (26+4q)·163 received instead of SortAcross:
+		// q = 13 holds 3068 + 27·163 + 3980 + 12 714 = 24 163, q = 14 25 182
+		{"bench, rotated, collected", 25000, 3068, 163, 26, 4, true, 13, true},
+		// q = 11 holds 3068 + 37·163 + 3573 + 11 410 = 24 082, q = 12 25 100
+		{"bench, unrotated, collected", 25000, 3068, 163, 26, 4, false, 11, true},
 		// ROADMAP direction 4's geometry: 8192 + 29·64 + 3·(60·64/4·5/4 + 6) + 128 = 13 794
-		{"too small, rotated", 12000, 8192, 64, 56, 4, true, 0},
-		{"too small, unrotated", 12000, 8192, 64, 56, 4, false, 0},
-		{"just fits", 13794, 8192, 64, 56, 4, true, 1},
+		{"too small, rotated", 12000, 8192, 64, 56, 4, true, 0, false},
+		{"too small, unrotated", 12000, 8192, 64, 56, 4, false, 0, false},
+		{"just fits", 13794, 8192, 64, 56, 4, true, 1, false},
 		// everything it sends comes back: 100 + (4+q)·64 + 3·(4+q)·64 + 128
-		{"one PE", 8192, 100, 64, 4, 1, true, 27},
+		{"one PE", 8192, 100, 64, 4, 1, true, 27, false},
 	} {
-		pl := job.Plan{Shape: job.Shape{Sorter: job.Striped, P: tc.p, MemElems: tc.m, Randomize: tc.rotated}, BElem: tc.bElem, Runs: tc.runs}
+		pl := job.Plan{Shape: job.Shape{Sorter: job.Striped, P: tc.p, MemElems: tc.m, Randomize: tc.rotated, Collected: tc.collected}, BElem: tc.bElem, Runs: tc.runs}
 		if got := pl.MergeQuota(tc.table); got != tc.want {
 			t.Errorf("%s: quota %d, want %d", tc.name, got, tc.want)
 		}
@@ -382,37 +462,39 @@ func TestStripedBatchesUseEveryPE(t *testing.T) {
 	// runs than a PE may fetch blocks in a batch.
 	const p, perPE = 4, 80000
 	input := workload.Generate(workload.Uniform, p, perPE, 31)
-	batches := map[bool]int{}
-	for _, randomize := range []bool{true, false} {
+	type layout struct{ keep, randomize bool }
+	batches := map[layout]int{}
+	for _, l := range []layout{{false, true}, {false, false}, {true, true}, {true, false}} {
 		cfg := DefaultConfig(p, 20000, 256*16)
-		cfg.KeepOutput = true
-		cfg.Randomize = randomize
+		cfg.KeepOutput, cfg.Randomize = l.keep, l.randomize
 		res, err := Sort[elem.KV16](kvc, cfg, input)
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkSorted(t, res, input)
+		if l.keep {
+			checkSorted(t, res, input)
+		}
 		if res.Runs != 21 {
-			t.Fatalf("randomize=%v: %d runs, want 21", randomize, res.Runs)
+			t.Fatalf("%+v: %d runs, want 21", l, res.Runs)
 		}
 		for rank, f := range res.MaxFetch {
 			if f == 0 || f > res.Quota {
-				t.Errorf("randomize=%v: rank %d fetched up to %d blocks in a batch, quota %d", randomize, rank, f, res.Quota)
+				t.Errorf("%+v: rank %d fetched up to %d blocks in a batch, quota %d", l, rank, f, res.Quota)
 			}
 		}
-		batches[randomize] = res.Batches
-		var blocks int64
-		for _, b := range res.StripedBlocks {
-			blocks += b
-		}
+		batches[l] = res.Batches
+		blocks := (res.N + 255) / 256
 		ideal := int((blocks + p*res.Quota - 1) / (p * res.Quota))
-		t.Logf("randomize=%v: %d blocks, quota %d, %d batches (every PE at its quota: %d)", randomize, blocks, res.Quota, res.Batches, ideal)
-		if randomize && 2*res.Batches > 3*ideal {
+		t.Logf("keep=%v randomize=%v: %d blocks, quota %d, %d batches (every PE at its quota: %d)", l.keep, l.randomize, blocks, res.Quota, res.Batches, ideal)
+		if l.randomize && 2*res.Batches > 3*ideal {
 			t.Errorf("rotated stripes: %d batches, more than 1.5 × %d", res.Batches, ideal)
 		}
 	}
-	if batches[true] != 46 || batches[false] != 181 {
-		t.Errorf("%d batches with rotated stripes, %d without; want 46 and 181", batches[true], batches[false])
+	// Collecting the output lowers the quota (an owner may receive a
+	// whole batch): 8 → 5 blocks rotated, and more batches.
+	if b := batches; b[layout{false, true}] != 46 || b[layout{false, false}] != 181 || b[layout{true, true}] != 75 || b[layout{true, false}] != 361 {
+		t.Errorf("batches, rotated and not: %d and %d striped, %d and %d collected; want 46, 181, 75 and 361",
+			b[layout{false, true}], b[layout{false, false}], b[layout{true, true}], b[layout{true, false}])
 	}
 }
 
@@ -453,10 +535,12 @@ func TestStripedBudgetMatrix(t *testing.T) {
 			}
 		}
 	}
-	// 14 000 elements hold a batch under rotated stripes, 20 000 under
-	// either layout.
-	if sorted != 4*3 {
-		t.Errorf("%d of the 24 cells were sorted, want 12", sorted)
+	// 20 000 elements hold a collected batch under either layout. 14 000
+	// would hold one under rotated stripes with the output left striped,
+	// but not one an owner receives whole next to its send copies (q = 1
+	// needs 8192 + 25·64 + 1046 + 52·64 = 14 166).
+	if sorted != 4*2 {
+		t.Errorf("%d of the 24 cells were sorted, want 8", sorted)
 	}
 }
 
