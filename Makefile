@@ -6,14 +6,19 @@
 GO ?= go
 BIN := bin
 
-.PHONY: all build lint vet demsortvet staticcheck test race stress bench-check loc options budget clean
+.PHONY: all build lint gofmt vet demsortvet staticcheck test race stress bench-check loc options budget clean
 
 all: build lint test
 
 build:
 	$(GO) build ./...
 
-lint: vet demsortvet staticcheck
+lint: gofmt vet demsortvet staticcheck
+
+# The tree is gofmt-clean: any file gofmt -l names fails the lint.
+GOFMT ?= gofmt
+gofmt:
+	@out=$$($(GOFMT) -l .); [ -z "$$out" ] || { echo "gofmt -l: not gofmt-clean:"; echo "$$out"; exit 1; }
 
 vet:
 	$(GO) vet ./...
@@ -45,15 +50,23 @@ bench-check:
 	cd bench && $(GO) build ./... && $(GO) vet ./... && $(GO) test ./...
 
 # The transport plane 20 times over at 1, 2 and 4 Ps, with and without
-# the race detector — the schedule-sensitive tests live here — and
-# psort's radix conformance 10 times (its bucket work queue).
+# the race detector — the schedule-sensitive tests live here — and 10
+# times each psort's radix conformance (its bucket work queue) and the
+# multiway selection's rounds, which split every run (dselect.Split
+# under job.SortExact) and select in phase two.
 PSORT_STRESS = -count=10 -run 'Conformance|Radix|Deterministic|StableAcross' ./internal/psort
+SPLIT_STRESS = -count=10 -run 'Cuts|Split|Select' ./internal/dselect
+SORTEXACT_STRESS = -count=10 -run 'SortExact' ./internal/job
 stress:
 	for p in 1 2 4; do \
 		GOMAXPROCS=$$p $(GO) test -count=20 -timeout 900s ./internal/cluster/... || exit 1; \
 		GOMAXPROCS=$$p $(GO) test -race -count=20 -timeout 1800s ./internal/cluster/... || exit 1; \
 		GOMAXPROCS=$$p $(GO) test $(PSORT_STRESS) || exit 1; \
 		GOMAXPROCS=$$p $(GO) test -race $(PSORT_STRESS) || exit 1; \
+		GOMAXPROCS=$$p $(GO) test $(SPLIT_STRESS) || exit 1; \
+		GOMAXPROCS=$$p $(GO) test -race $(SPLIT_STRESS) || exit 1; \
+		GOMAXPROCS=$$p $(GO) test $(SORTEXACT_STRESS) || exit 1; \
+		GOMAXPROCS=$$p $(GO) test -race $(SORTEXACT_STRESS) || exit 1; \
 	done
 
 # The smoke scenarios CI runs, as `make smoke-<name>`: gensort 200k
@@ -149,8 +162,11 @@ options:
 # merge of them, net of its deleted re-read of input and part files);
 # −62 when the striped merge sent each batch straight to the output's
 # owners and its collect pass (the re-read and re-routing of the striped
-# output, Plan.CollectWindow) went.
-LOC_MAX = 14478
+# output, Plan.CollectWindow) went; −36 when run formation's exact split
+# ran on dselect's engine (dselect.Split; job/split.go's own owner
+# gather, Cuts' bisection and gatherThreshold went) and A2ARounds
+# dropped its send charge.
+LOC_MAX = 14442
 OPTIONS_MAX = 60
 budget:
 	@loc=$(LOC_TOTAL); opts=$$($(MAKE) -s options | awk 'END {print $$1}'); \

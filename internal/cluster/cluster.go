@@ -425,37 +425,22 @@ func (n *Node) A2AWindow(rounds int) int {
 // build(s) assembles exchange s's send vectors, always in order — hands
 // each exchange's receives to consume(s, recv), which owns them
 // (RecycleRecv), and closes the stream before returning, so no caller
-// holds an open stream across another collective.
-//
-// build also returns the budget charge of its send vectors (0 when the
-// caller reserved its staging up front); A2ARounds acquires it and
-// releases it when that exchange is collected, which is when its sends
-// are written (A2AStream) — so at most window charges are ever held.
-func (n *Node) A2ARounds(rounds int, build func(s int) (send [][]byte, charge int64), consume func(s int, recv [][]byte) error) error {
+// holds an open stream across another collective. A caller charges its
+// staging to the budget itself, up front: window+1 exchanges' worth.
+func (n *Node) A2ARounds(rounds int, build func(s int) [][]byte, consume func(s int, recv [][]byte) error) error {
 	window := n.A2AWindow(rounds)
 	st := n.OpenA2AStream(window)
-	var charges []int64 // send charges of the exchanges posted, not yet collected
-	defer func() {
-		st.Close()
-		for _, c := range charges {
-			n.Mem.Release(c)
-		}
-	}()
+	defer st.Close()
 	posted := 0
 	for s := 0; s < rounds; s++ {
 		for ; posted < rounds && posted < s+window; posted++ {
-			send, charge := build(posted)
-			n.Mem.MustAcquire(charge)
-			charges = append(charges, charge)
+			send := build(posted)
 			if n.hook != nil {
 				n.hook("AllToAllv") // what a plain AllToAllv announces
 			}
 			st.Post(send)
 		}
-		recv := st.Collect()
-		n.Mem.Release(charges[0])
-		charges = charges[1:]
-		if err := consume(s, recv); err != nil {
+		if err := consume(s, st.Collect()); err != nil {
 			return err
 		}
 	}

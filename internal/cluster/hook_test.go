@@ -43,7 +43,7 @@ func TestOpHookSeesEveryTransportCall(t *testing.T) {
 					n.Send(1-n.Rank, 7, []byte{1})
 					n.Recv(1-n.Rank, 7)
 				}
-				return n.A2ARounds(rounds, func(int) ([][]byte, int64) { return make([][]byte, n.P), 0 },
+				return n.A2ARounds(rounds, func(int) [][]byte { return make([][]byte, n.P) },
 					func(_ int, recv [][]byte) error { cluster.RecycleRecv(recv); return nil })
 			})
 			for rank, err := range errs {

@@ -2,8 +2,7 @@ package cluster_test
 
 import (
 	"fmt"
-	"math/bits"
-	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -120,30 +119,27 @@ func TestOpenStreamFailsOtherCalls(t *testing.T) {
 }
 
 // TestA2ARoundsWindowAndCharges pins the one windowed post/collect loop
-// core.exchange and the striped collect share: exchanges are built in
-// order at most window ahead of the one being consumed, the data
-// arrives, the send charge of exchange s is held until exchange s is
-// collected (or Close), and the stream is closed on return.
+// core.exchange runs: exchanges are built in order at most window ahead
+// of the one being consumed, the data arrives, and the stream is closed
+// on return.
 func TestA2ARoundsWindowAndCharges(t *testing.T) {
-	const rounds, charge = 5, 10
+	const rounds = 5
 	for _, backend := range []string{"sim", "tcp"} {
 		for _, tc := range []struct {
 			p, window int
-			wantLog   string  // rank 0's build/consume order
-			wantHeld  []int64 // budget held inside consume(s)
+			wantLog   string // rank 0's build/consume order
 		}{
-			{p: 2, window: 2, wantLog: "b0 b1 c0 b2 c1 b3 c2 b4 c3 c4", wantHeld: []int64{10, 10, 10, 10, 0}},
-			{p: 2, window: 1, wantLog: "b0 c0 b1 c1 b2 c2 b3 c3 b4 c4", wantHeld: []int64{0, 0, 0, 0, 0}},
+			{p: 2, window: 2, wantLog: "b0 b1 c0 b2 c1 b3 c2 b4 c3 c4"},
+			{p: 2, window: 1, wantLog: "b0 c0 b1 c1 b2 c2 b3 c3 b4 c4"},
 			// One PE has nothing to pipeline: the window collapses to 1.
-			{p: 1, window: 2, wantLog: "b0 c0 b1 c1 b2 c2 b3 c3 b4 c4", wantHeld: []int64{0, 0, 0, 0, 0}},
+			{p: 1, window: 2, wantLog: "b0 c0 b1 c1 b2 c2 b3 c3 b4 c4"},
 		} {
 			t.Run(fmt.Sprintf("%s/p%d/w%d", backend, tc.p, tc.window), func(t *testing.T) {
 				var log []string
-				var held []int64
 				errs := runOn(t, backend, tc.p, func(n *cluster.Node) error {
 					n.SetA2AWindow(tc.window)
 					err := n.A2ARounds(rounds,
-						func(s int) ([][]byte, int64) {
+						func(s int) [][]byte {
 							if n.Rank == 0 {
 								log = append(log, fmt.Sprintf("b%d", s))
 							}
@@ -151,12 +147,11 @@ func TestA2ARoundsWindowAndCharges(t *testing.T) {
 							for q := range send {
 								send[q] = []byte{byte(n.Rank), byte(s)}
 							}
-							return send, charge
+							return send
 						},
 						func(s int, recv [][]byte) error {
 							if n.Rank == 0 {
 								log = append(log, fmt.Sprintf("c%d", s))
-								held = append(held, n.Mem.Used())
 							}
 							for q, b := range recv {
 								if len(b) != 2 || b[0] != byte(q) || b[1] != byte(s) {
@@ -167,9 +162,6 @@ func TestA2ARoundsWindowAndCharges(t *testing.T) {
 						})
 					if err != nil {
 						return err
-					}
-					if n.Mem.Used() != 0 {
-						return fmt.Errorf("A2ARounds left %d elements charged", n.Mem.Used())
 					}
 					n.Barrier() // legal again: the stream was closed
 					return nil
@@ -182,24 +174,20 @@ func TestA2ARoundsWindowAndCharges(t *testing.T) {
 				if got := strings.Join(log, " "); got != tc.wantLog {
 					t.Errorf("call order %q, want %q", got, tc.wantLog)
 				}
-				if !reflect.DeepEqual(held, tc.wantHeld) {
-					t.Errorf("held charges %v, want %v", held, tc.wantHeld)
-				}
 			})
 		}
 	}
 }
 
 // TestA2ARoundsClosesOnError: a consume error returns with the stream
-// closed and every charge released, so the unwinding PE can still run
-// collectives.
+// closed, so the unwinding PE can still run collectives.
 func TestA2ARoundsClosesOnError(t *testing.T) {
 	errs := runOn(t, "sim", 2, func(n *cluster.Node) error {
 		err := n.A2ARounds(3,
-			func(s int) ([][]byte, int64) { return make([][]byte, n.P), 5 },
+			func(s int) [][]byte { return make([][]byte, n.P) },
 			func(s int, recv [][]byte) error { return fmt.Errorf("sink full") })
-		if err == nil || n.Mem.Used() != 0 {
-			return fmt.Errorf("want the consume error and no charge held, got %v / %d", err, n.Mem.Used())
+		if err == nil {
+			return fmt.Errorf("want the consume error, got none")
 		}
 		n.Barrier()
 		return nil
@@ -210,14 +198,15 @@ func TestA2ARoundsClosesOnError(t *testing.T) {
 }
 
 // recordingTransport is a 3-PE machine seen from rank 0 whose only
-// working call is OpenA2AStream: the stream it hands out records what the
-// budget holds at every Post and Collect.
+// working call is OpenA2AStream: the stream it hands out records how
+// many exchanges are posted and not yet collected at every Post and
+// Collect.
 type recordingTransport struct {
 	cluster.Transport
-	mem  *membudget.Tracker
-	held []int64 // Mem.Used() on entry to each Post ("p") and Collect ("c")
-	ops  []string
-	open bool
+	inFlight int
+	held     []int // exchanges in flight after each Post ("p") and before each Collect ("c")
+	ops      []string
+	open     bool
 }
 
 func (r *recordingTransport) Rank() int { return 0 }
@@ -230,55 +219,50 @@ func (r *recordingTransport) OpenA2AStream(window int) cluster.A2AStream {
 
 func (r *recordingTransport) record(op string) {
 	r.ops = append(r.ops, op)
-	r.held = append(r.held, r.mem.Used())
+	r.held = append(r.held, r.inFlight)
 }
 
-func (r *recordingTransport) Post(send [][]byte) { r.record("p") }
-func (r *recordingTransport) Collect() [][]byte  { r.record("c"); return make([][]byte, 3) }
-func (r *recordingTransport) Close()             { r.open = false }
-func (r *recordingTransport) Closed() bool       { return !r.open }
+func (r *recordingTransport) Post(send [][]byte) { r.inFlight++; r.record("p") }
+func (r *recordingTransport) Collect() [][]byte {
+	r.record("c")
+	r.inFlight--
+	return make([][]byte, 3)
+}
+func (r *recordingTransport) Close()       { r.open = false }
+func (r *recordingTransport) Closed() bool { return !r.open }
 
-// TestA2ARoundsHoldsAtMostWindowCharges pins the send accounting against
-// the stream contract (a collected exchange is a written one): exchange
-// s charges 1<<s, so the budget's use spells out which exchanges are
-// held — never more than window of them, exchange s from its build to
-// its Collect and not a step longer.
+// TestA2ARoundsHoldsAtMostWindowCharges pins the window against the
+// stream contract: exchange s is built only once exchange s−window is
+// collected, so never more than window exchanges are in flight — and,
+// with rounds to spare, exactly window once the pipeline is full.
 func TestA2ARoundsHoldsAtMostWindowCharges(t *testing.T) {
 	const rounds = 7
 	for _, window := range []int{1, 2, 3} {
 		t.Run(fmt.Sprintf("w%d", window), func(t *testing.T) {
-			mem := membudget.New(1 << rounds)
-			tr := &recordingTransport{mem: mem}
-			n := cluster.NewNode(tr, vtime.NewClock(), nil, mem)
+			tr := &recordingTransport{}
+			n := cluster.NewNode(tr, vtime.NewClock(), nil, membudget.New(0))
 			n.SetA2AWindow(window)
 			posted, collected := 0, 0
-			// want is the charges of the exchanges built but not collected.
-			want := func() int64 { return int64(1)<<posted - int64(1)<<collected }
 			err := n.A2ARounds(rounds,
-				func(s int) ([][]byte, int64) {
-					if got := mem.Used(); got != want() {
-						t.Errorf("building %d: %b charged, want %b", s, got, want())
+				func(s int) [][]byte {
+					if s != posted || posted-collected >= window {
+						t.Errorf("building %d with %d built and %d collected, window %d", s, posted, collected, window)
 					}
 					posted++
-					return make([][]byte, 3), 1 << s
+					return make([][]byte, 3)
 				},
 				func(s int, recv [][]byte) error {
 					collected++
-					if got := mem.Used(); got != want() {
-						t.Errorf("consuming %d: %b charged, want %b (exchange %d is written: its charge must be gone)", s, got, want(), s)
-					}
 					return nil
 				})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if mem.Used() != 0 || tr.open {
-				t.Fatalf("after A2ARounds: %d charged, stream open = %v", mem.Used(), tr.open)
+			if posted != rounds || collected != rounds || tr.open {
+				t.Fatalf("after A2ARounds: %d built, %d collected, stream open = %v", posted, collected, tr.open)
 			}
-			for i, held := range tr.held {
-				if k := bits.OnesCount64(uint64(held)); k > window {
-					t.Errorf("%s #%d: %d exchanges' charges held (%b), window %d", tr.ops[i], i, k, held, window)
-				}
+			if peak := slices.Max(tr.held); peak != window {
+				t.Errorf("at most %d exchanges in flight (%s: %v), window %d", peak, strings.Join(tr.ops, ""), tr.held, window)
 			}
 		})
 	}

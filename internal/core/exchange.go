@@ -95,8 +95,8 @@ func exchange[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, pl *job.Plan
 	// with a window of 2, sub-op s+1's sends are read and encoded while
 	// sub-op s is on the wire (§IV-E). A collected sub-op's sends are
 	// written (cluster.A2AStream), so the reservation is one quota for
-	// each of window sends and for the receives, and build charges
-	// nothing more. Any window makes the same calls in the same order.
+	// each of window sends and for the receives. Any window makes the
+	// same calls in the same order.
 	budget := int64(n.A2AWindow(x.k)+1) * pl.ExchangeQuota
 	n.Mem.MustAcquire(budget)
 	defer n.Mem.Release(budget)
@@ -208,7 +208,7 @@ func (x *exchanger[T]) blocks(p piece, f func(blk int64, e blockio.Extent, l, h 
 // build assembles sub-operation s's send vectors. Calls come in
 // sub-operation order: each advances the per-block send accounting and
 // the read cache.
-func (x *exchanger[T]) build(s int) ([][]byte, int64) {
+func (x *exchanger[T]) build(s int) [][]byte {
 	send := make([][]byte, x.n.P)
 	for q, ps := range x.sends {
 		win, cnt := window(ps, s, x.k)
@@ -231,7 +231,7 @@ func (x *exchanger[T]) build(s int) ([][]byte, int64) {
 		send[q] = buf
 		x.n.AddCPU(x.cfg.Model.ScanCPU(cnt))
 	}
-	return send, 0
+	return send
 }
 
 // process consumes sub-operation s's receives into the per-(run,

@@ -1,20 +1,18 @@
-// Package dselect implements exact distributed multiway selection: the
-// external selection of Section IV-A, and with the same engine the
-// splitting step of the paper's internal-memory parallel sort (§IV-B:
-// "the internal memory variant of the multiway selection algorithm from
-// Section IV-A is used to split the P sorted sequences into P pieces of
-// equal size"), Cuts. Every PE holds contiguous pieces of globally
-// sorted sequences — its on-disk segments of the R runs in phase two,
-// one in-memory slice in Cuts — and only pivots and counts cross the
-// wire: elements are probed where they live. Run formation splits with
-// job.SortExact's one sample round instead: Cuts stays for the benchmark's
-// replays, and for the tests as that split's oracle.
+// Package dselect implements exact distributed multiway selection, one
+// engine for both of the paper's splits:
 //
-// Every rank starts from brackets known to hold its cut: in phase two
-// the ones the in-memory sample proves (mselect.SampleBrackets), in Cuts
-// the full range. All boundary ranks are refined together in
-// synchronous rounds with an owner per rank (rank j is coordinated by PE
-// j mod P):
+//   - Select, the external selection of Section IV-A: in phase two every
+//     PE holds its on-disk segments of the R globally sorted runs, and
+//     only pivots and counts cross the wire — elements are probed where
+//     they live.
+//   - Split, run formation's split of a run's P sorted chunks (§IV-B:
+//     "the internal memory variant of the multiway selection algorithm
+//     from Section IV-A"). Cuts is Split at fixed ranks.
+//
+// Every rank starts from brackets a sample proves to hold its cut —
+// mselect.SampleBrackets in phase two, Split's pooled regular sample —
+// and all boundary ranks are refined together in synchronous rounds
+// with an owner per rank (rank j is coordinated by PE j mod P):
 //
 //  1. every PE sends the owner up to three weighted quantiles of its
 //     interval middles as pivot proposals, and how much lies left of
@@ -29,11 +27,11 @@
 // Interval mass shrinks geometrically (see aim; the pivot's own interval
 // shrinks by at least one element every round, so termination is
 // unconditional). Small residuals are gathered to the owner and finished
-// exactly in memory — with nothing to gather once the cut is known to be
-// at every bracket's low end; nothing is guessed, so no rank is ever
-// redone. Per PE and round the traffic is O(#ranks) bytes — independent
-// of P², of the number of pieces and of their block count — which is
-// what keeps both selections scalable.
+// exactly in memory — Split's at once, in round one; nothing once the
+// cut is known to be at every bracket's low end. Nothing is guessed, so
+// no rank is ever redone. Per PE and round the traffic is O(#ranks)
+// bytes — independent of P², of the number of pieces and of their block
+// count — which is what keeps both selections scalable.
 //
 // Ranks use the (value, sequence, position) total order, so the
 // resulting partition is exact even when every key is equal.
@@ -50,16 +48,11 @@ import (
 	"demsort/internal/mselect"
 )
 
-// gatherThreshold is the residual interval mass (elements, summed over
-// PEs) below which Cuts gathers a rank's remaining candidates to the
-// owner and finishes them exactly.
-const gatherThreshold = 512
-
 // Commands published by rank owners: a pivot to count against or the
 // order to gather (phase B), then the verdict (phase D).
 const (
+	cmdGather = 0 // send the residual intervals to the owner
 	cmdPivot  = 1 // payload: pivot (elem, sequence, position)
-	cmdGather = 2 // send the residual intervals to the owner
 	cmdLeft   = 3 // pivot was left of the cut: lo = split
 	cmdRight  = 4 // pivot was right: hi = split
 	cmdDone   = 5 // payload: this PE's final cut of every piece
@@ -86,41 +79,6 @@ type Local[T any] interface {
 	Pieces() []Piece
 	// At returns element i of piece s, 0 <= i < Len.
 	At(s int, i int64) T
-}
-
-// sliceLocal is the single in-memory piece of Cuts: PE rank's whole
-// sequence.
-type sliceLocal[T any] struct {
-	rank int
-	vals []T
-}
-
-func (l sliceLocal[T]) Pieces() []Piece {
-	return []Piece{{ID: l.rank, Len: int64(len(l.vals))}}
-}
-func (l sliceLocal[T]) At(_ int, i int64) T { return l.vals[i] }
-
-// Cuts computes this PE's exact cut positions for the global ranks:
-// out[j] is the number of local elements ordered before global rank
-// ranks[j] under the exact total-order partition of the P distributed
-// sorted sequences. Summed over the PEs, out[j] equals ranks[j].
-//
-// Every PE must call Cuts collectively with identical ranks.
-func Cuts[T any](c elem.Codec[T], n *cluster.Node, local []T, ranks []int64) []int64 {
-	out := make([]int64, len(ranks))
-	if n.P == 1 {
-		for j, r := range ranks {
-			if r < 0 || r > int64(len(local)) {
-				panic(fmt.Sprintf("dselect: rank %d outside [0,%d]", r, len(local)))
-			}
-			out[j] = r
-		}
-		return out
-	}
-	for j, cut := range Select[T](c, n, sliceLocal[T]{rank: n.Rank, vals: local}, ranks, nil, gatherThreshold) {
-		out[j] = cut[0]
-	}
-	return out
 }
 
 // pivot is an element with its place in the total order.
@@ -324,26 +282,29 @@ type residual[T any] struct {
 	vals []T
 }
 
+// atOnce, as Select's gather, says the caller proved the brackets small
+// enough to gather: round one skips steps 1 and 2 and gathers them.
+const atOnce = -1
+
 // Select is the round engine: it returns, for every global rank, this
 // PE's cut of each of its pieces — out[j][s] elements of piece s order
 // before global rank ranks[j] under the (value, sequence, position)
 // total order. Summed over all pieces of all PEs, out[j] equals
 // ranks[j].
 //
-// brackets[j][s], when brackets is non-nil, is a range of positions of
-// piece s's sequence known to hold rank j's cut of it — every piece of a
-// sequence may get the same one, as from mselect.SampleBrackets; nil
-// means each piece's full range. They are only ever narrowed: the
+// brackets[j][s] is a range of positions of piece s's sequence known to
+// hold rank j's cut of it — every piece of a sequence may get the same
+// one, as from mselect.SampleBrackets. They are only ever narrowed: the
 // residual gather panics if they do not hold the cut.
 //
 // gather is the residual interval mass (elements, summed over PEs) at
 // which a rank's remaining candidates are shipped to its owner instead
-// of bisected further: gatherThreshold when probes are memory reads, a
-// few storage blocks per sequence when they are not. The owner holds at
-// most that many elements, charged to its budget.
+// of bisected further: a few storage blocks per sequence when probes
+// read storage, or atOnce. The owner holds at most that many elements,
+// charged to its budget.
 //
 // Every PE must call Select collectively with identical ranks and
-// gather, and with brackets nil on all PEs or on none.
+// gather.
 func Select[T any](c elem.Codec[T], n *cluster.Node, loc Local[T], ranks []int64, brackets [][]mselect.Interval, gather int64) [][]int64 {
 	p, me := n.P, n.Rank
 	e := &engine[T]{c: c, ord: mselect.OrderOf(c), loc: loc, pcs: loc.Pieces()}
@@ -366,11 +327,8 @@ func Select[T any](c elem.Codec[T], n *cluster.Node, loc Local[T], ranks []int64
 		iv[j] = make([]mselect.Interval, len(pcs))
 		split[j] = make([]int64, len(pcs))
 		for s, pc := range pcs {
-			iv[j][s].Hi = pc.Len
-			if brackets != nil {
-				clamp := func(x int64) int64 { return min(max(x-pc.Start, 0), pc.Len) }
-				iv[j][s] = mselect.Interval{Lo: clamp(brackets[j][s].Lo), Hi: clamp(brackets[j][s].Hi)}
-			}
+			clamp := func(x int64) int64 { return min(max(x-pc.Start, 0), pc.Len) }
+			iv[j][s] = mselect.Interval{Lo: clamp(brackets[j][s].Lo), Hi: clamp(brackets[j][s].Hi)}
 		}
 	}
 	owner := func(j int) int { return j % p }
@@ -389,69 +347,74 @@ func Select[T any](c elem.Codec[T], n *cluster.Node, loc Local[T], ranks []int64
 	var cands []weighted[T]
 	var res []residual[T]
 	for active := nRanks; active > 0; {
-		// --- A: pivot proposals per rank to its owner ---
-		send := make([][]byte, p)
-		forActive(func(j int) {
-			cands = cands[:0]
-			for s, b := range iv[j] {
-				if w := b.Hi - b.Lo; w > 0 {
-					mid := pcs[s].mid(b)
-					cands = append(cands, weighted[T]{pivot[T]{loc.At(s, mid), pcs[s].ID, pcs[s].Start + mid}, w})
+		if gather != atOnce { // else every rank is gathered (cmds' zero), and done, in one round
+			// --- A: pivot proposals per rank to its owner ---
+			send := make([][]byte, p)
+			forActive(func(j int) {
+				cands = cands[:0]
+				for s, b := range iv[j] {
+					if w := b.Hi - b.Lo; w > 0 {
+						mid := pcs[s].mid(b)
+						cands = append(cands, weighted[T]{pivot[T]{loc.At(s, mid), pcs[s].ID, pcs[s].Start + mid}, w})
+					}
 				}
-			}
-			props := e.thin(cands)
-			var below int64
-			for s := range iv[j] {
-				below += iv[j][s].Lo
-			}
-			buf := binary.LittleEndian.AppendUint64(send[owner(j)], uint64(below))
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(props)))
-			for _, x := range props {
-				buf = e.appendPivot(binary.LittleEndian.AppendUint64(buf, uint64(x.w)), x.pivot)
-			}
-			send[owner(j)] = buf
-		})
-		props := n.AllToAllv(send)
+				props := e.thin(cands)
+				var below int64
+				for s := range iv[j] {
+					below += iv[j][s].Lo
+				}
+				buf := binary.LittleEndian.AppendUint64(send[owner(j)], uint64(below))
+				buf = binary.LittleEndian.AppendUint32(buf, uint32(len(props)))
+				for _, x := range props {
+					buf = e.appendPivot(binary.LittleEndian.AppendUint64(buf, uint64(x.w)), x.pivot)
+				}
+				send[owner(j)] = buf
+			})
+			props := n.AllToAllv(send)
 
-		// --- B: owners pick pivots (or call the gather) and publish ---
-		rs := readers(props)
-		var pub []byte
-		forActive(func(j int) {
-			if owner(j) != me {
-				return
-			}
-			var mass int64
-			cands = cands[:0]
-			want := ranks[j]
-			for q := range rs {
-				want -= rs[q].i64()
-				for cnt := rs[q].u32(); cnt > 0; cnt-- {
-					w := rs[q].i64()
-					mass += w
-					cands = append(cands, weighted[T]{readPivot(e, &rs[q]), w})
+			// --- B: owners pick pivots (or call the gather) and publish ---
+			rs := readers(props)
+			var pub []byte
+			forActive(func(j int) {
+				if owner(j) != me {
+					return
 				}
-			}
-			switch {
-			case want == 0:
-				pub = append(pub, cmdAtLo)
-			case mass <= thr:
-				pub = append(pub, cmdGather)
-			default:
-				pub = e.appendPivot(append(pub, cmdPivot), e.aim(cands, want, mass))
-			}
-		})
-		cluster.RecycleRecv(props)
-		rs = readers(n.AllGather(pub))
+				var mass int64
+				cands = cands[:0]
+				want := ranks[j]
+				for q := range rs {
+					want -= rs[q].i64()
+					for cnt := rs[q].u32(); cnt > 0; cnt-- {
+						w := rs[q].i64()
+						mass += w
+						cands = append(cands, weighted[T]{readPivot(e, &rs[q]), w})
+					}
+				}
+				switch {
+				case want == 0:
+					pub = append(pub, cmdAtLo)
+				case mass <= thr:
+					pub = append(pub, cmdGather)
+				default:
+					pub = e.appendPivot(append(pub, cmdPivot), e.aim(cands, want, mass))
+				}
+			})
+			cluster.RecycleRecv(props)
+			rs = readers(n.AllGather(pub))
+			forActive(func(j int) {
+				r := &rs[owner(j)]
+				if cmds[j] = r.byte(); cmds[j] == cmdPivot {
+					pivots[j] = readPivot(e, r)
+				}
+			})
+		}
 
 		// --- C: counts and gathered residuals to owners ---
-		send = make([][]byte, p)
+		send := make([][]byte, p)
 		forActive(func(j int) {
-			r := &rs[owner(j)]
-			cmds[j] = r.byte()
 			buf := send[owner(j)]
 			if cmds[j] == cmdPivot {
-				pv := readPivot(e, r)
-				pivots[j] = pv
+				pv := pivots[j]
 				pk := e.ord.Key(pv.v)
 				var sum int64
 				for s := range iv[j] {
@@ -492,7 +455,7 @@ func Select[T any](c elem.Codec[T], n *cluster.Node, loc Local[T], ranks []int64
 		replies := n.AllToAllv(send)
 
 		// --- D: owners aggregate and answer ---
-		rs = readers(replies)
+		rs := readers(replies)
 		send = make([][]byte, p)
 		forActive(func(j int) {
 			if owner(j) != me {

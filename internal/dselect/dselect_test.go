@@ -3,6 +3,7 @@ package dselect
 import (
 	"math/rand/v2"
 	"slices"
+	"strings"
 	"testing"
 
 	"demsort/internal/cluster"
@@ -207,49 +208,66 @@ func TestCutsMoreRanksThanPEs(t *testing.T) {
 	}
 }
 
-// TestSelectMatchesReferenceCuts is the engine conformance test: with
-// one in-memory sequence per PE the generalised engine (through Cuts,
-// and called directly) returns exactly what the pre-generalisation Cuts
-// body returns, on random slices with heavy duplicates.
-func TestSelectMatchesReferenceCuts(t *testing.T) {
-	rng := rand.New(rand.NewPCG(14, 14))
-	for _, p := range []int{1, 2, 3, 4, 7} {
-		for iter := 0; iter < 6; iter++ {
+// TestSplitCutsAtTheRanksOfTheTotal: Split hands ranks the total length
+// of all chunks, returns it, and cuts exactly at the ranks ranks gives —
+// here i·N/P, run formation's — on uneven chunks, one PE holding
+// everything and chunks of one or two elements (all of them samples).
+func TestSplitCutsAtTheRanksOfTheTotal(t *testing.T) {
+	for _, p := range []int{1, 2, 3, 5} {
+		for name, size := range map[string]func(q int) int{
+			"uneven":      func(q int) int { return (389*q + 17) % 1025 },
+			"one_has_all": func(q int) int { return 900 * ((q + 1) / p) }, // PE p−1
+			"tiny":        func(q int) int { return 1 + q%2 },
+		} {
 			data := make([][]elem.KV16, p)
 			var total int64
-			for pe := range data {
-				data[pe] = make([]elem.KV16, rng.UintN(3000))
-				for i := range data[pe] {
-					data[pe][i] = elem.KV16{Key: rng.Uint64N(1 + uint64(iter)*7), Val: rng.Uint64()}
-				}
-				total += int64(len(data[pe]))
+			for q := range data {
+				data[q] = workload.Generate(workload.HotKey, 1, size(q), uint64(7+q))[0]
+				total += int64(len(data[q]))
 			}
 			locals := sortedLocals(data)
-			ranks := []int64{0, total}
-			for i := 1; i < p+3; i++ {
-				ranks = append(ranks, int64(i)*total/int64(p+3))
-			}
-			got, direct, want := make([][]int64, p), make([][][]int64, p), make([][]int64, p)
-			m := machine(t, p)
-			err := m.Run(func(n *cluster.Node) error {
-				got[n.Rank] = Cuts[elem.KV16](kvc, n, locals[n.Rank], ranks)
-				direct[n.Rank] = Select[elem.KV16](kvc, n, sliceLocal[elem.KV16]{rank: n.Rank, vals: locals[n.Rank]}, ranks, nil, gatherThreshold)
-				want[n.Rank] = referenceCuts[elem.KV16](kvc, n, locals[n.Rank], ranks)
+			cuts, totals := make([][]int64, p), make([]int64, p)
+			err := machine(t, p).Run(func(n *cluster.Node) error {
+				cuts[n.Rank], totals[n.Rank] = Split[elem.KV16](kvc, n, locals[n.Rank], func(total int64) []int64 {
+					ranks := make([]int64, p-1)
+					for i := range ranks {
+						ranks[i] = int64(i+1) * total / int64(p)
+					}
+					return ranks
+				})
 				return nil
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			for pe := range want {
-				if !slices.Equal(got[pe], want[pe]) {
-					t.Fatalf("p=%d iter=%d PE %d: Cuts %v, reference %v", p, iter, pe, got[pe], want[pe])
-				}
-				for j := range ranks {
-					if direct[pe][j][0] != want[pe][j] {
-						t.Fatalf("p=%d iter=%d PE %d rank %d: Select %d, reference %d", p, iter, pe, ranks[j], direct[pe][j][0], want[pe][j])
+			acc := mselect.SliceAccessor[elem.KV16](locals)
+			for i := 1; i < p; i++ {
+				want := mselect.Select[elem.KV16](kvc, acc, int64(i)*total/int64(p))
+				for q := range cuts {
+					if totals[q] != total || cuts[q][i-1] != want[q] {
+						t.Fatalf("%s p=%d PE %d rank %d/%d: cut %d of total %d, want %d of %d", name, p, q, i, p, cuts[q][i-1], totals[q], want[q], total)
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestSelectAtOnceChecksTheBrackets: gathered at once, brackets that do
+// not hold the cut fail the run instead of yielding cuts.
+func TestSelectAtOnceChecksTheBrackets(t *testing.T) {
+	const p, perPE = 3, 100
+	locals := sortedLocals(workload.Generate(workload.Uniform, p, perPE, 5))
+	for name, b := range map[string]mselect.Interval{
+		"below": {Lo: 0, Hi: perPE / 4},         // the cut at N/2 is past every bracket
+		"above": {Lo: 3 * perPE / 4, Hi: perPE}, // and short of every one
+	} {
+		err := machine(t, p).Run(func(n *cluster.Node) error {
+			Select[elem.KV16](kvc, n, sliceLocal[elem.KV16]{rank: n.Rank, vals: locals[n.Rank]}, []int64{p * perPE / 2}, [][]mselect.Interval{{b}}, atOnce)
+			return nil
+		})
+		if err == nil || !strings.Contains(err.Error(), "the brackets do not hold the cut") {
+			t.Errorf("%s: run ended with %v, want the brackets refused", name, err)
 		}
 	}
 }
@@ -346,15 +364,16 @@ func TestSelectPiecesMatchCentralSelect(t *testing.T) {
 			}
 			proven := mselect.SampleBrackets[elem.KV16](kvc, samples, lens, ranks)
 			warmFor := func(l *runPieces) [][]mselect.Interval {
-				if tc.warm == "none" {
-					return nil
-				}
 				w := make([][]mselect.Interval, len(ranks))
 				for j := range ranks {
 					w[j] = make([]mselect.Interval, len(l.pcs))
 					for s, pc := range l.pcs {
-						w[j][s] = mselect.Interval{Lo: want[j][pc.ID] - 3, Hi: want[j][pc.ID] + 3}
-						if tc.warm == "sample" {
+						switch tc.warm {
+						case "none": // each sequence's full range
+							w[j][s] = mselect.Interval{Hi: lens[pc.ID]}
+						case "exact":
+							w[j][s] = mselect.Interval{Lo: want[j][pc.ID] - 3, Hi: want[j][pc.ID] + 3}
+						case "sample":
 							w[j][s] = proven[j].Seqs[pc.ID]
 						}
 					}

@@ -11,9 +11,8 @@
 // block writer with the exchange's suspend/resume, the prefetching
 // reader, and MergeFiles, the local k-way merge the canonical final
 // merge and the baseline's local external sort share. The shared phases
-// (runform.go, split.go): run formation, FormRuns; the regular sampler
-// both mergesorts split with, RegularSample; the exact sort of a run,
-// SortExact, split in one sample round; and the tail of any distributed
+// (runform.go): run formation, FormRuns; the exact sort of a run,
+// SortExact, split by dselect.Split; and the tail of any distributed
 // internal sort, SortAcross. What the algorithms do differently (how
 // exactly a run is split and where it is stored, their later phases,
 // their collect) stays with them.

@@ -253,9 +253,9 @@ func TestFormRuns(t *testing.T) {
 // FormRuns over a table of inputs and machine sizes. On every PE,
 // SortExact makes one AllGather (lengths and samples) and three
 // AllToAllv (residuals, answers, data) — at P = 1 only the data's — and
-// leaves every PE with exactly its RankBounds share: the segment the
-// oracle, dselect.Cuts' exact cuts under SortAcross, gives it. No owner
-// gathers more than the plan's SplitResidual.
+// leaves every PE with exactly its RankBounds share of the central
+// stable sort of all chunks. The split's working set stays within the
+// plan's: the pool, or no more than SplitResidual gathered at an owner.
 func TestSortExactIsTheExactRunSort(t *testing.T) {
 	const perPE = 1024 // RunLocal at M = 4096
 	rec := elem.Rec100Codec{}
@@ -278,7 +278,9 @@ func TestSortExactIsTheExactRunSort(t *testing.T) {
 			"disjoint_bands": workload.Generate(workload.GloballySorted, p, perPE, 3),
 			"reversed_bands": workload.Generate(workload.ReversedBands, p, perPE, 3),
 			"empty_pes":      emptyPEs,
+			"one_pe_has_all": sized(func(q int) int { return perPE * ((q + 1) / p) }), // PE p−1
 			"shorter_than_s": sized(func(q int) int { return 7 * q % 31 }),
+			"every_elem_s":   sized(func(q int) int { return 1 + q%2 }), // ⌊√(2·ln)⌋ = ln
 			"uneven":         sized(func(q int) int { return (389*q + 17) % (perPE + 1) }),
 		} {
 			t.Run(fmt.Sprintf("%s_p%d", name, p), func(t *testing.T) { checkSortExact(t, kvc, 256, chunks) })
@@ -303,39 +305,55 @@ func TestSortExactIsTheExactRunSort(t *testing.T) {
 // TestSortExactIsTheExactRunSort.
 func checkSortExact[T any](t *testing.T, c elem.Codec[T], blockBytes int, chunks [][]T) {
 	p := len(chunks)
-	calls, gathered, bound := make([][]string, p), make([]int64, p), make([]int64, p)
+	byOrder := func(a, b T) int {
+		switch {
+		case c.Less(a, b):
+			return -1
+		case c.Less(b, a):
+			return 1
+		}
+		return 0
+	}
+	// The oracle: chunks concatenated in rank order and stably sorted
+	// order ties by (PE, position), the total order the split cuts in.
+	var all []T
+	var pool int64 // the split's pooled samples
+	for _, chunk := range chunks {
+		all = append(all, chunk...)
+		pool += min(dselect.SplitSamples(int64(len(chunk))), int64(len(chunk)))
+	}
+	slices.SortStableFunc(all, byOrder)
+	bounds := RankBounds(int64(len(all)), p)
+
+	calls := make([][]string, p)
 	onSim(t, c, Defaults(p, 4096, blockBytes), make([][]T, p), func(j *Job[T], n *cluster.Node) error {
 		n.SetPhase("run formation")
 		sorted := func() []T {
 			chunk := slices.Clone(chunks[n.Rank])
-			slices.SortStableFunc(chunk, func(a, b T) int {
-				switch {
-				case c.Less(a, b):
-					return -1
-				case c.Less(b, a):
-					return 1
-				}
-				return 0
-			})
+			slices.SortStableFunc(chunk, byOrder)
 			n.Mem.MustAcquire(int64(len(chunk)))
 			return chunk
 		}
+		chunk := sorted()
+		if entry := n.Mem.Used(); n.Mem.Peak() != entry {
+			return fmt.Errorf("rank %d: budget peak %d before the split, want its chunk's %d", n.Rank, n.Mem.Peak(), entry)
+		}
+		dselect.Split(c, n, chunk, func(total int64) []int64 { return RankBounds(total, p)[1:p] })
+		if grew := n.Mem.Peak() - int64(len(chunk)); grew > max(pool, j.SplitResidual) {
+			return fmt.Errorf("rank %d: the split held %d elements beside its chunk: more than the pool of %d and the plan's SplitResidual %d", n.Rank, grew, pool, j.SplitResidual)
+		}
+		n.Mem.Release(int64(len(chunk)))
+
 		n.SetOpHook(func(op string) { calls[n.Rank] = append(calls[n.Rank], op) })
 		seg, segStart, runLen, err := j.SortExact(n, sorted(), nil)
 		n.SetOpHook(nil)
 		if err != nil {
 			return err
 		}
-		bound[n.Rank] = j.SplitResidual
 		n.Mem.Release(2 * int64(len(seg)))
-
-		chunk := sorted()
-		_, _, gathered[n.Rank] = j.splitExact(n, chunk)
-		bounds := RankBounds(runLen, p)
-		ref := j.SortAcross(n, chunk, dselect.Cuts(c, n, chunk, bounds[1:p]), nil)
-		n.Mem.Release(2 * int64(len(ref)))
-		if segStart != bounds[n.Rank] || !bytes.Equal(elem.EncodeSlice(c, seg), elem.EncodeSlice(c, ref)) {
-			return fmt.Errorf("rank %d: segment of %d from %d, the exact cuts give %d from %d", n.Rank, len(seg), segStart, len(ref), bounds[n.Rank])
+		want := all[bounds[n.Rank]:bounds[n.Rank+1]]
+		if runLen != int64(len(all)) || segStart != bounds[n.Rank] || !bytes.Equal(elem.EncodeSlice(c, seg), elem.EncodeSlice(c, want)) {
+			return fmt.Errorf("rank %d: segment of %d from %d of %d is not the central sort's %d from %d of %d", n.Rank, len(seg), segStart, runLen, len(want), bounds[n.Rank], len(all))
 		}
 		return nil
 	})
@@ -346,9 +364,6 @@ func checkSortExact[T any](t *testing.T, c elem.Codec[T], blockBytes int, chunks
 	for rank := range calls {
 		if !slices.Equal(calls[rank], want) {
 			t.Errorf("rank %d: SortExact called %v, want %v", rank, calls[rank], want)
-		}
-		if gathered[rank] > bound[rank] {
-			t.Errorf("rank %d gathered %d elements as an owner, the plan's bound is %d", rank, gathered[rank], bound[rank])
 		}
 	}
 }

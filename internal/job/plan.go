@@ -2,9 +2,9 @@ package job
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
+	"demsort/internal/dselect"
 	"demsort/internal/psort"
 )
 
@@ -93,11 +93,15 @@ func NewPlan(s Shape) (Plan, error) {
 	p.RunLocal = int64(p.BlocksPerRun) * b
 	// At least one run: an empty input still runs the protocol once.
 	p.Runs = max((s.NPerPE+p.RunLocal-1)/p.RunLocal, 1)
-	// The exact split (SortExact) pools s samples of every PE, then
-	// gathers at most 2·P·(⌈RunLocal/s⌉ − 1) elements at an owner: s =
-	// ⌊√(2·RunLocal)⌋ holds either to about P·√(2·RunLocal).
-	p.SplitSamples = int64(math.Sqrt(float64(2 * p.RunLocal)))
-	p.SplitResidual = 2 * int64(s.P) * ((p.RunLocal+p.SplitSamples-1)/p.SplitSamples - 1)
+	p.SplitSamples = dselect.SplitSamples(p.RunLocal)
+	// The exact split (dselect.Split) pools up to s = ⌊√(2·RunLocal)⌋
+	// samples of every PE, then gathers at most 2·P·(g − 1) elements at an
+	// owner, g the widest sample gap: either is about P·√(2·RunLocal). A
+	// chunk of ln elements takes ⌊√(2·ln)⌋, so g is a full chunk's or the
+	// longest one's sampled once less, ⌈s²/2⌉ − 1 elements long.
+	ss, s1 := p.SplitSamples, max(p.SplitSamples-1, 1)
+	g := max((p.RunLocal+ss-1)/ss, ((ss*ss+1)/2-1+s1-1)/s1)
+	p.SplitResidual = 2 * int64(s.P) * (g - 1)
 	switch s.Sorter {
 	case Canonical:
 		return p, p.canonical()

@@ -8,6 +8,7 @@ import (
 	"demsort/internal/blockio"
 	"demsort/internal/bufpool"
 	"demsort/internal/cluster"
+	"demsort/internal/dselect"
 	"demsort/internal/elem"
 	"demsort/internal/xmerge"
 )
@@ -26,10 +27,10 @@ type RunSort[T any] func(n *cluster.Node, chunk, dst []T) (seg []T, segStart, ru
 // blocks on every PE and sorted across the machine with the distributed
 // internal sort sortRun. The algorithms differ in how exactly a run must
 // be split — canonical needs every PE to hold exactly its 1/P share
-// (SortExact), striped re-distributes the run anyway and takes cheaper
-// approximate cuts — and in where a sorted run goes: canonical leaves
-// each PE's segment on its local disks, striped stripes it over the
-// machine. That is the store callback: it receives elements
+// (SortExact, by dselect.Split), striped re-distributes the run anyway
+// and takes cheaper approximate cuts — and in where a sorted run goes:
+// canonical leaves each PE's segment on its local disks, striped stripes
+// it over the machine. That is the store callback: it receives elements
 // [segStart, segStart+len(seg)) of run number run, runLen elements long,
 // and seg is dead once it returns (the next run's segment is merged into
 // the same storage). Every PE calls store for every run (collective work
@@ -145,11 +146,11 @@ func (j *Job[T]) FormRuns(n *cluster.Node, in *Input, salt uint64, sortRun RunSo
 	return runs, nil
 }
 
-// SortExact is the RunSort with exact splitting (§IV-B): splitExact
+// SortExact is the RunSort with exact splitting (§IV-B): dselect.Split
 // finds the local positions of the ranks N/P, 2N/P, … in one sample
 // round, and SortAcross leaves every PE with exactly its share.
 func (j *Job[T]) SortExact(n *cluster.Node, chunk, dst []T) ([]T, int64, int64, error) {
-	cuts, runLen, _ := j.splitExact(n, chunk)
+	cuts, runLen := dselect.Split(j.c, n, chunk, func(total int64) []int64 { return RankBounds(total, n.P)[1:n.P] })
 	bounds := RankBounds(runLen, n.P)
 	seg := j.SortAcross(n, chunk, cuts, dst)
 	if segLen := bounds[n.Rank+1] - bounds[n.Rank]; int64(len(seg)) != segLen {

@@ -14,10 +14,10 @@
 // identical on every PE, which is what turns "approximately equal parts"
 // (NOW-Sort) into the exact partition the paper advertises.
 //
-// Select is the in-memory algorithm (deterministic pivot bisection). Run
-// formation's one-round split (job.SortExact) finishes every cut with it
-// at the cut's owner; the distributed engine in package dselect runs the
-// same bisection over the on-disk runs in phase two and finishes with it.
+// Select is the in-memory algorithm (deterministic pivot bisection). The
+// distributed engine in package dselect finishes every cut with it at
+// the cut's owner: in run formation (dselect.Split) at once, in phase two
+// after the same bisection over the on-disk runs (dselect.Select).
 package mselect
 
 import (

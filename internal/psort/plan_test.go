@@ -67,7 +67,7 @@ func TestReportDispatchCrossovers(t *testing.T) {
 	}
 
 	// msdInsertion sweep: bucket base-case cutoff.
-	t.Log("msdInsertion is swept indirectly: rerun with edited constant; "+
+	t.Log("msdInsertion is swept indirectly: rerun with edited constant; " +
 		"measured flat 48..96 on KV16 1M at w=1, see plan.go")
 }
 

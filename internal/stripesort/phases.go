@@ -8,6 +8,7 @@ import (
 	"demsort/internal/blockio"
 	"demsort/internal/bufpool"
 	"demsort/internal/cluster"
+	"demsort/internal/dselect"
 	"demsort/internal/elem"
 	"demsort/internal/job"
 	"demsort/internal/mselect"
@@ -474,7 +475,7 @@ func (s *pe[T]) extract(pending [][]piece[T], barrier *predEntry[T]) []T {
 // sampleCuts computes order-consistent (but only approximately
 // balanced, see job.RecvBound) cut positions of this PE's sorted chunk
 // for a P-way distribution, and the total length of all chunks: every PE
-// contributes job.SampleFactor·P regular samples (job.RegularSample),
+// contributes job.SampleFactor·P regular samples (dselect.RegularSample),
 // each weighted by the stretch of the chunk it stands for; all PEs derive
 // the same P-1 splitters from the pool — splitter i is the first sample
 // with i/P of the weight before it — and each cuts its chunk at those
@@ -483,7 +484,7 @@ func (s *pe[T]) extract(pending [][]piece[T], barrier *predEntry[T]) []T {
 // machine without elements has no sample and cuts everywhere at 0.
 func sampleCuts[T any](c elem.Codec[T], n *cluster.Node, chunk []T) ([]int64, int64) {
 	ord := mselect.OrderOf(c)
-	pool, total := job.RegularSample(c, ord, n, chunk, job.SampleFactor*int64(n.P))
+	pool, total := dselect.RegularSample(c, ord, n, chunk, func(int64) int64 { return job.SampleFactor * int64(n.P) })
 	cuts := make([]int64, n.P-1)
 	t, before := 0, int64(0) // before is the weight of pool[:t]
 	for i := range cuts {
@@ -494,7 +495,7 @@ func sampleCuts[T any](c elem.Codec[T], n *cluster.Node, chunk []T) ([]int64, in
 			cuts[i] = int64(len(chunk))
 			continue
 		}
-		cuts[i] = job.Before(ord, chunk, n.Rank, pool[t])
+		cuts[i] = dselect.Before(ord, chunk, n.Rank, pool[t])
 	}
 	return cuts, total
 }
