@@ -4,6 +4,11 @@
 // a gensort-style deterministic generator of 100-byte records with
 // 10-byte keys, and a valsort-style validator checking order, record
 // count and a duplicate-insensitive checksum.
+//
+// Every generator path (Record, Generate, Skewed, Reader) runs one
+// in-place kernel that allocates nothing per record. The record format
+// is pinned byte for byte by the package's golden test: a change that
+// moves any byte of any input fails it.
 package sortbench
 
 import (
@@ -12,52 +17,77 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math/bits"
 	"math/rand/v2"
 
 	"demsort/internal/elem"
 )
 
-// Generate produces n records starting at record index start,
+// Generate produces n records starting at record index start ≥ 0,
 // deterministically from seed (matching runs of Generate with
 // different start/n values tile the same global sequence, like
 // gensort's -b flag).
 func Generate(seed uint64, start, n int64) []elem.Rec100 {
 	out := make([]elem.Rec100, n)
-	for i := int64(0); i < n; i++ {
-		out[i] = Record(seed, start+i)
+	for i := range out {
+		fill(&out[i], seed, start+int64(i))
 	}
 	return out
 }
 
-// Record produces the idx-th record of the seed's sequence: a
-// pseudo-random 10-byte key followed by a 90-byte payload carrying the
-// record index (so provenance survives sorting).
+// Record produces the idx-th record (idx ≥ 0) of the seed's sequence:
+// a pseudo-random 10-byte key followed by a 90-byte payload carrying
+// the record index (so provenance survives sorting).
 func Record(seed uint64, idx int64) elem.Rec100 {
 	var r elem.Rec100
-	rng := rand.New(rand.NewPCG(seed, uint64(idx)*0x9e3779b97f4a7c15+0xABCD))
-	for b := 0; b < 10; b++ {
-		// Printable ASCII keys, as in gensort's default mode.
-		r[b] = byte(' ' + rng.Uint64N(95))
-	}
-	copy(r[10:], fmt.Sprintf("%020d", idx))
-	for b := 30; b < 100; b++ {
-		r[b] = byte('A' + (idx+int64(b))%26)
-	}
+	fill(&r, seed, idx)
 	return r
 }
 
-// Skewed produces n records whose keys all share a hot 9-byte prefix
-// with probability p10 in ten (duplicate-heavy SortBenchmark variant
-// used in the skew experiments).
-func Skewed(seed uint64, start, n int64, hotIn10 int) []elem.Rec100 {
-	out := make([]elem.Rec100, n)
-	for i := int64(0); i < n; i++ {
-		r := Record(seed, start+i)
-		rng := rand.New(rand.NewPCG(seed^0x55AA, uint64(start+i)))
-		if int(rng.Uint64N(10)) < hotIn10 {
-			copy(r[:9], "HOTHOTHOT")
+// letters is the payload's period, A…Z, long enough that any of its 26
+// phases can be copied 70 bytes at a time.
+const letters = "ABCDEFGHIJKLMNOPQRSTUVWXYZABCDEFGHIJKLMNOPQRSTUVWXYZABCDEFGHIJKLMNOPQRSTUVWXYZABCDEFGHIJKLMNOPQR"
+
+// fill writes Record(seed, idx) into r without allocating: key byte b
+// is ' ' + Uint64N(95) of a PCG seeded (seed, idx·φ + 0xABCD), bytes
+// 10–29 are idx in 20 decimal digits, and byte b ≥ 30 is
+// 'A' + (idx+b) mod 26. idx must be ≥ 0.
+func fill(r *elem.Rec100, seed uint64, idx int64) {
+	pcg := rand.NewPCG(seed, uint64(idx)*0x9e3779b97f4a7c15+0xABCD)
+	for b := 0; b < 10; b++ {
+		// Printable ASCII keys, as in gensort's default mode.
+		r[b] = byte(' ' + uint64n(pcg, 95))
+	}
+	for b, v := 29, uint64(idx); b >= 10; b, v = b-1, v/10 {
+		r[b] = byte('0' + v%10)
+	}
+	copy(r[30:], letters[(idx%26+30)%26:])
+}
+
+// uint64n is math/rand/v2's Rand.Uint64N(n) over pcg, computed as that
+// package computes it on 64-bit platforms (Lemire's multiply with the
+// -n % n rejection), so the keys stay those of rand.New(pcg).Uint64N.
+// n must not be a power of two, which that method masks instead.
+func uint64n(pcg *rand.PCG, n uint64) uint64 {
+	hi, lo := bits.Mul64(pcg.Uint64(), n)
+	if lo < n {
+		thresh := -n % n
+		for lo < thresh {
+			hi, lo = bits.Mul64(pcg.Uint64(), n)
 		}
-		out[i] = r
+	}
+	return hi
+}
+
+// Skewed produces n records (start ≥ 0) whose keys all share a hot
+// 9-byte prefix with probability hotIn10 in ten (duplicate-heavy
+// SortBenchmark variant used in the skew experiments).
+func Skewed(seed uint64, start, n int64, hotIn10 int) []elem.Rec100 {
+	out := Generate(seed, start, n)
+	for i := range out {
+		if int(uint64n(rand.NewPCG(seed^0x55AA, uint64(start+int64(i))), 10)) < hotIn10 {
+			copy(out[i][:9], "HOTHOTHOT")
+		}
 	}
 	return out
 }
@@ -77,7 +107,7 @@ type Reader struct {
 }
 
 // NewReader returns a Reader over records [start, start+n) of seed's
-// sequence.
+// sequence; start must be ≥ 0.
 func NewReader(seed uint64, start, n int64) *Reader {
 	return &Reader{seed: seed, start: start, next: start, end: start + n}
 }
@@ -85,18 +115,25 @@ func NewReader(seed uint64, start, n int64) *Reader {
 // Size returns the tile's length in bytes.
 func (r *Reader) Size() int64 { return (r.end - r.start) * 100 }
 
-// ReadAt implements io.ReaderAt: the tile's bytes from offset off,
-// generated record by record (a read may start or end mid-record). It
-// shares no state with Read or other ReadAt calls, so concurrent calls
-// are safe.
+// ReadAt implements io.ReaderAt: the tile's bytes from offset off. Whole
+// records are generated straight into p; a read that starts or ends
+// mid-record generates that record apart. It shares no state with Read
+// or other ReadAt calls, so concurrent calls are safe.
 func (r *Reader) ReadAt(p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, fmt.Errorf("sortbench: ReadAt at negative offset %d", off)
 	}
 	n := 0
 	for n < len(p) && off < r.Size() {
-		rec := Record(r.seed, r.start+off/100)
-		c := copy(p[n:], rec[off%100:])
+		idx, in := r.start+off/100, off%100
+		c := 100
+		if in == 0 && len(p)-n >= 100 {
+			fill((*elem.Rec100)(p[n:]), r.seed, idx)
+		} else {
+			var rec elem.Rec100
+			fill(&rec, r.seed, idx)
+			c = copy(p[n:], rec[in:])
+		}
 		n += c
 		off += int64(c)
 	}
@@ -112,13 +149,9 @@ func (r *Reader) Read(p []byte) (int, error) {
 		if r.next == r.end {
 			return 0, io.EOF
 		}
-		batch := int64(len(r.buf) / 100)
-		if rem := r.end - r.next; rem < batch {
-			batch = rem
-		}
+		batch := min(int64(len(r.buf)/100), r.end-r.next)
 		for i := int64(0); i < batch; i++ {
-			rec := Record(r.seed, r.next+i)
-			copy(r.buf[i*100:], rec[:])
+			fill((*elem.Rec100)(r.buf[i*100:]), r.seed, r.next+i)
 		}
 		r.next += batch
 		r.pending = r.buf[:batch*100]

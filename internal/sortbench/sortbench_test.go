@@ -3,8 +3,10 @@ package sortbench
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"math/rand/v2"
 	"slices"
 	"sync"
@@ -127,6 +129,83 @@ func TestSkewedSharesHotPrefix(t *testing.T) {
 	}
 }
 
+// The record format is pinned: the count, the Tally checksum and the
+// first and last record of four tiles, as the generator wrote them
+// when it went through math/rand/v2's Rand and fmt. Any change to a key
+// byte, an index digit or a payload letter on any path fails here.
+func TestGeneratorGolden(t *testing.T) {
+	enc := func(recs []elem.Rec100) []byte { return elem.EncodeSlice(elem.Rec100Codec{}, recs) }
+	read := func() []byte {
+		raw, err := io.ReadAll(NewReader(2026, 50000, 50000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	for _, g := range []struct {
+		name        string
+		raw         []byte
+		n           int64
+		sum         uint64
+		first, last string
+	}{
+		{"Generate(1, 0, 100000)", enc(Generate(1, 0, 100000)), 100000, 0x0000c336d0bab588,
+			"noSF9^1!Uo00000000000000000000EFGHIJKLMNOPQRSTUVWXYZABCDEFGHIJKLMNOPQRSTUVWXYZABCDEFGHIJKLMNOPQRSTUV",
+			"vrfvY\\'`2@00000000000000099999HIJKLMNOPQRSTUVWXYZABCDEFGHIJKLMNOPQRSTUVWXYZABCDEFGHIJKLMNOPQRSTUVWXY"},
+		{"Generate(3, 123457, 5000)", enc(Generate(3, 123457, 5000)), 5000, 0x000009c1b15cdfe7,
+			" 5jF!.IS^~00000000000000123457NOPQRSTUVWXYZABCDEFGHIJKLMNOPQRSTUVWXYZABCDEFGHIJKLMNOPQRSTUVWXYZABCDE",
+			"b@l-goNciJ00000000000000128456UVWXYZABCDEFGHIJKLMNOPQRSTUVWXYZABCDEFGHIJKLMNOPQRSTUVWXYZABCDEFGHIJKL"},
+		{"Skewed(3, 5, 10000, 7)", enc(Skewed(3, 5, 10000, 7)), 10000, 0x000013a7345ddb0f,
+			"xJLF)8s)(S00000000000000000005JKLMNOPQRSTUVWXYZABCDEFGHIJKLMNOPQRSTUVWXYZABCDEFGHIJKLMNOPQRSTUVWXYZA",
+			"HOTHOTHOT!00000000000000010004YZABCDEFGHIJKLMNOPQRSTUVWXYZABCDEFGHIJKLMNOPQRSTUVWXYZABCDEFGHIJKLMNOP"},
+		{"ReadAll(NewReader(2026, 50000, 50000))", read(), 50000, 0x000061ab9a725fd7,
+			"Q-HtPORScD00000000000000050000GHIJKLMNOPQRSTUVWXYZABCDEFGHIJKLMNOPQRSTUVWXYZABCDEFGHIJKLMNOPQRSTUVWX",
+			"%hc@%9{3T;00000000000000099999HIJKLMNOPQRSTUVWXYZABCDEFGHIJKLMNOPQRSTUVWXYZABCDEFGHIJKLMNOPQRSTUVWXY"},
+	} {
+		n, sum := Tally(g.raw)
+		if n != g.n || sum != g.sum || len(g.raw) != int(g.n)*100 {
+			t.Errorf("%s: %d records (%d bytes), checksum %016x; want %d, %016x", g.name, n, len(g.raw), sum, g.n, g.sum)
+			continue
+		}
+		if first, last := string(g.raw[:100]), string(g.raw[len(g.raw)-100:]); first != g.first || last != g.last {
+			t.Errorf("%s: first %q last %q\nwant  first %q last %q", g.name, first, last, g.first, g.last)
+		}
+	}
+}
+
+// refRecord is the generator as it was written before the in-place
+// kernel: math/rand/v2's Rand, fmt and a per-byte payload loop.
+func refRecord(seed uint64, idx int64) elem.Rec100 {
+	var r elem.Rec100
+	rng := rand.New(rand.NewPCG(seed, uint64(idx)*0x9e3779b97f4a7c15+0xABCD))
+	for b := 0; b < 10; b++ {
+		r[b] = byte(' ' + rng.Uint64N(95))
+	}
+	copy(r[10:], fmt.Sprintf("%020d", idx))
+	for b := 30; b < 100; b++ {
+		r[b] = byte('A' + (idx+int64(b))%26)
+	}
+	return r
+}
+
+// Record equals the reference at indices the golden tiles do not
+// reach: all 19 digits of an int64 in use, up to the largest index
+// whose payload letters the reference computes without overflow.
+func TestRecordMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(77, 78))
+	for _, seed := range []uint64{0, 1, 3, 2026, 1 << 63} {
+		for i := range 3000 {
+			idx := rng.Int64N(math.MaxInt64 - 99)
+			if i < 3 {
+				idx = math.MaxInt64 - 99 - int64(i)
+			}
+			if got, want := Record(seed, idx), refRecord(seed, idx); got != want {
+				t.Fatalf("Record(%d, %d) = %q, want %q", seed, idx, got[:], want[:])
+			}
+		}
+	}
+}
+
 // The streaming generator must produce exactly the bytes of the
 // materialized tile, at awkward read sizes and tile offsets.
 func TestReaderMatchesGenerate(t *testing.T) {
@@ -154,9 +233,10 @@ func TestReaderMatchesGenerate(t *testing.T) {
 	}
 }
 
-// ReadAt at random offsets and lengths — starting and ending mid-record,
-// from concurrent goroutines — returns the bytes Read streams, and a
-// read that runs past Size returns what there is and io.EOF.
+// ReadAt at random offsets and lengths — record-aligned ones (filled in
+// place) and ones starting and ending mid-record, from concurrent
+// goroutines — returns the bytes Read streams, and a read that runs
+// past Size returns what there is and io.EOF.
 func TestReaderReadAtMatchesRead(t *testing.T) {
 	const start, n = 411, 300
 	r := NewReader(5, start, n)
@@ -176,6 +256,10 @@ func TestReaderReadAtMatchesRead(t *testing.T) {
 			for range 200 {
 				off := rng.Int64N(r.Size())
 				p := make([]byte, rng.IntN(450)+1)
+				if g%2 == 0 {
+					off -= off % 100
+					p = make([]byte, 100*rng.IntN(5)+100)
+				}
 				k, err := r.ReadAt(p, off)
 				want := stream[off:min(off+int64(len(p)), r.Size())]
 				if k != len(want) || !bytes.Equal(p[:k], want) {

@@ -9,9 +9,12 @@
 // (elem.Keyed), so the replay after each emitted element is a
 // handful of uint64 comparisons instead of indirect comparator calls.
 // Codecs without keys — and key ties of codecs whose key is a prefix —
-// fall back to Codec.Less transparently. The per-merge scratch (key
-// tree, per-stream keys/liveness/positions) is element-type-independent
-// and recycled through a pool, so repeated merges allocate nothing.
+// fall back to Codec.Less transparently. Each stream's next keys are
+// extracted a window at a time (elem.KeysInto), so the loop reads a
+// head key from a slice instead of calling the codec per element. The
+// per-merge scratch (key tree, per-stream keys/liveness/positions/key
+// windows) is element-type-independent and recycled through a pool, so
+// repeated merges allocate nothing.
 package xmerge
 
 import (
@@ -29,7 +32,14 @@ type merger struct {
 	keys []uint64
 	live []bool
 	pos  []int
+	// Stream i's keys of its current block's elements [wlo[i], whi[i])
+	// start at win[i*keyWindow].
+	win      []uint64
+	wlo, whi []int
 }
+
+// keyWindow is the number of head keys extracted per stream at a time.
+const keyWindow = 32
 
 var mergerPool = sync.Pool{New: func() any { return new(merger) }}
 
@@ -40,16 +50,31 @@ func getMerger(n int) *merger {
 		m.keys = make([]uint64, n)
 		m.live = make([]bool, n)
 		m.pos = make([]int, n)
+		m.win = make([]uint64, n*keyWindow)
+		m.wlo = make([]int, n)
+		m.whi = make([]int, n)
 	}
 	m.keys = m.keys[:n]
 	m.live = m.live[:n]
 	m.pos = m.pos[:n]
+	m.win = m.win[:n*keyWindow]
+	m.wlo = m.wlo[:n]
+	m.whi = m.whi[:n]
 	for i := 0; i < n; i++ {
 		m.keys[i] = 0
 		m.live[i] = false
 		m.pos[i] = 0
+		m.whi[i] = 0
 	}
 	return m
+}
+
+// fillWindow extracts the keys of stream i's next keyWindow elements
+// from s[p] on (p < len(s)) into its window.
+func fillWindow[T any](c elem.Codec[T], m *merger, i int, s []T, p int) {
+	n := min(keyWindow, len(s)-p)
+	elem.KeysInto(c, m.win[i*keyWindow:i*keyWindow+n], s[p:p+n])
+	m.wlo[i], m.whi[i] = p, p+n
 }
 
 // putMerger releases the scratch; the tie closure is dropped first so
@@ -116,7 +141,8 @@ func merge[T any](c elem.Codec[T], dst []T, cur [][]T, refill func(i int) []T, o
 	pos := m.pos
 	for i, s := range cur {
 		if len(s) > 0 {
-			m.keys[i], m.live[i] = kc.Key(s[0]), true
+			fillWindow(c, m, i, s, 0)
+			m.keys[i], m.live[i] = m.win[i*keyWindow], true
 		}
 	}
 	var tie func(a, b int) bool
@@ -139,10 +165,14 @@ func merge[T any](c elem.Codec[T], dst []T, cur [][]T, refill func(i int) []T, o
 		if p == len(s) && refill != nil {
 			s, p = refill(i), 0
 			cur[i] = s
+			m.whi[i] = 0
 		}
 		pos[i] = p
 		if p < len(s) {
-			t.Replace(kc.Key(s[p]))
+			if p >= m.whi[i] {
+				fillWindow(c, m, i, s, p)
+			}
+			t.Replace(m.win[i*keyWindow+p-m.wlo[i]])
 		} else {
 			t.Retire()
 		}
