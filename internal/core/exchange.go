@@ -71,9 +71,8 @@ type exchanger[T any] struct {
 	keptTouch [][]bool           // per (run, block): overlaps the kept range
 	writers   [][]*job.Writer[T] // per (run, source rank): indexed, so flushes go in rank order
 
-	cached blockKey // readBlock's one-block cache
-	vals   []T
-	dec    []T // process's decode buffer
+	cached blockKey // readBlock's one-block cache, encoded in raw
+	raw    []byte
 }
 
 // exchange is phase 2b, the external all-to-all (§IV-C): every PE
@@ -86,7 +85,7 @@ type exchanger[T any] struct {
 func exchange[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, pl *job.Plan, meta *runsMeta[T], locals []localRun[T], split [][]int64) ([]job.File, int, error) {
 	n.SetPhase(PhaseExchange)
 	x := &exchanger[T]{c: c, n: n, cfg: cfg, bElem: int64(pl.BElem), meta: meta, locals: locals, split: split,
-		durable: cfg.Checkpoint.Dir != "", cached: blockKey{-1, -1}}
+		durable: cfg.Checkpoint.Dir != "", cached: blockKey{-1, -1}, raw: make([]byte, pl.BElem*c.Size())}
 	x.plan()
 	x.k = x.subOps(pl.ExchangeQuota)
 	x.recycling()
@@ -180,19 +179,17 @@ func (x *exchanger[T]) recycling() {
 	}
 }
 
-// readBlock returns block blk of run ri's segment, decoded, through a
+// readBlock returns block blk of run ri's segment, encoded, through a
 // one-block cache (adjacent windows share boundary blocks). The slice
 // is valid until the next call.
-func (x *exchanger[T]) readBlock(ri int, blk int64) []T {
+func (x *exchanger[T]) readBlock(ri int, blk int64) []byte {
+	e := x.locals[ri].file.Extents[blk]
+	raw := x.raw[:e.Len*x.c.Size()]
 	if key := (blockKey{ri, blk}); key != x.cached {
-		e := x.locals[ri].file.Extents[blk]
-		raw := bufpool.Get(e.Len * x.c.Size())
 		x.n.Vol.ReadWait(e.ID, raw)
 		x.cached = key
-		x.vals = elem.AppendDecode(x.c, x.vals[:0], raw, e.Len)
-		bufpool.Put(raw)
 	}
-	return x.vals
+	return raw
 }
 
 // blocks calls f for each block of run p.run's segment that piece p
@@ -215,10 +212,11 @@ func (x *exchanger[T]) build(s int) [][]byte {
 		if cnt == 0 {
 			continue
 		}
-		buf := bufpool.Get(int(cnt) * x.c.Size())[:0]
+		sz := int64(x.c.Size())
+		buf := bufpool.Get(int(cnt * sz))[:0]
 		for _, p := range win {
 			x.blocks(p, func(blk int64, e blockio.Extent, l, h int64) {
-				buf = elem.AppendEncode(x.c, buf, x.readBlock(p.run, blk)[l:h])
+				buf = append(buf, x.readBlock(p.run, blk)[l*sz:h*sz]...)
 				x.sendLeft[p.run][blk] -= int32(h - l)
 				if x.sendLeft[p.run][blk] == 0 && !x.keptTouch[p.run][blk] && !x.durable {
 					x.n.Vol.Free(e.ID)
@@ -255,10 +253,9 @@ func (x *exchanger[T]) process(s int, recv [][]byte) error {
 				x.writers[pc.run][p] = w
 			}
 			w.Resume()
-			m := int(pc.hi - pc.lo)
-			x.dec = elem.AppendDecode(x.c, x.dec[:0], data[:m*sz], m)
-			data = data[m*sz:]
-			w.AddSlice(x.dec)
+			m := int(pc.hi-pc.lo) * sz
+			w.AddBytes(data[:m])
+			data = data[m:]
 		}
 		x.n.AddCPU(x.cfg.Model.ScanCPU(cnt))
 	}

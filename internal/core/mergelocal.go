@@ -10,9 +10,11 @@ import (
 // mergeLocal is phase 4 (§IV third phase): every PE merges its R
 // sorted run pieces with no communication (Job.MergeFiles) and returns
 // how many elements it emitted. Without a sink a single run's piece
-// already is the sorted output and the phase costs no I/O at all;
-// together with run formation that gives the "only 2 I/Os per block"
-// behaviour the paper notes for N < M (the MinuteSort regime).
+// already is the sorted output and the phase costs no I/O at all. The
+// paper's "only 2 I/Os per block" for N < M (the MinuteSort regime)
+// still does not hold: at R = 1 the selection reads 0.02–0.17×N of
+// probe blocks, and with a sink the run written in run formation is
+// read back here.
 func mergeLocal[T any](j *job.Job[T], n *cluster.Node, files []job.File,
 	sink func(rank int, encoded []byte) error) (int64, error) {
 	n.SetPhase(PhaseMerge)

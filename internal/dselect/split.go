@@ -37,9 +37,14 @@ func RegularSample[T any](c elem.Codec[T], ord mselect.Order[T], n *cluster.Node
 	for i := int64(0); i < k; i++ {
 		buf = elem.AppendEncode(c, buf, chunk[at(ln, k, i):][:1])
 	}
-	var pool []Sampled[T]
+	all := n.AllGather(buf)
+	var pooled int
+	for _, b := range all {
+		pooled += (len(b) - 8) / sz
+	}
+	pool := make([]Sampled[T], 0, pooled)
 	var total int64
-	for pe, b := range n.AllGather(buf) {
+	for pe, b := range all {
 		peLen := int64(binary.LittleEndian.Uint64(b))
 		total += peLen
 		for i, k := int64(0), min(count(peLen), peLen); i < k; i++ {

@@ -28,96 +28,98 @@ func (f *File) Append(e blockio.Extent) {
 }
 
 // Writer buffers elements and writes full blocks asynchronously,
-// producing an aligned File. The partial tail buffer can be flushed
-// (creating a partial block) and refilled later — that flush/reload
-// pair is exactly the "partially filled blocks" overhead of the
-// external all-to-all (§IV-E).
+// producing an aligned File. The partial block is one encoded tail
+// buffer, which can be flushed (creating a partial block) and refilled
+// later — that flush/reload pair is exactly the "partially filled
+// blocks" overhead of the external all-to-all (§IV-E).
 type Writer[T any] struct {
 	c     elem.Codec[T]
 	vol   *blockio.Volume
-	bElem int
-	buf   []T
+	block int    // bytes in a full block: whole elements
+	tail  []byte // the encoded partial block; its capacity is the pooled buffer's
 	file  File
-	enc   []byte
 }
 
 // NewWriter starts an empty file on vol.
 func NewWriter[T any](c elem.Codec[T], vol *blockio.Volume) *Writer[T] {
-	bElem := vol.BlockBytes() / c.Size()
 	return &Writer[T]{
 		c:     c,
 		vol:   vol,
-		bElem: bElem,
-		buf:   make([]T, 0, bElem),
-		enc:   bufpool.Get(vol.BlockBytes())[:0],
+		block: vol.BlockBytes() / c.Size() * c.Size(),
+		tail:  bufpool.Get(vol.BlockBytes())[:0],
 	}
 }
 
-// AddSlice appends many elements. Whole blocks arriving on an empty
-// tail buffer are encoded straight from vs — the block-at-a-time merge
-// loop hits this path for every full output block, paying no staging
-// copy.
+// AddSlice appends elements, encoding each once, straight into the tail.
 func (w *Writer[T]) AddSlice(vs []T) {
-	for len(vs) > 0 {
-		if len(w.buf) == 0 && len(vs) >= w.bElem {
-			w.flush(vs[:w.bElem])
-			vs = vs[w.bElem:]
-			continue
-		}
-		take := min(len(vs), w.bElem-len(w.buf))
-		w.buf = append(w.buf, vs[:take]...)
-		vs = vs[take:]
-		if len(w.buf) == w.bElem {
+	w.add(len(vs), func(i, j int) { w.tail = elem.AppendEncode(w.c, w.tail, vs[i:j]) })
+}
+
+// AddBytes appends encoded elements: whole ones, or it panics.
+func (w *Writer[T]) AddBytes(b []byte) {
+	sz := w.c.Size()
+	if len(b)%sz != 0 {
+		panic(fmt.Sprintf("job: Writer.AddBytes of %d bytes, not whole %d-byte elements", len(b), sz))
+	}
+	w.add(len(b)/sz, func(i, j int) { w.tail = append(w.tail, b[i*sz:j*sz]...) })
+}
+
+// add appends n elements, handing put each stretch [i, j) of them that
+// fits the tail, and writes the tail out whenever it is a full block.
+func (w *Writer[T]) add(n int, put func(i, j int)) {
+	for i := 0; i < n; {
+		j := min(n, i+(w.block-len(w.tail))/w.c.Size())
+		put(i, j)
+		i = j
+		if len(w.tail) == w.block {
 			w.Suspend()
 		}
 	}
 }
 
 // flush writes blk out as one owned block at the end of the file.
-func (w *Writer[T]) flush(blk []T) {
+func (w *Writer[T]) flush(blk []byte) {
 	id := w.vol.Alloc()
-	w.enc = elem.AppendEncode(w.c, w.enc[:0], blk)
-	w.vol.WriteAsync(id, w.enc)
-	w.file.Append(blockio.Extent{ID: id, Off: 0, Len: len(blk), Own: true})
+	w.vol.WriteAsync(id, blk)
+	w.file.Append(blockio.Extent{ID: id, Off: 0, Len: len(blk) / w.c.Size(), Own: true})
 }
 
-// Finish flushes any partial tail, releases the encode buffer to the
+// Finish flushes any partial tail, releases the tail buffer to the
 // arena and returns the file. The writer must not be reused after.
 func (w *Writer[T]) Finish() File {
 	w.Suspend()
-	bufpool.Put(w.enc)
-	w.enc = nil
+	bufpool.Put(w.tail)
+	w.tail = nil
 	f := w.file
 	w.file = File{}
 	return f
 }
 
-// Suspend writes the tail buffer out — a partial block (counted I/O)
-// unless it is full — so the writer holds no element state between
-// all-to-all sub-operations; Resume reads a partial one back. Both are
-// no-ops for an empty or block-aligned tail.
+// Suspend writes the tail out — a partial block (counted I/O) unless it
+// is full — so the writer holds no element state between all-to-all
+// sub-operations; Resume reads a partial one back. Both are no-ops for
+// an empty or block-aligned tail.
 func (w *Writer[T]) Suspend() {
-	if len(w.buf) > 0 {
-		w.flush(w.buf)
-		w.buf = w.buf[:0]
+	if len(w.tail) > 0 {
+		w.flush(w.tail)
+		w.tail = w.tail[:0]
 	}
 }
 
-// Resume reloads a trailing partial block into the tail buffer so
-// appending continues seamlessly.
+// Resume reloads a trailing partial block into the tail so appending
+// continues seamlessly. A trimmed or non-owned last extent (or a full
+// one) stays where it is.
 func (w *Writer[T]) Resume() {
 	n := len(w.file.Extents)
 	if n == 0 {
 		return
 	}
 	last := w.file.Extents[n-1]
-	if last.Len == w.bElem || !last.Own || last.Off != 0 {
+	if last.Len*w.c.Size() == w.block || !last.Own || last.Off != 0 {
 		return
 	}
-	raw := bufpool.Get(last.Len * w.c.Size())
-	w.vol.ReadWait(last.ID, raw)
-	w.buf = elem.AppendDecode(w.c, w.buf[:0], raw, last.Len)
-	bufpool.Put(raw)
+	w.tail = w.tail[:last.Len*w.c.Size()]
+	w.vol.ReadWait(last.ID, w.tail)
 	w.vol.Free(last.ID)
 	w.file.Extents = w.file.Extents[:n-1]
 	w.file.N -= int64(last.Len)
@@ -219,7 +221,7 @@ func (r *reader[T]) nextBlock() []T {
 // consumed, so the output can recycle them — the (nearly) in-place
 // operation of §IV-E. The merge is xmerge.MergeStream, block-at-a-time:
 // each output block goes to sink (Job.OutputSink), encoded in the
-// writer's one block buffer, or — nil sink, nobody wants the output —
+// writer's tail buffer, or — nil sink, nobody wants the output —
 // onto the volume. Every block is charged the merge and a scan; the
 // memory charge and the closing barrier are the caller's.
 func (j *Job[T]) MergeFiles(n *cluster.Node, files []File, sink func(rank int, encoded []byte) error) (int64, error) {
@@ -228,13 +230,13 @@ func (j *Job[T]) MergeFiles(n *cluster.Node, files []File, sink func(rank int, e
 	for i, f := range files {
 		readers[i] = newReader(c, n.Vol, f)
 	}
-	w := NewWriter(c, n.Vol) // with a sink, only its block-sized encode buffer is used
+	w := NewWriter(c, n.Vol) // with a sink, only its tail buffer is used
 	var emitted int64
 	err := xmerge.MergeStream(c, len(files), j.BElem, func(i int) []T { return readers[i].nextBlock() }, func(out []T) error {
 		emitted += int64(len(out))
 		if sink == nil {
 			w.AddSlice(out)
-		} else if err := sink(n.Rank, elem.AppendEncode(c, w.enc[:0], out)); err != nil {
+		} else if err := sink(n.Rank, elem.AppendEncode(c, w.tail[:0], out)); err != nil {
 			return err
 		}
 		n.AddCPU(model.MergeCPU(int64(len(out)), len(files)) + model.ScanCPU(int64(len(out))))

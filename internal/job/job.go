@@ -81,11 +81,11 @@ type Base struct {
 	// in RAM (demsort's tcp workers write their part files through it).
 	// The canonical sorter's final merge hands it each output block
 	// instead of writing it to the store; the striped sorter's merge
-	// sends each merged batch straight to its owners, rank i receiving
-	// the contiguous block range [G·i/P, G·(i+1)/P), a piece per sender
-	// and batch — either way the output is never written to the store,
-	// and the per-rank streams concatenate in rank order to the sorted
-	// sequence. The byte slice is only valid for the duration of the
+	// stripes each merged batch straight to its owners, rank i receiving
+	// the contiguous block range [G·i/P, G·(i+1)/P), one whole block per
+	// call and in order — either way the output is never written to the
+	// store, and the per-rank streams concatenate in rank order to the
+	// sorted sequence. The byte slice is only valid for the duration of the
 	// call. Calls for one rank are sequential; on the sim backend
 	// different ranks stream concurrently, so a Sink shared across ranks
 	// must be safe for concurrent calls with distinct rank arguments. It

@@ -24,8 +24,8 @@ const (
 // the element size in bytes, the largest per-PE input N/P in elements,
 // Common.Randomize (it rotates the striped run stripes), the canonical
 // sorter's configured K (0: the plan picks) and whether the output is
-// collected (a Sink or KeepOutput: the striped merge then delivers each
-// batch to the output's owners).
+// collected (a Sink or KeepOutput: the striped merge then stripes each
+// batch to the output's canonical owners instead of over the PEs).
 type Shape struct {
 	Sorter     Sorter
 	P          int

@@ -28,30 +28,29 @@ type pe[T any] struct {
 
 	runs   int
 	totalN int64 // the sum of the run lengths
-	// stored lists the striped run blocks this PE homes, in (run, block)
-	// order — phase 1's product, the merge's input.
-	stored []runBlock[T]
+	// stored holds the striped run blocks this PE homes by (run, block) —
+	// phase 1's product, the merge's input — and firsts their (run,
+	// block, first element) entries of the prediction sequence.
+	stored map[[2]int64]runBlock
+	firsts []byte
 	// outBlocks lists the striped output blocks this PE homes, in index
 	// order — the merge's product when there is no sink.
 	outBlocks []blockio.BlockID
+	owners    []int64 // with a sink, the output's RankBounds(G, P)
 	batches   int
 	// quota is the merge's fetch quota (Plan.MergeQuota), maxFetch the most
 	// blocks this PE did fetch in one batch.
 	quota, maxFetch int64
-	// starts are where each PE's piece of the last sortSampled begins
-	// (and, last, the total); outN is the output elements stored or sunk.
-	starts []int64
-	outN   int64
+	outN            int64 // the output elements stored or sunk
 }
 
 // runBlock is block blk of run run, stored here as block id with len
-// elements, the smallest of which is first.
-type runBlock[T any] struct {
-	run   int
-	blk   int64
-	id    blockio.BlockID
-	len   int
-	first T
+// elements.
+type runBlock struct {
+	run int
+	blk int64
+	id  blockio.BlockID
+	len int
 }
 
 // runPE executes the whole striped sort on one PE; sink receives the
@@ -63,7 +62,7 @@ func runPE[T any](j *job.Job[T], c elem.Codec[T], n *cluster.Node, cfg *Config, 
 	if err != nil {
 		return nil, fmt.Errorf("stripesort: %w", err)
 	}
-	s := &pe[T]{j: j, c: c, n: n, cfg: cfg, ord: mselect.OrderOf(c)}
+	s := &pe[T]{j: j, c: c, n: n, cfg: cfg, ord: mselect.OrderOf(c), stored: map[[2]int64]runBlock{}}
 	if err := s.formRuns(input); err != nil {
 		return nil, err
 	}
@@ -87,11 +86,19 @@ func (s *pe[T]) formRuns(input *job.Input) error {
 	n, model := s.n, &s.cfg.Model
 	n.SetPhase(PhaseRunForm)
 	var err error
+	sz := s.c.Size()
 	s.runs, err = s.j.FormRuns(n, input, 0x57121, s.sortSampled, func(run int, runLen, segStart int64, seg []T) error {
-		st := s.newStriper(run, runLen, func(g int64, data []T) {
-			s.stored = append(s.stored, runBlock[T]{run: run, blk: g, id: s.writeBlock(data), len: len(data), first: data[0]})
+		st := s.newStriper(run, runLen, func(g int64, data []byte) error {
+			s.stored[[2]int64{int64(run), g}] = runBlock{run: run, blk: g, id: s.writeBlock(data), len: len(data) / sz}
+			s.firsts = binary.LittleEndian.AppendUint32(s.firsts, uint32(run))
+			s.firsts = binary.LittleEndian.AppendUint64(s.firsts, uint64(g))
+			s.firsts = append(s.firsts, data[:sz]...)
+			return nil
 		})
-		st.stripe(segStart, seg)
+		if err := st.stripe(segStart, seg); err != nil {
+			return err
+		}
+		n.Mem.MustAcquire(2 * int64(len(seg))) // stripe released the charge FormRuns releases
 		n.AddCPU(2 * model.ScanCPU(int64(len(seg))))
 		s.totalN += runLen
 		return st.done()
@@ -107,15 +114,19 @@ func (s *pe[T]) formRuns(input *job.Input) error {
 const output = -1
 
 // home is the PE that stores block blk of run run. The output is striped
-// plainly, block g on PE g mod P. A run's stripe is rotated under
-// Randomize: block g of run r lives on PE (g + r) mod P. Randomised run
-// formation makes all runs alike, so the prediction sequence lists block
-// g of every run back to back; were every run striped from PE 0, one PE
-// would home each such stretch — and every run's leftover block — while
-// the others wait. Rotating the stripes spreads both (randomized
-// cycling). Without Randomize nothing promises that runs are alike, and
-// the stripes stay unrotated.
+// plainly, block g on PE g mod P — with a sink, on its canonical owner,
+// the i with owners[i] ≤ g < owners[i+1]. A run's stripe is rotated
+// under Randomize: block g of run r lives on PE (g + r) mod P.
+// Randomised run formation makes all runs alike, so the prediction
+// sequence lists block g of every run back to back; were every run
+// striped from PE 0, one PE would home each such stretch — and every
+// run's leftover block — while the others wait. Rotating the stripes
+// spreads both (randomized cycling). Without Randomize nothing promises
+// that runs are alike, and the stripes stay unrotated.
 func (s *pe[T]) home(run int, blk int64) int {
+	if run == output && s.owners != nil {
+		return sort.Search(s.n.P, func(i int) bool { return s.owners[i+1] > blk })
+	}
 	if run != output && s.cfg.Randomize {
 		blk += int64(run)
 	}
@@ -125,24 +136,21 @@ func (s *pe[T]) home(run int, blk int64) int {
 // striper moves pieces of one block-striped sequence of total elements
 // — run run or the output; block g, elements [g·B, (g+1)·B), lives on
 // PE home(run, g) — from the PEs that produced them to the PEs that
-// store them: the extra communication of Section III. Blocks assemble
-// across calls, so a piece may end anywhere; emit receives each block
-// this PE homes once, when its last element has arrived.
+// store them: the extra communication of Section III. The pieces of a
+// block arrive in order — they concatenate in sender order, and calls
+// follow the sequence — so a block assembles, encoded, by appending
+// them, across calls; emit receives each block this PE homes once, when
+// its last element has arrived, in ascending order.
 type striper[T any] struct {
 	*pe[T]
 	run   int
 	total int64
-	emit  func(g int64, data []T)
-	asm   map[int64]*asmBlock[T]
+	emit  func(g int64, data []byte) error
+	asm   map[int64][]byte // the blocks under assembly
 }
 
-type asmBlock[T any] struct {
-	data   []T
-	filled int
-}
-
-func (s *pe[T]) newStriper(run int, total int64, emit func(g int64, data []T)) *striper[T] {
-	return &striper[T]{pe: s, run: run, total: total, emit: emit, asm: map[int64]*asmBlock[T]{}}
+func (s *pe[T]) newStriper(run int, total int64, emit func(g int64, data []byte) error) *striper[T] {
+	return &striper[T]{pe: s, run: run, total: total, emit: emit, asm: map[int64][]byte{}}
 }
 
 // stripeHdr is the (block, offset, count) header of a striped piece.
@@ -150,10 +158,14 @@ const stripeHdr = 16
 
 // stripe is collective: this PE contributes elements [lo, lo+len(elems))
 // of the sequence, cut at block boundaries and sent to each block's home
-// under a (block, offset, count) header; arriving pieces are decoded
-// straight into their block's assembly slot. Blocks under assembly are
-// charged to the budget while they wait.
-func (s *striper[T]) stripe(lo int64, elems []T) {
+// under a (block, offset, count) header; arriving pieces are appended to
+// their block's assembly buffer, charged while it waits. elems arrive
+// charged twice (a RunSort's result): the decoded charge is released
+// once they are encoded, the send copies' once the pieces have arrived,
+// and what arrives is charged until it is recycled. A piece of a block
+// this PE does not home, or one that does not continue its block within
+// the block's end, fails the sort naming its sender.
+func (s *striper[T]) stripe(lo int64, elems []T) error {
 	n, sz, bElem := s.n, s.c.Size(), int64(s.j.BElem)
 	// pieces walks the block-aligned pieces of [lo, lo+len(elems)).
 	pieces := func(fn func(home int, g, off int64, piece []T)) {
@@ -180,28 +192,49 @@ func (s *striper[T]) stripe(lo int64, elems []T) {
 		elem.EncodeInto(s.c, buf[stripeHdr:], piece)
 		at[home] += stripeHdr + len(piece)*sz
 	})
+	held := int64(len(elems))
+	n.Mem.Release(held)
 	recv := n.AllToAllv(send)
+	defer cluster.RecycleRecv(recv)
+	var got int64
 	for _, buf := range recv {
+		got += int64((len(buf) + sz - 1) / sz)
+	}
+	n.Mem.MustAcquire(got)
+	n.Mem.Release(held)
+	defer n.Mem.Release(got)
+	for q, buf := range recv {
 		for len(buf) > 0 {
 			g := int64(binary.LittleEndian.Uint64(buf[:8]))
 			off := int(binary.LittleEndian.Uint32(buf[8:12]))
 			cnt := int(binary.LittleEndian.Uint32(buf[12:16]))
+			if g < 0 || g*bElem >= s.total || s.home(s.run, g) != n.Rank {
+				return fmt.Errorf("PE %d received a piece of block %d from PE %d, a block it does not home", n.Rank, g, q)
+			}
+			bLen := int(min(bElem, s.total-g*bElem))
 			a := s.asm[g]
+			if off != len(a)/sz || off+cnt > bLen {
+				return fmt.Errorf("PE %d received elements [%d, %d) of block %d from PE %d; the block is %d elements long and holds the first %d", n.Rank, off, off+cnt, g, q, bLen, len(a)/sz)
+			}
 			if a == nil {
-				a = &asmBlock[T]{data: make([]T, min(bElem, s.total-g*bElem))}
-				n.Mem.MustAcquire(int64(len(a.data)))
-				s.asm[g] = a
+				a = bufpool.Get(bLen * sz)[:0]
+				n.Mem.MustAcquire(int64(bLen))
 			}
-			elem.DecodeInto(s.c, a.data[off:off+cnt], buf[stripeHdr:stripeHdr+cnt*sz])
+			a = append(a, buf[stripeHdr:stripeHdr+cnt*sz]...)
 			buf = buf[stripeHdr+cnt*sz:]
-			if a.filled += cnt; a.filled == len(a.data) {
-				s.emit(g, a.data)
-				delete(s.asm, g)
-				n.Mem.Release(int64(len(a.data)))
+			s.asm[g] = a
+			if len(a) < bLen*sz {
+				continue
 			}
+			if err := s.emit(g, a); err != nil {
+				return err
+			}
+			delete(s.asm, g)
+			bufpool.Put(a)
+			n.Mem.Release(int64(bLen))
 		}
 	}
-	cluster.RecycleRecv(recv)
+	return nil
 }
 
 // done checks that the whole sequence has been striped: every block
@@ -213,13 +246,10 @@ func (s *striper[T]) done() error {
 	return nil
 }
 
-// writeBlock persists one striped block on the local volume.
-func (s *pe[T]) writeBlock(data []T) blockio.BlockID {
+// writeBlock persists one encoded striped block on the local volume.
+func (s *pe[T]) writeBlock(data []byte) blockio.BlockID {
 	id := s.n.Vol.Alloc()
-	enc := bufpool.Get(len(data) * s.c.Size())
-	elem.EncodeInto(s.c, enc, data)
-	s.n.Vol.WriteAsync(id, enc)
-	bufpool.Put(enc)
+	s.n.Vol.WriteAsync(id, data)
 	return id
 }
 
@@ -229,16 +259,8 @@ func (s *pe[T]) writeBlock(data []T) blockio.BlockID {
 // charged until the merge is over.
 func (s *pe[T]) predict() []predEntry[T] {
 	n, sz := s.n, s.c.Size()
-	var buf []byte
-	for _, rb := range s.stored {
-		var hdr [12]byte
-		binary.LittleEndian.PutUint32(hdr[:4], uint32(rb.run))
-		binary.LittleEndian.PutUint64(hdr[4:], uint64(rb.blk))
-		buf = append(buf, hdr[:]...)
-		buf = elem.AppendEncode(s.c, buf, []T{rb.first})
-	}
 	var pred []predEntry[T]
-	for _, pb := range n.AllGather(buf) {
+	for _, pb := range n.AllGather(s.firsts) {
 		for len(pb) > 0 {
 			v := s.c.Decode(pb[12 : 12+sz])
 			pred = append(pred, predEntry[T]{first: v, firstKey: s.ord.Key(v),
@@ -265,34 +287,38 @@ type piece[T any] struct {
 
 // mergeBatches is phase 2, prediction-driven batch merging: blocks are
 // fetched in prediction order, a batch at a time; what is smaller than
-// the first unfetched element is merged across the machine and either
-// striped to the output on the volumes (no sink) or delivered straight
-// to its owners' sinks, the rest waits for the next batch.
+// the first unfetched element is merged across the machine and striped
+// to the output — onto the volumes (no sink) or, block by block, to its
+// owners' sinks — the rest waits for the next batch.
 func (s *pe[T]) mergeBatches(pred []predEntry[T], sink func(rank int, b []byte) error) error {
 	n := s.n
 	n.SetPhase(PhaseMerge)
-	stored := make(map[[2]int64]runBlock[T], len(s.stored))
-	for _, rb := range s.stored {
-		stored[[2]int64{int64(rb.run), rb.blk}] = rb
-	}
 	// Every PE derives the quota from the same collectively agreed
 	// table; the plan refused the job if it could come out as 0.
 	s.quota = max(s.j.MergeQuota(int64(len(pred))), 1)
-	out := s.newStriper(output, s.totalN, func(g int64, data []T) {
-		s.outBlocks = append(s.outBlocks, s.writeBlock(data))
-		s.outN += int64(len(data))
-	})
-	// Owner i of the output holds its canonical block range, elements
-	// [own(i), own(i+1)).
 	b := int64(s.j.BElem)
-	bounds := job.RankBounds((s.totalN+b-1)/b, n.P)
-	own := func(i int) int64 { return min(bounds[i]*b, s.totalN) }
+	if sink != nil {
+		s.owners = job.RankBounds((s.totalN+b-1)/b, n.P)
+	}
+	// An owner's blocks reach its sink one after the other: the outN/B it
+	// has sunk are whole, so the next is its first plus those.
+	out := s.newStriper(output, s.totalN, func(g int64, data []byte) error {
+		if sink == nil {
+			s.outBlocks = append(s.outBlocks, s.writeBlock(data))
+		} else if next := s.owners[n.Rank] + s.outN/b; g != next {
+			return fmt.Errorf("owner %d completed output block %d before its block %d", n.Rank, g, next)
+		} else if err := sink(n.Rank, data); err != nil {
+			return fmt.Errorf("output sink, rank %d: %w", n.Rank, err)
+		}
+		s.outN += int64(len(data) / s.c.Size())
+		return nil
+	})
 	pending := make([][]piece[T], s.runs)
 	var merged []T // one batch's leaves before the next is merged
 	var outCur int64
 	for cursor := 0; cursor < len(pred); s.batches++ {
 		end := s.batchEnd(pred, cursor)
-		if err := s.fetch(pred[cursor:end], stored, pending); err != nil {
+		if err := s.fetch(pred[cursor:end], pending); err != nil {
 			return err
 		}
 		// The barrier is the smallest unfetched element, known from the
@@ -301,20 +327,18 @@ func (s *pe[T]) mergeBatches(pred []predEntry[T], sink func(rank int, b []byte) 
 		if end < len(pred) {
 			barrier = &pred[end]
 		}
-		// Distributed merge of the emitted chunks, then send the result on
+		// Distributed merge of the emitted chunks, then stripe the result
 		// to the output — the two communications per element of the
 		// merging pass.
 		var err error
-		if merged, _, _, err = s.sortSampled(n, s.extract(pending, barrier), merged[:0]); err == nil && sink == nil {
-			out.stripe(outCur+s.starts[n.Rank], merged)
-			n.Mem.Release(2 * int64(len(merged)))
-		} else if err == nil {
-			err = s.deliver(merged, outCur, own, sink)
+		var start, total int64
+		if merged, start, total, err = s.sortSampled(n, s.extract(pending, barrier), merged[:0]); err == nil {
+			err = out.stripe(outCur+start, merged)
 		}
 		if err != nil {
 			return fmt.Errorf("stripesort: merge batch %d: %w", s.batches, err)
 		}
-		outCur += s.starts[n.P]
+		outCur += total
 		cursor = end
 	}
 	n.Mem.Release(int64(len(pred))) // prediction table dead after the merge
@@ -323,43 +347,6 @@ func (s *pe[T]) mergeBatches(pred []predEntry[T], sink func(rank int, b []byte) 
 	if err := out.done(); err != nil {
 		return fmt.Errorf("stripesort: output: %w", err)
 	}
-	return nil
-}
-
-// deliver hands one merged batch to the output's owners: this PE's
-// piece, output elements outCur + [s.starts[rank], s.starts[rank+1]), is
-// cut at the owners' bounds own and sent in one AllToAllv. An owner
-// checks each sender's piece against that sender's span and sinks the
-// pieces in sender order, which is output order: they concatenate in
-// rank order, and batches finish in order. merged arrives charged twice
-// (SortAcross); its decoded pieces are dead, and once it is encoded only
-// the send copies remain, charged until the receive is.
-func (s *pe[T]) deliver(merged []T, outCur int64, own func(i int) int64, sink func(rank int, b []byte) error) error {
-	n, sz, held, at := s.n, int64(s.c.Size()), int64(len(merged)), outCur+s.starts[s.n.Rank]
-	// mine is how much of the batch's elements [lo, hi) this PE owns.
-	mine := func(lo, hi int64) int64 { return max(min(outCur+hi, own(n.Rank+1))-max(outCur+lo, own(n.Rank)), 0) }
-	cuts := make([]int64, n.P-1)
-	for i := range cuts {
-		cuts[i] = min(max(own(i+1)-at, 0), held)
-	}
-	n.Mem.Release(held)
-	recv := n.AllToAllv(job.EncodeParts(s.c, merged, cuts))
-	defer cluster.RecycleRecv(recv)
-	got := mine(0, s.starts[n.P])
-	n.Mem.MustAcquire(got)
-	n.Mem.Release(held)
-	defer n.Mem.Release(got)
-	for q, b := range recv {
-		if want := mine(s.starts[q], s.starts[q+1]); int64(len(b)) != want*sz {
-			return fmt.Errorf("owner %d received %d bytes from PE %d, whose piece overlaps its range by %d elements", n.Rank, len(b), q, want)
-		}
-		if len(b) > 0 {
-			if err := sink(n.Rank, b); err != nil {
-				return fmt.Errorf("output sink, rank %d: %w", n.Rank, err)
-			}
-		}
-	}
-	s.outN += got
 	return nil
 }
 
@@ -383,30 +370,32 @@ func (s *pe[T]) batchEnd(pred []predEntry[T], cursor int) int {
 // this PE's sorted chunk is cut at sample splitters and redistributed by
 // SortAcross, so the merged pieces concatenate in rank order to the
 // sorted union of all chunks. The cuts are only approximately even — the
-// stripe or the delivery that follows fixes the positions — so the piece
-// lengths are gathered, and PE q's piece starts at s.starts[q]: the
-// result is this PE's piece, where it starts in the union, and the
-// union's length.
+// stripe that follows fixes the positions — so the piece lengths are
+// gathered: the result is this PE's piece, where it starts in the
+// union, and the union's length.
 func (s *pe[T]) sortSampled(n *cluster.Node, chunk, dst []T) ([]T, int64, int64, error) {
 	cuts, total := sampleCuts(s.c, n, chunk)
 	merged := s.j.SortAcross(n, chunk, cuts, dst)
-	s.starts = make([]int64, n.P+1)
+	var start, got int64
 	for q, l := range allGatherInt64(n, int64(len(merged))) {
-		s.starts[q+1] = s.starts[q] + l
+		if q < n.Rank {
+			start += l
+		}
+		got += l
 	}
-	if s.starts[n.P] != total {
-		return nil, 0, 0, fmt.Errorf("the PEs received %d elements of the %d they contributed", s.starts[n.P], total)
+	if got != total {
+		return nil, 0, 0, fmt.Errorf("the PEs received %d elements of the %d they contributed", got, total)
 	}
-	return merged, s.starts[n.Rank], total, nil
+	return merged, start, total, nil
 }
 
 // fetch reads this PE's resident blocks of one batch (asynchronously)
 // and queues each behind its run's pending pieces, charged to the
 // budget until emitted.
-func (s *pe[T]) fetch(batch []predEntry[T], stored map[[2]int64]runBlock[T], pending [][]piece[T]) error {
+func (s *pe[T]) fetch(batch []predEntry[T], pending [][]piece[T]) error {
 	n, sz := s.n, s.c.Size()
 	type fetched struct {
-		rb     runBlock[T]
+		rb     runBlock
 		raw    []byte
 		handle blockio.Handle
 	}
@@ -415,7 +404,7 @@ func (s *pe[T]) fetch(batch []predEntry[T], stored map[[2]int64]runBlock[T], pen
 		if s.home(e.run, e.blk) != n.Rank {
 			continue
 		}
-		rb, ok := stored[[2]int64{int64(e.run), e.blk}]
+		rb, ok := s.stored[[2]int64{int64(e.run), e.blk}]
 		if !ok {
 			return fmt.Errorf("stripesort: PE %d homes block %d of run %d but never stored it", n.Rank, e.blk, e.run)
 		}

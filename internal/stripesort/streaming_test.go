@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"demsort/internal/blockio"
 	"demsort/internal/cluster"
+	"demsort/internal/cluster/sim"
 	"demsort/internal/elem"
 	"demsort/internal/job"
 	"demsort/internal/workload"
@@ -21,7 +23,9 @@ import (
 // [RankBounds(G,P)[i]·B, min(RankBounds(G,P)[i+1]·B, N)) of the sorted
 // output, the last range cut short — on either store, when P does not
 // divide G, when there are fewer blocks than PEs (some owners get
-// nothing) and when the input is empty.
+// nothing) and when the input is empty. Every Sink call is one whole
+// output block, in ascending order: only a rank's last call may be
+// short, and only the last rank's.
 func TestStripedSinkStreamsCanonicalRanges(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -36,9 +40,10 @@ func TestStripedSinkStreamsCanonicalRanges(t *testing.T) {
 			if tc.name == "file" {
 				cfg.NewStore = blockio.FileStoreFactory(t.TempDir(), cfg.BlockBytes)
 			}
-			streamed := make([][]byte, tc.p)
+			streamed, calls := make([][]byte, tc.p), make([][]int, tc.p)
 			cfg.Sink = func(rank int, b []byte) error {
 				streamed[rank] = append(streamed[rank], b...)
+				calls[rank] = append(calls[rank], len(b))
 				return nil
 			}
 			input := workload.Generate(workload.Uniform, tc.p, tc.nPer, 77)
@@ -58,6 +63,16 @@ func TestStripedSinkStreamsCanonicalRanges(t *testing.T) {
 				if !bytes.Equal(streamed[rank], sorted[lo*16:hi*16]) || res.OutputLens[rank] != hi-lo {
 					t.Fatalf("rank %d streamed %d bytes (%d elements reported), want elements [%d, %d) of the output",
 						rank, len(streamed[rank]), res.OutputLens[rank], lo, hi)
+				}
+				// Whole blocks in order, and as many calls as blocks: the
+				// bytes above are the range, so the calls are its blocks.
+				for i, l := range calls[rank] {
+					if l != int(b)*16 && (i != len(calls[rank])-1 || hi != res.N) {
+						t.Fatalf("rank %d: Sink call %d of %d carried %d bytes, not one %d-element block", rank, i, len(calls[rank]), l, b)
+					}
+				}
+				if want := bounds[rank+1] - bounds[rank]; int64(len(calls[rank])) != want {
+					t.Fatalf("rank %d: %d Sink calls for its %d blocks", rank, len(calls[rank]), want)
 				}
 			}
 		})
@@ -124,5 +139,44 @@ func TestStripedSinkErrorAborts(t *testing.T) {
 		}
 	case <-time.After(time.Minute):
 		t.Fatal("the fleet did not unwind within a minute of rank 2's sink error")
+	}
+}
+
+// TestStriperRejectsBadPieces: two PEs that disagree on a run's layout
+// send each other bad pieces — PE 1 rotates the run's stripe and sends
+// PE 0 a block PE 0 does not home, or takes the run for longer and sends
+// PE 0 a piece past the end of PE 0's last block. Either fails the sort
+// with an error naming the sender, instead of an index panic.
+func TestStriperRejectsBadPieces(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		total  [2]int64 // the run's length as each PE takes it
+		rotate [2]bool
+		want   string
+	}{
+		{"misrouted", [2]int64{12, 12}, [2]bool{false, true}, "PE 0 received a piece of block 1 from PE 1, a block it does not home"},
+		{"overlong", [2]int64{10, 12}, [2]bool{false, false}, "PE 0 received elements [0, 4) of block 2 from PE 1; the block is 2 elements long and holds the first 0"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sm, err := sim.New(sim.Config{P: 2, BlockBytes: 64, MemElems: 1 << 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sm.Close()
+			err = sm.Run(func(n *cluster.Node) error {
+				cfg := testConfig(2)
+				cfg.Randomize = tc.rotate[n.Rank]
+				s := &pe[elem.KV16]{j: &job.Job[elem.KV16]{Plan: job.Plan{BElem: 4}}, c: kvc, n: n, cfg: &cfg}
+				st := s.newStriper(1, tc.total[n.Rank], func(int64, []byte) error { return nil })
+				// PE 0 contributes elements [0, 4) of the run, PE 1 [4, 12);
+				// both arrive charged twice, as a RunSort leaves them.
+				lo, elems := int64(4*n.Rank), make([]elem.KV16, 4+4*n.Rank)
+				n.Mem.MustAcquire(2 * int64(len(elems)))
+				return st.stripe(lo, elems)
+			})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("got %v, want an error containing %q", err, tc.want)
+			}
+		})
 	}
 }

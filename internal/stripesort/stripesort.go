@@ -15,17 +15,18 @@
 // a merge batch fetches as many blocks per PE as the memory budget holds
 // (job.Plan.MergeQuota), runs and batches are redistributed under sample
 // splitters (sampleCuts), which is all a striped layout needs. With a
-// Sink the output is not striped at all: each merged batch goes straight
-// to the output's canonical owners (pe.deliver), rank i receiving the
-// block range [G·i/P, G·(i+1)/P), so the output leaves once.
+// Sink the output is not striped over the PEs: the same striper homes
+// output block g on its canonical owner (pe.home), rank i receiving the
+// block range [G·i/P, G·(i+1)/P) block by block, so the output leaves
+// once.
 //
 // Contrast with CANONICALMERGESORT (internal/core): this algorithm's
 // I/O volume is exactly 4N (3N with a Sink, which takes the last write)
 // — two passes even for inputs near the theoretical M²/B limit, a factor
 // P beyond canonical's capacity — but every pass communicates the data
-// up to twice (internal sorting or merging, then striping or delivery),
-// i.e. ~4 communications versus ~1, and without a Sink the output layout
-// is globally striped rather than canonical. This is the trade-off the
+// up to twice (internal sorting or merging, then striping), i.e. ~4
+// communications versus ~1, and without a Sink the output layout is
+// globally striped rather than canonical. This is the trade-off the
 // paper's Sections III/IV discuss and the ablation benchmarks measure.
 package stripesort
 
