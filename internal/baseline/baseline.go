@@ -189,9 +189,8 @@ func SampleSort[T any](c elem.Codec[T], cfg Config, input [][]T) (*Result[T], er
 						return err
 					}
 					for off := 0; off < b.Bytes; off += sz {
-						v := c.Decode(raw[off:])
-						q := dest(v)
-						send[q] = elem.AppendEncode(c, send[q], []T{v})
+						q := dest(c.Decode(raw[off:]))
+						send[q] = append(send[q], raw[off:off+sz]...)
 					}
 					input.Release(b)
 					n.AddCPU(cfg.Model.ScanCPU(int64(b.Bytes/sz)) * 2)

@@ -56,14 +56,24 @@ func Get(n int) []byte {
 	return make([]byte, n, 1<<c)
 }
 
+// poisonByte is what Put writes over a recycled buffer in race builds.
+const poisonByte = 0xDB
+
 // Put returns a buffer to the arena. The buffer must not be used after
-// the call. Buffers below the minimum class or above the maximum are
-// dropped; append-grown buffers are filed under the largest class
-// their capacity fully backs.
+// the call: in race builds Put overwrites its whole capacity with
+// poisonByte, so a use after Put corrupts what the tests check. Buffers
+// below the minimum class or above the maximum are dropped;
+// append-grown buffers are filed under the largest class their capacity
+// fully backs.
 func Put(b []byte) {
+	if b = b[:cap(b)]; poison {
+		for i := range b {
+			b[i] = poisonByte
+		}
+	}
 	c := bits.Len(uint(cap(b))) - 1 // floor: cap(b) >= 1<<c
 	if c < minBits || c > maxBits {
 		return
 	}
-	classes[c].Put(unsafe.Pointer(unsafe.SliceData(b[:cap(b)])))
+	classes[c].Put(unsafe.Pointer(unsafe.SliceData(b)))
 }

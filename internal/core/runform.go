@@ -39,6 +39,7 @@ func runFormation[T any](c elem.Codec[T], j *job.Job[T], n *cluster.Node, input 
 		w.AddSlice(seg)
 		lr.file = w.Finish()
 		out = append(out, lr)
+		n.Mem.Release(2 * lr.segLen) // the segment, written
 		return nil
 	})
 	if err != nil {

@@ -1,8 +1,11 @@
 package dselect
 
 import (
+	"cmp"
+	"fmt"
 	"math/rand/v2"
 	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -409,5 +412,52 @@ func TestSelectPiecesMatchCentralSelect(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRegularSampleMergesThePool: RegularSample merges its pool of P
+// sorted per-PE samples instead of sorting it; on chunks of few distinct
+// keys (so ties fall to PE and position), with an empty PE and uneven
+// lengths, the pool equals the old sort of the same samples at every P.
+func TestRegularSampleMergesThePool(t *testing.T) {
+	for _, p := range []int{1, 2, 3, 5, 16} {
+		rng := rand.New(rand.NewPCG(uint64(p), 7))
+		chunks := make([][]elem.KV16, p)
+		for q := range chunks {
+			if q == 1 {
+				continue // an empty PE
+			}
+			for range rng.IntN(40) + 1 {
+				chunks[q] = append(chunks[q], elem.KV16{Key: rng.Uint64N(4), Val: rng.Uint64()})
+			}
+			slices.SortStableFunc(chunks[q], func(a, b elem.KV16) int { return cmp.Compare(a.Key, b.Key) })
+		}
+		ord := mselect.OrderOf[elem.KV16](kvc)
+		count := func(ln int64) int64 { return 7 }
+		var want []Sampled[elem.KV16]
+		var wantTotal int64
+		for q, ch := range chunks {
+			ln := int64(len(ch))
+			wantTotal += ln
+			for i, k := int64(0), min(7, ln); i < k; i++ {
+				v := ch[ln*i/k]
+				want = append(want, Sampled[elem.KV16]{V: v, Key: ord.Key(v), PE: q, Pos: ln * i / k, Next: ln * (i + 1) / k})
+			}
+		}
+		sort.Slice(want, func(a, b int) bool {
+			x, y := want[a], want[b]
+			return ord.LessK(x.Key, x.V, x.PE, x.Pos, y.Key, y.V, y.PE, y.Pos)
+		})
+		m := machine(t, p)
+		err := m.Run(func(n *cluster.Node) error {
+			pool, total := RegularSample(kvc, ord, n, chunks[n.Rank], count)
+			if total != wantTotal || !slices.Equal(pool, want) {
+				return fmt.Errorf("P=%d rank %d: pool %v (total %d), want %v (total %d)", p, n.Rank, pool, total, want, wantTotal)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }

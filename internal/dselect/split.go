@@ -42,7 +42,7 @@ func RegularSample[T any](c elem.Codec[T], ord mselect.Order[T], n *cluster.Node
 	for _, b := range all {
 		pooled += (len(b) - 8) / sz
 	}
-	pool := make([]Sampled[T], 0, pooled)
+	pool, ends := make([]Sampled[T], 0, pooled), make([]int, len(all))
 	var total int64
 	for pe, b := range all {
 		peLen := int64(binary.LittleEndian.Uint64(b))
@@ -51,12 +51,36 @@ func RegularSample[T any](c elem.Codec[T], ord mselect.Order[T], n *cluster.Node
 			v := c.Decode(b[8+int(i)*sz:][:sz])
 			pool = append(pool, Sampled[T]{V: v, Key: ord.Key(v), PE: pe, Pos: at(peLen, k, i), Next: at(peLen, k, i+1)})
 		}
+		ends[pe] = len(pool)
 	}
-	sort.Slice(pool, func(a, b int) bool {
-		x, y := pool[a], pool[b]
-		return ord.LessK(x.Key, x.V, x.PE, x.Pos, y.Key, y.V, y.PE, y.Pos)
-	})
-	return pool, total
+	return mergeRuns(ord, pool, ends), total
+}
+
+// mergeRuns sorts pool under ord, given that it is consecutive runs
+// already sorted — a PE's samples, run i ending at ends[i] — by merging
+// them pairwise, ⌈log₂ len(ends)⌉ passes through one scratch pool. The
+// order is total, so the result is the one sort would give.
+func mergeRuns[T any](ord mselect.Order[T], pool []Sampled[T], ends []int) []Sampled[T] {
+	less := func(x, y *Sampled[T]) bool { return ord.LessK(x.Key, x.V, x.PE, x.Pos, y.Key, y.V, y.PE, y.Pos) }
+	tmp := make([]Sampled[T], len(pool))
+	for len(ends) > 1 {
+		lo, w := 0, 0
+		for i := 0; i < len(ends); i, w = i+2, w+1 {
+			mid, hi := ends[i], ends[min(i+1, len(ends)-1)]
+			a, b, k := pool[lo:mid], pool[mid:hi], lo
+			for ; len(a) > 0 && len(b) > 0; k++ {
+				if less(&b[0], &a[0]) {
+					tmp[k], b = b[0], b[1:]
+				} else {
+					tmp[k], a = a[0], a[1:]
+				}
+			}
+			copy(tmp[k+copy(tmp[k:], a):], b)
+			ends[w], lo = hi, hi
+		}
+		ends, pool, tmp = ends[:w], tmp, pool
+	}
+	return pool
 }
 
 // Before returns how many elements of PE me's sorted chunk order before

@@ -3,7 +3,11 @@ package elem
 import (
 	"bytes"
 	"math/rand/v2"
+	"slices"
 	"testing"
+	"unsafe"
+
+	"demsort/internal/bufpool"
 )
 
 // perElemEncode is the reference per-element encoding path, bypassing
@@ -179,5 +183,63 @@ func TestBulkPathsAllocFree(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { _ = DecodeSlice[KV16](c, buf, len(vs)) }); n > 1 {
 		t.Errorf("DecodeSlice allocates %.1f/op, want <= 1", n)
+	}
+}
+
+// TestView: a built-in codec's view of an aligned buffer is the buffer
+// itself — writes through it show in the bytes, and a bufpool buffer is
+// aligned for all three element types; a misaligned KV16 buffer and a
+// closure-only codec decode into a fresh slice instead; a buffer shorter
+// than one element has no elements.
+func TestView(t *testing.T) {
+	aliases := func(vs any, b []byte) bool {
+		switch vs := vs.(type) {
+		case []U64:
+			return len(vs) > 0 && unsafe.Pointer(&vs[0]) == unsafe.Pointer(&b[0])
+		case []KV16:
+			return len(vs) > 0 && unsafe.Pointer(&vs[0]) == unsafe.Pointer(&b[0])
+		case []Rec100:
+			return len(vs) > 0 && unsafe.Pointer(&vs[0]) == unsafe.Pointer(&b[0])
+		}
+		return false
+	}
+	kv := []KV16{{Key: 3, Val: 30}, {Key: 1, Val: 10}, {Key: 2, Val: 20}}
+	b := bufpool.Get(3*16 + 1)
+	defer bufpool.Put(b)
+	EncodeInto[KV16](KV16Codec{}, b, kv)
+	v := View[KV16](KV16Codec{}, b) // the trailing partial element is not one
+	if !slices.Equal(v, kv) || !aliases(v, b) {
+		t.Fatalf("View = %v (aliases %v), want %v in place", v, aliases(v, b), kv)
+	}
+	v[1].Val = 11
+	if got := (KV16Codec{}).Decode(b[16:]); got.Val != 11 {
+		t.Fatalf("a write through the view left the bytes at %v", got)
+	}
+	mis := make([]byte, 2*16+1)[1:]
+	EncodeInto[KV16](KV16Codec{}, mis, kv[:2])
+	if v := View[KV16](KV16Codec{}, mis); !slices.Equal(v, kv[:2]) || aliases(v, mis) {
+		t.Fatalf("misaligned View = %v (aliases %v), want a decoded %v", v, aliases(v, mis), kv[:2])
+	}
+	u := make([]byte, 16)
+	U64Codec{}.Encode(u, 7)
+	if v := View[U64](nonBulkCodec{}, u); len(v) != 2 || v[0] != 7 || aliases(v, u) {
+		t.Fatalf("closure-only View = %v, want a decoded [7 0]", v)
+	}
+	if v := View[KV16](KV16Codec{}, b[:15]); len(v) != 0 {
+		t.Fatalf("View of 15 bytes = %v, want no elements", v)
+	}
+	for _, c := range []struct {
+		view func([]byte) any
+		size int
+	}{
+		{func(b []byte) any { return View[U64](U64Codec{}, b) }, 8},
+		{func(b []byte) any { return View[KV16](KV16Codec{}, b) }, 16},
+		{func(b []byte) any { return View[Rec100](Rec100Codec{}, b) }, 100},
+	} {
+		b := bufpool.Get(5 * c.size)
+		if !aliases(c.view(b), b) {
+			t.Errorf("the %d-byte codec's view of a bufpool buffer is not in place", c.size)
+		}
+		bufpool.Put(b)
 	}
 }

@@ -92,6 +92,29 @@ func (Rec100Codec) DecodeSliceInto(dst []Rec100, src []byte) {
 	copy(podBytes(dst, 100), src[:len(dst)*100])
 }
 
+// View returns b's whole elements as a []T. For the built-in POD codecs,
+// when T's layout is the wire format on this host and b is aligned for
+// T, the result is b itself, reinterpreted in place; otherwise it is
+// decoded into a fresh slice. Either way the caller keeps b, unchanged,
+// until it is done with the result, so a caller has one path for both.
+func View[T any](c Codec[T], b []byte) []T {
+	n := len(b) / c.Size()
+	if n == 0 {
+		return nil
+	}
+	var pod bool
+	switch any(c).(type) {
+	case U64Codec, KV16Codec:
+		pod = hostLE
+	case Rec100Codec:
+		pod = true
+	}
+	if p := unsafe.Pointer(&b[0]); pod && uintptr(p)%unsafe.Alignof(*new(T)) == 0 {
+		return unsafe.Slice((*T)(p), n)
+	}
+	return DecodeSlice(c, b, n)
+}
+
 // Interface conformance.
 var (
 	_ BulkCodec[U64]    = U64Codec{}

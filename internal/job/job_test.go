@@ -150,8 +150,8 @@ func TestStartChecksAdoptedMachine(t *testing.T) {
 // exact run sort: per run, the segments handed to store — concatenated in rank order — are
 // sorted and are a permutation of the blocks that run was formed from,
 // each segment is exactly its rank's RankBounds share, and the budget
-// holds nothing but the documented 2·len(seg) during store and is back
-// at its entry level afterwards.
+// holds nothing but the documented 2·len(seg) during store, which store
+// releases, and is back at its entry level afterwards.
 func TestFormRuns(t *testing.T) {
 	const bElem, mem = 16, 1024 // RunLocal = 256 elements = 16 blocks
 	for _, tc := range []struct {
@@ -194,6 +194,7 @@ func TestFormRuns(t *testing.T) {
 							return fmt.Errorf("rank %d run %d: %d elements charged during store, want entry %d + 2·%d", n.Rank, run, used, entry, len(s))
 						}
 						segs[n.Rank] = append(segs[n.Rank], seg{runLen, segStart, slices.Clone(s)})
+						n.Mem.Release(2 * int64(len(s))) // store owns the segment's charge
 						return nil
 					})
 					if err != nil {

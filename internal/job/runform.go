@@ -32,9 +32,11 @@ type RunSort[T any] func(n *cluster.Node, chunk, dst []T) (seg []T, segStart, ru
 // canonical leaves each PE's segment on its local disks, striped stripes
 // it over the machine. That is the store callback: it receives elements
 // [segStart, segStart+len(seg)) of run number run, runLen elements long,
-// and seg is dead once it returns (the next run's segment is merged into
-// the same storage). Every PE calls store for every run (collective work
-// is allowed in it). salt separates the callers' block shuffles.
+// charged at 2·len(seg) as sortRun returns them, and owns that charge:
+// store releases it. seg is dead once store returns (the next run's
+// segment is merged into the same storage). Every PE calls store for
+// every run (collective work is allowed in it). salt separates the
+// callers' block shuffles.
 //
 // I/O is overlapped with sorting and communication: while run i is
 // processed, run i+1's blocks are already being fetched and run i−1's
@@ -140,7 +142,6 @@ func (j *Job[T]) FormRuns(n *cluster.Node, in *Input, salt uint64, sortRun RunSo
 		if err := store(r, runLen, segStart, seg); err != nil {
 			return 0, err
 		}
-		n.Mem.Release(2 * int64(len(seg)))
 	}
 	n.Vol.Drain()
 	return runs, nil
@@ -162,17 +163,18 @@ func (j *Job[T]) SortExact(n *cluster.Node, chunk, dst []T) ([]T, int64, int64, 
 // SortAcross is the tail of the distributed internal sort that ends
 // every run and, in the striped sorter, every merge batch: this PE's
 // sorted chunk is cut at cuts (local positions for ranks 1..P-1), part q
-// travels to PE q, and the P sorted pieces arriving here are merged onto
-// dst, whose storage a caller hands back from its previous call. Cuts
-// that are order-consistent across the PEs make the results concatenate,
-// in rank order, to the sorted union of all chunks.
+// travels to PE q, and the P sorted pieces arriving here are merged,
+// from views of the received buffers (elem.View), onto dst, whose
+// storage a caller hands back from its previous call. Cuts that are
+// order-consistent across the PEs make the results concatenate, in rank
+// order, to the sorted union of all chunks.
 //
 // Budget: chunk arrives charged at len(chunk) elements and is dead on
-// return (once encoded, its storage takes the arriving pieces) — that
-// charge is released here, after the encoded send copies have been
-// charged next to it. The result comes back charged at twice its length
-// (decoded pieces + merged output), which the caller releases when it is
-// done with it.
+// return — that charge is released here, after the encoded send copies
+// have been charged next to it. What arrives is charged at 3·got, one
+// got more than the received buffers and the merged output it holds
+// (ROADMAP direction 5(d) reclaims it); the result comes back charged at
+// twice its length, which the caller releases when it is done with it.
 func (j *Job[T]) SortAcross(n *cluster.Node, chunk []T, cuts []int64, dst []T) []T {
 	c, sz, model := j.c, j.c.Size(), &j.cfg.Model
 	held := int64(len(chunk))
@@ -184,20 +186,15 @@ func (j *Job[T]) SortAcross(n *cluster.Node, chunk []T, cuts []int64, dst []T) [
 	recv := n.AllToAllv(send)
 	n.Mem.Release(held) // send copies handed off to receivers
 	var got int64
-	for _, b := range recv {
-		got += int64(len(b) / sz)
-	}
-	n.Mem.MustAcquire(3 * got) // received encodings + decoded pieces + merged output
-	buf := slices.Grow(chunk[:0], int(got))
 	pieces := make([][]T, len(recv))
 	for q, b := range recv {
-		at := len(buf)
-		buf = elem.AppendDecode(c, buf, b, len(b)/sz)
-		pieces[q] = buf[at:]
+		got += int64(len(b) / sz)
+		pieces[q] = elem.View(c, b)
 	}
-	cluster.RecycleRecv(recv)
-	n.Mem.Release(got) // received encodings recycled
+	n.Mem.MustAcquire(3 * got) // received buffers + merged output, and one got spare
 	merged := xmerge.AppendMerge(c, slices.Grow(dst, int(got)), pieces)
+	cluster.RecycleRecv(recv) // the views are dead
+	n.Mem.Release(got)
 	n.AddCPU(model.MergeCPU(got, n.P) + model.ScanCPU(got))
 	return merged
 }

@@ -42,6 +42,11 @@ type pe[T any] struct {
 	// blocks this PE did fetch in one batch.
 	quota, maxFetch int64
 	outN            int64 // the output elements stored or sunk
+	// The merge's storage, reused across batches: extract's output, its
+	// sequences and the read buffers it empties.
+	batch []T
+	seqs  [][]T
+	spent [][]byte
 }
 
 // runBlock is block blk of run run, stored here as block id with len
@@ -95,10 +100,9 @@ func (s *pe[T]) formRuns(input *job.Input) error {
 			s.firsts = append(s.firsts, data[:sz]...)
 			return nil
 		})
-		if err := st.stripe(segStart, seg); err != nil {
+		if err := st.stripe(segStart, seg); err != nil { // releases seg's charge
 			return err
 		}
-		n.Mem.MustAcquire(2 * int64(len(seg))) // stripe released the charge FormRuns releases
 		n.AddCPU(2 * model.ScanCPU(int64(len(seg))))
 		s.totalN += runLen
 		return st.done()
@@ -279,10 +283,12 @@ func (s *pe[T]) predict() []predEntry[T] {
 }
 
 // piece is a fetched, not yet emitted stretch of one run: elems start
-// at run position pos.
+// at run position pos and view raw, the pooled buffer the block was
+// read into.
 type piece[T any] struct {
 	pos   int64
 	elems []T
+	raw   []byte
 }
 
 // mergeBatches is phase 2, prediction-driven batch merging: blocks are
@@ -390,8 +396,8 @@ func (s *pe[T]) sortSampled(n *cluster.Node, chunk, dst []T) ([]T, int64, int64,
 }
 
 // fetch reads this PE's resident blocks of one batch (asynchronously)
-// and queues each behind its run's pending pieces, charged to the
-// budget until emitted.
+// and queues each, a view of its read buffer (elem.View), behind its
+// run's pending pieces, charged to the budget until emitted.
 func (s *pe[T]) fetch(batch []predEntry[T], pending [][]piece[T]) error {
 	n, sz := s.n, s.c.Size()
 	type fetched struct {
@@ -413,10 +419,8 @@ func (s *pe[T]) fetch(batch []predEntry[T], pending [][]piece[T]) error {
 	}
 	for _, f := range fs {
 		n.Vol.Wait(f.handle)
-		vals := elem.DecodeSlice(s.c, f.raw, f.rb.len)
-		bufpool.Put(f.raw)
-		n.Mem.MustAcquire(int64(len(vals)))
-		pending[f.rb.run] = append(pending[f.rb.run], piece[T]{pos: f.rb.blk * int64(s.j.BElem), elems: vals})
+		n.Mem.MustAcquire(int64(f.rb.len))
+		pending[f.rb.run] = append(pending[f.rb.run], piece[T]{pos: f.rb.blk * int64(s.j.BElem), elems: elem.View(s.c, f.raw), raw: f.raw})
 		n.Vol.Free(f.rb.id)
 	}
 	s.maxFetch = max(s.maxFetch, int64(len(fs)))
@@ -425,19 +429,22 @@ func (s *pe[T]) fetch(batch []predEntry[T], pending [][]piece[T]) error {
 }
 
 // extract removes from pending everything strictly before the barrier
-// (nil: everything) and returns it merged. Per run the pending pieces
-// form an ascending chain, so the emittable part is a prefix of their
-// concatenation. The budget charge of the emitted prefixes passes to
-// the merged chunk.
+// (nil: everything) and returns it merged into the PE's batch buffer,
+// valid until the next call. Per run the pending pieces form an
+// ascending chain, so the emittable part is a prefix of their
+// concatenation: each piece's emittable prefix is merged in place as its
+// own sequence, run-major and in position order, so ties fall to (run,
+// position) as they would in the concatenation. A piece's read buffer
+// goes back to the pool once its last element is merged. The budget
+// charge of the emitted prefixes passes to the merged chunk.
 func (s *pe[T]) extract(pending [][]piece[T], barrier *predEntry[T]) []T {
-	var seqs [][]T
 	var total, bPos int64
 	if barrier != nil {
 		bPos = barrier.blk * int64(s.j.BElem)
 	}
+	seqs, spent, runs := s.seqs[:0], s.spent[:0], 0
 	for r := range pending {
-		var seq []T
-		rest := pending[r][:0]
+		rest, before := pending[r][:0], len(seqs)
 		for _, pc := range pending[r] {
 			cnt := len(pc.elems)
 			if barrier != nil {
@@ -446,19 +453,28 @@ func (s *pe[T]) extract(pending [][]piece[T], barrier *predEntry[T]) []T {
 					return !s.ord.LessK(s.ord.Key(v), v, r, pc.pos+int64(i), barrier.firstKey, barrier.first, barrier.run, bPos)
 				})
 			}
-			seq = append(seq, pc.elems[:cnt]...)
+			if cnt > 0 {
+				seqs = append(seqs, pc.elems[:cnt])
+				total += int64(cnt)
+			}
 			if cnt < len(pc.elems) {
-				rest = append(rest, piece[T]{pos: pc.pos + int64(cnt), elems: pc.elems[cnt:]})
+				rest = append(rest, piece[T]{pos: pc.pos + int64(cnt), elems: pc.elems[cnt:], raw: pc.raw})
+			} else {
+				spent = append(spent, pc.raw)
 			}
 		}
 		pending[r] = rest
-		if len(seq) > 0 {
-			seqs = append(seqs, seq)
-			total += int64(len(seq))
+		if len(seqs) > before {
+			runs++
 		}
 	}
-	s.n.AddCPU(s.cfg.Model.MergeCPU(total, len(seqs)+1))
-	return xmerge.Merge(s.c, seqs)
+	s.n.AddCPU(s.cfg.Model.MergeCPU(total, runs+1))
+	s.batch = xmerge.AppendMerge(s.c, s.batch[:0], seqs)
+	for _, raw := range spent {
+		bufpool.Put(raw)
+	}
+	s.seqs, s.spent = seqs, spent
+	return s.batch
 }
 
 // sampleCuts computes order-consistent (but only approximately

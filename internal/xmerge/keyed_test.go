@@ -51,8 +51,8 @@ func TestKeyedMergeMatchesFallback(t *testing.T) {
 	for _, k := range []int{3, 4, 8, 17} {
 		for _, keyRange := range []uint64{4, 1 << 40} { // duplicate-heavy and sparse
 			seqs := sortedKVSeqs(rng, k, 120, keyRange)
-			keyed := Merge[elem.KV16](kvc, seqs)
-			fallback := Merge[elem.KV16](closureKV{}, seqs)
+			keyed := AppendMerge[elem.KV16](kvc, nil, seqs)
+			fallback := AppendMerge[elem.KV16](closureKV{}, nil, seqs)
 			if !slices.Equal(keyed, fallback) {
 				t.Fatalf("k=%d range=%d: keyed and fallback merges disagree", k, keyRange)
 			}
@@ -67,7 +67,7 @@ func TestKeyedMergeHighBitKeys(t *testing.T) {
 		{{Key: 1}, {Key: 1 << 63}},
 		{{Key: 42}, {Key: ^uint64(0)}},
 	}
-	got := Merge[elem.KV16](kvc, seqs)
+	got := AppendMerge[elem.KV16](kvc, nil, seqs)
 	want := []uint64{1, 42, 1 << 63, ^uint64(0)}
 	for i, v := range got {
 		if v.Key != want[i] {
@@ -90,7 +90,7 @@ func TestRec100MergeTailTies(t *testing.T) {
 		{mk(3), mk(9)},
 		{mk(1), mk(5)},
 	}
-	got := Merge[elem.Rec100](rc, seqs)
+	got := AppendMerge[elem.Rec100](rc, nil, seqs)
 	for i := 1; i < len(got); i++ {
 		if rc.Less(got[i], got[i-1]) {
 			t.Fatalf("tail ties merged out of order at %d", i)

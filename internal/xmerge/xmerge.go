@@ -1,8 +1,8 @@
 // Package xmerge implements sequential multiway merging of sorted
 // sequences, the inner loop of both the run-formation internal sort and
 // the final merge phase. The loop exists once, with two entries:
-// Merge/AppendMerge over in-memory sequences and MergeStream over
-// streams that arrive block by block.
+// AppendMerge over in-memory sequences and MergeStream over streams
+// that arrive block by block.
 //
 // Merging runs on the flat key-inline tournament tree (pq.KeyTree):
 // stream heads are summarised by 64-bit normalized keys
@@ -84,19 +84,9 @@ func putMerger(m *merger) {
 	mergerPool.Put(m)
 }
 
-// Merge merges the sorted sequences seqs into a single sorted slice.
-// Ties are broken by sequence index, making the output deterministic.
-// The total length of the output equals the sum of input lengths.
-func Merge[T any](c elem.Codec[T], seqs [][]T) []T {
-	total := 0
-	for _, s := range seqs {
-		total += len(s)
-	}
-	out := make([]T, 0, total)
-	return AppendMerge(c, out, seqs)
-}
-
-// AppendMerge merges seqs, appending to dst.
+// AppendMerge merges the sorted sequences seqs, appending to dst, which
+// it grows only when its capacity runs out. Ties are broken by sequence
+// index, making the output deterministic.
 func AppendMerge[T any](c elem.Codec[T], dst []T, seqs [][]T) []T {
 	if len(seqs) == 1 {
 		return append(dst, seqs[0]...)

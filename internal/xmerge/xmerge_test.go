@@ -32,7 +32,7 @@ func TestMergeEqualsSortedUnion(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 1))
 	for _, k := range []int{0, 1, 2, 3, 4, 9, 20} {
 		seqs, all := randomSortedSeqs(rng, k, 40, 100)
-		got := Merge[elem.U64](u64c, seqs)
+		got := AppendMerge[elem.U64](u64c, nil, seqs)
 		if !slices.Equal(got, all) {
 			t.Fatalf("k=%d: merged output differs", k)
 		}
@@ -42,7 +42,7 @@ func TestMergeEqualsSortedUnion(t *testing.T) {
 func TestMergeManyDuplicates(t *testing.T) {
 	rng := rand.New(rand.NewPCG(2, 2))
 	seqs, all := randomSortedSeqs(rng, 6, 100, 3) // keys only 0..2
-	got := Merge[elem.U64](u64c, seqs)
+	got := AppendMerge[elem.U64](u64c, nil, seqs)
 	if !slices.Equal(got, all) {
 		t.Fatal("merge with heavy duplicates differs from sorted union")
 	}
@@ -58,10 +58,10 @@ func TestAppendMergePreservesPrefix(t *testing.T) {
 }
 
 func TestMergeEmptyInputs(t *testing.T) {
-	if got := Merge[elem.U64](u64c, nil); len(got) != 0 {
+	if got := AppendMerge[elem.U64](u64c, nil, nil); len(got) != 0 {
 		t.Fatal("merging nothing should give empty output")
 	}
-	if got := Merge[elem.U64](u64c, [][]elem.U64{{}, {}, {}}); len(got) != 0 {
+	if got := AppendMerge[elem.U64](u64c, nil, [][]elem.U64{{}, {}, {}}); len(got) != 0 {
 		t.Fatal("merging empties should give empty output")
 	}
 }
@@ -135,8 +135,8 @@ func TestMergeStreamEqualsMerge(t *testing.T) {
 				if got := streamed(t, c, kv, blk, 5); !slices.Equal(got, want) {
 					t.Fatalf("%s %s blk=%d: MergeStream differs from the stable sort", cname, name, blk)
 				}
-				if got := Merge(c, kv); !slices.Equal(got, want) {
-					t.Fatalf("%s %s: Merge differs from the stable sort", cname, name)
+				if got := AppendMerge(c, nil, kv); !slices.Equal(got, want) {
+					t.Fatalf("%s %s: AppendMerge differs from the stable sort", cname, name)
 				}
 			}
 		}
@@ -151,7 +151,7 @@ func TestMergeStreamEqualsMerge(t *testing.T) {
 	}
 	want := stableMerged[elem.Rec100](elem.Rec100Codec{}, recs)
 	if !slices.Equal(streamed[elem.Rec100](t, elem.Rec100Codec{}, recs, 2, 4), want) ||
-		!slices.Equal(Merge[elem.Rec100](elem.Rec100Codec{}, recs), want) {
+		!slices.Equal(AppendMerge[elem.Rec100](elem.Rec100Codec{}, nil, recs), want) {
 		t.Fatal("prefix-key ties merged differently from the stable sort")
 	}
 }
@@ -173,7 +173,7 @@ func BenchmarkMerge8Way(b *testing.B) {
 	seqs, _ := randomSortedSeqs(rng, 8, 1<<14, 1<<30)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Merge[elem.U64](u64c, seqs)
+		AppendMerge[elem.U64](u64c, nil, seqs)
 	}
 }
 
