@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"strings"
 	"sync"
 
@@ -153,33 +154,41 @@ func (closureKV16) Decode(s []byte) elem.KV16    { return elem.KV16Codec{}.Decod
 func (closureKV16) Less(a, b elem.KV16) bool     { return a.Key < b.Key }
 
 // TestSortClosureOnlyCodec runs the full sort with a codec that has no
-// normalized key: run formation, selection, exchange and the final
-// merge all take the comparator fallback and must still produce the
-// canonical sorted output.
+// normalized key and is not POD: run formation, selection, exchange and
+// the final merge all take the comparator fallback, and elem.View
+// decodes, and must still produce the canonical sorted output — in the
+// external regime and at R = 1, where run formation sorts each block as
+// it is read.
 func TestSortClosureOnlyCodec(t *testing.T) {
-	cfg := testConfig(4)
-	input := inputFor(cfg, workload.Uniform, 5500, 3)
-	res, err := Sort[elem.KV16](closureKV16{}, cfg, input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.Validate(closureKV16{}, input); err != nil {
-		t.Fatal(err)
-	}
-	// The fallback must agree with the keyed plane element-for-element.
-	keyed, err := Sort[elem.KV16](kvc, cfg, input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for pe := range res.Output {
-		if len(res.Output[pe]) != len(keyed.Output[pe]) {
-			t.Fatalf("PE %d: fallback and keyed output sizes differ", pe)
-		}
-		for i := range res.Output[pe] {
-			if res.Output[pe][i] != keyed.Output[pe][i] {
-				t.Fatalf("PE %d index %d: fallback and keyed outputs differ", pe, i)
+	for _, tc := range []struct {
+		name  string
+		perPE int
+		multi bool
+	}{{"external", 5500, true}, {"single_run", 900, false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig(4)
+			input := inputFor(cfg, workload.Uniform, tc.perPE, 3)
+			res, err := Sort[elem.KV16](closureKV16{}, cfg, input)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			if (res.Runs > 1) != tc.multi {
+				t.Fatalf("R = %d runs, want the %s regime", res.Runs, tc.name)
+			}
+			if err := res.Validate(closureKV16{}, input); err != nil {
+				t.Fatal(err)
+			}
+			// The fallback must agree with the keyed plane element-for-element.
+			keyed, err := Sort[elem.KV16](kvc, cfg, input)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for pe := range res.Output {
+				if !slices.Equal(res.Output[pe], keyed.Output[pe]) {
+					t.Fatalf("PE %d: fallback and keyed outputs differ", pe)
+				}
+			}
+		})
 	}
 }
 

@@ -1,48 +1,28 @@
 package elem
 
-// BulkCodec is an optional extension of Codec: whole-slice encode and
-// decode without a per-element virtual call. The package-level helpers
-// (EncodeInto, DecodeInto, EncodeSlice, AppendEncode, DecodeSlice,
-// AppendDecode) detect it with a type assertion and switch to the bulk
-// path automatically, so third-party Codec implementations keep
-// working unchanged through the same entry points.
-//
-// The built-in POD codecs (U64Codec, KV16Codec, Rec100Codec) implement
-// BulkCodec by reinterpreting the element slice as raw bytes on
-// little-endian hosts, reducing encode/decode to a bounds check plus
-// one memmove (see pod.go).
-type BulkCodec[T any] interface {
-	Codec[T]
-	// EncodeSliceInto encodes all of vs into dst, which must hold at
-	// least len(vs)*Size() bytes.
-	EncodeSliceInto(dst []byte, vs []T)
-	// DecodeSliceInto decodes len(dst) elements from src, which must
-	// hold at least len(dst)*Size() bytes.
-	DecodeSliceInto(dst []T, src []byte)
-}
-
 // EncodeInto encodes all of vs into dst, which must hold at least
-// len(vs)*Size() bytes, using the codec's bulk path when it has one.
+// len(vs)*Size() bytes. For a POD codec (see pod) that is one memmove;
+// any other codec encodes element by element.
 func EncodeInto[T any](c Codec[T], dst []byte, vs []T) {
-	if bc, ok := c.(BulkCodec[T]); ok {
-		bc.EncodeSliceInto(dst, vs)
+	sz := c.Size()
+	if pod(c) {
+		copy(dst[:len(vs)*sz], podBytes(vs, sz))
 		return
 	}
-	sz := c.Size()
 	for i, v := range vs {
 		c.Encode(dst[i*sz:(i+1)*sz], v)
 	}
 }
 
 // DecodeInto decodes len(dst) elements from src, which must hold at
-// least len(dst)*Size() bytes, using the codec's bulk path when it has
-// one.
+// least len(dst)*Size() bytes: one memmove for a POD codec, element by
+// element for any other.
 func DecodeInto[T any](c Codec[T], dst []T, src []byte) {
-	if bc, ok := c.(BulkCodec[T]); ok {
-		bc.DecodeSliceInto(dst, src)
+	sz := c.Size()
+	if pod(c) {
+		copy(podBytes(dst, sz), src[:len(dst)*sz])
 		return
 	}
-	sz := c.Size()
 	for i := range dst {
 		dst[i] = c.Decode(src[i*sz : (i+1)*sz])
 	}

@@ -11,7 +11,7 @@ import (
 )
 
 // perElemEncode is the reference per-element encoding path, bypassing
-// any BulkCodec fast path.
+// the POD memmove.
 func perElemEncode[T any](c Codec[T], vs []T) []byte {
 	sz := c.Size()
 	buf := make([]byte, len(vs)*sz)
@@ -31,25 +31,27 @@ func perElemDecode[T any](c Codec[T], buf []byte, n int) []T {
 	return out
 }
 
-func checkBulkAgreement[T comparable](t *testing.T, c BulkCodec[T], vs []T) {
+// checkBulkAgreement: EncodeInto and DecodeInto, which take the POD
+// memmove for a built-in codec, agree with the per-element loop.
+func checkBulkAgreement[T comparable](t *testing.T, c Codec[T], vs []T) {
 	t.Helper()
-	ref := perElemEncode[T](c, vs)
+	ref := perElemEncode(c, vs)
 
 	bulk := make([]byte, len(vs)*c.Size())
-	c.EncodeSliceInto(bulk, vs)
+	EncodeInto(c, bulk, vs)
 	if !bytes.Equal(bulk, ref) {
-		t.Fatalf("EncodeSliceInto disagrees with per-element encode (%d elements)", len(vs))
+		t.Fatalf("EncodeInto disagrees with per-element encode (%d elements)", len(vs))
 	}
-	if got := EncodeSlice[T](c, vs); !bytes.Equal(got, ref) {
-		t.Fatalf("EncodeSlice (dispatched) disagrees with per-element encode")
+	if got := EncodeSlice(c, vs); !bytes.Equal(got, ref) {
+		t.Fatalf("EncodeSlice disagrees with per-element encode")
 	}
 
 	dec := make([]T, len(vs))
-	c.DecodeSliceInto(dec, ref)
-	refDec := perElemDecode[T](c, ref, len(vs))
+	DecodeInto(c, dec, ref)
+	refDec := perElemDecode(c, ref, len(vs))
 	for i := range vs {
 		if dec[i] != vs[i] {
-			t.Fatalf("DecodeSliceInto round trip mismatch at %d", i)
+			t.Fatalf("DecodeInto round trip mismatch at %d", i)
 		}
 		if refDec[i] != vs[i] {
 			t.Fatalf("per-element decode round trip mismatch at %d", i)
@@ -115,15 +117,16 @@ func TestBulkCodecRec100KeyTies(t *testing.T) {
 	checkBulkAgreement[Rec100](t, c, vs)
 }
 
-// nonBulkCodec mirrors U64Codec without the BulkCodec methods, so the
-// dispatch helpers must take the per-element fallback — the
-// compatibility contract for third-party codecs.
-type nonBulkCodec struct{}
+// foreignU64 has U64Codec's layout and wire format but is not a
+// built-in codec value, so it is not POD: EncodeInto, DecodeInto and
+// View must take the per-element path for it — the contract for any
+// codec outside this package — and give the same bytes.
+type foreignU64 struct{}
 
-func (nonBulkCodec) Size() int              { return 8 }
-func (nonBulkCodec) Encode(d []byte, v U64) { U64Codec{}.Encode(d, v) }
-func (nonBulkCodec) Decode(s []byte) U64    { return U64Codec{}.Decode(s) }
-func (nonBulkCodec) Less(a, b U64) bool     { return a < b }
+func (foreignU64) Size() int              { return 8 }
+func (foreignU64) Encode(d []byte, v U64) { U64Codec{}.Encode(d, v) }
+func (foreignU64) Decode(s []byte) U64    { return U64Codec{}.Decode(s) }
+func (foreignU64) Less(a, b U64) bool     { return a < b }
 
 func TestDispatchFallbackMatchesBulk(t *testing.T) {
 	rng := rand.New(rand.NewPCG(23, 29))
@@ -131,17 +134,17 @@ func TestDispatchFallbackMatchesBulk(t *testing.T) {
 	for i := range vs {
 		vs[i] = U64(rng.Uint64())
 	}
-	var fallback Codec[U64] = nonBulkCodec{}
-	if _, ok := fallback.(BulkCodec[U64]); ok {
-		t.Fatal("test premise broken: nonBulkCodec must not be a BulkCodec")
+	var fallback Codec[U64] = foreignU64{}
+	if pod(fallback) || pod[U64](U64Codec{}) != hostLE || !pod[Rec100](Rec100Codec{}) {
+		t.Fatal("test premise broken: only the built-in codecs are POD")
 	}
 	a := EncodeSlice[U64](U64Codec{}, vs)
-	b := EncodeSlice[U64](fallback, vs)
-	if !bytes.Equal(a, b) {
-		t.Fatal("fallback encode disagrees with bulk encode")
+	b := EncodeSlice(fallback, vs)
+	if !bytes.Equal(a, b) || !bytes.Equal(b, perElemEncode(fallback, vs)) {
+		t.Fatal("fallback encode disagrees with the built-in codec's")
 	}
 	da := DecodeSlice[U64](U64Codec{}, a, len(vs))
-	db := DecodeSlice[U64](fallback, b, len(vs))
+	db := DecodeSlice(fallback, b, len(vs))
 	for i := range vs {
 		if da[i] != vs[i] || db[i] != vs[i] {
 			t.Fatalf("decode mismatch at %d", i)
@@ -189,7 +192,7 @@ func TestBulkPathsAllocFree(t *testing.T) {
 // TestView: a built-in codec's view of an aligned buffer is the buffer
 // itself — writes through it show in the bytes, and a bufpool buffer is
 // aligned for all three element types; a misaligned KV16 buffer and a
-// closure-only codec decode into a fresh slice instead; a buffer shorter
+// codec outside this package decode into a fresh slice instead; a buffer shorter
 // than one element has no elements.
 func TestView(t *testing.T) {
 	aliases := func(vs any, b []byte) bool {
@@ -222,8 +225,8 @@ func TestView(t *testing.T) {
 	}
 	u := make([]byte, 16)
 	U64Codec{}.Encode(u, 7)
-	if v := View[U64](nonBulkCodec{}, u); len(v) != 2 || v[0] != 7 || aliases(v, u) {
-		t.Fatalf("closure-only View = %v, want a decoded [7 0]", v)
+	if v := View[U64](foreignU64{}, u); len(v) != 2 || v[0] != 7 || aliases(v, u) {
+		t.Fatalf("foreign codec's View = %v, want a decoded [7 0]", v)
 	}
 	if v := View[KV16](KV16Codec{}, b[:15]); len(v) != 0 {
 		t.Fatalf("View of 15 bytes = %v, want no elements", v)

@@ -125,20 +125,23 @@ func (w *Writer[T]) Resume() {
 	w.file.N -= int64(last.Len)
 }
 
-// reader streams a File's elements with double-buffered asynchronous
-// prefetching: while one extent is being consumed the next is already
-// in flight, the element-level analogue of the paper's prefetch
-// buffers. Owned blocks are returned to the volume as soon as they are
-// fully consumed (in-place operation).
+// reader streams a File's extents with double-buffered asynchronous
+// prefetching: while one extent is being merged the next is already in
+// flight, the element-level analogue of the paper's prefetch buffers.
+// Each extent is handed out where it was read, as a view of its buffer
+// (elem.View), and the two buffers swap: the next read goes into the
+// buffer of the extent handed out before, which is dead by then. Owned
+// blocks are returned to the volume as soon as they are fully consumed
+// (in-place operation).
 type reader[T any] struct {
 	c    elem.Codec[T]
 	vol  *blockio.Volume
 	file File
+	idx  int // next extent to read
 
-	idx  int // next extent to hand out
-	cur  []T
-	pos  int
-	curE blockio.Extent
+	cur    []T // the current extent, until it is handed out: a view of curRaw
+	curRaw []byte
+	curE   blockio.Extent
 
 	nextRaw []byte
 	nextH   blockio.Handle
@@ -146,6 +149,8 @@ type reader[T any] struct {
 	nextE   blockio.Extent
 }
 
+// newReader issues the first extent's read, waits for it and issues the
+// second's.
 func newReader[T any](c elem.Codec[T], vol *blockio.Volume, f File) *reader[T] {
 	r := &reader[T]{c: c, vol: vol, file: f}
 	r.prefetch()
@@ -172,44 +177,41 @@ func (r *reader[T]) prefetch() {
 	r.nextOK = true
 }
 
-// advance makes the prefetched extent current and prefetches another.
-func (r *reader[T]) advance() {
+// advance frees the current extent's block if it is owned, makes the
+// prefetched extent current and prefetches another into the other
+// buffer. At end of file it recycles both buffers and reports false.
+func (r *reader[T]) advance() bool {
 	if r.curE.Own && r.curE.Len > 0 {
 		r.vol.Free(r.curE.ID)
 	}
+	r.cur, r.curE = nil, blockio.Extent{}
 	if !r.nextOK {
-		r.cur = nil
-		r.curE = blockio.Extent{}
+		bufpool.Put(r.curRaw)
 		bufpool.Put(r.nextRaw)
-		r.nextRaw = nil
-		return
+		r.curRaw, r.nextRaw = nil, nil
+		return false
 	}
-	r.vol.Wait(r.nextH)
-	e := r.nextE
-	raw := r.nextRaw[e.Off*r.c.Size():]
-	r.cur = elem.AppendDecode(r.c, r.cur[:0], raw, e.Len)
-	r.pos = 0
-	r.curE = e
-	// Swap buffers so the next prefetch does not overwrite cur...
-	// cur was decoded already, so the raw buffer is reusable.
+	r.vol.Wait(r.nextH) // before View, which decodes a non-POD codec at the call
+	r.curRaw, r.nextRaw = r.nextRaw, r.curRaw
+	r.curE = r.nextE
+	r.cur = elem.View(r.c, r.curRaw[r.curE.Off*r.c.Size():])
 	r.prefetch()
+	return true
 }
 
-// nextBlock returns the unconsumed remainder of the current decoded
-// extent, advancing to the next extent when the current one is used
-// up; nil at end of file. The returned slice is only valid until the
-// following nextBlock call (the decode buffer is reused), so callers
-// must consume it fully before asking again — the contract of the
-// block-at-a-time merge loops.
+// nextBlock returns the next non-empty extent's elements, nil at end of
+// file. The slice views the read buffer, which the following nextBlock
+// call reads the extent after next into, so callers must consume it
+// fully before asking again — the contract of the block-at-a-time merge
+// loops.
 func (r *reader[T]) nextBlock() []T {
-	for r.pos >= len(r.cur) {
-		if r.cur == nil {
+	for len(r.cur) == 0 {
+		if !r.advance() {
 			return nil
 		}
-		r.advance()
 	}
-	blk := r.cur[r.pos:]
-	r.pos = len(r.cur)
+	blk := r.cur
+	r.cur = nil
 	return blk
 }
 
@@ -217,9 +219,10 @@ func (r *reader[T]) nextBlock() []T {
 // the canonical final merge and the baseline's local external sort end
 // with — reading each element exactly once, and returns how many
 // elements it emitted. Input blocks are prefetched one extent ahead per
-// file (overlapping I/O with merging) and freed as soon as they are
-// consumed, so the output can recycle them — the (nearly) in-place
-// operation of §IV-E. The merge is xmerge.MergeStream, block-at-a-time:
+// file (overlapping I/O with merging), merged where they were read (the
+// reader's views) and freed as soon as they are consumed, so the output
+// can recycle them — the (nearly) in-place operation of §IV-E. The
+// merge is xmerge.MergeStream, block-at-a-time:
 // each output block goes to sink (Job.OutputSink), encoded in the
 // writer's tail buffer, or — nil sink, nobody wants the output —
 // onto the volume. Every block is charged the merge and a scan; the

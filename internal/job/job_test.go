@@ -5,6 +5,7 @@ import (
 	"cmp"
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"math/rand/v2"
 	"slices"
 	"sort"
@@ -16,6 +17,7 @@ import (
 	"demsort/internal/dselect"
 	"demsort/internal/elem"
 	"demsort/internal/workload"
+	"demsort/internal/xmerge"
 )
 
 var kvc = elem.KV16Codec{}
@@ -151,21 +153,28 @@ func TestStartChecksAdoptedMachine(t *testing.T) {
 // sorted and are a permutation of the blocks that run was formed from,
 // each segment is exactly its rank's RankBounds share, and the budget
 // holds nothing but the documented 2·len(seg) during store, which store
-// releases, and is back at its entry level afterwards.
+// releases, and is back at its entry level afterwards. It covers both
+// paths (R = 1 sorts each block as it is read) for a POD codec, read in
+// place, and for a codec the run buffer is decoded for.
 func TestFormRuns(t *testing.T) {
 	const bElem, mem = 16, 1024 // RunLocal = 256 elements = 16 blocks
 	for _, tc := range []struct {
 		name     string
 		sizes    []int
 		keyRange uint64
+		codec    elem.Codec[elem.KV16]
 	}{
-		{"p1", []int{700}, 1 << 40},
-		{"p1_single_run", []int{200}, 1 << 40},
-		{"p3_empty_rank", []int{600, 0, 300}, 1 << 40},
-		{"p4_uneven", []int{700, 33, 256, 511}, 1 << 40},
-		{"p4_all_equal", []int{500, 0, 700, 40}, 1},
-		{"p3_few_keys", []int{300, 300, 10}, 3},
-		{"p4_empty_input", []int{0, 0, 0, 0}, 1},
+		{"p1", []int{700}, 1 << 40, kvc},
+		{"p1_single_run", []int{200}, 1 << 40, kvc},
+		{"p3_single_run", []int{200, 0, 256}, 1 << 40, kvc}, // R = 1: blocks sorted as read, then merged
+		{"p3_empty_rank", []int{600, 0, 300}, 1 << 40, kvc},
+		{"p4_uneven", []int{700, 33, 256, 511}, 1 << 40, kvc},
+		{"p4_all_equal", []int{500, 0, 700, 40}, 1, kvc},
+		{"p3_few_keys", []int{300, 300, 10}, 3, kvc},
+		{"p4_empty_input", []int{0, 0, 0, 0}, 1, kvc},
+		// Not POD: elem.View decodes the run buffer, and each block at R = 1.
+		{"p3_closure_codec", []int{600, 0, 300}, 1 << 40, closureKV16{}},
+		{"p3_closure_codec_single_run", []int{200, 0, 256}, 1 << 40, closureKV16{}},
 	} {
 		for _, randomize := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s_randomize=%v", tc.name, randomize), func(t *testing.T) {
@@ -179,7 +188,7 @@ func TestFormRuns(t *testing.T) {
 				}
 				segs := make([][]seg, p) // [rank][run]
 				runCount := make([]int, p)
-				onSim(t, kvc, cfg, input, func(j *Job[elem.KV16], n *cluster.Node) error {
+				onSim(t, tc.codec, cfg, input, func(j *Job[elem.KV16], n *cluster.Node) error {
 					spans, err := j.Load(n)
 					if err != nil {
 						return err
@@ -250,6 +259,125 @@ func TestFormRuns(t *testing.T) {
 	}
 }
 
+// closureKV16 is KV16 through the Codec interface alone: not POD, so
+// elem.View decodes, and not keyed, so sorts and merges compare.
+type closureKV16 struct{}
+
+func (closureKV16) Size() int                    { return 16 }
+func (closureKV16) Encode(d []byte, v elem.KV16) { kvc.Encode(d, v) }
+func (closureKV16) Decode(s []byte) elem.KV16    { return kvc.Decode(s) }
+func (closureKV16) Less(a, b elem.KV16) bool     { return a.Key < b.Key }
+
+// TestMergeFiles runs the final merge over run files of the kinds the
+// exchange's assemble builds — whole owned blocks a Writer wrote,
+// boundary extents trimmed at either end (Off > 0, or a short Len) that
+// are not owned, a whole block that is not owned, an empty file — on a
+// block size that is not a multiple of the element size. The output is
+// the central merge of the files' contents; exactly the owned blocks go
+// back to the volume. The closure-only codec takes View's decode path.
+func TestMergeFiles(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 7))
+	t.Run("kv16", func(t *testing.T) {
+		checkMergeFiles(t, kvc, func() elem.KV16 { return elem.KV16{Key: rng.Uint64N(40), Val: rng.Uint64()} })
+	})
+	t.Run("rec100", func(t *testing.T) {
+		checkMergeFiles(t, elem.Rec100Codec{}, func() (r elem.Rec100) {
+			for i := range r {
+				r[i] = byte(rng.Uint32())
+			}
+			r[0], r[7] = byte(rng.IntN(2)), byte(rng.IntN(3)) // 8-byte key prefixes tie
+			return r
+		})
+	})
+	t.Run("closure_kv16", func(t *testing.T) {
+		checkMergeFiles[elem.KV16](t, closureKV16{}, func() elem.KV16 { return elem.KV16{Key: rng.Uint64N(40), Val: rng.Uint64()} })
+	})
+}
+
+func checkMergeFiles[T any](t *testing.T, c elem.Codec[T], gen func() T) {
+	const blockBytes = 1000 // 62 KV16 or 10 Rec100 per block, and spare bytes
+	onSim(t, c, Defaults(1, 1<<14, blockBytes), make([][]T, 1), func(j *Job[T], n *cluster.Node) error {
+		var files []File
+		var contents [][]T
+		owned := map[int64]bool{}
+		for _, f := range []struct {
+			size int
+			trim bool
+		}{{500, true}, {0, false}, {130, false}, {325, true}, {25, true}} {
+			vs := make([]T, f.size)
+			for i := range vs {
+				vs[i] = gen()
+			}
+			slices.SortStableFunc(vs, orderOf(c))
+			w := NewWriter(c, n.Vol)
+			w.AddSlice(vs)
+			written := w.Finish()
+			if !f.trim {
+				files, contents = append(files, written), append(contents, vs)
+				for _, e := range written.Extents {
+					owned[int64(e.ID)] = true
+				}
+				continue
+			}
+			// Cut 3 elements off the front and 2 off the end, and give
+			// away the second block.
+			var file File
+			last := len(written.Extents) - 1
+			for i, e := range written.Extents {
+				if i == 0 {
+					e.Off, e.Len, e.Own = 3, e.Len-3, false
+				}
+				if i == last {
+					e.Len, e.Own = e.Len-2, false
+				}
+				if i == 1 {
+					e.Own = false
+				}
+				if e.Own {
+					owned[int64(e.ID)] = true
+				}
+				file.Append(e)
+			}
+			files, contents = append(files, file), append(contents, vs[3:f.size-2])
+		}
+		used := n.Vol.Used()
+		var got []T
+		emitted, err := j.MergeFiles(n, files, func(rank int, b []byte) error {
+			got = elem.AppendDecode(c, got, b, len(b)/c.Size())
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		want := xmerge.AppendMerge(c, nil, contents)
+		if emitted != int64(len(want)) || !bytes.Equal(elem.EncodeSlice(c, got), elem.EncodeSlice(c, want)) {
+			return fmt.Errorf("MergeFiles emitted %d elements (%d reported), not the central merge of %d", len(got), emitted, len(want))
+		}
+		_, free := n.Vol.AllocState()
+		freed := map[int64]bool{}
+		for _, id := range free {
+			freed[id] = true
+		}
+		if !maps.Equal(freed, owned) || n.Vol.Used() != used-int64(len(owned)) {
+			return fmt.Errorf("freed blocks %v (%d of %d still used), want exactly the owned %v", free, n.Vol.Used(), used, owned)
+		}
+		return nil
+	})
+}
+
+// orderOf is c's order as a three-way comparison.
+func orderOf[T any](c elem.Codec[T]) func(a, b T) int {
+	return func(a, b T) int {
+		switch {
+		case c.Less(a, b):
+			return -1
+		case c.Less(b, a):
+			return 1
+		}
+		return 0
+	}
+}
+
 // TestSortExactIsTheExactRunSort pins the run sort core passes to
 // FormRuns over a table of inputs and machine sizes. On every PE,
 // SortExact makes one AllGather (lengths and samples) and three
@@ -306,15 +434,7 @@ func TestSortExactIsTheExactRunSort(t *testing.T) {
 // TestSortExactIsTheExactRunSort.
 func checkSortExact[T any](t *testing.T, c elem.Codec[T], blockBytes int, chunks [][]T) {
 	p := len(chunks)
-	byOrder := func(a, b T) int {
-		switch {
-		case c.Less(a, b):
-			return -1
-		case c.Less(b, a):
-			return 1
-		}
-		return 0
-	}
+	byOrder := orderOf(c)
 	// The oracle: chunks concatenated in rank order and stably sorted
 	// order ties by (PE, position), the total order the split cuts in.
 	var all []T

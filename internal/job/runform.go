@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"demsort/internal/blockio"
-	"demsort/internal/bufpool"
 	"demsort/internal/cluster"
 	"demsort/internal/dselect"
 	"demsort/internal/elem"
@@ -41,10 +40,13 @@ type RunSort[T any] func(n *cluster.Node, chunk, dst []T) (seg []T, segStart, ru
 // I/O is overlapped with sorting and communication: while run i is
 // processed, run i+1's blocks are already being fetched and run i−1's
 // output is still draining (§IV-E "Overlapping"). Each input block is
-// read once, from wherever Load left it, and the spans are freed as they
-// are read; the writes store issued are drained on return. An input
-// read error ends run formation with that error. FormRuns returns the
-// run count R.
+// read once, from wherever Load left it, into its run's buffer, and the
+// spans are freed as they are read. The run is sorted where it was read
+// — sortRun gets a view of the buffer (elem.View), not a decoded copy —
+// and at R = 1 each block is sorted in place as it arrives and the
+// blocks are merged. The writes store issued are drained on return. An
+// input read error ends run formation with that error. FormRuns returns
+// the run count R.
 func (j *Job[T]) FormRuns(n *cluster.Node, in *Input, salt uint64, sortRun RunSort[T],
 	store func(run int, runLen, segStart int64, seg []T) error) (int, error) {
 	c, cfg, sz, model := j.c, j.cfg, j.c.Size(), &j.cfg.Model
@@ -57,85 +59,88 @@ func (j *Job[T]) FormRuns(n *cluster.Node, in *Input, salt uint64, sortRun RunSo
 	// A degenerate empty input still runs the protocol once.
 	runs := max(int(n.AllReduceInt64(int64((len(spans)+bpr-1)/bpr), "max")), 1)
 
-	// Asynchronous block fetches for one run ahead.
-	type pending struct {
-		span   blockio.Span
-		raw    []byte
-		handle blockio.Handle
-	}
-	drop := func(ps []pending) { // never decoded (an error ends the phase): recycle the buffers
-		for _, p := range ps {
-			bufpool.Put(p.raw)
-		}
-	}
-	fetchRun := func(r int) ([]pending, error) {
+	// Each run is read, one run ahead, into one of two buffers, every
+	// block at its offset, and sorted where it was read (elem.View). The
+	// two buffers serve the whole phase: sortRun leaves its chunk dead on
+	// return, so run r's buffer takes run r+2 only once sortRun(r) has
+	// returned. They are run-sized, which no later phase asks bufpool
+	// for, so they are not pooled: parked in the pool they would outlive
+	// the phase by up to two collections.
+	var bufs [2][]byte
+	var handles [2][]blockio.Handle
+	runSpans := func(r int) []blockio.Span {
 		lo := min(r*bpr, len(spans))
-		mine := spans[lo:min(lo+bpr, len(spans))]
-		ps := make([]pending, 0, len(mine))
-		for _, sp := range mine {
-			raw := bufpool.Get(sp.Bytes)
-			h, err := in.Read(sp, raw)
-			if err != nil {
-				drop(append(ps, pending{raw: raw}))
-				return nil, err
-			}
-			ps = append(ps, pending{span: sp, raw: raw, handle: h})
-		}
-		return ps, nil
+		return spans[lo:min(lo+bpr, len(spans))]
 	}
-	done := func(p pending) { // decoded: recycle the buffer and the span
-		bufpool.Put(p.raw)
-		in.Release(p.span)
+	fetchRun := func(r int) error {
+		buf, hs, size := &bufs[r%2], handles[r%2][:0], 0
+		for _, sp := range runSpans(r) {
+			size += sp.Bytes
+		}
+		if cap(*buf) < size {
+			*buf = make([]byte, size)
+		}
+		*buf = (*buf)[:size]
+		off := 0
+		for _, sp := range runSpans(r) {
+			h, err := in.Read(sp, (*buf)[off:off+sp.Bytes])
+			if err != nil {
+				return err
+			}
+			hs, off = append(hs, h), off+sp.Bytes
+		}
+		handles[r%2] = hs
+		return nil
 	}
 
-	// One run's chunk and one merged segment are dead before the next
-	// run's are built, so the runs share their two buffers.
-	var chunk, seg []T
-	cur, err := fetchRun(0)
-	if err != nil {
+	// One merged segment is dead before the next run's is built, so the
+	// runs share its storage.
+	var seg []T
+	if err := fetchRun(0); err != nil {
 		return 0, err
 	}
-	defer func() { drop(cur) }() // the fetched run an error leaves undecoded
 	for r := 0; r < runs; r++ {
-		next, err := fetchRun(r + 1) // overlap: prefetch while we sort
-		if err != nil {
+		if err := fetchRun(r + 1); err != nil { // overlap: prefetch while we sort
 			return 0, err
 		}
 
-		var chunkLen int64
-		for _, p := range cur {
-			chunkLen += int64(p.span.Bytes / sz)
-		}
+		// A block is read only after its Wait: View decodes a non-POD
+		// codec's bytes at the call.
+		mine, buf, hs := runSpans(r), bufs[r%2], handles[r%2]
+		chunkLen := int64(len(buf) / sz)
 		n.Mem.MustAcquire(chunkLen)
-		chunk = slices.Grow(chunk[:0], int(chunkLen))
+		var chunk []T
 		if runs == 1 {
 			// §IV-E: "Immediately after a block is read from disk, it
 			// is sorted, while the disk is busy with subsequent
-			// blocks"; the chunk is then merged, not sorted.
-			blocks := make([][]T, 0, len(cur))
-			for _, p := range cur {
-				n.Vol.Wait(p.handle)
-				blk := elem.DecodeSlice(c, p.raw, p.span.Bytes/sz)
-				done(p)
+			// blocks"; the blocks are then merged, not sorted, into a
+			// fresh chunk (the merge cannot run in place).
+			blocks := make([][]T, len(mine))
+			off := 0
+			for i, sp := range mine {
+				n.Vol.Wait(hs[i])
+				in.Release(sp)
+				blk := elem.View(c, buf[off:off+sp.Bytes])
+				off += sp.Bytes
 				sortChunkBudgeted(c, n, blk)
 				n.AddCPU(model.SortCPU(int64(len(blk))) + model.ScanCPU(int64(len(blk))))
-				blocks = append(blocks, blk)
+				blocks[i] = blk
 			}
-			chunk = xmerge.AppendMerge(c, chunk, blocks)
+			chunk = xmerge.AppendMerge(c, make([]T, 0, chunkLen), blocks)
 			n.AddCPU(model.MergeCPU(chunkLen, len(blocks)))
 		} else {
-			for _, p := range cur {
-				n.Vol.Wait(p.handle)
-				chunk = elem.AppendDecode(c, chunk, p.raw, p.span.Bytes/sz)
-				done(p)
+			for i, sp := range mine {
+				n.Vol.Wait(hs[i])
+				in.Release(sp)
 			}
+			chunk = elem.View(c, buf)
 			n.AddCPU(model.ScanCPU(chunkLen))
 			sortChunkBudgeted(c, n, chunk)
 			n.AddCPU(model.SortCPU(chunkLen))
 		}
-		cur = next
 
 		var segStart, runLen int64
+		var err error
 		if seg, segStart, runLen, err = sortRun(n, chunk, seg[:0]); err != nil {
 			return 0, fmt.Errorf("run %d: %w", r, err)
 		}
