@@ -276,7 +276,9 @@ func (o *options) checkInfile(placements []tcp.Placement) error {
 // partFile streams one rank's sorted partition to outdir/part-%03d.
 // It writes to part-%03d.tmp and renames on Close, so an aborted or
 // reaped worker never leaves a truncated part file behind — outdir
-// only ever contains complete partitions.
+// only ever contains complete partitions. The buffer is bufio's default:
+// a Sink block at least that large goes straight to the file, smaller
+// ones coalesce.
 type partFile struct {
 	f    *os.File
 	w    *bufio.Writer
@@ -292,7 +294,7 @@ func newPartFile(outdir string, rank int) (*partFile, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &partFile{f: f, w: bufio.NewWriterSize(f, 1<<20), path: path}, nil
+	return &partFile{f: f, w: bufio.NewWriter(f), path: path}, nil
 }
 
 func (p *partFile) Write(b []byte) error {

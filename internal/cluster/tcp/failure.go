@@ -142,8 +142,8 @@ func (m *Machine) DropPeer(rank int) {
 	}
 }
 
-// liveness is the machine's background pulse: it periodically wakes
-// every mailbox waiter (giving blocked pops their deadline granularity
+// liveness is the machine's background pulse: it periodically records
+// its tick, wakes every mailbox waiter (giving blocked pops their deadline granularity
 // — sync.Cond has no timed wait) and heartbeats idle outbound conns so
 // silence is evidence. It never touches the clock or phase stats,
 // which belong to the PE goroutine.
@@ -153,7 +153,7 @@ func (m *Machine) liveness() {
 	if hb <= 0 {
 		hb = 500 * time.Millisecond
 	}
-	wake := min(max(hb/2, time.Millisecond), 250*time.Millisecond)
+	wake := min(max(hb/2, time.Millisecond), maxWake)
 	t := time.NewTicker(wake)
 	defer t.Stop()
 	var lastHB time.Time
@@ -161,7 +161,9 @@ func (m *Machine) liveness() {
 		select {
 		case <-m.done:
 			return
-		case now := <-t.C:
+		case <-t.C:
+			now := time.Now()
+			m.tick(now.UnixNano())
 			for _, pc := range m.peers {
 				if pc != nil {
 					pc.box.wakeAll()
@@ -177,6 +179,26 @@ func (m *Machine) liveness() {
 			m.sendHeartbeats(hb)
 		}
 	}
+}
+
+// maxWake is the longest the liveness goroutine sleeps between ticks.
+const maxWake = 250 * time.Millisecond
+
+// tick records a liveness tick at now. A late one ends a pause of this
+// whole process (the host froze it or starved it of CPU): no peer's
+// frame could be read meanwhile, so every peer's silence counts from
+// the pause's end.
+func (m *Machine) tick(now int64) {
+	if m.late(now) {
+		m.resumed.Store(now)
+	}
+	m.lastTick.Store(now)
+}
+
+// late reports whether the liveness tick is overdue at now by a quarter
+// of HeartbeatTimeout.
+func (m *Machine) late(now int64) bool {
+	return time.Duration(now-m.lastTick.Load()) > maxWake+m.cfg.HeartbeatTimeout/4
 }
 
 // sendHeartbeats writes one heartbeat frame to every peer whose

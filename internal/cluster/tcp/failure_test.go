@@ -109,6 +109,38 @@ func TestWedgedPeerDetectedByHeartbeat(t *testing.T) {
 	}
 }
 
+// TestSelfPauseIsNotADeadPeer: when this process itself was frozen —
+// its liveness ticks stopped as long as the peer's frames did — a peer
+// silent for the whole pause is not declared dead, neither during the
+// pause nor right after it; a peer that stays silent past
+// HeartbeatTimeout while the ticks come on time still is (the
+// TestWedgedPeerDetectedByHeartbeat case).
+func TestSelfPauseIsNotADeadPeer(t *testing.T) {
+	const ht = time.Second
+	m := &Machine{rank: 0, cfg: Config{HeartbeatTimeout: ht}}
+	pc := &peerConn{}
+	start := time.Now().Add(-21 * time.Second) // the pause began as the receive did
+	pc.lastHeard.Store(start.UnixNano())
+	m.lastTick.Store(start.UnixNano())
+	if err := m.stalled(1, pc, start); err != nil {
+		t.Fatalf("during the pause: %v", err)
+	}
+	m.tick(time.Now().UnixNano()) // the first tick after it
+	if err := m.stalled(1, pc, start); err != nil {
+		t.Fatalf("right after the pause: %v", err)
+	}
+	// Ticks on time from here on, and still no frame after the timeout.
+	for range 3 {
+		time.Sleep(10 * time.Millisecond)
+		m.tick(time.Now().UnixNano())
+	}
+	m.resumed.Store(time.Now().Add(-2 * ht).UnixNano())
+	var ae *cluster.ErrAborted
+	if err := m.stalled(1, pc, start); !errors.As(err, &ae) || ae.Rank != 1 || !strings.Contains(err.Error(), "silent") {
+		t.Fatalf("a peer silent past the timeout while this process ticks on time: %v, want it declared silent", err)
+	}
+}
+
 // TestOpTimeoutBoundsBlockingReceive: even a peer that heartbeats
 // forever cannot hold a receive past the per-op backstop.
 func TestOpTimeoutBoundsBlockingReceive(t *testing.T) {

@@ -115,15 +115,18 @@ func (m *Machine) popFrame(src int) (frame, bool) {
 
 // stalled decides whether a blocked receive from src has outlived the
 // failure plane's bounds. Self-messages only face OpTimeout (there is
-// no liveness question about this process).
+// no liveness question about this process). A pause of this process is
+// no evidence against a peer: its silence counts from the end of the
+// last one (tick), and is not judged while the liveness tick is late.
 func (m *Machine) stalled(src int, pc *peerConn, start time.Time) error {
 	now := time.Now()
 	if ot := m.cfg.OpTimeout; ot > 0 && now.Sub(start) > ot {
 		return cluster.Abortedf(src, "tcp: rank %d: receive from rank %d exceeded the %v op deadline", m.rank, src, ot)
 	}
-	if src != m.rank {
+	if src != m.rank && !m.late(now.UnixNano()) {
 		if ht := m.cfg.HeartbeatTimeout; ht > 0 {
-			if silent := now.Sub(time.Unix(0, pc.lastHeard.Load())); silent > ht {
+			heard := max(pc.lastHeard.Load(), m.resumed.Load())
+			if silent := now.Sub(time.Unix(0, heard)); silent > ht {
 				return cluster.Abortedf(src, "tcp: rank %d: rank %d silent for %v (heartbeat timeout %v) — presumed dead or wedged",
 					m.rank, src, silent.Round(time.Millisecond), ht)
 			}

@@ -156,6 +156,9 @@ type Machine struct {
 	stopOnce sync.Once
 	wedged   atomic.Bool    // fault injection: stop proving liveness
 	bg       sync.WaitGroup // liveness, per-peer readers, stream senders
+	// lastTick is the liveness goroutine's last tick, resumed the end of
+	// the last pause of this whole process it saw (unix nanos).
+	lastTick, resumed atomic.Int64
 
 	boxBytes atomic.Int64 // bytes currently queued undelivered
 	boxPeak  atomic.Int64 // high-water mark of boxBytes
@@ -251,6 +254,7 @@ func New(cfg Config) (*Machine, error) {
 		blockio.NewVolume(store, cfg.BlockBytes, cfg.Rank, vtime.CostModel{DiskBandwidth: math.Inf(1), DisksPerNode: 1}, m.clock),
 		membudget.New(cfg.MemElems),
 	)
+	m.lastTick.Store(time.Now().UnixNano())
 	m.bg.Add(1)
 	go m.liveness()
 	return m, nil

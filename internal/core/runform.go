@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"demsort/internal/cluster"
+	"demsort/internal/dselect"
 	"demsort/internal/elem"
 	"demsort/internal/job"
 )
@@ -21,26 +22,32 @@ type localRun[T any] struct {
 
 // runFormation executes phase 1 (§IV, first phase) — job.FormRuns, the
 // run formation both mergesorts share — with CANONICALMERGESORT's exactly
-// split runs and its way of storing one: each PE's segment stays on its
-// local disks, and every K-th global run position is sampled into memory
-// (§IV-A).
+// split runs and its way of storing one: each PE merges the parts of its
+// segment that SortExact received straight into a run file on its local
+// disks, block by block through the writer's tail (job.Writer.Merge), and
+// samples every K-th global run position into memory as the blocks pass
+// (§IV-A). No merged segment is ever held.
 func runFormation[T any](c elem.Codec[T], j *job.Job[T], n *cluster.Node, input *job.Input) ([]localRun[T], error) {
 	n.SetPhase(PhaseRunForm)
 	var out []localRun[T]
-	_, err := j.FormRuns(n, input, 0xD1CE, j.SortExact, func(_ int, runLen, segStart int64, seg []T) error {
-		lr := localRun[T]{segStart: segStart, segLen: int64(len(seg)), runLen: runLen}
-		for i := firstMultiple(segStart, j.K) - segStart; i < lr.segLen; i += j.K {
-			lr.sample = append(lr.sample, seg[i])
-		}
-		// Held until gatherRunsMeta has encoded it.
-		n.Mem.MustAcquire(int64(len(lr.sample)))
-
-		w := job.NewWriter(c, n.Vol)
-		w.AddSlice(seg)
-		lr.file = w.Finish()
-		out = append(out, lr)
-		n.Mem.Release(2 * lr.segLen) // the segment, written
-		return nil
+	_, err := j.FormRuns(n, input, 0xD1CE, func(_ int, chunk dselect.Sorted[T]) error {
+		return j.SortExact(n, chunk, func(parts [][]T, segStart, runLen int64) error {
+			lr := localRun[T]{segStart: segStart, runLen: runLen}
+			next := firstMultiple(segStart, j.K) - segStart // the next sampled segment position
+			w := job.NewWriter(c, n.Vol)
+			err := w.Merge(len(parts), func(i int) []T { p := parts[i]; parts[i] = nil; return p }, nil, func(blk []T) {
+				for ; next < lr.segLen+int64(len(blk)); next += j.K {
+					lr.sample = append(lr.sample, blk[next-lr.segLen])
+				}
+				lr.segLen += int64(len(blk))
+			})
+			// Held until gatherRunsMeta has encoded it.
+			n.Mem.MustAcquire(int64(len(lr.sample)))
+			lr.file = w.Finish()
+			out = append(out, lr)
+			n.Mem.Release(2 * lr.segLen) // the segment, written
+			return err
+		})
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)

@@ -13,6 +13,7 @@ import (
 	"demsort/internal/cluster/sim"
 	"demsort/internal/elem"
 	"demsort/internal/mselect"
+	"demsort/internal/psort"
 	"demsort/internal/vtime"
 	"demsort/internal/workload"
 )
@@ -231,7 +232,7 @@ func TestSplitCutsAtTheRanksOfTheTotal(t *testing.T) {
 			locals := sortedLocals(data)
 			cuts, totals := make([][]int64, p), make([]int64, p)
 			err := machine(t, p).Run(func(n *cluster.Node) error {
-				cuts[n.Rank], totals[n.Rank] = Split[elem.KV16](kvc, n, locals[n.Rank], func(total int64) []int64 {
+				cuts[n.Rank], totals[n.Rank] = Split[elem.KV16](kvc, n, Sorted[elem.KV16]{Vals: locals[n.Rank]}, func(total int64) []int64 {
 					ranks := make([]int64, p-1)
 					for i := range ranks {
 						ranks[i] = int64(i+1) * total / int64(p)
@@ -266,7 +267,7 @@ func TestSelectAtOnceChecksTheBrackets(t *testing.T) {
 		"above": {Lo: 3 * perPE / 4, Hi: perPE}, // and short of every one
 	} {
 		err := machine(t, p).Run(func(n *cluster.Node) error {
-			Select[elem.KV16](kvc, n, sliceLocal[elem.KV16]{rank: n.Rank, vals: locals[n.Rank]}, []int64{p * perPE / 2}, [][]mselect.Interval{{b}}, atOnce)
+			Select[elem.KV16](kvc, n, sliceLocal[elem.KV16]{rank: n.Rank, vals: Sorted[elem.KV16]{Vals: locals[n.Rank]}}, []int64{p * perPE / 2}, [][]mselect.Interval{{b}}, atOnce)
 			return nil
 		})
 		if err == nil || !strings.Contains(err.Error(), "the brackets do not hold the cut") {
@@ -450,9 +451,47 @@ func TestRegularSampleMergesThePool(t *testing.T) {
 		})
 		m := machine(t, p)
 		err := m.Run(func(n *cluster.Node) error {
-			pool, total := RegularSample(kvc, ord, n, chunks[n.Rank], count)
+			pool, total := RegularSample(kvc, ord, n, Sorted[elem.KV16]{Vals: chunks[n.Rank]}, count)
 			if total != wantTotal || !slices.Equal(pool, want) {
 				return fmt.Errorf("P=%d rank %d: pool %v (total %d), want %v (total %d)", p, n.Rank, pool, total, want, wantTotal)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestSplitThroughAPermutation: Split and RegularSample read a chunk
+// through the order psort.Order hands out (Sorted.Perm) exactly as they
+// read the permuted chunk itself — same pool, same cuts, same total —
+// on duplicate-heavy chunks of uneven lengths, one of them empty.
+func TestSplitThroughAPermutation(t *testing.T) {
+	for _, p := range []int{1, 2, 3, 5} {
+		views, sorted := make([]Sorted[elem.KV16], p), make([]Sorted[elem.KV16], p)
+		for q := range views {
+			vals := workload.Generate(workload.HotKey, 1, (389*q+17)%1025*(q%4), uint64(11+q))[0]
+			perm := make([]int32, len(vals))
+			psort.Order[elem.KV16](kvc, vals, perm, 2)
+			gathered := make([]elem.KV16, len(vals))
+			for i, j := range perm {
+				gathered[i] = vals[j]
+			}
+			views[q], sorted[q] = Sorted[elem.KV16]{Vals: vals, Perm: perm}, Sorted[elem.KV16]{Vals: gathered}
+		}
+		ord := mselect.OrderOf[elem.KV16](kvc)
+		ranks := func(total int64) []int64 { return []int64{total / 3, total / 2, total} }
+		err := machine(t, p).Run(func(n *cluster.Node) error {
+			poolV, totalV := RegularSample(kvc, ord, n, views[n.Rank], SplitSamples)
+			poolS, totalS := RegularSample(kvc, ord, n, sorted[n.Rank], SplitSamples)
+			if totalV != totalS || !slices.Equal(poolV, poolS) {
+				return fmt.Errorf("P=%d rank %d: RegularSample through the permutation differs", p, n.Rank)
+			}
+			cutsV, _ := Split(kvc, n, views[n.Rank], ranks)
+			cutsS, _ := Split(kvc, n, sorted[n.Rank], ranks)
+			if !slices.Equal(cutsV, cutsS) {
+				return fmt.Errorf("P=%d rank %d: Split cuts %v through the permutation, %v on the permuted chunk", p, n.Rank, cutsV, cutsS)
 			}
 			return nil
 		})

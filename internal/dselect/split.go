@@ -12,6 +12,25 @@ import (
 	"demsort/internal/mselect"
 )
 
+// Sorted is a sorted sequence as run formation holds it: element i is
+// Vals[Perm[i]] — Vals where it was read, Perm as long, the order
+// psort.Order found — or Vals[i] when Perm is nil, Vals being in order.
+type Sorted[T any] struct {
+	Vals []T
+	Perm []int32
+}
+
+// Len is the sequence's length.
+func (s Sorted[T]) Len() int { return len(s.Vals) }
+
+// At is element i.
+func (s Sorted[T]) At(i int) T {
+	if s.Perm != nil {
+		return s.Vals[s.Perm[i]]
+	}
+	return s.Vals[i]
+}
+
 // Sampled is one element of a pooled regular sample: V, at position Pos
 // of PE's sorted chunk, stands for the stretch up to Next, the PE's next
 // sample position (its chunk length after the last).
@@ -28,14 +47,15 @@ type Sampled[T any] struct {
 // say about where its samples are, count being the same on every PE. It
 // returns the pool sorted under ord, the total order on (value, PE,
 // position), and the total length of the chunks.
-func RegularSample[T any](c elem.Codec[T], ord mselect.Order[T], n *cluster.Node, chunk []T, count func(ln int64) int64) ([]Sampled[T], int64) {
+func RegularSample[T any](c elem.Codec[T], ord mselect.Order[T], n *cluster.Node, chunk Sorted[T], count func(ln int64) int64) ([]Sampled[T], int64) {
 	sz := c.Size()
 	at := func(ln, k, i int64) int64 { return ln * i / k }
-	ln := int64(len(chunk))
+	ln := int64(chunk.Len())
 	k := min(count(ln), ln)
-	buf := binary.LittleEndian.AppendUint64(make([]byte, 0, 8+int(k)*sz), uint64(ln))
+	buf := make([]byte, 8+int(k)*sz)
+	binary.LittleEndian.PutUint64(buf, uint64(ln))
 	for i := int64(0); i < k; i++ {
-		buf = elem.AppendEncode(c, buf, chunk[at(ln, k, i):][:1])
+		c.Encode(buf[8+int(i)*sz:][:sz], chunk.At(int(at(ln, k, i))))
 	}
 	all := n.AllGather(buf)
 	var pooled int
@@ -85,9 +105,9 @@ func mergeRuns[T any](ord mselect.Order[T], pool []Sampled[T], ends []int) []Sam
 
 // Before returns how many elements of PE me's sorted chunk order before
 // sample sp under ord.
-func Before[T any](ord mselect.Order[T], chunk []T, me int, sp Sampled[T]) int64 {
-	return int64(sort.Search(len(chunk), func(j int) bool {
-		v := chunk[j]
+func Before[T any](ord mselect.Order[T], chunk Sorted[T], me int, sp Sampled[T]) int64 {
+	return int64(sort.Search(chunk.Len(), func(j int) bool {
+		v := chunk.At(j)
 		return !ord.LessK(ord.Key(v), v, me, int64(j), sp.Key, sp.V, sp.PE, sp.Pos)
 	}))
 }
@@ -112,8 +132,8 @@ func SplitSamples(ln int64) int64 { return int64(math.Sqrt(float64(2 * ln))) }
 //
 // Every PE must call Split collectively, with ranks giving the same
 // ranks on every PE. At P = 1 it communicates nothing.
-func Split[T any](c elem.Codec[T], n *cluster.Node, chunk []T, ranks func(total int64) []int64) ([]int64, int64) {
-	if total := int64(len(chunk)); n.P == 1 {
+func Split[T any](c elem.Codec[T], n *cluster.Node, chunk Sorted[T], ranks func(total int64) []int64) ([]int64, int64) {
+	if total := int64(chunk.Len()); n.P == 1 {
 		rs := ranks(total)
 		if slices.ContainsFunc(rs, func(r int64) bool { return r < 0 || r > total }) {
 			panic(fmt.Sprintf("dselect: ranks %v outside [0,%d]", rs, total))
@@ -135,7 +155,7 @@ func Split[T any](c elem.Codec[T], n *cluster.Node, chunk []T, ranks func(total 
 	}
 	brackets := make([][]mselect.Interval, len(rs))
 	for j, r := range rs {
-		b := mselect.Interval{Hi: int64(len(chunk))}
+		b := mselect.Interval{Hi: int64(chunk.Len())}
 		if a := sort.Search(len(pool), func(t int) bool { return hi[t] > r }) - 1; a >= 0 {
 			b.Lo = Before(ord, chunk, n.Rank, pool[a])
 		}
@@ -155,15 +175,15 @@ func Split[T any](c elem.Codec[T], n *cluster.Node, chunk []T, ranks func(total 
 // Cuts is Split at fixed ranks: out[j] of this PE's elements order
 // before global rank ranks[j]; summed over the PEs, out[j] is ranks[j].
 func Cuts[T any](c elem.Codec[T], n *cluster.Node, local []T, ranks []int64) []int64 {
-	out, _ := Split(c, n, local, func(int64) []int64 { return ranks })
+	out, _ := Split(c, n, Sorted[T]{Vals: local}, func(int64) []int64 { return ranks })
 	return out
 }
 
 // sliceLocal is Split's one in-memory piece: PE rank's sorted chunk.
 type sliceLocal[T any] struct {
 	rank int
-	vals []T
+	vals Sorted[T]
 }
 
-func (l sliceLocal[T]) Pieces() []Piece     { return []Piece{{ID: l.rank, Len: int64(len(l.vals))}} }
-func (l sliceLocal[T]) At(_ int, i int64) T { return l.vals[i] }
+func (l sliceLocal[T]) Pieces() []Piece     { return []Piece{{ID: l.rank, Len: int64(l.vals.Len())}} }
+func (l sliceLocal[T]) At(_ int, i int64) T { return l.vals.At(int(i)) }

@@ -27,3 +27,15 @@ func DecodeInto[T any](c Codec[T], dst []T, src []byte) {
 		dst[i] = c.Decode(src[i*sz : (i+1)*sz])
 	}
 }
+
+// Gather writes the wire bytes of vs[perm[0]], vs[perm[1]], … into dst,
+// which must hold len(perm)·Size() bytes: for a POD codec by assigning
+// through a view of dst, for any other into a fresh slice then encoded
+// (OutView, WriteBack).
+func Gather[T any](c Codec[T], dst []byte, vs []T, perm []int32) {
+	out := OutView(c, dst[:len(perm)*c.Size()])
+	for i, p := range perm {
+		out[i] = vs[p]
+	}
+	WriteBack(c, dst, out)
+}

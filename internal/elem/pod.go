@@ -48,18 +48,49 @@ func podBytes[T any](vs []T, size int) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(&vs[0])), len(vs)*size)
 }
 
+// inPlace returns b's whole elements reinterpreted in place when c is
+// POD and b is aligned for T, nil otherwise.
+func inPlace[T any](c Codec[T], b []byte) []T {
+	n := len(b) / c.Size()
+	if n == 0 || !pod(c) {
+		return nil
+	}
+	if p := unsafe.Pointer(&b[0]); uintptr(p)%unsafe.Alignof(*new(T)) == 0 {
+		return unsafe.Slice((*T)(p), n)
+	}
+	return nil
+}
+
 // View returns b's whole elements as a []T. For a POD codec, when b is
 // aligned for T, the result is b itself, reinterpreted in place;
 // otherwise it is decoded into a fresh slice, at the call. Either way the
 // caller keeps b, unchanged, until it is done with the result, so a
 // caller has one path for both.
 func View[T any](c Codec[T], b []byte) []T {
-	n := len(b) / c.Size()
-	if n == 0 {
-		return nil
+	if vs := inPlace(c, b); vs != nil || len(b) < c.Size() {
+		return vs
 	}
-	if p := unsafe.Pointer(&b[0]); pod(c) && uintptr(p)%unsafe.Alignof(*new(T)) == 0 {
-		return unsafe.Slice((*T)(p), n)
+	return DecodeSlice(c, b, len(b)/c.Size())
+}
+
+// OutView is View for a buffer about to be written: a []T of b's whole
+// elements whose wire bytes WriteBack puts into b — b itself,
+// reinterpreted, where View would read b in place, a fresh slice (no
+// decode) otherwise.
+func OutView[T any](c Codec[T], b []byte) []T {
+	if vs := inPlace(c, b); vs != nil {
+		return vs
 	}
-	return DecodeSlice(c, b, n)
+	return make([]T, len(b)/c.Size())
+}
+
+// WriteBack returns the wire bytes of vs, a prefix of OutView(c, b), in
+// b: nothing moves when vs views b in place; any other vs is encoded
+// into b.
+func WriteBack[T any](c Codec[T], b []byte, vs []T) []byte {
+	n := len(vs) * c.Size()
+	if n > 0 && unsafe.Pointer(unsafe.SliceData(vs)) != unsafe.Pointer(unsafe.SliceData(b)) {
+		EncodeInto(c, b, vs)
+	}
+	return b[:n]
 }

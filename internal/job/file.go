@@ -31,7 +31,13 @@ func (f *File) Append(e blockio.Extent) {
 // producing an aligned File. The partial block is one encoded tail
 // buffer, which can be flushed (creating a partial block) and refilled
 // later — that flush/reload pair is exactly the "partially filled
-// blocks" overhead of the external all-to-all (§IV-E).
+// blocks" overhead of the external all-to-all (§IV-E). Merge merges
+// straight into the tail.
+//
+// The tail is refilled as soon as Volume.WriteAsync returns, which holds
+// because every Store has copied the block by then. An I/O queue that
+// still reads the block after WriteAsync returns must hand the writer a
+// fresh tail buffer instead.
 type Writer[T any] struct {
 	c     elem.Codec[T]
 	vol   *blockio.Volume
@@ -62,6 +68,30 @@ func (w *Writer[T]) AddBytes(b []byte) {
 		panic(fmt.Sprintf("job: Writer.AddBytes of %d bytes, not whole %d-byte elements", len(b), sz))
 	}
 	w.add(len(b)/sz, func(i, j int) { w.tail = append(w.tail, b[i*sz:j*sz]...) })
+}
+
+// Merge k-way merges k sorted streams (xmerge.MergeStream; next as
+// there) through the tail, which must be empty: the merge writes into a
+// view of it (elem.OutView), so each merged block is encoded where it is
+// written — for a non-POD codec, by one encode into the tail. Each block
+// goes to sink as its wire bytes or, with sink nil, onto the end of the
+// file: a full block at once, the last partial one left in the tail for
+// Suspend or Finish. each then sees the block's elements, valid for the
+// call. sink's error ends the merge.
+func (w *Writer[T]) Merge(k int, next func(i int) []T, sink func(encoded []byte) error, each func(blk []T)) error {
+	out := elem.OutView(w.c, w.tail[:w.block])
+	return xmerge.MergeStream(w.c, k, out, next, func(blk []T) error {
+		enc := elem.WriteBack(w.c, w.tail[:w.block], blk)
+		if sink != nil {
+			if err := sink(enc); err != nil {
+				return err
+			}
+		} else if w.tail = enc; len(enc) == w.block {
+			w.Suspend()
+		}
+		each(blk)
+		return nil
+	})
 }
 
 // add appends n elements, handing put each stretch [i, j) of them that
@@ -222,28 +252,26 @@ func (r *reader[T]) nextBlock() []T {
 // file (overlapping I/O with merging), merged where they were read (the
 // reader's views) and freed as soon as they are consumed, so the output
 // can recycle them — the (nearly) in-place operation of §IV-E. The
-// merge is xmerge.MergeStream, block-at-a-time:
-// each output block goes to sink (Job.OutputSink), encoded in the
-// writer's tail buffer, or — nil sink, nobody wants the output —
-// onto the volume. Every block is charged the merge and a scan; the
-// memory charge and the closing barrier are the caller's.
+// merge is Writer.Merge, block-at-a-time, into the writer's tail: each
+// output block goes from there to sink (Job.OutputSink) as it is or —
+// nil sink, nobody wants the output — onto the volume. Every block is
+// charged the merge and a scan; the memory charge and the closing
+// barrier are the caller's.
 func (j *Job[T]) MergeFiles(n *cluster.Node, files []File, sink func(rank int, encoded []byte) error) (int64, error) {
 	c, model := j.c, j.cfg.Model
 	readers := make([]*reader[T], len(files))
 	for i, f := range files {
 		readers[i] = newReader(c, n.Vol, f)
 	}
-	w := NewWriter(c, n.Vol) // with a sink, only its tail buffer is used
+	var put func([]byte) error
+	if sink != nil {
+		put = func(b []byte) error { return sink(n.Rank, b) }
+	}
+	w := NewWriter(c, n.Vol)
 	var emitted int64
-	err := xmerge.MergeStream(c, len(files), j.BElem, func(i int) []T { return readers[i].nextBlock() }, func(out []T) error {
+	err := w.Merge(len(files), func(i int) []T { return readers[i].nextBlock() }, put, func(out []T) {
 		emitted += int64(len(out))
-		if sink == nil {
-			w.AddSlice(out)
-		} else if err := sink(n.Rank, elem.AppendEncode(c, w.tail[:0], out)); err != nil {
-			return err
-		}
 		n.AddCPU(model.MergeCPU(int64(len(out)), len(files)) + model.ScanCPU(int64(len(out))))
-		return nil
 	})
 	w.Finish()
 	if err != nil {

@@ -27,6 +27,7 @@ import (
 	"demsort/internal/bufpool"
 	"demsort/internal/cluster"
 	"demsort/internal/cluster/sim"
+	"demsort/internal/dselect"
 	"demsort/internal/elem"
 	"demsort/internal/psort"
 	"demsort/internal/vtime"
@@ -158,18 +159,24 @@ func RankBounds(total int64, p int) []int64 {
 }
 
 // EncodeParts splits a PE's sorted chunk at its local cut positions for
-// ranks 1..P-1 and encodes part q — chunk[cuts[q-1]:cuts[q]] — into a
-// pooled buffer as the all-to-all send vector for PE q.
-func EncodeParts[T any](c elem.Codec[T], chunk []T, cuts []int64) [][]byte {
+// ranks 1..P-1 and gathers part q — chunk elements [cuts[q-1], cuts[q])
+// — in sorted order into a pooled buffer as the all-to-all send vector
+// for PE q (elem.Gather): each element is copied once, from where it was
+// read, and chunk is left as it was.
+func EncodeParts[T any](c elem.Codec[T], chunk dselect.Sorted[T], cuts []int64) [][]byte {
 	send := make([][]byte, len(cuts)+1)
-	lo := int64(0)
+	lo := 0
 	for q := range send {
-		hi := int64(len(chunk))
+		hi := chunk.Len()
 		if q < len(cuts) {
-			hi = cuts[q]
+			hi = int(cuts[q])
 		}
-		send[q] = bufpool.Get(int(hi-lo) * c.Size())
-		elem.EncodeInto(c, send[q], chunk[lo:hi])
+		send[q] = bufpool.Get((hi - lo) * c.Size())
+		if chunk.Perm == nil {
+			elem.EncodeInto(c, send[q], chunk.Vals[lo:hi])
+		} else {
+			elem.Gather(c, send[q], chunk.Vals, chunk.Perm[lo:hi])
+		}
 		lo = hi
 	}
 	return send
@@ -427,9 +434,10 @@ func (j *Job[T]) Load(n *cluster.Node) (*Input, error) {
 // sortChunkBudgeted runs one of run formation's in-node sorts with the
 // radix engine's scratch (one pair buffer and the histograms, rounded up
 // to whole elements) charged against the memory budget — within the
-// share Plan.formRunsFits reserves. Closure-only codecs bypass the radix
+// share Plan.formRunsFits reserves: psort.Sort in place with perm nil,
+// psort.Order into perm otherwise. Closure-only codecs bypass the radix
 // engine and charge nothing.
-func sortChunkBudgeted[T any](c elem.Codec[T], n *cluster.Node, chunk []T) {
+func sortChunkBudgeted[T any](c elem.Codec[T], n *cluster.Node, chunk []T, perm []int32) {
 	workers := psort.DefaultWorkers()
 	var scratch int64
 	if _, keyed := elem.Codec[T](c).(elem.KeyedCodec[T]); keyed {
@@ -437,6 +445,10 @@ func sortChunkBudgeted[T any](c elem.Codec[T], n *cluster.Node, chunk []T) {
 		scratch = (psort.ScratchBytes(len(chunk), workers) + es - 1) / es
 	}
 	n.Mem.MustAcquire(scratch)
-	psort.Sort(c, chunk, workers)
+	if perm == nil {
+		psort.Sort(c, chunk, workers)
+	} else {
+		psort.Order(c, chunk, perm, workers)
+	}
 	n.Mem.Release(scratch)
 }

@@ -16,6 +16,7 @@ import (
 	"demsort/internal/cluster/sim"
 	"demsort/internal/dselect"
 	"demsort/internal/elem"
+	"demsort/internal/psort"
 	"demsort/internal/workload"
 	"demsort/internal/xmerge"
 )
@@ -43,7 +44,7 @@ func TestEncodePartsRoundTrip(t *testing.T) {
 		chunk[i] = elem.KV16{Key: uint64(i), Val: uint64(100 + i)}
 	}
 	cuts := []int64{0, 3, 3, 10} // five parts: two of them empty, one at each end
-	send := EncodeParts(kvc, chunk, cuts)
+	send := EncodeParts(kvc, dselect.Sorted[elem.KV16]{Vals: chunk}, cuts)
 	if len(send) != len(cuts)+1 {
 		t.Fatalf("%d parts for %d cuts", len(send), len(cuts))
 	}
@@ -148,6 +149,55 @@ func TestStartChecksAdoptedMachine(t *testing.T) {
 	}
 }
 
+// TestGatherEqualsEncodePartsOfThePermutedChunk: EncodeParts of a chunk
+// read through psort.Order's permutation gathers into the send vectors
+// the bytes it encodes of the permuted chunk itself, part for part, and
+// leaves the chunk as it was — for KV16 and Rec100 records that tie on
+// their 8-byte key prefix (assigned through views of the pooled
+// buffers) and a closure-only codec (encoded element by element).
+func TestGatherEqualsEncodePartsOfThePermutedChunk(t *testing.T) {
+	rng := rand.New(rand.NewPCG(19, 23))
+	kv := func() elem.KV16 { return elem.KV16{Key: rng.Uint64N(300), Val: rng.Uint64()} }
+	t.Run("kv16", func(t *testing.T) { checkGather(t, rng, kvc, kv) })
+	t.Run("closure_kv16", func(t *testing.T) { checkGather[elem.KV16](t, rng, closureKV16{}, kv) })
+	t.Run("rec100", func(t *testing.T) {
+		checkGather(t, rng, elem.Rec100Codec{}, func() (r elem.Rec100) {
+			for i := range r {
+				r[i] = byte(rng.Uint32())
+			}
+			r[0], r[7] = 0, byte(rng.IntN(3))
+			return r
+		})
+	})
+}
+
+func checkGather[T any](t *testing.T, rng *rand.Rand, c elem.Codec[T], gen func() T) {
+	for _, n := range []int{0, 1, 100, 1000} {
+		vals := make([]T, n)
+		for i := range vals {
+			vals[i] = gen()
+		}
+		before := elem.EncodeSlice(c, vals)
+		perm := make([]int32, n)
+		psort.Order(c, vals, perm, 2)
+		permuted := make([]T, n)
+		for i, p := range perm {
+			permuted[i] = vals[p]
+		}
+		cuts := []int64{0, int64(n / 3), int64(n / 3), int64(n)} // empty parts at either end and inside
+		got := EncodeParts(c, dselect.Sorted[T]{Vals: vals, Perm: perm}, cuts)
+		want := EncodeParts(c, dselect.Sorted[T]{Vals: permuted}, cuts)
+		for q := range want {
+			if !bytes.Equal(got[q], want[q]) {
+				t.Fatalf("n=%d part %d: the gather differs from the permuted chunk's encoding", n, q)
+			}
+		}
+		if !bytes.Equal(elem.EncodeSlice(c, vals), before) {
+			t.Fatalf("n=%d: the gather moved the chunk", n)
+		}
+	}
+}
+
 // TestFormRuns drives the shared phase 1 on the sim backend with the
 // exact run sort: per run, the segments handed to store — concatenated in rank order — are
 // sorted and are a permutation of the blocks that run was formed from,
@@ -195,16 +245,22 @@ func TestFormRuns(t *testing.T) {
 					}
 					n.SetPhase("run formation")
 					entry := n.Mem.Used()
-					runCount[n.Rank], err = j.FormRuns(n, spans, 0xABC, j.SortExact, func(run int, runLen, segStart int64, s []elem.KV16) error {
+					runCount[n.Rank], err = j.FormRuns(n, spans, 0xABC, func(run int, chunk dselect.Sorted[elem.KV16]) error {
 						if run != len(segs[n.Rank]) {
-							return fmt.Errorf("rank %d: store called for run %d after %d runs", n.Rank, run, len(segs[n.Rank]))
+							return fmt.Errorf("rank %d: sortRun called for run %d after %d runs", n.Rank, run, len(segs[n.Rank]))
 						}
-						if used := n.Mem.Used(); used != entry+2*int64(len(s)) {
-							return fmt.Errorf("rank %d run %d: %d elements charged during store, want entry %d + 2·%d", n.Rank, run, used, entry, len(s))
+						if chunk.Perm == nil && chunk.Len() > 0 && slices.Max(tc.sizes) > 256 {
+							return fmt.Errorf("rank %d run %d: R > 1 handed sortRun no permutation", n.Rank, run)
 						}
-						segs[n.Rank] = append(segs[n.Rank], seg{runLen, segStart, slices.Clone(s)})
-						n.Mem.Release(2 * int64(len(s))) // store owns the segment's charge
-						return nil
+						return j.SortExact(n, chunk, func(parts [][]elem.KV16, segStart, runLen int64) error {
+							s := xmerge.AppendMerge(tc.codec, nil, parts)
+							if used := n.Mem.Used(); used != entry+2*int64(len(s)) {
+								return fmt.Errorf("rank %d run %d: %d elements charged during store, want entry %d + 2·%d", n.Rank, run, used, entry, len(s))
+							}
+							segs[n.Rank] = append(segs[n.Rank], seg{runLen, segStart, s})
+							n.Mem.Release(2 * int64(len(s))) // store owns the segment's charge
+							return nil
+						})
 					})
 					if err != nil {
 						return err
@@ -378,8 +434,9 @@ func orderOf[T any](c elem.Codec[T]) func(a, b T) int {
 	}
 }
 
-// TestSortExactIsTheExactRunSort pins the run sort core passes to
-// FormRuns over a table of inputs and machine sizes. On every PE,
+// TestSortExactIsTheExactRunSort pins the run sort core's run formation
+// calls over a table of inputs and machine sizes, each chunk handed over
+// as FormRuns hands it: read through psort.Order's permutation. On every PE,
 // SortExact makes one AllGather (lengths and samples) and three
 // AllToAllv (residuals, answers, data) — at P = 1 only the data's — and
 // leaves every PE with exactly its RankBounds share of the central
@@ -449,29 +506,40 @@ func checkSortExact[T any](t *testing.T, c elem.Codec[T], blockBytes int, chunks
 	calls := make([][]string, p)
 	onSim(t, c, Defaults(p, 4096, blockBytes), make([][]T, p), func(j *Job[T], n *cluster.Node) error {
 		n.SetPhase("run formation")
-		sorted := func() []T {
-			chunk := slices.Clone(chunks[n.Rank])
-			slices.SortStableFunc(chunk, byOrder)
-			n.Mem.MustAcquire(int64(len(chunk)))
-			return chunk
-		}
-		chunk := sorted()
+		chunk := slices.Clone(chunks[n.Rank])
+		slices.SortStableFunc(chunk, byOrder)
+		n.Mem.MustAcquire(int64(len(chunk)))
 		if entry := n.Mem.Used(); n.Mem.Peak() != entry {
 			return fmt.Errorf("rank %d: budget peak %d before the split, want its chunk's %d", n.Rank, n.Mem.Peak(), entry)
 		}
-		dselect.Split(c, n, chunk, func(total int64) []int64 { return RankBounds(total, p)[1:p] })
+		dselect.Split(c, n, dselect.Sorted[T]{Vals: chunk}, func(total int64) []int64 { return RankBounds(total, p)[1:p] })
 		if grew := n.Mem.Peak() - int64(len(chunk)); grew > max(pool, j.SplitResidual) {
 			return fmt.Errorf("rank %d: the split held %d elements beside its chunk: more than the pool of %d and the plan's SplitResidual %d", n.Rank, grew, pool, j.SplitResidual)
 		}
 		n.Mem.Release(int64(len(chunk)))
 
+		// As run formation hands it over: unsorted, in the order
+		// psort.Order found, charged with its permutation.
+		entry := n.Mem.Used()
+		vals := slices.Clone(chunks[n.Rank])
+		perm := make([]int32, len(vals))
+		psort.Order(c, vals, perm, 2)
+		n.Mem.MustAcquire(int64(len(vals)) + permElems(int64(len(vals)), c.Size()))
 		n.SetOpHook(func(op string) { calls[n.Rank] = append(calls[n.Rank], op) })
-		seg, segStart, runLen, err := j.SortExact(n, sorted(), nil)
+		var seg []T
+		var segStart, runLen int64
+		err := j.SortExact(n, dselect.Sorted[T]{Vals: vals, Perm: perm}, func(parts [][]T, start, total int64) error {
+			seg, segStart, runLen = xmerge.AppendMerge(c, nil, parts), start, total
+			return nil
+		})
 		n.SetOpHook(nil)
 		if err != nil {
 			return err
 		}
 		n.Mem.Release(2 * int64(len(seg)))
+		if used := n.Mem.Used(); used != entry {
+			return fmt.Errorf("rank %d: %d elements charged after SortExact, %d before", n.Rank, used, entry)
+		}
 		want := all[bounds[n.Rank]:bounds[n.Rank+1]]
 		if runLen != int64(len(all)) || segStart != bounds[n.Rank] || !bytes.Equal(elem.EncodeSlice(c, seg), elem.EncodeSlice(c, want)) {
 			return fmt.Errorf("rank %d: segment of %d from %d of %d is not the central sort's %d from %d of %d", n.Rank, len(seg), segStart, runLen, len(want), bounds[n.Rank], len(all))
@@ -518,13 +586,15 @@ func TestSortAcross(t *testing.T) {
 				}
 				entry := n.Mem.Used()
 				n.Mem.MustAcquire(int64(len(chunk)))
-				merged := j.SortAcross(n, chunk, cuts, make([]elem.KV16, 0, 8)) // a destination too small to hold it
-				if used := n.Mem.Used(); used != entry+2*int64(len(merged)) {
-					return fmt.Errorf("rank %d: %d elements charged for a result of %d", n.Rank, used-entry, len(merged))
-				}
-				n.Mem.Release(2 * int64(len(merged)))
-				out[n.Rank] = merged
-				return nil
+				return j.SortAcross(n, dselect.Sorted[elem.KV16]{Vals: chunk}, cuts, func(parts [][]elem.KV16, got int64) error {
+					merged := xmerge.AppendMerge(kvc, make([]elem.KV16, 0, 8), parts) // a destination too small to hold it
+					if used := n.Mem.Used(); int64(len(merged)) != got || used != entry+2*got {
+						return fmt.Errorf("rank %d: %d elements charged for a result of %d (%d reported)", n.Rank, used-entry, len(merged), got)
+					}
+					n.Mem.Release(2 * got)
+					out[n.Rank] = merged
+					return nil
+				})
 			})
 			var all, got []elem.KV16
 			for rank := range chunks {

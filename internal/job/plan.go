@@ -179,14 +179,19 @@ func (p *Plan) striped() error {
 // formRunsFits refuses a job whose run formation overflows the budget:
 // a PE holds its run share and what the sorter holds of earlier runs,
 // next to first the scratch of the radix engine that sortChunkBudgeted
-// sorts with (on any host's worker count) and then what the run's split
-// holds.
+// sorts with (on any host's worker count) and then the run's
+// permutation (R > 1: charged once psort.Order has found it, until
+// SortAcross has gathered the run) and what the run's split holds.
 func (p *Plan) formRunsFits(held, split int64) error {
 	es := int64(p.ElemSize)
 	scratch := (psort.ScratchBytes(int(p.RunLocal), psort.MaxWorkers) + es - 1) / es
-	if need := p.RunLocal + held + max(scratch, split); need > p.MemElems {
-		return fmt.Errorf("run formation holds a run share of %d elements, %d of sort scratch (%d to split it) and %d sampled from earlier runs: %d elements of a memory budget of %d; raise the budget (demsort -mem)",
-			p.RunLocal, scratch, split, held, need, p.MemElems)
+	var perm int64
+	if p.Runs > 1 {
+		perm = permElems(p.RunLocal, p.ElemSize)
+	}
+	if need := p.RunLocal + held + max(scratch, perm+split); need > p.MemElems {
+		return fmt.Errorf("run formation holds a run share of %d elements, %d of sort scratch (%d for its permutation and %d to split it) and %d sampled from earlier runs: %d elements of a memory budget of %d; raise the budget (demsort -mem)",
+			p.RunLocal, scratch, perm, split, held, need, p.MemElems)
 	}
 	return nil
 }

@@ -12,43 +12,35 @@ import (
 	"demsort/internal/xmerge"
 )
 
-// RunSort is the distributed internal sort of one run (§IV-B) as FormRuns
-// calls it on every PE: chunk is this PE's sorted share of the run,
-// charged at its length and dead on return; the result is this PE's
-// piece of the sorted run — merged onto dst, charged at twice its length
-// — with the run position it starts at and the length of the whole run.
-// The pieces concatenate in rank order to the sorted run; how evenly
-// they are cut is the implementation's choice.
-type RunSort[T any] func(n *cluster.Node, chunk, dst []T) (seg []T, segStart, runLen int64, err error)
-
 // FormRuns is phase 1 of both mergesorts (§III and §IV, first phase):
 // R = N/M global runs, each assembled from (randomly chosen) local
-// blocks on every PE and sorted across the machine with the distributed
-// internal sort sortRun. The algorithms differ in how exactly a run must
-// be split — canonical needs every PE to hold exactly its 1/P share
-// (SortExact, by dselect.Split), striped re-distributes the run anyway
-// and takes cheaper approximate cuts — and in where a sorted run goes:
-// canonical leaves each PE's segment on its local disks, striped stripes
-// it over the machine. That is the store callback: it receives elements
-// [segStart, segStart+len(seg)) of run number run, runLen elements long,
-// charged at 2·len(seg) as sortRun returns them, and owns that charge:
-// store releases it. seg is dead once store returns (the next run's
-// segment is merged into the same storage). Every PE calls store for
-// every run (collective work is allowed in it). salt separates the
-// callers' block shuffles.
+// blocks on every PE, sorted locally and handed to sortRun, which sorts
+// it across the machine (the distributed internal sort, §IV-B) and
+// stores it. The algorithms differ in how exactly a run must be split —
+// canonical needs every PE to hold exactly its 1/P share (SortExact, by
+// dselect.Split), striped re-distributes the run anyway and takes
+// cheaper approximate cuts — and in where a sorted run goes: canonical
+// merges each PE's piece straight into a run file on its local disks,
+// striped stripes it over the machine. sortRun(run, chunk) gets this
+// PE's sorted share of run number run, charged at chunk.Len() elements —
+// and its permutation, when it has one, at permElems — and both are dead
+// once it returns (SortAcross releases the charges). Every PE calls
+// sortRun for every run (collective work is allowed in it). salt
+// separates the callers' block shuffles.
 //
 // I/O is overlapped with sorting and communication: while run i is
 // processed, run i+1's blocks are already being fetched and run i−1's
 // output is still draining (§IV-E "Overlapping"). Each input block is
 // read once, from wherever Load left it, into its run's buffer, and the
-// spans are freed as they are read. The run is sorted where it was read
-// — sortRun gets a view of the buffer (elem.View), not a decoded copy —
-// and at R = 1 each block is sorted in place as it arrives and the
-// blocks are merged. The writes store issued are drained on return. An
-// input read error ends run formation with that error. FormRuns returns
-// the run count R.
-func (j *Job[T]) FormRuns(n *cluster.Node, in *Input, salt uint64, sortRun RunSort[T],
-	store func(run int, runLen, segStart int64, seg []T) error) (int, error) {
+// spans are freed as they are read. No record moves in the buffer it
+// was read into: psort.Order sorts a view of it (elem.View) into one
+// phase-long permutation, and chunk is that view read through it, which
+// SortAcross gathers straight into the send vectors. At R = 1 each block
+// is sorted in place as it arrives and the blocks are merged, so chunk
+// is in order (a nil Perm). The writes sortRun issued are drained on
+// return. An input read error ends run formation with that error.
+// FormRuns returns the run count R.
+func (j *Job[T]) FormRuns(n *cluster.Node, in *Input, salt uint64, sortRun func(run int, chunk dselect.Sorted[T]) error) (int, error) {
 	c, cfg, sz, model := j.c, j.cfg, j.c.Size(), &j.cfg.Model
 	spans := in.Spans
 	if cfg.Randomize {
@@ -93,9 +85,9 @@ func (j *Job[T]) FormRuns(n *cluster.Node, in *Input, salt uint64, sortRun RunSo
 		return nil
 	}
 
-	// One merged segment is dead before the next run's is built, so the
-	// runs share its storage.
-	var seg []T
+	// The permutation of the run being sorted: one run's is dead before
+	// the next run is ordered, so the runs share it.
+	var perm []int32
 	if err := fetchRun(0); err != nil {
 		return 0, err
 	}
@@ -109,7 +101,7 @@ func (j *Job[T]) FormRuns(n *cluster.Node, in *Input, salt uint64, sortRun RunSo
 		mine, buf, hs := runSpans(r), bufs[r%2], handles[r%2]
 		chunkLen := int64(len(buf) / sz)
 		n.Mem.MustAcquire(chunkLen)
-		var chunk []T
+		var chunk dselect.Sorted[T]
 		if runs == 1 {
 			// §IV-E: "Immediately after a block is read from disk, it
 			// is sorted, while the disk is busy with subsequent
@@ -122,84 +114,94 @@ func (j *Job[T]) FormRuns(n *cluster.Node, in *Input, salt uint64, sortRun RunSo
 				in.Release(sp)
 				blk := elem.View(c, buf[off:off+sp.Bytes])
 				off += sp.Bytes
-				sortChunkBudgeted(c, n, blk)
+				sortChunkBudgeted(c, n, blk, nil)
 				n.AddCPU(model.SortCPU(int64(len(blk))) + model.ScanCPU(int64(len(blk))))
 				blocks[i] = blk
 			}
-			chunk = xmerge.AppendMerge(c, make([]T, 0, chunkLen), blocks)
+			chunk.Vals = xmerge.AppendMerge(c, make([]T, 0, chunkLen), blocks)
 			n.AddCPU(model.MergeCPU(chunkLen, len(blocks)))
 		} else {
 			for i, sp := range mine {
 				n.Vol.Wait(hs[i])
 				in.Release(sp)
 			}
-			chunk = elem.View(c, buf)
+			chunk.Vals = elem.View(c, buf)
 			n.AddCPU(model.ScanCPU(chunkLen))
-			sortChunkBudgeted(c, n, chunk)
+			perm = slices.Grow(perm[:0], int(chunkLen))[:chunkLen]
+			sortChunkBudgeted(c, n, chunk.Vals, perm)
+			chunk.Perm = perm
+			n.Mem.MustAcquire(permElems(chunkLen, sz)) // released by SortAcross
 			n.AddCPU(model.SortCPU(chunkLen))
 		}
-
-		var segStart, runLen int64
-		var err error
-		if seg, segStart, runLen, err = sortRun(n, chunk, seg[:0]); err != nil {
+		if err := sortRun(r, chunk); err != nil {
 			return 0, fmt.Errorf("run %d: %w", r, err)
-		}
-		if err := store(r, runLen, segStart, seg); err != nil {
-			return 0, err
 		}
 	}
 	n.Vol.Drain()
 	return runs, nil
 }
 
-// SortExact is the RunSort with exact splitting (§IV-B): dselect.Split
-// finds the local positions of the ranks N/P, 2N/P, … in one sample
-// round, and SortAcross leaves every PE with exactly its share.
-func (j *Job[T]) SortExact(n *cluster.Node, chunk, dst []T) ([]T, int64, int64, error) {
+// permElems is what a permutation of n elements of size bytes is charged:
+// ⌈4·n/size⌉ elements, an int32 each.
+func permElems(n int64, size int) int64 { return (4*n + int64(size) - 1) / int64(size) }
+
+// SortExact is canonical run formation's distributed sort (§IV-B):
+// dselect.Split finds the local positions of the ranks N/P, 2N/P, … in
+// one sample round, and SortAcross leaves every PE with exactly its
+// share: store gets its parts as SortAcross's merge does, the run
+// position it starts at and the length of the whole run.
+func (j *Job[T]) SortExact(n *cluster.Node, chunk dselect.Sorted[T], store func(parts [][]T, segStart, runLen int64) error) error {
 	cuts, runLen := dselect.Split(j.c, n, chunk, func(total int64) []int64 { return RankBounds(total, n.P)[1:n.P] })
 	bounds := RankBounds(runLen, n.P)
-	seg := j.SortAcross(n, chunk, cuts, dst)
-	if segLen := bounds[n.Rank+1] - bounds[n.Rank]; int64(len(seg)) != segLen {
-		return nil, 0, 0, fmt.Errorf("PE %d received %d elements, expected segment of %d", n.Rank, len(seg), segLen)
-	}
-	return seg, bounds[n.Rank], runLen, nil
+	return j.SortAcross(n, chunk, cuts, func(parts [][]T, got int64) error {
+		if segLen := bounds[n.Rank+1] - bounds[n.Rank]; got != segLen {
+			return fmt.Errorf("PE %d received %d elements, expected segment of %d", n.Rank, got, segLen)
+		}
+		return store(parts, bounds[n.Rank], runLen)
+	})
 }
 
 // SortAcross is the tail of the distributed internal sort that ends
 // every run and, in the striped sorter, every merge batch: this PE's
 // sorted chunk is cut at cuts (local positions for ranks 1..P-1), part q
-// travels to PE q, and the P sorted pieces arriving here are merged,
-// from views of the received buffers (elem.View), onto dst, whose
-// storage a caller hands back from its previous call. Cuts that are
-// order-consistent across the PEs make the results concatenate, in rank
+// is gathered into the send vector for PE q (EncodeParts), and the P
+// sorted parts arriving here — views of the received buffers
+// (elem.View), got elements in all — go to merge, which merges them
+// where its caller keeps this PE's piece. The parts are valid until
+// merge returns; the buffers are recycled right after. Cuts that are
+// order-consistent across the PEs make the pieces concatenate, in rank
 // order, to the sorted union of all chunks.
 //
-// Budget: chunk arrives charged at len(chunk) elements and is dead on
-// return — that charge is released here, after the encoded send copies
-// have been charged next to it. What arrives is charged at 3·got, one
-// got more than the received buffers and the merged output it holds
-// (ROADMAP direction 5(d) reclaims it); the result comes back charged at
-// twice its length, which the caller releases when it is done with it.
-func (j *Job[T]) SortAcross(n *cluster.Node, chunk []T, cuts []int64, dst []T) []T {
+// Budget: chunk arrives charged at chunk.Len() elements, and its
+// permutation, if any, at permElems; both are released once the send
+// copies are charged next to them. What arrives is charged at 3·got, one
+// got more than the received buffers and the merged piece (ROADMAP
+// direction 5(d) reclaims it); merge gets the piece charged at 2·got and
+// releases it. The merge's CPU is charged before merge runs, so the
+// writes it issues start when the merged piece is complete.
+func (j *Job[T]) SortAcross(n *cluster.Node, chunk dselect.Sorted[T], cuts []int64, merge func(parts [][]T, got int64) error) error {
 	c, sz, model := j.c, j.c.Size(), &j.cfg.Model
-	held := int64(len(chunk))
+	held := int64(chunk.Len())
 	send := EncodeParts(c, chunk, cuts)
 	n.Mem.MustAcquire(held) // encoded send copies
 	n.AddCPU(model.ScanCPU(held))
 	n.Mem.Release(held) // decoded chunk dropped
+	if chunk.Perm != nil {
+		n.Mem.Release(permElems(held, sz)) // and its permutation
+	}
 
 	recv := n.AllToAllv(send)
 	n.Mem.Release(held) // send copies handed off to receivers
 	var got int64
-	pieces := make([][]T, len(recv))
+	parts := make([][]T, len(recv))
 	for q, b := range recv {
 		got += int64(len(b) / sz)
-		pieces[q] = elem.View(c, b)
+		parts[q] = elem.View(c, b)
 	}
 	n.Mem.MustAcquire(3 * got) // received buffers + merged output, and one got spare
-	merged := xmerge.AppendMerge(c, slices.Grow(dst, int(got)), pieces)
-	cluster.RecycleRecv(recv) // the views are dead
 	n.Mem.Release(got)
 	n.AddCPU(model.MergeCPU(got, n.P) + model.ScanCPU(got))
-	return merged
+	err := merge(parts, got)
+	cluster.RecycleRecv(recv) // the views are dead
+	return err
 }

@@ -10,6 +10,7 @@ import (
 	"demsort/internal/blockio"
 	"demsort/internal/elem"
 	"demsort/internal/vtime"
+	"demsort/internal/xmerge"
 )
 
 // TestWriterBytePathMatchesSlicePath: AddBytes and AddSlice, handed the
@@ -100,4 +101,83 @@ func TestWriterAddBytesRejectsPartialElements(t *testing.T) {
 		}
 	}()
 	w.AddBytes(make([]byte, 17))
+}
+
+// TestWriterMergeEqualsAddSliceOfMerge: Writer.Merge, merging straight
+// into the tail, writes the file AddSlice writes of the central merge —
+// the same extents and the same stored bytes — and with a sink hands
+// over exactly those bytes and writes nothing; each sees the merged
+// elements in order. KV16 and Rec100 merge in the tail's own bytes
+// (Rec100 records tie on their 8-byte key prefix), the closure-only
+// codec through a separate slice encoded into the tail; the block size
+// is not a multiple of either element size.
+func TestWriterMergeEqualsAddSliceOfMerge(t *testing.T) {
+	rng := rand.New(rand.NewPCG(13, 17))
+	kv := func() elem.KV16 { return elem.KV16{Key: rng.Uint64N(50), Val: rng.Uint64()} }
+	t.Run("kv16", func(t *testing.T) { checkWriterMerge(t, rng, kvc, kv) })
+	t.Run("closure_kv16", func(t *testing.T) { checkWriterMerge[elem.KV16](t, rng, closureKV16{}, kv) })
+	t.Run("rec100", func(t *testing.T) {
+		checkWriterMerge(t, rng, elem.Rec100Codec{}, func() (r elem.Rec100) {
+			for i := range r {
+				r[i] = byte(rng.Uint32())
+			}
+			r[0], r[7] = 0, byte(rng.IntN(3))
+			return r
+		})
+	})
+}
+
+func checkWriterMerge[T any](t *testing.T, rng *rand.Rand, c elem.Codec[T], gen func() T) {
+	const blockBytes = 1050
+	stored := func(vol *blockio.Volume, f File) []byte {
+		var b []byte
+		for _, e := range f.Extents {
+			raw := make([]byte, e.Len*c.Size())
+			vol.ReadWait(e.ID, raw)
+			b = append(b, raw...)
+		}
+		return b
+	}
+	for trial := range 20 {
+		parts := make([][]T, rng.IntN(6)+1)
+		for i := range parts {
+			parts[i] = make([]T, rng.IntN(150)*(i%3))
+			for k := range parts[i] {
+				parts[i][k] = gen()
+			}
+			slices.SortStableFunc(parts[i], orderOf(c))
+		}
+		want := xmerge.AppendMerge(c, nil, parts)
+		next := func() func(int) []T {
+			ps := slices.Clone(parts)
+			return func(i int) []T { p := ps[i]; ps[i] = nil; return p }
+		}
+		var vols [3]*blockio.Volume
+		var ws [3]*Writer[T]
+		for k := range ws {
+			vols[k] = blockio.NewVolume(blockio.NewMemStore(), blockBytes, 0, vtime.Default(), vtime.NewClock())
+			ws[k] = NewWriter(c, vols[k])
+		}
+		ws[0].AddSlice(want)
+		var seen [2][]T
+		var sunk []byte
+		ws[1].Merge(len(parts), next(), nil, func(blk []T) { seen[0] = append(seen[0], blk...) })
+		err := ws[2].Merge(len(parts), next(), func(b []byte) error { sunk = append(sunk, b...); return nil }, func(blk []T) { seen[1] = append(seen[1], blk...) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		files := [3]File{ws[0].Finish(), ws[1].Finish(), ws[2].Finish()}
+		enc := elem.EncodeSlice(c, want)
+		if !slices.Equal(files[0].Extents, files[1].Extents) || files[1].N != int64(len(want)) || !bytes.Equal(stored(vols[1], files[1]), enc) {
+			t.Fatalf("trial %d: Merge wrote %+v, AddSlice of the merge %+v", trial, files[1].Extents, files[0].Extents)
+		}
+		if files[2].N != 0 || !bytes.Equal(sunk, enc) {
+			t.Fatalf("trial %d: Merge with a sink wrote %d elements and sank %d bytes, want none and %d", trial, files[2].N, len(sunk), len(enc))
+		}
+		for _, s := range seen {
+			if !bytes.Equal(elem.EncodeSlice(c, s), enc) {
+				t.Fatalf("trial %d: each saw %d elements, not the merge's %d", trial, len(s), len(want))
+			}
+		}
+	}
 }

@@ -113,3 +113,55 @@ func TestScratchBytesMatchesDispatch(t *testing.T) {
 		t.Fatalf("clamped scratch at %d = %d, want %d", mid, got, want)
 	}
 }
+
+// orderMatchesSort checks that base gathered by psort.Order's
+// permutation is Sort's output bit for bit, and that Order left base as
+// it was.
+func orderMatchesSort[T comparable](t *testing.T, c elem.Codec[T], base []T, workers int) {
+	t.Helper()
+	want, vs := slices.Clone(base), slices.Clone(base)
+	Sort(c, want, workers)
+	perm := make([]int32, len(vs)+3) // Order fills perm[:len(vs)]
+	Order(c, vs, perm, workers)
+	if !slices.Equal(vs, base) {
+		t.Fatal("Order moved elements")
+	}
+	for i, p := range perm[:len(vs)] {
+		if vs[p] != want[i] {
+			t.Fatalf("gathered element %d differs from Sort's output", i)
+		}
+	}
+}
+
+// TestConformanceOrderGathersSort: Order's permutation, gathered, is
+// Sort's output bit for bit — over the conformance distributions, Rec100
+// records that share their 8-byte key prefix, every worker count 1..8,
+// chunks below radixMinLen and a closure-only codec.
+func TestConformanceOrderGathersSort(t *testing.T) {
+	rng := rand.New(rand.NewPCG(45, 46))
+	recs := make([]elem.Rec100, confN)
+	for i := range recs {
+		recs[i][7] = byte(rng.Uint64N(4))
+		recs[i][8], recs[i][9] = byte(rng.Uint64()), byte(rng.Uint64N(3))
+		recs[i][10], recs[i][11] = byte(i), byte(i>>8)
+	}
+	for workers := 1; workers <= 8; workers++ {
+		for name, base := range kvDistributions(rng) {
+			t.Run(fmt.Sprintf("%s/w%d", name, workers), func(t *testing.T) {
+				orderMatchesSort[elem.KV16](t, kvc, base, workers)
+			})
+		}
+		t.Run(fmt.Sprintf("rec100-shared-prefix/w%d", workers), func(t *testing.T) {
+			orderMatchesSort[elem.Rec100](t, elem.Rec100Codec{}, recs, workers)
+		})
+	}
+	for _, n := range []int{0, 1, 2, radixMinLen - 1, radixMinLen} {
+		t.Run(fmt.Sprintf("short/n%d", n), func(t *testing.T) {
+			orderMatchesSort[elem.KV16](t, kvc, randKV(rng, n, 5), 4)
+			orderMatchesSort[elem.Rec100](t, elem.Rec100Codec{}, recs[:n], 4)
+		})
+	}
+	t.Run("closure-only", func(t *testing.T) {
+		orderMatchesSort[elem.KV16](t, closureKV{}, randKV(rng, 2*radixMinLen, 9), 4)
+	})
+}

@@ -16,9 +16,10 @@ import (
 // — by recursive in-place partitioning. Because the pairs carry (key,
 // original index), a *distinct* total order, fully sorting them by
 // (key, idx) yields exactly the stable sort permutation even though
-// the partitioning itself is unstable. The elements are then permuted
-// once, in place, by cycle following, so sort scratch is n pairs +
-// histograms and no element-sized buffer.
+// the partitioning itself is unstable. Sort then permutes the elements
+// once, in place, by cycle following; Order hands the index column out
+// instead. Either way sort scratch is n pairs + histograms and no
+// element-sized buffer.
 
 // flagPartition partitions a in place by byte digit d using the
 // American-flag cycle scatter. h holds a's digit-d counts on entry and
@@ -214,11 +215,13 @@ func cyclePermute[T any](vs []T, a []keyIdx) {
 	}
 }
 
-// radixMSD sorts vs by the stable sort order with the in-place
-// American-flag MSD engine, using up to `workers` goroutines for the
-// build pass and the bucket recursion. Scratch is one pooled pair
-// buffer plus pooled histograms (ScratchBytes).
-func radixMSD[T any](kc elem.KeyedCodec[T], vs []T, workers int) {
+// radixMSD sorts the (key, index) pairs of vs into the stable sort
+// order with the in-place American-flag MSD, using up to `workers`
+// goroutines for the build pass and the bucket recursion, then permutes
+// vs in place (Sort, perm nil) or copies the index column into perm
+// (Order). Scratch is one pooled pair buffer plus pooled histograms
+// (ScratchBytes).
+func radixMSD[T any](kc elem.KeyedCodec[T], vs []T, perm []int32, workers int) {
 	n := len(vs)
 	checkLen(n)
 	var ar arena
@@ -238,6 +241,8 @@ func radixMSD[T any](kc elem.KeyedCodec[T], vs []T, workers int) {
 		dTop--
 	}
 
+	// dTop < 0: every key equal, the pairs in original order (the
+	// identity); the tie fix-up handles the whole slice as one run.
 	if dTop >= 0 {
 		sizes := col[dTop] // flagPartition consumes its counts
 		flagPartition(a, dTop, &col[dTop])
@@ -251,13 +256,16 @@ func radixMSD[T any](kc elem.KeyedCodec[T], vs []T, workers int) {
 			start += int(c)
 		}
 		msdSortBuckets(a, tasks, &uniform, workers)
+	}
+	if perm != nil {
+		for i := range a {
+			perm[i] = a[i].idx
+		}
+	} else if dTop >= 0 {
 		cyclePermute(vs, a)
 	}
-	// dTop < 0: all 8 digits uniform — every key equal, pairs already
-	// in original order, the permutation is the identity. Fall through
-	// to the tie fix-up, which then handles the whole slice as one run.
 
 	if !kc.KeyExact() {
-		fixupTies(kc, vs, a, bounds, workers)
+		fixupTies(kc, vs, perm, a, bounds, workers)
 	}
 }

@@ -100,14 +100,17 @@ func colSums(hists []digitHist, n int) (col digitHist, uniform [8]bool) {
 }
 
 // fixupTies re-sorts runs of equal truncated keys with the comparator
-// for inexact-key codecs (Rec100). Within a run the elements are in
-// original order (the pair order is the stable order), so a stable
-// sort keeps the overall result stable. Each worker owns the runs that
-// *start* in its range — a run crossing a boundary belongs wholly to
-// the worker it starts in, and the right-hand worker skips past it —
-// so the runs processed are disjoint and the pass is race-free.
-func fixupTies[T any](kc elem.KeyedCodec[T], vs []T, a []keyIdx, bounds []int, workers int) {
+// for inexact-key codecs (Rec100): the runs of vs itself, or with perm
+// non-nil the runs of perm, compared through vs[perm[i]]. Within a run
+// the elements are in original order (the pair order is the stable
+// order), so a stable sort keeps the overall result stable. Each worker
+// owns the runs that *start* in its range — a run crossing a boundary
+// belongs wholly to the worker it starts in, and the right-hand worker
+// skips past it — so the runs processed are disjoint and the pass is
+// race-free.
+func fixupTies[T any](kc elem.KeyedCodec[T], vs []T, perm []int32, a []keyIdx, bounds []int, workers int) {
 	n := len(vs)
+	cmpT := cmp[T](kc)
 	runParallel(workers, func(w int) {
 		lo, hi := bounds[w], bounds[w+1]
 		i := lo
@@ -122,7 +125,11 @@ func fixupTies[T any](kc elem.KeyedCodec[T], vs []T, a []keyIdx, bounds []int, w
 				j++
 			}
 			if j-i > 1 {
-				slices.SortStableFunc(vs[i:j], cmp[T](kc))
+				if perm == nil {
+					slices.SortStableFunc(vs[i:j], cmpT)
+				} else {
+					sortIndex(vs, perm[i:j], cmpT)
+				}
 			}
 			i = j
 		}

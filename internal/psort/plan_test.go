@@ -44,7 +44,7 @@ func TestReportDispatchCrossovers(t *testing.T) {
 		buf := make([]elem.KV16, n)
 		reps := 200_000 / n
 		cmpT := timeSort(reps, base, buf, func(vs []elem.KV16) { sortStable(vs) })
-		msdT := timeSort(reps, base, buf, func(vs []elem.KV16) { radixMSD[elem.KV16](kvc, vs, 1) })
+		msdT := timeSort(reps, base, buf, func(vs []elem.KV16) { radixMSD[elem.KV16](kvc, vs, nil, 1) })
 		t.Logf("  n=%5d  stable=%8v  msd=%8v", n, cmpT, msdT)
 	}
 
@@ -60,9 +60,9 @@ func TestReportDispatchCrossovers(t *testing.T) {
 		if reps < 3 {
 			reps = 3
 		}
-		seq := timeSort(reps, base, buf, func(vs []elem.KV16) { radixMSD[elem.KV16](kvc, vs, 1) })
-		par2 := timeSort(reps, base, buf, func(vs []elem.KV16) { radixMSD[elem.KV16](kvc, vs, 2) })
-		par4 := timeSort(reps, base, buf, func(vs []elem.KV16) { radixMSD[elem.KV16](kvc, vs, 4) })
+		seq := timeSort(reps, base, buf, func(vs []elem.KV16) { radixMSD[elem.KV16](kvc, vs, nil, 1) })
+		par2 := timeSort(reps, base, buf, func(vs []elem.KV16) { radixMSD[elem.KV16](kvc, vs, nil, 2) })
+		par4 := timeSort(reps, base, buf, func(vs []elem.KV16) { radixMSD[elem.KV16](kvc, vs, nil, 4) })
 		t.Logf("  n=%6d  w1=%8v  w2=%8v  w4=%8v", n, seq, par2, par4)
 	}
 

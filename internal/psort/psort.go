@@ -13,8 +13,9 @@
 //
 // Every path, for every worker count, produces the result of a stable
 // sort under the codec order, bit for bit: the radix engine sorts the
-// pair array into the unique (key, index) order and permutes the
-// elements once.
+// pair array into the unique (key, index) order. Sort then permutes the
+// elements once, in place; Order hands the order out and moves nothing
+// (run formation gathers a run by it into its send buffers).
 package psort
 
 import (
@@ -53,7 +54,29 @@ func Sort[T any](c elem.Codec[T], vs []T, workers int) {
 		slices.SortStableFunc(vs, cmp(c))
 		return
 	}
-	radixMSD(kc, vs, radixWorkers(len(vs), workers))
+	radixMSD(kc, vs, nil, radixWorkers(len(vs), workers))
+}
+
+// Order is Sort without moving an element: it fills perm[:len(vs)] so
+// that vs[perm[i]] is element i of Sort's result, by Sort's paths and
+// scratch (ScratchBytes).
+func Order[T any](c elem.Codec[T], vs []T, perm []int32, workers int) {
+	perm = perm[:len(vs)]
+	kc, keyed := elem.Codec[T](c).(elem.KeyedCodec[T])
+	if !keyed || len(vs) < radixMinLen {
+		checkLen(len(vs))
+		for i := range perm {
+			perm[i] = int32(i)
+		}
+		sortIndex(vs, perm, cmp(c))
+		return
+	}
+	radixMSD(kc, vs, perm, radixWorkers(len(vs), workers))
+}
+
+// sortIndex stably sorts positions idx of vs by their elements.
+func sortIndex[T any](vs []T, idx []int32, cmp func(a, b T) int) {
+	slices.SortStableFunc(idx, func(x, y int32) int { return cmp(vs[x], vs[y]) })
 }
 
 // cmp converts a codec order into a three-way comparison.

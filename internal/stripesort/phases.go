@@ -3,6 +3,7 @@ package stripesort
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"demsort/internal/blockio"
@@ -47,6 +48,8 @@ type pe[T any] struct {
 	batch []T
 	seqs  [][]T
 	spent [][]byte
+	// piece is sortSampled's merged piece, reused across runs and batches.
+	piece []T
 }
 
 // runBlock is block blk of run run, stored here as block id with len
@@ -92,7 +95,11 @@ func (s *pe[T]) formRuns(input *job.Input) error {
 	n.SetPhase(PhaseRunForm)
 	var err error
 	sz := s.c.Size()
-	s.runs, err = s.j.FormRuns(n, input, 0x57121, s.sortSampled, func(run int, runLen, segStart int64, seg []T) error {
+	s.runs, err = s.j.FormRuns(n, input, 0x57121, func(run int, chunk dselect.Sorted[T]) error {
+		seg, segStart, runLen, err := s.sortSampled(n, chunk)
+		if err != nil {
+			return err
+		}
 		st := s.newStriper(run, runLen, func(g int64, data []byte) error {
 			s.stored[[2]int64{int64(run), g}] = runBlock{run: run, blk: g, id: s.writeBlock(data), len: len(data) / sz}
 			s.firsts = binary.LittleEndian.AppendUint32(s.firsts, uint32(run))
@@ -164,7 +171,7 @@ const stripeHdr = 16
 // of the sequence, cut at block boundaries and sent to each block's home
 // under a (block, offset, count) header; arriving pieces are appended to
 // their block's assembly buffer, charged while it waits. elems arrive
-// charged twice (a RunSort's result): the decoded charge is released
+// charged twice (sortSampled's result): the decoded charge is released
 // once they are encoded, the send copies' once the pieces have arrived,
 // and what arrives is charged until it is recycled. A piece of a block
 // this PE does not home, or one that does not continue its block within
@@ -320,7 +327,6 @@ func (s *pe[T]) mergeBatches(pred []predEntry[T], sink func(rank int, b []byte) 
 		return nil
 	})
 	pending := make([][]piece[T], s.runs)
-	var merged []T // one batch's leaves before the next is merged
 	var outCur int64
 	for cursor := 0; cursor < len(pred); s.batches++ {
 		end := s.batchEnd(pred, cursor)
@@ -336,9 +342,8 @@ func (s *pe[T]) mergeBatches(pred []predEntry[T], sink func(rank int, b []byte) 
 		// Distributed merge of the emitted chunks, then stripe the result
 		// to the output — the two communications per element of the
 		// merging pass.
-		var err error
-		var start, total int64
-		if merged, start, total, err = s.sortSampled(n, s.extract(pending, barrier), merged[:0]); err == nil {
+		merged, start, total, err := s.sortSampled(n, dselect.Sorted[T]{Vals: s.extract(pending, barrier)})
+		if err == nil {
 			err = out.stripe(outCur+start, merged)
 		}
 		if err != nil {
@@ -372,18 +377,27 @@ func (s *pe[T]) batchEnd(pred []predEntry[T], cursor int) int {
 	return end
 }
 
-// sortSampled is the distributed sort both phases end in (a job.RunSort):
-// this PE's sorted chunk is cut at sample splitters and redistributed by
-// SortAcross, so the merged pieces concatenate in rank order to the
-// sorted union of all chunks. The cuts are only approximately even — the
-// stripe that follows fixes the positions — so the piece lengths are
-// gathered: the result is this PE's piece, where it starts in the
+// sortSampled is the distributed sort both phases end in: this PE's
+// sorted chunk is cut at sample splitters and redistributed by
+// SortAcross, whose parts are merged into the PE's reused piece buffer,
+// so the pieces concatenate in rank order to the sorted union of all
+// chunks. The received buffers are recycled before it returns, so the
+// stripe that follows draws on bufpool without them. The cuts are only
+// approximately even — the stripe fixes the positions — so the piece
+// lengths are gathered: the result is this PE's piece, charged at twice
+// its length and valid until the next call, where it starts in the
 // union, and the union's length.
-func (s *pe[T]) sortSampled(n *cluster.Node, chunk, dst []T) ([]T, int64, int64, error) {
+func (s *pe[T]) sortSampled(n *cluster.Node, chunk dselect.Sorted[T]) ([]T, int64, int64, error) {
 	cuts, total := sampleCuts(s.c, n, chunk)
-	merged := s.j.SortAcross(n, chunk, cuts, dst)
+	err := s.j.SortAcross(n, chunk, cuts, func(parts [][]T, got int64) error {
+		s.piece = xmerge.AppendMerge(s.c, slices.Grow(s.piece[:0], int(got)), parts)
+		return nil
+	})
+	if err != nil {
+		return nil, 0, 0, err
+	}
 	var start, got int64
-	for q, l := range allGatherInt64(n, int64(len(merged))) {
+	for q, l := range allGatherInt64(n, int64(len(s.piece))) {
 		if q < n.Rank {
 			start += l
 		}
@@ -392,7 +406,7 @@ func (s *pe[T]) sortSampled(n *cluster.Node, chunk, dst []T) ([]T, int64, int64,
 	if got != total {
 		return nil, 0, 0, fmt.Errorf("the PEs received %d elements of the %d they contributed", got, total)
 	}
-	return merged, start, total, nil
+	return s.piece, start, total, nil
 }
 
 // fetch reads this PE's resident blocks of one batch (asynchronously)
@@ -487,7 +501,7 @@ func (s *pe[T]) extract(pending [][]piece[T], barrier *predEntry[T]) []T {
 // splitters under the (value, PE, position) total order, so the
 // distributed pieces are globally ordered even with duplicate keys. A
 // machine without elements has no sample and cuts everywhere at 0.
-func sampleCuts[T any](c elem.Codec[T], n *cluster.Node, chunk []T) ([]int64, int64) {
+func sampleCuts[T any](c elem.Codec[T], n *cluster.Node, chunk dselect.Sorted[T]) ([]int64, int64) {
 	ord := mselect.OrderOf(c)
 	pool, total := dselect.RegularSample(c, ord, n, chunk, func(int64) int64 { return job.SampleFactor * int64(n.P) })
 	cuts := make([]int64, n.P-1)
@@ -497,7 +511,7 @@ func sampleCuts[T any](c elem.Codec[T], n *cluster.Node, chunk []T) ([]int64, in
 			before += pool[t].Next - pool[t].Pos
 		}
 		if t == len(pool) { // the splitter lies beyond every element
-			cuts[i] = int64(len(chunk))
+			cuts[i] = int64(chunk.Len())
 			continue
 		}
 		cuts[i] = dselect.Before(ord, chunk, n.Rank, pool[t])

@@ -13,6 +13,7 @@ import (
 
 	"demsort/internal/cluster"
 	"demsort/internal/cluster/sim"
+	"demsort/internal/dselect"
 	"demsort/internal/elem"
 	"demsort/internal/job"
 	"demsort/internal/sortbench"
@@ -557,7 +558,7 @@ func cutAll(t *testing.T, chunks [][]elem.KV16) ([][]int64, int64) {
 	cuts, totals := make([][]int64, p), make([]int64, p)
 	err = sm.Run(func(n *cluster.Node) error {
 		n.SetPhase(PhaseMerge)
-		cuts[n.Rank], totals[n.Rank] = sampleCuts[elem.KV16](kvc, n, chunks[n.Rank])
+		cuts[n.Rank], totals[n.Rank] = sampleCuts[elem.KV16](kvc, n, dselect.Sorted[elem.KV16]{Vals: chunks[n.Rank]})
 		return nil
 	})
 	if err != nil {

@@ -98,20 +98,21 @@ func AppendMerge[T any](c elem.Codec[T], dst []T, seqs [][]T) []T {
 // MergeStream k-way merges k sorted streams that arrive block by block
 // — the loop of every external merge pass. next(i) returns stream i's
 // next non-empty block, nil at its end; a block only has to stay valid
-// until the following next(i). The merged sequence goes to emit in
-// slices of outLen elements (the last one may be shorter), valid for
-// the duration of the call; emit's error ends the merge. Ties are
-// broken by stream index.
-func MergeStream[T any](c elem.Codec[T], k, outLen int, next func(i int) []T, emit func([]T) error) error {
+// until the following next(i). The merged sequence is written into the
+// caller's out and goes to emit each time out is full (the last slice
+// may be shorter): emit gets a prefix of out, valid for the duration of
+// the call, and the merge writes on into out once it returns. emit's
+// error ends the merge. Ties are broken by stream index.
+func MergeStream[T any](c elem.Codec[T], k int, out []T, next func(i int) []T, emit func([]T) error) error {
 	cur := make([][]T, k)
 	for i := range cur {
 		cur[i] = next(i)
 	}
-	out, err := merge(c, make([]T, 0, outLen), cur, next, outLen, emit)
-	if err != nil || len(out) == 0 {
+	rest, err := merge(c, out[:0], cur, next, len(out), emit)
+	if err != nil || len(rest) == 0 {
 		return err
 	}
-	return emit(out)
+	return emit(rest)
 }
 
 // merge is the one tournament loop. Stream i's current block is cur[i],

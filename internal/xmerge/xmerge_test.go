@@ -98,7 +98,7 @@ func stableMerged[T any](c elem.Codec[T], seqs [][]T) []T {
 func streamed[T any](t *testing.T, c elem.Codec[T], seqs [][]T, blk, outLen int) []T {
 	t.Helper()
 	var got []T
-	err := MergeStream(c, len(seqs), outLen, streamOf(seqs, blk), func(out []T) error {
+	err := MergeStream(c, len(seqs), make([]T, outLen), streamOf(seqs, blk), func(out []T) error {
 		if len(out) == 0 || len(out) > outLen {
 			t.Fatalf("emit of %d elements, outLen %d", len(out), outLen)
 		}
@@ -159,7 +159,7 @@ func TestMergeStreamEqualsMerge(t *testing.T) {
 func TestMergeStreamStopsOnEmitError(t *testing.T) {
 	seqs := [][]elem.U64{{1, 3, 5, 7}, {2, 4, 6, 8}}
 	calls, boom := 0, errors.New("sink full")
-	err := MergeStream[elem.U64](u64c, 2, 2, streamOf(seqs, 2), func([]elem.U64) error {
+	err := MergeStream[elem.U64](u64c, 2, make([]elem.U64, 2), streamOf(seqs, 2), func([]elem.U64) error {
 		calls++
 		return boom
 	})
@@ -222,9 +222,10 @@ func BenchmarkMergeRec100(b *testing.B) {
 	}
 	for _, k := range []int{21, 49} {
 		seqs := sortedRecSeqs(rand.New(rand.NewPCG(uint64(k), 2)), k, n)
+		out := make([]elem.Rec100, blk)
 		b.Run(fmt.Sprintf("MergeStream/k=%d", k), func(b *testing.B) {
 			for b.Loop() {
-				MergeStream[elem.Rec100](rc, k, blk, streamOf(seqs, blk), func([]elem.Rec100) error { return nil })
+				MergeStream[elem.Rec100](rc, k, out, streamOf(seqs, blk), func([]elem.Rec100) error { return nil })
 			}
 			b.ReportMetric(float64(n/k*k)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Melem/s")
 		})
