@@ -20,6 +20,7 @@ package job
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 
@@ -162,7 +163,10 @@ func RankBounds(total int64, p int) []int64 {
 // ranks 1..P-1 and gathers part q — chunk elements [cuts[q-1], cuts[q])
 // — in sorted order into a pooled buffer as the all-to-all send vector
 // for PE q (elem.Gather): each element is copied once, from where it was
-// read, and chunk is left as it was.
+// read, and chunk is left as it was. Each part ends in an 8-byte trailer,
+// the count of chunk elements before it (cuts[q-1], 0 for part 0), so
+// that PE q learns from its parts where its piece starts (SortAcross); an
+// empty part is the trailer alone.
 func EncodeParts[T any](c elem.Codec[T], chunk dselect.Sorted[T], cuts []int64) [][]byte {
 	send := make([][]byte, len(cuts)+1)
 	lo := 0
@@ -171,12 +175,13 @@ func EncodeParts[T any](c elem.Codec[T], chunk dselect.Sorted[T], cuts []int64) 
 		if q < len(cuts) {
 			hi = int(cuts[q])
 		}
-		send[q] = bufpool.Get((hi - lo) * c.Size())
+		send[q] = bufpool.Get((hi-lo)*c.Size() + 8)
 		if chunk.Perm == nil {
 			elem.EncodeInto(c, send[q], chunk.Vals[lo:hi])
 		} else {
 			elem.Gather(c, send[q], chunk.Vals, chunk.Perm[lo:hi])
 		}
+		binary.LittleEndian.PutUint64(send[q][len(send[q])-8:], uint64(lo))
 		lo = hi
 	}
 	return send

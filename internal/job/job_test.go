@@ -38,6 +38,8 @@ func TestRankBounds(t *testing.T) {
 	}
 }
 
+// TestEncodePartsRoundTrip: each part is its elements, then the count of
+// the chunk's elements before it; an empty part is that trailer alone.
 func TestEncodePartsRoundTrip(t *testing.T) {
 	chunk := make([]elem.KV16, 10)
 	for i := range chunk {
@@ -57,10 +59,14 @@ func TestEncodePartsRoundTrip(t *testing.T) {
 		if q < len(cuts) {
 			hi = cuts[q]
 		}
-		if int64(len(b)) != (hi-lo)*16 {
-			t.Errorf("part %d: %d bytes, want %d elements", q, len(b), hi-lo)
+		body := len(b) - 8
+		if int64(body) != (hi-lo)*16 {
+			t.Fatalf("part %d: %d bytes, want %d elements and the trailer", q, len(b), hi-lo)
 		}
-		back = elem.AppendDecode(kvc, back, b, len(b)/16)
+		if before := int64(binary.LittleEndian.Uint64(b[body:])); before != lo {
+			t.Errorf("part %d: trailer says %d elements before it, want %d", q, before, lo)
+		}
+		back = elem.AppendDecode(kvc, back, b, body/16)
 	}
 	cluster.RecycleRecv(send)
 	if !slices.Equal(back, chunk) {
@@ -151,8 +157,9 @@ func TestStartChecksAdoptedMachine(t *testing.T) {
 
 // TestGatherEqualsEncodePartsOfThePermutedChunk: EncodeParts of a chunk
 // read through psort.Order's permutation gathers into the send vectors
-// the bytes it encodes of the permuted chunk itself, part for part, and
-// leaves the chunk as it was — for KV16 and Rec100 records that tie on
+// the bytes it encodes of the permuted chunk itself, part for part (the
+// part's elements, then the count of elements before it), and leaves the
+// chunk as it was — for KV16 and Rec100 records that tie on
 // their 8-byte key prefix (assigned through views of the pooled
 // buffers) and a closure-only codec (encoded element by element).
 func TestGatherEqualsEncodePartsOfThePermutedChunk(t *testing.T) {
@@ -186,10 +193,15 @@ func checkGather[T any](t *testing.T, rng *rand.Rand, c elem.Codec[T], gen func(
 		}
 		cuts := []int64{0, int64(n / 3), int64(n / 3), int64(n)} // empty parts at either end and inside
 		got := EncodeParts(c, dselect.Sorted[T]{Vals: vals, Perm: perm}, cuts)
-		want := EncodeParts(c, dselect.Sorted[T]{Vals: permuted}, cuts)
-		for q := range want {
-			if !bytes.Equal(got[q], want[q]) {
-				t.Fatalf("n=%d part %d: the gather differs from the permuted chunk's encoding", n, q)
+		encoded := EncodeParts(c, dselect.Sorted[T]{Vals: permuted}, cuts)
+		for q, lo := range append([]int64{0}, cuts...) {
+			hi := int64(n)
+			if q < len(cuts) {
+				hi = cuts[q]
+			}
+			want := binary.LittleEndian.AppendUint64(elem.EncodeSlice(c, permuted[lo:hi]), uint64(lo))
+			if !bytes.Equal(got[q], want) || !bytes.Equal(encoded[q], want) {
+				t.Fatalf("n=%d part %d: the gather or the permuted chunk's encoding is not the part's elements and then %d", n, q, lo)
 			}
 		}
 		if !bytes.Equal(elem.EncodeSlice(c, vals), before) {
@@ -559,7 +571,9 @@ func checkSortExact[T any](t *testing.T, c elem.Codec[T], blockBytes int, chunks
 
 // TestSortAcross drives the distributed-sort tail with cuts that are
 // order-consistent but not balanced — the striped merge batch's use:
-// every PE cuts its sorted chunk at the same key thresholds.
+// every PE cuts its sorted chunk at the same key thresholds — and checks
+// that each PE's start, summed from its parts' trailers, is what the
+// lower ranks received.
 func TestSortAcross(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -574,7 +588,7 @@ func TestSortAcross(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			p := len(tc.sizes)
 			chunks := tiles(tc.sizes, tc.keyRange, 7)
-			out := make([][]elem.KV16, p)
+			out, starts := make([][]elem.KV16, p), make([]int64, p)
 			onSim(t, kvc, Defaults(p, 1024, 256), make([][]elem.KV16, p), func(j *Job[elem.KV16], n *cluster.Node) error {
 				n.SetPhase("merge")
 				chunk := slices.Clone(chunks[n.Rank])
@@ -586,18 +600,21 @@ func TestSortAcross(t *testing.T) {
 				}
 				entry := n.Mem.Used()
 				n.Mem.MustAcquire(int64(len(chunk)))
-				return j.SortAcross(n, dselect.Sorted[elem.KV16]{Vals: chunk}, cuts, func(parts [][]elem.KV16, got int64) error {
+				return j.SortAcross(n, dselect.Sorted[elem.KV16]{Vals: chunk}, cuts, func(parts [][]elem.KV16, got, start int64) error {
 					merged := xmerge.AppendMerge(kvc, make([]elem.KV16, 0, 8), parts) // a destination too small to hold it
 					if used := n.Mem.Used(); int64(len(merged)) != got || used != entry+2*got {
 						return fmt.Errorf("rank %d: %d elements charged for a result of %d (%d reported)", n.Rank, used-entry, len(merged), got)
 					}
 					n.Mem.Release(2 * got)
-					out[n.Rank] = merged
+					out[n.Rank], starts[n.Rank] = merged, start
 					return nil
 				})
 			})
 			var all, got []elem.KV16
 			for rank := range chunks {
+				if starts[rank] != int64(len(got)) {
+					t.Errorf("rank %d: piece starts at %d, the lower ranks received %d", rank, starts[rank], len(got))
+				}
 				all = append(all, chunks[rank]...)
 				got = append(got, out[rank]...)
 			}

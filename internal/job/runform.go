@@ -1,6 +1,7 @@
 package job
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand/v2"
 	"slices"
@@ -148,16 +149,17 @@ func permElems(n int64, size int) int64 { return (4*n + int64(size) - 1) / int64
 // SortExact is canonical run formation's distributed sort (§IV-B):
 // dselect.Split finds the local positions of the ranks N/P, 2N/P, … in
 // one sample round, and SortAcross leaves every PE with exactly its
-// share: store gets its parts as SortAcross's merge does, the run
+// share, which SortExact checks by its length and by the start its parts
+// carry: store gets its parts as SortAcross's merge does, the run
 // position it starts at and the length of the whole run.
 func (j *Job[T]) SortExact(n *cluster.Node, chunk dselect.Sorted[T], store func(parts [][]T, segStart, runLen int64) error) error {
 	cuts, runLen := dselect.Split(j.c, n, chunk, func(total int64) []int64 { return RankBounds(total, n.P)[1:n.P] })
 	bounds := RankBounds(runLen, n.P)
-	return j.SortAcross(n, chunk, cuts, func(parts [][]T, got int64) error {
-		if segLen := bounds[n.Rank+1] - bounds[n.Rank]; got != segLen {
-			return fmt.Errorf("PE %d received %d elements, expected segment of %d", n.Rank, got, segLen)
+	return j.SortAcross(n, chunk, cuts, func(parts [][]T, got, start int64) error {
+		if start != bounds[n.Rank] || start+got != bounds[n.Rank+1] {
+			return fmt.Errorf("received run elements [%d, %d), expected the segment [%d, %d)", start, start+got, bounds[n.Rank], bounds[n.Rank+1])
 		}
-		return store(parts, bounds[n.Rank], runLen)
+		return store(parts, start, runLen)
 	})
 }
 
@@ -166,11 +168,13 @@ func (j *Job[T]) SortExact(n *cluster.Node, chunk dselect.Sorted[T], store func(
 // sorted chunk is cut at cuts (local positions for ranks 1..P-1), part q
 // is gathered into the send vector for PE q (EncodeParts), and the P
 // sorted parts arriving here — views of the received buffers
-// (elem.View), got elements in all — go to merge, which merges them
-// where its caller keeps this PE's piece. The parts are valid until
-// merge returns; the buffers are recycled right after. Cuts that are
-// order-consistent across the PEs make the pieces concatenate, in rank
-// order, to the sorted union of all chunks.
+// (elem.View) without their trailers, got elements in all — go to
+// merge, which merges them where its caller keeps this PE's piece. The
+// trailers sum to start, the count of elements of all chunks before the
+// piece, so no further round asks where it lies. The parts are valid
+// until merge returns; the buffers are recycled right after. Cuts that
+// are order-consistent across the PEs make the pieces concatenate, in
+// rank order, to the sorted union of all chunks.
 //
 // Budget: chunk arrives charged at chunk.Len() elements, and its
 // permutation, if any, at permElems; both are released once the send
@@ -179,7 +183,7 @@ func (j *Job[T]) SortExact(n *cluster.Node, chunk dselect.Sorted[T], store func(
 // direction 5(d) reclaims it); merge gets the piece charged at 2·got and
 // releases it. The merge's CPU is charged before merge runs, so the
 // writes it issues start when the merged piece is complete.
-func (j *Job[T]) SortAcross(n *cluster.Node, chunk dselect.Sorted[T], cuts []int64, merge func(parts [][]T, got int64) error) error {
+func (j *Job[T]) SortAcross(n *cluster.Node, chunk dselect.Sorted[T], cuts []int64, merge func(parts [][]T, got, start int64) error) error {
 	c, sz, model := j.c, j.c.Size(), &j.cfg.Model
 	held := int64(chunk.Len())
 	send := EncodeParts(c, chunk, cuts)
@@ -192,16 +196,18 @@ func (j *Job[T]) SortAcross(n *cluster.Node, chunk dselect.Sorted[T], cuts []int
 
 	recv := n.AllToAllv(send)
 	n.Mem.Release(held) // send copies handed off to receivers
-	var got int64
+	var got, start int64
 	parts := make([][]T, len(recv))
 	for q, b := range recv {
-		got += int64(len(b) / sz)
-		parts[q] = elem.View(c, b)
+		body := len(b) - 8
+		got += int64(body / sz)
+		start += int64(binary.LittleEndian.Uint64(b[body:]))
+		parts[q] = elem.View(c, b[:body])
 	}
 	n.Mem.MustAcquire(3 * got) // received buffers + merged output, and one got spare
 	n.Mem.Release(got)
 	n.AddCPU(model.MergeCPU(got, n.P) + model.ScanCPU(got))
-	err := merge(parts, got)
+	err := merge(parts, got, start)
 	cluster.RecycleRecv(recv) // the views are dead
 	return err
 }

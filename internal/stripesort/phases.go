@@ -383,30 +383,22 @@ func (s *pe[T]) batchEnd(pred []predEntry[T], cursor int) int {
 // so the pieces concatenate in rank order to the sorted union of all
 // chunks. The received buffers are recycled before it returns, so the
 // stripe that follows draws on bufpool without them. The cuts are only
-// approximately even — the stripe fixes the positions — so the piece
-// lengths are gathered: the result is this PE's piece, charged at twice
-// its length and valid until the next call, where it starts in the
-// union, and the union's length.
+// approximately even — the stripe fixes the positions — so the piece's
+// start comes from SortAcross: the result is this PE's piece, charged at
+// twice its length and valid until the next call, where it starts in the
+// union, and the union's length, which the last piece must end at.
 func (s *pe[T]) sortSampled(n *cluster.Node, chunk dselect.Sorted[T]) ([]T, int64, int64, error) {
 	cuts, total := sampleCuts(s.c, n, chunk)
-	err := s.j.SortAcross(n, chunk, cuts, func(parts [][]T, got int64) error {
+	var start int64
+	err := s.j.SortAcross(n, chunk, cuts, func(parts [][]T, got, at int64) error {
+		if end := at + got; end > total || n.Rank == n.P-1 && end != total {
+			return fmt.Errorf("received elements [%d, %d) of the %d the PEs contributed", at, end, total)
+		}
 		s.piece = xmerge.AppendMerge(s.c, slices.Grow(s.piece[:0], int(got)), parts)
+		start = at
 		return nil
 	})
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	var start, got int64
-	for q, l := range allGatherInt64(n, int64(len(s.piece))) {
-		if q < n.Rank {
-			start += l
-		}
-		got += l
-	}
-	if got != total {
-		return nil, 0, 0, fmt.Errorf("the PEs received %d elements of the %d they contributed", got, total)
-	}
-	return s.piece, start, total, nil
+	return s.piece, start, total, err
 }
 
 // fetch reads this PE's resident blocks of one batch (asynchronously)
@@ -517,16 +509,4 @@ func sampleCuts[T any](c elem.Codec[T], n *cluster.Node, chunk dselect.Sorted[T]
 		cuts[i] = dselect.Before(ord, chunk, n.Rank, pool[t])
 	}
 	return cuts, total
-}
-
-// allGatherInt64 shares one int64 per PE.
-func allGatherInt64(n *cluster.Node, v int64) []int64 {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(v))
-	all := n.AllGather(b[:])
-	out := make([]int64, len(all))
-	for q := range all {
-		out[q] = int64(binary.LittleEndian.Uint64(all[q]))
-	}
-	return out
 }

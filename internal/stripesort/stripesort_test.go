@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"slices"
 	"strings"
 	"testing"
@@ -435,7 +436,8 @@ func TestMergeQuota(t *testing.T) {
 		{"bench, rotated, collected", 25000, 3068, 163, 26, 4, true, 13, true},
 		// q = 11 holds 3068 + 37·163 + 3573 + 11 410 = 24 082, q = 12 25 100
 		{"bench, unrotated, collected", 25000, 3068, 163, 26, 4, false, 11, true},
-		// ROADMAP direction 4's geometry: 8192 + 29·64 + 3·(60·64/4·5/4 + 6) + 128 = 13 794
+		// TestStripedBudgetMatrix's geometry (-p 4 -n 131072, 64-element
+		// blocks, 56 runs): 8192 + 29·64 + 3·(60·64/4·5/4 + 6) + 128 = 13 794
 		{"too small, rotated", 12000, 8192, 64, 56, 4, true, 0, false},
 		{"too small, unrotated", 12000, 8192, 64, 56, 4, false, 0, false},
 		{"just fits", 13794, 8192, 64, 56, 4, true, 1, false},
@@ -499,12 +501,13 @@ func TestStripedBatchesUseEveryPE(t *testing.T) {
 	}
 }
 
-// TestStripedBudgetMatrix runs ROADMAP direction 4's geometry — demsort
-// -striped -p 4 -n 131072 -mem 12000, which used to overflow the budget
-// mid-merge with every run's leftover block on one PE — and the same
-// input with a little more memory over the input kinds and both stripe
-// layouts. Every cell either sorts within its budget or is refused
-// before the machine is touched, by an error that says what to change.
+// TestStripedBudgetMatrix runs the geometry of demsort -striped -p 4
+// -n 131072 -mem 12000 (64-element blocks, 56 runs), which used to
+// overflow the budget mid-merge with every run's leftover block on one
+// PE, and the same input with a little more memory over the input kinds
+// and both stripe layouts. Every cell either sorts within its budget or
+// is refused before the machine is touched, by an error that says what
+// to change.
 func TestStripedBudgetMatrix(t *testing.T) {
 	const p, perPE = 4, 131072
 	sorted := 0
@@ -687,5 +690,56 @@ func TestSampleCutsStayWithinRecvBound(t *testing.T) {
 			t.Fatalf("%s: total %d, want %d", name, total, want)
 		}
 		checkRecvBound(t, name, chunks, cuts, total)
+	}
+}
+
+// opCounts hosts a machine's PEs with an op hook counting each rank's
+// communication calls by name, as faulty.Machine.Run installs its hook.
+type opCounts struct {
+	cluster.Machine
+	calls []map[string]int
+}
+
+func (m *opCounts) Run(fn func(*cluster.Node) error) error {
+	return m.Machine.Run(func(n *cluster.Node) error {
+		calls := map[string]int{}
+		m.calls[n.Rank] = calls
+		n.SetOpHook(func(op string) { calls[op]++ })
+		defer n.SetOpHook(nil)
+		return fn(n)
+	})
+}
+
+// TestStripedCollectivesPerCall pins the striped protocol's rounds:
+// every call of the distributed sort (one per run and one per merge
+// batch) is one sample AllGather and two AllToAllv, SortAcross's and the
+// stripe's — the piece's start rides with SortAcross's data, so no round
+// gathers the piece lengths. The one other AllGather is the prediction
+// table.
+func TestStripedCollectivesPerCall(t *testing.T) {
+	for _, p := range []int{3, 4} {
+		cfg := testConfig(p)
+		sm := simMachine(t, &cfg)
+		m := &opCounts{Machine: sm, calls: make([]map[string]int, p)}
+		cfg.Machine = m
+		input := workload.Generate(workload.Uniform, p, 5200, 41)
+		res, err := Sort[elem.KV16](kvc, cfg, input)
+		if err != nil {
+			t.Fatalf("p=%d: %v", p, err)
+		}
+		checkSorted(t, res, input)
+		calls := res.Runs + res.Batches
+		if res.Runs < 2 || res.Batches < 2 {
+			t.Fatalf("p=%d: %d runs and %d batches, want several of each", p, res.Runs, res.Batches)
+		}
+		// Besides: the load's and the prediction table's Barrier and the
+		// merge's closing one, the run count's AllReduceInt64 and the
+		// output count's.
+		want := map[string]int{"AllGather": calls + 1, "AllToAllv": 2 * calls, "Barrier": 3, "AllReduceInt64": 2}
+		for rank, got := range m.calls {
+			if !maps.Equal(got, want) {
+				t.Errorf("p=%d rank %d, %d runs and %d batches: calls %v, want %v", p, rank, res.Runs, res.Batches, got, want)
+			}
+		}
 	}
 }
