@@ -192,8 +192,15 @@ options:
 # pause of this process from a silent peer (+29) and demsort's part
 # file and MergeStream's caller-owned buffer (+3); −9 when the piece's
 # start rode with SortAcross's parts (an 8-byte trailer per part) and
-# the striped sorter's gather of the piece lengths went.
-LOC_MAX = 14726
+# the striped sorter's gather of the piece lengths went; +66 when the
+# merge and the proof ran at machine speed: sortbench's three-record
+# CRC-32C kernel and its CPUID check (+32; the 107 assembly lines are not
+# counted), the tournament replay on conditional moves (pq +9) and the
+# merge loop's one copy per element (xmerge +6), the selection's block
+# cache keeping its read buffers (core +17) and dselect's residual
+# growing its buffer once (+3), net of psort's pair size assert, which
+# now admits 386's 12-byte pair (−1).
+LOC_MAX = 14792
 OPTIONS_MAX = 60
 budget:
 	@loc=$(LOC_TOTAL); opts=$$($(MAKE) -s options | awk 'END {print $$1}'); \

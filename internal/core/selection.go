@@ -97,8 +97,16 @@ type runPieces[T any] struct {
 	meta   *runsMeta[T]
 	locals []localRun[T]
 
-	cache    map[blockKey][]T
+	cache    map[blockKey]cachedBlock[T]
 	cacheSeq []blockKey // FIFO eviction order, at most pl.CacheBlocks
+}
+
+// cachedBlock is one cached block: its pooled read buffer and a view of
+// it, valid until the buffer goes back to the pool at eviction or when
+// the selection ends (release).
+type cachedBlock[T any] struct {
+	raw  []byte
+	vals []T
 }
 
 func (a *runPieces[T]) Pieces() []dselect.Piece {
@@ -115,23 +123,32 @@ func (a *runPieces[T]) At(run int, i int64) T {
 	}
 	bElem := int64(a.pl.BElem)
 	key := blockKey{run: run, blk: i / bElem}
-	vals, ok := a.cache[key]
+	blk, ok := a.cache[key]
 	if !ok {
 		e := a.locals[run].file.Extents[key.blk]
-		raw := bufpool.Get(e.Len * a.c.Size())
-		a.n.Vol.ReadWait(e.ID, raw)
-		vals = elem.DecodeSlice(a.c, raw, e.Len)
-		bufpool.Put(raw)
+		blk.raw = bufpool.Get(e.Len * a.c.Size())
+		a.n.Vol.ReadWait(e.ID, blk.raw)
+		blk.vals = elem.View(a.c, blk.raw)
 		if len(a.cacheSeq) >= a.pl.CacheBlocks {
+			bufpool.Put(a.cache[a.cacheSeq[0]].raw)
 			delete(a.cache, a.cacheSeq[0])
 			a.cacheSeq = a.cacheSeq[1:]
 		} else {
 			a.n.Mem.MustAcquire(bElem)
 		}
-		a.cache[key] = vals
+		a.cache[key] = blk
 		a.cacheSeq = append(a.cacheSeq, key)
 	}
-	return vals[i-key.blk*bElem]
+	return blk.vals[i-key.blk*bElem]
+}
+
+// release returns the cached blocks' buffers to the pool and their
+// charge to the budget.
+func (a *runPieces[T]) release() {
+	for _, key := range a.cacheSeq {
+		bufpool.Put(a.cache[key].raw)
+	}
+	a.n.Mem.Release(int64(len(a.cacheSeq)) * int64(a.pl.BElem))
 }
 
 // closeTails returns each rank's run brackets for dselect.Select, first
@@ -184,8 +201,8 @@ func multiwaySelection[T any](c elem.Codec[T], n *cluster.Node, pl *job.Plan, me
 	r := len(meta.runLens)
 	ranks := job.RankBounds(meta.totalN, n.P)[1:n.P]
 	brackets := mselect.SampleBrackets(c, meta.samples, meta.runLens, ranks)
-	acc := &runPieces[T]{c: c, n: n, pl: pl, meta: meta, locals: locals, cache: map[blockKey][]T{}}
-	defer func() { n.Mem.Release(int64(len(acc.cacheSeq)) * int64(pl.BElem)) }()
+	acc := &runPieces[T]{c: c, n: n, pl: pl, meta: meta, locals: locals, cache: map[blockKey]cachedBlock[T]{}}
+	defer acc.release()
 	cuts := dselect.Select[T](c, n, acc, ranks, acc.closeTails(brackets), pl.Gather)
 
 	// Share the splitters: "After communicating the splitter positions

@@ -426,7 +426,7 @@ func Select[T any](c elem.Codec[T], n *cluster.Node, loc Local[T], ranks []int64
 			}
 			// The residual: what lies left of the brackets, and every
 			// non-empty bracket with its elements (none at cmdAtLo).
-			var fixed int64
+			var fixed, width int64
 			shipped := 0
 			for s, b := range iv[j] {
 				if cmds[j] == cmdAtLo {
@@ -435,8 +435,11 @@ func Select[T any](c elem.Codec[T], n *cluster.Node, loc Local[T], ranks []int64
 				fixed += b.Lo
 				if b.Lo < b.Hi {
 					shipped++
+					width += b.Hi - b.Lo
 				}
 			}
+			// The residual's size is known: grow the owner's buffer once.
+			buf = slices.Grow(buf, 12+20*shipped+int(width)*e.c.Size())
 			buf = binary.LittleEndian.AppendUint64(buf, uint64(fixed))
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(shipped))
 			for s, b := range iv[j] {

@@ -9,8 +9,11 @@ package pq
 // (loser stream, loser key) pairs in two flat arrays, so replacing the
 // winner and replaying costs exactly ceil(log2 k) uint64 comparisons,
 // independent of input order, with no indirect less call and no
-// element copies. The caller keeps the
-// actual stream cursors and feeds the tree the key of each new head.
+// element copies. Each comparison feeds conditional moves, not a
+// branch, so the replay does not stall on outcomes the branch predictor
+// cannot guess (about half of them, when merging random data). The
+// caller keeps the actual stream cursors and feeds the tree the key of
+// each new head.
 //
 // Equal truncated keys are broken by the optional tie callback (the
 // comparator fallback for codecs whose key is a prefix, or for
@@ -150,17 +153,23 @@ func (t *KeyTree) Retire() {
 	t.replay(t.win)
 }
 
-// replay pushes stream s's new head up the tree. The common case is a
-// strict uint64 comparison per level; only equal keys leave the fast
-// path.
+// replay pushes stream s's new head up the tree. Each level is one
+// uint64 comparison whose outcome selects, by conditional moves, the
+// node's new (loser, loser key) and the climbing winner; both node slots
+// are stored unconditionally. Only equal keys take a branch, to beatsEq.
 func (t *KeyTree) replay(s int32) {
+	loser, lkey := t.loser, t.lkey
 	w, wk := s, t.key[s]
 	for i := (t.k + int(s)) >> 1; i >= 1; i >>= 1 {
-		lk := t.lkey[i]
-		if lk < wk || (lk == wk && t.beatsEq(t.loser[i], w)) {
-			t.loser[i], w = w, t.loser[i]
-			t.lkey[i], wk = wk, lk
+		l, lk := loser[i], lkey[i]
+		up := lk < wk
+		if lk == wk {
+			up = t.beatsEq(l, w)
 		}
+		if up {
+			l, lk, w, wk = w, wk, l, lk
+		}
+		loser[i], lkey[i] = l, lk
 	}
 	t.win = w
 }

@@ -14,17 +14,23 @@ func newKeyTree(n int, keys []uint64, live []bool, tie func(a, b int) bool) *Key
 }
 
 // mergeWithKeyTree drains k sorted uint64 streams through a KeyTree,
-// returning (value, stream) pairs in emission order.
-func mergeWithKeyTree(seqs [][]uint64, tie func(a, b int) bool) (vals []uint64, srcs []int) {
+// returning (value, stream) pairs in emission order. The tree sees each
+// value shifted right by shift; a nonzero shift truncates the keys, and
+// the tie callback then orders equal keys by the whole values.
+func mergeWithKeyTree(seqs [][]uint64, shift uint) (vals []uint64, srcs []int) {
 	k := len(seqs)
 	keys := make([]uint64, k)
 	live := make([]bool, k)
 	pos := make([]int, k)
 	for i, s := range seqs {
 		if len(s) > 0 {
-			keys[i] = s[0]
+			keys[i] = s[0] >> shift
 			live[i] = true
 		}
+	}
+	var tie func(a, b int) bool
+	if shift > 0 {
+		tie = func(a, b int) bool { return seqs[a][pos[a]] < seqs[b][pos[b]] }
 	}
 	t := newKeyTree(k, keys, live, tie)
 	for !t.Empty() {
@@ -33,7 +39,7 @@ func mergeWithKeyTree(seqs [][]uint64, tie func(a, b int) bool) (vals []uint64, 
 		srcs = append(srcs, i)
 		pos[i]++
 		if pos[i] < len(seqs[i]) {
-			t.Replace(seqs[i][pos[i]])
+			t.Replace(seqs[i][pos[i]] >> shift)
 		} else {
 			t.Retire()
 		}
@@ -66,18 +72,27 @@ func referenceMerge(seqs [][]uint64) (vals []uint64, srcs []int) {
 
 // TestKeyTreeMatchesStableSort cross-checks the key tree against the
 // reference: same multiset out, same (value, stream-index) emission
-// order — on duplicate-heavy streams (the tie rule decides almost every
-// replay) and on random streams that include the dead-key sentinel
-// value ^0 as a live key.
+// order. Each row runs at stream counts that are and are not powers of
+// two (the tree pads to one with dead leaves):
+//   - duplicate-heavy streams, where the tie rule decides almost every
+//     replay;
+//   - random streams that include the dead-key sentinel ^0 as a live key;
+//   - all-equal keys, where only stream index orders;
+//   - truncated keys, where the tie callback orders equal keys;
+//   - streams of very different lengths, so most are retired while the
+//     rest still merge.
 func TestKeyTreeMatchesStableSort(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 9))
+	long := func(int) int { return int(rng.Uint64N(200)) }
 	// An ordered slice, not a map: the cases share rng, so the inputs
 	// replay from the seed only in a fixed order.
-	draws := []struct {
-		name string
-		draw func() uint64
+	rows := []struct {
+		name  string
+		draw  func() uint64
+		size  func(stream int) int
+		shift uint
 	}{
-		{"duplicate-heavy", func() uint64 { return rng.Uint64N(5) }},
+		{"duplicate-heavy", func() uint64 { return rng.Uint64N(5) }, long, 0},
 		{"sentinel", func() uint64 {
 			switch rng.Uint64N(8) {
 			case 0:
@@ -86,23 +101,30 @@ func TestKeyTreeMatchesStableSort(t *testing.T) {
 				return 0
 			}
 			return rng.Uint64()
-		}},
+		}, long, 0},
+		{"all-equal", func() uint64 { return 42 }, long, 0},
+		{"tie callback", func() uint64 { return rng.Uint64N(1 << 12) }, long, 8},
+		{"retired mid-merge", rng.Uint64, func(i int) int {
+			if i%3 == 0 {
+				return 300
+			}
+			return int(rng.Uint64N(4))
+		}, 0},
 	}
-	for _, d := range draws {
-		name, draw := d.name, d.draw
-		for _, k := range []int{1, 2, 3, 4, 5, 7, 9, 16, 17, 33} {
+	for _, r := range rows {
+		for _, k := range []int{1, 2, 3, 4, 5, 7, 9, 16, 17, 21, 33, 49} {
 			seqs := make([][]uint64, k)
 			for i := range seqs {
-				seqs[i] = make([]uint64, rng.Uint64N(200))
+				seqs[i] = make([]uint64, r.size(i))
 				for j := range seqs[i] {
-					seqs[i][j] = draw()
+					seqs[i][j] = r.draw()
 				}
 				slices.Sort(seqs[i])
 			}
-			gotV, gotS := mergeWithKeyTree(seqs, nil)
+			gotV, gotS := mergeWithKeyTree(seqs, r.shift)
 			wantV, wantS := referenceMerge(seqs)
 			if !slices.Equal(gotV, wantV) || !slices.Equal(gotS, wantS) {
-				t.Fatalf("%s k=%d: key tree and stable sort disagree", name, k)
+				t.Fatalf("%s k=%d: key tree and stable sort disagree", r.name, k)
 			}
 		}
 	}

@@ -193,15 +193,24 @@ func Validate(recs []elem.Rec100) Summary {
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
+// recordCRCs returns the sum, modulo 2^64, of the CRC-32C of each whole
+// 100-byte record in raw: by the three-record kernel where the CPU has
+// one, else record by record through hash/crc32.
+func recordCRCs(raw []byte) (sum uint64) {
+	if crcKernel {
+		return crc100Sum(raw, len(raw)/100)
+	}
+	for off := 0; off+100 <= len(raw); off += 100 {
+		sum += uint64(crc32.Checksum(raw[off:off+100], castagnoli))
+	}
+	return sum
+}
+
 // Tally counts and checksums a chunk of raw records, as Summary's
 // Records and Checksum — the whole digest of an input, whose order
 // means nothing. len(raw) must be a multiple of 100.
 func Tally(raw []byte) (records int64, checksum uint64) {
-	for off := 0; off+100 <= len(raw); off += 100 {
-		checksum += uint64(crc32.Checksum(raw[off:off+100], castagnoli))
-		records++
-	}
-	return records, checksum
+	return int64(len(raw) / 100), recordCRCs(raw)
 }
 
 // Accum builds a Summary incrementally from record-aligned raw chunks
@@ -217,9 +226,9 @@ type Accum struct {
 // (Sink chunks are element-aligned by construction). Keys are compared
 // as two big-endian integers, which orders them as bytes.Compare does.
 func (a *Accum) Add(raw []byte) {
+	a.sum.Checksum += recordCRCs(raw)
 	for off := 0; off+100 <= len(raw); off += 100 {
 		rec := raw[off : off+100]
-		a.sum.Checksum += uint64(crc32.Checksum(rec, castagnoli))
 		hi, lo := binary.BigEndian.Uint64(rec), uint64(binary.BigEndian.Uint16(rec[8:]))
 		switch {
 		case !a.has:

@@ -7,7 +7,9 @@
 // Merging runs on the flat key-inline tournament tree (pq.KeyTree):
 // stream heads are summarised by 64-bit normalized keys
 // (elem.Keyed), so the replay after each emitted element is a
-// handful of uint64 comparisons instead of indirect comparator calls.
+// handful of uint64 comparisons instead of indirect comparator calls,
+// each selecting the climbing winner by conditional moves rather than
+// a branch.
 // Codecs without keys — and key ties of codecs whose key is a prefix —
 // fall back to Codec.Less transparently. Each stream's next keys are
 // extracted a window at a time (elem.KeysInto), so the loop reads a
@@ -18,6 +20,7 @@
 package xmerge
 
 import (
+	"slices"
 	"sync"
 
 	"demsort/internal/elem"
@@ -145,7 +148,10 @@ func merge[T any](c elem.Codec[T], dst []T, cur [][]T, refill func(i int) []T, o
 	for !t.Empty() {
 		i := t.Win()
 		s, p := cur[i], pos[i]
-		dst = append(dst, s[p])
+		// Not append(dst, s[p]): that copies the element to a temporary
+		// first, in case growing dst moves it.
+		dst = slices.Grow(dst, 1)[:len(dst)+1]
+		dst[len(dst)-1] = s[p]
 		p++
 		if len(dst) == outLen {
 			if err := emit(dst); err != nil {
