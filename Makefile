@@ -199,8 +199,13 @@ options:
 # merge loop's one copy per element (xmerge +6), the selection's block
 # cache keeping its read buffers (core +17) and dselect's residual
 # growing its buffer once (+3), net of psort's pair size assert, which
-# now admits 386's 12-byte pair (−1).
-LOC_MAX = 14792
+# now admits 386's 12-byte pair (−1); +12 when the budget charged only
+# what a PE holds: SortAcross's spare share and the run store's release
+# of a segment nobody held went, and the striped piece, the striped send
+# vectors, the store's writer tail and the R = 1 merged chunk are charged
+# where they are allocated (run formation ±0, MergeQuota's comment +1),
+# and dselect.Select fails the run past a cap on its rounds (+11).
+LOC_MAX = 14804
 OPTIONS_MAX = 60
 budget:
 	@loc=$(LOC_TOTAL); opts=$$($(MAKE) -s options | awk 'END {print $$1}'); \

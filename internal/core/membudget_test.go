@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"demsort/internal/elem"
+	"demsort/internal/job"
 	"demsort/internal/psort"
+	"demsort/internal/sortbench"
 	"demsort/internal/workload"
 )
 
@@ -79,6 +81,41 @@ func TestRunFormScratchCharged(t *testing.T) {
 	}
 	if len(peaks) == 2 && !slices.Equal(peaks[0], peaks[1]) {
 		t.Fatalf("run-formation peaks differ between budgets: loose %v, tight %v", peaks[0], peaks[1])
+	}
+}
+
+// Run formation charges what a PE holds: at most its run share twice,
+// the chunk next to the send vectors SortAcross gathers it into, beside
+// the chunk's permutation and the sample of the earlier runs. Every PE
+// holds three full runs here, so each run hands it exactly its segment
+// [rank·RunLocal, (rank+1)·RunLocal) and the peak comes in the last one:
+// 2·RunLocal + permElems(RunLocal) + S, S the sample of the two earlier
+// segments. (On canon_uniform's shape, RunLocal 12 388 and S 1 159, that
+// is 26 431 of M = 50 000.)
+func TestRunFormPeakIsTwoRunShares(t *testing.T) {
+	const p, mem, block, size = 4, 8000, 1000, 100
+	pl, err := job.NewPlan(job.Shape{Sorter: job.Canonical, P: p, MemElems: mem, BlockBytes: block, ElemSize: size, NPerPE: 3 * mem / 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	input := make([][]elem.Rec100, p)
+	for r := range input {
+		input[r] = sortbench.Generate(3, int64(r)*3*pl.RunLocal, 3*pl.RunLocal)
+	}
+	res, err := Sort[elem.Rec100](elem.Rec100Codec{}, DefaultConfig(p, mem, block), input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Runs != 3 || pl.Runs != 3 {
+		t.Fatalf("want 3 runs of %d elements per PE, got R=%d (planned %d)", pl.RunLocal, res.Runs, pl.Runs)
+	}
+	perm := (4*pl.RunLocal + size - 1) / size
+	for rank, peak := range res.RunFormPeakMemElems {
+		lo, hi := int64(rank)*pl.RunLocal, int64(rank+1)*pl.RunLocal
+		sample := 2 * ((hi+pl.K-1)/pl.K - (lo+pl.K-1)/pl.K) // multiples of K in [lo, hi), twice
+		if want := 2*pl.RunLocal + perm + sample; peak != want {
+			t.Errorf("PE %d: run-formation peak %d, want 2·%d + %d + %d = %d", rank, peak, pl.RunLocal, perm, sample, want)
+		}
 	}
 }
 

@@ -25,8 +25,9 @@
 //     publishes the direction; every PE shrinks its own intervals.
 //
 // Interval mass shrinks geometrically (see aim; the pivot's own interval
-// shrinks by at least one element every round, so termination is
-// unconditional). Small residuals are gathered to the owner and finished
+// shrinks by at least one element every round while the probes answer
+// consistently, and past a cap of O(log max rank) rounds Select fails
+// the run). Small residuals are gathered to the owner and finished
 // exactly in memory — Split's at once, in round one; nothing once the
 // cut is known to be at every bracket's low end. Nothing is guessed, so
 // no rank is ever redone. Per PE and round the traffic is O(#ranks)
@@ -40,6 +41,7 @@ package dselect
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -346,7 +348,16 @@ func Select[T any](c elem.Codec[T], n *cluster.Node, loc Local[T], ranks []int64
 	pivots := make([]pivot[T], nRanks)
 	var cands []weighted[T]
 	var res []residual[T]
-	for active := nRanks; active > 0; {
+	// Consistent probes finish every rank in O(log total) rounds. Probes
+	// that contradict each other (a block read back wrong) need not
+	// shrink any bracket, so past this cap, which every PE derives alike,
+	// the run fails instead of spinning.
+	maxRounds := 16*bits.Len64(uint64(total)) + 64
+	for round, active := 0, nRanks; active > 0; round++ {
+		if round == maxRounds {
+			open := slices.Index(done, false)
+			panic(fmt.Sprintf("dselect: rank %d still open after %d rounds: the probes answer inconsistently", ranks[open], round))
+		}
 		if gather != atOnce { // else every rank is gathered (cmds' zero), and done, in one round
 			// --- A: pivot proposals per rank to its owner ---
 			send := make([][]byte, p)

@@ -2,6 +2,7 @@ package dselect
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"math/rand/v2"
 	"slices"
@@ -273,6 +274,36 @@ func TestSelectAtOnceChecksTheBrackets(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "the brackets do not hold the cut") {
 			t.Errorf("%s: run ended with %v, want the brackets refused", name, err)
 		}
+	}
+}
+
+// shiftingPiece is one PE's piece whose probes contradict each other:
+// every At returns a smaller key than the one before, so a pivot orders
+// after everything probed later and no bracket ever shrinks.
+type shiftingPiece struct {
+	pc    Piece
+	calls uint64
+}
+
+func (l *shiftingPiece) Pieces() []Piece { return []Piece{l.pc} }
+func (l *shiftingPiece) At(int, int64) elem.KV16 {
+	l.calls++
+	return elem.KV16{Key: ^l.calls}
+}
+
+// TestSelectFailsOnInconsistentProbes: probes that answer
+// inconsistently fail the run within the round cap, 16·bits.Len64(max
+// rank) + 64 rounds, instead of bisecting forever.
+func TestSelectFailsOnInconsistentProbes(t *testing.T) {
+	const p, perPE = 4, 1000
+	err := machine(t, p).Run(func(n *cluster.Node) error {
+		loc := &shiftingPiece{pc: Piece{ID: 0, Start: int64(n.Rank) * perPE, Len: perPE}}
+		Select[elem.KV16](kvc, n, loc, []int64{p * perPE / 2}, [][]mselect.Interval{{{Lo: 0, Hi: p * perPE}}}, 16)
+		return nil
+	})
+	var aborted *cluster.ErrAborted
+	if !errors.As(err, &aborted) || !strings.Contains(err.Error(), "rank 2000 still open after 240 rounds") {
+		t.Fatalf("run ended with %v, want it aborted at the round cap", err)
 	}
 }
 

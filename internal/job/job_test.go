@@ -266,11 +266,10 @@ func TestFormRuns(t *testing.T) {
 						}
 						return j.SortExact(n, chunk, func(parts [][]elem.KV16, segStart, runLen int64) error {
 							s := xmerge.AppendMerge(tc.codec, nil, parts)
-							if used := n.Mem.Used(); used != entry+2*int64(len(s)) {
-								return fmt.Errorf("rank %d run %d: %d elements charged during store, want entry %d + 2·%d", n.Rank, run, used, entry, len(s))
+							if used := n.Mem.Used(); used != entry+int64(len(s)) {
+								return fmt.Errorf("rank %d run %d: %d elements charged during store, want entry %d + the %d received", n.Rank, run, used, entry, len(s))
 							}
 							segs[n.Rank] = append(segs[n.Rank], seg{runLen, segStart, s})
-							n.Mem.Release(2 * int64(len(s))) // store owns the segment's charge
 							return nil
 						})
 					})
@@ -363,7 +362,7 @@ func TestMergeFiles(t *testing.T) {
 }
 
 func checkMergeFiles[T any](t *testing.T, c elem.Codec[T], gen func() T) {
-	const blockBytes = 1000 // 62 KV16 or 10 Rec100 per block, and spare bytes
+	const blockBytes = 1000 // 62 KV16 or 10 Rec100 per block, and bytes over
 	onSim(t, c, Defaults(1, 1<<14, blockBytes), make([][]T, 1), func(j *Job[T], n *cluster.Node) error {
 		var files []File
 		var contents [][]T
@@ -548,7 +547,6 @@ func checkSortExact[T any](t *testing.T, c elem.Codec[T], blockBytes int, chunks
 		if err != nil {
 			return err
 		}
-		n.Mem.Release(2 * int64(len(seg)))
 		if used := n.Mem.Used(); used != entry {
 			return fmt.Errorf("rank %d: %d elements charged after SortExact, %d before", n.Rank, used, entry)
 		}
@@ -600,15 +598,18 @@ func TestSortAcross(t *testing.T) {
 				}
 				entry := n.Mem.Used()
 				n.Mem.MustAcquire(int64(len(chunk)))
-				return j.SortAcross(n, dselect.Sorted[elem.KV16]{Vals: chunk}, cuts, func(parts [][]elem.KV16, got, start int64) error {
+				err := j.SortAcross(n, dselect.Sorted[elem.KV16]{Vals: chunk}, cuts, func(parts [][]elem.KV16, got, start int64) error {
 					merged := xmerge.AppendMerge(kvc, make([]elem.KV16, 0, 8), parts) // a destination too small to hold it
-					if used := n.Mem.Used(); int64(len(merged)) != got || used != entry+2*got {
-						return fmt.Errorf("rank %d: %d elements charged for a result of %d (%d reported)", n.Rank, used-entry, len(merged), got)
+					if used := n.Mem.Used(); int64(len(merged)) != got || used != entry+got {
+						return fmt.Errorf("rank %d: %d elements charged for a result of %d (%d reported), want the received buffers'", n.Rank, used-entry, len(merged), got)
 					}
-					n.Mem.Release(2 * got)
 					out[n.Rank], starts[n.Rank] = merged, start
 					return nil
 				})
+				if used := n.Mem.Used(); err == nil && used != entry {
+					return fmt.Errorf("rank %d: %d elements charged after SortAcross, %d before", n.Rank, used, entry)
+				}
+				return err
 			})
 			var all, got []elem.KV16
 			for rank := range chunks {

@@ -78,13 +78,13 @@ func NewPlan(s Shape) (Plan, error) {
 	p.BElem = s.BlockBytes / s.ElemSize
 	b := int64(p.BElem)
 	// A PE's share of one run is well below half the budget, since run
-	// formation holds the unsorted chunk, the merged result and the next
-	// run's prefetch at once (the paper's footnote 1: runs can be "a
-	// factor around two smaller" than M): a quarter, and a fifth striped,
-	// so that the piece of a run SortAcross hands a PE under sample
-	// splitters — up to 5/4 of its share (RecvBound), held three times —
-	// stays within three quarters of it. The baseline's run is the chunk
-	// it distributes per round.
+	// formation holds the unsorted chunk next to its send copies or what
+	// it receives, and the next run's prefetch (the paper's footnote 1:
+	// runs can be "a factor around two smaller" than M): a quarter, and a
+	// fifth striped, where the piece of a run SortAcross hands a PE under
+	// sample splitters is up to 5/4 of its share (RecvBound), held as the
+	// received buffers and the merged piece. The baseline's run is the
+	// chunk it distributes per round.
 	runLocal := m / 4
 	if s.Sorter == Striped {
 		runLocal = m / 5
@@ -213,13 +213,14 @@ func (p *Plan) formRunsFits(held, split int64) error {
 //   - then either all of pending is emitted and SortAcross holds the
 //     send copies next to it (2·pending), or — at worst — none of it is
 //     and the PE still receives a full share of what the machine emits,
-//     at most everything pending anywhere, E = (R + P·q) blocks:
-//     SortAcross holds 3 × that share (RecvBound), and afterwards the
-//     merged share twice next to the output blocks under assembly (one
+//     at most everything pending anywhere, E = (R + P·q) blocks: 3 ×
+//     that share (RecvBound) for SortAcross, which holds two (the third
+//     over-reserves until ROADMAP 5(d3)), and afterwards the merged piece
+//     next to its send copies or to the output blocks it assembles (one
 //     even share and a partial block at either end);
 //   - with the output collected, the merged share goes to the output's
-//     owners instead: its send copies stay charged while this PE, as an
-//     owner, receives up to all of E (RecvBound(E) + E).
+//     owners instead: the merged piece stays charged while this PE, as
+//     an owner, receives up to all of E (RecvBound(E) + E).
 func (p *Plan) MergeQuota(table int64) int64 {
 	m, b, runs, pe := p.MemElems, int64(p.BElem), p.Runs, int64(p.P)
 	left := runs

@@ -90,9 +90,10 @@ func TestPlan(t *testing.T) {
 	}
 	// striped_uniform: 26 runs; its table bound is one entry per input
 	// block, 4 × 767. A PE holds the table, (left + q)·163 pending (left =
-	// 14 rotated, 26 not) and the larger of the pending, SortAcross's 3 ×
-	// RecvBound of E = (26 + 4q)·163 plus two blocks, and — collected — its
-	// send copies next to all of E received as an owner. Collected, the
+	// 14 rotated, 26 not) and the larger of the pending, the 3 ×
+	// RecvBound of E = (26 + 4q)·163 reserved for SortAcross (it holds
+	// two) plus two blocks, and — collected — its merged piece next to
+	// all of E received as an owner. Collected, the
 	// last is the largest: rotated, q = 13 holds 3068 + 27·163 + 3980 +
 	// 12 714 = 24 163 of 25 000 and q = 14 would hold 25 182; unrotated,
 	// q = 11 holds 3068 + 37·163 + 3573 + 11 410 = 24 082 and q = 12 25 100.

@@ -37,10 +37,10 @@ import (
 // was read into: psort.Order sorts a view of it (elem.View) into one
 // phase-long permutation, and chunk is that view read through it, which
 // SortAcross gathers straight into the send vectors. At R = 1 each block
-// is sorted in place as it arrives and the blocks are merged, so chunk
-// is in order (a nil Perm). The writes sortRun issued are drained on
-// return. An input read error ends run formation with that error.
-// FormRuns returns the run count R.
+// is sorted in place as it arrives, and the blocks are merged into a
+// chunk charged beside the read buffer, so chunk is in order (a nil
+// Perm). The writes sortRun issued are drained on return. An input read
+// error ends run formation with that error. FormRuns returns R.
 func (j *Job[T]) FormRuns(n *cluster.Node, in *Input, salt uint64, sortRun func(run int, chunk dselect.Sorted[T]) error) (int, error) {
 	c, cfg, sz, model := j.c, j.cfg, j.c.Size(), &j.cfg.Model
 	spans := in.Spans
@@ -119,7 +119,9 @@ func (j *Job[T]) FormRuns(n *cluster.Node, in *Input, salt uint64, sortRun func(
 				n.AddCPU(model.SortCPU(int64(len(blk))) + model.ScanCPU(int64(len(blk))))
 				blocks[i] = blk
 			}
+			n.Mem.MustAcquire(chunkLen) // the merged chunk
 			chunk.Vals = xmerge.AppendMerge(c, make([]T, 0, chunkLen), blocks)
+			n.Mem.Release(chunkLen) // the blocks, merged
 			n.AddCPU(model.MergeCPU(chunkLen, len(blocks)))
 		} else {
 			for i, sp := range mine {
@@ -178,11 +180,10 @@ func (j *Job[T]) SortExact(n *cluster.Node, chunk dselect.Sorted[T], store func(
 //
 // Budget: chunk arrives charged at chunk.Len() elements, and its
 // permutation, if any, at permElems; both are released once the send
-// copies are charged next to them. What arrives is charged at 3·got, one
-// got more than the received buffers and the merged piece (ROADMAP
-// direction 5(d) reclaims it); merge gets the piece charged at 2·got and
-// releases it. The merge's CPU is charged before merge runs, so the
-// writes it issues start when the merged piece is complete.
+// copies are charged next to them. The received buffers are charged at
+// got until they are recycled; merge charges what it merges into. The
+// merge's CPU is charged before merge runs, so the writes it issues
+// start when the merged piece is complete.
 func (j *Job[T]) SortAcross(n *cluster.Node, chunk dselect.Sorted[T], cuts []int64, merge func(parts [][]T, got, start int64) error) error {
 	c, sz, model := j.c, j.c.Size(), &j.cfg.Model
 	held := int64(chunk.Len())
@@ -204,10 +205,10 @@ func (j *Job[T]) SortAcross(n *cluster.Node, chunk dselect.Sorted[T], cuts []int
 		start += int64(binary.LittleEndian.Uint64(b[body:]))
 		parts[q] = elem.View(c, b[:body])
 	}
-	n.Mem.MustAcquire(3 * got) // received buffers + merged output, and one got spare
-	n.Mem.Release(got)
+	n.Mem.MustAcquire(got) // the received buffers
 	n.AddCPU(model.MergeCPU(got, n.P) + model.ScanCPU(got))
 	err := merge(parts, got, start)
 	cluster.RecycleRecv(recv) // the views are dead
+	n.Mem.Release(got)
 	return err
 }

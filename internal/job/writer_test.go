@@ -20,7 +20,7 @@ import (
 // multiple of the element size. The tail keeps its pooled capacity.
 func TestWriterBytePathMatchesSlicePath(t *testing.T) {
 	rc := elem.Rec100Codec{}
-	const blockBytes = 1050 // 10 records and 50 spare bytes
+	const blockBytes = 1050 // 10 records and 50 bytes over
 	rng := rand.New(rand.NewPCG(7, 11))
 	vs := make([]elem.Rec100, 977)
 	for i := range vs {

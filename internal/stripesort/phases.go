@@ -91,28 +91,25 @@ func runPE[T any](j *job.Job[T], c elem.Codec[T], n *cluster.Node, cfg *Config, 
 // splitters — its stripe fixes the positions, so the cuts need not be
 // exact — and striped over the machine as it completes.
 func (s *pe[T]) formRuns(input *job.Input) error {
-	n, model := s.n, &s.cfg.Model
+	n, model, sz := s.n, &s.cfg.Model, s.c.Size()
 	n.SetPhase(PhaseRunForm)
 	var err error
-	sz := s.c.Size()
 	s.runs, err = s.j.FormRuns(n, input, 0x57121, func(run int, chunk dselect.Sorted[T]) error {
-		seg, segStart, runLen, err := s.sortSampled(n, chunk)
-		if err != nil {
-			return err
-		}
-		st := s.newStriper(run, runLen, func(g int64, data []byte) error {
-			s.stored[[2]int64{int64(run), g}] = runBlock{run: run, blk: g, id: s.writeBlock(data), len: len(data) / sz}
-			s.firsts = binary.LittleEndian.AppendUint32(s.firsts, uint32(run))
-			s.firsts = binary.LittleEndian.AppendUint64(s.firsts, uint64(g))
-			s.firsts = append(s.firsts, data[:sz]...)
-			return nil
+		return s.sortSampled(n, chunk, func(seg []T, segStart, runLen int64) error {
+			st := s.newStriper(run, runLen, func(g int64, data []byte) error {
+				s.stored[[2]int64{int64(run), g}] = runBlock{run: run, blk: g, id: s.writeBlock(data), len: len(data) / sz}
+				s.firsts = binary.LittleEndian.AppendUint32(s.firsts, uint32(run))
+				s.firsts = binary.LittleEndian.AppendUint64(s.firsts, uint64(g))
+				s.firsts = append(s.firsts, data[:sz]...)
+				return nil
+			})
+			if err := st.stripe(segStart, seg); err != nil {
+				return err
+			}
+			n.AddCPU(2 * model.ScanCPU(int64(len(seg))))
+			s.totalN += runLen
+			return st.done()
 		})
-		if err := st.stripe(segStart, seg); err != nil { // releases seg's charge
-			return err
-		}
-		n.AddCPU(2 * model.ScanCPU(int64(len(seg))))
-		s.totalN += runLen
-		return st.done()
 	})
 	if err != nil {
 		return fmt.Errorf("stripesort: %w", err)
@@ -170,9 +167,8 @@ const stripeHdr = 16
 // stripe is collective: this PE contributes elements [lo, lo+len(elems))
 // of the sequence, cut at block boundaries and sent to each block's home
 // under a (block, offset, count) header; arriving pieces are appended to
-// their block's assembly buffer, charged while it waits. elems arrive
-// charged twice (sortSampled's result): the decoded charge is released
-// once they are encoded, the send copies' once the pieces have arrived,
+// their block's assembly buffer, charged while it waits. The send
+// vectors are charged from their encoding until they are handed off,
 // and what arrives is charged until it is recycled. A piece of a block
 // this PE does not home, or one that does not continue its block within
 // the block's end, fails the sort naming its sender.
@@ -195,6 +191,7 @@ func (s *striper[T]) stripe(lo int64, elems []T) error {
 	for q := range send {
 		send[q] = bufpool.Get(size[q])
 	}
+	n.Mem.MustAcquire(int64(len(elems)))
 	pieces(func(home int, g, off int64, piece []T) {
 		buf := send[home][at[home]:]
 		binary.LittleEndian.PutUint64(buf[:8], uint64(g))
@@ -203,16 +200,14 @@ func (s *striper[T]) stripe(lo int64, elems []T) error {
 		elem.EncodeInto(s.c, buf[stripeHdr:], piece)
 		at[home] += stripeHdr + len(piece)*sz
 	})
-	held := int64(len(elems))
-	n.Mem.Release(held)
 	recv := n.AllToAllv(send)
+	n.Mem.Release(int64(len(elems))) // handed off to the receivers
 	defer cluster.RecycleRecv(recv)
 	var got int64
 	for _, buf := range recv {
 		got += int64((len(buf) + sz - 1) / sz)
 	}
 	n.Mem.MustAcquire(got)
-	n.Mem.Release(held)
 	defer n.Mem.Release(got)
 	for q, buf := range recv {
 		for len(buf) > 0 {
@@ -342,14 +337,13 @@ func (s *pe[T]) mergeBatches(pred []predEntry[T], sink func(rank int, b []byte) 
 		// Distributed merge of the emitted chunks, then stripe the result
 		// to the output — the two communications per element of the
 		// merging pass.
-		merged, start, total, err := s.sortSampled(n, dselect.Sorted[T]{Vals: s.extract(pending, barrier)})
-		if err == nil {
-			err = out.stripe(outCur+start, merged)
-		}
+		err := s.sortSampled(n, dselect.Sorted[T]{Vals: s.extract(pending, barrier)}, func(merged []T, start, total int64) error {
+			outCur += total
+			return out.stripe(outCur-total+start, merged)
+		})
 		if err != nil {
 			return fmt.Errorf("stripesort: merge batch %d: %w", s.batches, err)
 		}
-		outCur += total
 		cursor = end
 	}
 	n.Mem.Release(int64(len(pred))) // prediction table dead after the merge
@@ -381,24 +375,28 @@ func (s *pe[T]) batchEnd(pred []predEntry[T], cursor int) int {
 // sorted chunk is cut at sample splitters and redistributed by
 // SortAcross, whose parts are merged into the PE's reused piece buffer,
 // so the pieces concatenate in rank order to the sorted union of all
-// chunks. The received buffers are recycled before it returns, so the
-// stripe that follows draws on bufpool without them. The cuts are only
-// approximately even — the stripe fixes the positions — so the piece's
-// start comes from SortAcross: the result is this PE's piece, charged at
-// twice its length and valid until the next call, where it starts in the
-// union, and the union's length, which the last piece must end at.
-func (s *pe[T]) sortSampled(n *cluster.Node, chunk dselect.Sorted[T]) ([]T, int64, int64, error) {
+// chunks. The cuts are only approximately even — the stripe fixes the
+// positions — so stripe gets the piece with where it starts in the union
+// and the union's length, which the last piece must end at. The piece
+// is charged until stripe returns; the received buffers are recycled
+// before it runs, so it draws on bufpool without them.
+func (s *pe[T]) sortSampled(n *cluster.Node, chunk dselect.Sorted[T], stripe func(piece []T, start, total int64) error) error {
 	cuts, total := sampleCuts(s.c, n, chunk)
 	var start int64
 	err := s.j.SortAcross(n, chunk, cuts, func(parts [][]T, got, at int64) error {
 		if end := at + got; end > total || n.Rank == n.P-1 && end != total {
 			return fmt.Errorf("received elements [%d, %d) of the %d the PEs contributed", at, end, total)
 		}
+		n.Mem.MustAcquire(got)
 		s.piece = xmerge.AppendMerge(s.c, slices.Grow(s.piece[:0], int(got)), parts)
 		start = at
 		return nil
 	})
-	return s.piece, start, total, err
+	if err == nil {
+		err = stripe(s.piece, start, total)
+		n.Mem.Release(int64(len(s.piece)))
+	}
+	return err
 }
 
 // fetch reads this PE's resident blocks of one batch (asynchronously)

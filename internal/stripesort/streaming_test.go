@@ -169,9 +169,9 @@ func TestStriperRejectsBadPieces(t *testing.T) {
 				s := &pe[elem.KV16]{j: &job.Job[elem.KV16]{Plan: job.Plan{BElem: 4}}, c: kvc, n: n, cfg: &cfg}
 				st := s.newStriper(1, tc.total[n.Rank], func(int64, []byte) error { return nil })
 				// PE 0 contributes elements [0, 4) of the run, PE 1 [4, 12);
-				// both arrive charged twice, as sortSampled leaves them.
+				// both arrive charged, as sortSampled hands them over.
 				lo, elems := int64(4*n.Rank), make([]elem.KV16, 4+4*n.Rank)
-				n.Mem.MustAcquire(2 * int64(len(elems)))
+				n.Mem.MustAcquire(int64(len(elems)))
 				return st.stripe(lo, elems)
 			})
 			if err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -194,12 +194,17 @@ func TestStripedCommunicatesMoreThanCanonical(t *testing.T) {
 
 func TestStripedSingleRun(t *testing.T) {
 	cfg := testConfig(3)
+	sm := simMachine(t, &cfg)
 	input := workload.Generate(workload.Uniform, 3, 800, 11)
 	res, err := Sort[elem.KV16](kvc, cfg, input)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if res.Runs != 1 {
+		t.Fatalf("want the single-run regime, got R=%d", res.Runs)
+	}
 	checkSorted(t, res, input)
+	checkBudget(t, sm, cfg.MemElems)
 }
 
 func TestStripedEmptyAndTiny(t *testing.T) {
