@@ -204,8 +204,13 @@ options:
 # of a segment nobody held went, and the striped piece, the striped send
 # vectors, the store's writer tail and the R = 1 merged chunk are charged
 # where they are allocated (run formation ±0, MergeQuota's comment +1),
-# and dselect.Select fails the run past a cap on its rounds (+11).
-LOC_MAX = 14804
+# and dselect.Select fails the run past a cap on its rounds (+11); −17
+# when a run's segments came from its length (job.RankBounds): the
+# segment matrices, their wire header and their manifest copies went and
+# a resumed rank gathered the run directory as a fresh one does (−25,
+# the manifest's refusal checks included), and the exchange held one
+# charged writer tail at a time (+8).
+LOC_MAX = 14787
 OPTIONS_MAX = 60
 budget:
 	@loc=$(LOC_TOTAL); opts=$$($(MAKE) -s options | awk 'END {print $$1}'); \

@@ -4,13 +4,13 @@ package blockio
 // manifest.json describing everything a restarted rank needs to adopt
 // its spill file and resume the sort from the last committed phase —
 // job identity, phase epoch, the block layout and allocator state of
-// the store, the run directory (segment boundaries, the run directory's
-// own extents and the encoded sample), and, once selection has
-// committed, the splitter matrix.
-// Manifests are tiny (the run directory and splitters are O(R·P)
-// numbers; the sample is bounded by the memory budget's sample share),
-// which is what makes checkpointing after run formation and selection
-// nearly free compared to re-reading the input.
+// the store, the rank's runs (each one's length, which places the rank's
+// segment of it, the segment's extents and its encoded sample share),
+// and, once selection has committed, the splitter matrix.
+// Manifests are tiny (the runs and splitters are O(R·P) numbers; the
+// sample is bounded by the memory budget's sample share), which is what
+// makes checkpointing after run formation and selection nearly free
+// compared to re-reading the input.
 //
 // Writes are crash-atomic, the same discipline as part files:
 // rank-%03d.manifest.json.tmp is written, fsync'd and renamed over the
@@ -44,16 +44,14 @@ type Extent struct {
 	Own bool    `json:"own"`
 }
 
-// RunMeta is one run's entry in the run directory: this rank's segment
-// boundaries within the run, the extents holding the segment, and the
-// gathered whole-run sample (encoded elements, every K-th run
-// position) that re-bootstraps selection on resume.
+// RunMeta is one run's entry in a rank's run directory: the run's
+// length, the extents holding the rank's segment of it and the segment's
+// sample share (encoded elements at its run positions ≡ 0 (mod SampleK)),
+// which a resumed fleet gathers again to re-bootstrap selection.
 type RunMeta struct {
-	SegStart int64    `json:"segStart"`
-	SegLen   int64    `json:"segLen"`
-	RunLen   int64    `json:"runLen"`
-	Extents  []Extent `json:"extents"`
-	Sample   []byte   `json:"sample,omitempty"`
+	RunLen  int64    `json:"runLen"`
+	Extents []Extent `json:"extents"`
+	Sample  []byte   `json:"sample,omitempty"`
 }
 
 // Manifest is one rank's durable phase checkpoint.
@@ -81,13 +79,8 @@ type Manifest struct {
 	FreeList  []int64    `json:"freeList,omitempty"`
 	Blocks    []BlockLen `json:"blocks"`
 
-	// Run directory (set from the run-formation checkpoint onward),
-	// including the gathered per-run segment matrices so a resumed
-	// rank skips the meta AllGather too.
-	Runs      []RunMeta `json:"runs,omitempty"`
-	SegStarts [][]int64 `json:"segStarts,omitempty"` // [run][pe]
-	SegLens   [][]int64 `json:"segLens,omitempty"`   // [run][pe]
-	TotalN    int64     `json:"totalN"`
+	// Run directory (set from the run-formation checkpoint onward).
+	Runs []RunMeta `json:"runs,omitempty"`
 
 	// Splitters is the exact splitter matrix (P+1 rows of R positions,
 	// identical on every rank), set by the selection checkpoint.

@@ -104,13 +104,10 @@ func testManifest(rank int) *Manifest {
 		NextBlock: 7, FreeList: []int64{3},
 		Blocks: []BlockLen{{ID: 0, Bytes: 1000}, {ID: 1, Bytes: 400}},
 		Runs: []RunMeta{{
-			SegStart: 0, SegLen: 14, RunLen: 56,
+			RunLen:  56,
 			Extents: []Extent{{ID: 0, Off: 0, Len: 10, Own: true}, {ID: 1, Off: 0, Len: 4, Own: true}},
 			Sample:  []byte("0123456789"),
 		}},
-		SegStarts: [][]int64{{0, 14, 28, 42}},
-		SegLens:   [][]int64{{14, 14, 14, 14}},
-		TotalN:    56,
 	}
 }
 
@@ -124,8 +121,8 @@ func TestManifestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.JobID != want.JobID || got.Phase != want.Phase || got.TotalN != want.TotalN ||
-		len(got.Runs) != 1 || !bytes.Equal(got.Runs[0].Sample, want.Runs[0].Sample) ||
+	if got.JobID != want.JobID || got.Phase != want.Phase ||
+		len(got.Runs) != 1 || got.Runs[0].RunLen != want.Runs[0].RunLen || !bytes.Equal(got.Runs[0].Sample, want.Runs[0].Sample) ||
 		got.Runs[0].Extents[1] != want.Runs[0].Extents[1] {
 		t.Fatalf("manifest did not round-trip: %+v", got)
 	}

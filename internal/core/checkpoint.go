@@ -2,13 +2,13 @@ package core
 
 // The checkpoint/restart plane of CANONICALMERGESORT. Two phase
 // boundaries are worth committing: after run formation (the expensive
-// input pass — runs on disk, segment matrices and the gathered sample
-// in the manifest) and after multiway selection (the splitter matrix,
-// tiny and identical on every rank). From the selection checkpoint a
+// input pass — runs on disk, their lengths, extents and sample shares in
+// the manifest) and after multiway selection (the splitter matrix, tiny
+// and identical on every rank). From the selection checkpoint a
 // restarted fleet re-does only the exchange and merge; from the
-// run-formation checkpoint it additionally re-runs selection; with no
-// checkpoint it starts from scratch. Either way the input is never
-// re-read once run formation has committed.
+// run-formation checkpoint it also gathers the sample and re-runs
+// selection; with no checkpoint it starts from scratch. Either way the
+// input is never re-read once run formation has committed.
 //
 // Durable mode changes one thing about the data plane: the exchange no
 // longer frees or relabels-as-owned the run blocks it has consumed
@@ -34,7 +34,6 @@ import (
 	"demsort/internal/cluster"
 	"demsort/internal/elem"
 	"demsort/internal/job"
-	"demsort/internal/mselect"
 )
 
 // CheckpointConfig parameterises the durable checkpoint plane.
@@ -98,10 +97,10 @@ func loadCkpt(ck CheckpointConfig, rank, p, elemSize, blockBytes int) (*blockio.
 }
 
 // commitRunform writes the run-formation checkpoint: store contents
-// fsync'd first, then the manifest describing them — run directory,
-// gathered segment matrices, the whole-run samples, allocator state
-// and block layout.
-func commitRunform[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, k int64, meta *runsMeta[T], locals []localRun[T]) (*blockio.Manifest, error) {
+// fsync'd first, then the manifest describing them — allocator state,
+// block layout and this rank's runs: each one's length, extents and
+// sample share.
+func commitRunform[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, k int64, locals []localRun[T]) (*blockio.Manifest, error) {
 	ls, ok := n.Vol.Store().(lensStore)
 	if !ok {
 		return nil, fmt.Errorf("core: Checkpoint.Dir is set but rank %d's block store is not durable (use blockio.DurableFileStoreFactory)", n.Rank)
@@ -122,18 +121,10 @@ func commitRunform[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, k int64
 		NextBlock:  next,
 		FreeList:   free,
 		Blocks:     ls.BlockLens(),
-		SegStarts:  meta.segStarts,
-		SegLens:    meta.segLens,
-		TotalN:     meta.totalN,
+		Runs:       make([]blockio.RunMeta, len(locals)),
 	}
-	man.Runs = make([]blockio.RunMeta, len(locals))
-	for ri := range locals {
-		lr := &locals[ri]
-		rm := blockio.RunMeta{SegStart: lr.segStart, SegLen: lr.segLen, RunLen: lr.runLen, Extents: lr.file.Extents}
-		// The gathered whole-run sample (not just this rank's share):
-		// it re-bootstraps selection on resume without a fresh gather.
-		rm.Sample = elem.AppendEncode(c, nil, meta.samples[ri].Vals)
-		man.Runs[ri] = rm
+	for ri, lr := range locals {
+		man.Runs[ri] = blockio.RunMeta{RunLen: lr.runLen, Extents: lr.file.Extents, Sample: elem.AppendEncode(c, nil, lr.sample)}
 	}
 	if err := man.WriteFile(cfg.Checkpoint.Dir); err != nil {
 		return nil, fmt.Errorf("core: checkpoint commit, rank %d: %w", n.Rank, err)
@@ -153,36 +144,35 @@ func commitSelection(cfg *Config, n *cluster.Node, man *blockio.Manifest, split 
 	return nil
 }
 
-// restoreRunform rebuilds the post-run-formation state from a
-// manifest: the volume allocator and store block layout, the local run
-// directory, and the gathered run metadata (including the in-memory
-// samples, charged to the budget exactly as gatherRunsMeta would).
-func restoreRunform[T any](c elem.Codec[T], n *cluster.Node, k int64, man *blockio.Manifest) ([]localRun[T], *runsMeta[T], error) {
+// restoreRunform rebuilds the post-run-formation state from a manifest:
+// the volume allocator, the store block layout and the local runs, each
+// segment placed by its run's length, refused unless the run fits it, and
+// its sample share charged as runFormation charges it.
+func restoreRunform[T any](c elem.Codec[T], n *cluster.Node, k int64, man *blockio.Manifest) ([]localRun[T], error) {
 	ls, ok := n.Vol.Store().(lensStore)
 	if !ok {
-		return nil, nil, fmt.Errorf("core: resume requires a durable block store on rank %d (use blockio.DurableFileStoreFactory)", n.Rank)
+		return nil, fmt.Errorf("core: resume requires a durable block store on rank %d (use blockio.DurableFileStoreFactory)", n.Rank)
 	}
 	if man.SampleK != k {
-		return nil, nil, fmt.Errorf("core: resume: manifest SampleK %d differs from configured %d — resume with the same flags as the original job", man.SampleK, k)
+		return nil, fmt.Errorf("core: resume: manifest SampleK %d differs from configured %d — resume with the same flags and binary as the original job", man.SampleK, k)
+	}
+	locals := make([]localRun[T], len(man.Runs))
+	for ri, rm := range man.Runs {
+		lo, hi := segment(rm.RunLen, n.Rank, n.P)
+		lr := localRun[T]{file: job.File{Extents: rm.Extents}, segStart: lo, segLen: hi - lo, runLen: rm.RunLen}
+		for _, e := range rm.Extents {
+			lr.file.N += int64(e.Len)
+		}
+		cnt := sampleCount(lo, hi, k)
+		if len(rm.Sample) != cnt*c.Size() || lr.file.N != lr.segLen {
+			return nil, fmt.Errorf("core: resume: rank %d's manifest holds %d elements and %d sample bytes of run %d, whose segment [%d, %d) needs %d and %d — resume with the same flags and binary as the original job",
+				n.Rank, lr.file.N, len(rm.Sample), ri, lo, hi, lr.segLen, cnt*c.Size())
+		}
+		lr.sample = elem.AppendDecode(c, nil, rm.Sample, cnt)
+		n.Mem.MustAcquire(int64(cnt)) // held until gatherRunsMeta has encoded it
+		locals[ri] = lr
 	}
 	ls.SetBlockLens(man.Blocks)
 	n.Vol.RestoreAlloc(man.NextBlock, man.FreeList)
-
-	locals := make([]localRun[T], len(man.Runs))
-	meta := &runsMeta[T]{
-		runLens:   make([]int64, len(man.Runs)),
-		segStarts: man.SegStarts,
-		segLens:   man.SegLens,
-		samples:   make([]mselect.Sample[T], len(man.Runs)),
-		totalN:    man.TotalN,
-	}
-	for ri, rm := range man.Runs {
-		locals[ri] = localRun[T]{file: job.File{Extents: rm.Extents, N: rm.SegLen}, segStart: rm.SegStart, segLen: rm.SegLen, runLen: rm.RunLen}
-		meta.runLens[ri] = rm.RunLen
-		sample := elem.AppendDecode(c, nil, rm.Sample, len(rm.Sample)/c.Size())
-		meta.samples[ri] = mselect.Sample[T]{K: man.SampleK, Vals: sample}
-		// Charged as gatherRunsMeta charges it (releaseSamples).
-		n.Mem.MustAcquire(int64(len(sample)))
-	}
-	return locals, meta, nil
+	return locals, nil
 }

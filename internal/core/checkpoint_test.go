@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -229,6 +231,39 @@ func TestCheckpointValidation(t *testing.T) {
 		t.Fatal("resume accepted a foreign job's manifests")
 	}
 
+	// A manifest whose runs do not fit the segments their lengths
+	// imply: a sample share one element long (as the whole-run sample
+	// is), or extents one element short of the segment.
+	orig, err := blockio.LoadManifest(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, tamper := range []func(rm *blockio.RunMeta){
+		func(rm *blockio.RunMeta) { rm.Sample = append(rm.Sample, make([]byte, kvc.Size())...) },
+		func(rm *blockio.RunMeta) { rm.Extents[0].Len-- },
+	} {
+		if err := orig.WriteFile(dir); err != nil {
+			t.Fatal(err)
+		}
+		man, err := blockio.LoadManifest(dir, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tamper(&man.Runs[0])
+		if err := man.WriteFile(dir); err != nil {
+			t.Fatal(err)
+		}
+		bad := ckptConfig(p, dir, true, 1)
+		bad.Source, _ = tallySource(input)
+		bad.Sink = func(int, []byte) error { return nil }
+		if _, err := Sort[elem.KV16](kvc, bad, nil); err == nil || !strings.Contains(err.Error(), "same flags and binary") {
+			t.Fatalf("tampered run %d: resume returned %v, want a refusal", i, err)
+		}
+	}
+	if err := orig.WriteFile(dir); err != nil {
+		t.Fatal(err)
+	}
+
 	// Checkpointing onto a non-durable (RAM) store must fail loudly at
 	// the first commit, not lose the checkpoint silently.
 	ram := testConfig(p)
@@ -374,4 +409,80 @@ func TestResultNFromRunDirectory(t *testing.T) {
 		}
 	}
 	sortN("resume from the run-formation commit", ckptConfig(p, dir, true, 2))
+}
+
+// TestResumeShortRunFromRunformCommit: on uneven tiles whose last run
+// is shorter than P — its low PEs hold empty segments — a fleet resumed
+// from the run-formation commit rebuilds every segment from the run's
+// length, re-reads no input and writes the non-durable run's output.
+func TestResumeShortRunFromRunformCommit(t *testing.T) {
+	const p, base = 4, 4096
+	input := inputFor(testConfig(p), workload.Uniform, base+3, 47)
+	input[1] = input[1][:base-50]
+	for q := 2; q < p; q++ {
+		input[q] = input[q][:base]
+	}
+	config := func(cfg Config) Config {
+		cfg.Randomize = false // keeps the 3-element tail block in the last run
+		cfg.Source, _ = tallySource(input)
+		return cfg
+	}
+
+	ref := config(testConfig(p))
+	ref.KeepOutput = false
+	refSink, refOut := sinkCapture(p)
+	ref.Sink = refSink
+	if _, err := Sort[elem.KV16](kvc, ref, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	fresh := config(ckptConfig(p, dir, false, 0))
+	fresh.Sink = func(int, []byte) error { return nil }
+	if _, err := Sort[elem.KV16](kvc, fresh, nil); err != nil {
+		t.Fatal(err)
+	}
+	var lens []int64
+	for r := range p {
+		man, err := blockio.LoadManifest(dir, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		man.Phase, man.Splitters = PhaseRunForm, nil
+		if err := man.WriteFile(dir); err != nil {
+			t.Fatal(err)
+		}
+		if r == 0 {
+			for _, rm := range man.Runs {
+				lens = append(lens, rm.RunLen)
+			}
+		}
+	}
+	if slices.Min(lens) >= p {
+		t.Fatalf("run lengths %v: no run is shorter than P = %d", lens, p)
+	}
+
+	resumed := config(ckptConfig(p, dir, true, 1))
+	src, reread := tallySource(input)
+	resumed.Source = src
+	sink, out := sinkCapture(p)
+	resumed.Sink = sink
+	res, err := Sort[elem.KV16](kvc, resumed, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := reread.Load(); got != 0 {
+		t.Fatalf("resume re-read %d input bytes, want 0", got)
+	}
+	for r := range p {
+		if !bytes.Equal(out[r], refOut[r]) {
+			t.Fatalf("rank %d: resumed output differs from the reference (run lengths %v)", r, lens)
+		}
+		if res.PerPE[r][PhaseRunForm] != nil || res.PerPE[r][PhaseSelection] == nil {
+			t.Fatalf("rank %d did not resume from the run-formation commit", r)
+		}
+	}
+	if res.EndMemElems[0] != 0 {
+		t.Fatalf("resume leaked %d memory reservations", res.EndMemElems[0])
+	}
 }

@@ -95,8 +95,9 @@ func exchange[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, pl *job.Plan
 	// sub-op s is on the wire (§IV-E). A collected sub-op's sends are
 	// written (cluster.A2AStream), so the reservation is one quota for
 	// each of window sends and for the receives. Any window makes the
-	// same calls in the same order.
-	budget := int64(n.A2AWindow(x.k)+1) * pl.ExchangeQuota
+	// same calls in the same order. The one writer tail live at a time
+	// (process) adds a block.
+	budget := int64(n.A2AWindow(x.k)+1)*pl.ExchangeQuota + int64(pl.BElem)
 	n.Mem.MustAcquire(budget)
 	defer n.Mem.Release(budget)
 	if err := n.A2ARounds(x.k, x.build, x.process); err != nil {
@@ -117,10 +118,9 @@ func exchange[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, pl *job.Plan
 // range pieces(me, me).
 func (x *exchanger[T]) pieces(from, to int) []piece {
 	var out []piece
-	for ri, starts := range x.meta.segStarts {
-		start := starts[from]
-		lo := max(x.split[to][ri], start)
-		hi := min(x.split[to+1][ri], start+x.meta.segLens[ri][from])
+	for ri, runLen := range x.meta.runLens {
+		start, end := segment(runLen, from, x.n.P)
+		lo, hi := max(x.split[to][ri], start), min(x.split[to+1][ri], end)
 		if lo < hi {
 			out = append(out, piece{ri, lo - start, hi - start})
 		}
@@ -233,10 +233,13 @@ func (x *exchanger[T]) build(s int) [][]byte {
 }
 
 // process consumes sub-operation s's receives into the per-(run,
-// source) writers, then flushes every partial receive block at the
-// sub-operation boundary, so only actively-filled partial blocks occupy
-// memory — the flush/reload is the paper's "partially filled blocks"
-// overhead (temporary disk overhead R·P′ blocks).
+// source) writers. A sub-operation touches each writer at most once (a
+// stream's window holds one piece per run), so each is resumed for its
+// piece — a new one needs no Resume — and suspended right after: one
+// writer tail is live at a time, and every partial receive block is
+// written out at the sub-operation boundary — the flush/reload is the
+// paper's "partially filled blocks" overhead (temporary disk overhead
+// R·P′ blocks).
 func (x *exchanger[T]) process(s int, recv [][]byte) error {
 	sz := x.c.Size()
 	for p, ps := range x.recvs {
@@ -251,22 +254,17 @@ func (x *exchanger[T]) process(s int, recv [][]byte) error {
 			if w == nil {
 				w = job.NewWriter(x.c, x.n.Vol)
 				x.writers[pc.run][p] = w
+			} else {
+				w.Resume()
 			}
-			w.Resume()
 			m := int(pc.hi-pc.lo) * sz
 			w.AddBytes(data[:m])
+			w.Suspend()
 			data = data[m:]
 		}
 		x.n.AddCPU(x.cfg.Model.ScanCPU(cnt))
 	}
 	cluster.RecycleRecv(recv)
-	for _, ws := range x.writers {
-		for _, w := range ws {
-			if w != nil {
-				w.Suspend()
-			}
-		}
-	}
 	return nil
 }
 

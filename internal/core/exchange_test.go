@@ -6,38 +6,39 @@ import (
 	"slices"
 	"testing"
 
+	"demsort/internal/cluster"
 	"demsort/internal/elem"
+	"demsort/internal/job"
 )
 
 // randomPlan builds a random run directory and splitter matrix for p
-// PEs: per run, random segment lengths (empty PEs and wholly empty runs
-// included) and p+1 sorted splitters from 0 to the run length.
+// PEs: random run lengths — empty runs, and runs shorter than p, whose
+// low PEs hold empty segments, included — and per run p+1 sorted
+// splitters from 0 to the run length.
 func randomPlan(rng *rand.Rand, p, runs int) *exchanger[elem.KV16] {
-	meta := &runsMeta[elem.KV16]{segStarts: make([][]int64, runs), segLens: make([][]int64, runs)}
+	meta := &runsMeta[elem.KV16]{runLens: make([]int64, runs)}
 	split := make([][]int64, p+1)
 	for i := range split {
 		split[i] = make([]int64, runs)
 	}
 	for ri := range runs {
-		meta.segStarts[ri], meta.segLens[ri] = make([]int64, p), make([]int64, p)
-		var pos int64
-		for pe := range p {
-			if rng.IntN(4) > 0 && ri%5 != 4 {
-				meta.segLens[ri][pe] = rng.Int64N(40)
-			}
-			meta.segStarts[ri][pe] = pos
-			pos += meta.segLens[ri][pe]
+		switch rng.IntN(4) {
+		case 0: // an empty run
+		case 1:
+			meta.runLens[ri] = rng.Int64N(int64(p))
+		default:
+			meta.runLens[ri] = rng.Int64N(40 * int64(p))
 		}
-		cuts := []int64{0, pos}
+		cuts := []int64{0, meta.runLens[ri]}
 		for range p - 1 {
-			cuts = append(cuts, rng.Int64N(pos+1))
+			cuts = append(cuts, rng.Int64N(meta.runLens[ri]+1))
 		}
 		slices.Sort(cuts)
 		for i := range split {
 			split[i][ri] = cuts[i]
 		}
 	}
-	return &exchanger[elem.KV16]{meta: meta, split: split}
+	return &exchanger[elem.KV16]{n: &cluster.Node{P: p}, meta: meta, split: split}
 }
 
 // TestExchangePieces: the exchange's one stream function, over random
@@ -89,9 +90,10 @@ func TestExchangePieces(t *testing.T) {
 							}
 						}
 					}
-					for ri := range runs {
-						if next[ri] != x.meta.segLens[ri][me] {
-							t.Fatalf("PE %d run %d: pieces cover [0, %d) of a %d-element segment", me, ri, next[ri], x.meta.segLens[ri][me])
+					for ri, runLen := range x.meta.runLens {
+						b := job.RankBounds(runLen, p)
+						if next[ri] != b[me+1]-b[me] {
+							t.Fatalf("PE %d run %d: pieces cover [0, %d) of a %d-element segment", me, ri, next[ri], b[me+1]-b[me])
 						}
 					}
 				}

@@ -10,8 +10,8 @@ import (
 )
 
 // localRun is this PE's piece of one global run after phase 1: the
-// elements of global run positions [SegStart, SegStart+SegLen) sorted
-// on local disk, plus the in-memory sample (every K-th run position).
+// elements of its segment, run positions [segStart, segStart+segLen),
+// sorted on local disk, plus the in-memory sample (every K-th run position).
 type localRun[T any] struct {
 	file     job.File
 	segStart int64
@@ -60,4 +60,17 @@ func runFormation[T any](c elem.Codec[T], j *job.Job[T], n *cluster.Node, input 
 // firstMultiple returns the smallest multiple of k that is >= x.
 func firstMultiple(x, k int64) int64 {
 	return (x + k - 1) / k * k
+}
+
+// segment returns PE pe's segment [lo, hi) of a run of runLen elements
+// among p PEs: the exact share job.SortExact gives it.
+func segment(runLen int64, pe, p int) (lo, hi int64) {
+	b := job.RankBounds(runLen, p)
+	return b[pe], b[pe+1]
+}
+
+// sampleCount is the size of segment [lo, hi)'s sample share, its run
+// positions ≡ 0 (mod k).
+func sampleCount(lo, hi, k int64) int {
+	return int(firstMultiple(hi, k)/k - firstMultiple(lo, k)/k)
 }

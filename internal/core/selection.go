@@ -12,63 +12,44 @@ import (
 )
 
 // runsMeta is the per-PE view of the global run directory after phase
-// 1: for every run, the segment boundaries of all PEs and the full
+// 1: every run's length (which places every segment of it) and its full
 // in-memory sample (every K-th run position), gathered once.
 type runsMeta[T any] struct {
-	runLens   []int64   // length of each run
-	segStarts [][]int64 // [run][pe] global start of pe's segment
-	segLens   [][]int64 // [run][pe]
-	samples   []mselect.Sample[T]
-	totalN    int64
+	runLens []int64 // length of each run
+	samples []mselect.Sample[T]
+	totalN  int64
 }
 
-// gatherRunsMeta exchanges segment lengths and samples so every PE can
-// bootstrap selections locally. The sample lives in main memory, as in
-// the paper ("In our implementation, we keep the sample in main
-// memory"); the local samples are released once encoded, the gathered
-// one is charged until releaseSamples.
+// gatherRunsMeta builds the run directory on every PE, fresh or resumed:
+// the run lengths every PE knows and the samples, gathered so every PE
+// can bootstrap selections locally. Only the samples cross the wire; a
+// share's size follows from its segment (sampleCount). The sample
+// lives in main memory, as in the paper ("In our implementation, we keep
+// the sample in main memory"); the local samples are released once
+// encoded, the gathered one is charged until releaseSamples.
 func gatherRunsMeta[T any](c elem.Codec[T], n *cluster.Node, k int64, locals []localRun[T]) *runsMeta[T] {
-	r := len(locals)
-	sz := c.Size()
-	// Wire format: for each run, 8B segLen, 4B sample count, samples.
 	var buf []byte
 	for i := range locals {
 		lr := &locals[i]
-		var tmp [12]byte
-		binary.LittleEndian.PutUint64(tmp[:8], uint64(lr.segLen))
-		binary.LittleEndian.PutUint32(tmp[8:], uint32(len(lr.sample)))
-		buf = append(buf, tmp[:]...)
 		buf = elem.AppendEncode(c, buf, lr.sample)
 		n.Mem.Release(int64(len(lr.sample)))
 		lr.sample = nil
 	}
 	all := n.AllGather(buf)
 
-	m := &runsMeta[T]{
-		runLens:   make([]int64, r),
-		segStarts: make([][]int64, r),
-		segLens:   make([][]int64, r),
-		samples:   make([]mselect.Sample[T], r),
-	}
-	offs := make([]int, n.P)
-	for ri := 0; ri < r; ri++ {
-		m.segStarts[ri] = make([]int64, n.P)
-		m.segLens[ri] = make([]int64, n.P)
-		var pos int64
+	m := &runsMeta[T]{runLens: make([]int64, len(locals)), samples: make([]mselect.Sample[T], len(locals))}
+	offs := make([]int, n.P) // decode through offsets: all may be shared between PEs
+	for ri, lr := range locals {
+		m.runLens[ri] = lr.runLen
+		m.totalN += lr.runLen
 		var sample []T
-		for pe := 0; pe < n.P; pe++ {
-			b := all[pe][offs[pe]:]
-			segLen := int64(binary.LittleEndian.Uint64(b[:8]))
-			cnt := int(binary.LittleEndian.Uint32(b[8:12]))
-			sample = elem.AppendDecode(c, sample, b[12:], cnt)
-			offs[pe] += 12 + cnt*sz
-			m.segStarts[ri][pe] = pos
-			m.segLens[ri][pe] = segLen
-			pos += segLen
+		b := job.RankBounds(lr.runLen, n.P)
+		for pe := range n.P {
+			cnt := sampleCount(b[pe], b[pe+1], k)
+			sample = elem.AppendDecode(c, sample, all[pe][offs[pe]:], cnt)
+			offs[pe] += cnt * c.Size()
 		}
-		m.runLens[ri] = pos
 		m.samples[ri] = mselect.Sample[T]{K: k, Vals: sample}
-		m.totalN += pos
 		n.Mem.MustAcquire(int64(len(sample)))
 	}
 	return m

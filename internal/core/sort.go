@@ -112,12 +112,11 @@ func Sort[T any](c elem.Codec[T], cfg Config, input [][]T) (*Result[T], error) {
 		}
 
 		var locals []localRun[T]
-		var meta *runsMeta[T]
 		if resumeLvl >= ckptRunform {
 			// The runs are already on disk: rebuild the directory from
 			// the manifest without touching the input source.
 			var err error
-			locals, meta, err = restoreRunform(c, n, pl.K, man)
+			locals, err = restoreRunform(c, n, pl.K, man)
 			if err != nil {
 				return err
 			}
@@ -140,19 +139,19 @@ func Sort[T any](c elem.Codec[T], cfg Config, input [][]T) (*Result[T], error) {
 				return err
 			}
 			res.RunFormPeakMemElems[n.Rank] = n.Mem.Peak()
-			meta = gatherRunsMeta(c, n, pl.K, locals)
 			if durable {
-				man, err = commitRunform(c, n, &cfg, pl.K, meta, locals)
+				man, err = commitRunform(c, n, &cfg, pl.K, locals)
 				if err != nil {
 					return err
 				}
-				// No rank enters selection until every rank's commit is
-				// on disk — without this, a crash early in selection can
-				// abort a straggler mid-commit and downgrade the whole
-				// fleet's resume to a full re-read.
+				// No rank moves on until every rank's commit is on disk
+				// — without this, a crash early in the gather or in
+				// selection can abort a straggler mid-commit and
+				// downgrade the whole fleet's resume to a full re-read.
 				n.Barrier()
 			}
 		}
+		meta := gatherRunsMeta(c, n, pl.K, locals)
 
 		var split [][]int64
 		if resumeLvl >= ckptSelection {

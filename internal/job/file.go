@@ -29,10 +29,11 @@ func (f *File) Append(e blockio.Extent) {
 
 // Writer buffers elements and writes full blocks asynchronously,
 // producing an aligned File. The partial block is one encoded tail
-// buffer, which can be flushed (creating a partial block) and refilled
-// later — that flush/reload pair is exactly the "partially filled
-// blocks" overhead of the external all-to-all (§IV-E). Merge merges
-// straight into the tail.
+// buffer, which Suspend writes out (creating a partial block) and hands
+// back to the pool, and Resume takes again and refills — that
+// write/reload pair is exactly the "partially filled blocks" overhead
+// of the external all-to-all (§IV-E), and a suspended writer holds no
+// buffer. Merge merges straight into the tail.
 //
 // The tail is refilled as soon as Volume.WriteAsync returns, which holds
 // because every Store has copied the block by then. An I/O queue that
@@ -42,7 +43,7 @@ type Writer[T any] struct {
 	c     elem.Codec[T]
 	vol   *blockio.Volume
 	block int    // bytes in a full block: whole elements
-	tail  []byte // the encoded partial block; its capacity is the pooled buffer's
+	tail  []byte // the encoded partial block; its capacity is the pooled buffer's, nil while suspended
 	file  File
 }
 
@@ -87,7 +88,7 @@ func (w *Writer[T]) Merge(k int, next func(i int) []T, sink func(encoded []byte)
 				return err
 			}
 		} else if w.tail = enc; len(enc) == w.block {
-			w.Suspend()
+			w.spill()
 		}
 		each(blk)
 		return nil
@@ -102,7 +103,7 @@ func (w *Writer[T]) add(n int, put func(i, j int)) {
 		put(i, j)
 		i = j
 		if len(w.tail) == w.block {
-			w.Suspend()
+			w.spill()
 		}
 	}
 }
@@ -114,32 +115,40 @@ func (w *Writer[T]) flush(blk []byte) {
 	w.file.Append(blockio.Extent{ID: id, Off: 0, Len: len(blk) / w.c.Size(), Own: true})
 }
 
-// Finish flushes any partial tail, releases the tail buffer to the
-// arena and returns the file. The writer must not be reused after.
+// Finish writes any partial tail out, hands the tail buffer back to the
+// pool and returns the file. The writer must not be reused after.
 func (w *Writer[T]) Finish() File {
 	w.Suspend()
-	bufpool.Put(w.tail)
-	w.tail = nil
 	f := w.file
 	w.file = File{}
 	return f
 }
 
-// Suspend writes the tail out — a partial block (counted I/O) unless it
-// is full — so the writer holds no element state between all-to-all
-// sub-operations; Resume reads a partial one back. Both are no-ops for
-// an empty or block-aligned tail.
-func (w *Writer[T]) Suspend() {
+// spill writes the tail out — a partial block (counted I/O) unless it
+// is full — and empties it, keeping its buffer (Merge writes into a
+// view of it).
+func (w *Writer[T]) spill() {
 	if len(w.tail) > 0 {
 		w.flush(w.tail)
 		w.tail = w.tail[:0]
 	}
 }
 
-// Resume reloads a trailing partial block into the tail so appending
-// continues seamlessly. A trimmed or non-owned last extent (or a full
-// one) stays where it is.
+// Suspend spills the tail and hands its buffer back to the pool, so the
+// writer holds no memory between all-to-all sub-operations. A suspended
+// writer takes appends again only after Resume.
+func (w *Writer[T]) Suspend() {
+	w.spill()
+	bufpool.Put(w.tail)
+	w.tail = nil
+}
+
+// Resume takes a tail buffer from the pool for a suspended writer and
+// reloads a trailing partial block into it so appending continues
+// seamlessly. A trimmed or non-owned last extent (or a full one) stays
+// where it is.
 func (w *Writer[T]) Resume() {
+	w.tail = bufpool.Get(w.vol.BlockBytes())[:0]
 	n := len(w.file.Extents)
 	if n == 0 {
 		return

@@ -73,6 +73,83 @@ func TestWriterBytePathMatchesSlicePath(t *testing.T) {
 	}
 }
 
+// TestWriterSuspendedPerPiece: a writer suspended after every piece —
+// the exchange's use, one piece of random length per sub-operation,
+// resumed before each but the first — writes the file one AddSlice of
+// all the elements writes: the same extent lengths and the same stored
+// bytes, on blocks whose size is not a multiple of the element size.
+// While suspended it holds no buffer.
+func TestWriterSuspendedPerPiece(t *testing.T) {
+	rng := rand.New(rand.NewPCG(19, 23))
+	t.Run("kv16", func(t *testing.T) {
+		checkSuspendedPerPiece(t, rng, kvc, func() elem.KV16 { return elem.KV16{Key: rng.Uint64(), Val: rng.Uint64()} })
+	})
+	t.Run("rec100", func(t *testing.T) {
+		checkSuspendedPerPiece(t, rng, elem.Rec100Codec{}, func() (r elem.Rec100) {
+			for i := range r {
+				r[i] = byte(rng.Uint32())
+			}
+			return r
+		})
+	})
+}
+
+func checkSuspendedPerPiece[T any](t *testing.T, rng *rand.Rand, c elem.Codec[T], gen func() T) {
+	const blockBytes = 1050
+	perBlock := blockBytes / c.Size()
+	for trial := range 20 {
+		vs := make([]T, rng.IntN(8*perBlock))
+		for i := range vs {
+			vs[i] = gen()
+		}
+		var vols [2]*blockio.Volume
+		var files [2]File
+		for k := range vols {
+			vols[k] = blockio.NewVolume(blockio.NewMemStore(), blockBytes, 0, vtime.Default(), vtime.NewClock())
+		}
+		whole := NewWriter(c, vols[0])
+		whole.AddSlice(vs)
+		files[0] = whole.Finish()
+
+		w := NewWriter(c, vols[1])
+		for lo := 0; lo < len(vs); {
+			if lo > 0 {
+				w.Resume()
+			}
+			hi := min(lo+rng.IntN(3*perBlock), len(vs)) // pieces of 0 to 2.9 blocks
+			w.AddBytes(elem.EncodeSlice(c, vs[lo:hi]))
+			w.Suspend()
+			if w.tail != nil {
+				t.Fatalf("trial %d: a suspended writer holds a %d-byte tail buffer", trial, cap(w.tail))
+			}
+			lo = hi
+		}
+		files[1] = w.Finish()
+
+		lens := func(f File) (l []int) {
+			for _, e := range f.Extents {
+				l = append(l, e.Len)
+			}
+			return l
+		}
+		if !slices.Equal(lens(files[0]), lens(files[1])) || files[1].N != int64(len(vs)) {
+			t.Fatalf("trial %d: suspended per piece wrote extents of %v (%d elements), one AddSlice %v (%d)",
+				trial, lens(files[1]), files[1].N, lens(files[0]), len(vs))
+		}
+		var stored [2][]byte
+		for k, f := range files {
+			for _, e := range f.Extents {
+				raw := make([]byte, e.Len*c.Size())
+				vols[k].ReadWait(e.ID, raw)
+				stored[k] = append(stored[k], raw...)
+			}
+		}
+		if !bytes.Equal(stored[0], stored[1]) || !bytes.Equal(stored[0], elem.EncodeSlice(c, vs)) {
+			t.Fatalf("trial %d: the stored bytes differ from the elements' encoding", trial)
+		}
+	}
+}
+
 // TestWriterResumeKeepsForeignTail: Resume reloads only an owned partial
 // block that starts at offset 0 — a trimmed or non-owned last extent
 // stays in the file, and appending starts a fresh block after it.
@@ -82,6 +159,7 @@ func TestWriterResumeKeepsForeignTail(t *testing.T) {
 		w := NewWriter(kvc, vol)
 		last.ID = vol.Alloc()
 		w.file.Append(last)
+		w.Suspend()
 		w.Resume()
 		w.AddBytes(elem.EncodeSlice(kvc, []elem.KV16{{Key: 1}, {Key: 2}}))
 		f := w.Finish()
