@@ -209,8 +209,12 @@ options:
 # segment matrices, their wire header and their manifest copies went and
 # a resumed rank gathered the run directory as a fresh one does (−25,
 # the manifest's refusal checks included), and the exchange held one
-# charged writer tail at a time (+8).
-LOC_MAX = 14787
+# charged writer tail at a time (+8); +26 when run formation held one
+# run buffer: the reads issued one run ahead in virtual time and filled
+# once the run before is sent (job.Input's Issue and Fill, net of its
+# Read and Volume.ReadAtAsync: job +23, blockio −12, baseline −1) and
+# a resume from the selection commit gathered no sample (core +16).
+LOC_MAX = 14813
 OPTIONS_MAX = 60
 budget:
 	@loc=$(LOC_TOTAL); opts=$$($(MAKE) -s options | awk 'END {print $$1}'); \

@@ -221,3 +221,33 @@ func TestAblations(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestOverlapHidesRunFormationReads: §IV-E's overlap hides run
+// formation's input reads — run r+1's are issued before run r is sorted
+// and sent — so at P = 4 the overlapped sort takes at most 0.9 of the
+// synchronous one's modelled time. At this scale it reads 0.83; a run
+// formation that issues run r+1's reads only after run r is sent reads
+// 0.97, with nearly all of its overlap gone.
+func TestOverlapHidesRunFormationReads(t *testing.T) {
+	f, err := demsort.AblationOverlap(smallScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := func(series string) float64 {
+		for _, sr := range f.Series {
+			if sr.Name == series {
+				for i, x := range sr.X {
+					if x == 4 {
+						return sr.Y[i]
+					}
+				}
+			}
+		}
+		t.Fatalf("no %q point at P = 4", series)
+		return 0
+	}
+	on, off := at("overlap on"), at("overlap off")
+	if on > 0.9*off {
+		t.Errorf("P = 4: overlap on %.6f s, off %.6f s (%.3f), want at most 0.9", on, off, on/off)
+	}
+}

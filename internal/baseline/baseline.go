@@ -113,9 +113,8 @@ func SampleSort[T any](c elem.Codec[T], cfg Config, input [][]T) (*Result[T], er
 		}
 		raw := make([]byte, cfg.BlockBytes)
 		read := func(b blockio.Span) error { // span b into raw
-			h, err := input.Read(b, raw[:b.Bytes])
-			n.Vol.Wait(h)
-			return err
+			n.Vol.Wait(input.Issue(b))
+			return input.Fill(b, raw[:b.Bytes])
 		}
 
 		// Phase 1: sample keys and agree on splitters. NOW-Sort reads

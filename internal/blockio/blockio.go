@@ -339,27 +339,15 @@ func (v *Volume) ReadAsync(id BlockID, dst []byte) Handle {
 	if err := v.store.ReadAt(id, dst); err != nil {
 		panic(err)
 	}
-	return v.readIssued(len(dst))
+	return v.IssueRead(len(dst))
 }
 
-// ReadAtAsync is ReadAsync from outside the store: it fills dst from r
-// at byte offset off — an input read in place instead of being staged
-// onto the store first — and accounts the transfer exactly as a store
-// read of len(dst) bytes. The input comes from outside the program, so
-// a short or failed read is an error wrapping the cause, not a panic.
-func (v *Volume) ReadAtAsync(r io.ReaderAt, off int64, dst []byte) (Handle, error) {
-	if n, err := r.ReadAt(dst, off); n < len(dst) {
-		if err == nil || err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return 0, fmt.Errorf("blockio: read of %d bytes at offset %d: %w", len(dst), off, err)
-	}
-	return v.readIssued(len(dst)), nil
-}
-
-// readIssued queues the transfer of an n-byte read on the disk device
-// and charges it to the current phase.
-func (v *Volume) readIssued(n int) Handle {
+// IssueRead queues the transfer of an n-byte read on the disk device,
+// charges it to the current phase and returns its handle, exactly as
+// ReadAsync accounts a read of n bytes — but moves no data: the caller
+// reads the bytes itself, whenever its buffer is free (an input read
+// where it lies, job.Input).
+func (v *Volume) IssueRead(n int) Handle {
 	dur := v.model.DiskDur(v.rank, n)
 	done := v.disk.Acquire(v.clock.Now(), dur)
 	st := v.clock.Cur()
@@ -455,15 +443,15 @@ type Span struct {
 // FillFrom streams totalBytes from r onto the volume, chunkBytes at a
 // time (the last span may be shorter) — the O(B)-memory way to load an
 // input that does not fit in RAM and can only be read forward (an input
-// that can be read at an offset needs no staging: ReadAtAsync reads its
-// blocks where they are). chunkBytes is the caller's element-aligned
-// block payload (it may be less than BlockBytes when the element size
-// does not divide the block size). It is one loop — read a chunk,
-// allocate a block, write it — through one pooled chunk, so a single
-// chunk is live (the caller charges it to its budget). Spans are
-// returned in stream order; on a short or failed read the blocks
-// already written are returned alongside the error so the caller can
-// free them.
+// that can be read at an offset needs no staging: run formation reads
+// its blocks where they are, accounted by IssueRead). chunkBytes is the
+// caller's element-aligned block payload (it may be less than BlockBytes
+// when the element size does not divide the block size). It is one
+// loop — read a chunk, allocate a block, write it — through one pooled
+// chunk, so a single chunk is live (the caller charges it to its
+// budget). Spans are returned in stream order; on a short or failed read
+// the blocks already written are returned alongside the error so the
+// caller can free them.
 func (v *Volume) FillFrom(r io.Reader, totalBytes int64, chunkBytes int) ([]Span, error) {
 	if chunkBytes <= 0 || chunkBytes > v.blockBytes {
 		return nil, fmt.Errorf("blockio: FillFrom chunk %d outside (0, %d]", chunkBytes, v.blockBytes)

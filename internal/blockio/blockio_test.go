@@ -202,49 +202,6 @@ func TestVolumeSynchronous(t *testing.T) {
 	}
 }
 
-// ReadAtAsync is a store read from outside the store: the same data
-// path into dst, the same counters, device time and handle as a
-// ReadAsync of the same length, the same stall on a synchronous volume —
-// and a short read is an error wrapping the cause, not a panic.
-func TestVolumeReadAtAsync(t *testing.T) {
-	src := bytes.Repeat([]byte("0123456789"), 100) // 1000 bytes
-	for _, sync := range []bool{false, true} {
-		ref, v := newTestVolume(), newTestVolume()
-		ref.SetSynchronous(sync)
-		v.SetSynchronous(sync)
-		id := ref.Alloc()
-		if err := ref.Store().WriteAt(id, src[300:700]); err != nil { // unaccounted
-			t.Fatal(err)
-		}
-
-		want, got := make([]byte, 400), make([]byte, 400)
-		hRef := ref.ReadAsync(id, want)
-		h, err := v.ReadAtAsync(bytes.NewReader(src), 300, got)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatal("ReadAtAsync read other bytes than the store read")
-		}
-		if h != hRef || v.Clock().Now() != ref.Clock().Now() || *v.Clock().Cur() != *ref.Clock().Cur() {
-			t.Fatalf("sync=%v: handle %v clock %v stats %+v, ReadAsync: %v %v %+v",
-				sync, h, v.Clock().Now(), *v.Clock().Cur(), hRef, ref.Clock().Now(), *ref.Clock().Cur())
-		}
-		if stalled := v.Clock().Now() == float64(h); stalled != sync {
-			t.Fatalf("sync=%v: returned at %v, completion %v", sync, v.Clock().Now(), float64(h))
-		}
-	}
-
-	v := newTestVolume()
-	_, err := v.ReadAtAsync(bytes.NewReader(src), 900, make([]byte, 200))
-	if !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Fatalf("short read: %v, want an error wrapping io.ErrUnexpectedEOF", err)
-	}
-	if st := v.Clock().Cur(); st.BlocksRead != 0 || v.Clock().Now() != 0 {
-		t.Fatalf("a failed read was accounted: %+v", *st)
-	}
-}
-
 func TestVolumeDrain(t *testing.T) {
 	v := newTestVolume()
 	id := v.Alloc()

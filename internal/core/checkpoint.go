@@ -169,7 +169,7 @@ func restoreRunform[T any](c elem.Codec[T], n *cluster.Node, k int64, man *block
 				n.Rank, lr.file.N, len(rm.Sample), ri, lo, hi, lr.segLen, cnt*c.Size())
 		}
 		lr.sample = elem.AppendDecode(c, nil, rm.Sample, cnt)
-		n.Mem.MustAcquire(int64(cnt)) // held until gatherRunsMeta has encoded it
+		n.Mem.MustAcquire(int64(cnt)) // held until localRunsMeta releases it
 		locals[ri] = lr
 	}
 	ls.SetBlockLens(man.Blocks)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"runtime"
 	"slices"
 	"strings"
@@ -480,6 +481,82 @@ func TestResumeShortRunFromRunformCommit(t *testing.T) {
 		}
 		if res.PerPE[r][PhaseRunForm] != nil || res.PerPE[r][PhaseSelection] == nil {
 			t.Fatalf("rank %d did not resume from the run-formation commit", r)
+		}
+	}
+	if res.EndMemElems[0] != 0 {
+		t.Fatalf("resume leaked %d memory reservations", res.EndMemElems[0])
+	}
+}
+
+// opCounts hosts a machine's PEs with an op hook counting each rank's
+// communication calls by name.
+type opCounts struct {
+	cluster.Machine
+	calls []map[string]int
+}
+
+func (m *opCounts) Run(fn func(*cluster.Node) error) error {
+	return m.Machine.Run(func(n *cluster.Node) error {
+		calls := map[string]int{}
+		m.calls[n.Rank] = calls
+		n.SetOpHook(func(op string) { calls[op]++ })
+		defer n.SetOpHook(nil)
+		return fn(n)
+	})
+}
+
+// TestResumeFromSelectionGathersNoSample: a fleet resumed from the
+// selection commit re-runs neither run formation nor selection, so it
+// gathers no sample — its run directory is the local run lengths, and
+// the restored sample shares are released unread. It makes no
+// AllGather at all, writes the unfaulted run's output and reports the
+// input size as Result.N.
+func TestResumeFromSelectionGathersNoSample(t *testing.T) {
+	const p, perPE = 3, 4100
+	input := inputFor(testConfig(p), workload.Uniform, perPE, 53)
+	dir := t.TempDir()
+	fresh := ckptConfig(p, dir, false, 0)
+	fresh.Source, _ = tallySource(input)
+	sink, out := sinkCapture(p)
+	fresh.Sink = sink
+	if _, err := Sort[elem.KV16](kvc, fresh, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	resumed := ckptConfig(p, dir, true, 1)
+	resumed.Source, _ = tallySource(input)
+	rsink, rout := sinkCapture(p)
+	resumed.Sink = rsink
+	sm, err := sim.New(sim.Config{P: p, BlockBytes: resumed.BlockBytes, MemElems: resumed.MemElems, Model: resumed.Model, NewStore: resumed.NewStore})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sm.Close()
+	m := &opCounts{Machine: sm, calls: make([]map[string]int, p)}
+	resumed.Machine = m
+	res, err := Sort[elem.KV16](kvc, resumed, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.N != p*perPE {
+		t.Fatalf("Result.N = %d, want %d", res.N, p*perPE)
+	}
+	for r := range p {
+		if res.PerPE[r][PhaseSelection] != nil {
+			t.Fatalf("rank %d re-ran selection", r)
+		}
+		if !bytes.Equal(rout[r], out[r]) {
+			t.Fatalf("rank %d: resumed output differs from the unfaulted run's", r)
+		}
+	}
+	// The two AllReduceInt64 are the resume negotiation's and the
+	// exchange's sub-operation count, which makes one AllToAllv per
+	// sub-operation; the Barriers close the restore, the exchange, the
+	// final merge and the sort.
+	want := map[string]int{"AllReduceInt64": 2, "AllToAllv": res.SubOps, "Barrier": 4}
+	for r, got := range m.calls {
+		if !maps.Equal(got, want) {
+			t.Errorf("rank %d: calls %v, want %v", r, got, want)
 		}
 	}
 	if res.EndMemElems[0] != 0 {

@@ -12,38 +12,52 @@ import (
 )
 
 // runsMeta is the per-PE view of the global run directory after phase
-// 1: every run's length (which places every segment of it) and its full
-// in-memory sample (every K-th run position), gathered once.
+// 1: every run's length (which places every segment of it) and, for
+// selection, its full in-memory sample (every K-th run position),
+// gathered once.
 type runsMeta[T any] struct {
 	runLens []int64 // length of each run
 	samples []mselect.Sample[T]
 	totalN  int64
 }
 
-// gatherRunsMeta builds the run directory on every PE, fresh or resumed:
-// the run lengths every PE knows and the samples, gathered so every PE
-// can bootstrap selections locally. Only the samples cross the wire; a
-// share's size follows from its segment (sampleCount). The sample
-// lives in main memory, as in the paper ("In our implementation, we keep
-// the sample in main memory"); the local samples are released once
-// encoded, the gathered one is charged until releaseSamples.
-func gatherRunsMeta[T any](c elem.Codec[T], n *cluster.Node, k int64, locals []localRun[T]) *runsMeta[T] {
-	var buf []byte
-	for i := range locals {
-		lr := &locals[i]
-		buf = elem.AppendEncode(c, buf, lr.sample)
+// localRunsMeta is the run directory without its sample: the run
+// lengths every PE knows from its own runs. It releases the local sample
+// shares — encoded by gatherRunsMeta, or unread on a resume from the
+// selection commit, where nothing reads the sample.
+func localRunsMeta[T any](n *cluster.Node, locals []localRun[T]) *runsMeta[T] {
+	m := &runsMeta[T]{runLens: make([]int64, len(locals))}
+	for ri := range locals {
+		lr := &locals[ri]
+		m.runLens[ri] = lr.runLen
+		m.totalN += lr.runLen
 		n.Mem.Release(int64(len(lr.sample)))
 		lr.sample = nil
 	}
+	return m
+}
+
+// gatherRunsMeta builds the run directory on every PE, fresh or resumed
+// from the run-formation commit: the run lengths and the samples,
+// gathered so every PE can bootstrap selections locally. Only the
+// samples cross the wire; a share's size follows from its segment
+// (sampleCount). The sample lives in main memory, as in the paper ("In
+// our implementation, we keep the sample in main memory"); the local
+// samples are released once encoded, the gathered one is charged until
+// releaseSamples.
+func gatherRunsMeta[T any](c elem.Codec[T], n *cluster.Node, k int64, locals []localRun[T]) *runsMeta[T] {
+	var buf []byte
+	for _, lr := range locals {
+		buf = elem.AppendEncode(c, buf, lr.sample)
+	}
+	m := localRunsMeta(n, locals)
 	all := n.AllGather(buf)
 
-	m := &runsMeta[T]{runLens: make([]int64, len(locals)), samples: make([]mselect.Sample[T], len(locals))}
+	m.samples = make([]mselect.Sample[T], len(locals))
 	offs := make([]int, n.P) // decode through offsets: all may be shared between PEs
-	for ri, lr := range locals {
-		m.runLens[ri] = lr.runLen
-		m.totalN += lr.runLen
+	for ri, runLen := range m.runLens {
 		var sample []T
-		b := job.RankBounds(lr.runLen, n.P)
+		b := job.RankBounds(runLen, n.P)
 		for pe := range n.P {
 			cnt := sampleCount(b[pe], b[pe+1], k)
 			sample = elem.AppendDecode(c, sample, all[pe][offs[pe]:], cnt)

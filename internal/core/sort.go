@@ -151,14 +151,16 @@ func Sort[T any](c elem.Codec[T], cfg Config, input [][]T) (*Result[T], error) {
 				n.Barrier()
 			}
 		}
-		meta := gatherRunsMeta(c, n, pl.K, locals)
-
+		var meta *runsMeta[T]
 		var split [][]int64
 		if resumeLvl >= ckptSelection {
 			// The splitter matrix is identical on every rank and tiny —
-			// reuse the committed copy instead of re-running selection.
+			// reuse the committed copy instead of re-running selection,
+			// the sample's only reader, so no sample is gathered.
+			meta = localRunsMeta(n, locals)
 			split = man.Splitters
 		} else {
+			meta = gatherRunsMeta(c, n, pl.K, locals)
 			split = multiwaySelection(c, n, pl, meta, locals)
 			if durable {
 				if err := commitSelection(&cfg, n, man, split); err != nil {
@@ -168,8 +170,8 @@ func Sort[T any](c elem.Codec[T], cfg Config, input [][]T) (*Result[T], error) {
 				// the exchange must find every selection commit durable.
 				n.Barrier()
 			}
+			releaseSamples(n, meta)
 		}
-		releaseSamples(n, meta)
 
 		pieces, k, err := exchange(c, n, &cfg, pl, meta, locals, split)
 		if err != nil {

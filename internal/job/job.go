@@ -372,9 +372,10 @@ func (j *Job[T]) First(n *cluster.Node) bool { return n.Rank == j.M.Nodes()[0].R
 
 // Input is one rank's input as Load hands it to the phases: its
 // block-aligned spans of BElem elements (the last one may be shorter),
-// in input order. A phase reads a span (Read, then Wait on the volume)
-// and releases it once decoded; whether a span is a range of the Source
-// or a block staged on the store is Load's business, never the phase's.
+// in input order. A phase issues a span's read (Issue, then Wait on the
+// volume), fills a buffer with its bytes (Fill) and releases it once
+// decoded; whether a span is a range of the Source or a block staged on
+// the store is Load's business, never the phase's.
 type Input struct {
 	Spans  []blockio.Span
 	vol    *blockio.Volume
@@ -383,17 +384,27 @@ type Input struct {
 	stride int64
 }
 
-// Read issues the read of span sp into dst (sp.Bytes long) and returns
-// its handle.
-func (in *Input) Read(sp blockio.Span, dst []byte) (blockio.Handle, error) {
+// Issue accounts the read of span sp on the volume — the disk time, the
+// counters, the stall of a synchronous volume — and returns its handle.
+// It moves no data: Fill does, once the caller's buffer is free.
+func (in *Input) Issue(sp blockio.Span) blockio.Handle { return in.vol.IssueRead(sp.Bytes) }
+
+// Fill reads span sp's bytes into dst (sp.Bytes long), from the Source
+// where it lies or from the block Load staged. The Source comes from
+// outside the program, so a short or failed read is an error wrapping
+// the cause.
+func (in *Input) Fill(sp blockio.Span, dst []byte) error {
 	if in.at == nil {
-		return in.vol.ReadAsync(sp.ID, dst), nil
+		return in.vol.Store().ReadAt(sp.ID, dst)
 	}
-	h, err := in.vol.ReadAtAsync(in.at, int64(sp.ID)*in.stride, dst)
-	if err != nil {
-		return 0, fmt.Errorf("input source, rank %d: %w", in.rank, err)
+	off := int64(sp.ID) * in.stride
+	if n, err := in.at.ReadAt(dst, off); n < len(dst) {
+		if err == nil || err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return fmt.Errorf("input source, rank %d: read of %d bytes at offset %d: %w", in.rank, len(dst), off, err)
 	}
-	return h, nil
+	return nil
 }
 
 // Release drops a span that has been read: a staged block goes back to

@@ -4,19 +4,24 @@ import (
 	"bytes"
 	"cmp"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"maps"
 	"math/rand/v2"
 	"slices"
 	"sort"
 	"strings"
 	"testing"
+	"unsafe"
 
+	"demsort/internal/blockio"
 	"demsort/internal/cluster"
 	"demsort/internal/cluster/sim"
 	"demsort/internal/dselect"
 	"demsort/internal/elem"
 	"demsort/internal/psort"
+	"demsort/internal/vtime"
 	"demsort/internal/workload"
 	"demsort/internal/xmerge"
 )
@@ -323,6 +328,155 @@ func TestFormRuns(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// fillRecorder is an in-place Source that records, for each ReadAt, its
+// offset, the address its bytes land at and how many sortRun calls of
+// its rank had returned by then (*returned, owned by the rank's PE).
+type fillRecorder struct {
+	*bytes.Reader
+	returned *int
+	reads    []fillRead
+}
+
+type fillRead struct {
+	off      int64
+	at       uintptr
+	returned int
+}
+
+func (f *fillRecorder) ReadAt(p []byte, off int64) (int, error) {
+	f.reads = append(f.reads, fillRead{off, uintptr(unsafe.Pointer(unsafe.SliceData(p))), *f.returned})
+	return f.Reader.ReadAt(p, off)
+}
+
+// TestFormRunsFillsAfterSortRun: run formation holds one run buffer. The
+// bytes of run r+1 are read only once sortRun(r) has returned (its chunk
+// is a view of that buffer), and every run lands in the same buffer:
+// each block at its offset within the run, from one base address.
+// Randomize is off, so run r is the tile's bytes [r·run, (r+1)·run).
+func TestFormRunsFillsAfterSortRun(t *testing.T) {
+	const bElem, mem = 16, 1024 // 16 blocks per run: 4096 bytes of KV16
+	const runBytes = 16 * bElem * 16
+	for _, tc := range []struct {
+		name  string
+		sizes []int
+		codec elem.Codec[elem.KV16]
+	}{
+		{"p3", []int{700, 300, 520}, kvc},
+		{"p3_single_run", []int{200, 0, 256}, kvc},
+		{"p3_closure_codec", []int{600, 0, 300}, closureKV16{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := len(tc.sizes)
+			input := tiles(tc.sizes, 1<<40, 7)
+			returned := make([]int, p)
+			recs := make([]*fillRecorder, p)
+			cfg := Defaults(p, mem, bElem*16)
+			cfg.Randomize = false
+			cfg.Source = func(rank int) (io.Reader, int64, error) {
+				recs[rank] = &fillRecorder{Reader: bytes.NewReader(elem.EncodeSlice(kvc, input[rank])), returned: &returned[rank]}
+				return recs[rank], int64(len(input[rank])), nil
+			}
+			runs := make([]int, p)
+			onSim(t, tc.codec, cfg, nil, func(j *Job[elem.KV16], n *cluster.Node) error {
+				in, err := j.Load(n)
+				if err != nil {
+					return err
+				}
+				n.SetPhase("run formation")
+				runs[n.Rank], err = j.FormRuns(n, in, 0xF111, func(run int, chunk dselect.Sorted[elem.KV16]) error {
+					err := j.SortExact(n, chunk, func([][]elem.KV16, int64, int64) error { return nil })
+					returned[n.Rank]++
+					return err
+				})
+				return err
+			})
+			if want := max((slices.Max(tc.sizes)+255)/256, 1); runs[0] != want {
+				t.Fatalf("%d runs, want %d", runs[0], want)
+			}
+			for rank, rec := range recs {
+				if got, want := len(rec.reads), (tc.sizes[rank]+bElem-1)/bElem; got != want {
+					t.Fatalf("rank %d: %d reads of its tile, want one per block: %d", rank, got, want)
+				}
+				var base uintptr
+				for i, rd := range rec.reads {
+					run := int(rd.off / runBytes)
+					if rd.returned != run {
+						t.Errorf("rank %d: run %d's block at byte %d read after %d sortRun calls returned, want %d", rank, run, rd.off, rd.returned, run)
+					}
+					if b := rd.at - uintptr(rd.off%runBytes); i == 0 {
+						base = b
+					} else if b != base {
+						t.Errorf("rank %d: run %d's block at byte %d lands in another buffer than run 0's", rank, run, rd.off)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestInputIssueAndFill: Issue accounts a span's read as a store read of
+// its length is accounted — the same handle, counters and device time,
+// the same stall on a synchronous volume — and Fill lands the same bytes
+// the store read does, from the Source in place or from a staged block,
+// without touching the clock. A short read of the Source is an error
+// wrapping the cause, not a panic.
+func TestInputIssueAndFill(t *testing.T) {
+	src := bytes.Repeat([]byte("0123456789"), 100) // 1000 bytes
+	newVol := func() *blockio.Volume {
+		return blockio.NewVolume(blockio.NewMemStore(), 1024, 0, vtime.Default(), vtime.NewClock())
+	}
+	sp := blockio.Span{ID: 3, Bytes: 400} // bytes [300, 700) at a 100-byte stride
+	for _, sync := range []bool{false, true} {
+		for _, staged := range []bool{false, true} {
+			ref, v := newVol(), newVol()
+			ref.SetSynchronous(sync)
+			v.SetSynchronous(sync)
+			id := ref.Alloc()
+			if err := ref.Store().WriteAt(id, src[300:700]); err != nil { // unaccounted
+				t.Fatal(err)
+			}
+			in := &Input{vol: v, at: bytes.NewReader(src), stride: 100}
+			if staged {
+				if err := v.Store().WriteAt(sp.ID, src[300:700]); err != nil {
+					t.Fatal(err)
+				}
+				in.at = nil
+			}
+
+			want, got := make([]byte, 400), make([]byte, 400)
+			hRef := ref.ReadAsync(id, want)
+			h := in.Issue(sp)
+			if h != hRef || v.Clock().Now() != ref.Clock().Now() || *v.Clock().Cur() != *ref.Clock().Cur() {
+				t.Fatalf("sync=%v staged=%v: handle %v clock %v stats %+v, ReadAsync: %v %v %+v",
+					sync, staged, h, v.Clock().Now(), *v.Clock().Cur(), hRef, ref.Clock().Now(), *ref.Clock().Cur())
+			}
+			if stalled := v.Clock().Now() == float64(h); stalled != sync {
+				t.Fatalf("sync=%v staged=%v: returned at %v, completion %v", sync, staged, v.Clock().Now(), float64(h))
+			}
+			before := *v.Clock().Cur()
+			if err := in.Fill(sp, got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("sync=%v staged=%v: Fill read other bytes than the store read", sync, staged)
+			}
+			if *v.Clock().Cur() != before || v.Clock().Now() != ref.Clock().Now() {
+				t.Fatalf("sync=%v staged=%v: Fill moved the clock or the counters", sync, staged)
+			}
+		}
+	}
+
+	v := newVol()
+	in := &Input{vol: v, at: bytes.NewReader(src), stride: 100}
+	err := in.Fill(blockio.Span{ID: 9, Bytes: 200}, make([]byte, 200))
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("short read: %v, want an error wrapping io.ErrUnexpectedEOF", err)
+	}
+	if st := v.Clock().Cur(); st.BlocksRead != 0 || v.Clock().Now() != 0 {
+		t.Fatalf("a failed read was accounted: %+v", *st)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand/v2"
+	"runtime"
 	"slices"
 
 	"demsort/internal/blockio"
@@ -31,16 +32,20 @@ import (
 //
 // I/O is overlapped with sorting and communication: while run i is
 // processed, run i+1's blocks are already being fetched and run i−1's
-// output is still draining (§IV-E "Overlapping"). Each input block is
-// read once, from wherever Load left it, into its run's buffer, and the
-// spans are freed as they are read. No record moves in the buffer it
-// was read into: psort.Order sorts a view of it (elem.View) into one
-// phase-long permutation, and chunk is that view read through it, which
-// SortAcross gathers straight into the send vectors. At R = 1 each block
-// is sorted in place as it arrives, and the blocks are merged into a
-// chunk charged beside the read buffer, so chunk is in order (a nil
-// Perm). The writes sortRun issued are drained on return. An input read
-// error ends run formation with that error. FormRuns returns R.
+// output is still draining (§IV-E "Overlapping"). The fetch runs in the
+// volume's virtual time: run i+1's reads are issued (Input.Issue) before
+// run i is sorted, and their bytes land (Input.Fill) in the one run
+// buffer once sortRun(i) has returned. Each input block is read once,
+// from wherever Load left it, and the spans are freed as they are
+// waited for. No record moves in the buffer it was read into:
+// psort.Order sorts a view of it (elem.View) into one phase-long
+// permutation, and chunk is that view read through it, which SortAcross
+// gathers straight into the send vectors. At R = 1 each block is sorted
+// in place as it arrives, and the blocks are merged into a chunk charged
+// beside the read buffer, so chunk is in order (a nil Perm). The writes
+// sortRun issued are drained on return, and the phase's dead buffers are
+// collected. An input read error ends run formation with that error.
+// FormRuns returns R.
 func (j *Job[T]) FormRuns(n *cluster.Node, in *Input, salt uint64, sortRun func(run int, chunk dselect.Sorted[T]) error) (int, error) {
 	c, cfg, sz, model := j.c, j.cfg, j.c.Size(), &j.cfg.Model
 	spans := in.Spans
@@ -52,54 +57,53 @@ func (j *Job[T]) FormRuns(n *cluster.Node, in *Input, salt uint64, sortRun func(
 	// A degenerate empty input still runs the protocol once.
 	runs := max(int(n.AllReduceInt64(int64((len(spans)+bpr-1)/bpr), "max")), 1)
 
-	// Each run is read, one run ahead, into one of two buffers, every
-	// block at its offset, and sorted where it was read (elem.View). The
-	// two buffers serve the whole phase: sortRun leaves its chunk dead on
-	// return, so run r's buffer takes run r+2 only once sortRun(r) has
-	// returned. They are run-sized, which no later phase asks bufpool
-	// for, so they are not pooled: parked in the pool they would outlive
-	// the phase by up to two collections.
-	var bufs [2][]byte
-	var handles [2][]blockio.Handle
+	// Each run is read into the one buffer, every block at its offset,
+	// and sorted where it was read (elem.View). Store reads complete
+	// before they return, so a second buffer filled ahead would hide
+	// nothing (ROADMAP direction 6). The buffer is run-sized, which no
+	// later phase asks bufpool for, so it is not pooled.
+	var buf []byte
 	runSpans := func(r int) []blockio.Span {
 		lo := min(r*bpr, len(spans))
 		return spans[lo:min(lo+bpr, len(spans))]
 	}
-	fetchRun := func(r int) error {
-		buf, hs, size := &bufs[r%2], handles[r%2][:0], 0
+	var hs []blockio.Handle // the reads issued and not yet waited for, in run order
+	issue := func(r int) {
+		for _, sp := range runSpans(r) {
+			hs = append(hs, in.Issue(sp))
+		}
+	}
+	fill := func(r int) error {
+		size := 0
 		for _, sp := range runSpans(r) {
 			size += sp.Bytes
 		}
-		if cap(*buf) < size {
-			*buf = make([]byte, size)
+		if cap(buf) < size {
+			buf = make([]byte, size)
 		}
-		*buf = (*buf)[:size]
-		off := 0
+		buf = buf[:0]
 		for _, sp := range runSpans(r) {
-			h, err := in.Read(sp, (*buf)[off:off+sp.Bytes])
-			if err != nil {
+			if err := in.Fill(sp, buf[len(buf):len(buf)+sp.Bytes]); err != nil {
 				return err
 			}
-			hs, off = append(hs, h), off+sp.Bytes
+			buf = buf[:len(buf)+sp.Bytes]
 		}
-		handles[r%2] = hs
 		return nil
 	}
 
 	// The permutation of the run being sorted: one run's is dead before
 	// the next run is ordered, so the runs share it.
 	var perm []int32
-	if err := fetchRun(0); err != nil {
+	issue(0)
+	if err := fill(0); err != nil {
 		return 0, err
 	}
 	for r := 0; r < runs; r++ {
-		if err := fetchRun(r + 1); err != nil { // overlap: prefetch while we sort
-			return 0, err
-		}
+		issue(r + 1) // overlap: run r+1's disk time runs while we sort
 
 		// A block is read only after its Wait: View decodes a non-POD
 		// codec's bytes at the call.
-		mine, buf, hs := runSpans(r), bufs[r%2], handles[r%2]
+		mine := runSpans(r)
 		chunkLen := int64(len(buf) / sz)
 		n.Mem.MustAcquire(chunkLen)
 		var chunk dselect.Sorted[T]
@@ -136,11 +140,19 @@ func (j *Job[T]) FormRuns(n *cluster.Node, in *Input, salt uint64, sortRun func(
 			n.Mem.MustAcquire(permElems(chunkLen, sz)) // released by SortAcross
 			n.AddCPU(model.SortCPU(chunkLen))
 		}
+		hs = hs[len(mine):]
 		if err := sortRun(r, chunk); err != nil {
 			return 0, fmt.Errorf("run %d: %w", r, err)
 		}
+		if err := fill(r + 1); err != nil { // the buffer is dead: land run r+1
+			return 0, err
+		}
 	}
 	n.Vol.Drain()
+	// The run buffer and the permutation are dead: collected now, the
+	// later phases do not grow the heap on top of them (what SortAcross
+	// put back in bufpool goes at the next collection unless reused).
+	runtime.GC()
 	return runs, nil
 }
 
