@@ -41,7 +41,7 @@
 //	        [-workload uniform|worstcase|reversed|narrow|allequal|hotkey|sorted|records]
 //	        [-randomize=true] [-striped] [-seed 1]
 //	        [-transport sim|tcp] [-infile data] [-outdir out]
-//	        [-store ram|file] [-workdir dir]
+//	        [-store ram|file] [-workdir dir] [-pprof dir]
 //	        [-hostfile hosts.txt] [-baseport 7070] [-ssh ssh] [-remote-exe path]
 //	        [-rank R -peers host:port,host:port,...]
 //
@@ -62,6 +62,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime/pprof"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -93,6 +94,7 @@ type options struct {
 
 	kind, transport, store, jobid, fault, peers       string
 	infile, outdir, workdir, hostfile, ssh, remoteExe string
+	pprof                                             string
 }
 
 func parseOptions(args []string) *options {
@@ -124,6 +126,7 @@ func parseOptions(args []string) *options {
 	fs.BoolVar(&o.durable, "durable", false, "commit phase checkpoints (durable spill files + per-rank manifests in -workdir)")
 	fs.StringVar(&o.jobid, "jobid", "demsort", "job identity carried in manifests and the tcp handshake")
 	fs.IntVar(&o.epoch, "epoch", 0, "fleet incarnation number (set by the launcher on restarts)")
+	fs.StringVar(&o.pprof, "pprof", "", "tcp workers write their CPU and heap profiles to <dir>/cpu-<rank>.prof and <dir>/heap-<rank>.prof")
 	fs.Parse(args)
 	return o
 }
@@ -451,6 +454,9 @@ func (o *options) simRecords(wrap func(sink func(int, []byte) error) func(int, [
 
 func runTCPWorker(o *options) {
 	rank, peers := o.rank, strings.Split(o.peers, ",")
+	if o.pprof != "" {
+		defer profile(o.pprof, rank)()
+	}
 	tm, err := tcp.New(tcp.Config{
 		Rank:       rank,
 		Peers:      peers,
@@ -528,6 +534,27 @@ func runTCPWorker(o *options) {
 		rank, stats.OutputLens[rank], time.Since(start).Seconds(), strings.Join(phases, " | "))
 	in, from := o.inputDigest(rank, &tallies[rank])
 	fmt.Println(digestLine(rank, in, from, sinks.accums[rank].Summary()))
+}
+
+// profile starts this worker's CPU profile, dir/cpu-<rank>.prof, and
+// returns what stops it and writes the heap profile, dir/heap-<rank>.prof
+// (-pprof).
+func profile(dir string, rank int) (stop func()) {
+	fail(os.MkdirAll(dir, 0o755))
+	create := func(kind string) *os.File {
+		f, err := os.Create(filepath.Join(dir, fmt.Sprintf("%s-%d.prof", kind, rank)))
+		fail(err)
+		return f
+	}
+	cpu := create("cpu")
+	fail(pprof.StartCPUProfile(cpu))
+	return func() {
+		pprof.StopCPUProfile()
+		fail(cpu.Close())
+		heap := create("heap")
+		fail(pprof.WriteHeapProfile(heap))
+		fail(heap.Close())
+	}
 }
 
 // inputTally is what the sort read of one rank's input: its bytes, and

@@ -11,7 +11,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 
 	"demsort/internal/bufpool"
@@ -93,14 +92,19 @@ func (s *MemStore) Close() error {
 
 // FileStore is a file-backed Store: block id lives at offset
 // id·blockBytes of a single file. It exists so integration tests and
-// the CLI can sort data that genuinely does not fit in memory.
+// the CLI can sort data that genuinely does not fit in memory. Besides
+// block-at-a-time calls it reads and writes a stretch of consecutive
+// blocks in one call (ReadRange, WriteRange: one pread or pwrite).
 type FileStore struct {
 	f          *os.File
 	blockBytes int
-	keep       bool            // durable mode: survive Close (checkpoint/restart)
-	lens       map[BlockID]int // actual stored length per block
+	keep       bool  // durable mode: survive Close (checkpoint/restart)
+	lens       []int // stored length per BlockID, unwritten past the end or where -1
 	mu         sync.Mutex
 }
+
+// unwritten marks a block in FileStore.lens that holds nothing readable.
+const unwritten = -1
 
 // NewFileStore opens a file-backed store at path with the given block
 // capacity in bytes. A transient store (durable false) truncates the
@@ -118,40 +122,78 @@ func NewFileStore(path string, blockBytes int, durable bool) (*FileStore, error)
 	if err != nil {
 		return nil, fmt.Errorf("blockio: %w", err)
 	}
-	return &FileStore{f: f, blockBytes: blockBytes, keep: durable, lens: map[BlockID]int{}}, nil
+	return &FileStore{f: f, blockBytes: blockBytes, keep: durable}, nil
 }
 
 // ReadAt implements Store.
 func (s *FileStore) ReadAt(id BlockID, dst []byte) error {
-	s.mu.Lock()
-	n, ok := s.lens[id]
-	s.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("blockio: read of unwritten block %d", id)
-	}
-	if len(dst) > n {
-		return fmt.Errorf("blockio: block %d holds %d bytes, want %d", id, n, len(dst))
-	}
-	// A short read is an error even at EOF: an adopted file shorter than
-	// its manifest says must not hand back stale buffer bytes.
-	if got, err := s.f.ReadAt(dst, int64(id)*int64(s.blockBytes)); got < len(dst) {
-		return fmt.Errorf("blockio: block %d: read %d of %d bytes: %w", id, got, len(dst), err)
-	}
-	return nil
+	return s.ReadRange(id, []int{len(dst)}, dst)
 }
 
 // WriteAt implements Store.
 func (s *FileStore) WriteAt(id BlockID, src []byte) error {
-	if len(src) > s.blockBytes {
-		return fmt.Errorf("blockio: write of %d bytes into %d-byte blocks", len(src), s.blockBytes)
+	return s.WriteRange(id, []int{len(src)}, src)
+}
+
+// ReadRange reads the stretch of blocks first, first+1, … in one call:
+// block first+i's first lens[i] bytes land at buf[i·blockBytes:], and
+// between two blocks buf gets what the file holds there (the earlier
+// block's padding), so buf spans the stretch. Every block must hold its
+// lens[i] bytes.
+func (s *FileStore) ReadRange(first BlockID, lens []int, buf []byte) error {
+	if err := s.readable(first, lens); err != nil {
+		return err
 	}
-	if _, err := s.f.WriteAt(src, int64(id)*int64(s.blockBytes)); err != nil {
+	dst := buf[:s.span(lens)]
+	// A short read is an error even at EOF: an adopted file shorter than
+	// its manifest says must not hand back stale buffer bytes.
+	if got, err := s.f.ReadAt(dst, int64(first)*int64(s.blockBytes)); got < len(dst) {
+		return fmt.Errorf("blockio: block %d: read %d of the %d bytes from block %d on: %w",
+			first+BlockID(got/s.blockBytes), got, len(dst), first, err)
+	}
+	return nil
+}
+
+// WriteRange stores the stretch of blocks first, first+1, … in one call:
+// block first+i gets the lens[i] bytes at buf[i·blockBytes:], and the
+// padding between two blocks whatever buf holds there.
+func (s *FileStore) WriteRange(first BlockID, lens []int, buf []byte) error {
+	for _, n := range lens {
+		if n > s.blockBytes {
+			return fmt.Errorf("blockio: write of %d bytes into %d-byte blocks", n, s.blockBytes)
+		}
+	}
+	if _, err := s.f.WriteAt(buf[:s.span(lens)], int64(first)*int64(s.blockBytes)); err != nil {
 		return fmt.Errorf("blockio: %w", err)
 	}
 	s.mu.Lock()
-	s.lens[id] = len(src)
+	for end := int(first) + len(lens); len(s.lens) < end; {
+		s.lens = append(s.lens, unwritten)
+	}
+	copy(s.lens[first:], lens)
 	s.mu.Unlock()
 	return nil
+}
+
+// readable checks that every block of a stretch holds the bytes a read
+// wants of it.
+func (s *FileStore) readable(first BlockID, lens []int) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i, n := range lens {
+		if id := first + BlockID(i); int(id) >= len(s.lens) || s.lens[id] == unwritten {
+			return fmt.Errorf("blockio: read of unwritten block %d", id)
+		} else if n > s.lens[id] {
+			return fmt.Errorf("blockio: block %d holds %d bytes, want %d", id, s.lens[id], n)
+		}
+	}
+	return nil
+}
+
+// span is the bytes a stretch of blocks of lengths lens covers in the
+// file: every block's stride but the last's, and the last block's data.
+func (s *FileStore) span(lens []int) int {
+	return (len(lens)-1)*s.blockBytes + lens[len(lens)-1]
 }
 
 // Close implements Store. Transient stores remove their file; durable
@@ -181,22 +223,25 @@ func (s *FileStore) BlockLens() []BlockLen {
 	defer s.mu.Unlock()
 	out := make([]BlockLen, 0, len(s.lens))
 	for id, n := range s.lens {
-		out = append(out, BlockLen{ID: int64(id), Bytes: n})
+		if n != unwritten {
+			out = append(out, BlockLen{ID: int64(id), Bytes: n})
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
 // SetBlockLens restores the block layout of an adopted store from its
 // manifest, replacing whatever the store knew before.
 func (s *FileStore) SetBlockLens(lens []BlockLen) {
-	m := make(map[BlockID]int, len(lens))
-	for _, l := range lens {
-		m[BlockID(l.ID)] = l.Bytes
-	}
 	s.mu.Lock()
-	s.lens = m
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	s.lens = s.lens[:0]
+	for _, l := range lens {
+		for len(s.lens) <= int(l.ID) {
+			s.lens = append(s.lens, unwritten)
+		}
+		s.lens[l.ID] = l.Bytes
+	}
 }
 
 // FileStoreFactory returns a per-rank store constructor that backs
@@ -320,25 +365,15 @@ func (v *Volume) ResetPeak() { v.peakUsed = v.used }
 // the virtual transfer on the disk device without blocking the clock;
 // Drain (or a later dependent read's Wait) realises the time.
 func (v *Volume) WriteAsync(id BlockID, src []byte) Handle {
-	if err := v.store.WriteAt(id, src); err != nil {
-		panic(err) // simulation substrate failure, not a user error
-	}
-	dur := v.model.DiskDur(v.rank, len(src))
-	done := v.disk.Acquire(v.clock.Now(), dur)
-	st := v.clock.Cur()
-	st.IOTime += dur
-	st.BytesWritten += int64(len(src))
-	st.BlocksWritten++
-	return v.issued(done)
+	must(v.store.WriteAt(id, src))
+	return v.IssueWrite(len(src))
 }
 
 // ReadAsync fetches block id into dst immediately (real data) and
 // returns the virtual completion time; call Wait before using the data
 // so the clock reflects the transfer.
 func (v *Volume) ReadAsync(id BlockID, dst []byte) Handle {
-	if err := v.store.ReadAt(id, dst); err != nil {
-		panic(err)
-	}
+	must(v.store.ReadAt(id, dst))
 	return v.IssueRead(len(dst))
 }
 
@@ -346,15 +381,71 @@ func (v *Volume) ReadAsync(id BlockID, dst []byte) Handle {
 // charges it to the current phase and returns its handle, exactly as
 // ReadAsync accounts a read of n bytes — but moves no data: the caller
 // reads the bytes itself, whenever its buffer is free (an input read
-// where it lies, job.Input).
+// where it lies, job.Input, or a stretch of blocks, ReadRange).
 func (v *Volume) IssueRead(n int) Handle {
-	dur := v.model.DiskDur(v.rank, n)
-	done := v.disk.Acquire(v.clock.Now(), dur)
 	st := v.clock.Cur()
-	st.IOTime += dur
-	st.BytesRead += int64(n)
-	st.BlocksRead++
-	return v.issued(done)
+	st.BytesRead, st.BlocksRead = st.BytesRead+int64(n), st.BlocksRead+1
+	return v.issue(n)
+}
+
+// IssueWrite is IssueRead's counterpart: it accounts an n-byte block
+// write as WriteAsync does and moves no data (WriteRange does).
+func (v *Volume) IssueWrite(n int) Handle {
+	st := v.clock.Cur()
+	st.BytesWritten, st.BlocksWritten = st.BytesWritten+int64(n), st.BlocksWritten+1
+	return v.issue(n)
+}
+
+// issue queues an n-byte transfer on the disk device and charges its
+// time to the current phase.
+func (v *Volume) issue(n int) Handle {
+	dur := v.model.DiskDur(v.rank, n)
+	v.clock.Cur().IOTime += dur
+	return v.issued(v.disk.Acquire(v.clock.Now(), dur))
+}
+
+// rangeStore is a Store that moves a stretch of consecutive blocks in
+// one call, block first+i's first lens[i] bytes at buf[i·BlockBytes:]
+// (FileStore).
+type rangeStore interface {
+	ReadRange(first BlockID, lens []int, buf []byte) error
+	WriteRange(first BlockID, lens []int, buf []byte) error
+}
+
+// ReadRange fetches the data of the stretch of blocks first, first+1, …:
+// block first+i's first lens[i] bytes into buf[i·BlockBytes:] — one
+// store call on a store that takes stretches, one per block otherwise.
+// It accounts nothing: each block's read is issued on its own
+// (IssueRead), so the counters, the disk time and the clock are those of
+// block-at-a-time reads.
+func (v *Volume) ReadRange(first BlockID, lens []int, buf []byte) {
+	if rs, ok := v.store.(rangeStore); ok {
+		must(rs.ReadRange(first, lens, buf))
+		return
+	}
+	for i, n := range lens {
+		must(v.store.ReadAt(first+BlockID(i), buf[i*v.blockBytes:][:n]))
+	}
+}
+
+// WriteRange is ReadRange's counterpart: it stores the stretch, each
+// block's write issued on its own (IssueWrite).
+func (v *Volume) WriteRange(first BlockID, lens []int, buf []byte) {
+	if rs, ok := v.store.(rangeStore); ok {
+		must(rs.WriteRange(first, lens, buf))
+		return
+	}
+	for i, n := range lens {
+		must(v.store.WriteAt(first+BlockID(i), buf[i*v.blockBytes:][:n]))
+	}
+}
+
+// must panics on a store error: a simulation substrate failure, not a
+// user error.
+func must(err error) {
+	if err != nil {
+		panic(err)
+	}
 }
 
 // issued turns a queued transfer's completion time into its handle,

@@ -53,6 +53,7 @@ type exchanger[T any] struct {
 	n      *cluster.Node
 	cfg    *Config
 	bElem  int64
+	stage  int // the writers' stage in blocks (Plan.WriteStage)
 	meta   *runsMeta[T]
 	locals []localRun[T]
 	split  [][]int64
@@ -84,7 +85,7 @@ type exchanger[T any] struct {
 // destination range as a local file.
 func exchange[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, pl *job.Plan, meta *runsMeta[T], locals []localRun[T], split [][]int64) ([]job.File, int, error) {
 	n.SetPhase(PhaseExchange)
-	x := &exchanger[T]{c: c, n: n, cfg: cfg, bElem: int64(pl.BElem), meta: meta, locals: locals, split: split,
+	x := &exchanger[T]{c: c, n: n, cfg: cfg, bElem: int64(pl.BElem), stage: pl.WriteStage, meta: meta, locals: locals, split: split,
 		durable: cfg.Checkpoint.Dir != "", cached: blockKey{-1, -1}, raw: make([]byte, pl.BElem*c.Size())}
 	x.plan()
 	x.k = x.subOps(pl.ExchangeQuota)
@@ -95,9 +96,9 @@ func exchange[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, pl *job.Plan
 	// sub-op s is on the wire (§IV-E). A collected sub-op's sends are
 	// written (cluster.A2AStream), so the reservation is one quota for
 	// each of window sends and for the receives. Any window makes the
-	// same calls in the same order. The one writer tail live at a time
-	// (process) adds a block.
-	budget := int64(n.A2AWindow(x.k)+1)*pl.ExchangeQuota + int64(pl.BElem)
+	// same calls in the same order. The one writer stage live at a time
+	// (process) adds its blocks.
+	budget := int64(n.A2AWindow(x.k)+1)*pl.ExchangeQuota + int64(pl.WriteStage*pl.BElem)
 	n.Mem.MustAcquire(budget)
 	defer n.Mem.Release(budget)
 	if err := n.A2ARounds(x.k, x.build, x.process); err != nil {
@@ -252,7 +253,7 @@ func (x *exchanger[T]) process(s int, recv [][]byte) error {
 		for _, pc := range win {
 			w := x.writers[pc.run][p]
 			if w == nil {
-				w = job.NewWriter(x.c, x.n.Vol)
+				w = job.NewStagedWriter(x.c, x.n.Vol, x.stage)
 				x.writers[pc.run][p] = w
 			} else {
 				w.Resume()

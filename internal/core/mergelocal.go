@@ -22,9 +22,14 @@ func mergeLocal[T any](j *job.Job[T], n *cluster.Node, files []job.File,
 		n.Barrier()
 		return files[0].N, nil
 	}
-	// 2 blocks per run (current + prefetch) plus the output buffer.
-	n.Mem.MustAcquire(j.MergeBuffers)
-	defer n.Mem.Release(j.MergeBuffers)
+	// A read window per run plus the output block, and without a sink
+	// the rest of the writer's stage.
+	held := j.MergeBuffers
+	if sink == nil {
+		held += int64((j.WriteStage - 1) * j.BElem)
+	}
+	n.Mem.MustAcquire(held)
+	defer n.Mem.Release(held)
 	emitted, err := j.MergeFiles(n, files, sink)
 	if err != nil {
 		return 0, fmt.Errorf("core: %w", err)

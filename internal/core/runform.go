@@ -26,7 +26,8 @@ type localRun[T any] struct {
 // segment that SortExact received straight into a run file on its local
 // disks, block by block through the writer's tail (job.Writer.Merge), and
 // samples every K-th global run position into memory as the blocks pass
-// (§IV-A). No merged segment is held, only the writer's tail (charged).
+// (§IV-A). No merged segment is held, only the writer's stage (charged),
+// whose blocks go to the store a stretch at a time.
 func runFormation[T any](c elem.Codec[T], j *job.Job[T], n *cluster.Node, input *job.Input) ([]localRun[T], error) {
 	n.SetPhase(PhaseRunForm)
 	var out []localRun[T]
@@ -34,8 +35,9 @@ func runFormation[T any](c elem.Codec[T], j *job.Job[T], n *cluster.Node, input 
 		return j.SortExact(n, chunk, func(parts [][]T, segStart, runLen int64) error {
 			lr := localRun[T]{segStart: segStart, runLen: runLen}
 			next := firstMultiple(segStart, j.K) - segStart // the next sampled segment position
-			w := job.NewWriter(c, n.Vol)
-			n.Mem.MustAcquire(int64(j.BElem)) // the writer's tail
+			w := job.NewStagedWriter(c, n.Vol, j.WriteStage)
+			stage := int64(j.WriteStage * j.BElem)
+			n.Mem.MustAcquire(stage) // the writer's stage
 			err := w.Merge(len(parts), func(i int) []T { p := parts[i]; parts[i] = nil; return p }, nil, func(blk []T) {
 				for ; next < lr.segLen+int64(len(blk)); next += j.K {
 					lr.sample = append(lr.sample, blk[next-lr.segLen])
@@ -45,7 +47,7 @@ func runFormation[T any](c elem.Codec[T], j *job.Job[T], n *cluster.Node, input 
 			// Held until gatherRunsMeta has encoded it.
 			n.Mem.MustAcquire(int64(len(lr.sample)))
 			lr.file = w.Finish()
-			n.Mem.Release(int64(j.BElem))
+			n.Mem.Release(stage)
 			out = append(out, lr)
 			return err
 		})

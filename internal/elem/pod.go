@@ -48,9 +48,9 @@ func podBytes[T any](vs []T, size int) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(&vs[0])), len(vs)*size)
 }
 
-// inPlace returns b's whole elements reinterpreted in place when c is
+// InPlace returns b's whole elements reinterpreted in place when c is
 // POD and b is aligned for T, nil otherwise.
-func inPlace[T any](c Codec[T], b []byte) []T {
+func InPlace[T any](c Codec[T], b []byte) []T {
 	n := len(b) / c.Size()
 	if n == 0 || !pod(c) {
 		return nil
@@ -67,7 +67,7 @@ func inPlace[T any](c Codec[T], b []byte) []T {
 // caller keeps b, unchanged, until it is done with the result, so a
 // caller has one path for both.
 func View[T any](c Codec[T], b []byte) []T {
-	if vs := inPlace(c, b); vs != nil || len(b) < c.Size() {
+	if vs := InPlace(c, b); vs != nil || len(b) < c.Size() {
 		return vs
 	}
 	return DecodeSlice(c, b, len(b)/c.Size())
@@ -78,7 +78,7 @@ func View[T any](c Codec[T], b []byte) []T {
 // reinterpreted, where View would read b in place, a fresh slice (no
 // decode) otherwise.
 func OutView[T any](c Codec[T], b []byte) []T {
-	if vs := inPlace(c, b); vs != nil {
+	if vs := InPlace(c, b); vs != nil {
 		return vs
 	}
 	return make([]T, len(b)/c.Size())

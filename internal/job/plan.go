@@ -46,9 +46,11 @@ type Shape struct {
 // what a canonical all-to-all sub-operation stages on either side of a
 // PE, the final merge's buffers, the selection's block cache (in blocks)
 // and its residual gather (the striped merge quota is MergeQuota); the
-// largest N/P the canonical sorter takes in two passes; and the exact run
+// largest N/P the canonical sorter takes in two passes; the exact run
 // split's regular samples per PE and the most elements one of its owners
-// gathers (SortExact).
+// gathers (SortExact); and how many blocks the final merge reads from a
+// file per store call and a writer stages per store call (MergeFiles,
+// Writer).
 type Plan struct {
 	Shape
 	BElem, BlocksPerRun         int
@@ -58,13 +60,20 @@ type Plan struct {
 	Gather                      int64
 	MaxElemsPerPE               int64
 	SplitSamples, SplitResidual int64
+	ReadWindow, WriteStage      int
 }
+
+// stretchBytes is what one store call should move at least: at 16 KiB
+// blocks a file store reads and writes at 0.86–0.99 of a plain file, at
+// 400-byte blocks at 0.07, the per-call cost dominating (ROADMAP
+// reading 7).
+const stretchBytes = 16 << 10
 
 // NewPlan computes the plan of a job of shape s, or refuses the job
 // saying what to change. A refused plan still carries what was computed
 // before the refusal (MaxElemsPerPE, the capacity a refusal quotes).
 func NewPlan(s Shape) (Plan, error) {
-	p := Plan{Shape: s}
+	p := Plan{Shape: s, ReadWindow: 2, WriteStage: 1}
 	if s.P < 1 {
 		return p, fmt.Errorf("P must be >= 1, got %d", s.P)
 	}
@@ -117,7 +126,12 @@ func NewPlan(s Shape) (Plan, error) {
 // buffers per run and output buffer fit half of it, and the sample (N/K
 // elements on every PE) an eighth. K is the configured one, or the first
 // of K = B, B·5/4+1, … whose sample fits — coarser for large machines
-// (the footnote-12 pressure).
+// (the footnote-12 pressure). Small blocks move in stretches of up to
+// stretchBytes per store call: the final merge reads a window of
+// ReadWindow blocks per run, as many as that half of the budget holds,
+// and a writer stages WriteStage blocks where run formation's sort
+// scratch was (its run sample beside them) and no more than a run share,
+// so the exchange's and the merge's reservations still fit.
 func (p *Plan) canonical() error {
 	m, b, runs := p.MemElems, int64(p.BElem), p.Runs
 	// The merge buffers cap R at m/(4B)-ish runs of m/4 elements.
@@ -146,11 +160,15 @@ func (p *Plan) canonical() error {
 	}
 	// A PE's segment of a run is at most RunLocal long, so it holds at
 	// most ⌈RunLocal/K⌉ sample elements of each earlier run.
-	if err := p.formRunsFits((runs-1)*((p.RunLocal+p.K-1)/p.K), max(int64(p.P)*p.SplitSamples, p.SplitResidual)); err != nil {
+	runSample := (p.RunLocal + p.K - 1) / p.K
+	room, err := p.formRunsFits((runs-1)*runSample, max(int64(p.P)*p.SplitSamples, p.SplitResidual))
+	if err != nil {
 		return err
 	}
 	p.ExchangeQuota = m / 4
-	p.MergeBuffers = (2*runs + 1) * b
+	p.ReadWindow = int(max(min((m/2-b)/(runs*b), int64((stretchBytes+p.BlockBytes-1)/p.BlockBytes)), 2))
+	p.MergeBuffers = (int64(p.ReadWindow)*runs + 1) * b
+	p.WriteStage = max(min(stretchBytes/p.BlockBytes, int((room-runSample)/b), p.BlocksPerRun), 1)
 	// Beside the sample, up to half the budget for cached blocks and an
 	// eighth for a gathered residual — which is read from disk, so
 	// bisecting stops at a couple of blocks per run.
@@ -173,7 +191,8 @@ func (p *Plan) striped() error {
 		return fmt.Errorf("no merge batch fits the memory budget of %d elements: every PE holds the prediction table (%d entries, one per %d-element block) and the leftover blocks of %d runs (%s), and needs room to fetch, merge and send on at least one more; raise the budget or change the block size (demsort -mem / -block)",
 			m, table, b, p.Runs, layout)
 	}
-	return p.formRunsFits(0, 0)
+	_, err := p.formRunsFits(0, 0)
+	return err
 }
 
 // formRunsFits refuses a job whose run formation overflows the budget:
@@ -181,19 +200,22 @@ func (p *Plan) striped() error {
 // next to first the scratch of the radix engine that sortChunkBudgeted
 // sorts with (on any host's worker count) and then the run's
 // permutation (R > 1: charged once psort.Order has found it, until
-// SortAcross has gathered the run) and what the run's split holds.
-func (p *Plan) formRunsFits(held, split int64) error {
+// SortAcross has gathered the run) and what the run's split holds. It
+// returns that working room, the larger of the two, which is dead by
+// the time the run is stored.
+func (p *Plan) formRunsFits(held, split int64) (int64, error) {
 	es := int64(p.ElemSize)
 	scratch := (psort.ScratchBytes(int(p.RunLocal), psort.MaxWorkers) + es - 1) / es
 	var perm int64
 	if p.Runs > 1 {
 		perm = permElems(p.RunLocal, p.ElemSize)
 	}
-	if need := p.RunLocal + held + max(scratch, perm+split); need > p.MemElems {
-		return fmt.Errorf("run formation holds a run share of %d elements, %d of sort scratch (%d for its permutation and %d to split it) and %d sampled from earlier runs: %d elements of a memory budget of %d; raise the budget (demsort -mem)",
+	room := max(scratch, perm+split)
+	if need := p.RunLocal + held + room; need > p.MemElems {
+		return room, fmt.Errorf("run formation holds a run share of %d elements, %d of sort scratch (%d for its permutation and %d to split it) and %d sampled from earlier runs: %d elements of a memory budget of %d; raise the budget (demsort -mem)",
 			p.RunLocal, scratch, perm, split, held, need, p.MemElems)
 	}
-	return nil
+	return room, nil
 }
 
 // MergeQuota is the number of blocks a striped PE fetches per merge

@@ -131,6 +131,37 @@ func TestPlan(t *testing.T) {
 	}
 }
 
+// TestPlanStretches pins how many blocks the final merge reads per file
+// and a writer stages per store call: k_r = clamp(⌊(M/2 − B)/(R·B)⌋, 2,
+// ⌈16 KiB/block⌉), so the merge's (k_r·R + 1)·B stays within M/2, and
+// k_w = ⌊16 KiB/block⌋, at most what run formation's sort scratch leaves
+// beside the run's sample and at most a run share. The 16 KiB
+// benchmark shapes keep a window of 2 and a stage of 1;
+// canon_smallblock reads 10 and stages 40; a small budget caps the
+// stage by its scratch room (19 of 25 blocks a run, 54 of 160).
+func TestPlanStretches(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		shape         job.Shape
+		window, stage int
+		buffers       int64
+	}{
+		{"canon_uniform", job.Shape{Sorter: job.Canonical, P: 4, MemElems: 50000, BlockBytes: 16384, ElemSize: 100, NPerPE: 250000, Randomize: true, Collected: true}, 2, 1, 43 * 163},
+		{"canon_smallblock", job.Shape{Sorter: job.Canonical, P: 4, MemElems: 4096, BlockBytes: 400, ElemSize: 100, NPerPE: 50000, Randomize: true, Collected: true}, 10, 40, (10*49 + 1) * 4},
+		{"scratch_bound", job.Shape{Sorter: job.Canonical, P: 4, MemElems: 400, BlockBytes: 64, ElemSize: 16, NPerPE: 1000}, 4, 19, (4*10 + 1) * 4},
+		{"one_element_blocks", job.Shape{Sorter: job.Canonical, P: 1, MemElems: 640, BlockBytes: 16, ElemSize: 16, NPerPE: 3000}, 16, 54, 16*19 + 1},
+	} {
+		pl := mustPlan(t, tc.shape)
+		if pl.ReadWindow != tc.window || pl.WriteStage != tc.stage || pl.MergeBuffers != tc.buffers {
+			t.Errorf("%s: read window %d, write stage %d, merge buffers %d; want %d, %d, %d",
+				tc.name, pl.ReadWindow, pl.WriteStage, pl.MergeBuffers, tc.window, tc.stage, tc.buffers)
+		}
+		if pl.MergeBuffers > tc.shape.MemElems/2 || pl.WriteStage > pl.BlocksPerRun {
+			t.Errorf("%s: merge buffers %d of M/2 = %d, stage %d of %d blocks a run", tc.name, pl.MergeBuffers, tc.shape.MemElems/2, pl.WriteStage, pl.BlocksPerRun)
+		}
+	}
+}
+
 // TestPlanGrid sorts a small grid of shapes on the sim backend with both
 // mergesorts. A job the plan accepts sorts within its budget and leaves
 // nothing charged; a job it refuses is refused in the plan's words

@@ -107,24 +107,31 @@ func AppendMerge[T any](c elem.Codec[T], dst []T, seqs [][]T) []T {
 // the call, and the merge writes on into out once it returns. emit's
 // error ends the merge. Ties are broken by stream index.
 func MergeStream[T any](c elem.Codec[T], k int, out []T, next func(i int) []T, emit func([]T) error) error {
+	return MergeBlocks(c, k, out, next, func(blk []T) ([]T, error) { return out, emit(blk) })
+}
+
+// MergeBlocks is MergeStream writing each output block where emit says:
+// the first into out, each next one into the slice emit returns, which
+// is at least as long as out.
+func MergeBlocks[T any](c elem.Codec[T], k int, out []T, next func(i int) []T, emit func([]T) ([]T, error)) error {
 	cur := make([][]T, k)
 	for i := range cur {
 		cur[i] = next(i)
 	}
 	rest, err := merge(c, out[:0], cur, next, len(out), emit)
-	if err != nil || len(rest) == 0 {
-		return err
+	if err == nil && len(rest) > 0 {
+		_, err = emit(rest)
 	}
-	return emit(rest)
+	return err
 }
 
 // merge is the one tournament loop. Stream i's current block is cur[i],
 // read at the pooled pos[i]; refill(i), nil for in-memory sequences,
 // replaces an exhausted block. The merged elements are appended to dst;
-// once dst holds outLen of them (outLen > 0) it goes to emit and starts
-// over. The tree replays on raw uint64 keys; the comparator is
-// consulted only when inexact keys tie.
-func merge[T any](c elem.Codec[T], dst []T, cur [][]T, refill func(i int) []T, outLen int, emit func([]T) error) ([]T, error) {
+// once dst holds outLen of them (outLen > 0) it goes to emit, and the
+// merge goes on in the slice emit returns. The tree replays on raw
+// uint64 keys; the comparator is consulted only when inexact keys tie.
+func merge[T any](c elem.Codec[T], dst []T, cur [][]T, refill func(i int) []T, outLen int, emit func([]T) ([]T, error)) ([]T, error) {
 	k := len(cur)
 	if k == 0 {
 		return dst, nil
@@ -154,10 +161,11 @@ func merge[T any](c elem.Codec[T], dst []T, cur [][]T, refill func(i int) []T, o
 		dst[len(dst)-1] = s[p]
 		p++
 		if len(dst) == outLen {
-			if err := emit(dst); err != nil {
+			next, err := emit(dst)
+			if err != nil {
 				return dst, err
 			}
-			dst = dst[:0]
+			dst = next[:0]
 		}
 		if p == len(s) && refill != nil {
 			s, p = refill(i), 0
