@@ -220,8 +220,13 @@ options:
 # lengths (blockio +91), the final merge's read window, the writer's
 # stage and the plan's ReadWindow and WriteStage (job +82), the merge
 # loop writing each block where its caller says (xmerge +8), the
-# stage's charges (core +8) and demsort -pprof (+27).
-LOC_MAX = 15029
+# stage's charges (core +8) and demsort -pprof (+27); −35 when a
+# manifest became its run directory: the committed block layout,
+# allocator state and phase name went, a resumed rank deriving them from
+# the extents (Volume.Adopt; blockio −28, core −1 net of the commit's
+# live-block check and the resume's refusal of a block named twice),
+# and xmerge.MergeStream went (−6).
+LOC_MAX = 14994
 # Options: +1 (61) for demsort -pprof, the tcp workers' CPU and heap
 # profiles.
 OPTIONS_MAX = 61

@@ -94,7 +94,10 @@ func (s *MemStore) Close() error {
 // id·blockBytes of a single file. It exists so integration tests and
 // the CLI can sort data that genuinely does not fit in memory. Besides
 // block-at-a-time calls it reads and writes a stretch of consecutive
-// blocks in one call (ReadRange, WriteRange: one pread or pwrite).
+// blocks in one call (ReadRange, WriteRange: one pread or pwrite). It
+// knows how many bytes each block holds — what was written to it, or
+// for an adopted file what SetBlockLens says — and refuses a read of
+// more.
 type FileStore struct {
 	f          *os.File
 	blockBytes int
@@ -111,8 +114,9 @@ const unwritten = -1
 // file and removes it on Close — a spill store. A durable one never
 // truncates and its file survives Close — the adopt/keep mode of the
 // checkpoint/restart plane: a fresh store starts with no readable
-// blocks; a store adopted after a crash recovers its block layout from
-// the rank's manifest via SetBlockLens.
+// blocks; a store adopted after a crash is told its block layout
+// (SetBlockLens), which core derives from the extents of the rank's
+// manifest.
 func NewFileStore(path string, blockBytes int, durable bool) (*FileStore, error) {
 	flags := os.O_RDWR | os.O_CREATE
 	if !durable {
@@ -216,31 +220,18 @@ func (s *FileStore) Close() error {
 // blocks that are not durably on disk.
 func (s *FileStore) Sync() error { return s.f.Sync() }
 
-// BlockLens snapshots the per-block stored lengths (the block layout a
-// checkpoint manifest records), in ascending BlockID order.
-func (s *FileStore) BlockLens() []BlockLen {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]BlockLen, 0, len(s.lens))
-	for id, n := range s.lens {
-		if n != unwritten {
-			out = append(out, BlockLen{ID: int64(id), Bytes: n})
-		}
-	}
-	return out
-}
-
-// SetBlockLens restores the block layout of an adopted store from its
-// manifest, replacing whatever the store knew before.
-func (s *FileStore) SetBlockLens(lens []BlockLen) {
+// SetBlockLens gives an adopted store its block layout — block id holds
+// lens[id] bytes, every other block nothing readable — replacing
+// whatever the store knew before.
+func (s *FileStore) SetBlockLens(lens map[BlockID]int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.lens = s.lens[:0]
-	for _, l := range lens {
-		for len(s.lens) <= int(l.ID) {
+	for id, n := range lens {
+		for len(s.lens) <= int(id) {
 			s.lens = append(s.lens, unwritten)
 		}
-		s.lens[l.ID] = l.Bytes
+		s.lens[id] = n
 	}
 }
 
@@ -257,8 +248,8 @@ func FileStoreFactory(dir string, blockBytes int) func(rank int) (Store, error) 
 
 // DurableFileStoreFactory is FileStoreFactory's adopt/keep counterpart
 // for checkpointed jobs: block files are created if absent, adopted if
-// present, and always survive Close. Resumed ranks recover the block
-// layout from their manifest (core restores it via SetBlockLens); a
+// present, and always survive Close. A resumed rank's block layout is
+// derived from its manifest's extents (core sets it via SetBlockLens); a
 // fresh run simply overwrites from block 0.
 func DurableFileStoreFactory(dir string, blockBytes int) func(rank int) (Store, error) {
 	return fileStoreFactory(dir, blockBytes, true)
@@ -277,7 +268,8 @@ func fileStoreFactory(dir string, blockBytes int, durable bool) func(rank int) (
 type Handle float64
 
 // Volume is one PE's view of its disk array: block allocation with a
-// free list (in-place operation), asynchronous reads/writes accounted
+// free list (in-place operation; a resumed PE's is rebuilt from its
+// live blocks, Adopt), asynchronous reads/writes accounted
 // against the PE's clock and disk device, and traffic counters.
 //
 // A Volume is owned by its PE's goroutine; no other goroutine calls it.
@@ -485,30 +477,25 @@ func (v *Volume) stallTo(t float64) {
 // between logical files without I/O).
 func (v *Volume) Store() Store { return v.store }
 
-// AllocState snapshots the allocator — the next unallocated BlockID
-// and the current free list — for a checkpoint manifest.
-func (v *Volume) AllocState() (next int64, freeList []int64) {
-	free := make([]int64, len(v.freeList))
-	for i, id := range v.freeList {
-		free[i] = int64(id)
+// Adopt rebuilds the allocator of an adopted store from its live blocks:
+// allocation goes on one past the largest, and every lower block that is
+// not live is free — the blocks a checkpointed phase had freed, and any
+// written after the checkpoint, which a resumed run simply overwrites.
+// Free blocks are handed out lowest first.
+func (v *Volume) Adopt(live []BlockID) {
+	isLive := map[BlockID]bool{}
+	v.next = 0
+	for _, id := range live {
+		isLive[id], v.next = true, max(v.next, id+1)
 	}
-	return int64(v.next), free
-}
-
-// RestoreAlloc rewinds the allocator to a checkpointed state: every id
-// below next is live unless it is on the free list. Blocks written
-// after the checkpoint become unreferenced file garbage, which a
-// resumed run simply overwrites.
-func (v *Volume) RestoreAlloc(next int64, freeList []int64) {
-	v.next = BlockID(next)
 	v.freeList = v.freeList[:0]
-	for _, id := range freeList {
-		v.freeList = append(v.freeList, BlockID(id))
+	for id := v.next - 1; id >= 0; id-- {
+		if !isLive[id] {
+			v.freeList = append(v.freeList, id)
+		}
 	}
-	v.used = next - int64(len(freeList))
-	if v.used > v.peakUsed {
-		v.peakUsed = v.used
-	}
+	v.used = int64(len(live))
+	v.peakUsed = max(v.peakUsed, v.used)
 }
 
 // syncer is the optional durability hook of a Store (FileStore's

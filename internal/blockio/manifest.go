@@ -3,10 +3,12 @@ package blockio
 // The durable half of the checkpoint/restart plane: a per-rank
 // manifest.json describing everything a restarted rank needs to adopt
 // its spill file and resume the sort from the last committed phase —
-// job identity, phase epoch, the block layout and allocator state of
-// the store, the rank's runs (each one's length, which places the rank's
-// segment of it, the segment's extents and its encoded sample share),
-// and, once selection has committed, the splitter matrix.
+// job identity, phase epoch, the rank's run directory (each run's
+// length, which places the rank's segment of it, the segment's extents
+// and its encoded sample share) and, once selection has committed, the
+// splitter matrix. The store's block layout and allocator are not
+// stored: at either commit a rank's live blocks are exactly the blocks
+// its extents name, so a resumed rank derives both from them.
 // Manifests are tiny (the runs and splitters are O(R·P) numbers; the
 // sample is bounded by the memory budget's sample share), which is what
 // makes checkpointing after run formation and selection nearly free
@@ -23,13 +25,6 @@ import (
 	"os"
 	"path/filepath"
 )
-
-// BlockLen records the stored byte length of one block — the block
-// layout entry of a manifest.
-type BlockLen struct {
-	ID    int64 `json:"id"`
-	Bytes int   `json:"bytes"`
-}
 
 // Extent is a contiguous range of elements inside one disk block:
 // elements [Off, Off+Len) of block ID. Own marks the holder as the
@@ -69,21 +64,11 @@ type Manifest struct {
 	BlockBytes int   `json:"blockBytes"`
 	SampleK    int64 `json:"sampleK"`
 
-	// Phase is the last committed phase ("run formation" or "multiway
-	// selection" in core's naming).
-	Phase string `json:"phase"`
-
-	// Store state: allocator position, free list and block layout at
-	// commit time.
-	NextBlock int64      `json:"nextBlock"`
-	FreeList  []int64    `json:"freeList,omitempty"`
-	Blocks    []BlockLen `json:"blocks"`
-
-	// Run directory (set from the run-formation checkpoint onward).
+	// Runs is the run directory, committed after run formation.
 	Runs []RunMeta `json:"runs,omitempty"`
 
 	// Splitters is the exact splitter matrix (P+1 rows of R positions,
-	// identical on every rank), set by the selection checkpoint.
+	// identical on every rank); set, it marks the selection commit.
 	Splitters [][]int64 `json:"splitters,omitempty"`
 }
 

@@ -4,14 +4,16 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
 
 // TestDurableFileStoreSurvivesClose: the defining property of durable
 // mode — spill contents outlive the store handle (Close fsyncs instead
-// of unlinking) and a re-opened store serves the same blocks once the
-// block layout is restored.
+// of unlinking) and a re-opened store serves the same blocks once it is
+// told the block layout, refusing a read of one byte more than a block
+// holds.
 func TestDurableFileStoreSurvivesClose(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "rank.blocks")
 	s, err := NewFileStore(path, 64, true)
@@ -26,7 +28,6 @@ func TestDurableFileStoreSurvivesClose(t *testing.T) {
 	if err := s.WriteAt(1, b); err != nil {
 		t.Fatal(err)
 	}
-	lens := s.BlockLens()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -39,8 +40,15 @@ func TestDurableFileStoreSurvivesClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	r.SetBlockLens(lens)
-	got := make([]byte, 64)
+	r.SetBlockLens(map[BlockID]int{0: 64, 1: 17})
+	got := make([]byte, 65)
+	if err := r.ReadAt(1, got[:18]); err == nil {
+		t.Fatal("read 18 bytes of a block that holds 17")
+	}
+	if err := r.ReadAt(0, got); err == nil {
+		t.Fatal("read 65 bytes of a block that holds 64")
+	}
+	got = got[:64]
 	if err := r.ReadAt(0, got); err != nil {
 		t.Fatal(err)
 	}
@@ -100,9 +108,6 @@ func testManifest(rank int) *Manifest {
 	return &Manifest{
 		JobID: "job-a", Rank: rank, P: 4, Epoch: 2,
 		ElemSize: 100, BlockBytes: 1024, SampleK: 10,
-		Phase:     "run formation",
-		NextBlock: 7, FreeList: []int64{3},
-		Blocks: []BlockLen{{ID: 0, Bytes: 1000}, {ID: 1, Bytes: 400}},
 		Runs: []RunMeta{{
 			RunLen:  56,
 			Extents: []Extent{{ID: 0, Off: 0, Len: 10, Own: true}, {ID: 1, Off: 0, Len: 4, Own: true}},
@@ -121,7 +126,7 @@ func TestManifestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.JobID != want.JobID || got.Phase != want.Phase ||
+	if got.JobID != want.JobID || got.Splitters != nil ||
 		len(got.Runs) != 1 || got.Runs[0].RunLen != want.Runs[0].RunLen || !bytes.Equal(got.Runs[0].Sample, want.Runs[0].Sample) ||
 		got.Runs[0].Extents[1] != want.Runs[0].Extents[1] {
 		t.Fatalf("manifest did not round-trip: %+v", got)
@@ -130,7 +135,6 @@ func TestManifestRoundTrip(t *testing.T) {
 		t.Fatalf("valid resume rejected: %v", err)
 	}
 	// A re-commit must atomically replace, not append.
-	want.Phase = "multiway selection"
 	want.Splitters = [][]int64{{0}, {14}, {28}, {42}, {56}}
 	if err := want.WriteFile(dir); err != nil {
 		t.Fatal(err)
@@ -139,7 +143,7 @@ func TestManifestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Phase != "multiway selection" || len(got.Splitters) != 5 {
+	if len(got.Splitters) != 5 {
 		t.Fatalf("re-commit not visible: %+v", got)
 	}
 	if _, err := os.Stat(ManifestPath(dir, 2) + ".tmp"); err == nil {
@@ -198,26 +202,25 @@ func TestManifestMissingAndRemove(t *testing.T) {
 	}
 }
 
-// TestVolumeAllocStateRestore: the allocator snapshot in a manifest
-// must reproduce the exact alloc/free position, so blocks allocated
-// after resume never collide with checkpointed ones.
+// TestVolumeAllocStateRestore: a volume adopting a manifest's live
+// blocks hands out every lower block no extent names before it goes on
+// past the largest, so blocks allocated after resume never collide with
+// checkpointed ones.
 func TestVolumeAllocStateRestore(t *testing.T) {
-	v := NewVolume(NewMemStore(), 64, 0, testModel(), nil)
-	a, b, c := v.Alloc(), v.Alloc(), v.Alloc()
-	_ = a
-	_ = c
-	v.Free(b)
-	next, free := v.AllocState()
-
 	w := NewVolume(NewMemStore(), 64, 0, testModel(), nil)
-	w.RestoreAlloc(next, free)
-	if got := w.Alloc(); got != b {
-		t.Fatalf("restored volume allocated %d first, want the freed block %d", got, b)
+	w.Alloc()
+	w.Adopt([]BlockID{5, 0, 2})
+	if w.Used() != 3 {
+		t.Fatalf("adopting volume reports %d used blocks, want 3", w.Used())
 	}
-	if got := w.Alloc(); got != 3 {
-		t.Fatalf("restored volume continued at %d, want 3", got)
+	var got []BlockID
+	for range 4 {
+		got = append(got, w.Alloc())
 	}
-	if w.Used() != 4 {
-		t.Fatalf("restored volume reports %d used blocks, want 4", w.Used())
+	if !slices.Equal(got, []BlockID{1, 3, 4, 6}) {
+		t.Fatalf("adopting volume allocated %v, want the free 1, 3, 4 and then 6", got)
+	}
+	if w.Used() != 7 {
+		t.Fatalf("adopting volume reports %d used blocks after 4 allocations, want 7", w.Used())
 	}
 }

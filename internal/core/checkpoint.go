@@ -4,7 +4,9 @@ package core
 // boundaries are worth committing: after run formation (the expensive
 // input pass — runs on disk, their lengths, extents and sample shares in
 // the manifest) and after multiway selection (the splitter matrix, tiny
-// and identical on every rank). From the selection checkpoint a
+// and identical on every rank). At either commit a rank's live blocks
+// are exactly those its extents name, so a resume derives the store's
+// block layout and allocator from them. From the selection checkpoint a
 // restarted fleet re-does only the exchange and merge; from the
 // run-formation checkpoint it also gathers the sample and re-runs
 // selection; with no checkpoint it starts from scratch. Either way the
@@ -63,25 +65,15 @@ const (
 	ckptSelection = int64(2)
 )
 
-func ckptLevel(phase string) int64 {
-	switch phase {
-	case PhaseRunForm:
-		return ckptRunform
-	case PhaseSelection:
-		return ckptSelection
-	}
-	return ckptNone
-}
-
 // The optional durable-store surface a checkpointed volume must have
-// (blockio.FileStore in durable mode implements all of it).
+// (blockio.FileStore): an adopted store is told its block layout.
 type lensStore interface {
-	BlockLens() []blockio.BlockLen
-	SetBlockLens([]blockio.BlockLen)
+	SetBlockLens(map[blockio.BlockID]int)
 }
 
 // loadCkpt reads and validates one rank's manifest, returning its
-// committed phase level; a missing manifest is level ckptNone.
+// committed phase level: ckptNone without a manifest, ckptSelection
+// once it holds the splitters, ckptRunform otherwise.
 func loadCkpt(ck CheckpointConfig, rank, p, elemSize, blockBytes int) (*blockio.Manifest, int64, error) {
 	man, err := blockio.LoadManifest(ck.Dir, rank)
 	if os.IsNotExist(err) {
@@ -93,22 +85,23 @@ func loadCkpt(ck CheckpointConfig, rank, p, elemSize, blockBytes int) (*blockio.
 	if err := man.Validate(ck.JobID, rank, p, ck.Epoch, elemSize, blockBytes); err != nil {
 		return nil, 0, fmt.Errorf("core: resume: %w", err)
 	}
-	return man, ckptLevel(man.Phase), nil
+	if man.Splitters != nil {
+		return man, ckptSelection, nil
+	}
+	return man, ckptRunform, nil
 }
 
 // commitRunform writes the run-formation checkpoint: store contents
-// fsync'd first, then the manifest describing them — allocator state,
-// block layout and this rank's runs: each one's length, extents and
-// sample share.
+// fsync'd first, then the manifest describing them — this rank's runs:
+// each one's length, extents and sample share — unless the volume holds
+// other blocks than the one each extent names.
 func commitRunform[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, k int64, locals []localRun[T]) (*blockio.Manifest, error) {
-	ls, ok := n.Vol.Store().(lensStore)
-	if !ok {
+	if _, ok := n.Vol.Store().(lensStore); !ok {
 		return nil, fmt.Errorf("core: Checkpoint.Dir is set but rank %d's block store is not durable (use blockio.DurableFileStoreFactory)", n.Rank)
 	}
 	if err := n.Vol.SyncStore(); err != nil {
 		return nil, fmt.Errorf("core: checkpoint sync, rank %d: %w", n.Rank, err)
 	}
-	next, free := n.Vol.AllocState()
 	man := &blockio.Manifest{
 		JobID:      cfg.Checkpoint.JobID,
 		Rank:       n.Rank,
@@ -117,14 +110,15 @@ func commitRunform[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, k int64
 		ElemSize:   c.Size(),
 		BlockBytes: cfg.BlockBytes,
 		SampleK:    k,
-		Phase:      PhaseRunForm,
-		NextBlock:  next,
-		FreeList:   free,
-		Blocks:     ls.BlockLens(),
 		Runs:       make([]blockio.RunMeta, len(locals)),
 	}
+	named := int64(0)
 	for ri, lr := range locals {
 		man.Runs[ri] = blockio.RunMeta{RunLen: lr.runLen, Extents: lr.file.Extents, Sample: elem.AppendEncode(c, nil, lr.sample)}
+		named += int64(len(lr.file.Extents))
+	}
+	if named != n.Vol.Used() {
+		return nil, fmt.Errorf("core: checkpoint commit, rank %d: %d blocks are live but its runs' extents name %d", n.Rank, n.Vol.Used(), named)
 	}
 	if err := man.WriteFile(cfg.Checkpoint.Dir); err != nil {
 		return nil, fmt.Errorf("core: checkpoint commit, rank %d: %w", n.Rank, err)
@@ -133,10 +127,9 @@ func commitRunform[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, k int64
 }
 
 // commitSelection advances an existing manifest to the selection
-// checkpoint: only the phase and the splitter matrix change (selection
-// reads blocks but allocates none, so the store state still holds).
+// checkpoint by adding the splitter matrix (selection reads blocks but
+// allocates none, so the run directory still names every live block).
 func commitSelection(cfg *Config, n *cluster.Node, man *blockio.Manifest, split [][]int64) error {
-	man.Phase = PhaseSelection
 	man.Splitters = split
 	if err := man.WriteFile(cfg.Checkpoint.Dir); err != nil {
 		return fmt.Errorf("core: checkpoint commit, rank %d: %w", n.Rank, err)
@@ -145,9 +138,10 @@ func commitSelection(cfg *Config, n *cluster.Node, man *blockio.Manifest, split 
 }
 
 // restoreRunform rebuilds the post-run-formation state from a manifest:
-// the volume allocator, the store block layout and the local runs, each
-// segment placed by its run's length, refused unless the run fits it, and
-// its sample share charged as runFormation charges it.
+// the local runs, each segment placed by its run's length, refused
+// unless the run fits it, and its sample share charged as runFormation
+// charges it; and from their extents, each naming its own block of
+// (Off+Len)·ElemSize bytes, the store's block layout and the allocator.
 func restoreRunform[T any](c elem.Codec[T], n *cluster.Node, k int64, man *blockio.Manifest) ([]localRun[T], error) {
 	ls, ok := n.Vol.Store().(lensStore)
 	if !ok {
@@ -156,11 +150,16 @@ func restoreRunform[T any](c elem.Codec[T], n *cluster.Node, k int64, man *block
 	if man.SampleK != k {
 		return nil, fmt.Errorf("core: resume: manifest SampleK %d differs from configured %d — resume with the same flags and binary as the original job", man.SampleK, k)
 	}
+	lens, live := map[blockio.BlockID]int{}, []blockio.BlockID{}
 	locals := make([]localRun[T], len(man.Runs))
 	for ri, rm := range man.Runs {
 		lo, hi := segment(rm.RunLen, n.Rank, n.P)
 		lr := localRun[T]{file: job.File{Extents: rm.Extents}, segStart: lo, segLen: hi - lo, runLen: rm.RunLen}
 		for _, e := range rm.Extents {
+			if _, dup := lens[e.ID]; dup {
+				return nil, fmt.Errorf("core: resume: rank %d's manifest names block %d twice (again in run %d) — resume with the same flags and binary as the original job", n.Rank, e.ID, ri)
+			}
+			lens[e.ID], live = (e.Off+e.Len)*c.Size(), append(live, e.ID)
 			lr.file.N += int64(e.Len)
 		}
 		cnt := sampleCount(lo, hi, k)
@@ -172,7 +171,7 @@ func restoreRunform[T any](c elem.Codec[T], n *cluster.Node, k int64, man *block
 		n.Mem.MustAcquire(int64(cnt)) // held until localRunsMeta releases it
 		locals[ri] = lr
 	}
-	ls.SetBlockLens(man.Blocks)
-	n.Vol.RestoreAlloc(man.NextBlock, man.FreeList)
+	ls.SetBlockLens(lens)
+	n.Vol.Adopt(live)
 	return locals, nil
 }

@@ -115,9 +115,6 @@ func TestResumeSkipsCommittedPhases(t *testing.T) {
 		if err != nil {
 			t.Fatalf("rank %d committed no manifest: %v", r, err)
 		}
-		if man.Phase != PhaseSelection {
-			t.Fatalf("rank %d manifest at phase %q, want %q", r, man.Phase, PhaseSelection)
-		}
 		if len(man.Splitters) != p+1 {
 			t.Fatalf("rank %d manifest has %d splitter rows, want %d", r, len(man.Splitters), p+1)
 		}
@@ -176,7 +173,6 @@ func TestResumeDowngradesToMinPhase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	man.Phase = PhaseRunForm
 	man.Splitters = nil
 	if err := man.WriteFile(dir); err != nil {
 		t.Fatal(err)
@@ -234,14 +230,25 @@ func TestCheckpointValidation(t *testing.T) {
 
 	// A manifest whose runs do not fit the segments their lengths
 	// imply: a sample share one element long (as the whole-run sample
-	// is), or extents one element short of the segment.
+	// is), or extents one element short of the segment; or whose
+	// extents name one block twice, within a run or across two.
 	orig, err := blockio.LoadManifest(dir, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, tamper := range []func(rm *blockio.RunMeta){
-		func(rm *blockio.RunMeta) { rm.Sample = append(rm.Sample, make([]byte, kvc.Size())...) },
-		func(rm *blockio.RunMeta) { rm.Extents[0].Len-- },
+	if len(orig.Runs) < 2 || len(orig.Runs[0].Extents) < 2 {
+		t.Fatalf("test degenerate: %d runs, %d extents in the first", len(orig.Runs), len(orig.Runs[0].Extents))
+	}
+	for i, tc := range []struct {
+		tamper func(man *blockio.Manifest)
+		want   string
+	}{
+		{func(man *blockio.Manifest) {
+			man.Runs[0].Sample = append(man.Runs[0].Sample, make([]byte, kvc.Size())...)
+		}, "sample bytes"},
+		{func(man *blockio.Manifest) { man.Runs[0].Extents[0].Len-- }, "sample bytes"},
+		{func(man *blockio.Manifest) { man.Runs[0].Extents[1].ID = man.Runs[0].Extents[0].ID }, "twice (again in run 0)"},
+		{func(man *blockio.Manifest) { man.Runs[1].Extents[0].ID = man.Runs[0].Extents[0].ID }, "twice (again in run 1)"},
 	} {
 		if err := orig.WriteFile(dir); err != nil {
 			t.Fatal(err)
@@ -250,15 +257,15 @@ func TestCheckpointValidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tamper(&man.Runs[0])
+		tc.tamper(man)
 		if err := man.WriteFile(dir); err != nil {
 			t.Fatal(err)
 		}
 		bad := ckptConfig(p, dir, true, 1)
 		bad.Source, _ = tallySource(input)
 		bad.Sink = func(int, []byte) error { return nil }
-		if _, err := Sort[elem.KV16](kvc, bad, nil); err == nil || !strings.Contains(err.Error(), "same flags and binary") {
-			t.Fatalf("tampered run %d: resume returned %v, want a refusal", i, err)
+		if _, err := Sort[elem.KV16](kvc, bad, nil); err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "same flags and binary") {
+			t.Fatalf("tampered manifest %d: resume returned %v, want a refusal naming %q", i, err, tc.want)
 		}
 	}
 	if err := orig.WriteFile(dir); err != nil {
@@ -404,12 +411,64 @@ func TestResultNFromRunDirectory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		man.Phase, man.Splitters = PhaseRunForm, nil
+		man.Splitters = nil
 		if err := man.WriteFile(dir); err != nil {
 			t.Fatal(err)
 		}
 	}
 	sortN("resume from the run-formation commit", ckptConfig(p, dir, true, 2))
+}
+
+// TestResumeFromStagedInput: a forward-only Source is staged onto the
+// durable store, and run formation frees every staged block it reads, so
+// the run-formation commit finds only the runs' blocks live — the
+// condition a resume derives the store from. A fleet resumed from that
+// commit writes the unfaulted run's output and reads no input.
+func TestResumeFromStagedInput(t *testing.T) {
+	const p, perPE = 3, 4100
+	input := inputFor(testConfig(p), workload.Uniform, perPE, 59)
+	dir := t.TempDir()
+	fresh := ckptConfig(p, dir, false, 0)
+	src, readBytes := tallySource(input)
+	fresh.Source = func(rank int) (io.Reader, int64, error) {
+		r, n, err := src(rank)
+		return struct{ io.Reader }{r}, n, err
+	}
+	sink, out := sinkCapture(p)
+	fresh.Sink = sink
+	if _, err := Sort[elem.KV16](kvc, fresh, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := readBytes.Load(), int64(p*perPE*kvc.Size()); got != want {
+		t.Fatalf("staged run read %d input bytes, want %d", got, want)
+	}
+	for r := range p {
+		man, err := blockio.LoadManifest(dir, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		man.Splitters = nil
+		if err := man.WriteFile(dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	resumed := ckptConfig(p, dir, true, 1)
+	rsrc, reread := tallySource(input)
+	resumed.Source = rsrc
+	rsink, rout := sinkCapture(p)
+	resumed.Sink = rsink
+	if _, err := Sort[elem.KV16](kvc, resumed, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := reread.Load(); got != 0 {
+		t.Fatalf("resume re-read %d input bytes, want 0", got)
+	}
+	for r := range p {
+		if !bytes.Equal(rout[r], out[r]) {
+			t.Fatalf("rank %d: resumed output differs from the unfaulted run's", r)
+		}
+	}
 }
 
 // TestResumeShortRunFromRunformCommit: on uneven tiles whose last run
@@ -449,7 +508,7 @@ func TestResumeShortRunFromRunformCommit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		man.Phase, man.Splitters = PhaseRunForm, nil
+		man.Splitters = nil
 		if err := man.WriteFile(dir); err != nil {
 			t.Fatal(err)
 		}

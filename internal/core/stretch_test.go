@@ -93,8 +93,7 @@ func (b blockAtATime) ReadAt(id blockio.BlockID, dst []byte) error  { return b.s
 func (b blockAtATime) WriteAt(id blockio.BlockID, src []byte) error { return b.s.WriteAt(id, src) }
 func (b blockAtATime) Close() error                                 { return b.s.Close() }
 func (b blockAtATime) Sync() error                                  { return b.s.Sync() }
-func (b blockAtATime) BlockLens() []blockio.BlockLen                { return b.s.BlockLens() }
-func (b blockAtATime) SetBlockLens(lens []blockio.BlockLen)         { b.s.SetBlockLens(lens) }
+func (b blockAtATime) SetBlockLens(lens map[blockio.BlockID]int)    { b.s.SetBlockLens(lens) }
 
 // nodesOf hosts a machine's PEs and remembers each rank's node, so its
 // store can tell the phase a call comes in.

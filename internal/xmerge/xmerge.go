@@ -1,8 +1,8 @@
 // Package xmerge implements sequential multiway merging of sorted
 // sequences, the inner loop of both the run-formation internal sort and
 // the final merge phase. The loop exists once, with two entries:
-// AppendMerge over in-memory sequences and MergeStream over streams
-// that arrive block by block.
+// AppendMerge over in-memory sequences and MergeBlocks, the streaming
+// entry, over streams that arrive block by block.
 //
 // Merging runs on the flat key-inline tournament tree (pq.KeyTree):
 // stream heads are summarised by 64-bit normalized keys
@@ -98,21 +98,15 @@ func AppendMerge[T any](c elem.Codec[T], dst []T, seqs [][]T) []T {
 	return dst
 }
 
-// MergeStream k-way merges k sorted streams that arrive block by block
+// MergeBlocks k-way merges k sorted streams that arrive block by block
 // — the loop of every external merge pass. next(i) returns stream i's
 // next non-empty block, nil at its end; a block only has to stay valid
-// until the following next(i). The merged sequence is written into the
-// caller's out and goes to emit each time out is full (the last slice
-// may be shorter): emit gets a prefix of out, valid for the duration of
-// the call, and the merge writes on into out once it returns. emit's
-// error ends the merge. Ties are broken by stream index.
-func MergeStream[T any](c elem.Codec[T], k int, out []T, next func(i int) []T, emit func([]T) error) error {
-	return MergeBlocks(c, k, out, next, func(blk []T) ([]T, error) { return out, emit(blk) })
-}
-
-// MergeBlocks is MergeStream writing each output block where emit says:
-// the first into out, each next one into the slice emit returns, which
-// is at least as long as out.
+// until the following next(i). The merged sequence is written in
+// output blocks of len(out): the first into out, each next one into the
+// slice emit returned for the one before, which is at least as long as
+// out. Each full block goes to emit (the last may be shorter), valid for
+// the duration of the call. emit's error ends the merge. Ties are
+// broken by stream index.
 func MergeBlocks[T any](c elem.Codec[T], k int, out []T, next func(i int) []T, emit func([]T) ([]T, error)) error {
 	cur := make([][]T, k)
 	for i := range cur {

@@ -66,7 +66,7 @@ func TestMergeEmptyInputs(t *testing.T) {
 	}
 }
 
-// streamOf serves seq to MergeStream in blocks of blk elements.
+// streamOf serves seq to MergeBlocks in blocks of blk elements.
 func streamOf[T any](seqs [][]T, blk int) func(i int) []T {
 	off := make([]int, len(seqs))
 	return func(i int) []T {
@@ -93,17 +93,19 @@ func stableMerged[T any](c elem.Codec[T], seqs [][]T) []T {
 	return all
 }
 
-// streamed runs MergeStream over seqs in input blocks of blk elements
-// and output slices of outLen, checking every slice's length.
+// streamed runs MergeBlocks over seqs in input blocks of blk elements
+// and output slices of outLen, all into one buffer, checking every
+// slice's length.
 func streamed[T any](t *testing.T, c elem.Codec[T], seqs [][]T, blk, outLen int) []T {
 	t.Helper()
 	var got []T
-	err := MergeStream(c, len(seqs), make([]T, outLen), streamOf(seqs, blk), func(out []T) error {
+	buf := make([]T, outLen)
+	err := MergeBlocks(c, len(seqs), buf, streamOf(seqs, blk), func(out []T) ([]T, error) {
 		if len(out) == 0 || len(out) > outLen {
 			t.Fatalf("emit of %d elements, outLen %d", len(out), outLen)
 		}
 		got = append(got, out...)
-		return nil
+		return buf, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +135,7 @@ func TestMergeStreamEqualsMerge(t *testing.T) {
 			for cname, c := range map[string]elem.Codec[elem.KV16]{"keyed": kvc, "closure": closureKV{}} {
 				want := stableMerged(c, kv)
 				if got := streamed(t, c, kv, blk, 5); !slices.Equal(got, want) {
-					t.Fatalf("%s %s blk=%d: MergeStream differs from the stable sort", cname, name, blk)
+					t.Fatalf("%s %s blk=%d: MergeBlocks differs from the stable sort", cname, name, blk)
 				}
 				if got := AppendMerge(c, nil, kv); !slices.Equal(got, want) {
 					t.Fatalf("%s %s: AppendMerge differs from the stable sort", cname, name)
@@ -159,9 +161,10 @@ func TestMergeStreamEqualsMerge(t *testing.T) {
 func TestMergeStreamStopsOnEmitError(t *testing.T) {
 	seqs := [][]elem.U64{{1, 3, 5, 7}, {2, 4, 6, 8}}
 	calls, boom := 0, errors.New("sink full")
-	err := MergeStream[elem.U64](u64c, 2, make([]elem.U64, 2), streamOf(seqs, 2), func([]elem.U64) error {
+	out := make([]elem.U64, 2)
+	err := MergeBlocks[elem.U64](u64c, 2, out, streamOf(seqs, 2), func([]elem.U64) ([]elem.U64, error) {
 		calls++
-		return boom
+		return out, boom
 	})
 	if err != boom || calls != 1 {
 		t.Fatalf("err %v after %d emits, want the emit error after 1", err, calls)
@@ -205,7 +208,7 @@ func sortedRecSeqs(rng *rand.Rand, k, n int) [][]elem.Rec100 {
 
 // BenchmarkMergeRec100 sizes the one merge loop on gensort records
 // (2^17 of them, cut into k equal sequences): AppendMerge at k = 2, 4
-// and 21, and MergeStream at the benchmark's run counts (21 and 49 per
+// and 21, and MergeBlocks at the benchmark's run counts (21 and 49 per
 // PE) over 163-record blocks, the records a 16 KiB block holds.
 func BenchmarkMergeRec100(b *testing.B) {
 	const n, blk = 1 << 17, 163
@@ -225,7 +228,7 @@ func BenchmarkMergeRec100(b *testing.B) {
 		out := make([]elem.Rec100, blk)
 		b.Run(fmt.Sprintf("MergeStream/k=%d", k), func(b *testing.B) {
 			for b.Loop() {
-				MergeStream[elem.Rec100](rc, k, out, streamOf(seqs, blk), func([]elem.Rec100) error { return nil })
+				MergeBlocks[elem.Rec100](rc, k, out, streamOf(seqs, blk), func([]elem.Rec100) ([]elem.Rec100, error) { return out, nil })
 			}
 			b.ReportMetric(float64(n/k*k)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Melem/s")
 		})
